@@ -3,7 +3,7 @@
 The pieces, in pipeline order:
 
 * :mod:`rampnet.network` declares a freeway network (cells, ramps, sensors,
-  junctions, timing) and ships a canonical three-highway benchmark.
+  junctions, timing) and loads the shipped three-highway benchmark config.
 * :mod:`rampnet.plant` simulates it: cell-transmission dynamics, Poisson
   demand, signalized meters, windowed detectors, and the episode runner.
 * :mod:`rampnet.feedback` holds the local occupancy regulators and the
@@ -28,14 +28,13 @@ from .mpc import (ModelBlowupError, MpcConfig, MpcController, MpcSolution,
                   rollout, solve)
 from .network import (CellParams, ConfigError, Highway, JunctionSpec,
                       NetworkConfig, RampSpec, SensorSpec,
-                      benchmark_config_path, build_benchmark_network,
-                      load_config, save_config, serialize_config)
-from .plant import (ControlObservation, EpisodeRecord, PlantState, RampSignal,
-                    SensorReading, StepInfo, TrafficPlant, run_episode,
-                    sample_arrivals)
+                      benchmark_config_path, load_config, save_config,
+                      serialize_config)
+from .plant import (ControlObservation, EpisodeRecord, RampSignal, StepInfo,
+                    TrafficPlant, run_episode, sample_arrivals)
 from .sysid import (FeatureLibrarySpec, FitReport, InsufficientDataError,
                     SparseModel, TrajectoryLog, build_library, differentiate,
-                    discover_dmdc, discover_sindyc, evaluate, fit_derivatives,
-                    fit_report, one_step_predict, stls_regress, term_label)
+                    discover_dmdc, discover_sindyc, fit_derivatives,
+                    fit_report, stls_regress, term_label)
 
 __version__ = "0.1.0"

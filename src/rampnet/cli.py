@@ -64,9 +64,8 @@ def _cmd_run(args) -> int:
     sindyc = SparseModel.load(args.sindyc_model)
     dmdc = SparseModel.load(args.dmdc_model)
     mpc_config = MpcConfig(horizon=args.horizon)
-    results = harness.run_scenarios(
-        config, sindyc, dmdc, _parse_seeds(args.seeds),
-        mpc_config=mpc_config, max_threads=args.threads)
+    results = harness.run_scenarios(config, sindyc, dmdc,
+                                    _parse_seeds(args.seeds), mpc_config=mpc_config)
     paths = harness.report(results, args.out, config,
                            models={"sindyc": sindyc, "dmdc": dmdc})
     for res in results:
@@ -133,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmdc-model", required=True)
     p.add_argument("--seeds", required=True, help="evaluation seeds, e.g. 5,6,7")
     p.add_argument("--horizon", type=int, default=4, help="MPC horizon length")
-    p.add_argument("--threads", type=int, default=None,
-                   help="episode worker threads (default: RAMPNET_THREADS)")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=_cmd_run)
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,23 +152,14 @@ def results_from_records(scenario: str, seeds, records,
     )
 
 
-def _worker_count(n_jobs: int, max_threads: int | None) -> int:
-    if max_threads is None:
-        env = os.environ.get("RAMPNET_THREADS", "").strip()
-        max_threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(int(max_threads), n_jobs))
-
-
 def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
                   dmdc: SparseModel, seeds, scenarios=SCENARIOS,
                   target_occupancy_pct: float = 15.0,
-                  mpc_config: MpcConfig | None = None,
-                  max_threads: int | None = None) -> list[ScenarioResult]:
+                  mpc_config: MpcConfig | None = None) -> list[ScenarioResult]:
     """Run every scenario on every seed and aggregate the standard metrics.
 
-    Episodes are independent (own plant, own RNG, own controller) and may run
-    on a thread pool sized by ``max_threads`` or the RAMPNET_THREADS
-    environment variable; results come back in deterministic order either way.
+    Episodes are independent (own plant, own RNG, own controller); each
+    scenario's ``runtime_s`` covers its own episodes only.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -180,32 +169,19 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
         if name not in SCENARIOS:
             raise UsageError(f"unknown scenario '{name}'; pick from {SCENARIOS}")
 
-    def one_episode(job):
-        scenario, seed = job
-        controller = make_controller(
-            scenario, config.n_ramps, target_occupancy_pct,
-            sindyc=sindyc, dmdc=dmdc, mpc_config=mpc_config)
-        record = run_episode(config, controller, seed=seed)
-        diag = getattr(controller, "diagnostics", None)
-        return record, diag
-
-    jobs = [(scenario, seed) for scenario in scenarios for seed in seeds]
-    started = {name: time.perf_counter() for name in scenarios}
-    workers = _worker_count(len(jobs), max_threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_episode, jobs))
-    else:
-        outcomes = [one_episode(job) for job in jobs]
-
     results = []
-    for i, scenario in enumerate(scenarios):
-        chunk = outcomes[i * len(seeds):(i + 1) * len(seeds)]
-        records = [rec for rec, _ in chunk]
-        diags = [diag for _, diag in chunk]
+    for scenario in scenarios:
+        started = time.perf_counter()
+        records, diags = [], []
+        for seed in seeds:
+            controller = make_controller(
+                scenario, config.n_ramps, target_occupancy_pct,
+                sindyc=sindyc, dmdc=dmdc, mpc_config=mpc_config)
+            records.append(run_episode(config, controller, seed=seed))
+            diags.append(getattr(controller, "diagnostics", None))
         results.append(results_from_records(
             scenario, seeds, records, target_occupancy_pct,
-            runtime_s=time.perf_counter() - started[scenario],
+            runtime_s=time.perf_counter() - started,
             solver_diagnostics=diags if any(d is not None for d in diags) else None,
         ))
     return results

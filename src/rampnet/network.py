@@ -7,15 +7,14 @@ another. Everything here is geometry and timing; the dynamics live in
 :mod:`rampnet.plant`.
 
 Configs travel as YAML with units spelled out in the key names
-(``length_km``, ``demand_veh_per_hour``, ...). ``build_benchmark_network``
-constructs the canonical three-highway testbed in code; the same network ships
-as ``data/benchmark.cfg`` and the two must stay equal (tested).
+(``length_km``, ``demand_veh_per_hour``, ...). The canonical three-highway
+testbed ships as ``data/benchmark.cfg``; see :func:`benchmark_config_path`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml
@@ -31,7 +30,6 @@ __all__ = [
     "load_config",
     "save_config",
     "serialize_config",
-    "build_benchmark_network",
     "benchmark_config_path",
 ]
 
@@ -386,99 +384,6 @@ def load_config(path) -> NetworkConfig:
 
 
 # -- canonical testbed --------------------------------------------------------
-
-#: Geometry shared by every cell of the benchmark network. Capacity 2000 veh/h
-#: per lane at 100 km/h puts the critical density at 20 veh/km/lane, which a
-#: detector with 7.5 m effective vehicle length reads as exactly 15% occupancy,
-#: so the metering setpoint sits on the flow peak.
-def _bench_cell(lanes: int, capacity_vphl: float) -> CellParams:
-    return CellParams(
-        length_km=0.5,
-        lanes=lanes,
-        free_flow_kmh=100.0,
-        capacity_vphl=capacity_vphl,
-        jam_density_vkml=160.0,
-        vehicle_length_m=7.5,
-    )
-
-
-# Per-cell (lanes, capacity per lane) for the shipped network. Each metered
-# merge is a full-capacity storage cell followed by a tighter section (lane
-# drop, weave, or junction), so a meter in the 200..1800 veh/h range decides
-# whether the section saturates. At 2000 veh/h per lane the critical density
-# of a storage cell corresponds to 15% occupancy, the classic setpoint.
-_BENCH_CELLS = {
-    "CA-134E": ((3, 2000), (3, 2000), (3, 2000), (2, 2050), (3, 2000),
-                (3, 2000), (3, 1650), (3, 2000), (3, 2000), (3, 1800),
-                (3, 2000), (3, 2000)),
-    "CA-2S": ((3, 2000), (3, 2000), (3, 2000), (3, 1667), (3, 2000),
-              (3, 2000), (3, 1850), (3, 2100), (4, 2000), (4, 1600),
-              (4, 2000), (3, 2050)),
-    "I-5N": ((3, 2000), (3, 2000), (3, 2000), (4, 2000), (3, 2100),
-             (4, 1900), (4, 2000), (4, 1790), (4, 1900), (4, 1900)),
-}
-
-
-def build_benchmark_network(rng_seed: int = 0) -> NetworkConfig:
-    """Three intersecting highways, eight metered ramps, one sensor per ramp.
-
-    Mainline demands are 3250 / 3400 / 4200 veh/h and every ramp carries
-    2000 veh/h. Bottleneck capacities are sized so that holding every merge
-    at 15% occupancy needs a rate well inside [200, 1800] veh/h, while the
-    unmetered network oversaturates and congestion spills across the
-    junctions.
-    """
-    def ramp(hid: str, hw: str, cell: int) -> RampSpec:
-        return RampSpec(id=hid, highway=hw, merge_cell=cell,
-                        demand_veh_per_hour=2000.0)
-
-    def sensor(sid: str, hw: str, cell: int) -> SensorSpec:
-        return SensorSpec(id=sid, highway=hw, cell=cell)
-
-    def cells(name: str) -> tuple[CellParams, ...]:
-        return tuple(_bench_cell(lanes, cap) for lanes, cap in _BENCH_CELLS[name])
-
-    hw134 = Highway("CA-134E", cells("CA-134E"), 3250.0)
-    hw2 = Highway("CA-2S", cells("CA-2S"), 3400.0)
-    hw5 = Highway("I-5N", cells("I-5N"), 4200.0)
-
-    ramps = (
-        ramp("134E-R1", "CA-134E", 2),
-        ramp("134E-R2", "CA-134E", 5),
-        ramp("134E-R3", "CA-134E", 8),
-        ramp("2S-R1", "CA-2S", 2),
-        ramp("2S-R2", "CA-2S", 5),
-        ramp("2S-R3", "CA-2S", 8),
-        ramp("5N-R1", "I-5N", 3),
-        ramp("5N-R2", "I-5N", 6),
-    )
-    sensors = (
-        sensor("134E-S1", "CA-134E", 2),
-        sensor("134E-S2", "CA-134E", 5),
-        sensor("134E-S3", "CA-134E", 8),
-        sensor("2S-S1", "CA-2S", 2),
-        sensor("2S-S2", "CA-2S", 5),
-        sensor("2S-S3", "CA-2S", 8),
-        sensor("5N-S1", "I-5N", 3),
-        sensor("5N-S2", "I-5N", 6),
-    )
-    junctions = (
-        JunctionSpec("CA-134E", 10, "CA-2S", 3, 0.12),
-        JunctionSpec("CA-134E", 6, "I-5N", 1, 0.08),
-        JunctionSpec("CA-2S", 10, "I-5N", 4, 0.12),
-    )
-    return NetworkConfig(
-        highways=(hw134, hw2, hw5),
-        ramps=ramps,
-        sensors=sensors,
-        junctions=junctions,
-        sim_step_s=1.0,
-        control_step_s=30.0,
-        burn_in_s=1800.0,
-        horizon_duration_s=3600.0,
-        rng_seed=rng_seed,
-    )
-
 
 def benchmark_config_path() -> str:
     """Filesystem path of the shipped benchmark config."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,8 @@ from .network import NetworkConfig
 __all__ = [
     "sample_arrivals",
     "RampSignal",
-    "SensorReading",
     "ControlObservation",
     "StepInfo",
-    "PlantState",
     "TrafficPlant",
     "EpisodeRecord",
     "run_episode",
@@ -119,15 +117,6 @@ class RampSignal:
 
 
 @dataclass(frozen=True)
-class SensorReading:
-    """One detector's aggregate over a control step."""
-
-    occupancy_pct: float
-    flow_vph: float
-    speed_kmh: float
-
-
-@dataclass(frozen=True)
 class ControlObservation:
     """All sensors' aggregates over the control step ending at ``time_s``."""
 
@@ -144,17 +133,6 @@ class StepInfo:
     arrivals_veh: float  # sampled at every source, pre-drop
     dropped_veh: float  # ramp arrivals lost to a full queue
     exits_veh: float  # vehicles that left through a sink
-
-
-@dataclass(frozen=True)
-class PlantState:
-    """Snapshot of the mutable plant state (copies, safe to keep)."""
-
-    time_s: float
-    density_vkml: np.ndarray  # per global cell, veh/km/lane
-    entry_queues_veh: np.ndarray  # per highway
-    ramp_queues_veh: np.ndarray  # per ramp
-    signal_phases: tuple[str, ...]  # per metered ramp
 
 
 class TrafficPlant:
@@ -254,15 +232,6 @@ class TrafficPlant:
                 f"expected {len(self.signals)} rates, got shape {rates.shape}")
         for sig, rate in zip(self.signals, rates):
             sig.set_rate(float(rate))
-
-    def state(self) -> PlantState:
-        return PlantState(
-            time_s=self.time_s,
-            density_vkml=self.density.copy(),
-            entry_queues_veh=self.entry_queues.copy(),
-            ramp_queues_veh=self.ramp_queues.copy(),
-            signal_phases=tuple(sig.phase for sig in self.signals),
-        )
 
     def total_vehicles(self) -> float:
         """All vehicles currently inside: cells plus every kind of queue."""

@@ -39,8 +39,6 @@ __all__ = [
     "discover_sindyc",
     "discover_dmdc",
     "SparseModel",
-    "evaluate",
-    "one_step_predict",
     "FitReport",
     "fit_report",
 ]
@@ -619,14 +617,6 @@ class SparseModel:
             zero_rows=tuple(bool(b) for b in doc["zero_rows"]),
             provenance=doc.get("provenance", {}),
         )
-
-
-def evaluate(model: SparseModel, x, u) -> np.ndarray:
-    return model.evaluate(x, u)
-
-
-def one_step_predict(model: SparseModel, x, u, h: float = 1.0) -> np.ndarray:
-    return model.step(x, u, h)
 
 
 # -- reporting ----------------------------------------------------------------------

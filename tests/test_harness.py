@@ -2,14 +2,15 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
 from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
-                             _worker_count, collect, load_logs,
-                             load_raw_results, make_controller, report,
-                             results_from_records, run_scenarios)
+                             collect, load_logs, load_raw_results,
+                             make_controller, report, results_from_records,
+                             run_scenarios)
 from rampnet.mpc import MpcController
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
                              SensorSpec)
@@ -154,8 +155,7 @@ def test_run_scenarios_rejects_bad_arguments():
 
 def test_run_scenarios_covers_the_standard_comparison(tmp_path):
     sindyc, dmdc = _tiny_models()
-    results = run_scenarios(_tiny_network(), sindyc, dmdc, [0],
-                            max_threads=2)
+    results = run_scenarios(_tiny_network(), sindyc, dmdc, [0])
     assert [r.scenario for r in results] == list(SCENARIOS)
     by_name = {r.scenario: r for r in results}
     assert by_name["no-control"].green_pct[0] == pytest.approx(100.0)
@@ -167,28 +167,15 @@ def test_run_scenarios_covers_the_standard_comparison(tmp_path):
     assert by_name["alinea"].solver_diagnostics is None
 
 
-def test_run_scenarios_threading_does_not_change_results():
+def test_run_scenarios_times_each_scenario_on_its_own():
+    """Each runtime_s covers one scenario's episodes, so together they fit
+    inside the wall clock of the whole call."""
     sindyc, dmdc = _tiny_models()
-    config = _tiny_network()
-    serial = run_scenarios(config, sindyc, dmdc, [4, 5],
-                           scenarios=("alinea", "sindyc-mpc"), max_threads=1)
-    threaded = run_scenarios(config, sindyc, dmdc, [4, 5],
-                             scenarios=("alinea", "sindyc-mpc"), max_threads=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.mean_abs_deviation, b.mean_abs_deviation)
-        assert np.array_equal(a.mean_flow, b.mean_flow)
-        for rec_a, rec_b in zip(a.records, b.records):
-            assert np.array_equal(rec_a.occupancy, rec_b.occupancy)
-            assert np.array_equal(rec_a.rates, rec_b.rates)
-
-
-def test_worker_count_env_and_override(monkeypatch):
-    monkeypatch.setenv("RAMPNET_THREADS", "2")
-    assert _worker_count(8, None) == 2
-    assert _worker_count(8, 3) == 3  # explicit argument wins
-    assert _worker_count(1, 16) == 1  # never more workers than jobs
-    monkeypatch.setenv("RAMPNET_THREADS", "")
-    assert _worker_count(4, None) >= 1
+    started = time.perf_counter()
+    results = run_scenarios(_tiny_network(), sindyc, dmdc, [0])
+    wall = time.perf_counter() - started
+    assert all(r.runtime_s > 0.0 for r in results)
+    assert sum(r.runtime_s for r in results) <= wall
 
 
 # -- reports ------------------------------------------------------------------------------

@@ -220,13 +220,6 @@ def test_occupancy_saturates_at_hundred_percent():
     assert obs.occupancy[0] == 100.0
 
 
-def test_state_snapshot_is_a_copy():
-    plant = TrafficPlant(_metered_config())
-    snap = plant.state()
-    snap.density_vkml[:] = 99.0
-    assert not (plant.density == 99.0).any()
-
-
 def test_set_rates_validates_shape():
     plant = TrafficPlant(_metered_config())
     with pytest.raises(ValueError):

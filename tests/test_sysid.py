@@ -6,8 +6,8 @@ import pytest
 from rampnet.sysid import (FeatureLibrarySpec, InsufficientDataError,
                            SparseModel, TrajectoryLog, build_library,
                            differentiate, discover_dmdc, discover_sindyc,
-                           fit_derivatives, fit_report, one_step_predict,
-                           stls_regress, term_label)
+                           fit_derivatives, fit_report, stls_regress,
+                           term_label)
 
 THRESHOLD = 2e-4
 
@@ -317,7 +317,7 @@ def _hand_model():
 def test_evaluate_and_step_hand_values():
     model = _hand_model()
     assert model.evaluate([2.0], [1.0])[0] == pytest.approx(7.0, abs=1e-9)
-    assert one_step_predict(model, [2.0], [1.0], h=0.5)[0] == \
+    assert model.step([2.0], [1.0], h=0.5)[0] == \
         pytest.approx(3.5 + 2.0, abs=1e-9)
 
 
