@@ -19,10 +19,18 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_horizons(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            horizons = list(range(int(lo), int(hi) + 1))
+        else:
+            horizons = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        horizons = []
+    if not horizons:
+        raise harness.UsageError(
+            f"bad horizon list '{text}'; expected e.g. 3:7 or 3,5,7")
+    return horizons
 
 
 def _load_config(path: str | None) -> network.NetworkConfig:

@@ -103,7 +103,10 @@ def load_logs(log_dir) -> TrajectoryLog:
     paths = sorted(Path(log_dir).glob("*.csv"))
     if not paths:
         raise UsageError(f"no episode CSVs found under {log_dir}")
-    return TrajectoryLog.from_records(EpisodeRecord.from_csv(p) for p in paths)
+    try:
+        return TrajectoryLog.from_records(EpisodeRecord.from_csv(p) for p in paths)
+    except ValueError as exc:
+        raise UsageError(f"unusable episode logs under {log_dir}: {exc}") from exc
 
 
 @dataclass
@@ -193,7 +196,10 @@ def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[Scenar
     groups: dict[str, list[tuple[int, EpisodeRecord]]] = {}
     for path in sorted(raw_dir.glob("*-seed*.csv")):
         scenario, seed_part = path.stem.rsplit("-seed", 1)
-        record = EpisodeRecord.from_csv(path, seed=int(seed_part))
+        try:
+            record = EpisodeRecord.from_csv(path, seed=int(seed_part))
+        except ValueError as exc:
+            raise UsageError(f"unusable raw episode {path}: {exc}") from exc
         groups.setdefault(scenario, []).append((int(seed_part), record))
     if not groups:
         raise UsageError(f"no raw episode CSVs under {raw_dir}")

@@ -30,8 +30,10 @@ step is ``config.sim_step_s`` (1 s in the benchmark).
 from __future__ import annotations
 
 import csv
+import json
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -416,6 +418,9 @@ class EpisodeRecord:
         return len(self.times)
 
     def to_csv(self, path) -> None:
+        """Write the per-step table as CSV and the per-episode fields (seed,
+        step, ids, green seconds, drops, clamps) as a JSON sidecar beside it
+        (same name, ``.json`` suffix)."""
         n = self.occupancy.shape[1]
         m = self.rates.shape[1]
         header = (["time_s"]
@@ -430,29 +435,55 @@ class EpisodeRecord:
                 row = ([self.times[k]], self.occupancy[k], self.flow[k],
                        self.speed[k], self.rates[k])
                 writer.writerow([f"{v:.12g}" for part in row for v in part])
+        meta = {"seed": int(self.seed),
+                "control_step_s": float(self.control_step_s),
+                "sensor_ids": list(self.sensor_ids),
+                "ramp_ids": list(self.ramp_ids),
+                "green_seconds": [float(g) for g in self.green_seconds],
+                "dropped_veh": float(self.dropped_veh),
+                "clamp_events": int(self.clamp_events)}
+        with open(Path(path).with_suffix(".json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=1)
 
     @classmethod
     def from_csv(cls, path, seed: int = -1,
                  control_step_s: float = 30.0) -> "EpisodeRecord":
+        """Read an episode written by :meth:`to_csv`. Without its JSON sidecar
+        the record takes ``seed`` and ``control_step_s`` from the arguments,
+        column names as ids, and zero green seconds, drops and clamps."""
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            data = np.array([[float(v) for v in row] for row in reader])
+            header = next(reader, [])
+            try:
+                data = np.array([[float(v) for v in row] for row in reader],
+                                ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"malformed episode csv {path}: {exc}") from None
         n = sum(1 for h in header if h.startswith("occ_"))
         m = sum(1 for h in header if h.startswith("rate_"))
         if data.shape[1] != 1 + 3 * n + m:
             raise ValueError(f"malformed episode csv {path}: bad column count")
+        meta = {"seed": seed, "control_step_s": control_step_s,
+                "sensor_ids": [f"occ_{i + 1}" for i in range(n)],
+                "ramp_ids": [f"rate_{i + 1}" for i in range(m)],
+                "green_seconds": [0.0] * m, "dropped_veh": 0.0, "clamp_events": 0}
+        sidecar = Path(path).with_suffix(".json")
+        if sidecar.exists():
+            with open(sidecar, "r", encoding="utf-8") as fh:
+                meta.update(json.load(fh))
         return cls(
-            seed=seed,
-            control_step_s=control_step_s,
-            sensor_ids=tuple(f"occ_{i + 1}" for i in range(n)),
-            ramp_ids=tuple(f"rate_{i + 1}" for i in range(m)),
+            seed=int(meta["seed"]),
+            control_step_s=float(meta["control_step_s"]),
+            sensor_ids=tuple(meta["sensor_ids"]),
+            ramp_ids=tuple(meta["ramp_ids"]),
             times=data[:, 0],
             occupancy=data[:, 1:1 + n],
             flow=data[:, 1 + n:1 + 2 * n],
             speed=data[:, 1 + 2 * n:1 + 3 * n],
             rates=data[:, 1 + 3 * n:],
-            green_seconds=np.zeros(m),
+            green_seconds=np.array(meta["green_seconds"], dtype=float),
+            dropped_veh=float(meta["dropped_veh"]),
+            clamp_events=int(meta["clamp_events"]),
         )
 
 

@@ -3,12 +3,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from rampnet.cli import _parse_horizons, _parse_seeds, build_parser, main
 from rampnet.harness import UsageError
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
                              SensorSpec, save_config)
+from rampnet.sysid import fit_derivatives
 
 
 def _tiny_network():
@@ -43,6 +45,9 @@ def test_seed_and_horizon_parsing():
         _parse_seeds("one,two")
     assert _parse_horizons("3:5") == [3, 4, 5]
     assert _parse_horizons("3,5,7") == [3, 5, 7]
+    for bad in ("3:x", "5:3", ","):
+        with pytest.raises(UsageError, match="bad horizon list"):
+            _parse_horizons(bad)
 
 
 def test_missing_subcommand_is_an_argparse_error():
@@ -97,10 +102,37 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert not (rebuilt_dir / "raw").exists()
 
 
+def _log_dir(path, rows):
+    """A directory holding one single-sensor, single-ramp episode CSV."""
+    path.mkdir()
+    (path / "ep.csv").write_text(
+        "time_s,occ_1,flow_1,speed_1,rate_1\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
 def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     cfg_path = tmp_path / "net.cfg"
     save_config(_tiny_network(), cfg_path)
+    rng = np.random.default_rng(0)
+    x, u = rng.uniform(0, 30, (100, 1)), rng.uniform(200, 1800, (100, 1))
+    model_path = tmp_path / "model.json"
+    fit_derivatives(x, u, 0.3 * (15.0 - x)).save(model_path)
+    good = [f"{30 * k},{10 + k},3000,90,{700 + k}" for k in range(20)]
+    logs = {
+        "short": _log_dir(tmp_path / "short", good[:2]),
+        "garbled": _log_dir(tmp_path / "garbled", good[:5] + ["30,x,1,1,1"]),
+        "nan": _log_dir(tmp_path / "nan", good[:9] + ["300,nan,3000,90,700"]
+                        + good[10:]),
+    }
+    raw = _log_dir(tmp_path / "raw", good[:5] + ["30,1,1"])
+    (raw / "ep.csv").rename(raw / "alinea-seed1.csv")
     cases = [
+        ["report", "--config", str(cfg_path), "--results", str(raw),
+         "--out", str(tmp_path / "r3")],
+        *(["fit", "--logs", str(d), "--out", str(tmp_path / f"{name}.json")]
+          for name, d in logs.items()),
+        ["sweep", "--config", str(cfg_path), "--model", str(model_path),
+         "--horizons", "three:five", "--out", str(tmp_path / "s.csv")],
         ["collect", "--config", str(cfg_path), "--seeds", "a,b",
          "--out", str(tmp_path / "x")],
         ["fit", "--logs", str(tmp_path / "missing"),

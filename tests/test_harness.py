@@ -3,6 +3,7 @@
 import csv
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,33 @@ def test_raw_episodes_rebuild_the_same_metrics(standard_report):
                            rtol=1e-9)
         assert np.allclose(a.mean_flow, b.mean_flow, rtol=1e-9)
         assert np.allclose(a.green_pct, b.green_pct, rtol=1e-9)
+
+
+def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
+    # Ramp demand far above the top metering rate overflows a short queue, so
+    # dropped_veh is nonzero and has to survive the raw-episode round trip.
+    config = replace(_tiny_network(), ramps=(
+        RampSpec("H1-R1", "H1", 1, 3000.0, queue_capacity_veh=5.0),))
+    results = run_scenarios(config, None, None, [0, 1],
+                            scenarios=("no-control", "alinea"))
+    first = report(results, tmp_path / "run", config)["summary"]
+    rebuilt = report(load_raw_results(tmp_path / "run" / "raw"),
+                     tmp_path / "rebuilt", config, write_raw=False)["summary"]
+    original = json.loads(first.read_text())
+    again = json.loads(rebuilt.read_text())
+    assert min(original["scenarios"]["no-control"]["dropped_veh"]) > 0.0
+    for key in ("runtime_s", "models"):
+        original.pop(key)
+        again.pop(key)
+    assert again.keys() == original.keys()
+    assert again["config_sha256"] == original["config_sha256"]
+    assert again["seeds"] == original["seeds"]
+    assert again["scenarios"].keys() == original["scenarios"].keys()
+    for name, fields in original["scenarios"].items():
+        assert again["scenarios"][name].keys() == fields.keys()
+        assert again["scenarios"][name]["dropped_veh"] == fields["dropped_veh"]
+        for key, value in fields.items():
+            assert again["scenarios"][name][key] == pytest.approx(value, rel=1e-9)
 
 
 def test_report_requires_results():

@@ -258,16 +258,29 @@ def test_run_episode_rejects_wrong_controller_shape():
 
 
 def test_episode_record_csv_round_trip(tmp_path):
-    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
-    rec = run_episode(cfg, lambda obs: np.array([700.0]), seed=4)
+    # A rate below the floor is clamped every window and lets the ramp queue
+    # overflow, so every per-episode field is away from its default.
+    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=360.0)
+    rec = run_episode(cfg, lambda obs: np.array([100.0]), seed=4)
+    assert rec.dropped_veh > 0.0 and rec.clamp_events > 0
     path = tmp_path / "ep.csv"
     rec.to_csv(path)
-    back = EpisodeRecord.from_csv(path, seed=4)
+    back = EpisodeRecord.from_csv(path)
     assert back.seed == 4
+    assert back.control_step_s == rec.control_step_s
+    assert back.sensor_ids == rec.sensor_ids and back.ramp_ids == rec.ramp_ids
+    assert back.dropped_veh == rec.dropped_veh
+    assert back.clamp_events == rec.clamp_events
+    assert np.array_equal(back.green_seconds, rec.green_seconds)
     assert np.allclose(back.times, rec.times, rtol=0, atol=1e-9)
     for name in ("occupancy", "flow", "speed", "rates"):
         assert np.allclose(getattr(back, name), getattr(rec, name),
                            rtol=1e-11, atol=1e-11)
+    # A CSV without its sidecar still loads, with the caller's seed.
+    (tmp_path / "ep.json").unlink()
+    bare = EpisodeRecord.from_csv(path, seed=7)
+    assert bare.seed == 7 and bare.dropped_veh == 0.0
+    assert np.array_equal(bare.rates, back.rates)
 
 
 def test_episode_record_rejects_malformed_csv(tmp_path):

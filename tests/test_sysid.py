@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rampnet.sysid import (FeatureLibrarySpec, InsufficientDataError,
-                           SparseModel, TrajectoryLog, build_library,
-                           differentiate, discover_dmdc, discover_sindyc,
-                           fit_derivatives, fit_report, stls_regress,
-                           term_label)
+from rampnet.sysid import (REFIT_RCOND, FeatureLibrarySpec,
+                           InsufficientDataError, SparseModel, TrajectoryLog,
+                           _gram_fit, build_library, differentiate,
+                           discover_dmdc, discover_sindyc, fit_derivatives,
+                           fit_report, stls_regress, term_label)
 
 THRESHOLD = 2e-4
 
@@ -59,7 +59,7 @@ def test_differentiate_respects_dt():
 
 def test_too_short_episode_is_an_error():
     log = TrajectoryLog(states=np.zeros((2, 1)), inputs=np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(InsufficientDataError, match="at least 3"):
         differentiate(log)
 
 
@@ -161,6 +161,56 @@ def test_stls_significance_guard_prunes_pure_noise_terms():
     active = {labels[i] for i in np.flatnonzero(coefs[0])}
     assert {"x1", "x2*u1"} <= active
     assert len(active) <= 4  # a handful of survivors, not half the library
+
+
+def test_gram_fit_matches_lstsq_and_pinv():
+    """One eigendecomposition of A'A gives the truncated lstsq fit and the
+    pinv standard errors; a near-duplicate pair puts a singular value under
+    the cutoff, and an all-zero column (like the centred constant) has 0/0."""
+    rng = np.random.default_rng(6)
+    cols = rng.normal(size=(300, 6))
+    cols[:, 0] = 0.0
+    cols[:, 5] = cols[:, 4] + 1e-3 * rng.normal(size=300)
+    y = cols @ np.array([0.0, 1.0, -0.5, 0.02, 0.8, 0.3])
+    y += 0.1 * rng.normal(size=300)
+    sv = np.linalg.svd(cols[:, 1:], compute_uv=False)
+    assert sv[-1] < REFIT_RCOND * sv[0]
+    fit, ratios = _gram_fit(cols.T @ cols, cols.T @ y, y @ y, len(y))
+    ref = np.linalg.lstsq(cols, y, rcond=REFIT_RCOND)[0]
+    assert np.max(np.abs(fit - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert not np.allclose(ref, np.linalg.lstsq(cols, y, rcond=None)[0])
+    sigma2 = np.sum((y - cols @ ref) ** 2) / (len(y) - cols.shape[1])
+    se = np.sqrt(sigma2 * np.diag(np.linalg.pinv(cols.T @ cols, hermitian=True)))
+    assert ratios[0] == np.inf
+    assert np.allclose(ratios[1:], np.abs(ref[1:]) / se[1:], rtol=1e-9, atol=0)
+
+
+def test_unridged_fit_still_returns_a_model():
+    """With ridge 0 the centred constant column makes the first screen pass
+    singular; the least-squares fallback has to carry the fit through."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 30.0, size=(500, 2))
+    u = rng.uniform(200.0, 1800.0, size=(500, 1))
+    y = np.column_stack([
+        2.0 + 0.4 * x[:, 0] - 0.002 * u[:, 0],
+        0.01 * x[:, 0] * x[:, 1] - 0.5 * x[:, 1],
+    ])
+    model = fit_derivatives(x, u, y, ridge=0.0)
+    assert model.provenance["ridge"] == 0.0
+    assert not any(model.zero_rows)
+    assert np.allclose(model.evaluate_batch(x, u), y, rtol=0, atol=1e-8)
+
+
+def test_fit_rejects_non_finite_data():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 30.0, size=(100, 1))
+    u = rng.uniform(200.0, 1800.0, size=(100, 1))
+    y = 0.3 * (15.0 - x)
+    for arrays in ((np.where(x > 29.0, np.nan, x), u, y),
+                   (x, np.where(u > 1700.0, np.inf, u), y),
+                   (x, u, np.where(x > 29.0, np.nan, y))):
+        with pytest.raises(InsufficientDataError, match="finite"):
+            fit_derivatives(*arrays)
 
 
 def test_fit_derivatives_threshold_invariant_under_noise():
