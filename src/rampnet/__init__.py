@@ -11,7 +11,7 @@ The pieces, in pipeline order:
 * :mod:`rampnet.sysid` discovers sparse polynomial dynamics (and a linear
   baseline) from metering logs by thresholded least squares.
 * :mod:`rampnet.mpc` plans coordinated rates on a discovered model with a
-  projected-gradient receding-horizon controller.
+  receding-horizon controller solved by projected Gauss-Newton.
 * :mod:`rampnet.harness` wires the standard five-scenario comparison and
   writes the report files; :mod:`rampnet.cli` exposes it all as commands.
 
@@ -30,8 +30,9 @@ from .network import (CellParams, ConfigError, Highway, JunctionSpec,
                       NetworkConfig, RampSpec, SensorSpec,
                       benchmark_config_path, load_config, save_config,
                       serialize_config)
-from .plant import (ControlObservation, EpisodeRecord, RampSignal, StepInfo,
-                    TrafficPlant, run_episode, sample_arrivals)
+from .plant import (ConservationError, ControlObservation, EpisodeRecord,
+                    RampSignal, StepInfo, TrafficPlant, run_episode,
+                    sample_arrivals)
 from .sysid import (FeatureLibrarySpec, FitReport, InsufficientDataError,
                     SparseModel, TrajectoryLog, build_library, differentiate,
                     discover_dmdc, discover_sindyc, fit_derivatives,

@@ -80,6 +80,15 @@ def _cmd_run(args) -> int:
         print(f"{res.scenario:>11}: |occ-target| {res.average_deviation:7.3f} %   "
               f"flow {res.average_flow:7.1f} veh/h   "
               f"green {res.average_green_pct:5.1f} %")
+        health = res.solver_health()
+        if health is not None and health["solves"]:
+            its, ms = health["iterations"], health["solve_ms"]
+            print(f"{'':>13}solver {100 * health['converged_frac']:5.1f} % converged   "
+                  f"iterations {its['p50']:.0f}/{its['p95']:.0f}/{its['max']:.0f}   "
+                  f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
+                  f"(p50/p95/max)   fallbacks {health['fallbacks']}")
+        elif health is not None:
+            print(f"{'':>13}solver: every step fell back ({health['fallbacks']})")
     print(f"report -> {paths['summary']}")
     return 0
 

@@ -134,6 +134,31 @@ class ScenarioResult:
     def average_green_pct(self) -> float:
         return float(self.green_pct.mean())
 
+    def solver_health(self) -> dict | None:
+        """Planner figures over every control step of every seed, or None
+        for a scenario without a planner: converged share of the solves,
+        iteration and solve-time percentiles (p50/p95/max), and fallbacks."""
+        if self.solver_diagnostics is None:
+            return None
+        steps = [step for diag in self.solver_diagnostics for step in diag or ()]
+        solved = [step for step in steps if not step["fallback"]]
+
+        def spread(values):
+            if not values:
+                return {"p50": None, "p95": None, "max": None}
+            return {"p50": float(np.percentile(values, 50)),
+                    "p95": float(np.percentile(values, 95)),
+                    "max": float(np.max(values))}
+
+        return {
+            "solves": len(solved),
+            "converged_frac": (sum(step["converged"] for step in solved) / len(solved)
+                               if solved else None),
+            "iterations": spread([step["iterations"] for step in solved]),
+            "solve_ms": spread([1e3 * step["solve_time_s"] for step in solved]),
+            "fallbacks": len(steps) - len(solved),
+        }
+
 
 def results_from_records(scenario: str, seeds, records,
                          target_occupancy_pct: float = 15.0,
@@ -342,6 +367,8 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
             } for res in results
         },
         "runtime_s": {res.scenario: res.runtime_s for res in results},
+        "solver": {res.scenario: res.solver_health() for res in results
+                   if res.solver_diagnostics is not None},
         "models": {name: model.provenance
                    for name, model in (models or {}).items()},
     }

@@ -8,12 +8,16 @@ tracking problem on the one-step Euler predictor ``x(l+1) = x(l) + h f(x, u)``:
         + (x(N) - target)' P (x(N) - target)
 
 with ``du(l) = u(l) - u(l-1)`` anchored at the previously applied rates,
-rates boxed to the feasible meter range by projection, and occupancy bounds
-enforced through a quadratic penalty. The solver is projected gradient
-descent with a backtracking line search; gradients come from an adjoint sweep
-over the model's polynomial Jacobians, so each iteration costs one rollout
-forward and one pass backward. Only the first planned action is applied; the
-rest warm starts the next solve.
+rates boxed to the feasible meter range, and occupancy bounds enforced
+through a quadratic penalty. The whole cost is a sum of squared residuals,
+so the solver is projected Gauss-Newton on the rate box (Bertsekas 1982):
+the residual Jacobian comes from forward sensitivities through the model's
+polynomial Jacobians, rates within a small margin of a bound that the
+gradient pushes outward are held by a diagonal step, the free rates take a
+Levenberg-Marquardt step on J'J, and a search along the projection arc
+accepts only a sufficient decrease. A solve reports ``converged`` only when
+the projected gradient passes the optimality test. Only the first planned
+action is applied; the rest warm starts the next solve.
 """
 
 from __future__ import annotations
@@ -42,6 +46,21 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Levenberg-Marquardt damping, relative to the diagonal of J'J. After a full
+# step it follows the gain ratio of actual to predicted decrease (Nielsen's
+# rule: down by up to 3x when the model was right, up when it was not); a
+# shortened step doubles it. The floor keeps the free block nonsingular.
+_DAMPING_START = 1e-3
+_DAMPING_MIN = 1e-12
+# Diagonal entries of J'J below this share of the largest are raised to it,
+# so a rate that no residual sees still gets a finite scaled step.
+_SCALE_FLOOR = 1e-12
+# The eps-active margin never exceeds this share of the rate box.
+_EPS_FRAC = 0.01
+# Projection-arc search: sufficient-decrease factor and step halvings.
+_ARMIJO = 1e-4
+_ARC_HALVINGS = 30
+
 
 class ModelBlowupError(RuntimeError):
     """A rollout left the finite range (model extrapolated into divergence)."""
@@ -53,12 +72,15 @@ class ModelBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Projected gradient solver knobs. Deterministic for fixed inputs."""
+    """Projected Gauss-Newton solver limits. Deterministic for fixed inputs.
+
+    A solve has converged when no rate's projected gradient, times the width
+    of the rate box, exceeds ``tolerance * (1 + cost)``: moving any one rate
+    anywhere in its range could gain at most that much to first order.
+    """
 
     max_iters: int = 200
-    initial_step: float | None = None  # None: scaled from the first gradient
-    backtrack_max: int = 40
-    rel_tolerance: float = 1e-12  # minimum relative objective decrease
+    tolerance: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -191,14 +213,77 @@ def _gradient(model: SparseModel, states: np.ndarray, plan: np.ndarray,
     return grad
 
 
+def _cost_roots(cfg: MpcConfig, n: int, m: int):
+    """Square roots of the weights, computed once per solve.
+
+    Returns the (N+1, n) state-weight roots for stages 0..N, the (m,)
+    rate-change roots, and the constant rate-change rows of the residual
+    Jacobian, (N m, N m).
+    """
+    q, p, r = cfg.weights(n, m)
+    stage_root = np.sqrt(np.vstack([np.tile(q, (cfg.horizon, 1)), p]))
+    rate_root = np.sqrt(r)
+    size = cfg.horizon * m
+    rate_rows = (np.tile(rate_root, cfg.horizon)[:, None]
+                 * (np.eye(size) - np.eye(size, k=-m)))
+    return stage_root, rate_root, rate_rows
+
+
+def _residual(states: np.ndarray, plan: np.ndarray, u_prev: np.ndarray,
+              cfg: MpcConfig, roots) -> np.ndarray:
+    """Residual vector whose squared norm is objective + bound penalty.
+
+    Blocks, in order: weighted tracking deviations at stages 0..N (stage 0 is
+    the measured state, a constant), the bound-penalty hinge at stages 1..N,
+    and the weighted rate changes.
+    """
+    stage_root, rate_root, _ = roots
+    interior = states[1:]
+    hinge = (np.maximum(interior - cfg.occupancy_max_pct, 0.0)
+             - np.maximum(cfg.occupancy_min_pct - interior, 0.0))
+    du = np.diff(np.vstack([u_prev, plan]), axis=0)
+    return np.concatenate([
+        (stage_root * (states - cfg.target_occupancy_pct)).ravel(),
+        np.sqrt(cfg.bound_penalty_weight) * hinge.ravel(),
+        (rate_root * du).ravel()])
+
+
+def _residual_jacobian(model: SparseModel, states: np.ndarray, plan: np.ndarray,
+                       cfg: MpcConfig, roots) -> np.ndarray:
+    """Jacobian of :func:`_residual` with respect to the flattened plan.
+
+    Forward sensitivities ``S(l) = dx(l)/du`` follow the predictor:
+    ``S(l+1) = (I + h A(l)) S(l) + h B(l) E(l)``, with ``E(l)`` picking u(l).
+    """
+    stage_root, _, rate_rows = roots
+    n_steps, m = plan.shape
+    n, h = states.shape[1], cfg.step_h
+    sens = np.zeros((n_steps + 1, n, n_steps * m))
+    for l in range(n_steps):
+        jac_x, jac_u = model.jacobian(states[l], plan[l])
+        sens[l + 1] = sens[l] + h * (jac_x @ sens[l])
+        sens[l + 1, :, l * m:(l + 1) * m] += h * jac_u
+    interior = states[1:]
+    active = ((interior > cfg.occupancy_max_pct)
+              | (interior < cfg.occupancy_min_pct))
+    return np.vstack([
+        (stage_root[:, :, None] * sens).reshape(-1, n_steps * m),
+        (np.sqrt(cfg.bound_penalty_weight) * active[:, :, None]
+         * sens[1:]).reshape(-1, n_steps * m),
+        rate_rows])
+
+
 def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
           warm_start: np.ndarray | None = None) -> MpcSolution:
     """Minimize the tracking objective over feasible metering plans.
 
-    Monotone in the penalized objective: an iterate is only accepted when it
-    decreases the value, so the reported objective never exceeds the
-    warm-start or cold-start value. Raises :class:`ModelBlowupError` only if
-    the starting plan itself diverges.
+    Projected Gauss-Newton with Levenberg-Marquardt damping. Monotone in the
+    penalized objective: an iterate is only accepted when it decreases the
+    value, so the reported objective never exceeds the warm-start or
+    cold-start value. ``converged`` means the projected-gradient test of
+    :class:`SolverSettings` passed; a stalled search or the iteration cap
+    leaves it False. Raises :class:`ModelBlowupError` only if the starting
+    plan itself diverges.
     """
     t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -212,55 +297,84 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
             raise ValueError("warm start shape must be (horizon, input_dim)")
     else:
         plan = np.tile(np.clip(u_prev, lo, hi), (cfg.horizon, 1))
+    roots = _cost_roots(cfg, len(x0), model.input_dim)
 
     def measure(candidate):
         try:
             states = rollout(model, x0, candidate, cfg.step_h)
         except ModelBlowupError:
-            return None, np.inf, np.inf
-        track = objective(states, candidate, u_prev, cfg)
-        return states, track, track + bound_penalty(states, cfg)
+            return None, None, np.inf
+        res = _residual(states, candidate, u_prev, cfg, roots)
+        return states, res, float(res @ res)
 
-    states, track, total = measure(plan)
+    states, res, total = measure(plan)
     if states is None:
         raise ModelBlowupError(0)
 
-    settings = cfg.solver
-    alpha = settings.initial_step
+    width = hi - lo
+    damping = _DAMPING_START
     iterations = 0
     converged = False
-    for it in range(settings.max_iters):
+    for it in range(cfg.solver.max_iters):
         iterations = it + 1
-        grad = _gradient(model, states, plan, u_prev, cfg)
-        g_max = float(np.max(np.abs(grad)))
-        if g_max * (hi - lo) <= settings.rel_tolerance * (1.0 + abs(total)):
-            converged = True
-            break
-        if alpha is None:
-            alpha = 0.25 * (hi - lo) / g_max
-        improved = False
-        step = alpha
-        for _ in range(settings.backtrack_max):
-            candidate = np.clip(plan - step * grad, lo, hi)
-            if np.array_equal(candidate, plan):
-                break  # projection fixed point: no feasible descent this way
-            cand_states, cand_track, cand_total = measure(candidate)
-            if cand_total < total - settings.rel_tolerance * (1.0 + abs(total)):
-                plan, states = candidate, cand_states
-                track, total = cand_track, cand_total
-                alpha = step * 2.0
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        v = plan.ravel()
+        jac = _residual_jacobian(model, states, plan, cfg, roots)
+        grad = 2.0 * (jac.T @ res)
+        proj = np.where(v <= lo, np.minimum(grad, 0.0),
+                        np.where(v >= hi, np.maximum(grad, 0.0), grad))
+        if np.max(np.abs(proj)) * width <= cfg.solver.tolerance * (1.0 + total):
             converged = True
             break
 
+        gn = 2.0 * (jac.T @ jac)
+        diag = np.diag(gn)
+        scale = np.maximum(diag, _SCALE_FLOOR * np.max(diag))
+        # eps-active set: rates within eps of a bound that the gradient
+        # pushes outward; eps shrinks with the scaled projected step.
+        eps = min(_EPS_FRAC * width,
+                  float(np.max(np.abs(v - np.clip(v - grad / scale, lo, hi)))))
+        held = (((v <= lo + eps) & (grad > 0.0))
+                | ((v >= hi - eps) & (grad < 0.0)))
+        free = ~held
+        step = -grad / scale
+        if free.any():
+            block = gn[np.ix_(free, free)] + damping * np.diag(scale[free])
+            step[free] = -np.linalg.solve(block, grad[free])
+
+        alpha = 1.0
+        accepted = False
+        for _ in range(_ARC_HALVINGS):
+            candidate = np.clip(v + alpha * step, lo, hi)
+            if np.array_equal(candidate, v):
+                break
+            # Sufficient decrease along the projection arc (Armijo rule of
+            # Bertsekas 1982, first-order gain split into free and held rates).
+            gain = (alpha * float(grad[free] @ -step[free])
+                    + float(grad[held] @ (v[held] - candidate[held])))
+            cand_plan = candidate.reshape(plan.shape)
+            cand_states, cand_res, cand_total = measure(cand_plan)
+            if cand_total < total - _ARMIJO * gain:
+                move = candidate - v
+                predicted = -float(grad @ move + 0.5 * move @ gn @ move)
+                ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
+                plan, states, res, total = cand_plan, cand_states, cand_res, cand_total
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break  # stalled: no decrease along the arc
+        if alpha < 1.0:
+            damping *= 2.0
+        else:
+            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                          _DAMPING_MIN)
+
+    penalty = bound_penalty(states, cfg)
     return MpcSolution(
         plan=plan,
         states=states,
-        objective=track,
-        penalty=total - track,
+        objective=total - penalty,
+        penalty=penalty,
         iterations=iterations,
         converged=converged,
         solve_time_s=time.perf_counter() - t0,

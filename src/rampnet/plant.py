@@ -46,6 +46,7 @@ __all__ = [
     "RampSignal",
     "ControlObservation",
     "StepInfo",
+    "ConservationError",
     "TrafficPlant",
     "EpisodeRecord",
     "run_episode",
@@ -67,6 +68,10 @@ CAPACITY_DROP_FRAC = 0.15
 # between one step's fluxes.
 MERGE_FRICTION_FRAC = 0.25
 MERGE_RELAX_S = 30.0
+
+# Largest vehicle imbalance an episode may end with; float roundoff leaves
+# about 1e-10 veh over a benchmark episode.
+CONSERVATION_TOL_VEH = 1e-6
 
 
 def sample_arrivals(demand_veh_per_hour: float, step_s: float, rng) -> int:
@@ -135,6 +140,16 @@ class StepInfo:
     arrivals_veh: float  # sampled at every source, pre-drop
     dropped_veh: float  # ramp arrivals lost to a full queue
     exits_veh: float  # vehicles that left through a sink
+
+
+class ConservationError(RuntimeError):
+    """An episode's vehicle books did not balance (a plant bug, never data)."""
+
+    def __init__(self, residual_veh: float):
+        super().__init__(
+            f"vehicles not conserved: arrivals - dropped - exits - stored "
+            f"change = {residual_veh:.3g} veh")
+        self.residual_veh = residual_veh
 
 
 class TrafficPlant:
@@ -494,7 +509,9 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
     The controller is a callable mapping a :class:`ControlObservation` to an
     array of metering rates, one per metered ramp. It runs during burn-in too,
     but only the control window is recorded. Rates outside [200, 1800] veh/h
-    are clamped and counted as clamp events (logged once at the end).
+    are clamped and counted as clamp events (logged once at the end). Raises
+    :class:`ConservationError` if arrivals minus drops minus exits differ from
+    the change in stored vehicles by more than ``CONSERVATION_TOL_VEH``.
     """
     rng = np.random.default_rng(config.rng_seed if seed is None else seed)
     plant = TrafficPlant(config, initial_rate_vph=initial_rate_vph)
@@ -507,12 +524,15 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
 
     times, occs, flows, speeds, rate_rows = [], [], [], [], []
     green_total = np.zeros(m)
-    dropped = 0.0
+    stored_before = plant.total_vehicles()
+    arrivals = dropped = exits = 0.0
     clamp_events = 0
     for window in range(total_windows):
         for _ in range(steps_per):
             info = plant.step(rng)
+            arrivals += info.arrivals_veh
             dropped += info.dropped_veh
+            exits += info.exits_veh
         obs, green = plant.read_window()
         proposed = np.asarray(controller(obs), dtype=float)
         if proposed.shape != (m,):
@@ -529,6 +549,9 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
             green_total += green
         plant.set_rates(clamped)
 
+    residual = arrivals - dropped - exits - (plant.total_vehicles() - stored_before)
+    if abs(residual) > CONSERVATION_TOL_VEH:
+        raise ConservationError(residual)
     if clamp_events:
         logger.warning("controller proposed %d out-of-range rates; clamped",
                        clamp_events)

@@ -376,6 +376,11 @@ def _column_stats(matrix: np.ndarray, center: bool) -> tuple[np.ndarray, np.ndar
     return mean, np.where(spread > floor, spread, 1.0)
 
 
+def _require_finite(states, inputs, derivs) -> None:
+    if not all(np.isfinite(a).all() for a in (states, inputs, derivs)):
+        raise InsufficientDataError("states, inputs and derivatives must be finite")
+
+
 def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
                     library: FeatureLibrarySpec | None = None,
                     ridge: float = 0.05, threshold: float = 2e-4,
@@ -394,8 +399,7 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-    if not all(np.isfinite(a).all() for a in (states, inputs, derivs)):
-        raise InsufficientDataError("states, inputs and derivatives must be finite")
+    _require_finite(states, inputs, derivs)
     theta, terms = build_library(states, inputs, library)
     d, h = theta.shape
     if d < 2 * h:
@@ -458,9 +462,11 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
     """Linear baseline: least-squares ``xdot = A x + B u + c``, no thresholding.
 
     Falls back to a lightly ridged solve (with a warning) when the design
-    matrix is rank deficient, e.g. an input that never moved.
+    matrix is rank deficient, e.g. an input that never moved. Non-finite
+    data raises :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(log)
+    _require_finite(xs, us, derivs)
     library = FeatureLibrarySpec(polynomial_order=1, include_constant=True)
     theta, terms = build_library(xs, us, library)
     solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)

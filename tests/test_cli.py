@@ -83,6 +83,7 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
                  "--out", str(report_dir)]) == 0
     out = capsys.readouterr().out
     assert "sindyc-mpc" in out and "report ->" in out
+    assert out.count("% converged") == 2 and "fallbacks 0" in out
     summary = json.loads((report_dir / "summary.json").read_text())
     assert summary["seeds"] == [5]
 
@@ -131,6 +132,8 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "--out", str(tmp_path / "r3")],
         *(["fit", "--logs", str(d), "--out", str(tmp_path / f"{name}.json")]
           for name, d in logs.items()),
+        ["fit", "--logs", str(logs["nan"]), "--method", "dmdc",
+         "--out", str(tmp_path / "nan-dmdc.json")],
         ["sweep", "--config", str(cfg_path), "--model", str(model_path),
          "--horizons", "three:five", "--out", str(tmp_path / "s.csv")],
         ["collect", "--config", str(cfg_path), "--seeds", "a,b",

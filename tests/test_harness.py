@@ -232,7 +232,7 @@ def test_report_summary_contents(standard_report):
     with open(out_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     assert set(summary) == {"config_sha256", "seeds", "scenarios",
-                            "runtime_s", "models"}
+                            "runtime_s", "solver", "models"}
     assert summary["seeds"] == [0]
     assert set(summary["scenarios"]) == set(SCENARIOS)
     block = summary["scenarios"]["sindyc-mpc"]
@@ -241,6 +241,32 @@ def test_report_summary_contents(standard_report):
                           "average_green_pct", "dropped_veh"}
     assert summary["models"]["sindyc"]["method"] == "sindyc"
     assert len(summary["config_sha256"]) == 64
+
+
+def test_report_summary_carries_solver_health(standard_report):
+    config, results, out_dir, _ = standard_report
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert set(summary["solver"]) == {"dmd-mpc", "sindyc-mpc"}
+    steps_per_seed = round((config.burn_in_s + config.horizon_duration_s)
+                           / config.control_step_s)
+    by_name = {r.scenario: r for r in results}
+    for name, health in summary["solver"].items():
+        assert set(health) == {"solves", "converged_frac", "iterations",
+                               "solve_ms", "fallbacks"}
+        steps = by_name[name].solver_diagnostics[0]
+        assert health["solves"] == len(steps) == steps_per_seed
+        assert health["fallbacks"] == 0
+        assert health["converged_frac"] == pytest.approx(
+            np.mean([step["converged"] for step in steps]))
+        iterations = [step["iterations"] for step in steps]
+        assert health["iterations"] == pytest.approx({
+            "p50": np.percentile(iterations, 50),
+            "p95": np.percentile(iterations, 95), "max": max(iterations)})
+        ms = health["solve_ms"]
+        assert ms["max"] == pytest.approx(
+            1e3 * max(step["solve_time_s"] for step in steps))
+        assert 0.0 < ms["p50"] <= ms["p95"] <= ms["max"]
+    assert by_name["alinea"].solver_health() is None
 
 
 def test_raw_episodes_rebuild_the_same_metrics(standard_report):

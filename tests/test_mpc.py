@@ -1,5 +1,7 @@
 """Predictive controller: objective algebra, gradients, solver, fallback."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,71 @@ def test_gradient_includes_active_bound_penalties():
     _check_gradient(model, x0, plan, np.array([1000.0, 1000.0]), cfg)
 
 
+def test_residual_jacobian_gives_the_adjoint_gradient():
+    """The solver's least-squares form: |r|^2 is objective + penalty and
+    2 J'r is the adjoint gradient, with and without active penalties."""
+    rng = np.random.default_rng(12)
+    bounds = ({}, {"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
+    for trial in range(24):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        horizon = int(rng.integers(1, 5))
+        cfg = MpcConfig(horizon=horizon, state_weight=rng.uniform(0.5, 2.0, n),
+                        terminal_weight=float(rng.uniform(0.5, 2.0)),
+                        rate_change_weight=float(rng.uniform(0.0, 1e-3)),
+                        **bounds[trial % 3])
+        model = _random_model(rng, n, m)
+        x0 = rng.uniform(5.0, 25.0, size=n)
+        plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
+        u_prev = rng.uniform(300.0, 1700.0, size=m)
+        states = rollout(model, x0, plan, cfg.step_h)
+        roots = mpc._cost_roots(cfg, n, m)
+        res = mpc._residual(states, plan, u_prev, cfg, roots)
+        jac = mpc._residual_jacobian(model, states, plan, cfg, roots)
+        penalty = bound_penalty(states, cfg)
+        if trial % 3:
+            assert penalty > 0.0
+        assert res @ res == pytest.approx(
+            objective(states, plan, u_prev, cfg) + penalty, rel=1e-12)
+        adjoint = mpc._gradient(model, states, plan, u_prev, cfg).ravel()
+        assert np.allclose(2.0 * jac.T @ res, adjoint, rtol=1e-9,
+                           atol=1e-12 * np.max(np.abs(adjoint)))
+
+
 # -- solver -------------------------------------------------------------------------
+
+def _two_corridors():
+    """One corridor far above target, one nearly empty: at the optimum the
+    first meter sits at the floor and the second at the ceiling for part of
+    the horizon."""
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 60.0, size=(400, 2))
+    u = rng.uniform(200.0, 1800.0, size=(400, 2))
+    y = np.column_stack([0.2 * (15.0 - x[:, i]) + 4e-3 * (u[:, i] - 1000.0)
+                         - 1e-4 * x[:, i] * x[:, 1 - i] for i in range(2)])
+    return fit_derivatives(x, u, y)
+
+
+def test_converged_means_the_projected_gradient_test_holds():
+    model = _two_corridors()
+    cfg = MpcConfig(horizon=4, rate_change_weight=1e-5)
+    x0, u_prev = [60.0, 2.0], np.array([1000.0, 1000.0])
+    sol = solve(model, x0, u_prev, cfg)
+    assert sol.converged
+    assert sol.iterations <= 20  # against a cap of 200
+    lo, hi = cfg.rate_min_vph, cfg.rate_max_vph
+    at_bound = (sol.plan == lo) | (sol.plan == hi)
+    assert at_bound.sum() >= 4
+    grad = mpc._gradient(model, sol.states, sol.plan, u_prev, cfg)
+    assert np.min(np.abs(grad[at_bound])) > 1e-3  # the bounds really bind
+    projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
+                         np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
+    assert (np.max(np.abs(projected)) * (hi - lo)
+            <= cfg.solver.tolerance * (1.0 + sol.objective + sol.penalty))
+    capped = solve(model, x0, u_prev,
+                   replace(cfg, solver=SolverSettings(max_iters=2)))
+    assert capped.iterations == 2 and not capped.converged
+
 
 def test_solve_is_monotone_and_feasible():
     rng = np.random.default_rng(4)

@@ -6,8 +6,9 @@ import pytest
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
                              SensorSpec)
 from rampnet.plant import (CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC,
-                           MERGE_RELAX_S, EpisodeRecord, RampSignal,
-                           TrafficPlant, run_episode, sample_arrivals)
+                           MERGE_RELAX_S, ConservationError, EpisodeRecord,
+                           RampSignal, TrafficPlant, run_episode,
+                           sample_arrivals)
 
 
 def _cell(lanes=3, capacity=2000.0):
@@ -163,6 +164,22 @@ def test_vehicle_conservation_audit():
         exited += info.exits_veh
     balance = start + arrived - dropped - exited
     assert abs(balance - plant.total_vehicles()) < 1e-6
+
+
+def test_run_episode_catches_a_step_that_leaks_vehicles(monkeypatch):
+    step = TrafficPlant.step
+
+    def leaky_step(self, rng):
+        info = step(self, rng)
+        self.density = self.density * (1.0 - 1e-6)
+        return info
+
+    cfg = _metered_config()
+    run_episode(cfg, lambda obs: np.array([900.0]), seed=3)
+    monkeypatch.setattr(TrafficPlant, "step", leaky_step)
+    with pytest.raises(ConservationError) as exc:
+        run_episode(cfg, lambda obs: np.array([900.0]), seed=3)
+    assert exc.value.residual_veh > 1e-6
 
 
 def test_same_seed_reproduces_the_trajectory_bitwise():
