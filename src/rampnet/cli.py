@@ -39,6 +39,13 @@ def _load_config(path: str | None) -> network.NetworkConfig:
     return network.load_config(path)
 
 
+def _load_model(path: str) -> SparseModel:
+    try:
+        return SparseModel.load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise harness.UsageError(f"unusable model file {path}: {exc!r}") from exc
+
+
 def _cmd_collect(args) -> int:
     config = _load_config(args.config)
     paths = harness.collect(config, args.controller, _parse_seeds(args.seeds),
@@ -69,8 +76,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    sindyc = SparseModel.load(args.sindyc_model)
-    dmdc = SparseModel.load(args.dmdc_model)
+    sindyc = _load_model(args.sindyc_model)
+    dmdc = _load_model(args.dmdc_model)
     mpc_config = MpcConfig(horizon=args.horizon)
     results = harness.run_scenarios(config, sindyc, dmdc,
                                     _parse_seeds(args.seeds), mpc_config=mpc_config)
@@ -95,7 +102,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    model = SparseModel.load(args.model)
+    model = _load_model(args.model)
     rows = horizon_sweep(model, config, _parse_horizons(args.horizons),
                          seeds=_parse_seeds(args.seeds))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -135,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="identify a model from collected logs")
     p.add_argument("--logs", required=True, help="directory of episode CSVs")
     p.add_argument("--method", default="sindyc", choices=("sindyc", "dmdc"))
-    p.add_argument("--order", type=int, default=2, help="polynomial order")
+    p.add_argument("--order", type=int, default=2, choices=(1, 2),
+                   help="library degree: 1 (linear) or 2 (adds z_i*z_j products)")
     p.add_argument("--ridge", type=float, default=0.05)
     p.add_argument("--threshold", type=float, default=2e-4)
     p.add_argument("--smooth-window", type=int, default=None,

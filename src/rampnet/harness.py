@@ -118,7 +118,7 @@ class ScenarioResult:
     records: list[EpisodeRecord]
     mean_abs_deviation: np.ndarray  # (n,) % per sensor
     mean_flow: np.ndarray  # (n,) veh/h per sensor
-    green_pct: np.ndarray  # (m,) per ramp
+    green_pct: np.ndarray  # (m,) per ramp, from the commanded rates
     runtime_s: float = 0.0
     solver_diagnostics: list | None = None  # one list per seed, MPC only
 
@@ -133,6 +133,15 @@ class ScenarioResult:
     @property
     def average_green_pct(self) -> float:
         return float(self.green_pct.mean())
+
+    @property
+    def measured_green_pct(self) -> np.ndarray:
+        """(m,) share of recorded time (%) each meter showed green in the
+        plant. Rates latch at the next signal cycle, so this trails
+        ``green_pct``, which is derived from the commanded rates."""
+        green = np.sum([r.green_seconds for r in self.records], axis=0)
+        recorded_s = sum(len(r) * r.control_step_s for r in self.records)
+        return 100.0 * green / recorded_s
 
     def solver_health(self) -> dict | None:
         """Planner figures over every control step of every seed, or None
@@ -363,6 +372,7 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                 "average_flow_vph": res.average_flow,
                 "green_pct": res.green_pct.tolist(),
                 "average_green_pct": res.average_green_pct,
+                "measured_green_pct": res.measured_green_pct.tolist(),
                 "dropped_veh": [r.dropped_veh for r in res.records],
             } for res in results
         },

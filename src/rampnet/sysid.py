@@ -1,10 +1,12 @@
 """Sparse regression of control-affine dynamics from metering logs.
 
-The model family is ``xdot = C theta(x, u)`` where ``theta`` stacks polynomial
-monomials of the joint vector z = (x, u) up to a configured order, constant
-column first, then degree 1 in variable order, then each higher degree in
-lexicographic combination order. For the benchmark (n = m = 8, order 2) that
-is 1 + 16 + 136 = 153 columns.
+The model family is ``xdot = C theta(x, u)`` where ``theta`` stacks the
+monomials of degree 1 or 2 of the joint vector z = (x, u): the constant
+column first, then z in variable order, then the products ``z_i * z_j`` for
+i <= j in lexicographic order. For the benchmark (n = m = 8, order 2) that is
+1 + 16 + 136 = 153 columns. Fitting reads the library matrix; a fitted model
+reads f and its Jacobian at one point from the quadratic form
+``f = c + L z + z'Q z`` (Q upper triangular) built once from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
 on z-scored columns and targets from one Gram matrix: a ridge screen drops a
@@ -19,7 +21,6 @@ episode records use ``dt = 1.0`` and the one-step Euler predictor advances
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -143,28 +144,27 @@ def differentiate(log: TrajectoryLog, smooth_window: int | None = None):
 
 @dataclass(frozen=True)
 class FeatureLibrarySpec:
-    """Monomial library up to ``polynomial_order`` in the joint (x, u) vector."""
+    """Monomial library of degree 1 or 2 in the joint vector z = (x, u):
+    an optional constant, the linear terms, and for ``polynomial_order`` 2
+    the products ``z_i * z_j`` for i <= j."""
 
     polynomial_order: int = 2
     include_constant: bool = True
 
     def __post_init__(self) -> None:
-        if self.polynomial_order < 1:
-            raise ValueError("polynomial_order must be >= 1")
+        if self.polynomial_order not in (1, 2):
+            raise ValueError(
+                f"polynomial_order must be 1 or 2, got {self.polynomial_order}")
 
     def terms(self, n_states: int, n_inputs: int) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors over z = (x_1..x_n, u_1..u_m), in column order."""
-        nz = n_states + n_inputs
-        out: list[tuple[int, ...]] = []
-        if self.include_constant:
-            out.append((0,) * nz)
-        for degree in range(1, self.polynomial_order + 1):
-            for combo in itertools.combinations_with_replacement(range(nz), degree):
-                exps = [0] * nz
-                for v in combo:
-                    exps[v] += 1
-                out.append(tuple(exps))
-        return tuple(out)
+        eye = np.eye(n_states + n_inputs, dtype=int)
+        blocks = [np.zeros_like(eye[:1])] if self.include_constant else []
+        blocks.append(eye)
+        if self.polynomial_order == 2:
+            i, j = np.triu_indices(len(eye))
+            blocks.append(eye[i] + eye[j])
+        return tuple(tuple(int(e) for e in row) for row in np.vstack(blocks))
 
     def width(self, n_states: int, n_inputs: int) -> int:
         return len(self.terms(n_states, n_inputs))
@@ -181,69 +181,15 @@ def term_label(term: tuple[int, ...], n_states: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class _FeatureMap:
-    """Evaluates the monomial columns and their z-gradients for fixed terms."""
-
-    def __init__(self, terms, nz: int):
-        self.terms = tuple(tuple(t) for t in terms)
-        self.nz = nz
-        self.h = len(self.terms)
-        const, lin_rows, lin_var = [], [], []
-        quad_rows, quad_i, quad_j, higher = [], [], [], []
-        for r, exps in enumerate(self.terms):
-            degree = sum(exps)
-            vars_ = [v for v, e in enumerate(exps) for _ in range(e)]
-            if degree == 0:
-                const.append(r)
-            elif degree == 1:
-                lin_rows.append(r)
-                lin_var.append(vars_[0])
-            elif degree == 2:
-                quad_rows.append(r)
-                quad_i.append(vars_[0])
-                quad_j.append(vars_[1])
-            else:
-                higher.append((r, exps))
-        self._const = np.array(const, dtype=int)
-        self._lin_rows = np.array(lin_rows, dtype=int)
-        self._lin_var = np.array(lin_var, dtype=int)
-        self._quad_rows = np.array(quad_rows, dtype=int)
-        self._quad_i = np.array(quad_i, dtype=int)
-        self._quad_j = np.array(quad_j, dtype=int)
-        self._higher = higher
-
-    def rows(self, z: np.ndarray) -> np.ndarray:
-        theta = np.empty(self.h)
-        theta[self._const] = 1.0
-        theta[self._lin_rows] = z[self._lin_var]
-        theta[self._quad_rows] = z[self._quad_i] * z[self._quad_j]
-        for r, exps in self._higher:
-            theta[r] = np.prod(z ** np.asarray(exps))
-        return theta
-
-    def matrix(self, Z: np.ndarray) -> np.ndarray:
-        d = Z.shape[0]
-        theta = np.empty((d, self.h))
-        theta[:, self._const] = 1.0
-        theta[:, self._lin_rows] = Z[:, self._lin_var]
-        theta[:, self._quad_rows] = Z[:, self._quad_i] * Z[:, self._quad_j]
-        for r, exps in self._higher:
-            theta[:, r] = np.prod(Z ** np.asarray(exps), axis=1)
-        return theta
-
-    def rows_and_grad(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = self.rows(z)
-        grad = np.zeros((self.h, self.nz))
-        grad[self._lin_rows, self._lin_var] = 1.0
-        np.add.at(grad, (self._quad_rows, self._quad_i), z[self._quad_j])
-        np.add.at(grad, (self._quad_rows, self._quad_j), z[self._quad_i])
-        for r, exps in self._higher:
-            for v, e in enumerate(exps):
-                if e:
-                    lowered = list(exps)
-                    lowered[v] -= 1
-                    grad[r, v] = e * np.prod(z ** np.asarray(lowered))
-        return theta, grad
+def _library_matrix(z: np.ndarray, spec: FeatureLibrarySpec) -> np.ndarray:
+    """Columns ``[1, z, z_i * z_j for i <= j]`` for rows of z, in the order of
+    ``spec.terms`` (``triu_indices`` is row-major, as the terms are)."""
+    blocks = [np.ones((len(z), 1))] if spec.include_constant else []
+    blocks.append(z)
+    if spec.polynomial_order == 2:
+        i, j = np.triu_indices(z.shape[1])
+        blocks.append(z[:, i] * z[:, j])
+    return np.hstack(blocks)
 
 
 def build_library(states: np.ndarray, inputs: np.ndarray,
@@ -252,7 +198,8 @@ def build_library(states: np.ndarray, inputs: np.ndarray,
 
     Returns ``(theta, terms)`` where ``theta`` is (rows, h) and ``terms`` are
     the exponent vectors defining each column, in a deterministic order:
-    constant, degree-1 in variable order, then higher degrees lexicographic.
+    constant, degree 1 in variable order, then the degree-2 products
+    ``z_i * z_j`` with i <= j, lexicographic.
     """
     spec = spec or FeatureLibrarySpec()
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -260,8 +207,7 @@ def build_library(states: np.ndarray, inputs: np.ndarray,
     if states.shape[0] != inputs.shape[0]:
         raise ValueError("states and inputs must have the same row count")
     terms = spec.terms(states.shape[1], inputs.shape[1])
-    fmap = _FeatureMap(terms, states.shape[1] + inputs.shape[1])
-    return fmap.matrix(np.hstack([states, inputs])), terms
+    return _library_matrix(np.hstack([states, inputs]), spec), terms
 
 
 # -- regression ----------------------------------------------------------------
@@ -409,7 +355,7 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     const_ix = next((i for i, t in enumerate(terms) if not any(t)), None)
     col_mean, col_scale = _column_stats(theta, center=const_ix is not None)
     tgt_mean, tgt_scale = _column_stats(derivs, center=const_ix is not None)
-    scaled_coef, zero_rows = stls_regress(
+    scaled_coef, _ = stls_regress(
         (theta - col_mean) / col_scale, (derivs - tgt_mean) / tgt_scale,
         ridge=ridge, threshold=threshold)
     coef = scaled_coef * tgt_scale[:, None] / col_scale[None, :]
@@ -420,7 +366,6 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
         intercept[np.abs(intercept / tgt_scale) < threshold] = 0.0
         coef[:, const_ix] = intercept
         scaled_coef[:, const_ix] = intercept / tgt_scale
-        zero_rows = ~np.any(coef, axis=1)
     return SparseModel(
         terms=terms,
         coefficients=coef,
@@ -432,7 +377,6 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
         target_means=tgt_mean,
         target_scales=tgt_scale,
         scaled_coefficients=scaled_coef,
-        zero_rows=tuple(bool(b) for b in zero_rows),
         provenance=dict(provenance or {}, ridge=ridge, threshold=threshold,
                         samples=d, columns=h),
     )
@@ -490,7 +434,6 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
         target_means=np.zeros(derivs.shape[1]),
         target_scales=ones_n,
         scaled_coefficients=coef.copy(),
-        zero_rows=tuple(not np.any(coef[k]) for k in range(coef.shape[0])),
         provenance=dict(provenance or {}, method="dmdc", dt=log.dt,
                         episodes=len(log.episode_starts),
                         samples=theta.shape[0], columns=theta.shape[1]),
@@ -505,7 +448,9 @@ class SparseModel:
 
     ``coefficients`` are physical units; ``scaled_coefficients`` are the
     normalized-unit values the threshold was applied to. ``terms`` are
-    exponent vectors over (x, u) defining each library column.
+    exponent vectors over (x, u) defining each library column and must be
+    ``library.terms(state_dim, input_dim)``. Point reads use the quadratic
+    form ``f = c + (L + Q z) z`` compiled from the coefficients on creation.
     """
 
     terms: tuple[tuple[int, ...], ...]
@@ -518,15 +463,24 @@ class SparseModel:
     target_means: np.ndarray  # (n,)
     target_scales: np.ndarray  # (n,)
     scaled_coefficients: np.ndarray  # (n, h)
-    zero_rows: tuple[bool, ...]
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        nz = self.state_dim + self.input_dim
-        if self.coefficients.shape != (self.state_dim, len(self.terms)):
+        n, nz = self.state_dim, self.state_dim + self.input_dim
+        if tuple(map(tuple, self.terms)) != self.library.terms(n, self.input_dim):
+            raise ValueError("terms are not the library's columns in its order")
+        if self.coefficients.shape != (n, len(self.terms)):
             raise ValueError("coefficient shape does not match terms/state_dim")
-        self._fmap = _FeatureMap(self.terms, nz)
+        # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
+        first = int(self.library.include_constant)
+        self._offset = self.coefficients[:, 0] if first else np.zeros(n)
+        self._linear = self.coefficients[:, first:first + nz]
+        self._quad = np.zeros((n, nz, nz))
+        if self.library.polynomial_order == 2:
+            i, j = np.triu_indices(nz)
+            self._quad[:, i, j] = self.coefficients[:, first + nz:]
+        self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -539,17 +493,15 @@ class SparseModel:
                 f"inputs, got {x.shape} and {u.shape}")
         return np.concatenate([x, u])
 
-    def features(self, x, u) -> np.ndarray:
-        return self._fmap.rows(self._z(x, u))
-
     def evaluate(self, x, u) -> np.ndarray:
         """Model derivative at one (x, u) point, physical units per step."""
-        return self.coefficients @ self.features(x, u)
+        z = self._z(x, u)
+        return self._offset + (self._linear + self._quad @ z) @ z
 
     def evaluate_batch(self, states, inputs) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        theta = self._fmap.matrix(np.hstack([states, inputs]))
+        theta = _library_matrix(np.hstack([states, inputs]), self.library)
         return theta @ self.coefficients.T
 
     def step(self, x, u, h: float = 1.0) -> np.ndarray:
@@ -558,8 +510,7 @@ class SparseModel:
 
     def jacobian(self, x, u) -> tuple[np.ndarray, np.ndarray]:
         """``(df/dx, df/du)`` at one point, shapes (n, n) and (n, m)."""
-        _, grad = self._fmap.rows_and_grad(self._z(x, u))
-        sens = self.coefficients @ grad
+        sens = self._linear + self._quad_sym @ self._z(x, u)
         return sens[:, :self.state_dim], sens[:, self.state_dim:]
 
     # -- introspection -----------------------------------------------------------
@@ -567,6 +518,11 @@ class SparseModel:
     @property
     def n_columns(self) -> int:
         return len(self.terms)
+
+    @property
+    def zero_rows(self) -> tuple[bool, ...]:
+        """Per state, whether every coefficient is zero (a flat prediction)."""
+        return tuple(bool(b) for b in ~self.coefficients.any(axis=1))
 
     def active_count(self) -> np.ndarray:
         return np.count_nonzero(self.coefficients, axis=1)
@@ -594,7 +550,6 @@ class SparseModel:
             "target_means": self.target_means.tolist(),
             "target_scales": self.target_scales.tolist(),
             "scaled_coefficients": self.scaled_coefficients.tolist(),
-            "zero_rows": list(self.zero_rows),
             "provenance": self.provenance,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -615,7 +570,6 @@ class SparseModel:
             target_means=np.array(doc["target_means"], dtype=float),
             target_scales=np.array(doc["target_scales"], dtype=float),
             scaled_coefficients=np.array(doc["scaled_coefficients"], dtype=float),
-            zero_rows=tuple(bool(b) for b in doc["zero_rows"]),
             provenance=doc.get("provenance", {}),
         )
 

@@ -118,6 +118,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     x, u = rng.uniform(0, 30, (100, 1)), rng.uniform(200, 1800, (100, 1))
     model_path = tmp_path / "model.json"
     fit_derivatives(x, u, 0.3 * (15.0 - x)).save(model_path)
+    doc = json.loads(model_path.read_text())
+    bad_models = {"no-terms": {k: v for k, v in doc.items() if k != "terms"},
+                  "cubic": dict(doc, library=dict(doc["library"],
+                                                   polynomial_order=3))}
+    for name, bad in bad_models.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(bad))
+    (tmp_path / "not-json.json").write_text("coefficients: [1, 2]\n")
     good = [f"{30 * k},{10 + k},3000,90,{700 + k}" for k in range(20)]
     logs = {
         "short": _log_dir(tmp_path / "short", good[:2]),
@@ -136,6 +143,14 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "--out", str(tmp_path / "nan-dmdc.json")],
         ["sweep", "--config", str(cfg_path), "--model", str(model_path),
          "--horizons", "three:five", "--out", str(tmp_path / "s.csv")],
+        *(["run", "--config", str(cfg_path),
+           "--sindyc-model", str(tmp_path / f"{name}.json"),
+           "--dmdc-model", str(model_path),
+           "--seeds", "1", "--out", str(tmp_path / f"r-{name}")]
+          for name in bad_models),
+        ["sweep", "--config", str(cfg_path),
+         "--model", str(tmp_path / "not-json.json"),
+         "--horizons", "2", "--out", str(tmp_path / "s2.csv")],
         ["collect", "--config", str(cfg_path), "--seeds", "a,b",
          "--out", str(tmp_path / "x")],
         ["fit", "--logs", str(tmp_path / "missing"),

@@ -238,7 +238,14 @@ def test_report_summary_contents(standard_report):
     block = summary["scenarios"]["sindyc-mpc"]
     assert set(block) == {"mean_abs_deviation_pct", "average_deviation_pct",
                           "mean_flow_vph", "average_flow_vph", "green_pct",
-                          "average_green_pct", "dropped_veh"}
+                          "average_green_pct", "measured_green_pct",
+                          "dropped_veh"}
+    for res in results:
+        (record,) = res.records
+        measured = summary["scenarios"][res.scenario]["measured_green_pct"]
+        assert measured == pytest.approx(
+            100.0 * record.green_seconds / (len(record) * config.control_step_s))
+        assert all(0.0 < share <= 100.0 for share in measured)
     assert summary["models"]["sindyc"]["method"] == "sindyc"
     assert len(summary["config_sha256"]) == 64
 
@@ -293,6 +300,9 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     original = json.loads(first.read_text())
     again = json.loads(rebuilt.read_text())
     assert min(original["scenarios"]["no-control"]["dropped_veh"]) > 0.0
+    # A meter pinned at the top rate never shows red; a rebuild that lost the
+    # sidecar's green seconds would read 0.
+    assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
     for key in ("runtime_s", "models"):
         original.pop(key)
         again.pop(key)

@@ -1,4 +1,5 @@
-"""Import surface: every exported name resolves and every demo imports."""
+"""Import surface: every exported name resolves, every demo imports, and
+every function the traced benchmark patches is where it looks for it."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,15 @@ import pytest
 import rampnet
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rampnet.__path__))
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _load_by_path(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,7 +44,14 @@ def test_package_exports_come_from_module_surfaces():
 def test_demo_imports_cleanly(path):
     """Loading a demo runs only its imports and definitions; main() waits
     behind its ``__main__`` guard."""
-    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(_load_by_path(path, f"demo_{path.stem}").main)
+
+
+def test_traced_benchmark_targets_are_defined_where_it_patches_them():
+    """The traced benchmark wraps each ``TRACED`` (owner, attribute) found in
+    that module's or class's own ``__dict__``; a refactor that moves one to a
+    helper or a base class would break only the traced run."""
+    tracing = _load_by_path(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
+    missing = [(owner, attr) for owner, attr, _ in tracing.TRACED
+               if attr not in vars(tracing._resolve(owner))]
+    assert tracing.TRACED and not missing, missing

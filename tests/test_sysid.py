@@ -1,5 +1,7 @@
 """Differentiation, library construction, sparse regression, model behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,9 @@ def test_library_order_one_and_no_constant():
     assert spec.width(3, 2) == 6
     bare = FeatureLibrarySpec(polynomial_order=2, include_constant=False)
     assert bare.width(2, 1) == 9
-    with pytest.raises(ValueError):
-        FeatureLibrarySpec(polynomial_order=0)
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="1 or 2"):
+            FeatureLibrarySpec(polynomial_order=order)
 
 
 def test_build_library_rejects_row_mismatch():
@@ -383,6 +386,22 @@ def test_euler_steps_do_not_compose():
     assert abs(full[0] - halves[0]) > 1.0
 
 
+def _dense_model(spec, n=3, m=2, seed=13):
+    """Every library column active with a random coefficient, so squares and
+    cross terms of states and inputs all enter f."""
+    terms = spec.terms(n, m)
+    h = len(terms)
+    coef = np.random.default_rng(seed).normal(size=(n, h))
+    return SparseModel(terms=terms, coefficients=coef, state_dim=n, input_dim=m,
+                       library=spec, column_means=np.zeros(h),
+                       column_scales=np.ones(h), target_means=np.zeros(n),
+                       target_scales=np.ones(n), scaled_coefficients=coef)
+
+
+LIBRARIES = [FeatureLibrarySpec(), FeatureLibrarySpec(include_constant=False),
+             FeatureLibrarySpec(polynomial_order=1)]
+
+
 def test_jacobian_matches_finite_differences():
     model = _hand_model()
     eps = 1e-6
@@ -393,6 +412,51 @@ def test_jacobian_matches_finite_differences():
           - model.evaluate([1.5], [0.5 - eps])) / (2 * eps)
     assert np.allclose(jx[0], fx, atol=1e-6)
     assert np.allclose(ju[0], fu, atol=1e-6)
+
+
+@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "no-constant",
+                                                 "linear"))
+def test_jacobian_of_a_dense_model_matches_finite_differences(spec):
+    """Central differences are exact on a quadratic up to rounding, so the
+    squares' doubled diagonal and both halves of each cross term must show."""
+    model = _dense_model(spec)
+    rng = np.random.default_rng(14)
+    eps = 1e-5
+    for _ in range(5):
+        z = rng.uniform(-2.0, 2.0, size=5)
+        jac = np.hstack(model.jacobian(z[:3], z[3:]))
+        fd = np.empty_like(jac)
+        for v in range(5):
+            step = eps * np.eye(5)[v]
+            fd[:, v] = (model.evaluate((z + step)[:3], (z + step)[3:])
+                        - model.evaluate((z - step)[:3], (z - step)[3:])) / (2 * eps)
+        assert np.allclose(jac, fd, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "no-constant",
+                                                 "linear"))
+def test_point_reads_match_the_library_matrix(spec):
+    model = _dense_model(spec)
+    rng = np.random.default_rng(15)
+    states = rng.uniform(0.0, 40.0, size=(50, 3))
+    inputs = rng.uniform(200.0, 1800.0, size=(50, 2))
+    batch = model.evaluate_batch(states, inputs)
+    for x, u, row in zip(states, inputs, batch):
+        assert np.max(np.abs(model.evaluate(x, u) - row)) <= 1e-12 * np.max(np.abs(row))
+
+
+def test_model_rejects_terms_that_are_not_the_library_layout():
+    model = _dense_model(FeatureLibrarySpec())
+    fields = {k: getattr(model, k) for k in (
+        "coefficients", "state_dim", "input_dim", "library", "column_means",
+        "column_scales", "target_means", "target_scales", "scaled_coefficients")}
+    permuted = list(model.terms)
+    permuted[4], permuted[5] = permuted[5], permuted[4]
+    cubic = list(model.terms)
+    cubic[-1] = (0, 0, 0, 0, 3)
+    for terms in (permuted, cubic, model.terms[:-1]):
+        with pytest.raises(ValueError, match="library"):
+            SparseModel(terms=tuple(terms), **fields)
 
 
 def test_model_rejects_wrong_input_sizes():
@@ -414,6 +478,12 @@ def test_model_json_round_trip(tmp_path):
     assert back.provenance == model.provenance
     probe = (np.array([0.7]), np.array([-0.3]))
     assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
+    # zero_rows is derived from the coefficients: not written, and ignored
+    # in files that still carry it.
+    doc = json.loads(path.read_text())
+    assert "zero_rows" not in doc
+    path.write_text(json.dumps(dict(doc, zero_rows=[True])))
+    assert SparseModel.load(path).zero_rows == (False,)
 
 
 def test_active_terms_lists_labels_and_physical_coefficients():
