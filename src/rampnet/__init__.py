@@ -31,8 +31,7 @@ from .network import (CellParams, ConfigError, Highway, JunctionSpec,
                       benchmark_config_path, load_config, save_config,
                       serialize_config)
 from .plant import (ConservationError, ControlObservation, EpisodeRecord,
-                    RampSignal, StepInfo, TrafficPlant, run_episode,
-                    sample_arrivals)
+                    RampSignal, StepInfo, TrafficPlant, run_episode)
 from .sysid import (FeatureLibrarySpec, FitReport, InsufficientDataError,
                     SparseModel, TrajectoryLog, build_library, differentiate,
                     discover_dmdc, discover_sindyc, fit_derivatives,

@@ -225,7 +225,11 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
 
 
 def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[ScenarioResult]:
-    """Rebuild scenario results from raw episode CSVs written by ``report``."""
+    """Rebuild scenario results from raw episode CSVs written by ``report``.
+
+    Every CSV needs its JSON sidecar: green seconds, drops and clamp events
+    live only there, and a summary without them would be wrong.
+    """
     raw_dir = Path(raw_dir)
     groups: dict[str, list[tuple[int, EpisodeRecord]]] = {}
     for path in sorted(raw_dir.glob("*-seed*.csv")):
@@ -234,6 +238,11 @@ def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[Scenar
             record = EpisodeRecord.from_csv(path, seed=int(seed_part))
         except ValueError as exc:
             raise UsageError(f"unusable raw episode {path}: {exc}") from exc
+        sidecar = EpisodeRecord.sidecar_path(path)
+        if not sidecar.exists():
+            raise UsageError(
+                f"raw episode {path} has no sidecar {sidecar}; its green "
+                f"seconds, drops and clamp events cannot be rebuilt")
         groups.setdefault(scenario, []).append((int(seed_part), record))
     if not groups:
         raise UsageError(f"no raw episode CSVs under {raw_dir}")
@@ -374,6 +383,7 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                 "average_green_pct": res.average_green_pct,
                 "measured_green_pct": res.measured_green_pct.tolist(),
                 "dropped_veh": [r.dropped_veh for r in res.records],
+                "clamp_events": [r.clamp_events for r in res.records],
             } for res in results
         },
         "runtime_s": {res.scenario: res.runtime_s for res in results},

@@ -134,9 +134,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     }
     raw = _log_dir(tmp_path / "raw", good[:5] + ["30,1,1"])
     (raw / "ep.csv").rename(raw / "alinea-seed1.csv")
+    no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5])
+    (no_sidecar / "ep.csv").rename(no_sidecar / "alinea-seed1.csv")
     cases = [
         ["report", "--config", str(cfg_path), "--results", str(raw),
          "--out", str(tmp_path / "r3")],
+        ["report", "--config", str(cfg_path), "--results", str(no_sidecar),
+         "--out", str(tmp_path / "r4")],
         *(["fit", "--logs", str(d), "--out", str(tmp_path / f"{name}.json")]
           for name, d in logs.items()),
         ["fit", "--logs", str(logs["nan"]), "--method", "dmdc",
@@ -166,3 +170,6 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+    assert main(cases[1]) == 2
+    assert "alinea-seed1.json" in capsys.readouterr().err
+

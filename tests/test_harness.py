@@ -239,9 +239,11 @@ def test_report_summary_contents(standard_report):
     assert set(block) == {"mean_abs_deviation_pct", "average_deviation_pct",
                           "mean_flow_vph", "average_flow_vph", "green_pct",
                           "average_green_pct", "measured_green_pct",
-                          "dropped_veh"}
+                          "dropped_veh", "clamp_events"}
     for res in results:
         (record,) = res.records
+        assert summary["scenarios"][res.scenario]["clamp_events"] == [
+            record.clamp_events]
         measured = summary["scenarios"][res.scenario]["measured_green_pct"]
         assert measured == pytest.approx(
             100.0 * record.green_seconds / (len(record) * config.control_step_s))
@@ -294,12 +296,16 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
         RampSpec("H1-R1", "H1", 1, 3000.0, queue_capacity_veh=5.0),))
     results = run_scenarios(config, None, None, [0, 1],
                             scenarios=("no-control", "alinea"))
+    # Neither regulator leaves the rate box; a clamp count stands in for a
+    # controller that did, and has to survive the round trip as well.
+    results[1].records[1].clamp_events = 3
     first = report(results, tmp_path / "run", config)["summary"]
     rebuilt = report(load_raw_results(tmp_path / "run" / "raw"),
                      tmp_path / "rebuilt", config, write_raw=False)["summary"]
     original = json.loads(first.read_text())
     again = json.loads(rebuilt.read_text())
     assert min(original["scenarios"]["no-control"]["dropped_veh"]) > 0.0
+    assert again["scenarios"]["alinea"]["clamp_events"] == [0, 3]
     # A meter pinned at the top rate never shows red; a rebuild that lost the
     # sidecar's green seconds would read 0.
     assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]

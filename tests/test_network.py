@@ -59,6 +59,13 @@ def test_cell_rejects_critical_at_or_above_jam():
 
 # -- validation --------------------------------------------------------------
 
+def test_negative_demand_is_a_config_error():
+    with pytest.raises(ConfigError, match="demand must be >= 0"):
+        Highway("A", (_cell(),), -1.0)
+    with pytest.raises(ConfigError, match="demand must be >= 0"):
+        RampSpec("r1", "A", 1, -1.0)
+
+
 def test_tiny_config_is_valid():
     cfg = _tiny_config()
     assert cfg.n_ramps == 1 and cfg.n_sensors == 1

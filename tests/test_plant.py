@@ -1,14 +1,18 @@
 """Plant dynamics: conservation, signals, discharge physics, episode runner."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
-                             SensorSpec)
+from rampnet.feedback import AlineaController, MeterBank
+from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
+                             RampSpec, SensorSpec, benchmark_config_path,
+                             load_config)
 from rampnet.plant import (CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC,
                            MERGE_RELAX_S, ConservationError, EpisodeRecord,
-                           RampSignal, TrafficPlant, run_episode,
-                           sample_arrivals)
+                           RampSignal, TrafficPlant, run_episode)
 
 
 def _cell(lanes=3, capacity=2000.0):
@@ -33,22 +37,29 @@ def _metered_config(**timing):
         sensors=(SensorSpec("s1", "A", 1),), **timing)
 
 
+def _step(plant, rng):
+    """One simulation step on a freshly drawn row of arrivals."""
+    return plant.step(plant.draw_arrivals(1, rng)[0])
+
+
 # -- arrivals -----------------------------------------------------------------
 
-def test_sample_arrivals_zero_demand_draws_zero():
+def test_arrival_block_zero_demand_draws_zero_without_consuming_bits():
+    plant = TrafficPlant(_line_config(2, ramps=(RampSpec("r1", "A", 1, 0.0),),
+                                      sensors=(SensorSpec("s1", "A", 1),)))
     rng = np.random.default_rng(0)
-    assert sample_arrivals(0.0, 1.0, rng) == 0
+    before = rng.bit_generator.state
+    assert plant.draw_arrivals(30, rng) == [[0, 0]] * 30
+    assert rng.bit_generator.state == before
 
 
-def test_sample_arrivals_rejects_negative_demand():
-    with pytest.raises(ValueError):
-        sample_arrivals(-1.0, 1.0, np.random.default_rng(0))
-
-
-def test_sample_arrivals_mean_tracks_demand():
-    rng = np.random.default_rng(1)
-    draws = [sample_arrivals(1800.0, 1.0, rng) for _ in range(20000)]
-    assert abs(np.mean(draws) - 0.5) < 0.02
+def test_arrival_block_mean_tracks_demand():
+    plant = TrafficPlant(_line_config(2, demand=1800.0,
+                                      ramps=(RampSpec("r1", "A", 1, 720.0),),
+                                      sensors=(SensorSpec("s1", "A", 1),)))
+    block = np.array(plant.draw_arrivals(20000, np.random.default_rng(1)))
+    assert block.shape == (20000, 2)
+    assert np.allclose(block.mean(axis=0), [0.5, 0.2], atol=0.02)
 
 
 # -- signal arithmetic ----------------------------------------------------------
@@ -90,7 +101,7 @@ def test_signal_rejects_infeasible_rate():
 def test_discharge_at_or_below_critical_is_nominal():
     plant = TrafficPlant(_line_config(1))
     plant.density[:] = 20.0  # exactly critical for a 2000 veh/h/lane cell
-    info = plant.step(np.random.default_rng(0))
+    info = _step(plant, np.random.default_rng(0))
     assert info.exits_veh == pytest.approx(6000.0 / 3600.0, rel=1e-12)
 
 
@@ -99,7 +110,7 @@ def test_discharge_drops_linearly_beyond_critical():
     the configured drop fraction."""
     plant = TrafficPlant(_line_config(1))
     plant.density[:] = 90.0  # (90 - 20) / (160 - 20) = 0.5 of the way to jam
-    info = plant.step(np.random.default_rng(0))
+    info = _step(plant, np.random.default_rng(0))
     expected = 6000.0 * (1.0 - 0.5 * CAPACITY_DROP_FRAC) / 3600.0
     assert info.exits_veh == pytest.approx(expected, rel=1e-12)
 
@@ -109,7 +120,7 @@ def test_discharge_is_monotone_in_congestion():
     for rho in (20.0, 60.0, 100.0, 150.0):
         plant = TrafficPlant(_line_config(1))
         plant.density[:] = rho
-        flows.append(plant.step(np.random.default_rng(0)).exits_veh)
+        flows.append(_step(plant, np.random.default_rng(0)).exits_veh)
     assert flows[0] == max(flows)
     assert flows == sorted(flows, reverse=True)
 
@@ -122,7 +133,7 @@ def test_merge_friction_cuts_the_merge_cells_discharge():
     plant = TrafficPlant(cfg)
     plant.density[1] = 20.0
     plant._merge_flow_ema[0] = 600.0
-    info = plant.step(np.random.default_rng(0))
+    info = _step(plant, np.random.default_rng(0))
     fric = MERGE_FRICTION_FRAC * (600.0 / 6000.0) * 1.0
     assert info.exits_veh == pytest.approx(6000.0 * (1.0 - fric) / 3600.0,
                                            rel=1e-12)
@@ -133,7 +144,7 @@ def test_merge_friction_memory_relaxes_exponentially():
                        sensors=(SensorSpec("s1", "A", 1),))
     plant = TrafficPlant(cfg)
     plant._merge_flow_ema[0] = 600.0
-    plant.step(np.random.default_rng(0))  # empty queue: nothing admitted
+    _step(plant, np.random.default_rng(0))  # empty queue: nothing admitted
     assert plant._merge_flow_ema[0] == pytest.approx(
         600.0 * (1.0 - 1.0 / MERGE_RELAX_S), rel=1e-12)
 
@@ -143,7 +154,7 @@ def test_density_never_exceeds_jam():
     plant = TrafficPlant(cfg, initial_rate_vph=1800.0)
     rng = np.random.default_rng(5)
     for _ in range(600):
-        plant.step(rng)
+        _step(plant, rng)
         assert (plant.density <= 160.0 + 1e-9).all()
         assert (plant.density >= 0.0).all()
 
@@ -158,7 +169,7 @@ def test_vehicle_conservation_audit():
     start = plant.total_vehicles()
     arrived = dropped = exited = 0.0
     for _ in range(900):
-        info = plant.step(rng)
+        info = _step(plant, rng)
         arrived += info.arrivals_veh
         dropped += info.dropped_veh
         exited += info.exits_veh
@@ -169,8 +180,8 @@ def test_vehicle_conservation_audit():
 def test_run_episode_catches_a_step_that_leaks_vehicles(monkeypatch):
     step = TrafficPlant.step
 
-    def leaky_step(self, rng):
-        info = step(self, rng)
+    def leaky_step(self, arrivals):
+        info = step(self, arrivals)
         self.density = self.density * (1.0 - 1e-6)
         return info
 
@@ -187,8 +198,8 @@ def test_same_seed_reproduces_the_trajectory_bitwise():
     a, b = TrafficPlant(cfg), TrafficPlant(cfg)
     ra, rb = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(200):
-        a.step(ra)
-        b.step(rb)
+        _step(a, ra)
+        _step(b, rb)
     assert np.array_equal(a.density, b.density)
     assert np.array_equal(a.ramp_queues, b.ramp_queues)
 
@@ -201,8 +212,8 @@ def test_arrivals_are_independent_of_control():
     shut_plant = TrafficPlant(cfg, initial_rate_vph=200.0)
     ra, rb = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(300):
-        assert (open_plant.step(ra).arrivals_veh
-                == shut_plant.step(rb).arrivals_veh)
+        assert (_step(open_plant, ra).arrivals_veh
+                == _step(shut_plant, rb).arrivals_veh)
 
 
 # -- sensors and state ------------------------------------------------------------
@@ -218,7 +229,7 @@ def test_window_aggregates_have_sane_ranges():
     plant = TrafficPlant(cfg)
     rng = np.random.default_rng(3)
     for _ in range(30):
-        plant.step(rng)
+        _step(plant, rng)
     obs, green = plant.read_window()
     assert obs.occupancy.shape == (1,) and obs.flow.shape == (1,)
     assert 0.0 <= obs.occupancy[0] <= 100.0
@@ -232,7 +243,7 @@ def test_window_aggregates_have_sane_ranges():
 def test_occupancy_saturates_at_hundred_percent():
     plant = TrafficPlant(_metered_config())
     plant.density[:] = 160.0
-    plant.step(np.random.default_rng(0))
+    _step(plant, np.random.default_rng(0))
     obs, _ = plant.read_window()
     assert obs.occupancy[0] == 100.0
 
@@ -265,7 +276,73 @@ def test_run_episode_clamps_and_counts_wild_rates():
     cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
     rec = run_episode(cfg, lambda obs: np.array([5000.0]), seed=2)
     assert (rec.rates == 1800.0).all()
-    assert rec.clamp_events == 6
+    assert rec.clamp_events == 4  # the 2 burn-in windows do not count
+
+
+def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
+    # A five-vehicle ramp queue under the lowest rate overflows in burn-in.
+    cfg = replace(_metered_config(burn_in_s=60.0, horizon_duration_s=120.0),
+                  ramps=(RampSpec("r1", "A", 1, 1500.0, queue_capacity_veh=5.0),))
+    drops = []
+    step = TrafficPlant.step
+
+    def counting_step(self, *args):
+        info = step(self, *args)
+        drops.append(info.dropped_veh)
+        return info
+
+    monkeypatch.setattr(TrafficPlant, "step", counting_step)
+    rec = run_episode(cfg, lambda obs: np.array([200.0]), seed=6)
+    burn_in_steps = round(cfg.burn_in_s / cfg.sim_step_s)
+    recorded = 0.0
+    for dropped in drops[burn_in_steps:]:
+        recorded += dropped
+    assert sum(drops[:burn_in_steps]) > 0.0 and recorded > 0.0
+    assert rec.dropped_veh == recorded
+
+
+def _two_highway_config():
+    """A junction, an unmetered ramp and a metered ramp, all congested."""
+    return NetworkConfig(
+        highways=(Highway("A", tuple(_cell() for _ in range(6)), 5500.0),
+                  Highway("B", tuple(_cell(lanes=2) for _ in range(5)), 2500.0)),
+        ramps=(RampSpec("a-r1", "A", 4, 900.0, metered=False),
+               RampSpec("b-r1", "B", 3, 1500.0, queue_capacity_veh=20.0)),
+        sensors=(SensorSpec("b-s1", "B", 3),),
+        junctions=(JunctionSpec("A", 2, "B", 2, 0.3),),
+        sim_step_s=1.0, control_step_s=30.0, burn_in_s=300.0,
+        horizon_duration_s=900.0)
+
+
+def _benchmark_short_config():
+    return replace(load_config(benchmark_config_path()),
+                   burn_in_s=900.0, horizon_duration_s=900.0)
+
+
+# sha256 of (times, occupancy, flow, speed, rates, green seconds) of one
+# ALINEA episode, recorded from the array implementation of the plant that
+# preceded the scalar one; any change to the plant's float arithmetic or its
+# draw order shows here. The digests also depend on numpy's
+# Generator.poisson stream, which NEP 19 lets a numpy release change: they
+# were recorded with numpy 2.4, and a numpy upgrade that fails this test
+# without a plant change needs them recorded again.
+@pytest.mark.parametrize("make_config, seed, digest", [
+    (_benchmark_short_config, 21,
+     "98bbd4958c0884a491926cb4496df58e6a1640f807bfebd3256102018634b3c2"),
+    (_two_highway_config, 5,
+     "2e8a08f9d3cf17de2a1ed7e3c0ef5c8cb6bdf1776e51b4e3208fd3d43349a93d"),
+], ids=["benchmark-corridor", "junction-and-unmetered-ramp"])
+def test_episode_digests_are_pinned(make_config, seed, digest):
+    cfg = make_config()
+    m = sum(r.metered for r in cfg.ramps)
+    rec = run_episode(cfg, MeterBank.uniform(AlineaController, m), seed=seed)
+    h = hashlib.sha256()
+    for arr in (rec.times, rec.occupancy, rec.flow, rec.speed, rec.rates,
+                rec.green_seconds):
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_run_episode_rejects_wrong_controller_shape():
