@@ -7,8 +7,7 @@ changes only marginally with N while the solve cost grows with every extra
 stage.
 """
 
-from rampnet.harness import make_controller
-from rampnet.mpc import horizon_sweep
+from rampnet.harness import horizon_sweep, make_controller
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
 from rampnet.sysid import TrajectoryLog, discover_sindyc
@@ -25,7 +24,7 @@ def main():
     model = discover_sindyc(TrajectoryLog.from_records(records))
 
     print(f"sweeping horizons {HORIZONS} on evaluation seed {SEED}...\n")
-    rows = horizon_sweep(model, config, horizons=HORIZONS, seeds=SEED)
+    rows = horizon_sweep(model, config, horizons=HORIZONS, seeds=(SEED,))
     print(f"{'N':>3} {'|occ-15%| %':>12} {'flow veh/h':>11} "
           f"{'solve ms':>9} {'episode s':>10}")
     for row in rows:

@@ -12,8 +12,9 @@ The pieces, in pipeline order:
   baseline) from metering logs by thresholded least squares.
 * :mod:`rampnet.mpc` plans coordinated rates on a discovered model with a
   receding-horizon controller solved by projected Gauss-Newton.
-* :mod:`rampnet.harness` wires the standard five-scenario comparison and
-  writes the report files; :mod:`rampnet.cli` exposes it all as commands.
+* :mod:`rampnet.harness` wires the standard five-scenario comparison and the
+  horizon sweep and writes the report files; :mod:`rampnet.cli` exposes it
+  all as commands.
 
 The demos/ directory in the repository walks through each capability.
 """
@@ -22,10 +23,10 @@ from .feedback import (AlineaController, FixedRateController, MeterBank,
                        PiAlineaController, RATE_MAX_VPH, RATE_MIN_VPH,
                        clamp_rate, green_percentage, rate_to_red_duration)
 from .harness import (SCENARIOS, ScenarioResult, UsageError, collect,
-                      load_logs, make_controller, report, run_scenarios)
+                      horizon_sweep, load_logs, make_controller, report,
+                      run_scenarios)
 from .mpc import (ModelBlowupError, MpcConfig, MpcController, MpcSolution,
-                  SolverSettings, bound_penalty, horizon_sweep, objective,
-                  rollout, solve)
+                  SolverSettings, bound_penalty, objective, rollout, solve)
 from .network import (CellParams, ConfigError, Highway, JunctionSpec,
                       NetworkConfig, RampSpec, SensorSpec,
                       benchmark_config_path, load_config, save_config,

@@ -7,7 +7,7 @@ import csv
 import sys
 
 from . import harness, network, sysid
-from .mpc import MpcConfig, horizon_sweep
+from .mpc import MpcConfig
 from .sysid import SparseModel
 
 
@@ -27,9 +27,10 @@ def _parse_horizons(text: str) -> list[int]:
             horizons = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
         horizons = []
-    if not horizons:
+    if not horizons or min(horizons) < 1:
         raise harness.UsageError(
-            f"bad horizon list '{text}'; expected e.g. 3:7 or 3,5,7")
+            f"bad horizon list '{text}'; expected horizons of at least 1, "
+            f"e.g. 3:7 or 3,5,7")
     return horizons
 
 
@@ -75,6 +76,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.horizon < 1:
+        raise harness.UsageError(f"bad horizon {args.horizon}; it must be at least 1")
     config = _load_config(args.config)
     sindyc = _load_model(args.sindyc_model)
     dmdc = _load_model(args.dmdc_model)
@@ -103,8 +106,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     model = _load_model(args.model)
-    rows = horizon_sweep(model, config, _parse_horizons(args.horizons),
-                         seeds=_parse_seeds(args.seeds))
+    rows = harness.horizon_sweep(model, config, _parse_horizons(args.horizons),
+                                 seeds=_parse_seeds(args.seeds))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

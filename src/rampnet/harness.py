@@ -5,7 +5,8 @@ realizations (same seeds, and the plant draws arrivals independently of
 control): no control (meters pinned wide open), the two local feedback
 regulators, and predictive control on the linear and on the sparse
 polynomial model. Reports are plain CSV tables plus per-scenario time series
-and a summary JSON keyed by a hash of the exact network config.
+and a summary JSON keyed by a hash of the exact network config. The horizon
+sweep runs the sparse-model planner through the same scenario loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "collect",
     "load_logs",
     "run_scenarios",
+    "horizon_sweep",
     "results_from_records",
     "load_raw_results",
     "report",
@@ -222,6 +224,35 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
             solver_diagnostics=diags if any(d is not None for d in diags) else None,
         ))
     return results
+
+
+def horizon_sweep(model: SparseModel, config: NetworkConfig,
+                  horizons=range(3, 8), seeds=(0,),
+                  mpc_config: MpcConfig | None = None) -> list[dict]:
+    """Run the ``sindyc-mpc`` scenario on ``model`` at each horizon.
+
+    Returns one dict per horizon with the mean absolute occupancy deviation,
+    mean sensor flow, mean per-solve time, and the scenario's runtime over
+    the given seeds.
+    """
+    base = mpc_config or MpcConfig()
+    rows = []
+    for n in horizons:
+        result, = run_scenarios(config, model, None, seeds,
+                                scenarios=("sindyc-mpc",),
+                                target_occupancy_pct=base.target_occupancy_pct,
+                                mpc_config=replace(base, horizon=int(n)))
+        solve_ms = [1e3 * step["solve_time_s"]
+                    for diag in result.solver_diagnostics for step in diag
+                    if not step["fallback"]]
+        rows.append({
+            "horizon": int(n),
+            "mean_abs_deviation_pct": result.average_deviation,
+            "mean_flow_vph": result.average_flow,
+            "mean_solve_ms": float(np.mean(solve_ms)) if solve_ms else float("nan"),
+            "runtime_s": result.runtime_s,
+        })
+    return rows
 
 
 def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[ScenarioResult]:

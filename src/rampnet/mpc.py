@@ -12,19 +12,23 @@ rates boxed to the feasible meter range, and occupancy bounds enforced
 through a quadratic penalty. The whole cost is a sum of squared residuals,
 so the solver is projected Gauss-Newton on the rate box (Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
-polynomial Jacobians, rates within a small margin of a bound that the
+polynomial Jacobians, which the rollout reads together with the predictions
+(one model read per stage), rates within a small margin of a bound that the
 gradient pushes outward are held by a diagonal step, the free rates take a
 Levenberg-Marquardt step on J'J, and a search along the projection arc
 accepts only a sufficient decrease. A solve reports ``converged`` only when
 the projected gradient passes the optimality test. Only the first planned
 action is applied; the rest warm starts the next solve.
+
+This module plans; :mod:`rampnet.harness` runs the episodes, including the
+horizon sweep.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "bound_penalty",
     "solve",
     "MpcController",
-    "horizon_sweep",
 ]
 
 logger = logging.getLogger(__name__)
@@ -135,6 +138,36 @@ class MpcSolution:
     solve_time_s: float
 
 
+def _predict(model: SparseModel, x0: np.ndarray, plan: np.ndarray,
+             h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Euler rollout that keeps each stage's model Jacobian.
+
+    Returns the (N+1, n) states, row 0 being ``x0``, and the N Jacobians
+    df/dz, each (n, n + m), at (x(l), u(l)): one model read per stage, with
+    x and u written into one z buffer.
+    """
+    n = len(x0)
+    if n != model.state_dim or plan.shape[1] != model.input_dim:
+        raise ValueError(
+            f"expected ({model.state_dim},) states and (N, {model.input_dim}) "
+            f"plans, got {x0.shape} and {plan.shape}")
+    states = np.empty((len(plan) + 1, n))
+    states[0] = x0
+    z = np.empty(n + plan.shape[1])
+    jacobians = []
+    x = x0
+    for l in range(len(plan)):
+        z[:n] = x
+        z[n:] = plan[l]
+        f, jac = model._read(z)
+        x = x + h * f
+        if not np.all(np.isfinite(x)):
+            raise ModelBlowupError(l + 1)
+        states[l + 1] = x
+        jacobians.append(jac)
+    return states, jacobians
+
+
 def rollout(model: SparseModel, x0, plan, h: float = 1.0) -> np.ndarray:
     """Euler rollout of the plan; states row 0 is ``x0``.
 
@@ -143,15 +176,7 @@ def rollout(model: SparseModel, x0, plan, h: float = 1.0) -> np.ndarray:
     the data they were fit on.
     """
     plan = np.atleast_2d(np.asarray(plan, dtype=float))
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    states = np.empty((len(plan) + 1, len(x)))
-    states[0] = x
-    for l in range(len(plan)):
-        x = x + h * model.evaluate(x, plan[l])
-        if not np.all(np.isfinite(x)):
-            raise ModelBlowupError(l + 1)
-        states[l + 1] = x
-    return states
+    return _predict(model, np.asarray(x0, dtype=float).reshape(-1), plan, h)[0]
 
 
 def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> float:
@@ -179,38 +204,6 @@ def bound_penalty(states: np.ndarray, cfg: MpcConfig) -> float:
     over = np.maximum(interior - cfg.occupancy_max_pct, 0.0)
     under = np.maximum(cfg.occupancy_min_pct - interior, 0.0)
     return float(cfg.bound_penalty_weight * np.sum(over ** 2 + under ** 2))
-
-
-def _stage_state_grad(x: np.ndarray, weight: np.ndarray, cfg: MpcConfig,
-                      penalized: bool) -> np.ndarray:
-    grad = 2.0 * weight * (x - cfg.target_occupancy_pct)
-    if penalized:
-        over = np.maximum(x - cfg.occupancy_max_pct, 0.0)
-        under = np.maximum(cfg.occupancy_min_pct - x, 0.0)
-        grad += 2.0 * cfg.bound_penalty_weight * (over - under)
-    return grad
-
-
-def _gradient(model: SparseModel, states: np.ndarray, plan: np.ndarray,
-              u_prev: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    """Adjoint gradient of (objective + bound penalty) with respect to the plan."""
-    n_steps = len(plan)
-    q, p, r = cfg.weights(states.shape[1], plan.shape[1])
-    h = cfg.step_h
-    jac_x, jac_u = zip(*(model.jacobian(states[l], plan[l])
-                         for l in range(n_steps)))
-    grad = np.empty_like(plan)
-    lam = _stage_state_grad(states[n_steps], p, cfg, penalized=True)
-    for l in range(n_steps - 1, -1, -1):
-        grad[l] = h * (jac_u[l].T @ lam)
-        before = u_prev if l == 0 else plan[l - 1]
-        grad[l] += 2.0 * r * (plan[l] - before)
-        if l + 1 <= n_steps - 1:
-            grad[l] -= 2.0 * r * (plan[l + 1] - plan[l])
-        if l >= 1:
-            lam = (_stage_state_grad(states[l], q, cfg, penalized=True)
-                   + lam + h * (jac_x[l].T @ lam))
-    return grad
 
 
 def _cost_roots(cfg: MpcConfig, n: int, m: int):
@@ -248,21 +241,23 @@ def _residual(states: np.ndarray, plan: np.ndarray, u_prev: np.ndarray,
         (rate_root * du).ravel()])
 
 
-def _residual_jacobian(model: SparseModel, states: np.ndarray, plan: np.ndarray,
+def _residual_jacobian(jacobians: list[np.ndarray], states: np.ndarray,
                        cfg: MpcConfig, roots) -> np.ndarray:
     """Jacobian of :func:`_residual` with respect to the flattened plan.
 
+    ``jacobians`` are the stage model Jacobians df/dz from :func:`_predict`.
     Forward sensitivities ``S(l) = dx(l)/du`` follow the predictor:
-    ``S(l+1) = (I + h A(l)) S(l) + h B(l) E(l)``, with ``E(l)`` picking u(l).
+    ``S(l+1) = (I + h A(l)) S(l) + h B(l) E(l)``, with ``A(l), B(l)`` the
+    x and u blocks of df/dz and ``E(l)`` picking u(l).
     """
     stage_root, _, rate_rows = roots
-    n_steps, m = plan.shape
+    n_steps = len(jacobians)
     n, h = states.shape[1], cfg.step_h
+    m = jacobians[0].shape[1] - n
     sens = np.zeros((n_steps + 1, n, n_steps * m))
-    for l in range(n_steps):
-        jac_x, jac_u = model.jacobian(states[l], plan[l])
-        sens[l + 1] = sens[l] + h * (jac_x @ sens[l])
-        sens[l + 1, :, l * m:(l + 1) * m] += h * jac_u
+    for l, jac in enumerate(jacobians):
+        sens[l + 1] = sens[l] + h * (jac[:, :n] @ sens[l])
+        sens[l + 1, :, l * m:(l + 1) * m] += h * jac[:, n:]
     interior = states[1:]
     active = ((interior > cfg.occupancy_max_pct)
               | (interior < cfg.occupancy_min_pct))
@@ -301,13 +296,13 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
 
     def measure(candidate):
         try:
-            states = rollout(model, x0, candidate, cfg.step_h)
+            states, jacobians = _predict(model, x0, candidate, cfg.step_h)
         except ModelBlowupError:
-            return None, None, np.inf
+            return None, None, None, np.inf
         res = _residual(states, candidate, u_prev, cfg, roots)
-        return states, res, float(res @ res)
+        return states, jacobians, res, float(res @ res)
 
-    states, res, total = measure(plan)
+    states, jacobians, res, total = measure(plan)
     if states is None:
         raise ModelBlowupError(0)
 
@@ -318,7 +313,7 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     for it in range(cfg.solver.max_iters):
         iterations = it + 1
         v = plan.ravel()
-        jac = _residual_jacobian(model, states, plan, cfg, roots)
+        jac = _residual_jacobian(jacobians, states, cfg, roots)
         grad = 2.0 * (jac.T @ res)
         proj = np.where(v <= lo, np.minimum(grad, 0.0),
                         np.where(v >= hi, np.maximum(grad, 0.0), grad))
@@ -352,12 +347,13 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
             gain = (alpha * float(grad[free] @ -step[free])
                     + float(grad[held] @ (v[held] - candidate[held])))
             cand_plan = candidate.reshape(plan.shape)
-            cand_states, cand_res, cand_total = measure(cand_plan)
+            cand_states, cand_jacobians, cand_res, cand_total = measure(cand_plan)
             if cand_total < total - _ARMIJO * gain:
                 move = candidate - v
                 predicted = -float(grad @ move + 0.5 * move @ gn @ move)
                 ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
                 plan, states, res, total = cand_plan, cand_states, cand_res, cand_total
+                jacobians = cand_jacobians
                 accepted = True
                 break
             alpha *= 0.5
@@ -421,40 +417,3 @@ class MpcController:
         self.u_prev = np.asarray(action, dtype=float).copy()
         self.diagnostics.append(entry)
         return action
-
-
-def horizon_sweep(model: SparseModel, config, horizons=range(3, 8),
-                  seeds=(0,), mpc_config: MpcConfig | None = None) -> list[dict]:
-    """Run full episodes at each horizon; report tracking and cost figures.
-
-    Returns one dict per horizon with the mean absolute occupancy deviation,
-    mean sensor flow, mean per-solve time, and wall-clock runtime, averaged
-    over the given seeds.
-    """
-    from .plant import run_episode  # local import: plant does not need mpc
-
-    base = mpc_config or MpcConfig()
-    if isinstance(seeds, (int, np.integer)):
-        seeds = (int(seeds),)
-    rows = []
-    for n in horizons:
-        cfg = replace(base, horizon=int(n))
-        deviations, flows, solve_ms = [], [], []
-        started = time.perf_counter()
-        for seed in seeds:
-            controller = MpcController(model, cfg)
-            record = run_episode(config, controller, seed=int(seed))
-            deviations.append(
-                np.mean(np.abs(record.occupancy - cfg.target_occupancy_pct)))
-            flows.append(np.mean(record.flow))
-            times = [d["solve_time_s"] for d in controller.diagnostics
-                     if "solve_time_s" in d]
-            solve_ms.append(1e3 * float(np.mean(times)) if times else np.nan)
-        rows.append({
-            "horizon": int(n),
-            "mean_abs_deviation_pct": float(np.mean(deviations)),
-            "mean_flow_vph": float(np.mean(flows)),
-            "mean_solve_ms": float(np.mean(solve_ms)),
-            "runtime_s": time.perf_counter() - started,
-        })
-    return rows

@@ -493,10 +493,15 @@ class SparseModel:
                 f"inputs, got {x.shape} and {u.shape}")
         return np.concatenate([x, u])
 
+    def _read(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f, df/dz)`` at one stacked point ``z = (x, u)``, shapes (n,) and
+        (n, n + m). The planner calls it with a ready z buffer."""
+        return (self._offset + (self._linear + self._quad @ z) @ z,
+                self._linear + self._quad_sym @ z)
+
     def evaluate(self, x, u) -> np.ndarray:
         """Model derivative at one (x, u) point, physical units per step."""
-        z = self._z(x, u)
-        return self._offset + (self._linear + self._quad @ z) @ z
+        return self._read(self._z(x, u))[0]
 
     def evaluate_batch(self, states, inputs) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -504,13 +509,9 @@ class SparseModel:
         theta = _library_matrix(np.hstack([states, inputs]), self.library)
         return theta @ self.coefficients.T
 
-    def step(self, x, u, h: float = 1.0) -> np.ndarray:
-        """Forward-Euler step ``x + h * f(x, u)``; h is in control steps."""
-        return np.asarray(x, dtype=float).reshape(-1) + h * self.evaluate(x, u)
-
     def jacobian(self, x, u) -> tuple[np.ndarray, np.ndarray]:
         """``(df/dx, df/du)`` at one point, shapes (n, n) and (n, m)."""
-        sens = self._linear + self._quad_sym @ self._z(x, u)
+        sens = self._read(self._z(x, u))[1]
         return sens[:, :self.state_dim], sens[:, self.state_dim:]
 
     # -- introspection -----------------------------------------------------------

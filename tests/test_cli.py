@@ -166,6 +166,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         ["report", "--config", str(cfg_path),
          "--results", str(tmp_path / "empty"),
          "--out", str(tmp_path / "r2")],
+        ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
+         "--dmdc-model", str(model_path), "--seeds", "1", "--horizon", "0",
+         "--out", str(tmp_path / "r5")],
+        ["sweep", "--config", str(cfg_path), "--model", str(model_path),
+         "--horizons", "0:3", "--out", str(tmp_path / "s3.csv")],
+        ["sweep", "--config", str(cfg_path), "--model", str(model_path),
+         "--horizons", "2", "--seeds", "", "--out", str(tmp_path / "s4.csv")],
     ]
     for argv in cases:
         assert main(argv) == 2

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
-                             collect, load_logs, load_raw_results,
-                             make_controller, report, results_from_records,
-                             run_scenarios)
-from rampnet.mpc import MpcController
+                             collect, horizon_sweep, load_logs,
+                             load_raw_results, make_controller, report,
+                             results_from_records, run_scenarios)
+from rampnet.mpc import MpcConfig, MpcController
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
                              SensorSpec)
 from rampnet.plant import ControlObservation, EpisodeRecord
@@ -177,6 +177,26 @@ def test_run_scenarios_times_each_scenario_on_its_own():
     wall = time.perf_counter() - started
     assert all(r.runtime_s > 0.0 for r in results)
     assert sum(r.runtime_s for r in results) <= wall
+
+
+def test_horizon_sweep_reports_one_row_per_horizon():
+    sindyc, _ = _tiny_models()
+    config = _tiny_network()
+    rows = horizon_sweep(sindyc, config, horizons=(2, 3), seeds=(0, 1))
+    assert [row["horizon"] for row in rows] == [2, 3]
+    for row in rows:
+        assert set(row) == {"horizon", "mean_abs_deviation_pct",
+                            "mean_flow_vph", "mean_solve_ms", "runtime_s"}
+        assert row["mean_abs_deviation_pct"] >= 0.0
+        assert row["mean_flow_vph"] > 0.0
+        assert row["mean_solve_ms"] > 0.0
+        assert row["runtime_s"] > 0.0
+    # Each row is the sindyc-mpc scenario at that horizon.
+    result, = run_scenarios(config, sindyc, None, (0, 1),
+                            scenarios=("sindyc-mpc",),
+                            mpc_config=MpcConfig(horizon=3))
+    assert rows[1]["mean_abs_deviation_pct"] == result.average_deviation
+    assert rows[1]["mean_flow_vph"] == result.average_flow
 
 
 # -- reports ------------------------------------------------------------------------------

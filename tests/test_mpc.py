@@ -1,4 +1,5 @@
-"""Predictive controller: objective algebra, gradients, solver, fallback."""
+"""Predictive controller: objective algebra, rollout and its stage
+Jacobians, the least-squares gradient, solver, fallback."""
 
 from dataclasses import replace
 
@@ -7,12 +8,10 @@ import pytest
 
 from rampnet import mpc
 from rampnet.mpc import (ModelBlowupError, MpcConfig, MpcController,
-                         SolverSettings, bound_penalty, horizon_sweep,
-                         objective, rollout, solve)
-from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
-                              SensorSpec)
+                         SolverSettings, bound_penalty, objective, rollout,
+                         solve)
 from rampnet.plant import ControlObservation
-from rampnet.sysid import fit_derivatives
+from rampnet.sysid import FeatureLibrarySpec, fit_derivatives
 
 
 def _linear_model(a=2.0, b=3.0, seed=0):
@@ -95,6 +94,14 @@ def test_rollout_matches_hand_iteration():
     assert np.allclose(states.ravel(), [1.0, 6.0, 21.0], atol=1e-8)
 
 
+def test_rollout_rejects_mismatched_shapes():
+    model = _linear_model()
+    with pytest.raises(ValueError, match="expected"):
+        rollout(model, [1.0, 2.0], [[1.0]])
+    with pytest.raises(ValueError, match="expected"):
+        rollout(model, [1.0], [[1.0, 2.0]])
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_rollout_reports_the_step_that_diverged():
     rng = np.random.default_rng(1)
@@ -106,16 +113,52 @@ def test_rollout_reports_the_step_that_diverged():
     assert exc.value.step == 1
 
 
-# -- gradient -----------------------------------------------------------------------
+def test_prediction_keeps_the_public_states_and_jacobians():
+    """The planner's one read per stage gives exactly what ``rollout`` and
+    ``model.jacobian`` give, for quadratic, no-constant and linear libraries."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.0, 30.0, size=(400, 3))
+    u = rng.uniform(200.0, 1800.0, size=(400, 2))
+    y = np.column_stack([0.5 * (15.0 - x[:, i]) + 2e-3 * u[:, i % 2]
+                         - 1e-3 * x[:, i] * x[:, (i + 1) % 3] for i in range(3)])
+    x0 = np.array([12.0, 18.0, 25.0])
+    plan = rng.uniform(300.0, 1700.0, size=(4, 2))
+    for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(include_constant=False),
+                 FeatureLibrarySpec(polynomial_order=1)):
+        model = fit_derivatives(x, u, y, library=spec)
+        states, jacobians = mpc._predict(model, x0, plan, 0.5)
+        assert np.array_equal(states, rollout(model, x0, plan, 0.5))
+        assert len(jacobians) == len(plan)
+        for l, jac in enumerate(jacobians):
+            assert np.array_equal(states[l + 1], states[l] + 0.5 * model.evaluate(
+                states[l], plan[l]))
+            jac_x, jac_u = model.jacobian(states[l], plan[l])
+            assert np.array_equal(jac[:, :3], jac_x)
+            assert np.array_equal(jac[:, 3:], jac_u)
+
+
+# -- the planner's gradient ---------------------------------------------------------
 
 def _total_cost(model, x0, plan, u_prev, cfg):
     states = rollout(model, x0, plan, cfg.step_h)
     return objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg)
 
 
+def _solver_gradient(model, x0, plan, u_prev, cfg):
+    """2 J'r from the solver's own residual and residual Jacobian, with
+    |r|^2 checked against objective + bound penalty."""
+    states, jacobians = mpc._predict(model, x0, plan, cfg.step_h)
+    roots = mpc._cost_roots(cfg, len(x0), plan.shape[1])
+    res = mpc._residual(states, plan, u_prev, cfg, roots)
+    jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
+    assert res @ res == pytest.approx(
+        objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg),
+        rel=1e-12)
+    return (2.0 * jac.T @ res).reshape(plan.shape)
+
+
 def _check_gradient(model, x0, plan, u_prev, cfg, rel_tol=1e-5):
-    states = rollout(model, x0, plan, cfg.step_h)
-    grad = mpc._gradient(model, states, plan, u_prev, cfg)
+    grad = _solver_gradient(model, x0, plan, u_prev, cfg)
     eps = 1e-2
     fd = np.empty_like(plan)
     for l in range(plan.shape[0]):
@@ -130,7 +173,7 @@ def _check_gradient(model, x0, plan, u_prev, cfg, rel_tol=1e-5):
     assert float(np.linalg.norm(grad - fd)) / denom < rel_tol
 
 
-def test_adjoint_gradient_matches_finite_differences():
+def test_least_squares_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for trial in range(20):
         n = int(rng.integers(1, 4))
@@ -146,45 +189,25 @@ def test_adjoint_gradient_matches_finite_differences():
 
 
 def test_gradient_includes_active_bound_penalties():
-    """Squeeze the occupancy ceiling below the trajectory so the penalty term
-    carries real gradient signal (kept away from the kink)."""
-    rng = np.random.default_rng(3)
-    model = _random_model(rng, 2, 2)
-    cfg = MpcConfig(horizon=3, occupancy_max_pct=10.0)
-    x0 = np.array([22.0, 25.0])
-    plan = rng.uniform(800.0, 1600.0, size=(3, 2))
-    _check_gradient(model, x0, plan, np.array([1000.0, 1000.0]), cfg)
-
-
-def test_residual_jacobian_gives_the_adjoint_gradient():
-    """The solver's least-squares form: |r|^2 is objective + penalty and
-    2 J'r is the adjoint gradient, with and without active penalties."""
+    """Squeeze the occupancy ceiling below, or the floor above, the
+    trajectory so the penalty term carries real gradient signal; 2 J'r must
+    still match central differences, and |r|^2 objective + penalty."""
     rng = np.random.default_rng(12)
-    bounds = ({}, {"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
-    for trial in range(24):
+    bounds = ({"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
+    for trial in range(16):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
         cfg = MpcConfig(horizon=horizon, state_weight=rng.uniform(0.5, 2.0, n),
                         terminal_weight=float(rng.uniform(0.5, 2.0)),
                         rate_change_weight=float(rng.uniform(0.0, 1e-3)),
-                        **bounds[trial % 3])
+                        **bounds[trial % 2])
         model = _random_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        states = rollout(model, x0, plan, cfg.step_h)
-        roots = mpc._cost_roots(cfg, n, m)
-        res = mpc._residual(states, plan, u_prev, cfg, roots)
-        jac = mpc._residual_jacobian(model, states, plan, cfg, roots)
-        penalty = bound_penalty(states, cfg)
-        if trial % 3:
-            assert penalty > 0.0
-        assert res @ res == pytest.approx(
-            objective(states, plan, u_prev, cfg) + penalty, rel=1e-12)
-        adjoint = mpc._gradient(model, states, plan, u_prev, cfg).ravel()
-        assert np.allclose(2.0 * jac.T @ res, adjoint, rtol=1e-9,
-                           atol=1e-12 * np.max(np.abs(adjoint)))
+        assert bound_penalty(rollout(model, x0, plan, cfg.step_h), cfg) > 0.0
+        _check_gradient(model, x0, plan, u_prev, cfg)
 
 
 # -- solver -------------------------------------------------------------------------
@@ -211,7 +234,7 @@ def test_converged_means_the_projected_gradient_test_holds():
     lo, hi = cfg.rate_min_vph, cfg.rate_max_vph
     at_bound = (sol.plan == lo) | (sol.plan == hi)
     assert at_bound.sum() >= 4
-    grad = mpc._gradient(model, sol.states, sol.plan, u_prev, cfg)
+    grad = _solver_gradient(model, np.asarray(x0), sol.plan, u_prev, cfg)
     assert np.min(np.abs(grad[at_bound])) > 1e-3  # the bounds really bind
     projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
                          np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
@@ -341,32 +364,3 @@ def test_controller_falls_back_to_previous_rates_on_blowup():
     second = controller(_obs([20.0], time_s=60.0))
     assert np.all(np.isfinite(second))
     assert controller.diagnostics[1]["fallback"] is False
-
-
-# -- horizon sweep --------------------------------------------------------------------
-
-def _tiny_network():
-    cell = CellParams(length_km=0.5, lanes=3, free_flow_kmh=100.0,
-                      capacity_vphl=2000.0, jam_density_vkml=160.0)
-    return NetworkConfig(
-        highways=(Highway("H1", (cell,) * 3, 3000.0),),
-        ramps=(RampSpec("H1-R1", "H1", 1, 1200.0),),
-        sensors=(SensorSpec("H1-S1", "H1", 1),),
-        sim_step_s=1.0,
-        control_step_s=30.0,
-        burn_in_s=60.0,
-        horizon_duration_s=240.0,
-    )
-
-
-def test_horizon_sweep_reports_one_row_per_horizon():
-    rng = np.random.default_rng(11)
-    model = _random_model(rng, 1, 1)
-    rows = horizon_sweep(model, _tiny_network(), horizons=(2, 3), seeds=0)
-    assert [row["horizon"] for row in rows] == [2, 3]
-    for row in rows:
-        assert set(row) == {"horizon", "mean_abs_deviation_pct",
-                            "mean_flow_vph", "mean_solve_ms", "runtime_s"}
-        assert row["mean_abs_deviation_pct"] >= 0.0
-        assert row["mean_flow_vph"] > 0.0
-        assert row["runtime_s"] > 0.0

@@ -1,6 +1,8 @@
-"""Import surface: every exported name resolves, every demo imports, and
-every function the traced benchmark patches is where it looks for it."""
+"""Import surface: every exported name resolves, every demo imports, the
+planner stays below the episode runners, and every function the traced
+benchmark patches is where it looks for it."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -45,6 +47,21 @@ def test_demo_imports_cleanly(path):
     """Loading a demo runs only its imports and definitions; main() waits
     behind its ``__main__`` guard."""
     assert callable(_load_by_path(path, f"demo_{path.stem}").main)
+
+
+def test_planner_imports_neither_the_plant_nor_the_harness():
+    """The planner plans; the harness runs episodes. An import anywhere in
+    ``rampnet.mpc``, at module level or inside a function, counts."""
+    tree = ast.parse((ROOT / "src" / "rampnet" / "mpc.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"plant", "harness"}, sorted(imported)
 
 
 def test_traced_benchmark_targets_are_defined_where_it_patches_them():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rampnet.mpc import rollout
 from rampnet.sysid import (REFIT_RCOND, FeatureLibrarySpec,
                            InsufficientDataError, SparseModel, TrajectoryLog,
                            _gram_fit, build_library, differentiate,
@@ -368,9 +369,10 @@ def _hand_model():
 
 
 def test_evaluate_and_step_hand_values():
+    """The planner's Euler step is x + h f(x, u)."""
     model = _hand_model()
     assert model.evaluate([2.0], [1.0])[0] == pytest.approx(7.0, abs=1e-9)
-    assert model.step([2.0], [1.0], h=0.5)[0] == \
+    assert rollout(model, [2.0], [[1.0]], h=0.5)[1, 0] == \
         pytest.approx(3.5 + 2.0, abs=1e-9)
 
 
@@ -381,8 +383,8 @@ def test_euler_steps_do_not_compose():
     x = rng.uniform(0.5, 3.0, size=(300, 1))
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
     model = fit_derivatives(x, u, (x[:, 0] ** 2).reshape(-1, 1))
-    full = model.step([2.0], [0.0], h=1.0)
-    halves = model.step(model.step([2.0], [0.0], h=0.5), [0.0], h=0.5)
+    full = rollout(model, [2.0], [[0.0]], h=1.0)[-1]
+    halves = rollout(model, [2.0], [[0.0], [0.0]], h=0.5)[-1]
     assert abs(full[0] - halves[0]) > 1.0
 
 
