@@ -210,6 +210,65 @@ def test_gradient_includes_active_bound_penalties():
         _check_gradient(model, x0, plan, u_prev, cfg)
 
 
+def _adjoint_gradient(model, states, plan, u_prev, cfg):
+    """Reference gradient of objective + bound penalty by the backward
+    (adjoint) recursion through the Euler rollout, using only the public
+    model Jacobian and weights."""
+    q, p, r = cfg.weights(states.shape[1], plan.shape[1])
+    h = cfg.step_h
+
+    def state_grad(x, weight):
+        over = np.maximum(x - cfg.occupancy_max_pct, 0.0)
+        under = np.maximum(cfg.occupancy_min_pct - x, 0.0)
+        return (2.0 * weight * (x - cfg.target_occupancy_pct)
+                + 2.0 * cfg.bound_penalty_weight * (over - under))
+
+    n_steps = len(plan)
+    grad = np.empty_like(plan)
+    lam = state_grad(states[n_steps], p)
+    for l in range(n_steps - 1, -1, -1):
+        jac_x, jac_u = model.jacobian(states[l], plan[l])
+        grad[l] = h * (jac_u.T @ lam)
+        before = u_prev if l == 0 else plan[l - 1]
+        grad[l] += 2.0 * r * (plan[l] - before)
+        if l + 1 < n_steps:
+            grad[l] -= 2.0 * r * (plan[l + 1] - plan[l])
+        if l >= 1:
+            lam = state_grad(states[l], q) + lam + h * (jac_x.T @ lam)
+    return grad
+
+
+def test_residual_jacobian_gives_the_adjoint_gradient():
+    """The solver's least-squares form: |r|^2 is objective + penalty and
+    2 J'r is the adjoint gradient, with and without active penalties."""
+    rng = np.random.default_rng(12)
+    bounds = ({}, {"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
+    for trial in range(24):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        horizon = int(rng.integers(1, 5))
+        cfg = MpcConfig(horizon=horizon, state_weight=rng.uniform(0.5, 2.0, n),
+                        terminal_weight=float(rng.uniform(0.5, 2.0)),
+                        rate_change_weight=float(rng.uniform(0.0, 1e-3)),
+                        **bounds[trial % 3])
+        model = _random_model(rng, n, m)
+        x0 = rng.uniform(5.0, 25.0, size=n)
+        plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
+        u_prev = rng.uniform(300.0, 1700.0, size=m)
+        states, jacobians = mpc._predict(model, x0, plan, cfg.step_h)
+        roots = mpc._cost_roots(cfg, n, m)
+        res = mpc._residual(states, plan, u_prev, cfg, roots)
+        jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
+        penalty = bound_penalty(states, cfg)
+        if trial % 3:
+            assert penalty > 0.0
+        assert res @ res == pytest.approx(
+            objective(states, plan, u_prev, cfg) + penalty, rel=1e-12)
+        adjoint = _adjoint_gradient(model, states, plan, u_prev, cfg).ravel()
+        assert np.allclose(2.0 * jac.T @ res, adjoint, rtol=1e-9,
+                           atol=1e-12 * np.max(np.abs(adjoint)))
+
+
 # -- solver -------------------------------------------------------------------------
 
 def _two_corridors():
