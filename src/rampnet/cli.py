@@ -62,7 +62,6 @@ def _cmd_fit(args) -> int:
         library = sysid.FeatureLibrarySpec(polynomial_order=args.order)
         model = sysid.discover_sindyc(
             log, library=library, ridge=args.ridge, threshold=args.threshold,
-            smooth_window=args.smooth_window,
             provenance={"logs": str(args.logs)})
     else:
         model = sysid.discover_dmdc(log, provenance={"logs": str(args.logs)})
@@ -149,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="library degree: 1 (linear) or 2 (adds z_i*z_j products)")
     p.add_argument("--ridge", type=float, default=0.05)
     p.add_argument("--threshold", type=float, default=2e-4)
-    p.add_argument("--smooth-window", type=int, default=None,
-                   help="odd moving-average width applied before differencing")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_fit)
 

@@ -359,6 +359,8 @@ def load_config(path) -> NetworkConfig:
         raise ConfigError(f"config parse error in {path}: top level must be a mapping")
     try:
         timing = doc.get("timing", {})
+        if not isinstance(timing, dict):
+            raise ConfigError(f"config parse error in {path}: timing must be a mapping")
         highways = tuple(
             Highway(
                 name=node["name"],

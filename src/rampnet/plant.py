@@ -544,7 +544,11 @@ class EpisodeRecord:
         sidecar = cls.sidecar_path(path)
         if sidecar.exists():
             with open(sidecar, "r", encoding="utf-8") as fh:
-                meta.update(json.load(fh))
+                extra = json.load(fh)
+            if not isinstance(extra, dict):
+                raise ValueError(f"malformed episode sidecar {sidecar}: "
+                                 "expected a JSON object")
+            meta.update(extra)
         return cls(
             seed=int(meta["seed"]),
             control_step_s=float(meta["control_step_s"]),

@@ -1,18 +1,21 @@
 """Sparse regression of control-affine dynamics from metering logs.
 
 The model family is ``xdot = C theta(x, u)`` where ``theta`` stacks the
-monomials of degree 1 or 2 of the joint vector z = (x, u): the constant
-column first, then z in variable order, then the products ``z_i * z_j`` for
-i <= j in lexicographic order. For the benchmark (n = m = 8, order 2) that is
-1 + 16 + 136 = 153 columns. Fitting reads the library matrix; a fitted model
-reads f and its Jacobian at one point from the quadratic form
+monomials of degree 1 or 2 of the joint vector z = (x, u) in one layout: the
+constant column first, then z in variable order, then the products
+``z_i * z_j`` for i <= j in lexicographic order. For the benchmark
+(n = m = 8, order 2) that is 1 + 16 + 136 = 153 columns. A model stores its
+coefficients and its library's order; its column exponents (``terms``)
+follow from those and are never stored. Fitting reads the library matrix; a
+fitted model reads f and its Jacobian at one point from the quadratic form
 ``f = c + L z + z'Q z`` (Q upper triangular) built once from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
-on z-scored columns and targets from one Gram matrix: a ridge screen drops a
-few columns, standard-error elimination makes the model sparse, and the last
-elimination fit gives the coefficients (see :func:`stls_regress`). A
-linear-terms-only fit without thresholding is the baseline (DMDc-style) model.
+on central-difference derivatives, with z-scored columns and targets, from
+one Gram matrix: a ridge screen drops a few columns, standard-error
+elimination makes the model sparse, and the last elimination fit gives the
+coefficients (see :func:`stls_regress`). A linear-terms-only fit without
+thresholding is the baseline (DMDc-style) model.
 
 Time convention: one model time unit is one control step, so logs built from
 episode records use ``dt = 1.0`` and the one-step Euler predictor advances
@@ -100,36 +103,16 @@ class TrajectoryLog:
             yield slice(a, b)
 
 
-def _moving_average(block: np.ndarray, window: int) -> np.ndarray:
-    if window < 1 or window % 2 == 0:
-        raise ValueError("smoothing window must be a positive odd integer")
-    if window == 1:
-        return block
-    kernel = np.full(window, 1.0 / window)
-    out = np.empty_like(block)
-    for j in range(block.shape[1]):
-        out[:, j] = np.convolve(block[:, j], kernel, mode="same")
-    half = window // 2  # edges see a shorter kernel; drop them
-    return out[half:len(block) - half]
-
-
-def differentiate(log: TrajectoryLog, smooth_window: int | None = None):
+def differentiate(log: TrajectoryLog):
     """Central-difference derivatives per episode.
 
     Returns ``(derivs, states, inputs)`` with endpoint rows of every episode
-    dropped (central differences need both neighbors). With ``smooth_window``
-    set, states are moving-average filtered first and the shortened edges are
-    dropped as well; default is no smoothing.
+    dropped (central differences need both neighbors).
     """
     derivs, xs, us = [], [], []
     for idx, sl in enumerate(log.episode_slices()):
         x = log.states[sl]
         u = log.inputs[sl]
-        if smooth_window is not None:
-            trimmed = _moving_average(x, smooth_window)
-            half = smooth_window // 2
-            u = u[half:len(x) - half]
-            x = trimmed
         if len(x) < 3:
             raise InsufficientDataError(
                 f"episode {idx} has {len(x)} usable rows; need at least 3 "
@@ -145,11 +128,10 @@ def differentiate(log: TrajectoryLog, smooth_window: int | None = None):
 @dataclass(frozen=True)
 class FeatureLibrarySpec:
     """Monomial library of degree 1 or 2 in the joint vector z = (x, u):
-    an optional constant, the linear terms, and for ``polynomial_order`` 2
-    the products ``z_i * z_j`` for i <= j."""
+    the constant, the linear terms, and for ``polynomial_order`` 2 the
+    products ``z_i * z_j`` for i <= j."""
 
     polynomial_order: int = 2
-    include_constant: bool = True
 
     def __post_init__(self) -> None:
         if self.polynomial_order not in (1, 2):
@@ -159,8 +141,7 @@ class FeatureLibrarySpec:
     def terms(self, n_states: int, n_inputs: int) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors over z = (x_1..x_n, u_1..u_m), in column order."""
         eye = np.eye(n_states + n_inputs, dtype=int)
-        blocks = [np.zeros_like(eye[:1])] if self.include_constant else []
-        blocks.append(eye)
+        blocks = [np.zeros_like(eye[:1]), eye]
         if self.polynomial_order == 2:
             i, j = np.triu_indices(len(eye))
             blocks.append(eye[i] + eye[j])
@@ -184,8 +165,7 @@ def term_label(term: tuple[int, ...], n_states: int) -> str:
 def _library_matrix(z: np.ndarray, spec: FeatureLibrarySpec) -> np.ndarray:
     """Columns ``[1, z, z_i * z_j for i <= j]`` for rows of z, in the order of
     ``spec.terms`` (``triu_indices`` is row-major, as the terms are)."""
-    blocks = [np.ones((len(z), 1))] if spec.include_constant else []
-    blocks.append(z)
+    blocks = [np.ones((len(z), 1)), z]
     if spec.polynomial_order == 2:
         i, j = np.triu_indices(z.shape[1])
         blocks.append(z[:, i] * z[:, j])
@@ -259,9 +239,8 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, ridge: float = 0.05,
     153 columns to 3-18. The last ``REFIT_RCOND``-truncated elimination fit,
     with entries below ``threshold`` zeroed, is the result.
 
-    Returns ``(coefficients, zero_rows)`` where ``coefficients`` is
-    (targets, h) and ``zero_rows`` flags targets whose columns were all
-    eliminated (their row is left at zero).
+    Returns the (targets, h) coefficient matrix; a target whose columns
+    were all eliminated keeps a zero row.
     """
     theta = np.asarray(theta, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -300,24 +279,18 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, ridge: float = 0.05,
             active = np.delete(active, weakest)
         if active.size:
             coef[k, active] = np.where(np.abs(fit) < threshold, 0.0, fit)
-    return coef, ~np.any(coef, axis=1)
+    return coef
 
 
-def _column_stats(matrix: np.ndarray, center: bool) -> tuple[np.ndarray, np.ndarray]:
+def _column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column z-score parameters ``(mean, scale)``.
 
     Columns that never move (the constant term, a rate pinned at a bound all
     episode) get scale 1; after centering they are numerically zero and drop
-    out of the regression instead of aliasing the intercept. Without a
-    constant term in the library there is nowhere to put an intercept back,
-    so ``center=False`` falls back to plain RMS scaling about zero.
+    out of the regression instead of aliasing the intercept.
     """
-    if center:
-        mean = matrix.mean(axis=0)
-        spread = matrix.std(axis=0)
-    else:
-        mean = np.zeros(matrix.shape[1])
-        spread = np.sqrt(np.mean(matrix * matrix, axis=0))
+    mean = matrix.mean(axis=0)
+    spread = matrix.std(axis=0)
     floor = 1e-10 * np.maximum(np.abs(mean), 1.0)
     return mean, np.where(spread > floor, spread, 1.0)
 
@@ -346,28 +319,26 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
     _require_finite(states, inputs, derivs)
-    theta, terms = build_library(states, inputs, library)
+    theta, _ = build_library(states, inputs, library)
     d, h = theta.shape
     if d < 2 * h:
         raise InsufficientDataError(
             f"{d} samples for {h} library columns; need at least {2 * h}. "
             "Collect more or longer episodes, or lower the polynomial order.")
-    const_ix = next((i for i, t in enumerate(terms) if not any(t)), None)
-    col_mean, col_scale = _column_stats(theta, center=const_ix is not None)
-    tgt_mean, tgt_scale = _column_stats(derivs, center=const_ix is not None)
-    scaled_coef, _ = stls_regress(
+    col_mean, col_scale = _column_stats(theta)
+    tgt_mean, tgt_scale = _column_stats(derivs)
+    scaled_coef = stls_regress(
         (theta - col_mean) / col_scale, (derivs - tgt_mean) / tgt_scale,
         ridge=ridge, threshold=threshold)
     coef = scaled_coef * tgt_scale[:, None] / col_scale[None, :]
-    if const_ix is not None:
-        # Centering absorbed every offset; rebuild the physical intercept and
-        # hold it to the same threshold so a fitted zero stays a zero.
-        intercept = tgt_mean - coef @ col_mean
-        intercept[np.abs(intercept / tgt_scale) < threshold] = 0.0
-        coef[:, const_ix] = intercept
-        scaled_coef[:, const_ix] = intercept / tgt_scale
+    # Centering absorbed every offset; rebuild the physical intercept in the
+    # constant column and hold it to the same threshold so a fitted zero
+    # stays a zero.
+    intercept = tgt_mean - coef @ col_mean
+    intercept[np.abs(intercept / tgt_scale) < threshold] = 0.0
+    coef[:, 0] = intercept
+    scaled_coef[:, 0] = intercept / tgt_scale
     return SparseModel(
-        terms=terms,
         coefficients=coef,
         state_dim=states.shape[1],
         input_dim=inputs.shape[1],
@@ -385,7 +356,6 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
 def discover_sindyc(log: TrajectoryLog,
                     library: FeatureLibrarySpec | None = None,
                     ridge: float = 0.05, threshold: float = 2e-4,
-                    smooth_window: int | None = None,
                     provenance: dict | None = None) -> "SparseModel":
     """Identify sparse polynomial dynamics from a metering log.
 
@@ -393,11 +363,9 @@ def discover_sindyc(log: TrajectoryLog,
     of a plant stuck at steady state yields an all-zero model; check
     ``model.zero_rows`` before trusting predictions.
     """
-    derivs, xs, us = differentiate(log, smooth_window=smooth_window)
+    derivs, xs, us = differentiate(log)
     info = dict(provenance or {}, method="sindyc", dt=log.dt,
                 episodes=len(log.episode_starts))
-    if smooth_window is not None:
-        info["smooth_window"] = smooth_window
     return fit_derivatives(xs, us, derivs, library=library, ridge=ridge,
                            threshold=threshold, provenance=info)
 
@@ -411,8 +379,8 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
     """
     derivs, xs, us = differentiate(log)
     _require_finite(xs, us, derivs)
-    library = FeatureLibrarySpec(polynomial_order=1, include_constant=True)
-    theta, terms = build_library(xs, us, library)
+    library = FeatureLibrarySpec(polynomial_order=1)
+    theta, _ = build_library(xs, us, library)
     solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
     if rank < theta.shape[1]:
         warnings.warn(
@@ -424,7 +392,6 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
     ones_h = np.ones(theta.shape[1])
     ones_n = np.ones(derivs.shape[1])
     return SparseModel(
-        terms=terms,
         coefficients=coef,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
@@ -447,13 +414,11 @@ class SparseModel:
     """Polynomial dynamics ``xdot = C theta(x, u)`` plus fit metadata.
 
     ``coefficients`` are physical units; ``scaled_coefficients`` are the
-    normalized-unit values the threshold was applied to. ``terms`` are
-    exponent vectors over (x, u) defining each library column and must be
-    ``library.terms(state_dim, input_dim)``. Point reads use the quadratic
+    normalized-unit values the threshold was applied to; both have one column
+    per library term, in the library's order. Point reads use the quadratic
     form ``f = c + (L + Q z) z`` compiled from the coefficients on creation.
     """
 
-    terms: tuple[tuple[int, ...], ...]
     coefficients: np.ndarray  # (n, h)
     state_dim: int
     input_dim: int
@@ -468,18 +433,17 @@ class SparseModel:
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         n, nz = self.state_dim, self.state_dim + self.input_dim
-        if tuple(map(tuple, self.terms)) != self.library.terms(n, self.input_dim):
-            raise ValueError("terms are not the library's columns in its order")
-        if self.coefficients.shape != (n, len(self.terms)):
-            raise ValueError("coefficient shape does not match terms/state_dim")
+        shape = (n, self.library.width(n, self.input_dim))
+        if self.coefficients.shape != shape:
+            raise ValueError(f"coefficients have shape {self.coefficients.shape}; "
+                             f"the library needs {shape}")
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
-        first = int(self.library.include_constant)
-        self._offset = self.coefficients[:, 0] if first else np.zeros(n)
-        self._linear = self.coefficients[:, first:first + nz]
+        self._offset = self.coefficients[:, 0]
+        self._linear = self.coefficients[:, 1:1 + nz]
         self._quad = np.zeros((n, nz, nz))
         if self.library.polynomial_order == 2:
             i, j = np.triu_indices(nz)
-            self._quad[:, i, j] = self.coefficients[:, first + nz:]
+            self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
         self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
 
     # -- evaluation ------------------------------------------------------------
@@ -517,8 +481,13 @@ class SparseModel:
     # -- introspection -----------------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[int, ...], ...]:
+        """Exponent vectors over (x, u) of the coefficient columns."""
+        return self.library.terms(self.state_dim, self.input_dim)
+
+    @property
     def n_columns(self) -> int:
-        return len(self.terms)
+        return self.coefficients.shape[1]
 
     @property
     def zero_rows(self) -> tuple[bool, ...]:
@@ -540,11 +509,7 @@ class SparseModel:
         doc = {
             "state_dim": self.state_dim,
             "input_dim": self.input_dim,
-            "library": {
-                "polynomial_order": self.library.polynomial_order,
-                "include_constant": self.library.include_constant,
-            },
-            "terms": [list(t) for t in self.terms],
+            "library": {"polynomial_order": self.library.polynomial_order},
             "coefficients": self.coefficients.tolist(),
             "column_means": self.column_means.tolist(),
             "column_scales": self.column_scales.tolist(),
@@ -561,11 +526,10 @@ class SparseModel:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return cls(
-            terms=tuple(tuple(t) for t in doc["terms"]),
             coefficients=np.array(doc["coefficients"], dtype=float),
             state_dim=int(doc["state_dim"]),
             input_dim=int(doc["input_dim"]),
-            library=FeatureLibrarySpec(**doc["library"]),
+            library=FeatureLibrarySpec(doc["library"]["polynomial_order"]),
             column_means=np.array(doc["column_means"], dtype=float),
             column_scales=np.array(doc["column_scales"], dtype=float),
             target_means=np.array(doc["target_means"], dtype=float),
@@ -600,10 +564,9 @@ class FitReport:
         return "\n".join(lines)
 
 
-def fit_report(model: SparseModel, log: TrajectoryLog,
-               smooth_window: int | None = None) -> FitReport:
+def fit_report(model: SparseModel, log: TrajectoryLog) -> FitReport:
     """Score a model against a (held-out) log's numerical derivatives."""
-    derivs, xs, us = differentiate(log, smooth_window=smooth_window)
+    derivs, xs, us = differentiate(log)
     pred = model.evaluate_batch(xs, us)
     resid = pred - derivs
     rmse = np.sqrt(np.mean(resid ** 2, axis=0))

@@ -8,6 +8,7 @@ prints a PASS line with its measured numbers so a verbose run doubles as a
 release report.
 """
 
+import hashlib
 import time
 from types import SimpleNamespace
 
@@ -317,3 +318,44 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
               f"solves mean {1e3 * np.mean(solve_times):.0f} ms / "
               f"max {1e3 * np.max(solve_times):.0f} ms, "
               "second run bit-identical")
+
+
+# The benchmark fit (train seeds 1-4), pinned: SINDYc's support per state and
+# sha256 digests of the fitted matrices. A change to the fit's arithmetic that
+# moves any coefficient by one rounding step fails here, before it shows up as
+# a closed-loop difference. The digests also depend on the numpy and
+# LAPACK/BLAS build (eigh, solve, lstsq): they were recorded with numpy 2.4 on
+# OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this test without a
+# fit change needs them recorded again; the supports should not move.
+PINNED_SUPPORT = (
+    (0, 21, 25),
+    (0, 17, 25, 33, 40, 51, 55, 65, 68, 94, 101, 110, 125, 129, 130, 137, 145, 149),
+    (0, 33, 42, 56, 64, 68, 69, 97, 111, 116, 125, 132),
+    (0, 62, 70, 74, 142),
+    (0, 22, 27, 64, 70, 76, 110, 111, 113, 118, 120, 131, 138),
+    (0, 34, 45, 59, 64, 72, 87, 95, 110, 114, 129, 147),
+    (0, 43, 98, 106, 138),
+    (0, 60, 66, 69, 98, 111, 116, 152),
+)
+PINNED_DIGESTS = {
+    "sindyc.coefficients":
+        "09a49069d7d29986a2406e86a537738b8546f6a26f4c474827a63346db921a5b",
+    "sindyc.scaled_coefficients":
+        "2e6cf937476a00d93d0aef34f0cd8da34139ae573f079e60357c68bbc6fd8963",
+    "dmdc.coefficients":
+        "5a8c06e4b853243b644b7a2baec66f2d789b5a4a146873c53d98ffd4955e1bfe",
+}
+
+
+def test_benchmark_fit_is_pinned(pipeline):
+    support = tuple(tuple(int(i) for i in np.flatnonzero(row))
+                    for row in pipeline.sindyc.coefficients)
+    assert support == PINNED_SUPPORT
+    digests = {
+        f"{name}.{field}": hashlib.sha256(np.ascontiguousarray(
+            getattr(getattr(pipeline, name), field), dtype=np.float64
+        ).tobytes()).hexdigest()
+        for name, field in (("sindyc", "coefficients"),
+                            ("sindyc", "scaled_coefficients"),
+                            ("dmdc", "coefficients"))}
+    assert digests == PINNED_DIGESTS

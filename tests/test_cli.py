@@ -119,7 +119,8 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     fit_derivatives(x, u, 0.3 * (15.0 - x)).save(model_path)
     doc = json.loads(model_path.read_text())
-    bad_models = {"no-terms": {k: v for k, v in doc.items() if k != "terms"},
+    short = [row[:-1] for row in doc["coefficients"]]
+    bad_models = {"short-coefficients": dict(doc, coefficients=short),
                   "cubic": dict(doc, library=dict(doc["library"],
                                                    polynomial_order=3))}
     for name, bad in bad_models.items():
@@ -136,6 +137,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     (raw / "ep.csv").rename(raw / "alinea-seed1.csv")
     no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5])
     (no_sidecar / "ep.csv").rename(no_sidecar / "alinea-seed1.csv")
+    list_sidecar = _log_dir(tmp_path / "list-sidecar", good)
+    (list_sidecar / "ep.json").write_text("[1, 2, 3]")
+    sidecar_case = ["fit", "--logs", str(list_sidecar),
+                    "--out", str(tmp_path / "l.json")]
+    bad_timing = tmp_path / "bad-timing.cfg"
+    bad_timing.write_text("timing: null\nhighways:"
+                          + cfg_path.read_text().split("highways:", 1)[1])
     cases = [
         ["report", "--config", str(cfg_path), "--results", str(raw),
          "--out", str(tmp_path / "r3")],
@@ -157,6 +165,9 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "--horizons", "2", "--out", str(tmp_path / "s2.csv")],
         ["collect", "--config", str(cfg_path), "--seeds", "a,b",
          "--out", str(tmp_path / "x")],
+        ["collect", "--config", str(bad_timing), "--seeds", "1",
+         "--out", str(tmp_path / "x2")],
+        sidecar_case,
         ["fit", "--logs", str(tmp_path / "missing"),
          "--out", str(tmp_path / "m.json")],
         ["run", "--config", str(cfg_path),
@@ -179,4 +190,6 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     assert main(cases[1]) == 2
     assert "alinea-seed1.json" in capsys.readouterr().err
+    assert main(sidecar_case) == 2
+    assert "ep.json" in capsys.readouterr().err
 

@@ -115,7 +115,7 @@ def test_rollout_reports_the_step_that_diverged():
 
 def test_prediction_keeps_the_public_states_and_jacobians():
     """The planner's one read per stage gives exactly what ``rollout`` and
-    ``model.jacobian`` give, for quadratic, no-constant and linear libraries."""
+    ``model.jacobian`` give, for quadratic and linear libraries."""
     rng = np.random.default_rng(13)
     x = rng.uniform(0.0, 30.0, size=(400, 3))
     u = rng.uniform(200.0, 1800.0, size=(400, 2))
@@ -123,8 +123,7 @@ def test_prediction_keeps_the_public_states_and_jacobians():
                          - 1e-3 * x[:, i] * x[:, (i + 1) % 3] for i in range(3)])
     x0 = np.array([12.0, 18.0, 25.0])
     plan = rng.uniform(300.0, 1700.0, size=(4, 2))
-    for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(include_constant=False),
-                 FeatureLibrarySpec(polynomial_order=1)):
+    for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)):
         model = fit_derivatives(x, u, y, library=spec)
         states, jacobians = mpc._predict(model, x0, plan, 0.5)
         assert np.array_equal(states, rollout(model, x0, plan, 0.5))

@@ -167,6 +167,12 @@ def test_load_config_rejects_garbage(tmp_path):
     path.write_text("highways: [not, a, mapping]\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    # A timing block that is not a mapping: null, a list, a scalar.
+    body = serialize_config(_tiny_config()).split("highways:", 1)[1]
+    for timing in ("null", "[1.0, 30.0]", "30.0"):
+        path.write_text(f"timing: {timing}\nhighways:{body}")
+        with pytest.raises(ConfigError, match="timing"):
+            load_config(path)
 
 
 # -- the shipped benchmark -----------------------------------------------------

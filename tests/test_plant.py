@@ -382,3 +382,12 @@ def test_episode_record_rejects_malformed_csv(tmp_path):
     path.write_text("time_s,occ_1,rate_1\n0,1\n")
     with pytest.raises(ValueError, match="column count"):
         EpisodeRecord.from_csv(path)
+
+
+def test_episode_record_rejects_a_sidecar_that_is_not_an_object(tmp_path):
+    path = tmp_path / "ep.csv"
+    path.write_text("time_s,occ_1,flow_1,speed_1,rate_1\n0,10,3000,90,700\n")
+    for doc in ("[1, 2, 3]", "null", "12"):
+        (tmp_path / "ep.json").write_text(doc)
+        with pytest.raises(ValueError, match="ep.json"):
+            EpisodeRecord.from_csv(path)

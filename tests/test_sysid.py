@@ -66,23 +66,6 @@ def test_too_short_episode_is_an_error():
         differentiate(log)
 
 
-def test_smoothing_drops_edges_and_keeps_linear_trends():
-    t = np.arange(10.0)
-    log = TrajectoryLog(states=(4.0 * t).reshape(-1, 1),
-                        inputs=t.reshape(-1, 1))
-    derivs, xs, us = differentiate(log, smooth_window=3)
-    assert len(xs) == 6  # 10 rows - 2 smoothing edges - 2 difference endpoints
-    assert np.allclose(derivs, 4.0)
-    assert np.array_equal(us.ravel(), t[2:8])
-
-
-def test_smoothing_window_must_be_odd_and_positive():
-    log = TrajectoryLog(states=np.zeros((10, 1)), inputs=np.zeros((10, 1)))
-    for bad in (0, 2, -3):
-        with pytest.raises(ValueError, match="odd"):
-            differentiate(log, smooth_window=bad)
-
-
 # -- feature library --------------------------------------------------------------
 
 def test_library_census_two_states_one_input():
@@ -110,8 +93,9 @@ def test_library_is_deterministic():
 def test_library_order_one_and_no_constant():
     spec = FeatureLibrarySpec(polynomial_order=1)
     assert spec.width(3, 2) == 6
-    bare = FeatureLibrarySpec(polynomial_order=2, include_constant=False)
-    assert bare.width(2, 1) == 9
+    # Every library starts with the constant column; there is no other layout.
+    with pytest.raises(TypeError):
+        FeatureLibrarySpec(polynomial_order=2, include_constant=False)
     for order in (0, 3):
         with pytest.raises(ValueError, match="1 or 2"):
             FeatureLibrarySpec(polynomial_order=order)
@@ -132,7 +116,8 @@ def test_stls_recovers_two_terms_to_machine_precision():
     theta, terms = build_library(x, u)
     labels = [term_label(t, 1) for t in terms]
     y = 0.7 * x[:, 0] - 1.2 * x[:, 0] * u[:, 0]
-    coefs, zero_rows = stls_regress(theta, y.reshape(-1, 1))
+    coefs = stls_regress(theta, y.reshape(-1, 1))
+    zero_rows = ~coefs.any(axis=1)
     expected = np.zeros(len(terms))
     expected[labels.index("x1")] = 0.7
     expected[labels.index("x1*u1")] = -1.2
@@ -146,7 +131,8 @@ def test_stls_zeroes_a_target_with_no_signal():
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
     theta, _ = build_library(x, u)
     targets = np.column_stack([0.5 * x[:, 0], np.zeros(300)])
-    coefs, zero_rows = stls_regress(theta, targets)
+    coefs = stls_regress(theta, targets)
+    zero_rows = ~coefs.any(axis=1)
     assert zero_rows.tolist() == [False, True]
     assert not coefs[1].any()
 
@@ -161,7 +147,7 @@ def test_stls_significance_guard_prunes_pure_noise_terms():
     labels = [term_label(t, 2) for t in terms]
     clean = 0.9 * x[:, 0] - 0.6 * x[:, 1] * u[:, 0]
     y = clean + rng.normal(0.0, 0.05, size=500)
-    coefs, _ = stls_regress(theta, y.reshape(-1, 1))
+    coefs = stls_regress(theta, y.reshape(-1, 1))
     active = {labels[i] for i in np.flatnonzero(coefs[0])}
     assert {"x1", "x2*u1"} <= active
     assert len(active) <= 4  # a handful of survivors, not half the library
@@ -391,17 +377,15 @@ def test_euler_steps_do_not_compose():
 def _dense_model(spec, n=3, m=2, seed=13):
     """Every library column active with a random coefficient, so squares and
     cross terms of states and inputs all enter f."""
-    terms = spec.terms(n, m)
-    h = len(terms)
+    h = spec.width(n, m)
     coef = np.random.default_rng(seed).normal(size=(n, h))
-    return SparseModel(terms=terms, coefficients=coef, state_dim=n, input_dim=m,
+    return SparseModel(coefficients=coef, state_dim=n, input_dim=m,
                        library=spec, column_means=np.zeros(h),
                        column_scales=np.ones(h), target_means=np.zeros(n),
                        target_scales=np.ones(n), scaled_coefficients=coef)
 
 
-LIBRARIES = [FeatureLibrarySpec(), FeatureLibrarySpec(include_constant=False),
-             FeatureLibrarySpec(polynomial_order=1)]
+LIBRARIES = [FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)]
 
 
 def test_jacobian_matches_finite_differences():
@@ -416,8 +400,7 @@ def test_jacobian_matches_finite_differences():
     assert np.allclose(ju[0], fu, atol=1e-6)
 
 
-@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "no-constant",
-                                                 "linear"))
+@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "linear"))
 def test_jacobian_of_a_dense_model_matches_finite_differences(spec):
     """Central differences are exact on a quadratic up to rounding, so the
     squares' doubled diagonal and both halves of each cross term must show."""
@@ -435,8 +418,7 @@ def test_jacobian_of_a_dense_model_matches_finite_differences(spec):
         assert np.allclose(jac, fd, rtol=1e-7, atol=1e-7)
 
 
-@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "no-constant",
-                                                 "linear"))
+@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "linear"))
 def test_point_reads_match_the_library_matrix(spec):
     model = _dense_model(spec)
     rng = np.random.default_rng(15)
@@ -448,17 +430,21 @@ def test_point_reads_match_the_library_matrix(spec):
 
 
 def test_model_rejects_terms_that_are_not_the_library_layout():
+    """The columns are the library's terms, so the coefficient shape is the
+    one layout check: a column short (a library without the constant), one
+    too many, the linear library's width, or a state row missing."""
     model = _dense_model(FeatureLibrarySpec())
+    assert model.terms == FeatureLibrarySpec().terms(3, 2)
+    assert model.n_columns == 21
     fields = {k: getattr(model, k) for k in (
-        "coefficients", "state_dim", "input_dim", "library", "column_means",
+        "state_dim", "input_dim", "library", "column_means",
         "column_scales", "target_means", "target_scales", "scaled_coefficients")}
-    permuted = list(model.terms)
-    permuted[4], permuted[5] = permuted[5], permuted[4]
-    cubic = list(model.terms)
-    cubic[-1] = (0, 0, 0, 0, 3)
-    for terms in (permuted, cubic, model.terms[:-1]):
-        with pytest.raises(ValueError, match="library"):
-            SparseModel(terms=tuple(terms), **fields)
+    coef = model.coefficients
+    linear_width = FeatureLibrarySpec(polynomial_order=1).width(3, 2)
+    for wrong in (coef[:, :-1], np.hstack([coef, coef[:, :1]]),
+                  coef[:, :linear_width], coef[:2]):
+        with pytest.raises(ValueError, match="library needs"):
+            SparseModel(coefficients=wrong, **fields)
 
 
 def test_model_rejects_wrong_input_sizes():
@@ -486,6 +472,75 @@ def test_model_json_round_trip(tmp_path):
     assert "zero_rows" not in doc
     path.write_text(json.dumps(dict(doc, zero_rows=[True])))
     assert SparseModel.load(path).zero_rows == (False,)
+
+
+def test_model_file_holds_exactly_what_load_reads(tmp_path, monkeypatch):
+    """``save`` writes no key that ``load`` ignores and ``load`` reads no key
+    that ``save`` leaves out; the library block is read key by key too."""
+    path = tmp_path / "model.json"
+    _hand_model().save(path)
+    written = json.loads(path.read_text())
+
+    class Recorder(dict):
+        def __init__(self, pairs):
+            super().__init__(pairs)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    docs = []
+
+    def recording_load(fh):
+        docs.append(json.loads(fh.read(), object_hook=Recorder))
+        return docs[-1]
+
+    monkeypatch.setattr(json, "load", recording_load)
+    SparseModel.load(path)
+    (doc,) = docs
+    assert doc.read == set(written)
+    assert doc["library"].read == set(written["library"]) == {"polynomial_order"}
+
+
+def test_model_files_with_the_older_layout_keys(tmp_path):
+    """Files that still carry ``terms`` and ``include_constant: true`` load to
+    the same model."""
+    model = _hand_model()
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    older = dict(doc, terms=[list(t) for t in model.terms],
+                 library=dict(doc["library"], include_constant=True))
+    path.write_text(json.dumps(older))
+    back = SparseModel.load(path)
+    for name in ("coefficients", "scaled_coefficients", "column_means",
+                 "column_scales", "target_means", "target_scales"):
+        assert np.array_equal(getattr(back, name), getattr(model, name))
+    assert back.terms == model.terms and back.library == model.library
+    probe = (np.array([0.7]), np.array([-0.3]))
+    assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
+    assert all(np.array_equal(a, b) for a, b in zip(back.jacobian(*probe),
+                                                     model.jacobian(*probe)))
+
+
+def test_model_file_without_the_constant_column_does_not_load(tmp_path):
+    """The benchmark's 8 states and 8 inputs without the constant column:
+    152 coefficient columns against the library's 153."""
+    path = tmp_path / "model.json"
+    _dense_model(FeatureLibrarySpec(), n=8, m=8).save(path)
+    doc = json.loads(path.read_text())
+    short = dict(doc, coefficients=[row[1:] for row in doc["coefficients"]],
+                 scaled_coefficients=[row[1:] for row in doc["scaled_coefficients"]],
+                 library=dict(doc["library"], include_constant=False))
+    assert len(short["coefficients"][0]) == 152
+    path.write_text(json.dumps(short))
+    with pytest.raises(ValueError, match="library needs"):
+        SparseModel.load(path)
 
 
 def test_active_terms_lists_labels_and_physical_coefficients():
