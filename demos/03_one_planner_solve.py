@@ -42,7 +42,7 @@ def main():
         print(f"  stage {l}: "
               f"{np.array2string(rates, precision=0, floatmode='fixed')}")
 
-    predicted = rollout(model, snapshot, sol.plan, cfg.step_h)
+    predicted = rollout(model, snapshot, sol.plan)
     print("\npredicted mean occupancy along the horizon: "
           + " -> ".join(f"{row.mean():.1f}%" for row in predicted))
     print("\nThe planner cuts hardest at the meters feeding the densest "

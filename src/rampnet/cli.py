@@ -12,10 +12,11 @@ from .sysid import SparseModel
 
 
 def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        raise harness.UsageError(f"bad seed list '{text}'; expected e.g. 1,2,3")
+    seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
+    if not all(s.isdecimal() for s in seeds):
+        raise harness.UsageError(
+            f"bad seed list '{text}'; expected non-negative seeds, e.g. 1,2,3")
+    return [int(s) for s in seeds]
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -58,13 +59,9 @@ def _cmd_collect(args) -> int:
 
 def _cmd_fit(args) -> int:
     log = harness.load_logs(args.logs)
-    if args.method == "sindyc":
-        library = sysid.FeatureLibrarySpec(polynomial_order=args.order)
-        model = sysid.discover_sindyc(
-            log, library=library, ridge=args.ridge, threshold=args.threshold,
-            provenance={"logs": str(args.logs)})
-    else:
-        model = sysid.discover_dmdc(log, provenance={"logs": str(args.logs)})
+    discover = (sysid.discover_sindyc if args.method == "sindyc"
+                else sysid.discover_dmdc)
+    model = discover(log, provenance={"logs": str(args.logs)})
     model.save(args.out)
     active = model.active_count()
     print(f"{args.method} model -> {args.out}")
@@ -144,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="identify a model from collected logs")
     p.add_argument("--logs", required=True, help="directory of episode CSVs")
     p.add_argument("--method", default="sindyc", choices=("sindyc", "dmdc"))
-    p.add_argument("--order", type=int, default=2, choices=(1, 2),
-                   help="library degree: 1 (linear) or 2 (adds z_i*z_j products)")
-    p.add_argument("--ridge", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=2e-4)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_fit)
 

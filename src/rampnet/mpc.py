@@ -1,7 +1,7 @@
 """Coordinated predictive ramp metering on a discovered sparse model.
 
 Every control step the controller solves, by single shooting, a short-horizon
-tracking problem on the one-step Euler predictor ``x(l+1) = x(l) + h f(x, u)``:
+tracking problem on the one-step Euler predictor ``x(l+1) = x(l) + f(x, u)``:
 
     min over u(0..N-1) of
         sum_l [ (x(l) - target)' Q (x(l) - target) + du(l)' R du(l) ]
@@ -19,6 +19,10 @@ Levenberg-Marquardt step on J'J, and a search along the projection arc
 accepts only a sufficient decrease. A solve reports ``converged`` only when
 the projected gradient passes the optimality test. Only the first planned
 action is applied; the rest warm starts the next solve.
+
+Time convention: one model time unit is one control step. A plan row is the
+rates for one control step, the predictor advances one control step per row,
+and the controller applies each row for one control step.
 
 This module plans; :mod:`rampnet.harness` runs the episodes, including the
 horizon sweep.
@@ -100,7 +104,6 @@ class MpcConfig:
     rate_min_vph: float = RATE_MIN_VPH
     rate_max_vph: float = RATE_MAX_VPH
     bound_penalty_weight: float = 1e3
-    step_h: float = 1.0  # Euler step, in control steps (model time units)
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
@@ -138,8 +141,8 @@ class MpcSolution:
     solve_time_s: float
 
 
-def _predict(model: SparseModel, x0: np.ndarray, plan: np.ndarray,
-             h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _predict(model: SparseModel, x0: np.ndarray,
+             plan: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Euler rollout that keeps each stage's model Jacobian.
 
     Returns the (N+1, n) states, row 0 being ``x0``, and the N Jacobians
@@ -160,7 +163,7 @@ def _predict(model: SparseModel, x0: np.ndarray, plan: np.ndarray,
         z[:n] = x
         z[n:] = plan[l]
         f, jac = model._read(z)
-        x = x + h * f
+        x = x + f
         if not np.all(np.isfinite(x)):
             raise ModelBlowupError(l + 1)
         states[l + 1] = x
@@ -168,15 +171,16 @@ def _predict(model: SparseModel, x0: np.ndarray, plan: np.ndarray,
     return states, jacobians
 
 
-def rollout(model: SparseModel, x0, plan, h: float = 1.0) -> np.ndarray:
-    """Euler rollout of the plan; states row 0 is ``x0``.
+def rollout(model: SparseModel, x0, plan) -> np.ndarray:
+    """Euler rollout of the plan, one control step per row; states row 0 is
+    ``x0``.
 
     Raises :class:`ModelBlowupError` (carrying the step index) if any state
     stops being finite; quadratic models can diverge when pushed far outside
     the data they were fit on.
     """
     plan = np.atleast_2d(np.asarray(plan, dtype=float))
-    return _predict(model, np.asarray(x0, dtype=float).reshape(-1), plan, h)[0]
+    return _predict(model, np.asarray(x0, dtype=float).reshape(-1), plan)[0]
 
 
 def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> float:
@@ -247,17 +251,17 @@ def _residual_jacobian(jacobians: list[np.ndarray], states: np.ndarray,
 
     ``jacobians`` are the stage model Jacobians df/dz from :func:`_predict`.
     Forward sensitivities ``S(l) = dx(l)/du`` follow the predictor:
-    ``S(l+1) = (I + h A(l)) S(l) + h B(l) E(l)``, with ``A(l), B(l)`` the
+    ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the
     x and u blocks of df/dz and ``E(l)`` picking u(l).
     """
     stage_root, _, rate_rows = roots
     n_steps = len(jacobians)
-    n, h = states.shape[1], cfg.step_h
+    n = states.shape[1]
     m = jacobians[0].shape[1] - n
     sens = np.zeros((n_steps + 1, n, n_steps * m))
     for l, jac in enumerate(jacobians):
-        sens[l + 1] = sens[l] + h * (jac[:, :n] @ sens[l])
-        sens[l + 1, :, l * m:(l + 1) * m] += h * jac[:, n:]
+        sens[l + 1] = sens[l] + jac[:, :n] @ sens[l]
+        sens[l + 1, :, l * m:(l + 1) * m] += jac[:, n:]
     interior = states[1:]
     active = ((interior > cfg.occupancy_max_pct)
               | (interior < cfg.occupancy_min_pct))
@@ -296,7 +300,7 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
 
     def measure(candidate):
         try:
-            states, jacobians = _predict(model, x0, candidate, cfg.step_h)
+            states, jacobians = _predict(model, x0, candidate)
         except ModelBlowupError:
             return None, None, None, np.inf
         res = _residual(states, candidate, u_prev, cfg, roots)

@@ -524,7 +524,9 @@ class EpisodeRecord:
                  control_step_s: float = 30.0) -> "EpisodeRecord":
         """Read an episode written by :meth:`to_csv`. Without its JSON sidecar
         the record takes ``seed`` and ``control_step_s`` from the arguments,
-        column names as ids, and zero green seconds, drops and clamps."""
+        column names as ids, and zero green seconds, drops and clamps. A
+        sidecar whose id or green-second lists do not match the CSV's columns
+        raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -549,6 +551,13 @@ class EpisodeRecord:
                 raise ValueError(f"malformed episode sidecar {sidecar}: "
                                  "expected a JSON object")
             meta.update(extra)
+            for key, width, prefix in (("sensor_ids", n, "occ_"),
+                                       ("ramp_ids", m, "rate_"),
+                                       ("green_seconds", m, "rate_")):
+                if len(meta[key]) != width:
+                    raise ValueError(
+                        f"malformed episode sidecar {sidecar}: {len(meta[key])} "
+                        f"{key} for {width} {prefix} columns")
         return cls(
             seed=int(meta["seed"]),
             control_step_s=float(meta["control_step_s"]),

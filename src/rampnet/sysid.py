@@ -14,12 +14,15 @@ Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
 on central-difference derivatives, with z-scored columns and targets, from
 one Gram matrix: a ridge screen drops a few columns, standard-error
 elimination makes the model sparse, and the last elimination fit gives the
-coefficients (see :func:`stls_regress`). A linear-terms-only fit without
-thresholding is the baseline (DMDc-style) model.
+coefficients (see :func:`stls_regress`). The recipe is fixed: ``RIDGE``,
+``THRESHOLD``, ``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A
+linear-terms-only fit without thresholding is the baseline (DMDc-style)
+model. A model is its coefficients and its library's order; nothing else is
+stored.
 
-Time convention: one model time unit is one control step, so logs built from
-episode records use ``dt = 1.0`` and the one-step Euler predictor advances
-``x + h * xdot`` with ``h = 1``.
+Time convention: one model time unit is one control step. Log rows are one
+control step apart, ``xdot`` is the change per control step, and the
+planner's predictor advances ``x + xdot`` per step.
 """
 
 from __future__ import annotations
@@ -56,13 +59,12 @@ class TrajectoryLog:
     """Stacked (state, input) rows from one or more episodes.
 
     ``episode_starts`` marks the first row of each episode; derivatives are
-    never differenced across an episode boundary. ``dt`` is the row spacing
-    in model time units (control steps).
+    never differenced across an episode boundary. Rows are one control step
+    (one model time unit) apart.
     """
 
     states: np.ndarray  # (d, n)
     inputs: np.ndarray  # (d, m)
-    dt: float = 1.0
     episode_starts: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
@@ -70,8 +72,6 @@ class TrajectoryLog:
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         if self.states.shape[0] != self.inputs.shape[0]:
             raise ValueError("states and inputs must have the same row count")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         starts = tuple(self.episode_starts)
         if not starts or starts[0] != 0 or list(starts) != sorted(set(starts)):
             raise ValueError("episode_starts must be sorted, unique, and begin at 0")
@@ -93,7 +93,6 @@ class TrajectoryLog:
         return cls(
             states=np.vstack([rec.occupancy for rec in records]),
             inputs=np.vstack([rec.rates for rec in records]),
-            dt=1.0,
             episode_starts=tuple(starts),
         )
 
@@ -104,7 +103,7 @@ class TrajectoryLog:
 
 
 def differentiate(log: TrajectoryLog):
-    """Central-difference derivatives per episode.
+    """Central-difference derivatives per episode, per control step.
 
     Returns ``(derivs, states, inputs)`` with endpoint rows of every episode
     dropped (central differences need both neighbors).
@@ -117,7 +116,7 @@ def differentiate(log: TrajectoryLog):
             raise InsufficientDataError(
                 f"episode {idx} has {len(x)} usable rows; need at least 3 "
                 "for central differences")
-        derivs.append((x[2:] - x[:-2]) / (2.0 * log.dt))
+        derivs.append((x[2:] - x[:-2]) / 2.0)
         xs.append(x[1:-1])
         us.append(u[1:-1])
     return np.vstack(derivs), np.vstack(xs), np.vstack(us)
@@ -192,6 +191,13 @@ def build_library(states: np.ndarray, inputs: np.ndarray,
 
 # -- regression ----------------------------------------------------------------
 
+# The screen's ridge, in covariance form (A'A/d + RIDGE I), and the magnitude
+# below which a normalized coefficient counts as zero. With RIDGE > 0 every
+# eigenvalue of the screen's matrix is at least RIDGE, so its solve cannot
+# fail.
+RIDGE = 0.05
+THRESHOLD = 2e-4
+
 # Relative singular-value cutoff for the elimination fits, and so for the
 # final coefficients. Active sets that survive thresholding on noisy data can
 # still hide near-duplicate columns (a rate and its square, say); directions
@@ -226,18 +232,17 @@ def _gram_fit(gram: np.ndarray, moment: np.ndarray, energy: float, d: int):
     return fit, np.where(np.isfinite(ratio), ratio, np.inf)
 
 
-def stls_regress(theta: np.ndarray, targets: np.ndarray, ridge: float = 0.05,
-                 threshold: float = 2e-4):
+def stls_regress(theta: np.ndarray, targets: np.ndarray):
     """Sequential thresholded least squares, one regression per target column.
 
     Stages read blocks of G = theta'theta and b = theta'y, formed once. The
-    ridge screen solves ``(G_aa/d + ridge I) c = b_a/d`` and drops every
-    coefficient below ``threshold`` until none drops; on the benchmark logs it
+    ridge screen solves ``(G_aa/d + RIDGE I) c = b_a/d`` and drops every
+    coefficient below ``THRESHOLD`` until none drops; on the benchmark logs it
     takes the centred constant and up to three columns the next stage would
     keep. Significance elimination drops the survivor with the smallest
     |coefficient| / standard error until all clear ``SIGNIFICANCE_Z``, taking
     153 columns to 3-18. The last ``REFIT_RCOND``-truncated elimination fit,
-    with entries below ``threshold`` zeroed, is the result.
+    with entries below ``THRESHOLD`` zeroed, is the result.
 
     Returns the (targets, h) coefficient matrix; a target whose columns
     were all eliminated keeps a zero row.
@@ -254,15 +259,11 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, ridge: float = 0.05,
     for k in range(len(coef)):
         active = np.arange(h)
         while active.size:
-            # Ridge in covariance form: (A'A/d + ridge I) keeps the penalty
+            # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty
             # strength independent of how many rows were logged.
-            lhs = gram[np.ix_(active, active)] / d + ridge * np.eye(active.size)
-            rhs = moments[active, k] / d
-            try:
-                fit = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                fit = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-            small = np.abs(fit) < threshold
+            lhs = gram[np.ix_(active, active)] / d + RIDGE * np.eye(active.size)
+            fit = np.linalg.solve(lhs, moments[active, k] / d)
+            small = np.abs(fit) < THRESHOLD
             if not small.any():
                 break
             active = active[~small]
@@ -278,7 +279,7 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, ridge: float = 0.05,
                 break
             active = np.delete(active, weakest)
         if active.size:
-            coef[k, active] = np.where(np.abs(fit) < threshold, 0.0, fit)
+            coef[k, active] = np.where(np.abs(fit) < THRESHOLD, 0.0, fit)
     return coef
 
 
@@ -295,14 +296,19 @@ def _column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(spread > floor, spread, 1.0)
 
 
-def _require_finite(states, inputs, derivs) -> None:
+def _require_data(states, inputs, derivs, library: FeatureLibrarySpec) -> None:
+    """Every fit needs finite data and at least two rows per library column."""
     if not all(np.isfinite(a).all() for a in (states, inputs, derivs)):
         raise InsufficientDataError("states, inputs and derivatives must be finite")
+    d, h = len(states), library.width(states.shape[1], inputs.shape[1])
+    if d < 2 * h:
+        raise InsufficientDataError(
+            f"{d} samples for {h} library columns; need at least {2 * h}. "
+            "Collect more or longer episodes.")
 
 
 def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
                     library: FeatureLibrarySpec | None = None,
-                    ridge: float = 0.05, threshold: float = 2e-4,
                     provenance: dict | None = None) -> "SparseModel":
     """Sparse fit of ``derivs = C theta(states, inputs)`` from sample triples.
 
@@ -311,75 +317,60 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     supply exact ones). Columns and targets are z-scored first so one
     threshold is comparable across wildly different units (occupancies sit
     near 15, rates near 1000, their squares near a million); coefficients are
-    mapped back to physical units, with the normalized form kept on the
-    model.
+    mapped back to physical units.
     """
     library = library or FeatureLibrarySpec()
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-    _require_finite(states, inputs, derivs)
+    _require_data(states, inputs, derivs, library)
     theta, _ = build_library(states, inputs, library)
-    d, h = theta.shape
-    if d < 2 * h:
-        raise InsufficientDataError(
-            f"{d} samples for {h} library columns; need at least {2 * h}. "
-            "Collect more or longer episodes, or lower the polynomial order.")
     col_mean, col_scale = _column_stats(theta)
     tgt_mean, tgt_scale = _column_stats(derivs)
-    scaled_coef = stls_regress(
-        (theta - col_mean) / col_scale, (derivs - tgt_mean) / tgt_scale,
-        ridge=ridge, threshold=threshold)
-    coef = scaled_coef * tgt_scale[:, None] / col_scale[None, :]
+    scaled = stls_regress((theta - col_mean) / col_scale,
+                          (derivs - tgt_mean) / tgt_scale)
+    coef = scaled * tgt_scale[:, None] / col_scale[None, :]
     # Centering absorbed every offset; rebuild the physical intercept in the
     # constant column and hold it to the same threshold so a fitted zero
     # stays a zero.
     intercept = tgt_mean - coef @ col_mean
-    intercept[np.abs(intercept / tgt_scale) < threshold] = 0.0
+    intercept[np.abs(intercept / tgt_scale) < THRESHOLD] = 0.0
     coef[:, 0] = intercept
-    scaled_coef[:, 0] = intercept / tgt_scale
     return SparseModel(
         coefficients=coef,
         state_dim=states.shape[1],
         input_dim=inputs.shape[1],
         library=library,
-        column_means=col_mean,
-        column_scales=col_scale,
-        target_means=tgt_mean,
-        target_scales=tgt_scale,
-        scaled_coefficients=scaled_coef,
-        provenance=dict(provenance or {}, ridge=ridge, threshold=threshold,
-                        samples=d, columns=h),
+        provenance=dict(provenance or {}, samples=theta.shape[0],
+                        columns=theta.shape[1]),
     )
 
 
 def discover_sindyc(log: TrajectoryLog,
-                    library: FeatureLibrarySpec | None = None,
-                    ridge: float = 0.05, threshold: float = 2e-4,
                     provenance: dict | None = None) -> "SparseModel":
-    """Identify sparse polynomial dynamics from a metering log.
+    """Identify sparse quadratic dynamics from a metering log.
 
     Differentiates per episode, then runs the thresholded regression. A log
     of a plant stuck at steady state yields an all-zero model; check
     ``model.zero_rows`` before trusting predictions.
     """
     derivs, xs, us = differentiate(log)
-    info = dict(provenance or {}, method="sindyc", dt=log.dt,
+    info = dict(provenance or {}, method="sindyc",
                 episodes=len(log.episode_starts))
-    return fit_derivatives(xs, us, derivs, library=library, ridge=ridge,
-                           threshold=threshold, provenance=info)
+    return fit_derivatives(xs, us, derivs, provenance=info)
 
 
 def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "SparseModel":
     """Linear baseline: least-squares ``xdot = A x + B u + c``, no thresholding.
 
     Falls back to a lightly ridged solve (with a warning) when the design
-    matrix is rank deficient, e.g. an input that never moved. Non-finite
-    data raises :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
+    matrix is rank deficient, e.g. an input that never moved. Non-finite data
+    or fewer than two rows per column raise :class:`InsufficientDataError`,
+    as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(log)
-    _require_finite(xs, us, derivs)
     library = FeatureLibrarySpec(polynomial_order=1)
+    _require_data(xs, us, derivs, library)
     theta, _ = build_library(xs, us, library)
     solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
     if rank < theta.shape[1]:
@@ -388,20 +379,12 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
             "using a ridged solve", RuntimeWarning, stacklevel=2)
         solution = np.linalg.solve(
             theta.T @ theta + 1e-6 * np.eye(theta.shape[1]), theta.T @ derivs)
-    coef = solution.T
-    ones_h = np.ones(theta.shape[1])
-    ones_n = np.ones(derivs.shape[1])
     return SparseModel(
-        coefficients=coef,
+        coefficients=solution.T,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
         library=library,
-        column_means=np.zeros(theta.shape[1]),
-        column_scales=ones_h,
-        target_means=np.zeros(derivs.shape[1]),
-        target_scales=ones_n,
-        scaled_coefficients=coef.copy(),
-        provenance=dict(provenance or {}, method="dmdc", dt=log.dt,
+        provenance=dict(provenance or {}, method="dmdc",
                         episodes=len(log.episode_starts),
                         samples=theta.shape[0], columns=theta.shape[1]),
     )
@@ -411,23 +394,17 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
 
 @dataclass
 class SparseModel:
-    """Polynomial dynamics ``xdot = C theta(x, u)`` plus fit metadata.
+    """Polynomial dynamics ``xdot = C theta(x, u)`` plus fit provenance.
 
-    ``coefficients`` are physical units; ``scaled_coefficients`` are the
-    normalized-unit values the threshold was applied to; both have one column
-    per library term, in the library's order. Point reads use the quadratic
-    form ``f = c + (L + Q z) z`` compiled from the coefficients on creation.
+    ``coefficients`` are physical units per control step, one column per
+    library term, in the library's order. Point reads use the quadratic form
+    ``f = c + (L + Q z) z`` compiled from the coefficients on creation.
     """
 
     coefficients: np.ndarray  # (n, h)
     state_dim: int
     input_dim: int
     library: FeatureLibrarySpec
-    column_means: np.ndarray  # (h,)
-    column_scales: np.ndarray  # (h,)
-    target_means: np.ndarray  # (n,)
-    target_scales: np.ndarray  # (n,)
-    scaled_coefficients: np.ndarray  # (n, h)
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -511,11 +488,6 @@ class SparseModel:
             "input_dim": self.input_dim,
             "library": {"polynomial_order": self.library.polynomial_order},
             "coefficients": self.coefficients.tolist(),
-            "column_means": self.column_means.tolist(),
-            "column_scales": self.column_scales.tolist(),
-            "target_means": self.target_means.tolist(),
-            "target_scales": self.target_scales.tolist(),
-            "scaled_coefficients": self.scaled_coefficients.tolist(),
             "provenance": self.provenance,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -523,6 +495,9 @@ class SparseModel:
 
     @classmethod
     def load(cls, path) -> "SparseModel":
+        """Read a file written by :meth:`save`. Keys that older files carry
+        (``terms``, ``include_constant``, the column and target statistics and
+        ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return cls(
@@ -530,11 +505,6 @@ class SparseModel:
             state_dim=int(doc["state_dim"]),
             input_dim=int(doc["input_dim"]),
             library=FeatureLibrarySpec(doc["library"]["polynomial_order"]),
-            column_means=np.array(doc["column_means"], dtype=float),
-            column_scales=np.array(doc["column_scales"], dtype=float),
-            target_means=np.array(doc["target_means"], dtype=float),
-            target_scales=np.array(doc["target_scales"], dtype=float),
-            scaled_coefficients=np.array(doc["scaled_coefficients"], dtype=float),
             provenance=doc.get("provenance", {}),
         )
 

@@ -143,7 +143,7 @@ def test_criterion_03_library_census():
 
 def _fd_gradient(model, x0, plan, u_prev, cfg, eps=1e-2):
     def total(p):
-        states = rollout(model, x0, p, cfg.step_h)
+        states = rollout(model, x0, p)
         return objective(states, p, u_prev, cfg) + bound_penalty(states, cfg)
 
     fd = np.empty_like(plan)
@@ -186,7 +186,7 @@ def test_criterion_04_planner_gradient_matches_finite_differences():
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        states, jacobians = mpc._predict(model, x0, plan, cfg.step_h)
+        states, jacobians = mpc._predict(model, x0, plan)
         roots = mpc._cost_roots(cfg, n, m)
         res = mpc._residual(states, plan, u_prev, cfg, roots)
         jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
@@ -209,7 +209,7 @@ def test_criterion_05_planner_beats_an_exhaustive_grid():
     x0, u_prev = [24.0], [1000.0]
 
     def total(plan):
-        states = rollout(model, x0, plan, cfg.step_h)
+        states = rollout(model, x0, plan)
         return objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg)
 
     grid = np.linspace(cfg.rate_min_vph, cfg.rate_max_vph, 21)
@@ -301,8 +301,6 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
     sindyc = discover_sindyc(log)
     dmdc = discover_dmdc(log)
     assert np.array_equal(sindyc.coefficients, pipeline.sindyc.coefficients)
-    assert np.array_equal(sindyc.scaled_coefficients,
-                          pipeline.sindyc.scaled_coefficients)
     assert sindyc.zero_rows == pipeline.sindyc.zero_rows
     assert np.array_equal(dmdc.coefficients, pipeline.dmdc.coefficients)
 
@@ -340,8 +338,6 @@ PINNED_SUPPORT = (
 PINNED_DIGESTS = {
     "sindyc.coefficients":
         "09a49069d7d29986a2406e86a537738b8546f6a26f4c474827a63346db921a5b",
-    "sindyc.scaled_coefficients":
-        "2e6cf937476a00d93d0aef34f0cd8da34139ae573f079e60357c68bbc6fd8963",
     "dmdc.coefficients":
         "5a8c06e4b853243b644b7a2baec66f2d789b5a4a146873c53d98ffd4955e1bfe",
 }
@@ -356,6 +352,5 @@ def test_benchmark_fit_is_pinned(pipeline):
             getattr(getattr(pipeline, name), field), dtype=np.float64
         ).tobytes()).hexdigest()
         for name, field in (("sindyc", "coefficients"),
-                            ("sindyc", "scaled_coefficients"),
                             ("dmdc", "coefficients"))}
     assert digests == PINNED_DIGESTS

@@ -41,8 +41,9 @@ def test_parser_exposes_the_five_commands():
 def test_seed_and_horizon_parsing():
     assert _parse_seeds("1,2,3") == [1, 2, 3]
     assert _parse_seeds("7") == [7]
-    with pytest.raises(UsageError, match="bad seed list"):
-        _parse_seeds("one,two")
+    for bad in ("one,two", "-1", "2,-3"):
+        with pytest.raises(UsageError, match="bad seed list"):
+            _parse_seeds(bad)
     assert _parse_horizons("3:5") == [3, 4, 5]
     assert _parse_horizons("3,5,7") == [3, 5, 7]
     for bad in ("3:x", "5:3", ","):
@@ -133,6 +134,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         "nan": _log_dir(tmp_path / "nan", good[:9] + ["300,nan,3000,90,700"]
                         + good[10:]),
     }
+    # 5 usable rows for DMDc's 3 columns (the constant, x1, u1).
+    few = _log_dir(tmp_path / "few", good[:7])
+    long_sidecar = _log_dir(tmp_path / "long-sidecar", good)
+    (long_sidecar / "ep.json").write_text('{"green_seconds": [1, 2, 3]}')
+    raw_long = _log_dir(tmp_path / "raw-long", good[:5])
+    (raw_long / "ep.csv").rename(raw_long / "alinea-seed1.csv")
+    (raw_long / "alinea-seed1.json").write_text('{"green_seconds": [1, 2, 3]}')
     raw = _log_dir(tmp_path / "raw", good[:5] + ["30,1,1"])
     (raw / "ep.csv").rename(raw / "alinea-seed1.csv")
     no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5])
@@ -184,6 +192,16 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "--horizons", "0:3", "--out", str(tmp_path / "s3.csv")],
         ["sweep", "--config", str(cfg_path), "--model", str(model_path),
          "--horizons", "2", "--seeds", "", "--out", str(tmp_path / "s4.csv")],
+        ["collect", "--config", str(cfg_path), "--seeds=-1",
+         "--out", str(tmp_path / "x3")],
+        ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
+         "--dmdc-model", str(model_path), "--seeds=-3",
+         "--out", str(tmp_path / "r6")],
+        ["fit", "--logs", str(few), "--method", "dmdc",
+         "--out", str(tmp_path / "few.json")],
+        ["fit", "--logs", str(long_sidecar), "--out", str(tmp_path / "g.json")],
+        ["report", "--config", str(cfg_path), "--results", str(raw_long),
+         "--out", str(tmp_path / "r7")],
     ]
     for argv in cases:
         assert main(argv) == 2

@@ -118,7 +118,6 @@ def test_load_logs_stacks_episodes_in_name_order(tmp_path):
     assert log.states.shape == (2 * rows, 1)
     assert log.inputs.shape == (2 * rows, 1)
     assert log.episode_starts == (0, rows)
-    assert log.dt == 1.0
 
 
 def test_load_logs_complains_about_an_empty_directory(tmp_path):

@@ -125,11 +125,11 @@ def test_prediction_keeps_the_public_states_and_jacobians():
     plan = rng.uniform(300.0, 1700.0, size=(4, 2))
     for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)):
         model = fit_derivatives(x, u, y, library=spec)
-        states, jacobians = mpc._predict(model, x0, plan, 0.5)
-        assert np.array_equal(states, rollout(model, x0, plan, 0.5))
+        states, jacobians = mpc._predict(model, x0, plan)
+        assert np.array_equal(states, rollout(model, x0, plan))
         assert len(jacobians) == len(plan)
         for l, jac in enumerate(jacobians):
-            assert np.array_equal(states[l + 1], states[l] + 0.5 * model.evaluate(
+            assert np.array_equal(states[l + 1], states[l] + model.evaluate(
                 states[l], plan[l]))
             jac_x, jac_u = model.jacobian(states[l], plan[l])
             assert np.array_equal(jac[:, :3], jac_x)
@@ -139,14 +139,14 @@ def test_prediction_keeps_the_public_states_and_jacobians():
 # -- the planner's gradient ---------------------------------------------------------
 
 def _total_cost(model, x0, plan, u_prev, cfg):
-    states = rollout(model, x0, plan, cfg.step_h)
+    states = rollout(model, x0, plan)
     return objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg)
 
 
 def _solver_gradient(model, x0, plan, u_prev, cfg):
     """2 J'r from the solver's own residual and residual Jacobian, with
     |r|^2 checked against objective + bound penalty."""
-    states, jacobians = mpc._predict(model, x0, plan, cfg.step_h)
+    states, jacobians = mpc._predict(model, x0, plan)
     roots = mpc._cost_roots(cfg, len(x0), plan.shape[1])
     res = mpc._residual(states, plan, u_prev, cfg, roots)
     jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
@@ -205,7 +205,7 @@ def test_gradient_includes_active_bound_penalties():
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        assert bound_penalty(rollout(model, x0, plan, cfg.step_h), cfg) > 0.0
+        assert bound_penalty(rollout(model, x0, plan), cfg) > 0.0
         _check_gradient(model, x0, plan, u_prev, cfg)
 
 
@@ -214,7 +214,6 @@ def _adjoint_gradient(model, states, plan, u_prev, cfg):
     (adjoint) recursion through the Euler rollout, using only the public
     model Jacobian and weights."""
     q, p, r = cfg.weights(states.shape[1], plan.shape[1])
-    h = cfg.step_h
 
     def state_grad(x, weight):
         over = np.maximum(x - cfg.occupancy_max_pct, 0.0)
@@ -227,13 +226,13 @@ def _adjoint_gradient(model, states, plan, u_prev, cfg):
     lam = state_grad(states[n_steps], p)
     for l in range(n_steps - 1, -1, -1):
         jac_x, jac_u = model.jacobian(states[l], plan[l])
-        grad[l] = h * (jac_u.T @ lam)
+        grad[l] = jac_u.T @ lam
         before = u_prev if l == 0 else plan[l - 1]
         grad[l] += 2.0 * r * (plan[l] - before)
         if l + 1 < n_steps:
             grad[l] -= 2.0 * r * (plan[l + 1] - plan[l])
         if l >= 1:
-            lam = state_grad(states[l], q) + lam + h * (jac_x.T @ lam)
+            lam = state_grad(states[l], q) + lam + jac_x.T @ lam
     return grad
 
 
@@ -254,7 +253,7 @@ def test_residual_jacobian_gives_the_adjoint_gradient():
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        states, jacobians = mpc._predict(model, x0, plan, cfg.step_h)
+        states, jacobians = mpc._predict(model, x0, plan)
         roots = mpc._cost_roots(cfg, n, m)
         res = mpc._residual(states, plan, u_prev, cfg, roots)
         jac = mpc._residual_jacobian(jacobians, states, cfg, roots)

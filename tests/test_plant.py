@@ -1,6 +1,7 @@
 """Plant dynamics: conservation, signals, discharge physics, episode runner."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -390,4 +391,22 @@ def test_episode_record_rejects_a_sidecar_that_is_not_an_object(tmp_path):
     for doc in ("[1, 2, 3]", "null", "12"):
         (tmp_path / "ep.json").write_text(doc)
         with pytest.raises(ValueError, match="ep.json"):
+            EpisodeRecord.from_csv(path)
+
+
+def test_episode_record_rejects_sidecar_lists_that_do_not_match_the_csv(tmp_path):
+    """One sensor and two ramps: each id or green-second list of the wrong
+    length is refused, naming the sidecar and the list."""
+    path = tmp_path / "ep.csv"
+    path.write_text("time_s,occ_1,flow_1,speed_1,rate_1,rate_2\n"
+                    "0,10,3000,90,700,900\n")
+    good = {"sensor_ids": ["s1"], "ramp_ids": ["r1", "r2"],
+            "green_seconds": [10.0, 20.0]}
+    (tmp_path / "ep.json").write_text(json.dumps(good))
+    assert EpisodeRecord.from_csv(path).ramp_ids == ("r1", "r2")
+    for key, wrong in (("sensor_ids", ["s1", "s2"]), ("ramp_ids", ["r1"]),
+                       ("green_seconds", [1.0, 2.0, 3.0]),
+                       ("green_seconds", [])):
+        (tmp_path / "ep.json").write_text(json.dumps(dict(good, **{key: wrong})))
+        with pytest.raises(ValueError, match=f"ep.json: {len(wrong)} {key}"):
             EpisodeRecord.from_csv(path)

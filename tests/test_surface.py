@@ -5,6 +5,7 @@ benchmark patches is where it looks for it."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -72,3 +73,29 @@ def test_traced_benchmark_targets_are_defined_where_it_patches_them():
     missing = [(owner, attr) for owner, attr, _ in tracing.TRACED
                if attr not in vars(tracing._resolve(owner))]
     assert tracing.TRACED and not missing, missing
+
+
+def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
+    """The fit's ridge and threshold are module constants and one model time
+    unit is one control step, so no function, method or config field in the
+    identification and planning layers takes them, and ``rampnet fit`` has
+    no recipe flags."""
+    from rampnet import cli, mpc, sysid
+
+    fixed = {"ridge", "threshold", "dt", "step_h", "h"}
+    taken = {}
+    for module in (sysid, mpc):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = ([v for v in vars(obj).values() if inspect.isfunction(v)]
+                       if isinstance(obj, type) else [obj])
+            for fn in filter(inspect.isfunction, members):
+                params = set(inspect.signature(fn).parameters) & fixed
+                if params:
+                    taken[f"{module.__name__}.{name}"] = sorted(params)
+    assert not taken, taken
+    assert "library" not in inspect.signature(sysid.discover_sindyc).parameters
+    fit = cli.build_parser()._subparsers._group_actions[0].choices["fit"]
+    flags = {opt for action in fit._actions for opt in action.option_strings}
+    assert flags == {"-h", "--help", "--logs", "--method", "--out"}

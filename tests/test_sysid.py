@@ -8,7 +8,8 @@ import pytest
 from rampnet.mpc import rollout
 from rampnet.sysid import (REFIT_RCOND, FeatureLibrarySpec,
                            InsufficientDataError, SparseModel, TrajectoryLog,
-                           _gram_fit, build_library, differentiate,
+                           _column_stats, _gram_fit, build_library,
+                           differentiate,
                            discover_dmdc, discover_sindyc, fit_derivatives,
                            fit_report, stls_regress, term_label)
 
@@ -20,8 +21,6 @@ THRESHOLD = 2e-4
 def test_log_validates_shapes_and_starts():
     with pytest.raises(ValueError, match="row count"):
         TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((4, 1)))
-    with pytest.raises(ValueError, match="dt"):
-        TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((5, 1)), dt=0.0)
     with pytest.raises(ValueError, match="episode_starts"):
         TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((5, 1)),
                       episode_starts=(1,))
@@ -50,14 +49,6 @@ def test_differentiation_never_crosses_episode_boundaries():
     derivs, xs, _ = differentiate(log)
     assert np.allclose(derivs, 1.0)
     assert len(xs) == 6  # both episodes lose their two endpoint rows
-
-
-def test_differentiate_respects_dt():
-    t = np.arange(6.0)
-    log = TrajectoryLog(states=(3.0 * t).reshape(-1, 1),
-                        inputs=np.zeros((6, 1)), dt=0.5)
-    derivs, _, _ = differentiate(log)
-    assert np.allclose(derivs, 6.0)
 
 
 def test_too_short_episode_is_an_error():
@@ -175,22 +166,6 @@ def test_gram_fit_matches_lstsq_and_pinv():
     assert np.allclose(ratios[1:], np.abs(ref[1:]) / se[1:], rtol=1e-9, atol=0)
 
 
-def test_unridged_fit_still_returns_a_model():
-    """With ridge 0 the centred constant column makes the first screen pass
-    singular; the least-squares fallback has to carry the fit through."""
-    rng = np.random.default_rng(4)
-    x = rng.uniform(0.0, 30.0, size=(500, 2))
-    u = rng.uniform(200.0, 1800.0, size=(500, 1))
-    y = np.column_stack([
-        2.0 + 0.4 * x[:, 0] - 0.002 * u[:, 0],
-        0.01 * x[:, 0] * x[:, 1] - 0.5 * x[:, 1],
-    ])
-    model = fit_derivatives(x, u, y, ridge=0.0)
-    assert model.provenance["ridge"] == 0.0
-    assert not any(model.zero_rows)
-    assert np.allclose(model.evaluate_batch(x, u), y, rtol=0, atol=1e-8)
-
-
 def test_fit_rejects_non_finite_data():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 30.0, size=(100, 1))
@@ -214,7 +189,13 @@ def test_fit_derivatives_threshold_invariant_under_noise():
         -0.05 * x[:, 0] * x[:, 1] / 30.0 + 0.8,
     ]) + rng.normal(0.0, 0.2, size=(600, 2))
     model = fit_derivatives(x, u, y)
-    scaled = np.abs(model.scaled_coefficients)
+    theta, _ = build_library(x, u)
+    _, col_scale = _column_stats(theta)
+    _, tgt_scale = _column_stats(y)
+    # Normalized units: column spread over target spread. The constant
+    # column never moves, so its scale is 1 and the intercept reads
+    # intercept / target spread.
+    scaled = np.abs(model.coefficients * col_scale / tgt_scale[:, None])
     assert np.all((scaled == 0.0) | (scaled >= THRESHOLD))
 
 
@@ -255,6 +236,13 @@ def test_fit_requires_twice_as_many_rows_as_columns():
     u = np.zeros((100, 8))
     with pytest.raises(InsufficientDataError, match="need at least 306"):
         fit_derivatives(x, u, np.zeros((100, 8)))
+    # DMDc goes through the same check: 12 usable rows for 17 linear columns.
+    rng = np.random.default_rng(16)
+    log = TrajectoryLog(states=rng.uniform(0.0, 30.0, size=(14, 8)),
+                        inputs=rng.uniform(200.0, 1800.0, size=(14, 8)))
+    with pytest.raises(InsufficientDataError, match="12 samples for 17 library "
+                       "columns; need at least 34"):
+        discover_dmdc(log)
 
 
 # -- discovery on logs ---------------------------------------------------------------
@@ -314,7 +302,7 @@ def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
         states.append(x)
         inputs.append(u)
     log = TrajectoryLog(states=np.vstack(states), inputs=np.vstack(inputs),
-                        dt=dt, episode_starts=tuple(starts))
+                        episode_starts=tuple(starts))
     quad = discover_sindyc(log)
     linear = discover_dmdc(log)
     assert fit_report(quad, log).mean_r2 > fit_report(linear, log).mean_r2
@@ -340,7 +328,8 @@ def test_discovery_provenance_records_the_fit_recipe():
     assert model.provenance["campaign"] == "unit"
     assert model.provenance["method"] == "sindyc"
     assert model.provenance["samples"] == 38
-    assert model.provenance["threshold"] == THRESHOLD
+    assert set(model.provenance) == {"campaign", "method", "episodes",
+                                     "samples", "columns"}
 
 
 # -- the model object -----------------------------------------------------------------
@@ -355,23 +344,11 @@ def _hand_model():
 
 
 def test_evaluate_and_step_hand_values():
-    """The planner's Euler step is x + h f(x, u)."""
+    """The planner's Euler step is x + f(x, u), one control step per row."""
     model = _hand_model()
     assert model.evaluate([2.0], [1.0])[0] == pytest.approx(7.0, abs=1e-9)
-    assert rollout(model, [2.0], [[1.0]], h=0.5)[1, 0] == \
-        pytest.approx(3.5 + 2.0, abs=1e-9)
-
-
-def test_euler_steps_do_not_compose():
-    """One full Euler step differs from two half steps on curved dynamics;
-    h is a unit choice, not a refinement knob."""
-    rng = np.random.default_rng(11)
-    x = rng.uniform(0.5, 3.0, size=(300, 1))
-    u = rng.uniform(-1.0, 1.0, size=(300, 1))
-    model = fit_derivatives(x, u, (x[:, 0] ** 2).reshape(-1, 1))
-    full = rollout(model, [2.0], [[0.0]], h=1.0)[-1]
-    halves = rollout(model, [2.0], [[0.0], [0.0]], h=0.5)[-1]
-    assert abs(full[0] - halves[0]) > 1.0
+    assert rollout(model, [2.0], [[1.0]])[1, 0] == \
+        pytest.approx(7.0 + 2.0, abs=1e-9)
 
 
 def _dense_model(spec, n=3, m=2, seed=13):
@@ -380,9 +357,7 @@ def _dense_model(spec, n=3, m=2, seed=13):
     h = spec.width(n, m)
     coef = np.random.default_rng(seed).normal(size=(n, h))
     return SparseModel(coefficients=coef, state_dim=n, input_dim=m,
-                       library=spec, column_means=np.zeros(h),
-                       column_scales=np.ones(h), target_means=np.zeros(n),
-                       target_scales=np.ones(n), scaled_coefficients=coef)
+                       library=spec)
 
 
 LIBRARIES = [FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)]
@@ -436,9 +411,7 @@ def test_model_rejects_terms_that_are_not_the_library_layout():
     model = _dense_model(FeatureLibrarySpec())
     assert model.terms == FeatureLibrarySpec().terms(3, 2)
     assert model.n_columns == 21
-    fields = {k: getattr(model, k) for k in (
-        "state_dim", "input_dim", "library", "column_means",
-        "column_scales", "target_means", "target_scales", "scaled_coefficients")}
+    fields = {k: getattr(model, k) for k in ("state_dim", "input_dim", "library")}
     coef = model.coefficients
     linear_width = FeatureLibrarySpec(polynomial_order=1).width(3, 2)
     for wrong in (coef[:, :-1], np.hstack([coef, coef[:, :1]]),
@@ -460,8 +433,6 @@ def test_model_json_round_trip(tmp_path):
     back = SparseModel.load(path)
     assert back.terms == model.terms
     assert np.array_equal(back.coefficients, model.coefficients)
-    assert np.array_equal(back.scaled_coefficients, model.scaled_coefficients)
-    assert np.array_equal(back.column_means, model.column_means)
     assert back.zero_rows == model.zero_rows
     assert back.provenance == model.provenance
     probe = (np.array([0.7]), np.array([-0.3]))
@@ -469,7 +440,8 @@ def test_model_json_round_trip(tmp_path):
     # zero_rows is derived from the coefficients: not written, and ignored
     # in files that still carry it.
     doc = json.loads(path.read_text())
-    assert "zero_rows" not in doc
+    assert set(doc) == {"state_dim", "input_dim", "library", "coefficients",
+                        "provenance"}
     path.write_text(json.dumps(dict(doc, zero_rows=[True])))
     assert SparseModel.load(path).zero_rows == (False,)
 
@@ -508,19 +480,22 @@ def test_model_file_holds_exactly_what_load_reads(tmp_path, monkeypatch):
 
 
 def test_model_files_with_the_older_layout_keys(tmp_path):
-    """Files that still carry ``terms`` and ``include_constant: true`` load to
-    the same model."""
+    """Files that still carry ``terms``, ``include_constant: true``, the
+    column and target statistics and ``scaled_coefficients`` load to the same
+    model; ``load`` ignores those keys, even when their shapes are wrong."""
     model = _hand_model()
     path = tmp_path / "model.json"
     model.save(path)
     doc = json.loads(path.read_text())
+    h = model.n_columns
     older = dict(doc, terms=[list(t) for t in model.terms],
-                 library=dict(doc["library"], include_constant=True))
+                 library=dict(doc["library"], include_constant=True),
+                 column_means=[0.0], column_scales=[1.0] * h,
+                 target_means=[0.0, 0.0], target_scales=[1.0],
+                 scaled_coefficients=[[0.0] * 3] * 8)
     path.write_text(json.dumps(older))
     back = SparseModel.load(path)
-    for name in ("coefficients", "scaled_coefficients", "column_means",
-                 "column_scales", "target_means", "target_scales"):
-        assert np.array_equal(getattr(back, name), getattr(model, name))
+    assert np.array_equal(back.coefficients, model.coefficients)
     assert back.terms == model.terms and back.library == model.library
     probe = (np.array([0.7]), np.array([-0.3]))
     assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
@@ -535,7 +510,6 @@ def test_model_file_without_the_constant_column_does_not_load(tmp_path):
     _dense_model(FeatureLibrarySpec(), n=8, m=8).save(path)
     doc = json.loads(path.read_text())
     short = dict(doc, coefficients=[row[1:] for row in doc["coefficients"]],
-                 scaled_coefficients=[row[1:] for row in doc["scaled_coefficients"]],
                  library=dict(doc["library"], include_constant=False))
     assert len(short["coefficients"][0]) == 152
     path.write_text(json.dumps(short))
