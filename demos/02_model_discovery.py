@@ -35,7 +35,7 @@ def main():
           f"out of {sparse.n_columns} columns")
 
     sensor = 0
-    print(f"\nwhat drives sensor {config.sensors[sensor].id}:")
+    print(f"\nwhat drives sensor {config.ramps[sensor].sensor_id}:")
     for label, coef in sorted(sparse.active_terms(sensor),
                               key=lambda lc: -abs(lc[1])):
         print(f"  {coef:+12.6g} * {label}")

@@ -2,8 +2,9 @@
 
 The pieces, in pipeline order:
 
-* :mod:`rampnet.network` declares a freeway network (cells, ramps, sensors,
-  junctions, timing) and loads the shipped three-highway benchmark config.
+* :mod:`rampnet.network` declares a freeway network (cells, metered ramps
+  with their merge-cell detectors, junctions, timing) and loads the shipped
+  three-highway benchmark config.
 * :mod:`rampnet.plant` simulates it: cell-transmission dynamics, Poisson
   demand, signalized meters, windowed detectors, and the episode runner.
 * :mod:`rampnet.feedback` holds the local occupancy regulators and the
@@ -28,9 +29,8 @@ from .harness import (SCENARIOS, ScenarioResult, UsageError, collect,
 from .mpc import (ModelBlowupError, MpcConfig, MpcController, MpcSolution,
                   SolverSettings, bound_penalty, objective, rollout, solve)
 from .network import (CellParams, ConfigError, Highway, JunctionSpec,
-                      NetworkConfig, RampSpec, SensorSpec,
-                      benchmark_config_path, load_config, save_config,
-                      serialize_config)
+                      NetworkConfig, RampSpec, benchmark_config_path,
+                      load_config, save_config, serialize_config)
 from .plant import (ConservationError, ControlObservation, EpisodeRecord,
                     RampSignal, StepInfo, TrafficPlant, run_episode)
 from .sysid import (FeatureLibrarySpec, FitReport, InsufficientDataError,

@@ -118,10 +118,10 @@ class FixedRateController:
 
 
 class MeterBank:
-    """One local controller per metered ramp, driven by the paired sensor.
+    """One local controller per ramp, driven by that ramp's detector.
 
-    Ramp j reads sensor j by the network's ordering convention. Instances are
-    callables compatible with :func:`rampnet.plant.run_episode`.
+    Controller j reads sensor j, the detector in ramp j's merge cell.
+    Instances are callables compatible with :func:`rampnet.plant.run_episode`.
     """
 
     def __init__(self, controllers):

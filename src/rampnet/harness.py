@@ -335,14 +335,15 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
 
     Returns a dict naming everything written. Flow improvements are relative
     to the no-control scenario when it is present. Raw episode CSVs go under
-    ``raw/`` so the tables can be rebuilt later without re-simulating.
+    ``raw/`` so the tables can be rebuilt later without re-simulating; the
+    episodes an earlier report left there are deleted first.
     """
     if not results:
         raise UsageError("no scenario results to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sensor_ids = [s.id for s in config.sensors]
-    ramp_ids = [r.id for r in config.ramps if r.metered]
+    sensor_ids = [r.sensor_id for r in config.ramps]
+    ramp_ids = [r.id for r in config.ramps]
     by_name = {res.scenario: res for res in results}
 
     paths: dict[str, object] = {}
@@ -392,6 +393,10 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
     if write_raw:
         raw_dir = out_dir / "raw"
         raw_dir.mkdir(exist_ok=True)
+        # An earlier report's episodes would join this one's on a rebuild.
+        for stale in raw_dir.glob("*-seed*.csv"):
+            EpisodeRecord.sidecar_path(stale).unlink(missing_ok=True)
+            stale.unlink()
         raw_paths = []
         for res in results:
             for seed, record in zip(res.seeds, res.records):

@@ -1,10 +1,11 @@
 """Static description of a metered freeway network.
 
 A network is a set of named highways, each a chain of homogeneous cells with a
-triangular fundamental diagram, plus metered on-ramps, occupancy sensors, and
-fixed-turn-ratio junctions that route a share of one highway's flow onto
-another. Everything here is geometry and timing; the dynamics live in
-:mod:`rampnet.plant`.
+triangular fundamental diagram, plus metered on-ramps and fixed-turn-ratio
+junctions that route a share of one highway's flow onto another. Every ramp
+is one meter and one loop detector: the detector sits in the cell the ramp
+merges into, as in the local occupancy law ALINEA. Everything here is
+geometry and timing; the dynamics live in :mod:`rampnet.plant`.
 
 Configs travel as YAML with units spelled out in the key names
 (``length_km``, ``demand_veh_per_hour``, ...). The canonical three-highway
@@ -23,7 +24,6 @@ __all__ = [
     "CellParams",
     "Highway",
     "RampSpec",
-    "SensorSpec",
     "JunctionSpec",
     "NetworkConfig",
     "ConfigError",
@@ -100,14 +100,18 @@ class Highway:
 
 @dataclass(frozen=True)
 class RampSpec:
-    """A single-lane on-ramp with a Poisson source, a queue, and a meter."""
+    """A single-lane on-ramp with a Poisson source, a queue, and a meter.
+
+    ``sensor_id`` names the loop detector in ``merge_cell``, the occupancy
+    the ramp's meter regulates.
+    """
 
     id: str
     highway: str
     merge_cell: int
+    sensor_id: str
     demand_veh_per_hour: float
     queue_capacity_veh: float = 100.0
-    metered: bool = True
 
     def __post_init__(self) -> None:
         if self.demand_veh_per_hour < 0.0:
@@ -115,16 +119,6 @@ class RampSpec:
         if self.queue_capacity_veh <= 0.0:
             raise ConfigError(
                 f"ramp invariant violated: '{self.id}' queue capacity must be positive")
-
-
-@dataclass(frozen=True)
-class SensorSpec:
-    """A loop detector, placed in the first mainline cell its ramp feeds."""
-
-    id: str
-    highway: str
-    cell: int
-    position: str = "downstream of on-ramp"
 
 
 @dataclass(frozen=True)
@@ -147,14 +141,13 @@ class JunctionSpec:
 class NetworkConfig:
     """Complete immutable description of a network plus episode timing.
 
-    Ordering conventions: ``sensors[j]`` must sit in the merge cell of
-    ``ramps[j]`` for every metered ramp j, so the j-th occupancy state and the
-    j-th metering rate always refer to the same location.
+    Ordering convention: ``ramps[j]`` is the j-th meter and its detector the
+    j-th sensor, so the j-th occupancy state and the j-th metering rate
+    always refer to the same merge cell.
     """
 
     highways: tuple[Highway, ...]
     ramps: tuple[RampSpec, ...]
-    sensors: tuple[SensorSpec, ...]
     junctions: tuple[JunctionSpec, ...] = ()
     sim_step_s: float = 1.0
     control_step_s: float = 30.0
@@ -170,10 +163,6 @@ class NetworkConfig:
     @property
     def steps_per_control(self) -> int:
         return round(self.control_step_s / self.sim_step_s)
-
-    @property
-    def n_sensors(self) -> int:
-        return len(self.sensors)
 
     @property
     def n_ramps(self) -> int:
@@ -193,6 +182,8 @@ class NetworkConfig:
 
         if not self.highways:
             fail("at least one highway is required")
+        if not self.ramps:
+            fail("at least one ramp is required")
         names = [hw.name for hw in self.highways]
         if len(set(names)) != len(names):
             fail("highway names must be unique")
@@ -215,9 +206,10 @@ class NetworkConfig:
             if not 0 <= cell < n:
                 fail(f"{what} references cell {cell} outside highway '{hw_name}' (0..{n - 1})")
 
-        ramp_ids = [r.id for r in self.ramps]
-        if len(set(ramp_ids)) != len(ramp_ids):
-            fail("ramp ids must be unique")
+        for what, ids in (("ramp", [r.id for r in self.ramps]),
+                          ("sensor", [r.sensor_id for r in self.ramps])):
+            if len(set(ids)) != len(ids):
+                fail(f"{what} ids must be unique")
         merge_cells = set()
         for ramp in self.ramps:
             check_cell(ramp.highway, ramp.merge_cell, f"ramp '{ramp.id}'")
@@ -227,17 +219,6 @@ class NetworkConfig:
             if key in merge_cells:
                 fail(f"two ramps merge into the same cell {key}")
             merge_cells.add(key)
-
-        # Sensors pair one-to-one, in order, with the metered ramps.
-        metered = [r for r in self.ramps if r.metered]
-        if len(self.sensors) != len(metered):
-            fail("exactly one sensor per metered ramp is required "
-                 f"({len(self.sensors)} sensors, {len(metered)} metered ramps)")
-        for sensor, ramp in zip(self.sensors, metered):
-            check_cell(sensor.highway, sensor.cell, f"sensor '{sensor.id}'")
-            if (sensor.highway, sensor.cell) != (ramp.highway, ramp.merge_cell):
-                fail(f"sensor '{sensor.id}' must sit in the merge cell of ramp "
-                     f"'{ramp.id}' (sensors pair with metered ramps in order)")
 
         # Junction plumbing rules keep every cell's inflow simple: at most one
         # side inflow per cell and never directly behind a diverge.
@@ -285,6 +266,10 @@ class NetworkConfig:
 
 # -- YAML round trip ---------------------------------------------------------
 
+_TIMING_KEYS = ("sim_step_s", "control_step_s", "burn_in_s",
+                "horizon_duration_s", "rng_seed")
+
+
 def _cell_to_dict(cell: CellParams) -> dict:
     return {
         "length_km": cell.length_km,
@@ -323,16 +308,9 @@ def serialize_config(config: NetworkConfig) -> str:
             "cells": cells_node,
         })
     doc = {
-        "timing": {
-            "sim_step_s": config.sim_step_s,
-            "control_step_s": config.control_step_s,
-            "burn_in_s": config.burn_in_s,
-            "horizon_duration_s": config.horizon_duration_s,
-            "rng_seed": config.rng_seed,
-        },
+        "timing": {key: getattr(config, key) for key in _TIMING_KEYS},
         "highways": highways,
         "ramps": [dataclasses.asdict(r) for r in config.ramps],
-        "sensors": [dataclasses.asdict(s) for s in config.sensors],
         "junctions": [dataclasses.asdict(j) for j in config.junctions],
     }
     return yaml.safe_dump(doc, sort_keys=False)
@@ -343,11 +321,24 @@ def save_config(config: NetworkConfig, path) -> None:
         fh.write(serialize_config(config))
 
 
+def _mapping(node, keys, where: str, path) -> dict:
+    """``node`` if it is a mapping holding only ``keys``; otherwise a
+    :class:`ConfigError` naming what is wrong with it."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"config parse error in {path}: {where} must be a mapping")
+    for key in node:
+        if key not in keys:
+            raise ConfigError(
+                f"config parse error in {path}: unknown key '{key}' in {where}")
+    return node
+
+
 def load_config(path) -> NetworkConfig:
     """Parse and validate a YAML network config.
 
     Raises FileNotFoundError for a missing file and :class:`ConfigError` for a
-    malformed or invariant-violating one.
+    malformed or invariant-violating one, including any key the format does
+    not define.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -355,27 +346,23 @@ def load_config(path) -> NetworkConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config parse error in {path}: top level must be a mapping")
+    doc = _mapping(doc, ("timing", "highways", "ramps", "junctions"), "top level", path)
     try:
-        timing = doc.get("timing", {})
-        if not isinstance(timing, dict):
-            raise ConfigError(f"config parse error in {path}: timing must be a mapping")
-        highways = tuple(
-            Highway(
+        timing = _mapping(doc.get("timing", {}), _TIMING_KEYS, "timing", path)
+        highways = []
+        for i, node in enumerate(doc.get("highways", [])):
+            node = _mapping(node, ("name", "demand_veh_per_hour", "cells"),
+                            f"highway {i}", path)
+            highways.append(Highway(
                 name=node["name"],
                 cells=_cells_from_node(node["cells"], node["name"]),
                 demand_veh_per_hour=float(node["demand_veh_per_hour"]),
-            )
-            for node in doc.get("highways", [])
-        )
+            ))
         ramps = tuple(RampSpec(**node) for node in doc.get("ramps", []))
-        sensors = tuple(SensorSpec(**node) for node in doc.get("sensors", []))
         junctions = tuple(JunctionSpec(**node) for node in doc.get("junctions", []))
         return NetworkConfig(
-            highways=highways,
+            highways=tuple(highways),
             ramps=ramps,
-            sensors=sensors,
             junctions=junctions,
             **{k: (int(v) if k == "rng_seed" else float(v)) for k, v in timing.items()},
         )

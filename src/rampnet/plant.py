@@ -213,7 +213,7 @@ class TrafficPlant:
         self._ramps = tuple(
             (g, float(r.queue_capacity_veh),
              cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH),
-             RampSignal(start_rate) if r.metered else None)
+             RampSignal(start_rate))
             for g, r in zip(ramp_cells, config.ramps))
         self._friction = tuple((g, self._cell_consts[g][5], cap_total[g])
                                for g in ramp_cells)
@@ -227,30 +227,28 @@ class TrafficPlant:
                             for c in range(s + 1, last + 1)
                             if c not in special_succ and c - 1 not in diverge_pred)
 
-        sensor_cells = [gidx(s.highway, s.cell) for s in config.sensors]
+        # Each ramp's detector sits in its merge cell.
         self._sensors = tuple((c, cells[c].vehicle_length_m / 10.0)
-                              for c in sensor_cells)
+                              for c in ramp_cells)
 
         self.time_s = 0.0
         self.density = np.zeros(len(cells))
         self.entry_queues = np.zeros(len(config.highways))
         self.ramp_queues = np.zeros(len(config.ramps))
         self._merge_flow_ema = np.zeros(len(config.ramps))  # veh/h, recent admissions
-        self.signals: list[RampSignal] = [
-            sig for *_, sig in self._ramps if sig is not None]
+        self.signals: list[RampSignal] = [sig for *_, sig in self._ramps]
+        self._clear_window()
 
-        n_sensors = len(sensor_cells)
+    def _clear_window(self) -> None:
+        """Zero the per-ramp sums of the control window in progress."""
+        n = len(self.signals)
         self._steps_in_window = 0
-        self._occ_sum = [0.0] * n_sensors
-        self._dens_sum = [0.0] * n_sensors
-        self._passed_veh = [0.0] * n_sensors
-        self._green_s = [0.0] * len(self.signals)
+        self._occ_sum = [0.0] * n
+        self._dens_sum = [0.0] * n
+        self._passed_veh = [0.0] * n
+        self._green_s = [0.0] * n
 
     # -- control interface ----------------------------------------------------
-
-    @property
-    def n_metered(self) -> int:
-        return len(self.signals)
 
     def set_rates(self, rates) -> None:
         """Publish new rates; each signal adopts its rate at the next cycle."""
@@ -379,18 +377,16 @@ class TrafficPlant:
         # Ramp merges, gated by the meter's green quota.
         for j, (g, _, priority, sig) in enumerate(self._ramps):
             avail = queues[j]
-            if sig is not None:
-                if sig.phase != "green":
-                    avail = 0.0
-                elif sig.quota_veh < avail:
-                    avail = sig.quota_veh
+            if sig.phase != "green":
+                avail = 0.0
+            elif sig.quota_veh < avail:
+                avail = sig.quota_veh
             q_main, q_ramp = merge(send[g - 1], avail / ts_h, recv[g], priority)
             q_main *= dis[g - 1]
             admitted = q_ramp * ts_h
             queues[j] -= admitted
-            if sig is not None:
-                quota = sig.quota_veh - admitted
-                sig.quota_veh = quota if quota > 0.0 else 0.0
+            quota = sig.quota_veh - admitted
+            sig.quota_veh = quota if quota > 0.0 else 0.0
             inflow[g] = q_main + q_ramp
             outflow[g - 1] = q_main
             ema[j] += (q_ramp - ema[j]) * ts / MERGE_RELAX_S
@@ -450,12 +446,7 @@ class TrafficPlant:
         obs = ControlObservation(
             time_s=self.time_s, occupancy=occupancy, flow=flow, speed=speed)
         green = np.array(self._green_s)
-        n_sensors = len(self._sensors)
-        self._steps_in_window = 0
-        self._occ_sum = [0.0] * n_sensors
-        self._dens_sum = [0.0] * n_sensors
-        self._passed_veh = [0.0] * n_sensors
-        self._green_s = [0.0] * len(self.signals)
+        self._clear_window()
         return obs, green
 
 
@@ -579,7 +570,7 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
     """Simulate burn-in plus one control window under the given controller.
 
     The controller is a callable mapping a :class:`ControlObservation` to an
-    array of metering rates, one per metered ramp. It runs during burn-in too,
+    array of metering rates, one per ramp. It runs during burn-in too,
     but only the control window is recorded. Rates outside [200, 1800] veh/h
     are clamped. The record's clamp events (logged once at the end), drops
     and green seconds cover the control window only.
@@ -589,7 +580,7 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
     """
     rng = np.random.default_rng(config.rng_seed if seed is None else seed)
     plant = TrafficPlant(config, initial_rate_vph=initial_rate_vph)
-    m = plant.n_metered
+    m = config.n_ramps
 
     total_windows = round((config.burn_in_s + config.horizon_duration_s)
                           / config.control_step_s)
@@ -637,8 +628,8 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
     return EpisodeRecord(
         seed=int(config.rng_seed if seed is None else seed),
         control_step_s=config.control_step_s,
-        sensor_ids=tuple(s.id for s in config.sensors),
-        ramp_ids=tuple(r.id for r in config.ramps if r.metered),
+        sensor_ids=tuple(r.sensor_id for r in config.ramps),
+        ramp_ids=tuple(r.id for r in config.ramps),
         times=np.array(times),
         occupancy=np.array(occs),
         flow=np.array(flows),

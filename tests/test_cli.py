@@ -2,14 +2,16 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from rampnet.cli import _parse_horizons, _parse_seeds, build_parser, main
 from rampnet.harness import UsageError
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
-                             SensorSpec, save_config)
+                             benchmark_config_path, save_config)
 from rampnet.sysid import fit_derivatives
 
 
@@ -20,8 +22,7 @@ def _tiny_network():
     # and the collected logs carry excitation.
     return NetworkConfig(
         highways=(Highway("H1", (cell,) * 3, 5200.0),),
-        ramps=(RampSpec("H1-R1", "H1", 1, 1500.0),),
-        sensors=(SensorSpec("H1-S1", "H1", 1),),
+        ramps=(RampSpec("H1-R1", "H1", 1, "H1-S1", 1500.0),),
         sim_step_s=1.0,
         control_step_s=30.0,
         burn_in_s=60.0,
@@ -112,6 +113,25 @@ def _log_dir(path, rows):
     return path
 
 
+def _bad_benchmark_configs():
+    """The shipped benchmark config with one fault each, as YAML by name."""
+    text = Path(benchmark_config_path()).read_text()
+    docs = {name: yaml.safe_load(text)
+            for name in ("older-format", "no-ramp", "shared-sensor")}
+    # The previous format: sensors in their own list, ramps flagged metered.
+    older = docs["older-format"]
+    older["sensors"] = [{"id": ramp.pop("sensor_id"), "highway": ramp["highway"],
+                         "cell": ramp["merge_cell"]} for ramp in older["ramps"]]
+    for ramp in older["ramps"]:
+        ramp["metered"] = True
+    docs["no-ramp"]["ramps"] = []
+    ramps = docs["shared-sensor"]["ramps"]
+    ramps[1]["sensor_id"] = ramps[0]["sensor_id"]
+    return {"misspelt-key": text.replace("junctions:", "junction:"),
+            **{name: yaml.safe_dump(doc, sort_keys=False)
+               for name, doc in docs.items()}}
+
+
 def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     cfg_path = tmp_path / "net.cfg"
     save_config(_tiny_network(), cfg_path)
@@ -152,6 +172,9 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     bad_timing = tmp_path / "bad-timing.cfg"
     bad_timing.write_text("timing: null\nhighways:"
                           + cfg_path.read_text().split("highways:", 1)[1])
+    bad_configs = _bad_benchmark_configs()
+    for name, body in bad_configs.items():
+        (tmp_path / f"{name}.cfg").write_text(body)
     cases = [
         ["report", "--config", str(cfg_path), "--results", str(raw),
          "--out", str(tmp_path / "r3")],
@@ -175,6 +198,8 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "--out", str(tmp_path / "x")],
         ["collect", "--config", str(bad_timing), "--seeds", "1",
          "--out", str(tmp_path / "x2")],
+        *(["collect", "--config", str(tmp_path / f"{name}.cfg"), "--seeds", "1",
+           "--out", str(tmp_path / f"x-{name}")] for name in bad_configs),
         sidecar_case,
         ["fit", "--logs", str(tmp_path / "missing"),
          "--out", str(tmp_path / "m.json")],

@@ -13,8 +13,7 @@ from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
 from rampnet.mpc import MpcConfig, MpcController
-from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
-                             SensorSpec)
+from rampnet.network import CellParams, Highway, NetworkConfig, RampSpec
 from rampnet.plant import ControlObservation, EpisodeRecord
 from rampnet.sysid import fit_derivatives
 
@@ -24,8 +23,7 @@ def _tiny_network():
                       capacity_vphl=2000.0, jam_density_vkml=160.0)
     return NetworkConfig(
         highways=(Highway("H1", (cell,) * 3, 3000.0),),
-        ramps=(RampSpec("H1-R1", "H1", 1, 1200.0),),
-        sensors=(SensorSpec("H1-S1", "H1", 1),),
+        ramps=(RampSpec("H1-R1", "H1", 1, "H1-S1", 1200.0),),
         sim_step_s=1.0,
         control_step_s=30.0,
         burn_in_s=60.0,
@@ -312,7 +310,7 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # Ramp demand far above the top metering rate overflows a short queue, so
     # dropped_veh is nonzero and has to survive the raw-episode round trip.
     config = replace(_tiny_network(), ramps=(
-        RampSpec("H1-R1", "H1", 1, 3000.0, queue_capacity_veh=5.0),))
+        RampSpec("H1-R1", "H1", 1, "H1-S1", 3000.0, queue_capacity_veh=5.0),))
     results = run_scenarios(config, None, None, [0, 1],
                             scenarios=("no-control", "alinea"))
     # Neither regulator leaves the rate box; a clamp count stands in for a
@@ -350,3 +348,24 @@ def test_report_requires_results():
 def test_load_raw_results_requires_csvs(tmp_path):
     with pytest.raises(UsageError, match="no raw episode CSVs"):
         load_raw_results(tmp_path)
+
+
+def test_a_report_replaces_the_raw_episodes_of_an_earlier_one(tmp_path):
+    # Two reports into one directory: a rebuild from raw/ must read the
+    # second run alone, not the union of both.
+    config = _tiny_network()
+    out_dir = tmp_path / "run"
+    report(run_scenarios(config, None, None, [1, 2],
+                         scenarios=("no-control", "alinea")), out_dir, config)
+    second = report(run_scenarios(config, None, None, [3], scenarios=("alinea",)),
+                    out_dir, config)["summary"]
+    assert sorted(p.name for p in (out_dir / "raw").iterdir()) == [
+        "alinea-seed3.csv", "alinea-seed3.json"]
+    rebuilt = report(load_raw_results(out_dir / "raw"), tmp_path / "rebuilt",
+                     config, write_raw=False)["summary"]
+    original = json.loads(second.read_text())
+    again = json.loads(rebuilt.read_text())
+    assert again["seeds"] == original["seeds"] == [3]
+    assert again["scenarios"].keys() == original["scenarios"].keys() == {"alinea"}
+    for key, value in original["scenarios"]["alinea"].items():
+        assert again["scenarios"]["alinea"][key] == pytest.approx(value, rel=1e-9)

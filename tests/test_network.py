@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 
 from rampnet.network import (CellParams, ConfigError, Highway, JunctionSpec,
-                             NetworkConfig, RampSpec, SensorSpec,
-                             benchmark_config_path, load_config, save_config,
-                             serialize_config)
+                             NetworkConfig, RampSpec, benchmark_config_path,
+                             load_config, save_config, serialize_config)
 
 
 def _cell(**over):
@@ -22,8 +21,7 @@ def _tiny_config(**over):
     cells = (_cell(), _cell(), _cell())
     fields = dict(
         highways=(Highway("A", cells, 3000.0),),
-        ramps=(RampSpec("A-R1", "A", 1, 1500.0),),
-        sensors=(SensorSpec("A-S1", "A", 1),),
+        ramps=(RampSpec("A-R1", "A", 1, "A-S1", 1500.0),),
         sim_step_s=1.0,
         control_step_s=30.0,
         burn_in_s=60.0,
@@ -63,40 +61,36 @@ def test_negative_demand_is_a_config_error():
     with pytest.raises(ConfigError, match="demand must be >= 0"):
         Highway("A", (_cell(),), -1.0)
     with pytest.raises(ConfigError, match="demand must be >= 0"):
-        RampSpec("r1", "A", 1, -1.0)
+        RampSpec("r1", "A", 1, "s1", -1.0)
 
 
 def test_tiny_config_is_valid():
     cfg = _tiny_config()
-    assert cfg.n_ramps == 1 and cfg.n_sensors == 1
+    assert cfg.n_ramps == 1
     assert cfg.steps_per_control == 30
 
 
 def test_ramp_may_not_merge_into_entry_cell():
     with pytest.raises(ConfigError, match="entry cell"):
-        _tiny_config(ramps=(RampSpec("A-R1", "A", 0, 1500.0),),
-                     sensors=(SensorSpec("A-S1", "A", 0),))
+        _tiny_config(ramps=(RampSpec("A-R1", "A", 0, "A-S1", 1500.0),))
 
 
-def test_sensor_must_sit_in_its_ramps_merge_cell():
-    with pytest.raises(ConfigError, match="merge cell"):
-        _tiny_config(sensors=(SensorSpec("A-S1", "A", 2),))
+def test_a_network_needs_a_ramp():
+    with pytest.raises(ConfigError, match="at least one ramp"):
+        _tiny_config(ramps=())
 
 
-def test_sensor_count_must_match_metered_ramps():
-    with pytest.raises(ConfigError, match="one sensor per metered ramp"):
-        _tiny_config(sensors=())
-    # An unmetered ramp needs no sensor.
-    cfg = _tiny_config(ramps=(RampSpec("A-R1", "A", 1, 1500.0, metered=False),),
-                       sensors=())
-    assert cfg.n_sensors == 0
+def test_sensor_ids_must_be_unique():
+    # Two detectors under one id would label two report rows alike.
+    with pytest.raises(ConfigError, match="sensor ids must be unique"):
+        _tiny_config(ramps=(RampSpec("r1", "A", 1, "s1", 100.0),
+                            RampSpec("r2", "A", 2, "s1", 100.0)))
 
 
 def test_two_ramps_cannot_share_a_merge_cell():
     with pytest.raises(ConfigError, match="same cell"):
-        _tiny_config(
-            ramps=(RampSpec("r1", "A", 1, 100.0), RampSpec("r2", "A", 1, 100.0)),
-            sensors=(SensorSpec("s1", "A", 1), SensorSpec("s2", "A", 1)))
+        _tiny_config(ramps=(RampSpec("r1", "A", 1, "s1", 100.0),
+                            RampSpec("r2", "A", 1, "s2", 100.0)))
 
 
 def test_control_step_must_be_integer_multiple_of_sim_step():
@@ -121,7 +115,8 @@ def test_junction_plumbing_rules():
         cells = (_cell(), _cell(), _cell(), _cell())
         return NetworkConfig(
             highways=(Highway("A", cells, 3000.0), Highway("B", cells, 3000.0)),
-            ramps=(), sensors=(), junctions=junctions,
+            ramps=(RampSpec("B-R1", "B", 3, "B-S1", 800.0),),
+            junctions=junctions,
             control_step_s=30.0, burn_in_s=0.0, horizon_duration_s=30.0)
 
     ok = two_highway((JunctionSpec("A", 1, "B", 2, 0.1),))
@@ -148,13 +143,11 @@ def test_yaml_round_trip_preserves_everything(tmp_path):
     assert serialize_config(again) == serialize_config(cfg)
 
 
-def test_tiny_round_trip_with_junctions_and_unmetered_ramp(tmp_path):
+def test_tiny_round_trip_with_junctions(tmp_path):
     cells = (_cell(), _cell(), _cell(), _cell())
     cfg = NetworkConfig(
         highways=(Highway("A", cells, 3000.0), Highway("B", cells, 2500.0)),
-        ramps=(RampSpec("b1", "B", 2, 800.0, queue_capacity_veh=50.0,
-                        metered=False),),
-        sensors=(),
+        ramps=(RampSpec("b1", "B", 2, "b-s1", 800.0, queue_capacity_veh=50.0),),
         junctions=(JunctionSpec("A", 1, "B", 3, 0.25),),
         control_step_s=30.0, burn_in_s=0.0, horizon_duration_s=30.0)
     path = tmp_path / "net.cfg"
@@ -175,13 +168,26 @@ def test_load_config_rejects_garbage(tmp_path):
             load_config(path)
 
 
+def test_load_config_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "net.cfg"
+    text = serialize_config(_tiny_config())
+    for old, new, key in (
+            ("junctions:", "junction:", "junction"),
+            ("  burn_in_s:", "  burn_in:", "burn_in"),
+            ("  demand_veh_per_hour: 3000.0", "  demand_vph: 3000.0", "demand_vph"),
+            ("  sensor_id: A-S1", "  metered: true", "metered")):
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+
 # -- the shipped benchmark -----------------------------------------------------
 
 def test_benchmark_shape_and_demands():
     cfg = load_config(benchmark_config_path())
     assert len(cfg.highways) == 3
-    assert cfg.n_ramps == 8 and cfg.n_sensors == 8
-    assert all(r.metered for r in cfg.ramps)
+    assert cfg.n_ramps == 8
     assert sorted(hw.demand_veh_per_hour for hw in cfg.highways) == \
         [3250.0, 3400.0, 4200.0]
     assert {r.demand_veh_per_hour for r in cfg.ramps} == {2000.0}
@@ -192,11 +198,11 @@ def test_benchmark_shape_and_demands():
 
 
 def test_benchmark_sensors_sit_at_full_capacity_merge_cells():
-    """Every sensor cell's critical density must map to 15% occupancy, so the
-    regulators' setpoint is the flow peak of the cell they watch."""
+    """Every merge cell's critical density must map to 15% occupancy, so the
+    regulators' setpoint is the flow peak of the cell their detector watches."""
     cfg = load_config(benchmark_config_path())
-    for sensor in cfg.sensors:
-        cell = cfg.highway(sensor.highway).cells[sensor.cell]
+    for ramp in cfg.ramps:
+        cell = cfg.highway(ramp.highway).cells[ramp.merge_cell]
         assert cell.occupancy_pct(cell.critical_density_vkml) == 15.0
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rampnet.feedback import AlineaController, MeterBank
 from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
-                             RampSpec, SensorSpec, benchmark_config_path,
+                             RampSpec, benchmark_config_path,
                              load_config)
 from rampnet.plant import (CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC,
                            MERGE_RELAX_S, ConservationError, EpisodeRecord,
@@ -21,21 +21,24 @@ def _cell(lanes=3, capacity=2000.0):
                       capacity_vphl=capacity, jam_density_vkml=160.0)
 
 
-def _line_config(n_cells, demand=0.0, ramps=(), sensors=(), **timing):
+# A ramp without demand never admits a vehicle and leaves its merge cell
+# as a plain chain cell would.
+_IDLE_RAMP = RampSpec("r1", "A", 1, "s1", 0.0)
+
+
+def _line_config(n_cells, demand=0.0, ramps=(_IDLE_RAMP,), **timing):
     fields = dict(sim_step_s=1.0, control_step_s=30.0, burn_in_s=60.0,
                   horizon_duration_s=120.0)
     fields.update(timing)
     return NetworkConfig(
         highways=(Highway("A", tuple(_cell() for _ in range(n_cells)), demand),),
-        ramps=tuple(ramps), sensors=tuple(sensors), **fields)
+        ramps=tuple(ramps), **fields)
 
 
 def _metered_config(**timing):
     """Three cells with one metered ramp into the middle one."""
     return _line_config(
-        3, demand=3000.0,
-        ramps=(RampSpec("r1", "A", 1, 1500.0),),
-        sensors=(SensorSpec("s1", "A", 1),), **timing)
+        3, demand=3000.0, ramps=(RampSpec("r1", "A", 1, "s1", 1500.0),), **timing)
 
 
 def _step(plant, rng):
@@ -46,8 +49,7 @@ def _step(plant, rng):
 # -- arrivals -----------------------------------------------------------------
 
 def test_arrival_block_zero_demand_draws_zero_without_consuming_bits():
-    plant = TrafficPlant(_line_config(2, ramps=(RampSpec("r1", "A", 1, 0.0),),
-                                      sensors=(SensorSpec("s1", "A", 1),)))
+    plant = TrafficPlant(_line_config(2))
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     assert plant.draw_arrivals(30, rng) == [[0, 0]] * 30
@@ -56,8 +58,7 @@ def test_arrival_block_zero_demand_draws_zero_without_consuming_bits():
 
 def test_arrival_block_mean_tracks_demand():
     plant = TrafficPlant(_line_config(2, demand=1800.0,
-                                      ramps=(RampSpec("r1", "A", 1, 720.0),),
-                                      sensors=(SensorSpec("s1", "A", 1),)))
+                                      ramps=(RampSpec("r1", "A", 1, "s1", 720.0),)))
     block = np.array(plant.draw_arrivals(20000, np.random.default_rng(1)))
     assert block.shape == (20000, 2)
     assert np.allclose(block.mean(axis=0), [0.5, 0.2], atol=0.02)
@@ -100,7 +101,7 @@ def test_signal_rejects_infeasible_rate():
 # -- discharge physics -----------------------------------------------------------
 
 def test_discharge_at_or_below_critical_is_nominal():
-    plant = TrafficPlant(_line_config(1))
+    plant = TrafficPlant(_line_config(2))
     plant.density[:] = 20.0  # exactly critical for a 2000 veh/h/lane cell
     info = _step(plant, np.random.default_rng(0))
     assert info.exits_veh == pytest.approx(6000.0 / 3600.0, rel=1e-12)
@@ -109,7 +110,7 @@ def test_discharge_at_or_below_critical_is_nominal():
 def test_discharge_drops_linearly_beyond_critical():
     """An over-critical cell wastes throughput; halfway to jam it loses half
     the configured drop fraction."""
-    plant = TrafficPlant(_line_config(1))
+    plant = TrafficPlant(_line_config(2))
     plant.density[:] = 90.0  # (90 - 20) / (160 - 20) = 0.5 of the way to jam
     info = _step(plant, np.random.default_rng(0))
     expected = 6000.0 * (1.0 - 0.5 * CAPACITY_DROP_FRAC) / 3600.0
@@ -119,7 +120,7 @@ def test_discharge_drops_linearly_beyond_critical():
 def test_discharge_is_monotone_in_congestion():
     flows = []
     for rho in (20.0, 60.0, 100.0, 150.0):
-        plant = TrafficPlant(_line_config(1))
+        plant = TrafficPlant(_line_config(2))
         plant.density[:] = rho
         flows.append(_step(plant, np.random.default_rng(0)).exits_veh)
     assert flows[0] == max(flows)
@@ -129,9 +130,7 @@ def test_discharge_is_monotone_in_congestion():
 def test_merge_friction_cuts_the_merge_cells_discharge():
     """Recent ramp admissions brake the merge cell in proportion to their
     share of its capacity times how near critical it runs."""
-    cfg = _line_config(2, ramps=(RampSpec("r1", "A", 1, 0.0),),
-                       sensors=(SensorSpec("s1", "A", 1),))
-    plant = TrafficPlant(cfg)
+    plant = TrafficPlant(_line_config(2))
     plant.density[1] = 20.0
     plant._merge_flow_ema[0] = 600.0
     info = _step(plant, np.random.default_rng(0))
@@ -141,9 +140,7 @@ def test_merge_friction_cuts_the_merge_cells_discharge():
 
 
 def test_merge_friction_memory_relaxes_exponentially():
-    cfg = _line_config(2, ramps=(RampSpec("r1", "A", 1, 0.0),),
-                       sensors=(SensorSpec("s1", "A", 1),))
-    plant = TrafficPlant(cfg)
+    plant = TrafficPlant(_line_config(2))
     plant._merge_flow_ema[0] = 600.0
     _step(plant, np.random.default_rng(0))  # empty queue: nothing admitted
     assert plant._merge_flow_ema[0] == pytest.approx(
@@ -283,7 +280,7 @@ def test_run_episode_clamps_and_counts_wild_rates():
 def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
     # A five-vehicle ramp queue under the lowest rate overflows in burn-in.
     cfg = replace(_metered_config(burn_in_s=60.0, horizon_duration_s=120.0),
-                  ramps=(RampSpec("r1", "A", 1, 1500.0, queue_capacity_veh=5.0),))
+                  ramps=(RampSpec("r1", "A", 1, "s1", 1500.0, queue_capacity_veh=5.0),))
     drops = []
     step = TrafficPlant.step
 
@@ -303,13 +300,12 @@ def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
 
 
 def _two_highway_config():
-    """A junction, an unmetered ramp and a metered ramp, all congested."""
+    """A junction and two ramps, all congested."""
     return NetworkConfig(
         highways=(Highway("A", tuple(_cell() for _ in range(6)), 5500.0),
                   Highway("B", tuple(_cell(lanes=2) for _ in range(5)), 2500.0)),
-        ramps=(RampSpec("a-r1", "A", 4, 900.0, metered=False),
-               RampSpec("b-r1", "B", 3, 1500.0, queue_capacity_veh=20.0)),
-        sensors=(SensorSpec("b-s1", "B", 3),),
+        ramps=(RampSpec("a-r1", "A", 4, "a-s1", 900.0),
+               RampSpec("b-r1", "B", 3, "b-s1", 1500.0, queue_capacity_veh=20.0)),
         junctions=(JunctionSpec("A", 2, "B", 2, 0.3),),
         sim_step_s=1.0, control_step_s=30.0, burn_in_s=300.0,
         horizon_duration_s=900.0)
@@ -321,9 +317,10 @@ def _benchmark_short_config():
 
 
 # sha256 of (times, occupancy, flow, speed, rates, green seconds) of one
-# ALINEA episode, recorded from the array implementation of the plant that
-# preceded the scalar one; any change to the plant's float arithmetic or its
-# draw order shows here. The digests also depend on numpy's
+# ALINEA episode. The corridor's was recorded from the array implementation
+# of the plant that preceded the scalar one, the junction case's from the
+# scalar plant with a detector on each ramp's merge cell; any change to the
+# plant's float arithmetic or its draw order shows here. The digests also depend on numpy's
 # Generator.poisson stream, which NEP 19 lets a numpy release change: they
 # were recorded with numpy 2.4, and a numpy upgrade that fails this test
 # without a plant change needs them recorded again.
@@ -331,12 +328,12 @@ def _benchmark_short_config():
     (_benchmark_short_config, 21,
      "98bbd4958c0884a491926cb4496df58e6a1640f807bfebd3256102018634b3c2"),
     (_two_highway_config, 5,
-     "2e8a08f9d3cf17de2a1ed7e3c0ef5c8cb6bdf1776e51b4e3208fd3d43349a93d"),
-], ids=["benchmark-corridor", "junction-and-unmetered-ramp"])
+     "3df0b128d785640603f19b1960303c860946ffb0d8984b8b48b501fcb6c11c80"),
+], ids=["benchmark-corridor", "junction-and-two-ramps"])
 def test_episode_digests_are_pinned(make_config, seed, digest):
     cfg = make_config()
-    m = sum(r.metered for r in cfg.ramps)
-    rec = run_episode(cfg, MeterBank.uniform(AlineaController, m), seed=seed)
+    rec = run_episode(cfg, MeterBank.uniform(AlineaController, cfg.n_ramps),
+                      seed=seed)
     h = hashlib.sha256()
     for arr in (rec.times, rec.occupancy, rec.flow, rec.speed, rec.rates,
                 rec.green_seconds):
