@@ -16,7 +16,12 @@ def _parse_seeds(text: str) -> list[int]:
     if not all(s.isdecimal() for s in seeds):
         raise harness.UsageError(
             f"bad seed list '{text}'; expected non-negative seeds, e.g. 1,2,3")
-    return [int(s) for s in seeds]
+    values = [int(s) for s in seeds]
+    if len(set(values)) != len(values):
+        raise harness.UsageError(
+            f"bad seed list '{text}'; a seed may appear only once (its episode "
+            f"files are named by seed)")
+    return values
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -74,12 +79,12 @@ def _cmd_fit(args) -> int:
 def _cmd_run(args) -> int:
     if args.horizon < 1:
         raise harness.UsageError(f"bad horizon {args.horizon}; it must be at least 1")
+    seeds = _parse_seeds(args.seeds)
     config = _load_config(args.config)
     sindyc = _load_model(args.sindyc_model)
     dmdc = _load_model(args.dmdc_model)
-    mpc_config = MpcConfig(horizon=args.horizon)
-    results = harness.run_scenarios(config, sindyc, dmdc,
-                                    _parse_seeds(args.seeds), mpc_config=mpc_config)
+    results = harness.run_scenarios(config, sindyc, dmdc, seeds,
+                                    mpc_config=MpcConfig(horizon=args.horizon))
     paths = harness.report(results, args.out, config,
                            models={"sindyc": sindyc, "dmdc": dmdc})
     for res in results:

@@ -256,35 +256,25 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
 
 
 def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[ScenarioResult]:
-    """Rebuild scenario results from raw episode CSVs written by ``report``.
-
-    Every CSV needs its JSON sidecar: green seconds, drops and clamp events
-    live only there, and a summary without them would be wrong.
-    """
+    """Rebuild scenario results from raw episode CSVs written by ``report``,
+    each with its JSON sidecar (see :meth:`EpisodeRecord.from_csv`)."""
     raw_dir = Path(raw_dir)
-    groups: dict[str, list[tuple[int, EpisodeRecord]]] = {}
+    groups: dict[str, list[EpisodeRecord]] = {}
     for path in sorted(raw_dir.glob("*-seed*.csv")):
-        scenario, seed_part = path.stem.rsplit("-seed", 1)
         try:
-            record = EpisodeRecord.from_csv(path, seed=int(seed_part))
+            record = EpisodeRecord.from_csv(path)
         except ValueError as exc:
             raise UsageError(f"unusable raw episode {path}: {exc}") from exc
-        sidecar = EpisodeRecord.sidecar_path(path)
-        if not sidecar.exists():
-            raise UsageError(
-                f"raw episode {path} has no sidecar {sidecar}; its green "
-                f"seconds, drops and clamp events cannot be rebuilt")
-        groups.setdefault(scenario, []).append((int(seed_part), record))
+        groups.setdefault(path.stem.rsplit("-seed", 1)[0], []).append(record)
     if not groups:
         raise UsageError(f"no raw episode CSVs under {raw_dir}")
     results = []
     for scenario in SCENARIOS:
         if scenario not in groups:
             continue
-        pairs = sorted(groups[scenario])
+        records = sorted(groups[scenario], key=lambda r: r.seed)
         results.append(results_from_records(
-            scenario, [s for s, _ in pairs], [r for _, r in pairs],
-            target_occupancy_pct))
+            scenario, [r.seed for r in records], records, target_occupancy_pct))
     return results
 
 

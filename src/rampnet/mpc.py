@@ -4,13 +4,16 @@ Every control step the controller solves, by single shooting, a short-horizon
 tracking problem on the one-step Euler predictor ``x(l+1) = x(l) + f(x, u)``:
 
     min over u(0..N-1) of
-        sum_l [ (x(l) - target)' Q (x(l) - target) + du(l)' R du(l) ]
-        + (x(N) - target)' P (x(N) - target)
+        sum_{l=0..N} |x(l) - target|^2 + RATE_CHANGE_WEIGHT sum_l |du(l)|^2
 
 with ``du(l) = u(l) - u(l-1)`` anchored at the previously applied rates,
-rates boxed to the feasible meter range, and occupancy bounds enforced
-through a quadratic penalty. The whole cost is a sum of squared residuals,
-so the solver is projected Gauss-Newton on the rate box (Bertsekas 1982):
+rates boxed to the plant's meter range (``feedback.RATE_MIN_VPH`` to
+``RATE_MAX_VPH``), and the occupancy band ``OCCUPANCY_MIN_PCT`` to
+``OCCUPANCY_MAX_PCT`` enforced through a quadratic penalty weighted by
+``BOUND_PENALTY_WEIGHT``. The cost is fixed in code; a controller sets only
+its horizon, its target and its solver limits. The whole cost is a sum of
+squared residuals, so the solver is projected Gauss-Newton on the rate box
+(Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
 polynomial Jacobians, which the rollout reads together with the predictions
 (one model read per stage), rates within a small margin of a bound that the
@@ -68,6 +71,15 @@ _EPS_FRAC = 0.01
 _ARMIJO = 1e-4
 _ARC_HALVINGS = 30
 
+# The cost: unit tracking weights at every stage, the occupancy band (%) and
+# the weight of the penalty on leaving it, and the weight on rate changes
+# (veh/h)^-2. Rates are boxed to the range ``run_episode`` clamps to, so the
+# planner never plans a rate the plant would change.
+OCCUPANCY_MIN_PCT = 0.0
+OCCUPANCY_MAX_PCT = 80.0
+BOUND_PENALTY_WEIGHT = 1e3
+RATE_CHANGE_WEIGHT = 0.0
+
 
 class ModelBlowupError(RuntimeError):
     """A rollout left the finite range (model extrapolated into divergence)."""
@@ -92,40 +104,16 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizon, weights, bounds, and solver settings for one controller."""
+    """Horizon (control steps), target occupancy (%) and solver limits for
+    one controller; the rest of the cost is the module's constants."""
 
     horizon: int = 4
-    state_weight: float | np.ndarray = 1.0  # Q diagonal
-    terminal_weight: float | np.ndarray = 1.0  # P diagonal
-    rate_change_weight: float | np.ndarray = 0.0  # R diagonal
     target_occupancy_pct: float = 15.0
-    occupancy_min_pct: float = 0.0
-    occupancy_max_pct: float = 80.0
-    rate_min_vph: float = RATE_MIN_VPH
-    rate_max_vph: float = RATE_MAX_VPH
-    bound_penalty_weight: float = 1e3
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.rate_min_vph >= self.rate_max_vph:
-            raise ValueError("rate bounds must satisfy min < max")
-        if self.occupancy_min_pct >= self.occupancy_max_pct:
-            raise ValueError("occupancy bounds must satisfy min < max")
-
-    def weights(self, n: int, m: int):
-        def diag(w, size, name):
-            arr = np.asarray(w, dtype=float) * np.ones(size)
-            if arr.shape != (size,):
-                raise ValueError(f"{name} must broadcast to shape ({size},)")
-            if (arr < 0).any():
-                raise ValueError(f"{name} must be nonnegative")
-            return arr
-
-        return (diag(self.state_weight, n, "state_weight"),
-                diag(self.terminal_weight, n, "terminal_weight"),
-                diag(self.rate_change_weight, m, "rate_change_weight"))
 
 
 @dataclass(frozen=True)
@@ -193,60 +181,40 @@ def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> f
     plan = np.atleast_2d(np.asarray(plan, dtype=float))
     if len(states) != len(plan) + 1:
         raise ValueError("need exactly one more state row than plan rows")
-    q, p, r = cfg.weights(states.shape[1], plan.shape[1])
     dev = states - cfg.target_occupancy_pct
     du = np.diff(np.vstack([np.asarray(u_prev, dtype=float).reshape(1, -1), plan]),
                  axis=0)
-    stage = float(np.sum(dev[:-1] ** 2 @ q) + np.sum(du ** 2 @ r))
-    terminal = float(dev[-1] ** 2 @ p)
-    return stage + terminal
+    return float(np.sum(dev ** 2) + RATE_CHANGE_WEIGHT * np.sum(du ** 2))
 
 
-def bound_penalty(states: np.ndarray, cfg: MpcConfig) -> float:
-    """Quadratic penalty for occupancy bound violations at stages 1..N."""
+def bound_penalty(states: np.ndarray) -> float:
+    """Quadratic penalty for leaving the occupancy band at stages 1..N."""
     interior = np.atleast_2d(states)[1:]
-    over = np.maximum(interior - cfg.occupancy_max_pct, 0.0)
-    under = np.maximum(cfg.occupancy_min_pct - interior, 0.0)
-    return float(cfg.bound_penalty_weight * np.sum(over ** 2 + under ** 2))
-
-
-def _cost_roots(cfg: MpcConfig, n: int, m: int):
-    """Square roots of the weights, computed once per solve.
-
-    Returns the (N+1, n) state-weight roots for stages 0..N, the (m,)
-    rate-change roots, and the constant rate-change rows of the residual
-    Jacobian, (N m, N m).
-    """
-    q, p, r = cfg.weights(n, m)
-    stage_root = np.sqrt(np.vstack([np.tile(q, (cfg.horizon, 1)), p]))
-    rate_root = np.sqrt(r)
-    size = cfg.horizon * m
-    rate_rows = (np.tile(rate_root, cfg.horizon)[:, None]
-                 * (np.eye(size) - np.eye(size, k=-m)))
-    return stage_root, rate_root, rate_rows
+    over = np.maximum(interior - OCCUPANCY_MAX_PCT, 0.0)
+    under = np.maximum(OCCUPANCY_MIN_PCT - interior, 0.0)
+    return float(BOUND_PENALTY_WEIGHT * np.sum(over ** 2 + under ** 2))
 
 
 def _residual(states: np.ndarray, plan: np.ndarray, u_prev: np.ndarray,
-              cfg: MpcConfig, roots) -> np.ndarray:
+              cfg: MpcConfig) -> np.ndarray:
     """Residual vector whose squared norm is objective + bound penalty.
 
-    Blocks, in order: weighted tracking deviations at stages 0..N (stage 0 is
-    the measured state, a constant), the bound-penalty hinge at stages 1..N,
-    and the weighted rate changes.
+    Blocks, in order: tracking deviations at stages 0..N (stage 0 is the
+    measured state, a constant), the bound-penalty hinge at stages 1..N, and
+    the weighted rate changes.
     """
-    stage_root, rate_root, _ = roots
     interior = states[1:]
-    hinge = (np.maximum(interior - cfg.occupancy_max_pct, 0.0)
-             - np.maximum(cfg.occupancy_min_pct - interior, 0.0))
+    hinge = (np.maximum(interior - OCCUPANCY_MAX_PCT, 0.0)
+             - np.maximum(OCCUPANCY_MIN_PCT - interior, 0.0))
     du = np.diff(np.vstack([u_prev, plan]), axis=0)
     return np.concatenate([
-        (stage_root * (states - cfg.target_occupancy_pct)).ravel(),
-        np.sqrt(cfg.bound_penalty_weight) * hinge.ravel(),
-        (rate_root * du).ravel()])
+        (states - cfg.target_occupancy_pct).ravel(),
+        np.sqrt(BOUND_PENALTY_WEIGHT) * hinge.ravel(),
+        np.sqrt(RATE_CHANGE_WEIGHT) * du.ravel()])
 
 
-def _residual_jacobian(jacobians: list[np.ndarray], states: np.ndarray,
-                       cfg: MpcConfig, roots) -> np.ndarray:
+def _residual_jacobian(jacobians: list[np.ndarray],
+                       states: np.ndarray) -> np.ndarray:
     """Jacobian of :func:`_residual` with respect to the flattened plan.
 
     ``jacobians`` are the stage model Jacobians df/dz from :func:`_predict`.
@@ -254,22 +222,21 @@ def _residual_jacobian(jacobians: list[np.ndarray], states: np.ndarray,
     ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the
     x and u blocks of df/dz and ``E(l)`` picking u(l).
     """
-    stage_root, _, rate_rows = roots
     n_steps = len(jacobians)
     n = states.shape[1]
     m = jacobians[0].shape[1] - n
-    sens = np.zeros((n_steps + 1, n, n_steps * m))
+    size = n_steps * m
+    sens = np.zeros((n_steps + 1, n, size))
     for l, jac in enumerate(jacobians):
         sens[l + 1] = sens[l] + jac[:, :n] @ sens[l]
         sens[l + 1, :, l * m:(l + 1) * m] += jac[:, n:]
     interior = states[1:]
-    active = ((interior > cfg.occupancy_max_pct)
-              | (interior < cfg.occupancy_min_pct))
+    active = (interior > OCCUPANCY_MAX_PCT) | (interior < OCCUPANCY_MIN_PCT)
     return np.vstack([
-        (stage_root[:, :, None] * sens).reshape(-1, n_steps * m),
-        (np.sqrt(cfg.bound_penalty_weight) * active[:, :, None]
-         * sens[1:]).reshape(-1, n_steps * m),
-        rate_rows])
+        sens.reshape(-1, size),
+        (np.sqrt(BOUND_PENALTY_WEIGHT) * active[:, :, None]
+         * sens[1:]).reshape(-1, size),
+        np.sqrt(RATE_CHANGE_WEIGHT) * (np.eye(size) - np.eye(size, k=-m))])
 
 
 def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
@@ -289,21 +256,20 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     if len(u_prev) != model.input_dim:
         raise ValueError(f"u_prev must have {model.input_dim} entries")
-    lo, hi = cfg.rate_min_vph, cfg.rate_max_vph
+    lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     if warm_start is not None:
         plan = np.clip(np.asarray(warm_start, dtype=float), lo, hi).copy()
         if plan.shape != (cfg.horizon, model.input_dim):
             raise ValueError("warm start shape must be (horizon, input_dim)")
     else:
         plan = np.tile(np.clip(u_prev, lo, hi), (cfg.horizon, 1))
-    roots = _cost_roots(cfg, len(x0), model.input_dim)
 
     def measure(candidate):
         try:
             states, jacobians = _predict(model, x0, candidate)
         except ModelBlowupError:
             return None, None, None, np.inf
-        res = _residual(states, candidate, u_prev, cfg, roots)
+        res = _residual(states, candidate, u_prev, cfg)
         return states, jacobians, res, float(res @ res)
 
     states, jacobians, res, total = measure(plan)
@@ -317,7 +283,7 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     for it in range(cfg.solver.max_iters):
         iterations = it + 1
         v = plan.ravel()
-        jac = _residual_jacobian(jacobians, states, cfg, roots)
+        jac = _residual_jacobian(jacobians, states)
         grad = 2.0 * (jac.T @ res)
         proj = np.where(v <= lo, np.minimum(grad, 0.0),
                         np.where(v >= hi, np.maximum(grad, 0.0), grad))
@@ -369,7 +335,7 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
             damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
                           _DAMPING_MIN)
 
-    penalty = bound_penalty(states, cfg)
+    penalty = bound_penalty(states)
     return MpcSolution(
         plan=plan,
         states=states,

@@ -511,13 +511,14 @@ class EpisodeRecord:
             json.dump(meta, fh, indent=1)
 
     @classmethod
-    def from_csv(cls, path, seed: int = -1,
-                 control_step_s: float = 30.0) -> "EpisodeRecord":
-        """Read an episode written by :meth:`to_csv`. Without its JSON sidecar
-        the record takes ``seed`` and ``control_step_s`` from the arguments,
-        column names as ids, and zero green seconds, drops and clamps. A
-        sidecar whose id or green-second lists do not match the CSV's columns
-        raises ``ValueError``."""
+    def from_csv(cls, path) -> "EpisodeRecord":
+        """Read an episode written by :meth:`to_csv`, CSV and JSON sidecar.
+
+        Raises ``ValueError`` naming the file if the CSV is malformed, if the
+        sidecar is missing, is not an object or lacks one of its keys, or if
+        its id or green-second lists do not match the CSV's columns: without
+        them the seed, green time, drops and clamps would be guesses.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -530,25 +531,31 @@ class EpisodeRecord:
         m = sum(1 for h in header if h.startswith("rate_"))
         if data.shape[1] != 1 + 3 * n + m:
             raise ValueError(f"malformed episode csv {path}: bad column count")
-        meta = {"seed": seed, "control_step_s": control_step_s,
-                "sensor_ids": [f"occ_{i + 1}" for i in range(n)],
-                "ramp_ids": [f"rate_{i + 1}" for i in range(m)],
-                "green_seconds": [0.0] * m, "dropped_veh": 0.0, "clamp_events": 0}
         sidecar = cls.sidecar_path(path)
-        if sidecar.exists():
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                extra = json.load(fh)
-            if not isinstance(extra, dict):
-                raise ValueError(f"malformed episode sidecar {sidecar}: "
-                                 "expected a JSON object")
-            meta.update(extra)
-            for key, width, prefix in (("sensor_ids", n, "occ_"),
-                                       ("ramp_ids", m, "rate_"),
-                                       ("green_seconds", m, "rate_")):
-                if len(meta[key]) != width:
-                    raise ValueError(
-                        f"malformed episode sidecar {sidecar}: {len(meta[key])} "
-                        f"{key} for {width} {prefix} columns")
+        if not sidecar.exists():
+            raise ValueError(f"episode csv {path} has no sidecar {sidecar}; its "
+                             "seed, green seconds, drops and clamps live there")
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"malformed episode sidecar {sidecar}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"malformed episode sidecar {sidecar}: "
+                             "expected a JSON object")
+        missing = [key for key in ("seed", "control_step_s", "sensor_ids",
+                                   "ramp_ids", "green_seconds", "dropped_veh",
+                                   "clamp_events") if key not in meta]
+        if missing:
+            raise ValueError(f"malformed episode sidecar {sidecar}: "
+                             f"missing {', '.join(missing)}")
+        for key, width, prefix in (("sensor_ids", n, "occ_"),
+                                   ("ramp_ids", m, "rate_"),
+                                   ("green_seconds", m, "rate_")):
+            if len(meta[key]) != width:
+                raise ValueError(
+                    f"malformed episode sidecar {sidecar}: {len(meta[key])} "
+                    f"{key} for {width} {prefix} columns")
         return cls(
             seed=int(meta["seed"]),
             control_step_s=float(meta["control_step_s"]),

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from rampnet import harness, mpc
-from rampnet.feedback import (GREEN_DURATION_S, green_percentage,
-                              rate_to_red_duration)
+from rampnet.feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
+                              green_percentage, rate_to_red_duration)
 from rampnet.mpc import (MpcConfig, bound_penalty, objective, rollout, solve)
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.sysid import (FeatureLibrarySpec, build_library, discover_dmdc,
@@ -144,7 +144,7 @@ def test_criterion_03_library_census():
 def _fd_gradient(model, x0, plan, u_prev, cfg, eps=1e-2):
     def total(p):
         states = rollout(model, x0, p)
-        return objective(states, p, u_prev, cfg) + bound_penalty(states, cfg)
+        return objective(states, p, u_prev, cfg) + bound_penalty(states)
 
     fd = np.empty_like(plan)
     for l in range(plan.shape[0]):
@@ -170,26 +170,26 @@ def _random_mpc_model(rng, n, m):
     return fit_derivatives(x, u, y)
 
 
-def test_criterion_04_planner_gradient_matches_finite_differences():
+def test_criterion_04_planner_gradient_matches_finite_differences(monkeypatch):
     """The gradient the planner steps on, 2 J'r from its own residual and
     residual Jacobian, agrees with central differences of objective + bound
-    penalty to a relative 1e-5 on 100 random small instances."""
+    penalty to a relative 1e-5 on 100 random small instances, each with its
+    own nonzero rate-change weight."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
-        cfg = MpcConfig(horizon=horizon,
-                        rate_change_weight=float(rng.uniform(0.0, 1e-3)))
+        monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
+        cfg = MpcConfig(horizon=horizon)
         model = _random_mpc_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
         states, jacobians = mpc._predict(model, x0, plan)
-        roots = mpc._cost_roots(cfg, n, m)
-        res = mpc._residual(states, plan, u_prev, cfg, roots)
-        jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
+        res = mpc._residual(states, plan, u_prev, cfg)
+        jac = mpc._residual_jacobian(jacobians, states)
         grad = (2.0 * jac.T @ res).reshape(plan.shape)
         fd = _fd_gradient(model, x0, plan, u_prev, cfg)
         rel = (float(np.linalg.norm(grad - fd))
@@ -210,9 +210,9 @@ def test_criterion_05_planner_beats_an_exhaustive_grid():
 
     def total(plan):
         states = rollout(model, x0, plan)
-        return objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg)
+        return objective(states, plan, u_prev, cfg) + bound_penalty(states)
 
-    grid = np.linspace(cfg.rate_min_vph, cfg.rate_max_vph, 21)
+    grid = np.linspace(RATE_MIN_VPH, RATE_MAX_VPH, 21)
     best = np.inf
     for a in grid:
         for b in grid:

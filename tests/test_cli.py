@@ -105,12 +105,27 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert not (rebuilt_dir / "raw").exists()
 
 
-def _log_dir(path, rows):
-    """A directory holding one single-sensor, single-ramp episode CSV."""
+def _log_dir(path, rows, name="ep", **sidecar):
+    """A directory holding one single-sensor, single-ramp episode CSV and its
+    JSON sidecar; keyword arguments replace fields of a valid sidecar."""
     path.mkdir()
-    (path / "ep.csv").write_text(
+    (path / f"{name}.csv").write_text(
         "time_s,occ_1,flow_1,speed_1,rate_1\n" + "".join(r + "\n" for r in rows))
+    meta = {"seed": 1, "control_step_s": 30.0, "sensor_ids": ["S1"],
+            "ramp_ids": ["R1"], "green_seconds": [120.0], "dropped_veh": 0.0,
+            "clamp_events": 0, **sidecar}
+    (path / f"{name}.json").write_text(json.dumps(meta))
     return path
+
+
+def _strip_sidecar(sidecar: Path, key=None) -> None:
+    """Delete a sidecar, or only its ``key``."""
+    if key is None:
+        sidecar.unlink()
+        return
+    meta = json.loads(sidecar.read_text())
+    del meta[key]
+    sidecar.write_text(json.dumps(meta))
 
 
 def _bad_benchmark_configs():
@@ -156,15 +171,26 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     }
     # 5 usable rows for DMDc's 3 columns (the constant, x1, u1).
     few = _log_dir(tmp_path / "few", good[:7])
-    long_sidecar = _log_dir(tmp_path / "long-sidecar", good)
-    (long_sidecar / "ep.json").write_text('{"green_seconds": [1, 2, 3]}')
-    raw_long = _log_dir(tmp_path / "raw-long", good[:5])
-    (raw_long / "ep.csv").rename(raw_long / "alinea-seed1.csv")
-    (raw_long / "alinea-seed1.json").write_text('{"green_seconds": [1, 2, 3]}')
-    raw = _log_dir(tmp_path / "raw", good[:5] + ["30,1,1"])
-    (raw / "ep.csv").rename(raw / "alinea-seed1.csv")
-    no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5])
-    (no_sidecar / "ep.csv").rename(no_sidecar / "alinea-seed1.csv")
+    long_sidecar = _log_dir(tmp_path / "long-sidecar", good,
+                            green_seconds=[1, 2, 3])
+    raw_long = _log_dir(tmp_path / "raw-long", good[:5], name="alinea-seed1",
+                        green_seconds=[1, 2, 3])
+    raw = _log_dir(tmp_path / "raw", good[:5] + ["30,1,1"], name="alinea-seed1")
+    # A CSV whose sidecar is gone, or lacks its drop count, for fit and report.
+    sidecar_problems = {}
+    for key in (None, "dropped_veh"):
+        log_dir = _log_dir(tmp_path / f"log-without-{key}", good)
+        _strip_sidecar(log_dir / "ep.json", key)
+        raw_dir = _log_dir(tmp_path / f"raw-without-{key}", good[:5],
+                           name="alinea-seed1")
+        _strip_sidecar(raw_dir / "alinea-seed1.json", key)
+        problem = "no sidecar" if key is None else f"missing {key}"
+        sidecar_problems[problem] = [
+            ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
+            ["report", "--config", str(cfg_path), "--results", str(raw_dir),
+             "--out", str(tmp_path / "r8")]]
+    no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5], name="alinea-seed1")
+    _strip_sidecar(no_sidecar / "alinea-seed1.json")
     list_sidecar = _log_dir(tmp_path / "list-sidecar", good)
     (list_sidecar / "ep.json").write_text("[1, 2, 3]")
     sidecar_case = ["fit", "--logs", str(list_sidecar),
@@ -228,6 +254,12 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         ["report", "--config", str(cfg_path), "--results", str(raw_long),
          "--out", str(tmp_path / "r7")],
     ]
+    repeated_seeds = [
+        ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
+         "--dmdc-model", str(model_path), "--seeds", "21,21",
+         "--out", str(tmp_path / "r9")],
+        ["collect", "--config", str(cfg_path), "--seeds", "1,1",
+         "--out", str(tmp_path / "x4")]]
     for argv in cases:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
@@ -235,4 +267,10 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     assert "alinea-seed1.json" in capsys.readouterr().err
     assert main(sidecar_case) == 2
     assert "ep.json" in capsys.readouterr().err
+    for problem, argvs in [*sidecar_problems.items(),
+                           ("only once", repeated_seeds)]:
+        for argv in argvs:
+            assert main(argv) == 2
+            assert problem in capsys.readouterr().err, argv
+    assert not (tmp_path / "x4").exists()
 

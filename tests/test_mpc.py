@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rampnet import mpc
+from rampnet.feedback import RATE_MAX_VPH, RATE_MIN_VPH
 from rampnet.mpc import (ModelBlowupError, MpcConfig, MpcController,
                          SolverSettings, bound_penalty, objective, rollout,
                          solve)
@@ -45,8 +46,9 @@ def test_objective_hand_value_without_rate_weight():
     assert objective(states, plan, [1100.0], cfg) == pytest.approx(2.0)
 
 
-def test_objective_hand_value_with_rate_weight():
-    cfg = MpcConfig(horizon=2, rate_change_weight=0.001)
+def test_objective_hand_value_with_rate_weight(monkeypatch):
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 0.001)
+    cfg = MpcConfig(horizon=2)
     states = np.array([[16.0], [14.0], [15.0]])
     plan = np.array([[1000.0], [1200.0]])
     # du = (-100, +200): 0.001 * (1e4 + 4e4) = 50 on top of the tracking 2.
@@ -60,30 +62,13 @@ def test_objective_rejects_mismatched_rows():
 
 
 def test_bound_penalty_ignores_the_measured_stage():
-    cfg = MpcConfig(occupancy_min_pct=0.0, occupancy_max_pct=80.0)
     states = np.array([[-5.0], [-2.0], [90.0]])
-    assert bound_penalty(states, cfg) == pytest.approx(1e3 * (4.0 + 100.0))
+    assert bound_penalty(states) == pytest.approx(1e3 * (4.0 + 100.0))
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="horizon"):
         MpcConfig(horizon=0)
-    with pytest.raises(ValueError, match="rate bounds"):
-        MpcConfig(rate_min_vph=1800.0, rate_max_vph=200.0)
-    with pytest.raises(ValueError, match="occupancy bounds"):
-        MpcConfig(occupancy_min_pct=80.0, occupancy_max_pct=10.0)
-
-
-def test_weights_broadcast_and_reject_bad_values():
-    cfg = MpcConfig(state_weight=2.0, rate_change_weight=np.array([0.1, 0.2]))
-    q, p, r = cfg.weights(3, 2)
-    assert q.tolist() == [2.0, 2.0, 2.0]
-    assert p.tolist() == [1.0, 1.0, 1.0]
-    assert r.tolist() == [0.1, 0.2]
-    with pytest.raises(ValueError, match="broadcast"):
-        cfg.weights(3, 3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        MpcConfig(state_weight=-1.0).weights(2, 1)
 
 
 # -- rollout ------------------------------------------------------------------------
@@ -140,18 +125,17 @@ def test_prediction_keeps_the_public_states_and_jacobians():
 
 def _total_cost(model, x0, plan, u_prev, cfg):
     states = rollout(model, x0, plan)
-    return objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg)
+    return objective(states, plan, u_prev, cfg) + bound_penalty(states)
 
 
 def _solver_gradient(model, x0, plan, u_prev, cfg):
     """2 J'r from the solver's own residual and residual Jacobian, with
     |r|^2 checked against objective + bound penalty."""
     states, jacobians = mpc._predict(model, x0, plan)
-    roots = mpc._cost_roots(cfg, len(x0), plan.shape[1])
-    res = mpc._residual(states, plan, u_prev, cfg, roots)
-    jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
+    res = mpc._residual(states, plan, u_prev, cfg)
+    jac = mpc._residual_jacobian(jacobians, states)
     assert res @ res == pytest.approx(
-        objective(states, plan, u_prev, cfg) + bound_penalty(states, cfg),
+        objective(states, plan, u_prev, cfg) + bound_penalty(states),
         rel=1e-12)
     return (2.0 * jac.T @ res).reshape(plan.shape)
 
@@ -172,14 +156,14 @@ def _check_gradient(model, x0, plan, u_prev, cfg, rel_tol=1e-5):
     assert float(np.linalg.norm(grad - fd)) / denom < rel_tol
 
 
-def test_least_squares_gradient_matches_finite_differences():
+def test_least_squares_gradient_matches_finite_differences(monkeypatch):
     rng = np.random.default_rng(2)
     for trial in range(20):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
-        cfg = MpcConfig(horizon=horizon,
-                        rate_change_weight=float(rng.uniform(0.0, 1e-3)))
+        monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
+        cfg = MpcConfig(horizon=horizon)
         model = _random_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
@@ -187,43 +171,49 @@ def test_least_squares_gradient_matches_finite_differences():
         _check_gradient(model, x0, plan, u_prev, cfg)
 
 
-def test_gradient_includes_active_bound_penalties():
+def _squeeze_band(monkeypatch, trial):
+    """Band bounds that the random instances' trajectories cross: the full
+    band, a ceiling below them, or a floor above them, by ``trial % 3``."""
+    low, high = ((0.0, 80.0), (0.0, 10.0), (20.0, 80.0))[trial % 3]
+    monkeypatch.setattr(mpc, "OCCUPANCY_MIN_PCT", low)
+    monkeypatch.setattr(mpc, "OCCUPANCY_MAX_PCT", high)
+
+
+def test_gradient_includes_active_bound_penalties(monkeypatch):
     """Squeeze the occupancy ceiling below, or the floor above, the
     trajectory so the penalty term carries real gradient signal; 2 J'r must
     still match central differences, and |r|^2 objective + penalty."""
     rng = np.random.default_rng(12)
-    bounds = ({"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
     for trial in range(16):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
-        cfg = MpcConfig(horizon=horizon, state_weight=rng.uniform(0.5, 2.0, n),
-                        terminal_weight=float(rng.uniform(0.5, 2.0)),
-                        rate_change_weight=float(rng.uniform(0.0, 1e-3)),
-                        **bounds[trial % 2])
+        monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
+        _squeeze_band(monkeypatch, 1 + trial % 2)
+        cfg = MpcConfig(horizon=horizon)
         model = _random_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        assert bound_penalty(rollout(model, x0, plan), cfg) > 0.0
+        assert bound_penalty(rollout(model, x0, plan)) > 0.0
         _check_gradient(model, x0, plan, u_prev, cfg)
 
 
 def _adjoint_gradient(model, states, plan, u_prev, cfg):
     """Reference gradient of objective + bound penalty by the backward
     (adjoint) recursion through the Euler rollout, using only the public
-    model Jacobian and weights."""
-    q, p, r = cfg.weights(states.shape[1], plan.shape[1])
+    model Jacobian, unit tracking weights and the cost constants."""
+    r = mpc.RATE_CHANGE_WEIGHT
 
-    def state_grad(x, weight):
-        over = np.maximum(x - cfg.occupancy_max_pct, 0.0)
-        under = np.maximum(cfg.occupancy_min_pct - x, 0.0)
-        return (2.0 * weight * (x - cfg.target_occupancy_pct)
-                + 2.0 * cfg.bound_penalty_weight * (over - under))
+    def state_grad(x):
+        over = np.maximum(x - mpc.OCCUPANCY_MAX_PCT, 0.0)
+        under = np.maximum(mpc.OCCUPANCY_MIN_PCT - x, 0.0)
+        return (2.0 * (x - cfg.target_occupancy_pct)
+                + 2.0 * mpc.BOUND_PENALTY_WEIGHT * (over - under))
 
     n_steps = len(plan)
     grad = np.empty_like(plan)
-    lam = state_grad(states[n_steps], p)
+    lam = state_grad(states[n_steps])
     for l in range(n_steps - 1, -1, -1):
         jac_x, jac_u = model.jacobian(states[l], plan[l])
         grad[l] = jac_u.T @ lam
@@ -232,32 +222,29 @@ def _adjoint_gradient(model, states, plan, u_prev, cfg):
         if l + 1 < n_steps:
             grad[l] -= 2.0 * r * (plan[l + 1] - plan[l])
         if l >= 1:
-            lam = state_grad(states[l], q) + lam + jac_x.T @ lam
+            lam = state_grad(states[l]) + lam + jac_x.T @ lam
     return grad
 
 
-def test_residual_jacobian_gives_the_adjoint_gradient():
+def test_residual_jacobian_gives_the_adjoint_gradient(monkeypatch):
     """The solver's least-squares form: |r|^2 is objective + penalty and
     2 J'r is the adjoint gradient, with and without active penalties."""
     rng = np.random.default_rng(12)
-    bounds = ({}, {"occupancy_max_pct": 10.0}, {"occupancy_min_pct": 20.0})
     for trial in range(24):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
-        cfg = MpcConfig(horizon=horizon, state_weight=rng.uniform(0.5, 2.0, n),
-                        terminal_weight=float(rng.uniform(0.5, 2.0)),
-                        rate_change_weight=float(rng.uniform(0.0, 1e-3)),
-                        **bounds[trial % 3])
+        monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
+        _squeeze_band(monkeypatch, trial)
+        cfg = MpcConfig(horizon=horizon)
         model = _random_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
         states, jacobians = mpc._predict(model, x0, plan)
-        roots = mpc._cost_roots(cfg, n, m)
-        res = mpc._residual(states, plan, u_prev, cfg, roots)
-        jac = mpc._residual_jacobian(jacobians, states, cfg, roots)
-        penalty = bound_penalty(states, cfg)
+        res = mpc._residual(states, plan, u_prev, cfg)
+        jac = mpc._residual_jacobian(jacobians, states)
+        penalty = bound_penalty(states)
         if trial % 3:
             assert penalty > 0.0
         assert res @ res == pytest.approx(
@@ -281,14 +268,15 @@ def _two_corridors():
     return fit_derivatives(x, u, y)
 
 
-def test_converged_means_the_projected_gradient_test_holds():
+def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 1e-5)
     model = _two_corridors()
-    cfg = MpcConfig(horizon=4, rate_change_weight=1e-5)
+    cfg = MpcConfig(horizon=4)
     x0, u_prev = [60.0, 2.0], np.array([1000.0, 1000.0])
     sol = solve(model, x0, u_prev, cfg)
     assert sol.converged
     assert sol.iterations <= 20  # against a cap of 200
-    lo, hi = cfg.rate_min_vph, cfg.rate_max_vph
+    lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     at_bound = (sol.plan == lo) | (sol.plan == hi)
     assert at_bound.sum() >= 4
     grad = _solver_gradient(model, np.asarray(x0), sol.plan, u_prev, cfg)
@@ -309,13 +297,13 @@ def test_solve_is_monotone_and_feasible():
         cfg = MpcConfig(horizon=4)
         x0 = rng.uniform(5.0, 28.0, size=2)
         u_prev = rng.uniform(200.0, 1800.0, size=2)
-        start = np.tile(np.clip(u_prev, cfg.rate_min_vph, cfg.rate_max_vph),
+        start = np.tile(np.clip(u_prev, RATE_MIN_VPH, RATE_MAX_VPH),
                         (cfg.horizon, 1))
         start_total = _total_cost(model, x0, start, u_prev, cfg)
         sol = solve(model, x0, u_prev, cfg)
         assert sol.objective + sol.penalty <= start_total + 1e-9
-        assert np.all(sol.plan >= cfg.rate_min_vph)
-        assert np.all(sol.plan <= cfg.rate_max_vph)
+        assert np.all(sol.plan >= RATE_MIN_VPH)
+        assert np.all(sol.plan <= RATE_MAX_VPH)
         assert sol.states.shape == (cfg.horizon + 1, 2)
         assert sol.iterations >= 1
 
@@ -341,7 +329,7 @@ def test_solve_beats_an_exhaustive_grid():
     model = _random_model(rng, 1, 1)
     cfg = MpcConfig(horizon=3)
     x0, u_prev = [24.0], [1000.0]
-    grid = np.linspace(cfg.rate_min_vph, cfg.rate_max_vph, 11)
+    grid = np.linspace(RATE_MIN_VPH, RATE_MAX_VPH, 11)
     best = np.inf
     for a in grid:
         for b in grid:

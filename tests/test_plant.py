@@ -368,11 +368,25 @@ def test_episode_record_csv_round_trip(tmp_path):
     for name in ("occupancy", "flow", "speed", "rates"):
         assert np.allclose(getattr(back, name), getattr(rec, name),
                            rtol=1e-11, atol=1e-11)
-    # A CSV without its sidecar still loads, with the caller's seed.
-    (tmp_path / "ep.json").unlink()
-    bare = EpisodeRecord.from_csv(path, seed=7)
-    assert bare.seed == 7 and bare.dropped_veh == 0.0
-    assert np.array_equal(bare.rates, back.rates)
+
+
+def test_episode_record_refuses_a_missing_sidecar_or_key(tmp_path):
+    """Seed, green seconds, drops and clamps live only in the sidecar, so a
+    CSV without it, or a sidecar without one of its seven keys, is refused,
+    naming the sidecar and the missing key."""
+    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
+    path = tmp_path / "ep.csv"
+    run_episode(cfg, lambda obs: np.array([100.0]), seed=4).to_csv(path)
+    sidecar = tmp_path / "ep.json"
+    full = json.loads(sidecar.read_text())
+    assert len(full) == 7
+    for key in full:
+        sidecar.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+        with pytest.raises(ValueError, match=f"ep.json: missing {key}"):
+            EpisodeRecord.from_csv(path)
+    sidecar.unlink()
+    with pytest.raises(ValueError, match="no sidecar .*ep.json"):
+        EpisodeRecord.from_csv(path)
 
 
 def test_episode_record_rejects_malformed_csv(tmp_path):
@@ -385,7 +399,7 @@ def test_episode_record_rejects_malformed_csv(tmp_path):
 def test_episode_record_rejects_a_sidecar_that_is_not_an_object(tmp_path):
     path = tmp_path / "ep.csv"
     path.write_text("time_s,occ_1,flow_1,speed_1,rate_1\n0,10,3000,90,700\n")
-    for doc in ("[1, 2, 3]", "null", "12"):
+    for doc in ("[1, 2, 3]", "null", "12", '{"seed": 1,'):
         (tmp_path / "ep.json").write_text(doc)
         with pytest.raises(ValueError, match="ep.json"):
             EpisodeRecord.from_csv(path)
@@ -397,8 +411,9 @@ def test_episode_record_rejects_sidecar_lists_that_do_not_match_the_csv(tmp_path
     path = tmp_path / "ep.csv"
     path.write_text("time_s,occ_1,flow_1,speed_1,rate_1,rate_2\n"
                     "0,10,3000,90,700,900\n")
-    good = {"sensor_ids": ["s1"], "ramp_ids": ["r1", "r2"],
-            "green_seconds": [10.0, 20.0]}
+    good = {"seed": 1, "control_step_s": 30.0, "sensor_ids": ["s1"],
+            "ramp_ids": ["r1", "r2"], "green_seconds": [10.0, 20.0],
+            "dropped_veh": 0.0, "clamp_events": 0}
     (tmp_path / "ep.json").write_text(json.dumps(good))
     assert EpisodeRecord.from_csv(path).ramp_ids == ("r1", "r2")
     for key, wrong in (("sensor_ids", ["s1", "s2"]), ("ramp_ids", ["r1"]),

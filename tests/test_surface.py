@@ -3,10 +3,12 @@ planner stays below the episode runners, and every function the traced
 benchmark patches is where it looks for it."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -75,6 +77,22 @@ def test_traced_benchmark_targets_are_defined_where_it_patches_them():
     assert tracing.TRACED and not missing, missing
 
 
+def _parameters(*modules):
+    """{qualified name: parameter names} of every function, and every method
+    of a class, defined in the given modules."""
+    found = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = ([v for v in vars(obj).values() if inspect.isfunction(v)]
+                       if isinstance(obj, type) else [obj])
+            for fn in filter(inspect.isfunction, members):
+                found[f"{module.__name__}.{fn.__qualname__}"] = set(
+                    inspect.signature(fn).parameters)
+    return found
+
+
 def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
     """The fit's ridge and threshold are module constants and one model time
     unit is one control step, so no function, method or config field in the
@@ -83,19 +101,28 @@ def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
     from rampnet import cli, mpc, sysid
 
     fixed = {"ridge", "threshold", "dt", "step_h", "h"}
-    taken = {}
-    for module in (sysid, mpc):
-        for name, obj in vars(module).items():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            members = ([v for v in vars(obj).values() if inspect.isfunction(v)]
-                       if isinstance(obj, type) else [obj])
-            for fn in filter(inspect.isfunction, members):
-                params = set(inspect.signature(fn).parameters) & fixed
-                if params:
-                    taken[f"{module.__name__}.{name}"] = sorted(params)
+    taken = {name: sorted(params & fixed)
+             for name, params in _parameters(sysid, mpc).items() if params & fixed}
     assert not taken, taken
     assert "library" not in inspect.signature(sysid.discover_sindyc).parameters
     fit = cli.build_parser()._subparsers._group_actions[0].choices["fit"]
     flags = {opt for action in fit._actions for opt in action.option_strings}
     assert flags == {"-h", "--help", "--logs", "--method", "--out"}
+
+
+def test_planner_cost_is_fixed_in_code():
+    """Tracking weights, occupancy band, penalty and rate-change weights are
+    constants of ``rampnet.mpc`` and the rate box is the plant's, so
+    ``MpcConfig`` keeps only the horizon, the target and the solver limits,
+    and no function or method of the planner takes a cost parameter."""
+    from rampnet import mpc
+
+    assert {f.name for f in dataclasses.fields(mpc.MpcConfig)} == {
+        "horizon", "target_occupancy_pct", "solver"}
+    cost = re.compile(r"weight|roots|bound|band|box|occupancy_m|rate_m")
+    taken = {name: sorted(filter(cost.search, params))
+             for name, params in _parameters(mpc).items()
+             if any(map(cost.search, params))}
+    assert not taken, taken
+    assert not hasattr(mpc.MpcConfig, "weights")
+    assert not hasattr(mpc, "_cost_roots")
