@@ -7,8 +7,9 @@ The pieces, in pipeline order:
   three-highway benchmark config.
 * :mod:`rampnet.plant` simulates it: cell-transmission dynamics, Poisson
   demand, signalized meters, windowed detectors, and the episode runner.
-* :mod:`rampnet.feedback` holds the local occupancy regulators and the
-  rate/signal-timing arithmetic.
+* :mod:`rampnet.feedback` holds the local occupancy law (ALINEA, PI-ALINEA
+  and open meters as one :class:`MeterBank`) and the rate/signal-timing
+  arithmetic.
 * :mod:`rampnet.sysid` discovers sparse polynomial dynamics (and a linear
   baseline) from metering logs by thresholded least squares.
 * :mod:`rampnet.mpc` plans coordinated rates on a discovered model with a
@@ -20,9 +21,8 @@ The pieces, in pipeline order:
 The demos/ directory in the repository walks through each capability.
 """
 
-from .feedback import (AlineaController, FixedRateController, MeterBank,
-                       PiAlineaController, RATE_MAX_VPH, RATE_MIN_VPH,
-                       clamp_rate, green_percentage, rate_to_red_duration)
+from .feedback import (RATE_MAX_VPH, RATE_MIN_VPH, MeterBank, green_percentage,
+                       rate_to_red_duration)
 from .harness import (SCENARIOS, ScenarioResult, UsageError, collect,
                       horizon_sweep, load_logs, make_controller, report,
                       run_scenarios)

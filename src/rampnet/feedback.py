@@ -3,13 +3,12 @@
 A ramp meter publishes a rate r in vehicles per hour. The signal realizes it
 as a fixed 2 s green (one vehicle released per green) followed by a red of
 ``(3600 - 2 r) / r`` seconds, so the cycle count per hour equals the rate.
-The classic occupancy regulators live here as small stateful controllers;
-each instance serves one ramp and reads one downstream detector.
+The local occupancy law lives here too: one :class:`MeterBank` meters every
+ramp from its own downstream detector, and its two gains make it ALINEA,
+PI-ALINEA or a meter that never moves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,23 +16,27 @@ __all__ = [
     "RATE_MIN_VPH",
     "RATE_MAX_VPH",
     "GREEN_DURATION_S",
-    "clamp_rate",
+    "INITIAL_RATE_VPH",
+    "ALINEA_GAINS",
+    "PI_ALINEA_GAINS",
+    "NO_CONTROL_GAINS",
     "rate_to_red_duration",
     "green_percentage",
-    "AlineaController",
-    "PiAlineaController",
-    "FixedRateController",
     "MeterBank",
 ]
 
 RATE_MIN_VPH = 200.0
 RATE_MAX_VPH = 1800.0
 GREEN_DURATION_S = 2.0
+#: Every episode's meters, the regulators' integrators and the planner's
+#: first previous rates start here.
+INITIAL_RATE_VPH = 1000.0
 
-
-def clamp_rate(rate: float) -> float:
-    """Truncate a rate to the feasible meter range [200, 1800] veh/h."""
-    return min(max(rate, RATE_MIN_VPH), RATE_MAX_VPH)
+# (kp, ki) of the local law: veh/h per occupancy point of trend and per
+# occupancy point of error below the target.
+ALINEA_GAINS = (0.0, 70.0)
+PI_ALINEA_GAINS = (40.0, 70.0)
+NO_CONTROL_GAINS = (0.0, 0.0)
 
 
 def rate_to_red_duration(rate: float) -> float:
@@ -63,78 +66,36 @@ def green_percentage(rates) -> np.ndarray:
     return share.mean(axis=0)
 
 
-@dataclass
-class AlineaController:
-    """Integral occupancy regulator for one ramp.
-
-    Each update moves the rate by ``gain`` veh/h per percentage point of
-    occupancy error below the setpoint, then truncates to the feasible range.
-    """
-
-    gain: float = 70.0  # veh/h per occupancy %
-    target_occupancy_pct: float = 15.0
-    rate: float = 1000.0  # last applied rate, the integrator state
-
-    def update(self, occupancy_pct: float) -> float:
-        self.rate = clamp_rate(
-            self.rate + self.gain * (self.target_occupancy_pct - occupancy_pct))
-        return self.rate
-
-
-@dataclass
-class PiAlineaController:
-    """Proportional-integral variant of the occupancy regulator.
-
-    Adds a proportional correction on the occupancy trend:
-    ``r(k) = r(k-1) - kp (o(k) - o(k-1)) + ki (target - o(k))``, truncated.
-    With ``kp = 0`` the update reduces exactly to the integral regulator.
-    The first call treats the previous occupancy as equal to the current one.
-    """
-
-    kp: float = 40.0  # veh/h per occupancy %/step of trend
-    ki: float = 70.0  # veh/h per occupancy % of error
-    target_occupancy_pct: float = 15.0
-    rate: float = 1000.0
-    _prev_occupancy: float | None = field(default=None, repr=False)
-
-    def update(self, occupancy_pct: float) -> float:
-        prev = occupancy_pct if self._prev_occupancy is None else self._prev_occupancy
-        self.rate = clamp_rate(
-            self.rate
-            - self.kp * (occupancy_pct - prev)
-            + self.ki * (self.target_occupancy_pct - occupancy_pct))
-        self._prev_occupancy = occupancy_pct
-        return self.rate
-
-
-@dataclass
-class FixedRateController:
-    """Pins one meter at a constant rate (the uncontrolled case uses 1800)."""
-
-    rate: float = RATE_MAX_VPH
-
-    def update(self, occupancy_pct: float) -> float:
-        return clamp_rate(self.rate)
-
-
 class MeterBank:
-    """One local controller per ramp, driven by that ramp's detector.
+    """The local occupancy law on every ramp at once.
 
-    Controller j reads sensor j, the detector in ramp j's merge cell.
-    Instances are callables compatible with :func:`rampnet.plant.run_episode`.
+    Meter j reads sensor j, the detector in ramp j's merge cell. Each call
+    applies ``r <- clip(r - kp (o - o_prev) + ki (target - o))`` to the rate
+    box ``RATE_MIN_VPH`` to ``RATE_MAX_VPH``, with ``o_prev = o`` on the first
+    call. ``kp = 0`` is ALINEA (Papageorgiou, Hadj-Salem & Blosseville 1991),
+    ``kp > 0`` PI-ALINEA (Wang et al. 2014), and zero gains hold ``rates``
+    where they start. The rate is the integrator state, so it is stored
+    clipped. Instances are callables compatible with
+    :func:`rampnet.plant.run_episode`.
     """
 
-    def __init__(self, controllers):
-        self.controllers = list(controllers)
-
-    @classmethod
-    def uniform(cls, factory, n_ramps: int) -> "MeterBank":
-        return cls(factory() for _ in range(n_ramps))
+    def __init__(self, n_ramps: int, target_occupancy_pct: float,
+                 kp: float, ki: float):
+        self.target_occupancy_pct = float(target_occupancy_pct)
+        self.kp, self.ki = float(kp), float(ki)
+        self.rates = np.full(n_ramps, INITIAL_RATE_VPH)
+        self.prev_occupancy: np.ndarray | None = None
 
     def __call__(self, observation) -> np.ndarray:
-        occ = observation.occupancy
-        if len(occ) != len(self.controllers):
+        occ = np.asarray(observation.occupancy, dtype=float)
+        if occ.shape != self.rates.shape:
             raise ValueError(
                 f"observation carries {len(occ)} sensors for "
-                f"{len(self.controllers)} controllers")
-        return np.array([c.update(o) for c, o in zip(self.controllers, occ)])
+                f"{len(self.rates)} meters")
+        prev = occ if self.prev_occupancy is None else self.prev_occupancy
+        self.rates = np.clip(
+            self.rates - self.kp * (occ - prev)
+            + self.ki * (self.target_occupancy_pct - occ),
+            RATE_MIN_VPH, RATE_MAX_VPH)
+        self.prev_occupancy = occ
+        return self.rates

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .feedback import (AlineaController, FixedRateController, MeterBank,
-                       PiAlineaController, RATE_MAX_VPH, green_percentage)
+from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
+                       RATE_MAX_VPH, MeterBank, green_percentage)
 from .mpc import MpcConfig, MpcController
 from .network import NetworkConfig, serialize_config
 from .plant import EpisodeRecord, run_episode
@@ -44,6 +44,9 @@ __all__ = [
 
 SCENARIOS = ("no-control", "alinea", "pi-alinea", "dmd-mpc", "sindyc-mpc")
 FEEDBACK_CONTROLLERS = ("alinea", "pi-alinea")
+# (kp, ki) of the local law in each feedback-metered scenario
+_LOCAL_GAINS = {"no-control": NO_CONTROL_GAINS, "alinea": ALINEA_GAINS,
+                "pi-alinea": PI_ALINEA_GAINS}
 
 #: plot series are smoothed with a trailing moving average this many steps wide
 SERIES_SMOOTH_STEPS = 5
@@ -57,17 +60,19 @@ def make_controller(name: str, n_ramps: int, target_occupancy_pct: float = 15.0,
                     sindyc: SparseModel | None = None,
                     dmdc: SparseModel | None = None,
                     mpc_config: MpcConfig | None = None):
-    """Controller factory keyed by scenario name."""
-    if name == "no-control":
-        return MeterBank.uniform(lambda: FixedRateController(RATE_MAX_VPH), n_ramps)
-    if name == "alinea":
-        return MeterBank.uniform(
-            lambda: AlineaController(target_occupancy_pct=target_occupancy_pct),
-            n_ramps)
-    if name == "pi-alinea":
-        return MeterBank.uniform(
-            lambda: PiAlineaController(target_occupancy_pct=target_occupancy_pct),
-            n_ramps)
+    """Controller factory keyed by scenario name. An ``mpc_config`` must
+    steer to ``target_occupancy_pct``, the target the regulators use and the
+    results are scored against."""
+    if (mpc_config is not None
+            and mpc_config.target_occupancy_pct != target_occupancy_pct):
+        raise UsageError(
+            f"two targets: {target_occupancy_pct} % for the scenario and "
+            f"{mpc_config.target_occupancy_pct} % in the planner's config")
+    if name in _LOCAL_GAINS:
+        bank = MeterBank(n_ramps, target_occupancy_pct, *_LOCAL_GAINS[name])
+        if name == "no-control":
+            bank.rates[:] = RATE_MAX_VPH  # wide open, and zero gains keep it so
+        return bank
     if name in ("dmd-mpc", "sindyc-mpc"):
         model = dmdc if name == "dmd-mpc" else sindyc
         if model is None:
@@ -198,7 +203,9 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     """Run every scenario on every seed and aggregate the standard metrics.
 
     Episodes are independent (own plant, own RNG, own controller); each
-    scenario's ``runtime_s`` covers its own episodes only.
+    scenario's ``runtime_s`` covers its own episodes only. A model whose
+    state or input count is not the network's ramp count is refused before
+    any episode runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -207,6 +214,13 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     for name in scenarios:
         if name not in SCENARIOS:
             raise UsageError(f"unknown scenario '{name}'; pick from {SCENARIOS}")
+    for name, model in (("sindyc", sindyc), ("dmdc", dmdc)):
+        if model is not None and (model.state_dim, model.input_dim) != (
+                config.n_ramps, config.n_ramps):
+            raise UsageError(
+                f"the {name} model has {model.state_dim} states and "
+                f"{model.input_dim} inputs, but the network's {config.n_ramps} "
+                f"ramps need {config.n_ramps} of each")
 
     results = []
     for scenario in scenarios:
@@ -326,14 +340,24 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
     Returns a dict naming everything written. Flow improvements are relative
     to the no-control scenario when it is present. Raw episode CSVs go under
     ``raw/`` so the tables can be rebuilt later without re-simulating; the
-    episodes an earlier report left there are deleted first.
+    episodes an earlier report left there are deleted first. Every episode
+    must carry the config's sensor and ramp ids, in order; otherwise
+    :class:`UsageError` names both lists.
     """
     if not results:
         raise UsageError("no scenario results to report")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sensor_ids = [r.sensor_id for r in config.ramps]
     ramp_ids = [r.id for r in config.ramps]
+    for res in results:
+        for record in res.records:
+            if (list(record.sensor_ids) != sensor_ids
+                    or list(record.ramp_ids) != ramp_ids):
+                raise UsageError(
+                    f"{res.scenario} episode (seed {record.seed}) has sensors "
+                    f"{list(record.sensor_ids)} and ramps {list(record.ramp_ids)}; "
+                    f"the config has sensors {sensor_ids} and ramps {ramp_ids}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     by_name = {res.scenario: res for res in results}
 
     paths: dict[str, object] = {}

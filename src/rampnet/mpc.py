@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import RATE_MAX_VPH, RATE_MIN_VPH
+from .feedback import INITIAL_RATE_VPH, RATE_MAX_VPH, RATE_MIN_VPH
 from .sysid import SparseModel
 
 __all__ = [
@@ -356,11 +356,10 @@ class MpcController:
     logged and recorded in the diagnostics.
     """
 
-    def __init__(self, model: SparseModel, config: MpcConfig | None = None,
-                 initial_rate_vph: float = 1000.0):
+    def __init__(self, model: SparseModel, config: MpcConfig | None = None):
         self.model = model
         self.config = config or MpcConfig()
-        self.u_prev = np.full(model.input_dim, float(initial_rate_vph))
+        self.u_prev = np.full(model.input_dim, INITIAL_RATE_VPH)
         self.last_plan: np.ndarray | None = None
         self.diagnostics: list[dict] = []
 

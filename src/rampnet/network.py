@@ -153,7 +153,6 @@ class NetworkConfig:
     control_step_s: float = 30.0
     burn_in_s: float = 1800.0
     horizon_duration_s: float = 3600.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         self._validate()
@@ -266,50 +265,17 @@ class NetworkConfig:
 
 # -- YAML round trip ---------------------------------------------------------
 
-_TIMING_KEYS = ("sim_step_s", "control_step_s", "burn_in_s",
-                "horizon_duration_s", "rng_seed")
-
-
-def _cell_to_dict(cell: CellParams) -> dict:
-    return {
-        "length_km": cell.length_km,
-        "lanes": cell.lanes,
-        "free_flow_kmh": cell.free_flow_kmh,
-        "capacity_vphl": cell.capacity_vphl,
-        "jam_density_vkml": cell.jam_density_vkml,
-        "vehicle_length_m": cell.vehicle_length_m,
-    }
-
-
-def _cells_from_node(node, hw_name: str) -> tuple[CellParams, ...]:
-    if isinstance(node, dict):  # uniform shorthand: one params block + count
-        params = dict(node)
-        count = params.pop("count", None)
-        if count is None or int(count) < 1:
-            raise ConfigError(
-                f"highway '{hw_name}': uniform cells block needs a positive 'count'")
-        return tuple(CellParams(**params) for _ in range(int(count)))
-    if isinstance(node, list):
-        return tuple(CellParams(**item) for item in node)
-    raise ConfigError(f"highway '{hw_name}': cells must be a mapping or a list")
+_TIMING_KEYS = ("sim_step_s", "control_step_s", "burn_in_s", "horizon_duration_s")
 
 
 def serialize_config(config: NetworkConfig) -> str:
     """Render a config as canonical YAML (inverse of :func:`load_config`)."""
-    highways = []
-    for hw in config.highways:
-        if len(set(hw.cells)) == 1:
-            cells_node: dict | list = {"count": len(hw.cells), **_cell_to_dict(hw.cells[0])}
-        else:
-            cells_node = [_cell_to_dict(c) for c in hw.cells]
-        highways.append({
-            "name": hw.name,
-            "demand_veh_per_hour": hw.demand_veh_per_hour,
-            "cells": cells_node,
-        })
     doc = {
         "timing": {key: getattr(config, key) for key in _TIMING_KEYS},
-        "highways": highways,
+        "highways": [{"name": hw.name,
+                      "demand_veh_per_hour": hw.demand_veh_per_hour,
+                      "cells": [dataclasses.asdict(c) for c in hw.cells]}
+                     for hw in config.highways],
         "ramps": [dataclasses.asdict(r) for r in config.ramps],
         "junctions": [dataclasses.asdict(j) for j in config.junctions],
     }
@@ -353,9 +319,13 @@ def load_config(path) -> NetworkConfig:
         for i, node in enumerate(doc.get("highways", [])):
             node = _mapping(node, ("name", "demand_veh_per_hour", "cells"),
                             f"highway {i}", path)
+            if not isinstance(node["cells"], list):
+                raise ConfigError(
+                    f"config parse error in {path}: highway '{node['name']}' "
+                    f"cells must be a list, one mapping per cell")
             highways.append(Highway(
                 name=node["name"],
-                cells=_cells_from_node(node["cells"], node["name"]),
+                cells=tuple(CellParams(**cell) for cell in node["cells"]),
                 demand_veh_per_hour=float(node["demand_veh_per_hour"]),
             ))
         ramps = tuple(RampSpec(**node) for node in doc.get("ramps", []))
@@ -364,7 +334,7 @@ def load_config(path) -> NetworkConfig:
             highways=tuple(highways),
             ramps=ramps,
             junctions=junctions,
-            **{k: (int(v) if k == "rng_seed" else float(v)) for k, v in timing.items()},
+            **{k: float(v) for k, v in timing.items()},
         )
     except ConfigError:
         raise

@@ -52,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
-                       rate_to_red_duration)
+from .feedback import (GREEN_DURATION_S, INITIAL_RATE_VPH, RATE_MAX_VPH,
+                       RATE_MIN_VPH, rate_to_red_duration)
 from .network import NetworkConfig
 
 __all__ = [
@@ -162,10 +162,11 @@ class TrafficPlant:
     episode randomness is reproducible and independent of control actions.
     ``density``, ``entry_queues`` and ``ramp_queues`` are numpy arrays that
     a step reads when it starts and replaces when it ends; writing into them
-    between steps sets the state.
+    between steps sets the state. Every meter starts at
+    ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates` publishes new rates.
     """
 
-    def __init__(self, config: NetworkConfig, initial_rate_vph: float = 1000.0):
+    def __init__(self, config: NetworkConfig):
         self.config = config
         cells = [c for hw in config.highways for c in hw.cells]
         starts: list[int] = []
@@ -209,11 +210,10 @@ class TrafficPlant:
         self._junctions = tuple(
             (p, t, f, cap_total[t - 1] / (cap_total[t - 1] + f * cap_total[p]))
             for p, t, f in junctions)
-        start_rate = min(max(initial_rate_vph, RATE_MIN_VPH), RATE_MAX_VPH)
         self._ramps = tuple(
             (g, float(r.queue_capacity_veh),
              cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH),
-             RampSignal(start_rate))
+             RampSignal(INITIAL_RATE_VPH))
             for g, r in zip(ramp_cells, config.ramps))
         self._friction = tuple((g, self._cell_consts[g][5], cap_total[g])
                                for g in ramp_cells)
@@ -572,21 +572,20 @@ class EpisodeRecord:
         )
 
 
-def run_episode(config: NetworkConfig, controller, seed: int | None = None,
-                initial_rate_vph: float = 1000.0) -> EpisodeRecord:
+def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     """Simulate burn-in plus one control window under the given controller.
 
-    The controller is a callable mapping a :class:`ControlObservation` to an
-    array of metering rates, one per ramp. It runs during burn-in too,
-    but only the control window is recorded. Rates outside [200, 1800] veh/h
-    are clamped. The record's clamp events (logged once at the end), drops
+    ``seed`` seeds the episode's arrivals. The controller is a callable
+    mapping a :class:`ControlObservation` to an array of metering rates, one
+    per ramp. It runs during burn-in too, but only the control window is
+    recorded. Rates outside [200, 1800] veh/h are clamped. The record's clamp events (logged once at the end), drops
     and green seconds cover the control window only.
     Raises :class:`ConservationError` if the whole episode's arrivals minus
     drops minus exits differ from the change in stored vehicles by more than
     ``CONSERVATION_TOL_VEH``.
     """
-    rng = np.random.default_rng(config.rng_seed if seed is None else seed)
-    plant = TrafficPlant(config, initial_rate_vph=initial_rate_vph)
+    rng = np.random.default_rng(seed)
+    plant = TrafficPlant(config)
     m = config.n_ramps
 
     total_windows = round((config.burn_in_s + config.horizon_duration_s)
@@ -633,7 +632,7 @@ def run_episode(config: NetworkConfig, controller, seed: int | None = None,
                        "recorded window; clamped",
                        clamp_events)
     return EpisodeRecord(
-        seed=int(config.rng_seed if seed is None else seed),
+        seed=int(seed),
         control_step_s=config.control_step_s,
         sensor_ids=tuple(r.sensor_id for r in config.ramps),
         ramp_ids=tuple(r.id for r in config.ramps),

@@ -132,7 +132,8 @@ def _bad_benchmark_configs():
     """The shipped benchmark config with one fault each, as YAML by name."""
     text = Path(benchmark_config_path()).read_text()
     docs = {name: yaml.safe_load(text)
-            for name in ("older-format", "no-ramp", "shared-sensor")}
+            for name in ("older-format", "no-ramp", "shared-sensor", "rng-seed",
+                         "cells-count")}
     # The previous format: sensors in their own list, ramps flagged metered.
     older = docs["older-format"]
     older["sensors"] = [{"id": ramp.pop("sensor_id"), "highway": ramp["highway"],
@@ -142,6 +143,11 @@ def _bad_benchmark_configs():
     docs["no-ramp"]["ramps"] = []
     ramps = docs["shared-sensor"]["ramps"]
     ramps[1]["sensor_id"] = ramps[0]["sensor_id"]
+    # Two more layouts of earlier formats: a config-wide seed, and one cell
+    # block with a count standing for a highway of equal cells.
+    docs["rng-seed"]["timing"]["rng_seed"] = 0
+    highway = docs["cells-count"]["highways"][0]
+    highway["cells"] = {"count": len(highway["cells"]), **highway["cells"][0]}
     return {"misspelt-key": text.replace("junctions:", "junction:"),
             **{name: yaml.safe_dump(doc, sort_keys=False)
                for name, doc in docs.items()}}
@@ -201,6 +207,25 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     bad_configs = _bad_benchmark_configs()
     for name, body in bad_configs.items():
         (tmp_path / f"{name}.cfg").write_text(body)
+    # Episodes of another network: one sensor and one ramp, other ids.
+    foreign = _log_dir(tmp_path / "foreign", good[:5], name="alinea-seed1")
+    # Models sized for two ramps on the one-ramp network.
+    x2, u2 = rng.uniform(0, 30, (100, 2)), rng.uniform(200, 1800, (100, 2))
+    wide_model = tmp_path / "wide.json"
+    fit_derivatives(x2, u2, 0.3 * (15.0 - x2)).save(wide_model)
+    mismatches = {
+        ("sensors ['S1'] and ramps ['R1']; "
+         "the config has sensors ['H1-S1'] and ramps ['H1-R1']"): [
+            ["report", "--config", str(cfg_path), "--results", str(foreign),
+             "--out", str(tmp_path / "r10")]],
+        "2 states and 2 inputs, but the network's 1 ramps need 1 of each": [
+            ["run", "--config", str(cfg_path), "--sindyc-model", str(wide_model),
+             "--dmdc-model", str(model_path), "--seeds", "1",
+             "--out", str(tmp_path / "r11")],
+            ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
+             "--dmdc-model", str(wide_model), "--seeds", "1",
+             "--out", str(tmp_path / "r12")]],
+    }
     cases = [
         ["report", "--config", str(cfg_path), "--results", str(raw),
          "--out", str(tmp_path / "r3")],
@@ -268,9 +293,12 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     assert main(sidecar_case) == 2
     assert "ep.json" in capsys.readouterr().err
     for problem, argvs in [*sidecar_problems.items(),
-                           ("only once", repeated_seeds)]:
+                           ("only once", repeated_seeds), *mismatches.items()]:
         for argv in argvs:
             assert main(argv) == 2
             assert problem in capsys.readouterr().err, argv
     assert not (tmp_path / "x4").exists()
+    # Both refusals come before any output: no table, no episode.
+    for name in ("r10", "r11", "r12"):
+        assert not (tmp_path / name).exists()
 

@@ -84,6 +84,22 @@ def test_factory_builds_each_scenario():
                       MpcController)
 
 
+def test_factory_refuses_two_different_targets():
+    """The planner would steer to one target while the regulators and the
+    scored results use the other."""
+    sindyc, _ = _tiny_models()
+    for name in ("alinea", "sindyc-mpc"):
+        with pytest.raises(UsageError, match="two targets"):
+            make_controller(name, 1, 15.0, sindyc=sindyc,
+                            mpc_config=MpcConfig(target_occupancy_pct=18.0))
+    same = make_controller("sindyc-mpc", 1, 18.0, sindyc=sindyc,
+                           mpc_config=MpcConfig(target_occupancy_pct=18.0))
+    assert same.config.target_occupancy_pct == 18.0
+    with pytest.raises(UsageError, match="two targets"):
+        run_scenarios(_tiny_network(), sindyc, None, [0], scenarios=("alinea",),
+                      mpc_config=MpcConfig(target_occupancy_pct=18.0))
+
+
 # -- collection ----------------------------------------------------------------------
 
 def test_collect_only_accepts_feedback_controllers(tmp_path):
@@ -149,6 +165,13 @@ def test_run_scenarios_rejects_bad_arguments():
         run_scenarios(config, sindyc, dmdc, [1], scenarios=("alinea", "mystery"))
     with pytest.raises(UsageError, match="no evaluation seeds"):
         run_scenarios(config, sindyc, dmdc, [])
+    # A model sized for another network is refused before any episode runs.
+    rng = np.random.default_rng(1)
+    x, u = rng.uniform(0.0, 30.0, size=(200, 2)), rng.uniform(200.0, 1800.0, size=(200, 2))
+    wide = fit_derivatives(x, u, 0.3 * (15.0 - x))
+    for models in ((wide, dmdc), (sindyc, wide)):
+        with pytest.raises(UsageError, match="2 states and 2 inputs"):
+            run_scenarios(config, *models, [1], scenarios=("no-control",))
 
 
 def test_run_scenarios_covers_the_standard_comparison(tmp_path):
@@ -343,6 +366,23 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
 def test_report_requires_results():
     with pytest.raises(UsageError, match="no scenario results"):
         report([], "unused", _tiny_network())
+
+
+def test_report_refuses_episodes_of_another_network(tmp_path):
+    """Rows are labelled from the config and averaged over the records'
+    sensors, so the two must be the same network."""
+    config = _tiny_network()
+    records = [_record(1, [[14.0, 16.0]], [[100.0, 200.0]], [[900.0, 900.0]])]
+    results = [results_from_records("alinea", [1], records)]
+    with pytest.raises(UsageError, match=r"\['S0', 'S1'\].*\['H1-S1'\]"):
+        report(results, tmp_path / "out", config)
+    assert not (tmp_path / "out").exists()
+    # The right sensor under another ramp id is refused too.
+    record = _record(1, [[14.0]], [[100.0]], [[900.0]])
+    record = replace(record, sensor_ids=("H1-S1",))
+    with pytest.raises(UsageError, match=r"ramps \['R0'\]"):
+        report([results_from_records("alinea", [1], [record])], tmp_path / "out",
+               config)
 
 
 def test_load_raw_results_requires_csvs(tmp_path):

@@ -399,8 +399,8 @@ def test_controller_falls_back_to_previous_rates_on_blowup():
     x = rng.uniform(0.5, 3.0, size=(300, 1))
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
     grower = fit_derivatives(x, u, (x[:, 0] ** 2).reshape(-1, 1))
-    controller = MpcController(grower, MpcConfig(horizon=4),
-                               initial_rate_vph=700.0)
+    controller = MpcController(grower, MpcConfig(horizon=4))
+    controller.u_prev = np.array([700.0])
     action = controller(_obs([1e200]))
     assert np.array_equal(action, [700.0])
     assert controller.diagnostics[0]["fallback"] is True

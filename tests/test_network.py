@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+import yaml
 
 from rampnet.network import (CellParams, ConfigError, Highway, JunctionSpec,
                              NetworkConfig, RampSpec, benchmark_config_path,
@@ -166,6 +167,13 @@ def test_load_config_rejects_garbage(tmp_path):
         path.write_text(f"timing: {timing}\nhighways:{body}")
         with pytest.raises(ConfigError, match="timing"):
             load_config(path)
+    # The older one-block layout of a highway of equal cells.
+    doc = yaml.safe_load(serialize_config(_tiny_config()))
+    cells = doc["highways"][0]["cells"]
+    doc["highways"][0]["cells"] = {"count": len(cells), **cells[0]}
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(ConfigError, match="cells must be a list"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -175,7 +183,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             ("junctions:", "junction:", "junction"),
             ("  burn_in_s:", "  burn_in:", "burn_in"),
             ("  demand_veh_per_hour: 3000.0", "  demand_vph: 3000.0", "demand_vph"),
-            ("  sensor_id: A-S1", "  metered: true", "metered")):
+            ("  sensor_id: A-S1", "  metered: true", "metered"),
+            ("  burn_in_s:", "  rng_seed: 0\n  burn_in_s:", "rng_seed")):
         assert old in text
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(ConfigError, match=key):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rampnet.feedback import AlineaController, MeterBank
+from rampnet.feedback import ALINEA_GAINS, MeterBank
 from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
                              RampSpec, benchmark_config_path,
                              load_config)
@@ -149,7 +149,8 @@ def test_merge_friction_memory_relaxes_exponentially():
 
 def test_density_never_exceeds_jam():
     cfg = _metered_config()
-    plant = TrafficPlant(cfg, initial_rate_vph=1800.0)
+    plant = TrafficPlant(cfg)
+    plant.set_rates([1800.0])
     rng = np.random.default_rng(5)
     for _ in range(600):
         _step(plant, rng)
@@ -206,8 +207,9 @@ def test_arrivals_are_independent_of_control():
     """Scenario comparisons share demand realizations: the arrival draws only
     depend on the seed, never on what the meters did."""
     cfg = _metered_config()
-    open_plant = TrafficPlant(cfg, initial_rate_vph=1800.0)
-    shut_plant = TrafficPlant(cfg, initial_rate_vph=200.0)
+    open_plant, shut_plant = TrafficPlant(cfg), TrafficPlant(cfg)
+    open_plant.set_rates([1800.0])
+    shut_plant.set_rates([200.0])
     ra, rb = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(300):
         assert (_step(open_plant, ra).arrivals_veh
@@ -332,8 +334,7 @@ def _benchmark_short_config():
 ], ids=["benchmark-corridor", "junction-and-two-ramps"])
 def test_episode_digests_are_pinned(make_config, seed, digest):
     cfg = make_config()
-    rec = run_episode(cfg, MeterBank.uniform(AlineaController, cfg.n_ramps),
-                      seed=seed)
+    rec = run_episode(cfg, MeterBank(cfg.n_ramps, 15.0, *ALINEA_GAINS), seed=seed)
     h = hashlib.sha256()
     for arr in (rec.times, rec.occupancy, rec.flow, rec.speed, rec.rates,
                 rec.green_seconds):

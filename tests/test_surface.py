@@ -126,3 +126,23 @@ def test_planner_cost_is_fixed_in_code():
     assert not taken, taken
     assert not hasattr(mpc.MpcConfig, "weights")
     assert not hasattr(mpc, "_cost_roots")
+
+
+def test_one_local_law_and_one_episode_start():
+    """Every meter, regulator and planner starts at
+    ``feedback.INITIAL_RATE_VPH`` and every episode names its seed, so no
+    function or method takes a starting rate, the config carries no seed,
+    ``run_episode``'s seed has no default, and the local scenarios differ
+    only in the gains of one ``MeterBank``."""
+    from rampnet import feedback, harness, mpc, network, plant
+
+    taken = sorted(name for name, params
+                   in _parameters(plant, mpc, feedback, harness).items()
+                   if "initial_rate_vph" in params)
+    assert not taken, taken
+    assert "rng_seed" not in {f.name for f in dataclasses.fields(network.NetworkConfig)}
+    seed = inspect.signature(plant.run_episode).parameters["seed"]
+    assert seed.default is inspect.Parameter.empty
+    classes = [name for name in feedback.__all__
+               if isinstance(getattr(feedback, name), type)]
+    assert classes == ["MeterBank"]
