@@ -354,3 +354,40 @@ def test_benchmark_fit_is_pinned(pipeline):
         for name, field in (("sindyc", "coefficients"),
                             ("dmdc", "coefficients"))}
     assert digests == PINNED_DIGESTS
+
+
+# The benchmark closed loop (train seeds 1-4, eval seeds 21-23), pinned: sha256
+# digests of each MPC scenario's applied rates and measured occupancies over
+# the three episodes, stacked in seed order, and its total solver iterations.
+# A planner change that moves any applied rate by one rounding step, or takes
+# one iteration more or less, fails here. Recorded on commit bd059fe. Like the
+# fit pin, the digests also depend on the numpy and LAPACK/BLAS build (the
+# fit, and the planner's matrix products and solves): they were recorded with
+# numpy 2.4 on OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this
+# test without a planner change needs them recorded again.
+PINNED_CLOSED_LOOP = {
+    "dmd-mpc.rates":
+        "bbd37d46227c489c63fdd028efa390071ae00bf16d85ddfefa4e2b4c54ed97f3",
+    "dmd-mpc.occupancy":
+        "0952b2a08339611439e1c7458f93ca1b3c615716b798f9aeb0a119c15e72655a",
+    "sindyc-mpc.rates":
+        "275492ec519e2a8068689c882ca4d5398468d57bb59ce17aa681a58bea15d786",
+    "sindyc-mpc.occupancy":
+        "844caee8ac77005736b40853b2151150a4e76bf79a4bf69fe2aa64f80e498d85",
+}
+PINNED_ITERATIONS = {"dmd-mpc": 2773, "sindyc-mpc": 9764}
+
+
+def test_benchmark_closed_loop_is_pinned(pipeline):
+    digests = {
+        f"{name}.{field}": hashlib.sha256(np.ascontiguousarray(
+            np.vstack([getattr(r, field) for r in pipeline.by_name[name].records]),
+            dtype=np.float64).tobytes()).hexdigest()
+        for name in PINNED_ITERATIONS for field in ("rates", "occupancy")}
+    assert digests == PINNED_CLOSED_LOOP
+    iterations = {
+        name: sum(step["iterations"]
+                  for diag in pipeline.by_name[name].solver_diagnostics
+                  for step in diag if not step["fallback"])
+        for name in PINNED_ITERATIONS}
+    assert iterations == PINNED_ITERATIONS
