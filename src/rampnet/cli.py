@@ -98,6 +98,10 @@ def _cmd_run(args) -> int:
                   f"iterations {its['p50']:.0f}/{its['p95']:.0f}/{its['max']:.0f}   "
                   f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
                   f"(p50/p95/max)   fallbacks {health['fallbacks']}")
+            print(f"{'':>13}" + "   ".join(
+                f"{label} {w['solves']} solves, {w['iterations']} iterations, "
+                f"{w['solve_s']:.2f} s" for label, w in (
+                    ("burn-in", health["burn_in"]), ("recorded", health["recorded"]))))
         elif health is not None:
             print(f"{'':>13}solver: every step fell back ({health['fallbacks']})")
     print(f"report -> {paths['summary']}")

@@ -153,11 +153,21 @@ class ScenarioResult:
     def solver_health(self) -> dict | None:
         """Planner figures over every control step of every seed, or None
         for a scenario without a planner: converged share of the solves,
-        iteration and solve-time percentiles (p50/p95/max), and fallbacks."""
+        iteration and solve-time percentiles (p50/p95/max), fallbacks, and
+        the solves, total iterations and solve seconds of the burn-in and of
+        the recorded windows apart."""
         if self.solver_diagnostics is None:
             return None
-        steps = [step for diag in self.solver_diagnostics for step in diag or ()]
-        solved = [step for step in steps if not step["fallback"]]
+        burn_in, recorded, fallbacks = [], [], 0
+        for diag, record in zip(self.solver_diagnostics, self.records):
+            for step in diag or ():
+                if step["fallback"]:
+                    fallbacks += 1
+                elif step["time_s"] >= record.times[0]:
+                    recorded.append(step)
+                else:
+                    burn_in.append(step)
+        solved = burn_in + recorded
 
         def spread(values):
             if not values:
@@ -166,13 +176,20 @@ class ScenarioResult:
                     "p95": float(np.percentile(values, 95)),
                     "max": float(np.max(values))}
 
+        def totals(window):
+            return {"solves": len(window),
+                    "iterations": sum(step["iterations"] for step in window),
+                    "solve_s": sum(step["solve_time_s"] for step in window)}
+
         return {
             "solves": len(solved),
             "converged_frac": (sum(step["converged"] for step in solved) / len(solved)
                                if solved else None),
             "iterations": spread([step["iterations"] for step in solved]),
             "solve_ms": spread([1e3 * step["solve_time_s"] for step in solved]),
-            "fallbacks": len(steps) - len(solved),
+            "fallbacks": fallbacks,
+            "burn_in": totals(burn_in),
+            "recorded": totals(recorded),
         }
 
 

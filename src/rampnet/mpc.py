@@ -15,13 +15,16 @@ its horizon, its target and its solver limits. The whole cost is a sum of
 squared residuals, so the solver is projected Gauss-Newton on the rate box
 (Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
-polynomial Jacobians, which the rollout reads together with the predictions
-(one model read per stage), rates within a small margin of a bound that the
+polynomial Jacobians, rates within a small margin of a bound that the
 gradient pushes outward are held by a diagonal step, the free rates take a
 Levenberg-Marquardt step on J'J, and a search along the projection arc
 accepts only a sufficient decrease. A solve reports ``converged`` only when
 the projected gradient passes the optimality test. Only the first planned
 action is applied; the rest warm starts the next solve.
+
+Each solve allocates its buffers once (:class:`_Workspace`) and works in
+them in place: a rollout reads only the model's prediction, one read per
+stage, and the stage Jacobians are read only at accepted iterates.
 
 Time convention: one model time unit is one control step. A plan row is the
 rates for one control step, the predictor advances one control step per row,
@@ -34,6 +37,7 @@ horizon sweep.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -129,34 +133,26 @@ class MpcSolution:
     solve_time_s: float
 
 
-def _predict(model: SparseModel, x0: np.ndarray,
-             plan: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Euler rollout that keeps each stage's model Jacobian.
-
-    Returns the (N+1, n) states, row 0 being ``x0``, and the N Jacobians
-    df/dz, each (n, n + m), at (x(l), u(l)): one model read per stage, with
-    x and u written into one z buffer.
-    """
-    n = len(x0)
-    if n != model.state_dim or plan.shape[1] != model.input_dim:
+def _check_shapes(model: SparseModel, x0: np.ndarray, plan: np.ndarray) -> None:
+    if len(x0) != model.state_dim or plan.shape[1] != model.input_dim:
         raise ValueError(
             f"expected ({model.state_dim},) states and (N, {model.input_dim}) "
             f"plans, got {x0.shape} and {plan.shape}")
-    states = np.empty((len(plan) + 1, n))
-    states[0] = x0
-    z = np.empty(n + plan.shape[1])
-    jacobians = []
-    x = x0
-    for l in range(len(plan)):
-        z[:n] = x
-        z[n:] = plan[l]
-        f, jac = model._read(z)
-        x = x + f
-        if not np.all(np.isfinite(x)):
-            raise ModelBlowupError(l + 1)
-        states[l + 1] = x
-        jacobians.append(jac)
-    return states, jacobians
+
+
+def _roll(read, rows: list, xs: list) -> None:
+    """Euler rollout in place: ``rows`` are the z rows (x(l), u(l)) and
+    ``xs`` their x blocks, as views. From x(0) and the plan it fills
+    x(1..N), one model read ``read(z)`` per stage. A non-finite state
+    propagates to the later stages; callers test once, at the end."""
+    for z, x, x_next in zip(rows, xs, xs[1:]):
+        np.add(x, read(z), out=x_next)
+
+
+def _first_nonfinite(states: np.ndarray) -> int | None:
+    """Index of the first stage whose state is not finite, or None."""
+    bad = ~np.isfinite(states).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def rollout(model: SparseModel, x0, plan) -> np.ndarray:
@@ -168,7 +164,19 @@ def rollout(model: SparseModel, x0, plan) -> np.ndarray:
     the data they were fit on.
     """
     plan = np.atleast_2d(np.asarray(plan, dtype=float))
-    return _predict(model, np.asarray(x0, dtype=float).reshape(-1), plan)[0]
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    _check_shapes(model, x0, plan)
+    n = len(x0)
+    z = np.zeros((len(plan) + 1, n + plan.shape[1]))
+    z[0, :n] = x0
+    z[:-1, n:] = plan
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        _roll(model._f, list(z), list(z[:, :n]))
+    states = z[:, :n].copy()
+    step = _first_nonfinite(states)
+    if step is not None:
+        raise ModelBlowupError(step)
+    return states
 
 
 def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> float:
@@ -195,48 +203,198 @@ def bound_penalty(states: np.ndarray) -> float:
     return float(BOUND_PENALTY_WEIGHT * np.sum(over ** 2 + under ** 2))
 
 
-def _residual(states: np.ndarray, plan: np.ndarray, u_prev: np.ndarray,
-              cfg: MpcConfig) -> np.ndarray:
-    """Residual vector whose squared norm is objective + bound penalty.
+class _Iterate:
+    """One plan and its rollout, in buffers that a solve allocates once.
 
-    Blocks, in order: tracking deviations at stages 0..N (stage 0 is the
-    measured state, a constant), the bound-penalty hinge at stages 1..N, and
-    the weighted rate changes.
+    ``z`` row l holds (x(l), u(l)), row 0's x being the measurement (row N's
+    u is unused); ``u`` is u_prev followed by the flat plan ``v``; ``res`` is
+    the residual whose squared norm ``total`` is objective + bound penalty,
+    with blocks, in order: tracking deviations at stages 0..N, the
+    bound-penalty hinge at stages 1..N, and the weighted rate changes. The
+    other attributes are views of these, made once.
     """
-    interior = states[1:]
-    hinge = (np.maximum(interior - OCCUPANCY_MAX_PCT, 0.0)
-             - np.maximum(OCCUPANCY_MIN_PCT - interior, 0.0))
-    du = np.diff(np.vstack([u_prev, plan]), axis=0)
-    return np.concatenate([
-        (states - cfg.target_occupancy_pct).ravel(),
-        np.sqrt(BOUND_PENALTY_WEIGHT) * hinge.ravel(),
-        np.sqrt(RATE_CHANGE_WEIGHT) * du.ravel()])
+
+    __slots__ = ("z", "rows", "x", "xs", "interior", "plan_block", "u", "v",
+                 "v_rows", "u_before", "res", "track", "hinge", "rate", "total")
+
+    def __init__(self, x0: np.ndarray, u_prev: np.ndarray, horizon: int):
+        n, m = len(x0), len(u_prev)
+        self.z = np.zeros((horizon + 1, n + m))
+        self.rows = list(self.z)
+        self.x = self.z[:, :n]
+        self.x[0] = x0
+        self.xs = list(self.x)
+        self.interior = self.x[1:]
+        self.plan_block = self.z[:-1, n:]
+        self.u = np.empty((horizon + 1) * m)
+        self.u[:m] = u_prev
+        self.v = self.u[m:]
+        self.v_rows = self.v.reshape(horizon, m)
+        self.u_before = self.u[:-m]
+        self.res = np.empty((2 * horizon + 1) * n + horizon * m)
+        self.track = self.res[:(horizon + 1) * n].reshape(horizon + 1, n)
+        self.hinge = self.res[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(horizon, n)
+        self.rate = self.res[(2 * horizon + 1) * n:]
+        self.total = np.inf
 
 
-def _residual_jacobian(jacobians: list[np.ndarray],
-                       states: np.ndarray) -> np.ndarray:
-    """Jacobian of :func:`_residual` with respect to the flattened plan.
+class _Workspace:
+    """Every buffer of one solve: the accepted iterate ``cur``, the
+    line-search candidate ``cand`` (the two swap on acceptance), and the
+    residual Jacobian ``jac`` with respect to the flat plan.
 
-    ``jacobians`` are the stage model Jacobians df/dz from :func:`_predict`.
-    Forward sensitivities ``S(l) = dx(l)/du`` follow the predictor:
-    ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the
-    x and u blocks of df/dz and ``E(l)`` picking u(l).
+    The cost constants are read when the workspace is made, so a solve sees
+    the values in force at its call. The constant rate-change rows of
+    ``jac`` are filled here; :meth:`jacobian` rewrites the rest in place.
+    Creating a workspace measures ``plan``; it raises
+    :class:`ModelBlowupError` if that plan diverges.
     """
-    n_steps = len(jacobians)
-    n = states.shape[1]
-    m = jacobians[0].shape[1] - n
-    size = n_steps * m
-    sens = np.zeros((n_steps + 1, n, size))
-    for l, jac in enumerate(jacobians):
-        sens[l + 1] = sens[l] + jac[:, :n] @ sens[l]
-        sens[l + 1, :, l * m:(l + 1) * m] += jac[:, n:]
-    interior = states[1:]
-    active = (interior > OCCUPANCY_MAX_PCT) | (interior < OCCUPANCY_MIN_PCT)
-    return np.vstack([
-        sens.reshape(-1, size),
-        (np.sqrt(BOUND_PENALTY_WEIGHT) * active[:, :, None]
-         * sens[1:]).reshape(-1, size),
-        np.sqrt(RATE_CHANGE_WEIGHT) * (np.eye(size) - np.eye(size, k=-m))])
+
+    def __init__(self, model: SparseModel, x0: np.ndarray, u_prev: np.ndarray,
+                 cfg: MpcConfig, plan: np.ndarray):
+        _check_shapes(model, x0, plan)
+        n, m = len(x0), len(u_prev)
+        horizon = len(plan)
+        size = horizon * m
+        self.model = model
+        self.target = cfg.target_occupancy_pct
+        self.root_w = np.sqrt(BOUND_PENALTY_WEIGHT)
+        self.root_r = np.sqrt(RATE_CHANGE_WEIGHT)
+        self.cur = _Iterate(x0, u_prev, horizon)
+        self.cand = _Iterate(x0, u_prev, horizon)
+        # Rows: the sensitivities S(l) = dx(l)/du at stages 0..N (S(0) = 0),
+        # the hinge rows, then the constant rate-change rows.
+        self.jac = np.zeros(((2 * horizon + 1) * n + size, size))
+        sens = self.jac[:(horizon + 1) * n].reshape(horizon + 1, n, size)
+        self.sens = list(sens)
+        self.sens_interior = sens[1:]
+        # u(l)'s columns of S(l+1), where B(l) enters
+        self.sens_inputs = [sens[l + 1, :, l * m:(l + 1) * m] for l in range(horizon)]
+        self.hinge_rows = self.jac[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(
+            horizon, n, size)
+        self.jac[(2 * horizon + 1) * n:] = self.root_r * (
+            np.eye(size) - np.eye(size, k=-m))
+        self.cur.v[:] = plan.ravel()
+        self.measure(self.cur)
+
+    def measure(self, it: _Iterate) -> float:
+        """Roll out ``it.v`` and fill ``it.res`` and ``it.total``. Divergence
+        is read once, from the total; the stage is looked up only then."""
+        np.copyto(it.plan_block, it.v_rows)
+        _roll(self.model._f, it.rows, it.xs)
+        np.subtract(it.x, self.target, out=it.track)
+        np.subtract(np.maximum(it.interior - OCCUPANCY_MAX_PCT, 0.0),
+                    np.maximum(OCCUPANCY_MIN_PCT - it.interior, 0.0), out=it.hinge)
+        it.hinge *= self.root_w
+        np.subtract(it.v, it.u_before, out=it.rate)
+        it.rate *= self.root_r
+        it.total = float(it.res @ it.res)
+        if not math.isfinite(it.total):
+            step = _first_nonfinite(it.x)
+            if step is not None:
+                it.total = np.inf
+                raise ModelBlowupError(step)
+        return it.total
+
+    def jacobian(self) -> np.ndarray:
+        """Residual Jacobian at ``cur``, from forward sensitivities through
+        the stage model Jacobians df/dz read at ``cur``'s z rows:
+        ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the x and
+        u blocks of df/dz and ``E(l)`` picking u(l)."""
+        n = self.model.state_dim
+        read, rows, sens, inputs = self.model._df, self.cur.rows, self.sens, self.sens_inputs
+        # S(0) = 0, so S(1) = 0 + B(0) E(0): only u(0)'s columns change.
+        np.add(read(rows[0])[:, n:], 0.0, out=inputs[0])
+        for l in range(1, len(inputs)):
+            jac = read(rows[l])
+            np.matmul(jac[:, :n], sens[l], out=sens[l + 1])
+            sens[l + 1] += sens[l]
+            inputs[l] += jac[:, n:]
+        interior = self.cur.interior
+        active = (interior > OCCUPANCY_MAX_PCT) | (interior < OCCUPANCY_MIN_PCT)
+        np.multiply((self.root_w * active)[:, :, None], self.sens_interior,
+                    out=self.hinge_rows)
+        return self.jac
+
+    def accept(self) -> None:
+        self.cur, self.cand = self.cand, self.cur
+
+
+def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
+    """Projected Gauss-Newton iterations from ``ws.cur``, which ends at the
+    last accepted iterate. Returns (iterations, converged)."""
+    lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
+    width = hi - lo
+    damping = _DAMPING_START
+    iterations = 0
+    converged = False
+    for k in range(solver.max_iters):
+        iterations = k + 1
+        cur = ws.cur
+        v, total = cur.v, cur.total
+        jac = ws.jacobian()
+        grad = 2.0 * (jac.T @ cur.res)
+        proj = np.where(v <= lo, np.minimum(grad, 0.0),
+                        np.where(v >= hi, np.maximum(grad, 0.0), grad))
+        if np.abs(proj).max() * width <= solver.tolerance * (1.0 + total):
+            converged = True
+            break
+
+        gn = 2.0 * (jac.T @ jac)
+        diag = gn.diagonal()
+        scale = np.maximum(diag, _SCALE_FLOOR * diag.max())
+        # eps-active set: rates within eps of a bound that the gradient
+        # pushes outward; eps shrinks with the scaled projected step.
+        scaled = grad / scale
+        eps = min(_EPS_FRAC * width,
+                  float(np.abs(v - np.clip(v - scaled, lo, hi)).max()))
+        held = (((v <= lo + eps) & (grad > 0.0))
+                | ((v >= hi - eps) & (grad < 0.0)))
+        free = ~held
+        step = -scaled
+        free_gain = 0.0
+        if free.any():
+            # The free rates' block of J'J, damped on its diagonal.
+            block = gn[free][:, free]
+            block.flat[::len(block) + 1] += damping * scale[free]
+            grad_free = grad[free]
+            newton = np.linalg.solve(block, grad_free)
+            step[free] = -newton
+            free_gain = float(grad_free @ newton)
+        grad_held, v_held = grad[held], v[held]
+
+        alpha = 1.0
+        accepted = False
+        cand = ws.cand
+        for _ in range(_ARC_HALVINGS):
+            np.clip(v + alpha * step, lo, hi, out=cand.v)
+            if (cand.v == v).all():
+                break
+            # Sufficient decrease along the projection arc (Armijo rule of
+            # Bertsekas 1982, first-order gain split into free and held rates).
+            gain = alpha * free_gain
+            if v_held.size:
+                gain += float(grad_held @ (v_held - cand.v[held]))
+            try:
+                cand_total = ws.measure(cand)
+            except ModelBlowupError:
+                cand_total = np.inf
+            if cand_total < total - _ARMIJO * gain:
+                move = cand.v - v
+                predicted = -float(grad @ move + 0.5 * move @ gn @ move)
+                ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
+                ws.accept()
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break  # stalled: no decrease along the arc
+        if alpha < 1.0:
+            damping *= 2.0
+        else:
+            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                          _DAMPING_MIN)
+    return iterations, converged
 
 
 def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
@@ -258,88 +416,22 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
         raise ValueError(f"u_prev must have {model.input_dim} entries")
     lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     if warm_start is not None:
-        plan = np.clip(np.asarray(warm_start, dtype=float), lo, hi).copy()
+        plan = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
         if plan.shape != (cfg.horizon, model.input_dim):
             raise ValueError("warm start shape must be (horizon, input_dim)")
     else:
         plan = np.tile(np.clip(u_prev, lo, hi), (cfg.horizon, 1))
-
-    def measure(candidate):
-        try:
-            states, jacobians = _predict(model, x0, candidate)
-        except ModelBlowupError:
-            return None, None, None, np.inf
-        res = _residual(states, candidate, u_prev, cfg)
-        return states, jacobians, res, float(res @ res)
-
-    states, jacobians, res, total = measure(plan)
-    if states is None:
-        raise ModelBlowupError(0)
-
-    width = hi - lo
-    damping = _DAMPING_START
-    iterations = 0
-    converged = False
-    for it in range(cfg.solver.max_iters):
-        iterations = it + 1
-        v = plan.ravel()
-        jac = _residual_jacobian(jacobians, states)
-        grad = 2.0 * (jac.T @ res)
-        proj = np.where(v <= lo, np.minimum(grad, 0.0),
-                        np.where(v >= hi, np.maximum(grad, 0.0), grad))
-        if np.max(np.abs(proj)) * width <= cfg.solver.tolerance * (1.0 + total):
-            converged = True
-            break
-
-        gn = 2.0 * (jac.T @ jac)
-        diag = np.diag(gn)
-        scale = np.maximum(diag, _SCALE_FLOOR * np.max(diag))
-        # eps-active set: rates within eps of a bound that the gradient
-        # pushes outward; eps shrinks with the scaled projected step.
-        eps = min(_EPS_FRAC * width,
-                  float(np.max(np.abs(v - np.clip(v - grad / scale, lo, hi)))))
-        held = (((v <= lo + eps) & (grad > 0.0))
-                | ((v >= hi - eps) & (grad < 0.0)))
-        free = ~held
-        step = -grad / scale
-        if free.any():
-            block = gn[np.ix_(free, free)] + damping * np.diag(scale[free])
-            step[free] = -np.linalg.solve(block, grad[free])
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(_ARC_HALVINGS):
-            candidate = np.clip(v + alpha * step, lo, hi)
-            if np.array_equal(candidate, v):
-                break
-            # Sufficient decrease along the projection arc (Armijo rule of
-            # Bertsekas 1982, first-order gain split into free and held rates).
-            gain = (alpha * float(grad[free] @ -step[free])
-                    + float(grad[held] @ (v[held] - candidate[held])))
-            cand_plan = candidate.reshape(plan.shape)
-            cand_states, cand_jacobians, cand_res, cand_total = measure(cand_plan)
-            if cand_total < total - _ARMIJO * gain:
-                move = candidate - v
-                predicted = -float(grad @ move + 0.5 * move @ gn @ move)
-                ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
-                plan, states, res, total = cand_plan, cand_states, cand_res, cand_total
-                jacobians = cand_jacobians
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break  # stalled: no decrease along the arc
-        if alpha < 1.0:
-            damping *= 2.0
-        else:
-            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
-                          _DAMPING_MIN)
-
+    # A diverging rollout is reported as ModelBlowupError (the start plan) or
+    # rejected (a candidate), so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = _Workspace(model, x0, u_prev, cfg, plan)
+        iterations, converged = _search(ws, cfg.solver)
+    states = ws.cur.x.copy()
     penalty = bound_penalty(states)
     return MpcSolution(
-        plan=plan,
+        plan=ws.cur.v.reshape(plan.shape).copy(),
         states=states,
-        objective=total - penalty,
+        objective=ws.cur.total - penalty,
         penalty=penalty,
         iterations=iterations,
         converged=converged,

@@ -415,13 +415,17 @@ class SparseModel:
             raise ValueError(f"coefficients have shape {self.coefficients.shape}; "
                              f"the library needs {shape}")
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
+        # A linear library has no Q, so its reads are offset + L z and L. L is
+        # a contiguous copy: L z on a strided view of the coefficients rounds
+        # differently, while on a copy it matches (L + 0 z) z bit for bit.
         self._offset = self.coefficients[:, 0]
-        self._linear = self.coefficients[:, 1:1 + nz]
-        self._quad = np.zeros((n, nz, nz))
+        self._linear = np.ascontiguousarray(self.coefficients[:, 1:1 + nz])
+        self._quad = self._quad_sym = None
         if self.library.polynomial_order == 2:
             i, j = np.triu_indices(nz)
+            self._quad = np.zeros((n, nz, nz))
             self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
-        self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
+            self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -434,15 +438,23 @@ class SparseModel:
                 f"inputs, got {x.shape} and {u.shape}")
         return np.concatenate([x, u])
 
-    def _read(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(f, df/dz)`` at one stacked point ``z = (x, u)``, shapes (n,) and
-        (n, n + m). The planner calls it with a ready z buffer."""
-        return (self._offset + (self._linear + self._quad @ z) @ z,
-                self._linear + self._quad_sym @ z)
+    def _f(self, z: np.ndarray) -> np.ndarray:
+        """``f`` at one stacked point ``z = (x, u)``, shape (n,). The planner
+        calls it with a row of its z buffer."""
+        if self._quad is None:
+            return self._offset + self._linear @ z
+        return self._offset + (self._linear + self._quad @ z) @ z
+
+    def _df(self, z: np.ndarray) -> np.ndarray:
+        """``df/dz`` at one stacked point, shape (n, n + m). Read-only: a
+        linear library returns its stored coefficient block."""
+        if self._quad_sym is None:
+            return self._linear
+        return self._linear + self._quad_sym @ z
 
     def evaluate(self, x, u) -> np.ndarray:
         """Model derivative at one (x, u) point, physical units per step."""
-        return self._read(self._z(x, u))[0]
+        return self._f(self._z(x, u))
 
     def evaluate_batch(self, states, inputs) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -452,8 +464,8 @@ class SparseModel:
 
     def jacobian(self, x, u) -> tuple[np.ndarray, np.ndarray]:
         """``(df/dx, df/du)`` at one point, shapes (n, n) and (n, m)."""
-        sens = self._read(self._z(x, u))[1]
-        return sens[:, :self.state_dim], sens[:, self.state_dim:]
+        sens = self._df(self._z(x, u))
+        return sens[:, :self.state_dim].copy(), sens[:, self.state_dim:].copy()
 
     # -- introspection -----------------------------------------------------------
 

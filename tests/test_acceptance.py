@@ -187,9 +187,8 @@ def test_criterion_04_planner_gradient_matches_finite_differences(monkeypatch):
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        states, jacobians = mpc._predict(model, x0, plan)
-        res = mpc._residual(states, plan, u_prev, cfg)
-        jac = mpc._residual_jacobian(jacobians, states)
+        ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+        res, jac = ws.cur.res, ws.jacobian()
         grad = (2.0 * jac.T @ res).reshape(plan.shape)
         fd = _fd_gradient(model, x0, plan, u_prev, cfg)
         rel = (float(np.linalg.norm(grad - fd))

@@ -301,9 +301,20 @@ def test_report_summary_carries_solver_health(standard_report):
     by_name = {r.scenario: r for r in results}
     for name, health in summary["solver"].items():
         assert set(health) == {"solves", "converged_frac", "iterations",
-                               "solve_ms", "fallbacks"}
+                               "solve_ms", "fallbacks", "burn_in", "recorded"}
         steps = by_name[name].solver_diagnostics[0]
         assert health["solves"] == len(steps) == steps_per_seed
+        # The split follows the episode record: burn-in windows, then the
+        # recorded ones, with every solve's iterations and time in one of them.
+        burn_in, recorded = health["burn_in"], health["recorded"]
+        assert burn_in["solves"] == round(config.burn_in_s / config.control_step_s)
+        assert recorded["solves"] == len(by_name[name].records[0])
+        assert burn_in["iterations"] + recorded["iterations"] == sum(
+            step["iterations"] for step in steps)
+        assert recorded["iterations"] == sum(
+            step["iterations"] for step in steps[burn_in["solves"]:])
+        assert burn_in["solve_s"] + recorded["solve_s"] == pytest.approx(
+            sum(step["solve_time_s"] for step in steps))
         assert health["fallbacks"] == 0
         assert health["converged_frac"] == pytest.approx(
             np.mean([step["converged"] for step in steps]))

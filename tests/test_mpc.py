@@ -87,20 +87,25 @@ def test_rollout_rejects_mismatched_shapes():
         rollout(model, [1.0], [[1.0, 2.0]])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rollout_reports_the_step_that_diverged():
+    """x' = x^2 squares the state each step: 1e50 -> 1e100 -> 1e200 -> inf.
+    The rollout tests finiteness once, after the last stage, and still
+    names the first stage that overflowed."""
     rng = np.random.default_rng(1)
     x = rng.uniform(0.5, 3.0, size=(300, 1))
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
     grower = fit_derivatives(x, u, (x[:, 0] ** 2).reshape(-1, 1))
-    with pytest.raises(ModelBlowupError) as exc:
-        rollout(grower, [1e200], np.full((4, 1), 0.0))
-    assert exc.value.step == 1
+    for x0, step in ((1e200, 1), (1e100, 2), (1e50, 3)):
+        with pytest.raises(ModelBlowupError) as exc:
+            rollout(grower, [x0], np.full((4, 1), 0.0))
+        assert exc.value.step == step
 
 
 def test_prediction_keeps_the_public_states_and_jacobians():
-    """The planner's one read per stage gives exactly what ``rollout`` and
-    ``model.jacobian`` give, for quadratic and linear libraries."""
+    """The planner's workspace holds exactly the states ``rollout`` and
+    ``model.evaluate`` give, and its stage reads of df/dz are exactly what
+    ``model.jacobian`` gives, for quadratic and linear libraries."""
     rng = np.random.default_rng(13)
     x = rng.uniform(0.0, 30.0, size=(400, 3))
     u = rng.uniform(200.0, 1800.0, size=(400, 2))
@@ -110,12 +115,14 @@ def test_prediction_keeps_the_public_states_and_jacobians():
     plan = rng.uniform(300.0, 1700.0, size=(4, 2))
     for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)):
         model = fit_derivatives(x, u, y, library=spec)
-        states, jacobians = mpc._predict(model, x0, plan)
+        ws = mpc._Workspace(model, x0, plan[0], MpcConfig(), plan)
+        states = ws.cur.x
         assert np.array_equal(states, rollout(model, x0, plan))
-        assert len(jacobians) == len(plan)
-        for l, jac in enumerate(jacobians):
+        for l in range(len(plan)):
+            assert np.array_equal(ws.cur.z[l], np.concatenate([states[l], plan[l]]))
             assert np.array_equal(states[l + 1], states[l] + model.evaluate(
                 states[l], plan[l]))
+            jac = model._df(ws.cur.z[l])
             jac_x, jac_u = model.jacobian(states[l], plan[l])
             assert np.array_equal(jac[:, :3], jac_x)
             assert np.array_equal(jac[:, 3:], jac_u)
@@ -131,9 +138,8 @@ def _total_cost(model, x0, plan, u_prev, cfg):
 def _solver_gradient(model, x0, plan, u_prev, cfg):
     """2 J'r from the solver's own residual and residual Jacobian, with
     |r|^2 checked against objective + bound penalty."""
-    states, jacobians = mpc._predict(model, x0, plan)
-    res = mpc._residual(states, plan, u_prev, cfg)
-    jac = mpc._residual_jacobian(jacobians, states)
+    ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+    states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
     assert res @ res == pytest.approx(
         objective(states, plan, u_prev, cfg) + bound_penalty(states),
         rel=1e-12)
@@ -241,9 +247,8 @@ def test_residual_jacobian_gives_the_adjoint_gradient(monkeypatch):
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        states, jacobians = mpc._predict(model, x0, plan)
-        res = mpc._residual(states, plan, u_prev, cfg)
-        jac = mpc._residual_jacobian(jacobians, states)
+        ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+        states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
         penalty = bound_penalty(states)
         if trial % 3:
             assert penalty > 0.0
@@ -288,6 +293,89 @@ def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
     capped = solve(model, x0, u_prev,
                    replace(cfg, solver=SolverSettings(max_iters=2)))
     assert capped.iterations == 2 and not capped.converged
+
+
+def test_solve_reads_the_rate_change_weight_at_call_time(monkeypatch):
+    """Each solve reads the cost constants when it starts: a large
+    ``RATE_CHANGE_WEIGHT`` keeps the plan near u_prev and the reported
+    objective carries the rate-change term, and putting the weight back
+    gives the first plan again, bit for bit."""
+    model = _two_corridors()
+    cfg = MpcConfig(horizon=4)
+    x0, u_prev = [60.0, 2.0], np.array([1000.0, 1000.0])
+
+    def rate_changes(plan):
+        return np.diff(np.vstack([u_prev, plan]), axis=0)
+
+    free = solve(model, x0, u_prev, cfg)
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 0.01)
+    damped = solve(model, x0, u_prev, cfg)
+    assert (np.abs(rate_changes(damped.plan)).sum()
+            < 0.1 * np.abs(rate_changes(free.plan)).sum())
+    rate_term = 0.01 * np.sum(rate_changes(damped.plan) ** 2)
+    assert rate_term > 1.0
+    assert damped.objective == pytest.approx(
+        np.sum((damped.states - cfg.target_occupancy_pct) ** 2) + rate_term,
+        rel=1e-12)
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 0.0)
+    again = solve(model, x0, u_prev, cfg)
+    assert np.array_equal(again.plan, free.plan)
+    assert again.iterations == free.iterations
+
+
+def test_a_candidate_that_diverges_is_rejected():
+    """The first line-search candidate's rollout leaves the finite range at
+    its third stage. The search rejects it and goes on: the plan and states
+    are finite, the cost is below the start's, and ``converged`` is the
+    projected-gradient test at the returned plan."""
+    model = _two_corridors()
+    cfg = MpcConfig(horizon=4)
+    x0, u_prev = np.array([60.0, 2.0]), np.array([1000.0, 1000.0])
+    read = model._f
+    reads = 0
+
+    def diverging(z):
+        nonlocal reads
+        reads += 1
+        # reads 1-4 measure the start plan, 5-8 the first candidate
+        return np.full(2, np.inf) if reads == 7 else read(z)
+
+    model._f = diverging
+    sol = solve(model, x0, u_prev, cfg)
+    del model._f
+    assert reads > 8
+    assert np.all(np.isfinite(sol.plan)) and np.all(np.isfinite(sol.states))
+    assert np.array_equal(sol.states, rollout(model, x0, sol.plan))
+    start = np.tile(u_prev, (cfg.horizon, 1))
+    assert sol.objective + sol.penalty < _total_cost(model, x0, start, u_prev, cfg)
+    grad = _solver_gradient(model, x0, sol.plan, u_prev, cfg)
+    lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
+    projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
+                         np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
+    assert sol.converged
+    assert (np.max(np.abs(projected)) * (hi - lo)
+            <= cfg.solver.tolerance * (1.0 + sol.objective + sol.penalty))
+
+
+def test_returned_plans_share_no_memory_with_later_solves():
+    """A solution's plan and states, and the controller's ``last_plan``,
+    stay as they were while later solves run."""
+    rng = np.random.default_rng(11)
+    model = _random_model(rng, 2, 2)
+    cfg = MpcConfig(horizon=3)
+    first = solve(model, [20.0, 22.0], [900.0, 1100.0], cfg)
+    plan, states = first.plan.copy(), first.states.copy()
+    controller = MpcController(model, cfg)
+    controller(_obs([20.0, 22.0]))
+    last_plan = controller.last_plan
+    kept = last_plan.copy()
+    for k in range(3):
+        solve(model, [10.0 + k, 25.0], [1500.0, 300.0], cfg)
+        controller(_obs([12.0 + 3 * k, 28.0], time_s=60.0 + 30.0 * k))
+    assert np.array_equal(first.plan, plan)
+    assert np.array_equal(first.states, states)
+    assert np.array_equal(last_plan, kept)
+    assert not np.shares_memory(first.plan, first.states)
 
 
 def test_solve_is_monotone_and_feasible():
