@@ -292,7 +292,6 @@ class _Workspace:
         if not math.isfinite(it.total):
             step = _first_nonfinite(it.x)
             if step is not None:
-                it.total = np.inf
                 raise ModelBlowupError(step)
         return it.total
 
@@ -303,7 +302,8 @@ class _Workspace:
         u blocks of df/dz and ``E(l)`` picking u(l)."""
         n = self.model.state_dim
         read, rows, sens, inputs = self.model._df, self.cur.rows, self.sens, self.sens_inputs
-        # S(0) = 0, so S(1) = 0 + B(0) E(0): only u(0)'s columns change.
+        # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
+        # other columns staying 0.
         np.add(read(rows[0])[:, n:], 0.0, out=inputs[0])
         for l in range(1, len(inputs)):
             jac = read(rows[l])

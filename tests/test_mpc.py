@@ -87,7 +87,7 @@ def test_rollout_rejects_mismatched_shapes():
         rollout(model, [1.0], [[1.0, 2.0]])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_rollout_reports_the_step_that_diverged():
     """x' = x^2 squares the state each step: 1e50 -> 1e100 -> 1e200 -> inf.
     The rollout tests finiteness once, after the last stage, and still
