@@ -319,20 +319,25 @@ def _benchmark_short_config():
 
 
 # sha256 of (times, occupancy, flow, speed, rates, green seconds) of one
-# ALINEA episode. The corridor's was recorded from the array implementation
-# of the plant that preceded the scalar one, the junction case's from the
-# scalar plant with a detector on each ramp's merge cell; any change to the
-# plant's float arithmetic or its draw order shows here. The digests also depend on numpy's
-# Generator.poisson stream, which NEP 19 lets a numpy release change: they
-# were recorded with numpy 2.4, and a numpy upgrade that fails this test
-# without a plant change needs them recorded again.
-@pytest.mark.parametrize("make_config, seed, digest", [
+# ALINEA episode, and its recorded-window drops as an exact float (the
+# running sum of every step's drops, which the sidecar stores). The
+# corridor's digest was recorded from the array implementation of the plant
+# that preceded the scalar one, the junction case's from the scalar plant
+# with a detector on each ramp's merge cell; any change to the plant's float
+# arithmetic, its draw order or the order its books add up shows here. The
+# pins also depend on numpy's Generator.poisson stream, which NEP 19 lets a
+# numpy release change: they were recorded with numpy 2.4, and a numpy
+# upgrade that fails this test without a plant change needs them recorded
+# again.
+@pytest.mark.parametrize("make_config, seed, digest, dropped_veh", [
     (_benchmark_short_config, 21,
-     "98bbd4958c0884a491926cb4496df58e6a1640f807bfebd3256102018634b3c2"),
+     "98bbd4958c0884a491926cb4496df58e6a1640f807bfebd3256102018634b3c2",
+     2500.10059839847),
     (_two_highway_config, 5,
-     "3df0b128d785640603f19b1960303c860946ffb0d8984b8b48b501fcb6c11c80"),
+     "3df0b128d785640603f19b1960303c860946ffb0d8984b8b48b501fcb6c11c80",
+     337.72806550473416),
 ], ids=["benchmark-corridor", "junction-and-two-ramps"])
-def test_episode_digests_are_pinned(make_config, seed, digest):
+def test_episode_digests_are_pinned(make_config, seed, digest, dropped_veh):
     cfg = make_config()
     rec = run_episode(cfg, MeterBank(cfg.n_ramps, 15.0, *ALINEA_GAINS), seed=seed)
     h = hashlib.sha256()
@@ -342,6 +347,7 @@ def test_episode_digests_are_pinned(make_config, seed, digest):
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
+    assert rec.dropped_veh == dropped_veh
 
 
 def test_run_episode_rejects_wrong_controller_shape():
