@@ -91,6 +91,9 @@ def _cmd_run(args) -> int:
         print(f"{res.scenario:>11}: |occ-target| {res.average_deviation:7.3f} %   "
               f"flow {res.average_flow:7.1f} veh/h   "
               f"green {res.average_green_pct:5.1f} %")
+        split = res.time_split_s
+        print(f"{'':>13}time: plant {split['plant']:.2f} s   controller "
+              f"{split['controller']:.2f} s   rest {split['rest']:.2f} s")
         health = res.solver_health()
         if health is not None and health["solves"]:
             its, ms = health["iterations"], health["solve_ms"]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
                        RATE_MAX_VPH, MeterBank, green_percentage)
@@ -140,6 +141,16 @@ class ScenarioResult:
     @property
     def average_green_pct(self) -> float:
         return float(self.green_pct.mean())
+
+    @property
+    def time_split_s(self) -> dict | None:
+        """Wall seconds of the scenario's episodes in plant, controller and
+        rest (see ``run_episode``), summed over seeds; None for episodes
+        read back from CSV, which do not carry the split."""
+        splits = [r.time_split_s for r in self.records]
+        if any(split is None for split in splits):
+            return None
+        return {part: sum(split[part] for split in splits) for part in splits[0]}
 
     @property
     def measured_green_pct(self) -> np.ndarray:
@@ -326,9 +337,18 @@ def _write_table(path: Path, row_labels, columns: dict) -> None:
 
 
 def _smooth(series: np.ndarray, width: int = SERIES_SMOOTH_STEPS) -> np.ndarray:
+    """Trailing moving average along axis 0: row k is the mean of rows
+    k - width + 1 .. k, or of rows 0 .. k while there are fewer.
+
+    numpy adds fewer than eight terms in order, so up to width 7 each row
+    equals ``series[max(0, k - width + 1):k + 1].mean(axis=0)`` bit for bit.
+    """
     out = np.empty_like(series, dtype=float)
-    for k in range(len(series)):
-        out[k] = series[max(0, k - width + 1):k + 1].mean()
+    head = min(width - 1, len(series))
+    for k in range(head):
+        out[k] = series[:k + 1].mean(axis=0)
+    if len(series) >= width:
+        out[head:] = sliding_window_view(series, width, axis=0).mean(axis=-1)
     return out
 
 
@@ -338,10 +358,8 @@ def _write_series(path: Path, result: ScenarioResult, sensor_ids) -> None:
         writer.writerow(["seed", "time_s", "sensor", "occupancy_pct",
                          "flow_vph", "occupancy_smooth_pct", "flow_smooth_vph"])
         for seed, record in zip(result.seeds, result.records):
-            occ_s = np.column_stack(
-                [_smooth(record.occupancy[:, j]) for j in range(len(sensor_ids))])
-            flow_s = np.column_stack(
-                [_smooth(record.flow[:, j]) for j in range(len(sensor_ids))])
+            occ_s = _smooth(record.occupancy)
+            flow_s = _smooth(record.flow)
             for j, sensor in enumerate(sensor_ids):
                 for k in range(len(record)):
                     writer.writerow([
@@ -454,6 +472,8 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
             } for res in results
         },
         "runtime_s": {res.scenario: res.runtime_s for res in results},
+        "time_split_s": {res.scenario: res.time_split_s for res in results
+                         if res.time_split_s is not None},
         "solver": {res.scenario: res.solver_health() for res in results
                    if res.solver_diagnostics is not None},
         "models": {name: model.provenance

@@ -29,14 +29,21 @@ row. numpy fills the block in row order with exactly the draws that one
 scalar call per source and step would give, and a zero-demand source takes
 no bits, so demand realizations depend on the seed alone.
 
-The step itself runs on Python floats: it reads the state arrays with
-``tolist()``, loops over per-cell constant tuples compiled once in
-``__init__``, and writes the new state back as arrays. On the benchmark's 34
-cells a numpy call on an 8-34 element array costs about as much as the
-arithmetic it does, so a step written as ~90 such calls was only 1.25-1.3x
-faster than one looping over objects, while the scalar loops are 2-3x
-faster. The loops keep the array version's float expressions in the same
-order, so episodes are bit-identical to it.
+The steps run on Python floats in one window kernel,
+:meth:`TrafficPlant.advance`, which the episode runner calls once per
+control window with that window's arrival block. It reads the state arrays
+with ``tolist()`` once per call, binds the per-cell constant tuples compiled
+in ``__init__`` to locals, computes the next step's send, receive and
+discharge in the loop that updates density, and writes the state back as
+arrays when the block is done; :meth:`TrafficPlant.step` is the kernel on a
+one-row block. On the benchmark's 34 cells a numpy call on an 8-34 element
+array costs about as much as the arithmetic it does, so a step written as
+~90 such calls was only 1.25-1.3x faster than one looping over objects,
+while scalar loops are 2-3x faster. One call per window instead of one per
+step took a benchmark ALINEA episode from 0.33 s to 0.24-0.26 s of CPU time
+(medians of 16 interleaved episodes; 2 vCPUs, Python 3.11, numpy 2.4).
+The loops keep the array version's float expressions in the same order, so
+episodes are bit-identical to it.
 
 Units: densities veh/km/lane, flows veh/h, queues veh, time s. One simulation
 step is ``config.sim_step_s`` (1 s in the benchmark).
@@ -47,6 +54,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,12 +166,13 @@ class TrafficPlant:
     """Simulates one network. Owns densities, queues, and signals.
 
     The caller owns the RNG: :meth:`draw_arrivals` samples a block of
-    arrivals from it and :meth:`step` consumes one row of that block, so
-    episode randomness is reproducible and independent of control actions.
-    ``density``, ``entry_queues`` and ``ramp_queues`` are numpy arrays that
-    a step reads when it starts and replaces when it ends; writing into them
-    between steps sets the state. Every meter starts at
-    ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates` publishes new rates.
+    arrivals from it and :meth:`advance` runs one step per row of that block
+    (:meth:`step` one row), so episode randomness is reproducible and
+    independent of control actions. ``density``, ``entry_queues`` and
+    ``ramp_queues`` are numpy arrays that a call reads when it starts and
+    replaces when it ends; writing into them between calls sets the state.
+    Every meter starts at ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates`
+    publishes new rates.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -230,6 +239,9 @@ class TrafficPlant:
         # Each ramp's detector sits in its merge cell.
         self._sensors = tuple((c, cells[c].vehicle_length_m / 10.0)
                               for c in ramp_cells)
+        self._sensor_vf = np.array([consts[c][0] for c in ramp_cells])
+        self._sensor_lanes = np.array([consts[c][2] for c in ramp_cells])
+        self._veh_factor = np.array([c[7] for c in consts])
 
         self.time_s = 0.0
         self.density = np.zeros(len(cells))
@@ -261,8 +273,7 @@ class TrafficPlant:
 
     def total_vehicles(self) -> float:
         """All vehicles currently inside: cells plus every kind of queue."""
-        veh_factor = np.array([c[7] for c in self._cell_consts])
-        return float(self.density @ veh_factor
+        return float(self.density @ self._veh_factor
                      + self.entry_queues.sum() + self.ramp_queues.sum())
 
     def draw_arrivals(self, steps: int, rng) -> list[list[int]]:
@@ -292,44 +303,13 @@ class TrafficPlant:
             q_main = supply - d_side
         return q_main, supply - q_main
 
-    def step(self, arrivals) -> StepInfo:
-        """Advance one simulation step; returns the vehicle bookkeeping.
-
-        ``arrivals`` is one row of :meth:`draw_arrivals`: the vehicles that
-        reach each source (highways, then ramps) during this step.
-        """
-        ts = self.config.sim_step_s
-        ts_h = ts / 3600.0
-        merge = self._merge
-        rho = self.density.tolist()
-        entry = self.entry_queues.tolist()
-        queues = self.ramp_queues.tolist()
-        ema = self._merge_flow_ema.tolist()
-
-        # Arrivals, summed in source order: highways, then ramps. A source
-        # with no arrival changes nothing.
-        n_hw = len(entry)
-        total = dropped = 0.0
-        for i in range(n_hw):
-            a = arrivals[i]
-            if a:
-                entry[i] += a
-                total += a
-        for j, (_, qcap, _, _) in enumerate(self._ramps):
-            a = arrivals[n_hw + j]
-            if a:
-                room = qcap - queues[j]
-                taken = a if a <= room else room if room > 0.0 else 0.0
-                queues[j] += taken
-                total += a
-                dropped += a - taken
-
-        # Demand (send), supply (recv) and the capacity drop: whatever a cell
-        # actually discharges (after the demand/supply min) is scaled by how
-        # far over critical it runs. Queue releases are not scaled, only
-        # cell-to-cell and exit flux.
+    def _cell_fluxes(self, rho):
+        """(send, recv, dis) of every cell at densities ``rho``: demand and
+        supply in veh/h and the capacity-drop factor on discharge. The
+        kernel's density loop repeats these expressions for the next step."""
         send, recv, dis = [], [], []
-        for r, (vf, cap, lanes, wave, jam, crit, span, _) in zip(rho, self._cell_consts):
+        consts = self._cell_consts
+        for r, (vf, cap, lanes, wave, jam, crit, span, _) in zip(rho, consts):
             q = vf * r
             send.append((q if q < cap else cap) * lanes)
             q = wave * (jam - r)
@@ -341,90 +321,167 @@ class TrafficPlant:
             else:
                 over = (r - crit) / span
                 dis.append(1.0 - CAPACITY_DROP_FRAC * (over if over < 1.0 else 1.0))
+        return send, recv, dis
 
-        # Merge turbulence: recent ramp admissions brake the merge cell's own
-        # discharge, the more so the denser the cell already runs.
-        for j, (g, crit, cap) in enumerate(self._friction):
-            dens_fac = rho[g] / crit
-            if dens_fac > 2.0:
-                dens_fac = 2.0
-            keep = 1.0 - MERGE_FRICTION_FRAC * dens_fac * ema[j] / cap
-            dis[g] *= keep if keep > 0.5 else 0.5
+    def advance(self, block, ledgers=()) -> None:
+        """Run one simulation step per row of ``block``.
 
-        n = len(rho)
-        inflow = [0.0] * n  # veh/h
-        outflow = [0.0] * n
-        for p, c in self._plain:
-            q = send[p]
-            if recv[c] < q:
-                q = recv[c]
-            q *= dis[p]
-            inflow[c] = q
-            outflow[p] = q
+        ``block`` holds rows of :meth:`draw_arrivals`: the vehicles that
+        reach each source (highways, then ramps) during each step. The state
+        arrays are read when the call starts and replaced when it ends. After
+        every step its arrivals (pre-drop), ramp drops and exits, in veh, are
+        added to items 0, 1 and 2 of each list in ``ledgers``.
+        """
+        ts = self.config.sim_step_s
+        ts_h = ts / 3600.0
+        merge = self._merge
+        consts = self._cell_consts
+        plain, junctions, ramps = self._plain, self._junctions, self._ramps
+        friction, chains, sensors = self._friction, self._chains, self._sensors
+        signals = self.signals
+        occ_sum, dens_sum = self._occ_sum, self._dens_sum
+        passed_veh, green_s = self._passed_veh, self._green_s
+        rho = self.density.tolist()
+        entry = self.entry_queues.tolist()
+        queues = self.ramp_queues.tolist()
+        ema = self._merge_flow_ema.tolist()
+        time_s = self.time_s
+        n, n_hw = len(rho), len(entry)
 
-        # Diverges: the continuation branch and the side branch, which
-        # competes with the target's own upstream cell for its supply.
-        for p, t, ratio, priority in self._junctions:
-            cont = min((1.0 - ratio) * send[p], recv[p + 1]) * dis[p]
-            inflow[p + 1] = cont
-            q_main, q_side = merge(send[t - 1], ratio * send[p], recv[t], priority)
-            q_main *= dis[t - 1]
-            q_side *= dis[p]
-            inflow[t] = q_main + q_side
-            outflow[t - 1] = q_main
-            outflow[p] = cont + q_side
+        # Demand (send), supply (recv) and the capacity drop: whatever a cell
+        # actually discharges (after the demand/supply min) is scaled by how
+        # far over critical it runs. Queue releases are not scaled, only
+        # cell-to-cell and exit flux.
+        send, recv, dis = self._cell_fluxes(rho)
+        for arrivals in block:
+            # Arrivals, summed in source order: highways, then ramps. A
+            # source with no arrival changes nothing.
+            total = dropped = 0.0
+            for i in range(n_hw):
+                a = arrivals[i]
+                if a:
+                    entry[i] += a
+                    total += a
+            for j, (_, qcap, _, _) in enumerate(ramps):
+                a = arrivals[n_hw + j]
+                if a:
+                    room = qcap - queues[j]
+                    taken = a if a <= room else room if room > 0.0 else 0.0
+                    queues[j] += taken
+                    total += a
+                    dropped += a - taken
 
-        # Ramp merges, gated by the meter's green quota.
-        for j, (g, _, priority, sig) in enumerate(self._ramps):
-            avail = queues[j]
-            if sig.phase != "green":
-                avail = 0.0
-            elif sig.quota_veh < avail:
-                avail = sig.quota_veh
-            q_main, q_ramp = merge(send[g - 1], avail / ts_h, recv[g], priority)
-            q_main *= dis[g - 1]
-            admitted = q_ramp * ts_h
-            queues[j] -= admitted
-            quota = sig.quota_veh - admitted
-            sig.quota_veh = quota if quota > 0.0 else 0.0
-            inflow[g] = q_main + q_ramp
-            outflow[g - 1] = q_main
-            ema[j] += (q_ramp - ema[j]) * ts / MERGE_RELAX_S
+            # Merge turbulence: recent ramp admissions brake the merge cell's
+            # own discharge, the more so the denser the cell already runs.
+            for j, (g, crit, cap) in enumerate(friction):
+                dens_fac = rho[g] / crit
+                if dens_fac > 2.0:
+                    dens_fac = 2.0
+                keep = 1.0 - MERGE_FRICTION_FRAC * dens_fac * ema[j] / cap
+                dis[g] *= keep if keep > 0.5 else 0.5
 
-        # Entry queues feed each highway's first cell; its last cell exits.
-        exits = 0.0
-        for i, (s, last) in enumerate(self._chains):
-            q_in = min(entry[i] / ts_h, recv[s])
-            inflow[s] = q_in
-            entry[i] -= q_in * ts_h
-            q = send[last] * dis[last]
-            outflow[last] = q
-            exits += q * ts_h
+            inflow = [0.0] * n  # veh/h
+            outflow = [0.0] * n
+            for p, c in plain:
+                q = send[p]
+                if recv[c] < q:
+                    q = recv[c]
+                q *= dis[p]
+                inflow[c] = q
+                outflow[p] = q
 
-        density = []
-        for r, q_in, q_out, (_, _, _, _, jam, _, _, veh_factor) in zip(
-                rho, inflow, outflow, self._cell_consts):
-            d = r + (q_in - q_out) * ts_h / veh_factor
-            density.append(0.0 if d <= 0.0 else jam if d >= jam else d)
+            # Diverges: the continuation branch and the side branch, which
+            # competes with the target's own upstream cell for its supply.
+            for p, t, ratio, priority in junctions:
+                cont = min((1.0 - ratio) * send[p], recv[p + 1]) * dis[p]
+                inflow[p + 1] = cont
+                q_main, q_side = merge(send[t - 1], ratio * send[p], recv[t], priority)
+                q_main *= dis[t - 1]
+                q_side *= dis[p]
+                inflow[t] = q_main + q_side
+                outflow[t - 1] = q_main
+                outflow[p] = cont + q_side
 
-        for k, (c, occ_factor) in enumerate(self._sensors):
-            d = density[c]
-            occ = d * occ_factor
-            self._occ_sum[k] += occ if occ < 100.0 else 100.0
-            self._dens_sum[k] += d
-            self._passed_veh[k] += outflow[c] * ts_h
-        for k, sig in enumerate(self.signals):
-            if sig.phase == "green":
-                self._green_s[k] += ts
-            sig.advance(ts)
+            # Ramp merges, gated by the meter's green quota.
+            for j, (g, _, priority, sig) in enumerate(ramps):
+                avail = queues[j]
+                if sig.phase != "green":
+                    avail = 0.0
+                elif sig.quota_veh < avail:
+                    avail = sig.quota_veh
+                q_main, q_ramp = merge(send[g - 1], avail / ts_h, recv[g], priority)
+                q_main *= dis[g - 1]
+                admitted = q_ramp * ts_h
+                queues[j] -= admitted
+                quota = sig.quota_veh - admitted
+                sig.quota_veh = quota if quota > 0.0 else 0.0
+                inflow[g] = q_main + q_ramp
+                outflow[g - 1] = q_main
+                ema[j] += (q_ramp - ema[j]) * ts / MERGE_RELAX_S
 
-        self.density = np.array(density)
+            # Entry queues feed each highway's first cell; its last cell exits.
+            exits = 0.0
+            for i, (s, last) in enumerate(chains):
+                q_in = min(entry[i] / ts_h, recv[s])
+                inflow[s] = q_in
+                entry[i] -= q_in * ts_h
+                q = send[last] * dis[last]
+                outflow[last] = q
+                exits += q * ts_h
+
+            # New densities, and from each the next step's send, recv and
+            # dis (the expressions of _cell_fluxes).
+            density, send, recv, dis = [], [], [], []
+            for r, q_in, q_out, (vf, cap, lanes, wave, jam, crit, span,
+                                 veh_factor) in zip(rho, inflow, outflow, consts):
+                d = r + (q_in - q_out) * ts_h / veh_factor
+                r = 0.0 if d <= 0.0 else jam if d >= jam else d
+                density.append(r)
+                q = vf * r
+                send.append((q if q < cap else cap) * lanes)
+                q = wave * (jam - r)
+                if q > cap:
+                    q = cap
+                recv.append((q if q > 0.0 else 0.0) * lanes)
+                if r <= crit:
+                    dis.append(1.0)
+                else:
+                    over = (r - crit) / span
+                    dis.append(1.0 - CAPACITY_DROP_FRAC * (over if over < 1.0 else 1.0))
+            rho = density
+
+            for k, (c, occ_factor) in enumerate(sensors):
+                d = rho[c]
+                occ = d * occ_factor
+                occ_sum[k] += occ if occ < 100.0 else 100.0
+                dens_sum[k] += d
+                passed_veh[k] += outflow[c] * ts_h
+            for k, sig in enumerate(signals):
+                if sig.phase == "green":
+                    green_s[k] += ts
+                sig.advance(ts)
+            time_s += ts
+            for ledger in ledgers:
+                ledger[0] += total
+                ledger[1] += dropped
+                ledger[2] += exits
+
+        self.density = np.array(rho)
         self.entry_queues = np.array(entry)
         self.ramp_queues = np.array(queues)
         self._merge_flow_ema = np.array(ema)
-        self.time_s += ts
-        self._steps_in_window += 1
-        return StepInfo(arrivals_veh=total, dropped_veh=dropped, exits_veh=exits)
+        self.time_s = time_s
+        self._steps_in_window += len(block)
+
+    def step(self, arrivals) -> StepInfo:
+        """Advance one simulation step; returns the vehicle bookkeeping.
+
+        ``arrivals`` is one row of :meth:`draw_arrivals`. This is
+        :meth:`advance` on a one-row block.
+        """
+        books = [0.0, 0.0, 0.0]
+        self.advance((arrivals,), (books,))
+        return StepInfo(*books)
 
     # -- sensor aggregation ------------------------------------------------------
 
@@ -437,12 +494,9 @@ class TrafficPlant:
         occupancy = np.array(self._occ_sum) / steps
         flow = np.array(self._passed_veh) * 3600.0 / window_s
         mean_density = np.array(self._dens_sum) / steps
-        cell = [self._cell_consts[c] for c, _ in self._sensors]
-        vf = np.array([consts[0] for consts in cell])
-        lanes = np.array([consts[2] for consts in cell])
         with np.errstate(divide="ignore", invalid="ignore"):
-            speed = flow / (mean_density * lanes)
-        speed = np.where(mean_density > 1e-9, speed, vf)
+            speed = flow / (mean_density * self._sensor_lanes)
+        speed = np.where(mean_density > 1e-9, speed, self._sensor_vf)
         obs = ControlObservation(
             time_s=self.time_s, occupancy=occupancy, flow=flow, speed=speed)
         green = np.array(self._green_s)
@@ -473,6 +527,10 @@ class EpisodeRecord:
     green_seconds: np.ndarray  # (m,) green time during the recorded window
     dropped_veh: float = 0.0  # ramp arrivals lost during the recorded window
     clamp_events: int = 0  # proposed rates clamped during the recorded window
+    # Wall seconds of the whole episode in "plant", "controller" and "rest"
+    # (see run_episode). It describes the run, not the traffic, so it stays
+    # in memory: the CSV and its sidecar do not carry it.
+    time_split_s: dict | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -578,12 +636,23 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     ``seed`` seeds the episode's arrivals. The controller is a callable
     mapping a :class:`ControlObservation` to an array of metering rates, one
     per ramp. It runs during burn-in too, but only the control window is
-    recorded. Rates outside [200, 1800] veh/h are clamped. The record's clamp events (logged once at the end), drops
-    and green seconds cover the control window only.
+    recorded. Rates outside [200, 1800] veh/h are clamped. The record's
+    clamp events (logged once at the end), drops and green seconds cover the
+    control window only.
+
+    The plant runs one :meth:`TrafficPlant.advance` call per control window.
+    Two clock reads per window split the episode's wall time in the record's
+    ``time_split_s``: "controller" is the controller calls, "plant" the rest
+    of each window (drawing arrivals, the window's steps, the sensor read,
+    clamping and recording the answer, publishing the rates), and "rest"
+    what lies outside the window loop (building the plant, the audit and the
+    record).
+
     Raises :class:`ConservationError` if the whole episode's arrivals minus
     drops minus exits differ from the change in stored vehicles by more than
     ``CONSERVATION_TOL_VEH``.
     """
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     plant = TrafficPlant(config)
     m = config.n_ramps
@@ -596,20 +665,23 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     times, occs, flows, speeds, rate_rows = [], [], [], [], []
     green_total = np.zeros(m)
     stored_before = plant.total_vehicles()
-    arrivals = dropped = exits = 0.0
-    recorded_dropped = 0.0
+    # [arrivals, drops, exits] of the whole episode and of the recorded
+    # window, each added up step by step.
+    books, recorded_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     clamp_events = 0
+    plant_s = controller_s = 0.0
+    mark = time.perf_counter()
     for window in range(total_windows):
         recording = window >= burn_in_windows
-        for row in plant.draw_arrivals(steps_per, rng):
-            info = plant.step(row)
-            arrivals += info.arrivals_veh
-            dropped += info.dropped_veh
-            exits += info.exits_veh
-            if recording:
-                recorded_dropped += info.dropped_veh
+        plant.advance(plant.draw_arrivals(steps_per, rng),
+                      (books, recorded_books) if recording else (books,))
         obs, green = plant.read_window()
-        proposed = np.asarray(controller(obs), dtype=float)
+        asked = time.perf_counter()
+        plant_s += asked - mark
+        answer = controller(obs)
+        mark = time.perf_counter()
+        controller_s += mark - asked
+        proposed = np.asarray(answer, dtype=float)
         if proposed.shape != (m,):
             raise ValueError(
                 f"controller returned shape {proposed.shape}, expected ({m},)")
@@ -623,7 +695,9 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
             rate_rows.append(clamped)
             green_total += green
         plant.set_rates(clamped)
+    plant_s += time.perf_counter() - mark
 
+    arrivals, dropped, exits = books
     residual = arrivals - dropped - exits - (plant.total_vehicles() - stored_before)
     if abs(residual) > CONSERVATION_TOL_VEH:
         raise ConservationError(residual)
@@ -631,7 +705,7 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         logger.warning("controller proposed %d out-of-range rates in the "
                        "recorded window; clamped",
                        clamp_events)
-    return EpisodeRecord(
+    record = EpisodeRecord(
         seed=int(seed),
         control_step_s=config.control_step_s,
         sensor_ids=tuple(r.sensor_id for r in config.ramps),
@@ -642,6 +716,10 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         speed=np.array(speeds),
         rates=np.array(rate_rows),
         green_seconds=green_total,
-        dropped_veh=recorded_dropped,
+        dropped_veh=recorded_books[1],
         clamp_events=clamp_events,
     )
+    record.time_split_s = {
+        "plant": plant_s, "controller": controller_s,
+        "rest": time.perf_counter() - started - plant_s - controller_s}
+    return record

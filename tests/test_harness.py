@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
+from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS,
+                             SERIES_SMOOTH_STEPS, UsageError, _smooth,
                              collect, horizon_sweep, load_logs,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
@@ -197,6 +198,12 @@ def test_run_scenarios_times_each_scenario_on_its_own():
     wall = time.perf_counter() - started
     assert all(r.runtime_s > 0.0 for r in results)
     assert sum(r.runtime_s for r in results) <= wall
+    # The episodes' plant/controller/rest split fits inside each runtime_s.
+    for r in results:
+        split = r.time_split_s
+        assert set(split) == {"plant", "controller", "rest"}
+        assert min(split.values()) > 0.0
+        assert sum(split.values()) <= r.runtime_s
 
 
 def test_horizon_sweep_reports_one_row_per_horizon():
@@ -272,7 +279,7 @@ def test_report_summary_contents(standard_report):
     with open(out_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     assert set(summary) == {"config_sha256", "seeds", "scenarios",
-                            "runtime_s", "solver", "models"}
+                            "runtime_s", "time_split_s", "solver", "models"}
     assert summary["seeds"] == [0]
     assert set(summary["scenarios"]) == set(SCENARIOS)
     block = summary["scenarios"]["sindyc-mpc"]
@@ -329,6 +336,30 @@ def test_report_summary_carries_solver_health(standard_report):
     assert by_name["alinea"].solver_health() is None
 
 
+def test_report_summary_splits_each_scenarios_time(standard_report):
+    _, results, out_dir, _ = standard_report
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert set(summary["time_split_s"]) == set(SCENARIOS)
+    for res in results:
+        split = summary["time_split_s"][res.scenario]
+        assert split == res.time_split_s
+        assert sum(split.values()) <= summary["runtime_s"][res.scenario]
+        health = res.solver_health()
+        if health is not None:
+            # Every solve runs inside a controller call.
+            solve_s = health["burn_in"]["solve_s"] + health["recorded"]["solve_s"]
+            assert split["controller"] >= solve_s
+
+
+def test_smooth_is_the_trailing_mean_of_each_window():
+    series = np.random.default_rng(3).standard_normal((40, 3)) * 1e3
+    for width in (1, 2, SERIES_SMOOTH_STEPS, 7):
+        expected = np.array([series[max(0, k - width + 1):k + 1].mean(axis=0)
+                             for k in range(len(series))])
+        assert np.array_equal(_smooth(series, width), expected)
+    assert np.array_equal(_smooth(series[:3]), _smooth(series)[:3])
+
+
 def test_raw_episodes_rebuild_the_same_metrics(standard_report):
     _, results, out_dir, _ = standard_report
     rebuilt = load_raw_results(out_dir / "raw")
@@ -360,6 +391,9 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # A meter pinned at the top rate never shows red; a rebuild that lost the
     # sidecar's green seconds would read 0.
     assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
+    # Episode timing describes the original run; raw episodes do not carry it.
+    assert set(original["time_split_s"]) == {"no-control", "alinea"}
+    assert again["time_split_s"] == {}
     for key in ("runtime_s", "models"):
         original.pop(key)
         again.pop(key)

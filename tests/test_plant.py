@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -177,16 +178,15 @@ def test_vehicle_conservation_audit():
 
 
 def test_run_episode_catches_a_step_that_leaks_vehicles(monkeypatch):
-    step = TrafficPlant.step
+    advance = TrafficPlant.advance
 
-    def leaky_step(self, arrivals):
-        info = step(self, arrivals)
+    def leaky_advance(self, block, ledgers=()):
+        advance(self, block, ledgers)
         self.density = self.density * (1.0 - 1e-6)
-        return info
 
     cfg = _metered_config()
     run_episode(cfg, lambda obs: np.array([900.0]), seed=3)
-    monkeypatch.setattr(TrafficPlant, "step", leaky_step)
+    monkeypatch.setattr(TrafficPlant, "advance", leaky_advance)
     with pytest.raises(ConservationError) as exc:
         run_episode(cfg, lambda obs: np.array([900.0]), seed=3)
     assert exc.value.residual_veh > 1e-6
@@ -272,6 +272,26 @@ def test_run_episode_records_only_past_burn_in():
     assert (rec.rates == 900.0).all()
 
 
+def test_run_episode_splits_its_wall_time(tmp_path):
+    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
+
+    def slow_controller(obs):
+        time.sleep(0.01)
+        return np.array([900.0])
+
+    started = time.perf_counter()
+    rec = run_episode(cfg, slow_controller, seed=2)
+    wall = time.perf_counter() - started
+    split = rec.time_split_s
+    assert set(split) == {"plant", "controller", "rest"}
+    assert split["controller"] >= 6 * 0.01  # six windows, one call each
+    assert min(split.values()) > 0.0
+    assert sum(split.values()) <= wall
+    # The split describes the run, so the episode files leave it out.
+    rec.to_csv(tmp_path / "ep.csv")
+    assert EpisodeRecord.from_csv(tmp_path / "ep.csv").time_split_s is None
+
+
 def test_run_episode_clamps_and_counts_wild_rates():
     cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
     rec = run_episode(cfg, lambda obs: np.array([5000.0]), seed=2)
@@ -284,14 +304,17 @@ def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
     cfg = replace(_metered_config(burn_in_s=60.0, horizon_duration_s=120.0),
                   ramps=(RampSpec("r1", "A", 1, "s1", 1500.0, queue_capacity_veh=5.0),))
     drops = []
-    step = TrafficPlant.step
+    advance = TrafficPlant.advance
 
-    def counting_step(self, *args):
-        info = step(self, *args)
-        drops.append(info.dropped_veh)
-        return info
+    def counting_advance(self, block, ledgers=()):
+        # One kernel call per row, each with one more ledger of its own: the
+        # same steps (test_window_kernel_matches_one_step_per_row), counted.
+        for row in block:
+            books = [0.0, 0.0, 0.0]
+            advance(self, [row], (*ledgers, books))
+            drops.append(books[1])
 
-    monkeypatch.setattr(TrafficPlant, "step", counting_step)
+    monkeypatch.setattr(TrafficPlant, "advance", counting_advance)
     rec = run_episode(cfg, lambda obs: np.array([200.0]), seed=6)
     burn_in_steps = round(cfg.burn_in_s / cfg.sim_step_s)
     recorded = 0.0
@@ -348,6 +371,49 @@ def test_episode_digests_are_pinned(make_config, seed, digest, dropped_veh):
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
     assert rec.dropped_veh == dropped_veh
+
+
+def _plant_state(plant):
+    """Everything a step reads or writes, as plain values."""
+    return (plant.time_s, plant.density.tolist(), plant.entry_queues.tolist(),
+            plant.ramp_queues.tolist(), plant._merge_flow_ema.tolist(),
+            [(sig.phase, sig.remaining_s, sig.quota_veh, sig.rate, sig._pending)
+             for sig in plant.signals],
+            plant._steps_in_window, plant._occ_sum, plant._dens_sum,
+            plant._passed_veh, plant._green_s)
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps"])
+def test_window_kernel_matches_one_step_per_row(make_config):
+    """One advance call per control window and one step call per row, on
+    twin plants fed the same arrivals and rates, stay bit-equal: state,
+    signals, window sums, sensor reads and vehicle books."""
+    cfg = make_config()
+    windowed, stepped = TrafficPlant(cfg), TrafficPlant(cfg)
+    rng = np.random.default_rng(8)
+    windowed_books, stepped_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    # Meters swing between the rails, so queues overflow and cycles change.
+    rates = np.linspace(200.0, 1800.0, cfg.n_ramps)
+    for _ in range(60):
+        block = windowed.draw_arrivals(cfg.steps_per_control, rng)
+        windowed.advance(block, (windowed_books,))
+        for row in block:
+            info = stepped.step(row)
+            stepped_books[0] += info.arrivals_veh
+            stepped_books[1] += info.dropped_veh
+            stepped_books[2] += info.exits_veh
+        assert _plant_state(windowed) == _plant_state(stepped)
+        assert windowed_books == stepped_books
+        (obs_w, green_w), (obs_s, green_s) = windowed.read_window(), stepped.read_window()
+        for name in ("time_s", "occupancy", "flow", "speed"):
+            assert np.array_equal(getattr(obs_w, name), getattr(obs_s, name))
+        assert np.array_equal(green_w, green_s)
+        rates = np.roll(rates, 1)
+        windowed.set_rates(rates)
+        stepped.set_rates(rates)
+    assert windowed_books[1] > 0.0  # some ramp queue overflowed
 
 
 def test_run_episode_rejects_wrong_controller_shape():
