@@ -33,9 +33,9 @@ from .network import (CellParams, ConfigError, Highway, JunctionSpec,
                       load_config, save_config, serialize_config)
 from .plant import (ConservationError, ControlObservation, EpisodeRecord,
                     RampSignal, StepInfo, TrafficPlant, run_episode)
-from .sysid import (FeatureLibrarySpec, FitReport, InsufficientDataError,
-                    SparseModel, TrajectoryLog, build_library, differentiate,
-                    discover_dmdc, discover_sindyc, fit_derivatives,
-                    fit_report, stls_regress, term_label)
+from .sysid import (FitReport, InsufficientDataError, SparseModel,
+                    TrajectoryLog, build_library, differentiate, discover_dmdc,
+                    discover_sindyc, fit_derivatives, fit_report, stls_regress,
+                    term_label)
 
 __version__ = "0.1.0"

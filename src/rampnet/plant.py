@@ -33,17 +33,16 @@ The steps run on Python floats in one window kernel,
 :meth:`TrafficPlant.advance`, which the episode runner calls once per
 control window with that window's arrival block. It reads the state arrays
 with ``tolist()`` once per call, binds the per-cell constant tuples compiled
-in ``__init__`` to locals, computes the next step's send, receive and
-discharge in the loop that updates density, and writes the state back as
-arrays when the block is done; :meth:`TrafficPlant.step` is the kernel on a
-one-row block. On the benchmark's 34 cells a numpy call on an 8-34 element
-array costs about as much as the arithmetic it does, so a step written as
-~90 such calls was only 1.25-1.3x faster than one looping over objects,
-while scalar loops are 2-3x faster. One call per window instead of one per
-step took a benchmark ALINEA episode from 0.33 s to 0.24-0.26 s of CPU time
-(medians of 16 interleaved episodes; 2 vCPUs, Python 3.11, numpy 2.4).
-The loops keep the array version's float expressions in the same order, so
-episodes are bit-identical to it.
+in ``__init__`` to locals, and writes the state back as arrays when the
+block is done; :meth:`TrafficPlant.step` is the kernel on a one-row block.
+The cell rule has one home, ``TrafficPlant._settle``: from a step's inflow
+and outflow it moves every density, clamps it to [0, jam] and returns each
+cell's send, receive and discharge factor for the next step. The kernel
+calls it once per step, and once with zero flow on the state as read. The
+steps are scalar loops, not numpy calls, because on the benchmark's 34
+cells a numpy call on an 8-34 element array costs about as much as the
+arithmetic it does. The loops keep the array version's float expressions in
+the same order, so episodes are bit-identical to it.
 
 Units: densities veh/km/lane, flows veh/h, queues veh, time s. One simulation
 step is ``config.sim_step_s`` (1 s in the benchmark).
@@ -170,7 +169,8 @@ class TrafficPlant:
     (:meth:`step` one row), so episode randomness is reproducible and
     independent of control actions. ``density``, ``entry_queues`` and
     ``ramp_queues`` are numpy arrays that a call reads when it starts and
-    replaces when it ends; writing into them between calls sets the state.
+    replaces when it ends; writing into them between calls sets the state
+    (the next call clamps densities to [0, jam] before its first step).
     Every meter starts at ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates`
     publishes new rates.
     """
@@ -303,25 +303,29 @@ class TrafficPlant:
             q_main = supply - d_side
         return q_main, supply - q_main
 
-    def _cell_fluxes(self, rho):
-        """(send, recv, dis) of every cell at densities ``rho``: demand and
-        supply in veh/h and the capacity-drop factor on discharge. The
-        kernel's density loop repeats these expressions for the next step."""
-        send, recv, dis = [], [], []
-        consts = self._cell_consts
-        for r, (vf, cap, lanes, wave, jam, crit, span, _) in zip(rho, consts):
+    def _settle(self, rho, inflow, outflow, ts_h):
+        """The cell rule, one step: ``(density, send, recv, dis)``.
+
+        Each cell's density moves by its inflow minus outflow (veh/h) over
+        ``ts_h`` hours and is clamped to [0, jam]. At the new density come
+        the next step's demand (send) and supply (recv) in veh/h and the
+        capacity-drop factor (dis) that scales whatever the cell actually
+        discharges after the demand/supply min; queue releases are not
+        scaled, only cell-to-cell and exit flux.
+        """
+        density, send, recv, dis = [], [], [], []
+        for r, q_in, q_out, (vf, cap, lanes, wave, jam, crit, span,
+                             veh_factor) in zip(rho, inflow, outflow, self._cell_consts):
+            d = r + (q_in - q_out) * ts_h / veh_factor
+            r = 0.0 if d <= 0.0 else jam if d >= jam else d
+            density.append(r)
             q = vf * r
             send.append((q if q < cap else cap) * lanes)
             q = wave * (jam - r)
-            if q > cap:
-                q = cap
-            recv.append((q if q > 0.0 else 0.0) * lanes)
-            if r <= crit:
-                dis.append(1.0)
-            else:
-                over = (r - crit) / span
-                dis.append(1.0 - CAPACITY_DROP_FRAC * (over if over < 1.0 else 1.0))
-        return send, recv, dis
+            recv.append((q if q < cap else cap) * lanes)
+            dis.append(1.0 if r <= crit
+                       else 1.0 - CAPACITY_DROP_FRAC * ((r - crit) / span))
+        return density, send, recv, dis
 
     def advance(self, block, ledgers=()) -> None:
         """Run one simulation step per row of ``block``.
@@ -334,8 +338,7 @@ class TrafficPlant:
         """
         ts = self.config.sim_step_s
         ts_h = ts / 3600.0
-        merge = self._merge
-        consts = self._cell_consts
+        merge, settle = self._merge, self._settle
         plain, junctions, ramps = self._plain, self._junctions, self._ramps
         friction, chains, sensors = self._friction, self._chains, self._sensors
         signals = self.signals
@@ -348,11 +351,10 @@ class TrafficPlant:
         time_s = self.time_s
         n, n_hw = len(rho), len(entry)
 
-        # Demand (send), supply (recv) and the capacity drop: whatever a cell
-        # actually discharges (after the demand/supply min) is scaled by how
-        # far over critical it runs. Queue releases are not scaled, only
-        # cell-to-cell and exit flux.
-        send, recv, dis = self._cell_fluxes(rho)
+        # The first step's send, recv and dis, from the state as read: with no
+        # flow, settling only clamps it to [0, jam].
+        zeros = [0.0] * n
+        rho, send, recv, dis = settle(rho, zeros, zeros, ts_h)
         for arrivals in block:
             # Arrivals, summed in source order: highways, then ramps. A
             # source with no arrival changes nothing.
@@ -429,26 +431,7 @@ class TrafficPlant:
                 outflow[last] = q
                 exits += q * ts_h
 
-            # New densities, and from each the next step's send, recv and
-            # dis (the expressions of _cell_fluxes).
-            density, send, recv, dis = [], [], [], []
-            for r, q_in, q_out, (vf, cap, lanes, wave, jam, crit, span,
-                                 veh_factor) in zip(rho, inflow, outflow, consts):
-                d = r + (q_in - q_out) * ts_h / veh_factor
-                r = 0.0 if d <= 0.0 else jam if d >= jam else d
-                density.append(r)
-                q = vf * r
-                send.append((q if q < cap else cap) * lanes)
-                q = wave * (jam - r)
-                if q > cap:
-                    q = cap
-                recv.append((q if q > 0.0 else 0.0) * lanes)
-                if r <= crit:
-                    dis.append(1.0)
-                else:
-                    over = (r - crit) / span
-                    dis.append(1.0 - CAPACITY_DROP_FRAC * (over if over < 1.0 else 1.0))
-            rho = density
+            rho, send, recv, dis = settle(rho, inflow, outflow, ts_h)
 
             for k, (c, occ_factor) in enumerate(sensors):
                 d = rho[c]

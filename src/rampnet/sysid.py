@@ -4,11 +4,13 @@ The model family is ``xdot = C theta(x, u)`` where ``theta`` stacks the
 monomials of degree 1 or 2 of the joint vector z = (x, u) in one layout: the
 constant column first, then z in variable order, then the products
 ``z_i * z_j`` for i <= j in lexicographic order. For the benchmark
-(n = m = 8, order 2) that is 1 + 16 + 136 = 153 columns. A model stores its
-coefficients and its library's order; its column exponents (``terms``)
-follow from those and are never stored. Fitting reads the library matrix; a
-fitted model reads f and its Jacobian at one point from the quadratic form
-``f = c + L z + z'Q z`` (Q upper triangular) built once from the coefficients.
+(n = m = 8, order 2) that is 1 + 16 + 136 = 153 columns. A model is its
+coefficient matrix: with nz = n + m, a width of 1 + nz columns is the linear
+library and 1 + nz + nz(nz + 1)/2 the quadratic one, so the order and the
+column exponents (``terms``) follow from the width and are never stored.
+Fitting reads the library matrix; a fitted model reads f and its Jacobian at
+one point from the quadratic form ``f = c + L z + z'Q z`` (Q upper
+triangular) built once from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
 on central-difference derivatives, with z-scored columns and targets, from
@@ -17,8 +19,7 @@ elimination makes the model sparse, and the last elimination fit gives the
 coefficients (see :func:`stls_regress`). The recipe is fixed: ``RIDGE``,
 ``THRESHOLD``, ``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A
 linear-terms-only fit without thresholding is the baseline (DMDc-style)
-model. A model is its coefficients and its library's order; nothing else is
-stored.
+model.
 
 Time convention: one model time unit is one control step. Log rows are one
 control step apart, ``xdot`` is the change per control step, and the
@@ -35,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "TrajectoryLog",
-    "FeatureLibrarySpec",
     "InsufficientDataError",
     "differentiate",
     "build_library",
@@ -124,30 +124,19 @@ def differentiate(log: TrajectoryLog):
 
 # -- polynomial feature library ---------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureLibrarySpec:
-    """Monomial library of degree 1 or 2 in the joint vector z = (x, u):
-    the constant, the linear terms, and for ``polynomial_order`` 2 the
-    products ``z_i * z_j`` for i <= j."""
+def _width(nz: int, order: int) -> int:
+    """Column count of the library of ``order`` (1 or 2) over nz variables."""
+    return 1 + nz + (nz * (nz + 1) // 2 if order == 2 else 0)
 
-    polynomial_order: int = 2
 
-    def __post_init__(self) -> None:
-        if self.polynomial_order not in (1, 2):
-            raise ValueError(
-                f"polynomial_order must be 1 or 2, got {self.polynomial_order}")
-
-    def terms(self, n_states: int, n_inputs: int) -> tuple[tuple[int, ...], ...]:
-        """Exponent vectors over z = (x_1..x_n, u_1..u_m), in column order."""
-        eye = np.eye(n_states + n_inputs, dtype=int)
-        blocks = [np.zeros_like(eye[:1]), eye]
-        if self.polynomial_order == 2:
-            i, j = np.triu_indices(len(eye))
-            blocks.append(eye[i] + eye[j])
-        return tuple(tuple(int(e) for e in row) for row in np.vstack(blocks))
-
-    def width(self, n_states: int, n_inputs: int) -> int:
-        return len(self.terms(n_states, n_inputs))
+def _terms(nz: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors over z = (x_1..x_n, u_1..u_m), in column order."""
+    eye = np.eye(nz, dtype=int)
+    blocks = [np.zeros_like(eye[:1]), eye]
+    if order == 2:
+        i, j = np.triu_indices(nz)
+        blocks.append(eye[i] + eye[j])
+    return tuple(tuple(int(e) for e in row) for row in np.vstack(blocks))
 
 
 def term_label(term: tuple[int, ...], n_states: int) -> str:
@@ -161,32 +150,32 @@ def term_label(term: tuple[int, ...], n_states: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _library_matrix(z: np.ndarray, spec: FeatureLibrarySpec) -> np.ndarray:
+def _library_matrix(z: np.ndarray, order: int) -> np.ndarray:
     """Columns ``[1, z, z_i * z_j for i <= j]`` for rows of z, in the order of
-    ``spec.terms`` (``triu_indices`` is row-major, as the terms are)."""
+    ``_terms`` (``triu_indices`` is row-major, as the terms are)."""
     blocks = [np.ones((len(z), 1)), z]
-    if spec.polynomial_order == 2:
+    if order == 2:
         i, j = np.triu_indices(z.shape[1])
         blocks.append(z[:, i] * z[:, j])
     return np.hstack(blocks)
 
 
-def build_library(states: np.ndarray, inputs: np.ndarray,
-                  spec: FeatureLibrarySpec | None = None):
-    """Monomial design matrix for stacked rows.
+def build_library(states: np.ndarray, inputs: np.ndarray, order: int = 2):
+    """Monomial design matrix of degree ``order`` (1 or 2) for stacked rows.
 
     Returns ``(theta, terms)`` where ``theta`` is (rows, h) and ``terms`` are
     the exponent vectors defining each column, in a deterministic order:
-    constant, degree 1 in variable order, then the degree-2 products
+    constant, degree 1 in variable order, then for order 2 the products
     ``z_i * z_j`` with i <= j, lexicographic.
     """
-    spec = spec or FeatureLibrarySpec()
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if states.shape[0] != inputs.shape[0]:
         raise ValueError("states and inputs must have the same row count")
-    terms = spec.terms(states.shape[1], inputs.shape[1])
-    return _library_matrix(np.hstack([states, inputs]), spec), terms
+    terms = _terms(states.shape[1] + inputs.shape[1], order)
+    return _library_matrix(np.hstack([states, inputs]), order), terms
 
 
 # -- regression ----------------------------------------------------------------
@@ -296,11 +285,11 @@ def _column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(spread > floor, spread, 1.0)
 
 
-def _require_data(states, inputs, derivs, library: FeatureLibrarySpec) -> None:
+def _require_data(states, inputs, derivs, order: int) -> None:
     """Every fit needs finite data and at least two rows per library column."""
     if not all(np.isfinite(a).all() for a in (states, inputs, derivs)):
         raise InsufficientDataError("states, inputs and derivatives must be finite")
-    d, h = len(states), library.width(states.shape[1], inputs.shape[1])
+    d, h = len(states), _width(states.shape[1] + inputs.shape[1], order)
     if d < 2 * h:
         raise InsufficientDataError(
             f"{d} samples for {h} library columns; need at least {2 * h}. "
@@ -308,9 +297,9 @@ def _require_data(states, inputs, derivs, library: FeatureLibrarySpec) -> None:
 
 
 def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
-                    library: FeatureLibrarySpec | None = None,
                     provenance: dict | None = None) -> "SparseModel":
-    """Sparse fit of ``derivs = C theta(states, inputs)`` from sample triples.
+    """Sparse fit of ``derivs = C theta(states, inputs)`` on the quadratic
+    library, from sample triples.
 
     This is the regression stage shared by :func:`discover_sindyc` (which
     supplies central-difference derivatives) and synthetic oracles (which can
@@ -319,12 +308,11 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     near 15, rates near 1000, their squares near a million); coefficients are
     mapped back to physical units.
     """
-    library = library or FeatureLibrarySpec()
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-    _require_data(states, inputs, derivs, library)
-    theta, _ = build_library(states, inputs, library)
+    _require_data(states, inputs, derivs, 2)
+    theta, _ = build_library(states, inputs)
     col_mean, col_scale = _column_stats(theta)
     tgt_mean, tgt_scale = _column_stats(derivs)
     scaled = stls_regress((theta - col_mean) / col_scale,
@@ -340,7 +328,6 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
         coefficients=coef,
         state_dim=states.shape[1],
         input_dim=inputs.shape[1],
-        library=library,
         provenance=dict(provenance or {}, samples=theta.shape[0],
                         columns=theta.shape[1]),
     )
@@ -369,9 +356,8 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
     as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(log)
-    library = FeatureLibrarySpec(polynomial_order=1)
-    _require_data(xs, us, derivs, library)
-    theta, _ = build_library(xs, us, library)
+    _require_data(xs, us, derivs, 1)
+    theta, _ = build_library(xs, us, order=1)
     solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
     if rank < theta.shape[1]:
         warnings.warn(
@@ -383,7 +369,6 @@ def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "Sparse
         coefficients=solution.T,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
-        library=library,
         provenance=dict(provenance or {}, method="dmdc",
                         episodes=len(log.episode_starts),
                         samples=theta.shape[0], columns=theta.shape[1]),
@@ -397,23 +382,26 @@ class SparseModel:
     """Polynomial dynamics ``xdot = C theta(x, u)`` plus fit provenance.
 
     ``coefficients`` are physical units per control step, one column per
-    library term, in the library's order. Point reads use the quadratic form
-    ``f = c + (L + Q z) z`` compiled from the coefficients on creation.
+    library term, in the library's order. Their width is the library: with
+    nz = n + m, 1 + nz columns are the linear library and
+    1 + nz + nz(nz + 1)/2 the quadratic one; any other shape is refused.
+    Point reads use the quadratic form ``f = c + (L + Q z) z`` compiled from
+    the coefficients on creation.
     """
 
     coefficients: np.ndarray  # (n, h)
     state_dim: int
     input_dim: int
-    library: FeatureLibrarySpec
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         n, nz = self.state_dim, self.state_dim + self.input_dim
-        shape = (n, self.library.width(n, self.input_dim))
-        if self.coefficients.shape != shape:
+        shapes = {(n, _width(nz, order)): order for order in (1, 2)}
+        if self.coefficients.shape not in shapes:
             raise ValueError(f"coefficients have shape {self.coefficients.shape}; "
-                             f"the library needs {shape}")
+                             f"the library needs one of {list(shapes)}")
+        self._order = shapes[self.coefficients.shape]
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
         # A linear library has no Q, so its reads are offset + L z and L. L is
         # a contiguous copy: L z on a strided view of the coefficients rounds
@@ -421,7 +409,7 @@ class SparseModel:
         self._offset = self.coefficients[:, 0]
         self._linear = np.ascontiguousarray(self.coefficients[:, 1:1 + nz])
         self._quad = self._quad_sym = None
-        if self.library.polynomial_order == 2:
+        if self._order == 2:
             i, j = np.triu_indices(nz)
             self._quad = np.zeros((n, nz, nz))
             self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
@@ -459,7 +447,7 @@ class SparseModel:
     def evaluate_batch(self, states, inputs) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        theta = _library_matrix(np.hstack([states, inputs]), self.library)
+        theta = _library_matrix(np.hstack([states, inputs]), self._order)
         return theta @ self.coefficients.T
 
     def jacobian(self, x, u) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +460,7 @@ class SparseModel:
     @property
     def terms(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors over (x, u) of the coefficient columns."""
-        return self.library.terms(self.state_dim, self.input_dim)
+        return _terms(self.state_dim + self.input_dim, self._order)
 
     @property
     def n_columns(self) -> int:
@@ -498,7 +486,6 @@ class SparseModel:
         doc = {
             "state_dim": self.state_dim,
             "input_dim": self.input_dim,
-            "library": {"polynomial_order": self.library.polynomial_order},
             "coefficients": self.coefficients.tolist(),
             "provenance": self.provenance,
         }
@@ -508,7 +495,7 @@ class SparseModel:
     @classmethod
     def load(cls, path) -> "SparseModel":
         """Read a file written by :meth:`save`. Keys that older files carry
-        (``terms``, ``include_constant``, the column and target statistics and
+        (``library``, ``terms``, the column and target statistics and
         ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -516,7 +503,6 @@ class SparseModel:
             coefficients=np.array(doc["coefficients"], dtype=float),
             state_dim=int(doc["state_dim"]),
             input_dim=int(doc["input_dim"]),
-            library=FeatureLibrarySpec(doc["library"]["polynomial_order"]),
             provenance=doc.get("provenance", {}),
         )
 

@@ -164,9 +164,7 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     fit_derivatives(x, u, 0.3 * (15.0 - x)).save(model_path)
     doc = json.loads(model_path.read_text())
     short = [row[:-1] for row in doc["coefficients"]]
-    bad_models = {"short-coefficients": dict(doc, coefficients=short),
-                  "cubic": dict(doc, library=dict(doc["library"],
-                                                   polynomial_order=3))}
+    bad_models = {"short-coefficients": dict(doc, coefficients=short)}
     for name, bad in bad_models.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(bad))
     (tmp_path / "not-json.json").write_text("coefficients: [1, 2]\n")

@@ -12,7 +12,7 @@ from rampnet.mpc import (ModelBlowupError, MpcConfig, MpcController,
                          SolverSettings, bound_penalty, objective, rollout,
                          solve)
 from rampnet.plant import ControlObservation
-from rampnet.sysid import FeatureLibrarySpec, fit_derivatives
+from rampnet.sysid import SparseModel, build_library, fit_derivatives
 
 
 def _linear_model(a=2.0, b=3.0, seed=0):
@@ -113,8 +113,11 @@ def test_prediction_keeps_the_public_states_and_jacobians():
                          - 1e-3 * x[:, i] * x[:, (i + 1) % 3] for i in range(3)])
     x0 = np.array([12.0, 18.0, 25.0])
     plan = rng.uniform(300.0, 1700.0, size=(4, 2))
-    for spec in (FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)):
-        model = fit_derivatives(x, u, y, library=spec)
+    # The linear model is the least-squares fit on the linear library.
+    theta, _ = build_library(x, u, order=1)
+    linear = SparseModel(coefficients=np.linalg.lstsq(theta, y, rcond=None)[0].T,
+                         state_dim=3, input_dim=2)
+    for model in (fit_derivatives(x, u, y), linear):
         ws = mpc._Workspace(model, x0, plan[0], MpcConfig(), plan)
         states = ws.cur.x
         assert np.array_equal(states, rollout(model, x0, plan))

@@ -110,6 +110,23 @@ def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
     assert flags == {"-h", "--help", "--logs", "--method", "--out"}
 
 
+def test_a_model_is_its_coefficients():
+    """A model's library order follows from its coefficient width, so no
+    library spec is exported, no function or method of the identification
+    and planning layers takes a library or a spec, and a model's fields are
+    its coefficients, its dimensions and its provenance."""
+    from rampnet import mpc, sysid
+
+    assert not hasattr(rampnet, "FeatureLibrarySpec")
+    assert not hasattr(sysid, "FeatureLibrarySpec")
+    knobs = {"library", "spec"}
+    taken = {name: sorted(params & knobs)
+             for name, params in _parameters(sysid, mpc).items() if params & knobs}
+    assert not taken, taken
+    assert {f.name for f in dataclasses.fields(sysid.SparseModel)} == {
+        "coefficients", "state_dim", "input_dim", "provenance"}
+
+
 def test_planner_cost_is_fixed_in_code():
     """Tracking weights, occupancy band, penalty and rate-change weights are
     constants of ``rampnet.mpc`` and the rate box is the plant's, so

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from rampnet.mpc import rollout
-from rampnet.sysid import (REFIT_RCOND, FeatureLibrarySpec,
-                           InsufficientDataError, SparseModel, TrajectoryLog,
-                           _column_stats, _gram_fit, build_library,
-                           differentiate,
+from rampnet.sysid import (REFIT_RCOND, InsufficientDataError, SparseModel,
+                           TrajectoryLog, _column_stats, _gram_fit,
+                           build_library, differentiate,
                            discover_dmdc, discover_sindyc, fit_derivatives,
                            fit_report, stls_regress, term_label)
 
@@ -76,20 +75,22 @@ def test_library_column_values_match_their_labels():
 
 
 def test_library_is_deterministic():
-    spec = FeatureLibrarySpec()
-    assert spec.terms(8, 8) == spec.terms(8, 8)
-    assert spec.width(8, 8) == 153
+    x, u = np.zeros((1, 8)), np.zeros((1, 8))
+    assert build_library(x, u)[1] == build_library(x, u)[1]
+    assert build_library(x, u)[0].shape == (1, 153)
 
 
 def test_library_order_one_and_no_constant():
-    spec = FeatureLibrarySpec(polynomial_order=1)
-    assert spec.width(3, 2) == 6
+    x, u = np.zeros((1, 3)), np.zeros((1, 2))
+    theta, terms = build_library(x, u, order=1)
+    assert theta.shape == (1, 6) and len(terms) == 6
     # Every library starts with the constant column; there is no other layout.
+    assert terms[0] == (0,) * 5
     with pytest.raises(TypeError):
-        FeatureLibrarySpec(polynomial_order=2, include_constant=False)
+        build_library(x, u, include_constant=False)
     for order in (0, 3):
         with pytest.raises(ValueError, match="1 or 2"):
-            FeatureLibrarySpec(polynomial_order=order)
+            build_library(x, u, order=order)
 
 
 def test_build_library_rejects_row_mismatch():
@@ -351,16 +352,15 @@ def test_evaluate_and_step_hand_values():
         pytest.approx(7.0 + 2.0, abs=1e-9)
 
 
-def _dense_model(spec, n=3, m=2, seed=13):
-    """Every library column active with a random coefficient, so squares and
-    cross terms of states and inputs all enter f."""
-    h = spec.width(n, m)
-    coef = np.random.default_rng(seed).normal(size=(n, h))
-    return SparseModel(coefficients=coef, state_dim=n, input_dim=m,
-                       library=spec)
+def _dense_model(order, n=3, m=2, seed=13):
+    """Every column of the library of ``order`` active with a random
+    coefficient, so squares and cross terms of states and inputs all enter f."""
+    _, terms = build_library(np.zeros((1, n)), np.zeros((1, m)), order)
+    coef = np.random.default_rng(seed).normal(size=(n, len(terms)))
+    return SparseModel(coefficients=coef, state_dim=n, input_dim=m)
 
 
-LIBRARIES = [FeatureLibrarySpec(), FeatureLibrarySpec(polynomial_order=1)]
+ORDERS = pytest.mark.parametrize("order", [2, 1], ids=("quadratic", "linear"))
 
 
 def test_jacobian_matches_finite_differences():
@@ -375,11 +375,11 @@ def test_jacobian_matches_finite_differences():
     assert np.allclose(ju[0], fu, atol=1e-6)
 
 
-@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "linear"))
-def test_jacobian_of_a_dense_model_matches_finite_differences(spec):
+@ORDERS
+def test_jacobian_of_a_dense_model_matches_finite_differences(order):
     """Central differences are exact on a quadratic up to rounding, so the
     squares' doubled diagonal and both halves of each cross term must show."""
-    model = _dense_model(spec)
+    model = _dense_model(order)
     rng = np.random.default_rng(14)
     eps = 1e-5
     for _ in range(5):
@@ -393,9 +393,9 @@ def test_jacobian_of_a_dense_model_matches_finite_differences(spec):
         assert np.allclose(jac, fd, rtol=1e-7, atol=1e-7)
 
 
-@pytest.mark.parametrize("spec", LIBRARIES, ids=("quadratic", "linear"))
-def test_point_reads_match_the_library_matrix(spec):
-    model = _dense_model(spec)
+@ORDERS
+def test_point_reads_match_the_library_matrix(order):
+    model = _dense_model(order)
     rng = np.random.default_rng(15)
     states = rng.uniform(0.0, 40.0, size=(50, 3))
     inputs = rng.uniform(200.0, 1800.0, size=(50, 2))
@@ -404,18 +404,31 @@ def test_point_reads_match_the_library_matrix(spec):
         assert np.max(np.abs(model.evaluate(x, u) - row)) <= 1e-12 * np.max(np.abs(row))
 
 
+@ORDERS
+def test_model_order_follows_from_the_coefficient_width(order):
+    """Three states and two inputs: 6 columns are the linear library and 21
+    the quadratic one; the terms and the batch read follow from the width."""
+    model = _dense_model(order)
+    assert model.n_columns == {1: 6, 2: 21}[order]
+    rng = np.random.default_rng(16)
+    states, inputs = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    theta, terms = build_library(states, inputs, order)
+    assert model.terms == terms
+    assert max(map(sum, model.terms)) == order
+    assert np.array_equal(model.evaluate_batch(states, inputs),
+                          theta @ model.coefficients.T)
+
+
 def test_model_rejects_terms_that_are_not_the_library_layout():
     """The columns are the library's terms, so the coefficient shape is the
-    one layout check: a column short (a library without the constant), one
-    too many, the linear library's width, or a state row missing."""
-    model = _dense_model(FeatureLibrarySpec())
-    assert model.terms == FeatureLibrarySpec().terms(3, 2)
-    assert model.n_columns == 21
-    fields = {k: getattr(model, k) for k in ("state_dim", "input_dim", "library")}
+    one layout check: a column short of either library (without the
+    constant), one too many, a width between the two, or a state row
+    missing."""
+    model = _dense_model(2)
+    fields = {k: getattr(model, k) for k in ("state_dim", "input_dim")}
     coef = model.coefficients
-    linear_width = FeatureLibrarySpec(polynomial_order=1).width(3, 2)
-    for wrong in (coef[:, :-1], np.hstack([coef, coef[:, :1]]),
-                  coef[:, :linear_width], coef[:2]):
+    for wrong in (coef[:, :-1], np.hstack([coef, coef[:, :1]]), coef[:, :5],
+                  coef[:, :7], coef[:2]):
         with pytest.raises(ValueError, match="library needs"):
             SparseModel(coefficients=wrong, **fields)
 
@@ -440,15 +453,14 @@ def test_model_json_round_trip(tmp_path):
     # zero_rows is derived from the coefficients: not written, and ignored
     # in files that still carry it.
     doc = json.loads(path.read_text())
-    assert set(doc) == {"state_dim", "input_dim", "library", "coefficients",
-                        "provenance"}
+    assert set(doc) == {"state_dim", "input_dim", "coefficients", "provenance"}
     path.write_text(json.dumps(dict(doc, zero_rows=[True])))
     assert SparseModel.load(path).zero_rows == (False,)
 
 
 def test_model_file_holds_exactly_what_load_reads(tmp_path, monkeypatch):
     """``save`` writes no key that ``load`` ignores and ``load`` reads no key
-    that ``save`` leaves out; the library block is read key by key too."""
+    that ``save`` leaves out."""
     path = tmp_path / "model.json"
     _hand_model().save(path)
     written = json.loads(path.read_text())
@@ -476,41 +488,46 @@ def test_model_file_holds_exactly_what_load_reads(tmp_path, monkeypatch):
     SparseModel.load(path)
     (doc,) = docs
     assert doc.read == set(written)
-    assert doc["library"].read == set(written["library"]) == {"polynomial_order"}
 
 
 def test_model_files_with_the_older_layout_keys(tmp_path):
-    """Files that still carry ``terms``, ``include_constant: true``, the
-    column and target statistics and ``scaled_coefficients`` load to the same
-    model; ``load`` ignores those keys, even when their shapes are wrong."""
+    """Files that still carry ``library`` (of either order), ``terms``,
+    ``include_constant: true``, the column and target statistics and
+    ``scaled_coefficients`` load to the same model; ``load`` ignores those
+    keys, even when their shapes are wrong."""
     model = _hand_model()
     path = tmp_path / "model.json"
     model.save(path)
     doc = json.loads(path.read_text())
     h = model.n_columns
-    older = dict(doc, terms=[list(t) for t in model.terms],
-                 library=dict(doc["library"], include_constant=True),
-                 column_means=[0.0], column_scales=[1.0] * h,
-                 target_means=[0.0, 0.0], target_scales=[1.0],
-                 scaled_coefficients=[[0.0] * 3] * 8)
-    path.write_text(json.dumps(older))
-    back = SparseModel.load(path)
-    assert np.array_equal(back.coefficients, model.coefficients)
-    assert back.terms == model.terms and back.library == model.library
+    older = [
+        {"library": {"polynomial_order": 2}},
+        {"library": {"polynomial_order": 1}},
+        {"terms": [list(t) for t in model.terms],
+         "library": {"polynomial_order": 2, "include_constant": True},
+         "column_means": [0.0], "column_scales": [1.0] * h,
+         "target_means": [0.0, 0.0], "target_scales": [1.0],
+         "scaled_coefficients": [[0.0] * 3] * 8},
+    ]
     probe = (np.array([0.7]), np.array([-0.3]))
-    assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
-    assert all(np.array_equal(a, b) for a, b in zip(back.jacobian(*probe),
-                                                     model.jacobian(*probe)))
+    for keys in older:
+        path.write_text(json.dumps(dict(doc, **keys)))
+        back = SparseModel.load(path)
+        assert np.array_equal(back.coefficients, model.coefficients)
+        assert back.terms == model.terms
+        assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
+        assert all(np.array_equal(a, b) for a, b in zip(back.jacobian(*probe),
+                                                         model.jacobian(*probe)))
 
 
 def test_model_file_without_the_constant_column_does_not_load(tmp_path):
     """The benchmark's 8 states and 8 inputs without the constant column:
     152 coefficient columns against the library's 153."""
     path = tmp_path / "model.json"
-    _dense_model(FeatureLibrarySpec(), n=8, m=8).save(path)
+    _dense_model(2, n=8, m=8).save(path)
     doc = json.loads(path.read_text())
     short = dict(doc, coefficients=[row[1:] for row in doc["coefficients"]],
-                 library=dict(doc["library"], include_constant=False))
+                 library={"polynomial_order": 2, "include_constant": False})
     assert len(short["coefficients"][0]) == 152
     path.write_text(json.dumps(short))
     with pytest.raises(ValueError, match="library needs"):
