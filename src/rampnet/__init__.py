@@ -20,22 +20,3 @@ The pieces, in pipeline order:
 
 The demos/ directory in the repository walks through each capability.
 """
-
-from .feedback import (RATE_MAX_VPH, RATE_MIN_VPH, MeterBank, green_percentage,
-                       rate_to_red_duration)
-from .harness import (SCENARIOS, ScenarioResult, UsageError, collect,
-                      horizon_sweep, load_logs, make_controller, report,
-                      run_scenarios)
-from .mpc import (ModelBlowupError, MpcConfig, MpcController, MpcSolution,
-                  SolverSettings, bound_penalty, objective, rollout, solve)
-from .network import (CellParams, ConfigError, Highway, JunctionSpec,
-                      NetworkConfig, RampSpec, benchmark_config_path,
-                      load_config, save_config, serialize_config)
-from .plant import (ConservationError, ControlObservation, EpisodeRecord,
-                    RampSignal, StepInfo, TrafficPlant, run_episode)
-from .sysid import (FitReport, InsufficientDataError, SparseModel,
-                    TrajectoryLog, build_library, differentiate, discover_dmdc,
-                    discover_sindyc, fit_derivatives, fit_report, stls_regress,
-                    term_label)
-
-__version__ = "0.1.0"

@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +126,6 @@ class ScenarioResult:
     mean_abs_deviation: np.ndarray  # (n,) % per sensor
     mean_flow: np.ndarray  # (n,) veh/h per sensor
     green_pct: np.ndarray  # (m,) per ramp, from the commanded rates
-    runtime_s: float = 0.0
     solver_diagnostics: list | None = None  # one list per seed, MPC only
 
     @property
@@ -151,6 +149,13 @@ class ScenarioResult:
         if any(split is None for split in splits):
             return None
         return {part: sum(split[part] for split in splits) for part in splits[0]}
+
+    @property
+    def runtime_s(self) -> float | None:
+        """Wall seconds of the scenario's episodes, the sum of
+        ``time_split_s``; None for episodes read back from CSV."""
+        split = self.time_split_s
+        return None if split is None else sum(split.values())
 
     @property
     def measured_green_pct(self) -> np.ndarray:
@@ -206,7 +211,6 @@ class ScenarioResult:
 
 def results_from_records(scenario: str, seeds, records,
                          target_occupancy_pct: float = 15.0,
-                         runtime_s: float = 0.0,
                          solver_diagnostics=None) -> ScenarioResult:
     records = list(records)
     occ = np.vstack([r.occupancy for r in records])
@@ -219,7 +223,6 @@ def results_from_records(scenario: str, seeds, records,
         mean_abs_deviation=np.mean(np.abs(occ - target_occupancy_pct), axis=0),
         mean_flow=flow.mean(axis=0),
         green_pct=green.mean(axis=0),
-        runtime_s=runtime_s,
         solver_diagnostics=solver_diagnostics,
     )
 
@@ -231,9 +234,9 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     """Run every scenario on every seed and aggregate the standard metrics.
 
     Episodes are independent (own plant, own RNG, own controller); each
-    scenario's ``runtime_s`` covers its own episodes only. A model whose
-    state or input count is not the network's ramp count is refused before
-    any episode runs.
+    scenario's ``runtime_s`` is the sum of its own episodes' time split. A
+    model whose state or input count is not the network's ramp count is
+    refused before any episode runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -252,7 +255,6 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
 
     results = []
     for scenario in scenarios:
-        started = time.perf_counter()
         records, diags = [], []
         for seed in seeds:
             controller = make_controller(
@@ -262,28 +264,24 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
             diags.append(getattr(controller, "diagnostics", None))
         results.append(results_from_records(
             scenario, seeds, records, target_occupancy_pct,
-            runtime_s=time.perf_counter() - started,
             solver_diagnostics=diags if any(d is not None for d in diags) else None,
         ))
     return results
 
 
 def horizon_sweep(model: SparseModel, config: NetworkConfig,
-                  horizons=range(3, 8), seeds=(0,),
-                  mpc_config: MpcConfig | None = None) -> list[dict]:
+                  horizons=range(3, 8), seeds=(0,)) -> list[dict]:
     """Run the ``sindyc-mpc`` scenario on ``model`` at each horizon.
 
     Returns one dict per horizon with the mean absolute occupancy deviation,
     mean sensor flow, mean per-solve time, and the scenario's runtime over
     the given seeds.
     """
-    base = mpc_config or MpcConfig()
     rows = []
     for n in horizons:
         result, = run_scenarios(config, model, None, seeds,
                                 scenarios=("sindyc-mpc",),
-                                target_occupancy_pct=base.target_occupancy_pct,
-                                mpc_config=replace(base, horizon=int(n)))
+                                mpc_config=MpcConfig(horizon=int(n)))
         solve_ms = [1e3 * step["solve_time_s"]
                     for diag in result.solver_diagnostics for step in diag
                     if not step["fallback"]]
@@ -471,7 +469,8 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                 "clamp_events": [r.clamp_events for r in res.records],
             } for res in results
         },
-        "runtime_s": {res.scenario: res.runtime_s for res in results},
+        "runtime_s": {res.scenario: res.runtime_s for res in results
+                      if res.runtime_s is not None},
         "time_split_s": {res.scenario: res.time_split_s for res in results
                          if res.time_split_s is not None},
         "solver": {res.scenario: res.solver_health() for res in results

@@ -11,7 +11,7 @@ rates boxed to the plant's meter range (``feedback.RATE_MIN_VPH`` to
 ``RATE_MAX_VPH``), and the occupancy band ``OCCUPANCY_MIN_PCT`` to
 ``OCCUPANCY_MAX_PCT`` enforced through a quadratic penalty weighted by
 ``BOUND_PENALTY_WEIGHT``. The cost is fixed in code; a controller sets only
-its horizon, its target and its solver limits. The whole cost is a sum of
+its horizon, its target and its iteration cap. The whole cost is a sum of
 squared residuals, so the solver is projected Gauss-Newton on the rate box
 (Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
@@ -74,6 +74,10 @@ _EPS_FRAC = 0.01
 # Projection-arc search: sufficient-decrease factor and step halvings.
 _ARMIJO = 1e-4
 _ARC_HALVINGS = 30
+# A solve has converged when no rate's projected gradient, times the width of
+# the rate box, exceeds TOLERANCE * (1 + cost): moving any one rate anywhere
+# in its range could gain at most that much to first order.
+TOLERANCE = 1e-7
 
 # The cost: unit tracking weights at every stage, the occupancy band (%) and
 # the weight of the penalty on leaving it, and the weight on rate changes
@@ -95,20 +99,15 @@ class ModelBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Projected Gauss-Newton solver limits. Deterministic for fixed inputs.
-
-    A solve has converged when no rate's projected gradient, times the width
-    of the rate box, exceeds ``tolerance * (1 + cost)``: moving any one rate
-    anywhere in its range could gain at most that much to first order.
-    """
+    """Projected Gauss-Newton iteration cap. Deterministic for fixed inputs;
+    the convergence test is the module's ``TOLERANCE``."""
 
     max_iters: int = 200
-    tolerance: float = 1e-7
 
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizon (control steps), target occupancy (%) and solver limits for
+    """Horizon (control steps), target occupancy (%) and iteration cap for
     one controller; the rest of the cost is the module's constants."""
 
     horizon: int = 4
@@ -336,7 +335,7 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         grad = 2.0 * (jac.T @ cur.res)
         proj = np.where(v <= lo, np.minimum(grad, 0.0),
                         np.where(v >= hi, np.maximum(grad, 0.0), grad))
-        if np.abs(proj).max() * width <= solver.tolerance * (1.0 + total):
+        if np.abs(proj).max() * width <= TOLERANCE * (1.0 + total):
             converged = True
             break
 
@@ -404,8 +403,8 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     Projected Gauss-Newton with Levenberg-Marquardt damping. Monotone in the
     penalized objective: an iterate is only accepted when it decreases the
     value, so the reported objective never exceeds the warm-start or
-    cold-start value. ``converged`` means the projected-gradient test of
-    :class:`SolverSettings` passed; a stalled search or the iteration cap
+    cold-start value. ``converged`` means the projected-gradient test
+    (``TOLERANCE``) passed; a stalled search or the iteration cap
     leaves it False. Raises :class:`ModelBlowupError` only if the starting
     plan itself diverges.
     """

@@ -28,7 +28,6 @@ __all__ = [
     "NetworkConfig",
     "ConfigError",
     "load_config",
-    "save_config",
     "serialize_config",
     "benchmark_config_path",
 ]
@@ -76,10 +75,6 @@ class CellParams:
     def wave_speed_kmh(self) -> float:
         """Backward congestion wave speed of the triangular diagram."""
         return self.capacity_vphl / (self.jam_density_vkml - self.critical_density_vkml)
-
-    def occupancy_pct(self, density_vkml: float) -> float:
-        """Occupancy (%) a detector reports at the given per-lane density."""
-        return min(100.0, density_vkml * self.vehicle_length_m / 10.0)
 
 
 @dataclass(frozen=True)
@@ -280,11 +275,6 @@ def serialize_config(config: NetworkConfig) -> str:
         "junctions": [dataclasses.asdict(j) for j in config.junctions],
     }
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-def save_config(config: NetworkConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(config))
 
 
 def _mapping(node, keys, where: str, path) -> dict:

@@ -14,12 +14,11 @@ triangular) built once from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
 on central-difference derivatives, with z-scored columns and targets, from
-one Gram matrix: a ridge screen drops a few columns, standard-error
-elimination makes the model sparse, and the last elimination fit gives the
-coefficients (see :func:`stls_regress`). The recipe is fixed: ``RIDGE``,
-``THRESHOLD``, ``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A
-linear-terms-only fit without thresholding is the baseline (DMDc-style)
-model.
+one Gram matrix in two stages: a ridge screen drops a few columns, and
+standard-error elimination makes the model sparse and gives the coefficients
+(see :func:`stls_regress`). The recipe is fixed: ``RIDGE``, ``THRESHOLD``,
+``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A linear-terms-only fit without
+thresholding is the baseline (DMDc-style) model.
 
 Time convention: one model time unit is one control step. Log rows are one
 control step apart, ``xdot`` is the change per control step, and the
@@ -181,7 +180,8 @@ def build_library(states: np.ndarray, inputs: np.ndarray, order: int = 2):
 # -- regression ----------------------------------------------------------------
 
 # The screen's ridge, in covariance form (A'A/d + RIDGE I), and the magnitude
-# below which a normalized coefficient counts as zero. With RIDGE > 0 every
+# below which the screen drops a normalized coefficient (and the rebuilt
+# intercept counts as zero). With RIDGE > 0 every
 # eigenvalue of the screen's matrix is at least RIDGE, so its solve cannot
 # fail.
 RIDGE = 0.05
@@ -198,8 +198,10 @@ REFIT_RCOND = 3e-2
 # How many standard errors a surviving coefficient must clear to be kept. The
 # magnitude threshold alone cannot separate signal from sampling noise (noise
 # coefficients scale with the data, the threshold does not), so survivors are
-# also checked against their own estimated uncertainty. Noise-free data has
-# vanishing standard errors, leaving exact recovery untouched.
+# also checked against their own estimated uncertainty. On noise-free data the
+# residual is at rounding level, so true terms clear the bar by orders of
+# magnitude while rounding-level coefficients do not, and exact recovery
+# holds.
 SIGNIFICANCE_Z = 5.0
 
 
@@ -213,7 +215,13 @@ def _gram_fit(gram: np.ndarray, moment: np.ndarray, energy: float, d: int):
     keep = w > REFIT_RCOND ** 2 * w.max()
     along = vecs[:, keep].T @ moment
     fit = vecs[:, keep] @ (along / w[keep])
-    sigma2 = (energy - along @ (along / w[keep])) / max(d - len(moment), 1)
+    # On noise-free data y'y - b'G+b rounds to zero or below, and a zero
+    # standard error would make a rounding-level coefficient look infinitely
+    # significant. No residual is known better than machine epsilon of y'y,
+    # so that is its floor; it lets noise-free fits shed rounding-level
+    # terms, and on noisy data the residual is far above it.
+    resid = max(energy - along @ (along / w[keep]), np.finfo(float).eps * energy)
+    sigma2 = resid / max(d - len(moment), 1)
     big = np.abs(w) > 1e-15 * np.abs(w).max()
     var = sigma2 * ((vecs[:, big] ** 2) @ (1.0 / w[big]))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,8 +238,8 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     takes the centred constant and up to three columns the next stage would
     keep. Significance elimination drops the survivor with the smallest
     |coefficient| / standard error until all clear ``SIGNIFICANCE_Z``, taking
-    153 columns to 3-18. The last ``REFIT_RCOND``-truncated elimination fit,
-    with entries below ``THRESHOLD`` zeroed, is the result.
+    153 columns to 3-18. The last ``REFIT_RCOND``-truncated elimination fit
+    is the result; nothing is zeroed after it.
 
     Returns the (targets, h) coefficient matrix; a target whose columns
     were all eliminated keeps a zero row.
@@ -268,7 +276,7 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
                 break
             active = np.delete(active, weakest)
         if active.size:
-            coef[k, active] = np.where(np.abs(fit) < THRESHOLD, 0.0, fit)
+            coef[k, active] = fit
     return coef
 
 

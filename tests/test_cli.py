@@ -11,7 +11,7 @@ import yaml
 from rampnet.cli import _parse_horizons, _parse_seeds, build_parser, main
 from rampnet.harness import UsageError
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
-                             benchmark_config_path, save_config)
+                             benchmark_config_path, serialize_config)
 from rampnet.sysid import fit_derivatives
 
 
@@ -59,7 +59,7 @@ def test_missing_subcommand_is_an_argparse_error():
 
 def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     cfg_path = tmp_path / "net.cfg"
-    save_config(_tiny_network(), cfg_path)
+    cfg_path.write_text(serialize_config(_tiny_network()), encoding="utf-8")
     logs = tmp_path / "logs"
     sindyc_path = tmp_path / "sindyc.json"
     dmdc_path = tmp_path / "dmdc.json"
@@ -157,7 +157,7 @@ def _bad_benchmark_configs():
 
 def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     cfg_path = tmp_path / "net.cfg"
-    save_config(_tiny_network(), cfg_path)
+    cfg_path.write_text(serialize_config(_tiny_network()), encoding="utf-8")
     rng = np.random.default_rng(0)
     x, u = rng.uniform(0, 30, (100, 1)), rng.uniform(200, 1800, (100, 1))
     model_path = tmp_path / "model.json"

@@ -292,7 +292,7 @@ def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
     projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
                          np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
     assert (np.max(np.abs(projected)) * (hi - lo)
-            <= cfg.solver.tolerance * (1.0 + sol.objective + sol.penalty))
+            <= mpc.TOLERANCE * (1.0 + sol.objective + sol.penalty))
     capped = solve(model, x0, u_prev,
                    replace(cfg, solver=SolverSettings(max_iters=2)))
     assert capped.iterations == 2 and not capped.converged
@@ -357,7 +357,7 @@ def test_a_candidate_that_diverges_is_rejected():
                          np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
     assert sol.converged
     assert (np.max(np.abs(projected)) * (hi - lo)
-            <= cfg.solver.tolerance * (1.0 + sol.objective + sol.penalty))
+            <= mpc.TOLERANCE * (1.0 + sol.objective + sol.penalty))
 
 
 def test_returned_plans_share_no_memory_with_later_solves():

@@ -1,6 +1,7 @@
-"""Import surface: every exported name resolves, every demo imports, the
-planner stays below the episode runners, and every function the traced
-benchmark patches is where it looks for it."""
+"""Import surface: every exported name resolves and is used by program code,
+the package root re-exports nothing, every demo imports, the planner stays
+below the episode runners, and every function the traced benchmark patches
+is where it looks for it."""
 
 import ast
 import dataclasses
@@ -19,6 +20,10 @@ import rampnet
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rampnet.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Program code: the package, the demos and the benchmark, but not tests.
+PROGRAM = [path for path in (*sorted((ROOT / "src" / "rampnet").glob("*.py")),
+                             *DEMOS, *sorted((ROOT / "perfbench").glob("*.py")))
+           if not path.name.startswith("test_") and path.name != "conftest.py"]
 
 
 def _load_by_path(path: Path, name: str):
@@ -35,14 +40,30 @@ def test_every_exported_name_resolves(name):
         assert hasattr(module, attr), f"rampnet.{name}.__all__ lists missing '{attr}'"
 
 
-def test_package_exports_come_from_module_surfaces():
-    exported = set()
-    for name in MODULES:
-        exported.update(getattr(importlib.import_module(f"rampnet.{name}"),
-                                "__all__", ()))
+def test_package_root_defines_only_its_submodules():
+    """The CLI, the demos and the benchmark import modules
+    (``from rampnet import harness``), so the package root re-exports
+    nothing."""
     public = {attr for attr, value in vars(rampnet).items()
               if not attr.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public <= exported, sorted(public - exported)
+    assert not public, sorted(public)
+
+
+def test_every_exported_name_is_used_by_program_code():
+    """A name in a module's ``__all__`` is read somewhere in the package, the
+    demos or the benchmark, as a name or an attribute; one that only tests
+    reach is not public API."""
+    used = set()
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name: sorted(set(getattr(importlib.import_module(f"rampnet.{name}"),
+                                       "__all__", ())) - used)
+              for name in MODULES}
+    assert not any(unused.values()), unused
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -143,6 +164,19 @@ def test_planner_cost_is_fixed_in_code():
     assert not taken, taken
     assert not hasattr(mpc.MpcConfig, "weights")
     assert not hasattr(mpc, "_cost_roots")
+
+
+def test_knobs_no_caller_sets_are_gone():
+    """The solver's tolerance is a constant of ``rampnet.mpc``, so the
+    planner's settable values are the horizon, the target and the iteration
+    cap; the sweep plans with the default config at each horizon; and a
+    scenario's runtime is the sum of its episodes' time split."""
+    from rampnet import harness, mpc
+
+    assert {f.name for f in dataclasses.fields(mpc.SolverSettings)} == {"max_iters"}
+    assert "mpc_config" not in inspect.signature(harness.horizon_sweep).parameters
+    assert "runtime_s" not in inspect.signature(
+        harness.results_from_records).parameters
 
 
 def test_one_local_law_and_one_episode_start():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rampnet.mpc import rollout
-from rampnet.sysid import (REFIT_RCOND, InsufficientDataError, SparseModel,
-                           TrajectoryLog, _column_stats, _gram_fit,
-                           build_library, differentiate,
+from rampnet.sysid import (REFIT_RCOND, SIGNIFICANCE_Z, InsufficientDataError,
+                           SparseModel, TrajectoryLog, _column_stats,
+                           _gram_fit, build_library, differentiate,
                            discover_dmdc, discover_sindyc, fit_derivatives,
                            fit_report, stls_regress, term_label)
 
@@ -165,6 +165,17 @@ def test_gram_fit_matches_lstsq_and_pinv():
     se = np.sqrt(sigma2 * np.diag(np.linalg.pinv(cols.T @ cols, hermitian=True)))
     assert ratios[0] == np.inf
     assert np.allclose(ratios[1:], np.abs(ref[1:]) / se[1:], rtol=1e-9, atol=0)
+
+
+def test_gram_fit_floors_an_exact_fits_residual():
+    """An exact fit leaves y'y - b'G+b at zero, and a zero standard error
+    would make every coefficient look infinitely significant. With the
+    residual floored at machine epsilon of y'y the ratios stay finite, and
+    a zero coefficient reads 0, so elimination drops it."""
+    fit, ratios = _gram_fit(np.eye(2), np.array([1.0, 0.0]), 1.0, 3)
+    assert fit.tolist() == [1.0, 0.0]
+    assert ratios.tolist() == [1.0 / np.sqrt(np.finfo(float).eps), 0.0]
+    assert ratios[1] < SIGNIFICANCE_Z <= ratios[0]
 
 
 def test_fit_rejects_non_finite_data():
