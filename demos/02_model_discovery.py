@@ -11,8 +11,7 @@ from plain relaxation.
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
 from rampnet.harness import make_controller
-from rampnet.sysid import (TrajectoryLog, discover_dmdc, discover_sindyc,
-                           fit_report)
+from rampnet.sysid import discover_dmdc, discover_sindyc, fit_report
 
 TRAIN_SEEDS = (1, 2, 3)
 
@@ -23,9 +22,10 @@ def main():
           f"(seeds {', '.join(map(str, TRAIN_SEEDS))})...")
     records = [run_episode(config, make_controller("alinea", config.n_ramps),
                            seed=seed) for seed in TRAIN_SEEDS]
-    log = TrajectoryLog.from_records(records)
-    print(f"log: {log.states.shape[0]} control steps, "
-          f"{log.states.shape[1]} sensors, {log.inputs.shape[1]} meters")
+    log = [(r.occupancy, r.rates) for r in records]
+    print(f"log: {sum(len(r) for r in records)} control steps, "
+          f"{records[0].occupancy.shape[1]} sensors, "
+          f"{records[0].rates.shape[1]} meters")
 
     sparse = discover_sindyc(log)
     linear = discover_dmdc(log)

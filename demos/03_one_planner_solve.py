@@ -10,10 +10,10 @@ the solver's own diagnostics.
 import numpy as np
 
 from rampnet.harness import make_controller
-from rampnet.mpc import MpcConfig, rollout, solve
+from rampnet.mpc import MpcConfig, solve
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
-from rampnet.sysid import TrajectoryLog, discover_sindyc
+from rampnet.sysid import discover_sindyc
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     print("fitting a sparse model from three ALINEA episodes...")
     records = [run_episode(config, make_controller("alinea", config.n_ramps),
                            seed=seed) for seed in (1, 2, 3)]
-    model = discover_sindyc(TrajectoryLog.from_records(records))
+    model = discover_sindyc([(r.occupancy, r.rates) for r in records])
 
     # A congested but in-envelope snapshot: the first recorded step of an
     # ALINEA episode, where burn-in congestion is still being worked off.
@@ -42,9 +42,8 @@ def main():
         print(f"  stage {l}: "
               f"{np.array2string(rates, precision=0, floatmode='fixed')}")
 
-    predicted = rollout(model, snapshot, sol.plan)
     print("\npredicted mean occupancy along the horizon: "
-          + " -> ".join(f"{row.mean():.1f}%" for row in predicted))
+          + " -> ".join(f"{row.mean():.1f}%" for row in sol.states))
     print("\nThe planner cuts hardest at the meters feeding the densest "
           "cells and lets the rest run; each stage is one 30 s control step, "
           "and only stage 0 is ever applied before replanning.")

@@ -10,7 +10,7 @@ would write as CSV.
 from rampnet.harness import SCENARIOS, make_controller, run_scenarios
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
-from rampnet.sysid import TrajectoryLog, discover_dmdc, discover_sindyc
+from rampnet.sysid import discover_dmdc, discover_sindyc
 
 TRAIN_SEEDS = (1, 2, 3, 4)
 EVAL_SEED = 21
@@ -22,7 +22,7 @@ def main():
           "both models...")
     records = [run_episode(config, make_controller("alinea", config.n_ramps),
                            seed=seed) for seed in TRAIN_SEEDS]
-    log = TrajectoryLog.from_records(records)
+    log = [(r.occupancy, r.rates) for r in records]
     sindyc = discover_sindyc(log)
     dmdc = discover_dmdc(log)
 

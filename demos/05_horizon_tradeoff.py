@@ -10,7 +10,7 @@ stage.
 from rampnet.harness import horizon_sweep, make_controller
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
-from rampnet.sysid import TrajectoryLog, discover_sindyc
+from rampnet.sysid import discover_sindyc
 
 HORIZONS = (2, 3, 4, 5, 6)
 SEED = 21
@@ -21,7 +21,7 @@ def main():
     print("fitting the sparse model from four excitation episodes...")
     records = [run_episode(config, make_controller("alinea", config.n_ramps),
                            seed=seed) for seed in (1, 2, 3, 4)]
-    model = discover_sindyc(TrajectoryLog.from_records(records))
+    model = discover_sindyc([(r.occupancy, r.rates) for r in records])
 
     print(f"sweeping horizons {HORIZONS} on evaluation seed {SEED}...\n")
     rows = horizon_sweep(model, config, horizons=HORIZONS, seeds=(SEED,))

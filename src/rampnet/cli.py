@@ -7,7 +7,6 @@ import csv
 import sys
 
 from . import harness, network, sysid
-from .mpc import MpcConfig
 from .sysid import SparseModel
 
 
@@ -84,7 +83,7 @@ def _cmd_run(args) -> int:
     sindyc = _load_model(args.sindyc_model)
     dmdc = _load_model(args.dmdc_model)
     results = harness.run_scenarios(config, sindyc, dmdc, seeds,
-                                    mpc_config=MpcConfig(horizon=args.horizon))
+                                    horizon=args.horizon)
     paths = harness.report(results, args.out, config,
                            models={"sindyc": sindyc, "dmdc": dmdc})
     for res in results:

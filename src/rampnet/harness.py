@@ -25,7 +25,7 @@ from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
 from .mpc import MpcConfig, MpcController
 from .network import NetworkConfig, serialize_config
 from .plant import EpisodeRecord, run_episode
-from .sysid import SparseModel, TrajectoryLog
+from .sysid import SparseModel
 
 __all__ = [
     "SCENARIOS",
@@ -105,15 +105,18 @@ def collect(config: NetworkConfig, controller_name: str, seeds,
     return paths
 
 
-def load_logs(log_dir) -> TrajectoryLog:
-    """Stack every episode CSV under a directory into one trajectory log."""
+def load_logs(log_dir) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read every episode CSV under a directory, in name order, as the
+    ``(occupancy, rates)`` pairs that :mod:`rampnet.sysid` fits as
+    ``(states, inputs)``, one pair per episode."""
     paths = sorted(Path(log_dir).glob("*.csv"))
     if not paths:
         raise UsageError(f"no episode CSVs found under {log_dir}")
     try:
-        return TrajectoryLog.from_records(EpisodeRecord.from_csv(p) for p in paths)
+        records = [EpisodeRecord.from_csv(p) for p in paths]
     except ValueError as exc:
         raise UsageError(f"unusable episode logs under {log_dir}: {exc}") from exc
+    return [(r.occupancy, r.rates) for r in records]
 
 
 @dataclass
@@ -229,14 +232,14 @@ def results_from_records(scenario: str, seeds, records,
 
 def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
                   dmdc: SparseModel, seeds, scenarios=SCENARIOS,
-                  target_occupancy_pct: float = 15.0,
-                  mpc_config: MpcConfig | None = None) -> list[ScenarioResult]:
+                  horizon: int = MpcConfig.horizon) -> list[ScenarioResult]:
     """Run every scenario on every seed and aggregate the standard metrics.
 
-    Episodes are independent (own plant, own RNG, own controller); each
-    scenario's ``runtime_s`` is the sum of its own episodes' time split. A
-    model whose state or input count is not the network's ramp count is
-    refused before any episode runs.
+    Episodes are independent (own plant, own RNG, own controller); the
+    planners look ``horizon`` control steps ahead, and every controller steers
+    to the default target. Each scenario's ``runtime_s`` is the sum of its own
+    episodes' time split. A model whose state or input count is not the
+    network's ramp count is refused before any episode runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -253,17 +256,17 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
                 f"{model.input_dim} inputs, but the network's {config.n_ramps} "
                 f"ramps need {config.n_ramps} of each")
 
+    mpc_config = MpcConfig(horizon=horizon)
     results = []
     for scenario in scenarios:
         records, diags = [], []
         for seed in seeds:
-            controller = make_controller(
-                scenario, config.n_ramps, target_occupancy_pct,
-                sindyc=sindyc, dmdc=dmdc, mpc_config=mpc_config)
+            controller = make_controller(scenario, config.n_ramps, sindyc=sindyc,
+                                         dmdc=dmdc, mpc_config=mpc_config)
             records.append(run_episode(config, controller, seed=seed))
             diags.append(getattr(controller, "diagnostics", None))
         results.append(results_from_records(
-            scenario, seeds, records, target_occupancy_pct,
+            scenario, seeds, records,
             solver_diagnostics=diags if any(d is not None for d in diags) else None,
         ))
     return results
@@ -280,8 +283,7 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
     rows = []
     for n in horizons:
         result, = run_scenarios(config, model, None, seeds,
-                                scenarios=("sindyc-mpc",),
-                                mpc_config=MpcConfig(horizon=int(n)))
+                                scenarios=("sindyc-mpc",), horizon=int(n))
         solve_ms = [1e3 * step["solve_time_s"]
                     for diag in result.solver_diagnostics for step in diag
                     if not step["fallback"]]

@@ -51,7 +51,6 @@ __all__ = [
     "SolverSettings",
     "MpcConfig",
     "MpcSolution",
-    "rollout",
     "objective",
     "bound_penalty",
     "solve",
@@ -160,7 +159,8 @@ def rollout(model: SparseModel, x0, plan) -> np.ndarray:
 
     Raises :class:`ModelBlowupError` (carrying the step index) if any state
     stops being finite; quadratic models can diverge when pushed far outside
-    the data they were fit on.
+    the data they were fit on. The solver rolls out in its own buffers; this
+    is the plain reference its predicted states are checked against.
     """
     plan = np.atleast_2d(np.asarray(plan, dtype=float))
     x0 = np.asarray(x0, dtype=float).reshape(-1)

@@ -20,6 +20,11 @@ standard-error elimination makes the model sparse and gives the coefficients
 ``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A linear-terms-only fit without
 thresholding is the baseline (DMDc-style) model.
 
+Fits and scores take ``episodes``: one ``(states, inputs)`` array pair per
+logged episode, differenced one episode at a time and stacked. The module
+names nothing of the plant; the caller says which columns are states and
+which are inputs.
+
 Time convention: one model time unit is one control step. Log rows are one
 control step apart, ``xdot`` is the change per control step, and the
 planner's predictor advances ``x + xdot`` per step.
@@ -34,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "TrajectoryLog",
     "InsufficientDataError",
     "differentiate",
     "build_library",
@@ -50,67 +54,26 @@ __all__ = [
 
 
 class InsufficientDataError(ValueError):
-    """Raised when a log is too short or not finite to identify the library."""
+    """Raised when the episodes are missing, too short or not finite to
+    identify the library."""
 
 
-@dataclass
-class TrajectoryLog:
-    """Stacked (state, input) rows from one or more episodes.
+def differentiate(episodes):
+    """Central-difference derivatives per control step, one episode at a time.
 
-    ``episode_starts`` marks the first row of each episode; derivatives are
-    never differenced across an episode boundary. Rows are one control step
-    (one model time unit) apart.
-    """
-
-    states: np.ndarray  # (d, n)
-    inputs: np.ndarray  # (d, m)
-    episode_starts: tuple[int, ...] = (0,)
-
-    def __post_init__(self) -> None:
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        if self.states.shape[0] != self.inputs.shape[0]:
-            raise ValueError("states and inputs must have the same row count")
-        starts = tuple(self.episode_starts)
-        if not starts or starts[0] != 0 or list(starts) != sorted(set(starts)):
-            raise ValueError("episode_starts must be sorted, unique, and begin at 0")
-        if starts[-1] >= len(self.states) and len(self.states) > 0:
-            raise ValueError("episode start beyond the end of the log")
-        self.episode_starts = starts
-
-    @classmethod
-    def from_records(cls, records) -> "TrajectoryLog":
-        """Build a log from episode records (occupancies as states, rates as
-        inputs), one episode per record."""
-        records = list(records)
-        if not records:
-            raise ValueError("no episode records given")
-        starts, offset = [], 0
-        for rec in records:
-            starts.append(offset)
-            offset += len(rec)
-        return cls(
-            states=np.vstack([rec.occupancy for rec in records]),
-            inputs=np.vstack([rec.rates for rec in records]),
-            episode_starts=tuple(starts),
-        )
-
-    def episode_slices(self):
-        bounds = list(self.episode_starts) + [len(self.states)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            yield slice(a, b)
-
-
-def differentiate(log: TrajectoryLog):
-    """Central-difference derivatives per episode, per control step.
-
-    Returns ``(derivs, states, inputs)`` with endpoint rows of every episode
-    dropped (central differences need both neighbors).
+    ``episodes`` holds one ``(states, inputs)`` array pair per episode, with
+    rows one control step apart. Each pair is differenced on its own, so no
+    difference crosses two episodes, and loses its two endpoint rows (central
+    differences need both neighbors). Returns the stacked
+    ``(derivs, states, inputs)``.
     """
     derivs, xs, us = [], [], []
-    for idx, sl in enumerate(log.episode_slices()):
-        x = log.states[sl]
-        u = log.inputs[sl]
+    for idx, (x, u) in enumerate(episodes):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if len(x) != len(u):
+            raise ValueError(f"episode {idx} has {len(x)} state rows but "
+                             f"{len(u)} input rows")
         if len(x) < 3:
             raise InsufficientDataError(
                 f"episode {idx} has {len(x)} usable rows; need at least 3 "
@@ -118,6 +81,8 @@ def differentiate(log: TrajectoryLog):
         derivs.append((x[2:] - x[:-2]) / 2.0)
         xs.append(x[1:-1])
         us.append(u[1:-1])
+    if not derivs:
+        raise InsufficientDataError("no episodes given; a fit needs at least one")
     return np.vstack(derivs), np.vstack(xs), np.vstack(us)
 
 
@@ -341,44 +306,39 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     )
 
 
-def discover_sindyc(log: TrajectoryLog,
-                    provenance: dict | None = None) -> "SparseModel":
-    """Identify sparse quadratic dynamics from a metering log.
+def discover_sindyc(episodes, provenance: dict | None = None) -> "SparseModel":
+    """Identify sparse quadratic dynamics from ``(states, inputs)`` episodes.
 
-    Differentiates per episode, then runs the thresholded regression. A log
-    of a plant stuck at steady state yields an all-zero model; check
+    Differentiates per episode, then runs the thresholded regression. Logs
+    of a plant stuck at steady state yield an all-zero model; check
     ``model.zero_rows`` before trusting predictions.
     """
-    derivs, xs, us = differentiate(log)
-    info = dict(provenance or {}, method="sindyc",
-                episodes=len(log.episode_starts))
+    derivs, xs, us = differentiate(episodes)
+    info = dict(provenance or {}, method="sindyc", episodes=len(episodes))
     return fit_derivatives(xs, us, derivs, provenance=info)
 
 
-def discover_dmdc(log: TrajectoryLog, provenance: dict | None = None) -> "SparseModel":
+def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
     """Linear baseline: least-squares ``xdot = A x + B u + c``, no thresholding.
 
-    Falls back to a lightly ridged solve (with a warning) when the design
-    matrix is rank deficient, e.g. an input that never moved. Non-finite data
-    or fewer than two rows per column raise :class:`InsufficientDataError`,
-    as in :func:`fit_derivatives`.
+    When the design matrix is rank deficient, e.g. an input that never moved,
+    the result is ``lstsq``'s minimum-norm solution, with a warning.
+    Non-finite data or fewer than two rows per column raise
+    :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
-    derivs, xs, us = differentiate(log)
+    derivs, xs, us = differentiate(episodes)
     _require_data(xs, us, derivs, 1)
     theta, _ = build_library(xs, us, order=1)
     solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
     if rank < theta.shape[1]:
         warnings.warn(
             f"linear fit is rank deficient ({rank}/{theta.shape[1]}); "
-            "using a ridged solve", RuntimeWarning, stacklevel=2)
-        solution = np.linalg.solve(
-            theta.T @ theta + 1e-6 * np.eye(theta.shape[1]), theta.T @ derivs)
+            "using the minimum-norm solution", RuntimeWarning, stacklevel=2)
     return SparseModel(
         coefficients=solution.T,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
-        provenance=dict(provenance or {}, method="dmdc",
-                        episodes=len(log.episode_starts),
+        provenance=dict(provenance or {}, method="dmdc", episodes=len(episodes),
                         samples=theta.shape[0], columns=theta.shape[1]),
     )
 
@@ -540,9 +500,10 @@ class FitReport:
         return "\n".join(lines)
 
 
-def fit_report(model: SparseModel, log: TrajectoryLog) -> FitReport:
-    """Score a model against a (held-out) log's numerical derivatives."""
-    derivs, xs, us = differentiate(log)
+def fit_report(model: SparseModel, episodes) -> FitReport:
+    """Score a model against the numerical derivatives of (held-out)
+    ``(states, inputs)`` episodes."""
+    derivs, xs, us = differentiate(episodes)
     pred = model.evaluate_batch(xs, us)
     resid = pred - derivs
     rmse = np.sqrt(np.mean(resid ** 2, axis=0))

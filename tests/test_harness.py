@@ -96,9 +96,6 @@ def test_factory_refuses_two_different_targets():
     same = make_controller("sindyc-mpc", 1, 18.0, sindyc=sindyc,
                            mpc_config=MpcConfig(target_occupancy_pct=18.0))
     assert same.config.target_occupancy_pct == 18.0
-    with pytest.raises(UsageError, match="two targets"):
-        run_scenarios(_tiny_network(), sindyc, None, [0], scenarios=("alinea",),
-                      mpc_config=MpcConfig(target_occupancy_pct=18.0))
 
 
 # -- collection ----------------------------------------------------------------------
@@ -125,14 +122,18 @@ def test_collect_is_byte_reproducible(tmp_path):
     assert first[0].read_bytes() == second[0].read_bytes()
 
 
-def test_load_logs_stacks_episodes_in_name_order(tmp_path):
+def test_load_logs_reads_one_pair_per_episode_in_name_order(tmp_path):
     config = _tiny_network()
-    collect(config, "alinea", [1, 2], tmp_path / "logs")
-    log = load_logs(tmp_path / "logs")
+    paths = collect(config, "alinea", [2, 1], tmp_path / "logs")
+    episodes = load_logs(tmp_path / "logs")
     rows = int(config.horizon_duration_s / config.control_step_s)
-    assert log.states.shape == (2 * rows, 1)
-    assert log.inputs.shape == (2 * rows, 1)
-    assert log.episode_starts == (0, rows)
+    assert len(episodes) == 2
+    for (states, inputs), path in zip(episodes, sorted(paths)):
+        assert states.shape == (rows, 1)
+        assert inputs.shape == (rows, 1)
+        record = EpisodeRecord.from_csv(path)
+        assert np.array_equal(states, record.occupancy)
+        assert np.array_equal(inputs, record.rates)
 
 
 def test_load_logs_complains_about_an_empty_directory(tmp_path):
@@ -219,8 +220,7 @@ def test_horizon_sweep_reports_one_row_per_horizon():
         assert row["runtime_s"] > 0.0
     # Each row is the sindyc-mpc scenario at that horizon.
     result, = run_scenarios(config, sindyc, None, (0, 1),
-                            scenarios=("sindyc-mpc",),
-                            mpc_config=MpcConfig(horizon=3))
+                            scenarios=("sindyc-mpc",), horizon=3)
     assert rows[1]["mean_abs_deviation_pct"] == result.average_deviation
     assert rows[1]["mean_flow_vph"] == result.average_flow
 

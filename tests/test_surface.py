@@ -73,6 +73,19 @@ def test_demo_imports_cleanly(path):
     assert callable(_load_by_path(path, f"demo_{path.stem}").main)
 
 
+def test_model_discovery_demo_runs_end_to_end(capsys):
+    """Demo 02 runs the path the fitting demos share on benchmark episodes:
+    records to ``(states, inputs)`` pairs, both fits, and ``fit_report``."""
+    _load_by_path(ROOT / "demos" / "02_model_discovery.py", "demo_run_02").main()
+    out = capsys.readouterr().out
+    assert "log: 360 control steps, 8 sensors, 8 meters" in out
+    assert out.count("samples: 354") == 2  # three episodes lose two rows each
+    sparse, linear = (float(line.split()[-1]) for line in out.splitlines()
+                      if line.startswith("mean R2:"))
+    assert sparse > linear
+    assert "what drives sensor" in out
+
+
 def test_planner_imports_neither_the_plant_nor_the_harness():
     """The planner plans; the harness runs episodes. An import anywhere in
     ``rampnet.mpc``, at module level or inside a function, counts."""
@@ -169,14 +182,29 @@ def test_planner_cost_is_fixed_in_code():
 def test_knobs_no_caller_sets_are_gone():
     """The solver's tolerance is a constant of ``rampnet.mpc``, so the
     planner's settable values are the horizon, the target and the iteration
-    cap; the sweep plans with the default config at each horizon; and a
+    cap; the scenario runner and the sweep set only the horizon; and a
     scenario's runtime is the sum of its episodes' time split."""
     from rampnet import harness, mpc
 
     assert {f.name for f in dataclasses.fields(mpc.SolverSettings)} == {"max_iters"}
     assert "mpc_config" not in inspect.signature(harness.horizon_sweep).parameters
+    run = inspect.signature(harness.run_scenarios).parameters
+    assert not {"target_occupancy_pct", "mpc_config"} & set(run)
+    assert run["horizon"].default == mpc.MpcConfig().horizon
     assert "runtime_s" not in inspect.signature(
         harness.results_from_records).parameters
+
+
+def test_a_log_is_its_episodes():
+    """Fits and scores take one ``(states, inputs)`` pair per episode, as
+    ``harness.load_logs`` returns them, so the identification layer has no
+    log class."""
+    from rampnet import sysid
+
+    assert not hasattr(sysid, "TrajectoryLog")
+    for fn in (sysid.differentiate, sysid.discover_sindyc, sysid.discover_dmdc,
+               sysid.fit_report):
+        assert "episodes" in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_one_local_law_and_one_episode_start():

@@ -7,7 +7,7 @@ import pytest
 
 from rampnet.mpc import rollout
 from rampnet.sysid import (REFIT_RCOND, SIGNIFICANCE_Z, InsufficientDataError,
-                           SparseModel, TrajectoryLog, _column_stats,
+                           SparseModel, _column_stats,
                            _gram_fit, build_library, differentiate,
                            discover_dmdc, discover_sindyc, fit_derivatives,
                            fit_report, stls_regress, term_label)
@@ -15,24 +15,36 @@ from rampnet.sysid import (REFIT_RCOND, SIGNIFICANCE_Z, InsufficientDataError,
 THRESHOLD = 2e-4
 
 
-# -- trajectory logs ------------------------------------------------------------
+# -- episodes ----------------------------------------------------------------------
 
-def test_log_validates_shapes_and_starts():
-    with pytest.raises(ValueError, match="row count"):
-        TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((4, 1)))
-    with pytest.raises(ValueError, match="episode_starts"):
-        TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((5, 1)),
-                      episode_starts=(1,))
-    with pytest.raises(ValueError, match="beyond the end"):
-        TrajectoryLog(states=np.zeros((5, 2)), inputs=np.zeros((5, 1)),
-                      episode_starts=(0, 7))
+def test_differentiate_names_a_mismatched_episode_and_refuses_none():
+    good = (np.zeros((5, 2)), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="episode 1 has 5 state rows but 4 "
+                       "input rows"):
+        differentiate([good, (np.zeros((5, 2)), np.zeros((4, 1)))])
+    with pytest.raises(InsufficientDataError, match="no episodes"):
+        differentiate([])
+
+
+def test_fits_and_scores_take_state_input_pairs():
+    episodes = (_linear_recursion_log(np.array([[-0.5]]), np.array([[0.4]]),
+                                      np.zeros(1), 40, seed=9)
+                + _linear_recursion_log(np.array([[-0.5]]), np.array([[0.4]]),
+                                        np.zeros(1), 40, seed=10))
+    for discover in (discover_sindyc, discover_dmdc):
+        model = discover(episodes)
+        assert model.provenance["episodes"] == 2
+        assert model.provenance["samples"] == 76
+        assert fit_report(model, episodes).samples == 76
+        with pytest.raises(InsufficientDataError, match="no episodes"):
+            discover([])
+        with pytest.raises(InsufficientDataError, match="no episodes"):
+            fit_report(model, [])
 
 
 def test_central_differences_are_exact_on_quadratics():
     t = np.arange(8.0)
-    log = TrajectoryLog(states=(t ** 2).reshape(-1, 1),
-                        inputs=np.zeros((8, 1)))
-    derivs, xs, us = differentiate(log)
+    derivs, xs, us = differentiate([((t ** 2).reshape(-1, 1), np.zeros((8, 1)))])
     assert np.array_equal(derivs.ravel(), 2.0 * t[1:-1])
     assert np.array_equal(xs.ravel(), (t ** 2)[1:-1])
     assert len(us) == 6
@@ -43,17 +55,14 @@ def test_differentiation_never_crosses_episode_boundaries():
     difference would show up as a spurious huge derivative."""
     a = np.arange(5.0).reshape(-1, 1)
     b = (1000.0 + np.arange(5.0)).reshape(-1, 1)
-    log = TrajectoryLog(states=np.vstack([a, b]), inputs=np.zeros((10, 1)),
-                        episode_starts=(0, 5))
-    derivs, xs, _ = differentiate(log)
+    derivs, xs, _ = differentiate([(a, np.zeros((5, 1))), (b, np.zeros((5, 1)))])
     assert np.allclose(derivs, 1.0)
     assert len(xs) == 6  # both episodes lose their two endpoint rows
 
 
 def test_too_short_episode_is_an_error():
-    log = TrajectoryLog(states=np.zeros((2, 1)), inputs=np.zeros((2, 1)))
     with pytest.raises(InsufficientDataError, match="at least 3"):
-        differentiate(log)
+        differentiate([(np.zeros((2, 1)), np.zeros((2, 1)))])
 
 
 # -- feature library --------------------------------------------------------------
@@ -250,17 +259,18 @@ def test_fit_requires_twice_as_many_rows_as_columns():
         fit_derivatives(x, u, np.zeros((100, 8)))
     # DMDc goes through the same check: 12 usable rows for 17 linear columns.
     rng = np.random.default_rng(16)
-    log = TrajectoryLog(states=rng.uniform(0.0, 30.0, size=(14, 8)),
-                        inputs=rng.uniform(200.0, 1800.0, size=(14, 8)))
+    episodes = [(rng.uniform(0.0, 30.0, size=(14, 8)),
+                 rng.uniform(200.0, 1800.0, size=(14, 8)))]
     with pytest.raises(InsufficientDataError, match="12 samples for 17 library "
                        "columns; need at least 34"):
-        discover_dmdc(log)
+        discover_dmdc(episodes)
 
 
 # -- discovery on logs ---------------------------------------------------------------
 
 def _linear_recursion_log(A, B, c, rows, seed):
-    """States built so the central difference at row k is exactly Ax_k+Bu_k+c."""
+    """One episode whose central difference at row k is exactly
+    Ax_k+Bu_k+c."""
     rng = np.random.default_rng(seed)
     n, m = A.shape[0], B.shape[1]
     u = rng.uniform(-1.0, 1.0, size=(rows, m))
@@ -269,7 +279,7 @@ def _linear_recursion_log(A, B, c, rows, seed):
     x[1] = rng.uniform(-1.0, 1.0, size=n)
     for k in range(1, rows - 1):
         x[k + 1] = x[k - 1] + 2.0 * (A @ x[k] + B @ u[k] + c)
-    return TrajectoryLog(states=x, inputs=u)
+    return [(x, u)]
 
 
 def test_dmdc_recovers_a_linear_system_exactly():
@@ -289,11 +299,16 @@ def test_dmdc_recovers_a_linear_system_exactly():
 def test_dmdc_warns_when_an_input_never_moves():
     log = _linear_recursion_log(np.array([[-0.5]]), np.array([[0.0]]),
                                 np.zeros(1), 40, seed=7)
-    frozen = TrajectoryLog(states=log.states,
-                           inputs=np.full_like(log.inputs, 1000.0))
+    (x, u), = log
+    frozen = [(x, np.full_like(u, 1000.0))]
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         model = discover_dmdc(frozen)
     assert np.all(np.isfinite(model.coefficients))
+    # The result is lstsq's minimum-norm solution, not a re-solve.
+    derivs, xs, us = differentiate(frozen)
+    theta, _ = build_library(xs, us, order=1)
+    solution = np.linalg.lstsq(theta, derivs, rcond=None)[0]
+    assert np.array_equal(model.coefficients, solution.T)
 
 
 def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
@@ -301,7 +316,7 @@ def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
     still sampling enough curvature to make x1^2 identifiable."""
     rng = np.random.default_rng(8)
     dt, ep_rows, episodes = 0.05, 20, 20
-    states, inputs, starts = [], [], []
+    log = []
     for _ in range(episodes):
         u = rng.uniform(-1.0, 1.0, size=(ep_rows, 1))
         x = np.empty((ep_rows, 1))
@@ -310,11 +325,7 @@ def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
         for k in range(1, ep_rows - 1):
             x[k + 1] = x[k - 1] + 2.0 * dt * (-0.4 * x[k] + 0.3 * x[k] ** 2
                                               + 0.2 * u[k])
-        starts.append(len(states) * ep_rows)
-        states.append(x)
-        inputs.append(u)
-    log = TrajectoryLog(states=np.vstack(states), inputs=np.vstack(inputs),
-                        episode_starts=tuple(starts))
+        log.append((x, u))
     quad = discover_sindyc(log)
     linear = discover_dmdc(log)
     assert fit_report(quad, log).mean_r2 > fit_report(linear, log).mean_r2
@@ -324,8 +335,7 @@ def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
 
 
 def test_steady_state_log_yields_the_zero_model():
-    log = TrajectoryLog(states=np.full((50, 2), 15.0),
-                        inputs=np.full((50, 1), 900.0))
+    log = [(np.full((50, 2), 15.0), np.full((50, 1), 900.0))]
     model = discover_sindyc(log)
     assert model.zero_rows == (True, True)
     assert not model.coefficients.any()
@@ -555,10 +565,9 @@ def test_active_terms_lists_labels_and_physical_coefficients():
 def test_fit_report_counts_and_summary():
     model = _hand_model()
     rng = np.random.default_rng(12)
-    log = TrajectoryLog(states=rng.uniform(-1.0, 1.0, size=(40, 1)),
-                        inputs=rng.uniform(-1.0, 1.0, size=(40, 1)),
-                        episode_starts=(0, 20))
-    report = fit_report(model, log)
+    x = rng.uniform(-1.0, 1.0, size=(40, 1))
+    u = rng.uniform(-1.0, 1.0, size=(40, 1))
+    report = fit_report(model, [(x[:20], u[:20]), (x[20:], u[20:])])
     assert report.samples == 36  # two episodes each lose their endpoints
     assert report.rmse.shape == (1,)
     assert report.r2[0] <= 1.0
