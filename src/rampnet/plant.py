@@ -29,20 +29,30 @@ row. numpy fills the block in row order with exactly the draws that one
 scalar call per source and step would give, and a zero-demand source takes
 no bits, so demand realizations depend on the seed alone.
 
-The steps run on Python floats in one window kernel,
-:meth:`TrafficPlant.advance`, which the episode runner calls once per
-control window with that window's arrival block. It reads the state arrays
-with ``tolist()`` once per call, binds the per-cell constant tuples compiled
-in ``__init__`` to locals, and writes the state back as arrays when the
-block is done; :meth:`TrafficPlant.step` is the kernel on a one-row block.
-The cell rule has one home, ``TrafficPlant._settle``: from a step's inflow
-and outflow it moves every density, clamps it to [0, jam] and returns each
-cell's send, receive and discharge factor for the next step. The kernel
-calls it once per step, and once with zero flow on the state as read. The
-steps are scalar loops, not numpy calls, because on the benchmark's 34
-cells a numpy call on an 8-34 element array costs about as much as the
-arithmetic it does. The loops keep the array version's float expressions in
-the same order, so episodes are bit-identical to it.
+The steps run on Python floats in one window kernel, which
+:meth:`TrafficPlant.advance` calls once per control window with that
+window's arrival block (:meth:`TrafficPlant.step` is the kernel on a
+one-row block). The kernel is Python source generated for one network,
+``_kernel_source``, and compiled once per distinct ``NetworkConfig``
+(``_window_kernel`` caches it by the frozen config). It unpacks the state
+arrays into local variables when the call starts, runs each row of the
+block as one straight-line step and writes the state back as arrays when
+the block is done. In that step every cell's density, send, receive and
+discharge factor, every flux, queue, merge average and sensor sum is a
+local and every constant of the config is a literal, so a step spends no
+time on list indexing, tuple unpacking or helper calls; module constants
+such as ``CAPACITY_DROP_FRAC`` are read at each call. The generator is the
+one home of the cell rule, of merges and of the step's order;
+:meth:`RampSignal.advance` stays the one home of the signal cycle, called
+per ramp and step. The steps are scalar Python, not numpy calls, because
+on the benchmark's 34 cells a numpy call on an 8-34 element array costs
+about as much as the arithmetic it does. Each element's float expressions
+keep the order of the array version of the plant, so episodes are
+bit-identical to it. Compiling the benchmark corridor's 545-line kernel
+takes about 11 ms and a transient of about 3 MB (tracemalloc peak, 2
+vCPUs), once per process and config; its source is registered
+in ``linecache`` under a name derived from it, so tracebacks and profiles
+show kernel lines.
 
 Units: densities veh/km/lane, flows veh/h, queues veh, time s. One simulation
 step is ``config.sim_step_s`` (1 s in the benchmark).
@@ -51,8 +61,12 @@ step is ``config.sim_step_s`` (1 s in the benchmark).
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import json
+import linecache
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +175,199 @@ class ConservationError(RuntimeError):
         self.residual_veh = residual_veh
 
 
+# -- window kernel ----------------------------------------------------------------
+
+def _literal(value) -> str:
+    """Source text that reads back as exactly ``float(value)``."""
+    text = repr(float(value))
+    return text if math.isfinite(float(value)) else f"float('{text}')"
+
+
+def _kernel_source(config: NetworkConfig) -> str:
+    """Python source of ``window(plant, block, ledgers)`` for ``config``.
+
+    Cell ``c`` (the highways' cells in config order) keeps its density,
+    send, receive and discharge factor in ``rho{c}``, ``snd{c}``, ``rcv{c}``
+    and ``dis{c}``; ``q{c}`` is a plain or queue-fed flux into it, and a
+    merge cell's inflow is ``main{c} + side{c}``. Highway ``i`` has
+    ``entry{i}`` and its exit flux ``out{i}``; ramp ``j`` has ``queue{j}``,
+    ``ema{j}``, ``sig{j}`` and the sensor sums ``occ{j}``, ``dens{j}``,
+    ``passed{j}`` and ``green{j}``. ``x`` is scratch.
+    """
+    cells = [c for hw in config.highways for c in hw.cells]
+    first, chains, offset = {}, [], 0  # (first, last) cell of each highway
+    for hw in config.highways:
+        first[hw.name] = offset
+        chains.append((offset, offset + len(hw.cells) - 1))
+        offset += len(hw.cells)
+    ts = float(config.sim_step_s)
+    T, TH = _literal(ts), _literal(ts / 3600.0)
+    # Per-cell constants in the expressions the step reads: vf, cap per
+    # lane, lanes, wave speed, jam, critical, jam - critical, vehicles per
+    # unit density, and cap * lanes.
+    consts = []
+    for c in cells:
+        vf, cap = float(c.free_flow_kmh), float(c.capacity_vphl)
+        lanes, jam = float(c.lanes), float(c.jam_density_vkml)
+        crit = cap / vf
+        consts.append([_literal(v) for v in (
+            vf, cap, lanes, c.wave_speed_kmh, jam, crit, jam - crit,
+            float(c.length_km) * lanes, cap * lanes)])
+    cap_total = [float(c.capacity_vphl) * float(c.lanes) for c in cells]
+    ramp_cells = [first[r.highway] + r.merge_cell for r in config.ramps]
+    n, n_hw, m = len(cells), len(config.highways), len(config.ramps)
+
+    def names(prefix, count):
+        return "".join(f"{prefix}{i}, " for i in range(count))
+
+    def clamp(c, value):
+        jam = consts[c][4]
+        return f"rho{c} = 0.0 if {value} <= 0.0 else {jam} if {value} >= {jam} else {value}"
+
+    def merge(c, main, side, priority):
+        # Split cell c's supply between its mainline and side demand:
+        # max(min(main, priority * supply), supply - side) to the mainline.
+        return [f"x = {side}",
+                f"if {main} + x <= rcv{c}:",
+                f"    main{c} = {main}; side{c} = x",
+                "else:",
+                f"    main{c} = {_literal(priority)} * rcv{c}",
+                f"    if {main} < main{c}: main{c} = {main}",
+                f"    if rcv{c} - x > main{c}: main{c} = rcv{c} - x",
+                f"    side{c} = rcv{c} - main{c}"]
+
+    # Every flux is assigned once per step: the config's plumbing rules give
+    # each cell its inflow from exactly one of a plain chain pair, a junction
+    # (continuation or target), a ramp merge or its entry queue, and its
+    # outflow to exactly one (a diverge to two, whose outflow is their sum).
+    inflow, outflow = {}, {}
+    arrive, friction, fluxes, sensors = [], [], [], []
+    for i, (s, last) in enumerate(chains):
+        arrive.append(f"if arr{i}: entry{i} += arr{i}; total += arr{i}")
+        fluxes += [f"x = entry{i} / {TH}",
+                   f"q{s} = rcv{s} if rcv{s} < x else x",
+                   f"entry{i} -= q{s} * {TH}",
+                   f"out{i} = snd{last} * dis{last}"]
+        inflow[s], outflow[last] = f"q{s}", f"out{i}"
+    for jn in config.junctions:
+        # The continuation branch, then the side branch, which competes with
+        # the target's own upstream cell for its supply.
+        p = first[jn.from_highway] + jn.from_cell
+        t = first[jn.to_highway] + jn.to_cell
+        ratio = jn.turn_ratio
+        priority = cap_total[t - 1] / (cap_total[t - 1] + ratio * cap_total[p])
+        fluxes += [f"x = {_literal(1.0 - ratio)} * snd{p}",
+                   f"q{p + 1} = (rcv{p + 1} if rcv{p + 1} < x else x) * dis{p}",
+                   *merge(t, f"snd{t - 1}", f"{_literal(ratio)} * snd{p}", priority),
+                   f"main{t} *= dis{t - 1}; side{t} *= dis{p}"]
+        inflow[p + 1], inflow[t] = f"q{p + 1}", f"main{t} + side{t}"
+        outflow[t - 1], outflow[p] = f"main{t}", f"(q{p + 1} + side{t})"
+    for j, (g, ramp) in enumerate(zip(ramp_cells, config.ramps)):
+        a = n_hw + j
+        arrive += [f"if arr{a}:",
+                   f"    x = {_literal(ramp.queue_capacity_veh)} - queue{j}",
+                   f"    x = arr{a} if arr{a} <= x else x if x > 0.0 else 0.0",
+                   f"    queue{j} += x; total += arr{a}; dropped += arr{a} - x"]
+        # Merge turbulence: recent ramp admissions brake the merge cell's own
+        # discharge, the more so the denser the cell already runs.
+        friction += [f"x = rho{g} / {consts[g][5]}",
+                     "if x > 2.0: x = 2.0",
+                     f"x = 1.0 - fric * x * ema{j} / {consts[g][8]}",
+                     f"dis{g} *= x if x > 0.5 else 0.5"]
+        # The meter releases at most its green quota of the ramp queue.
+        priority = cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH)
+        fluxes += [f"x = queue{j}",
+                   f"if sig{j}.phase != 'green': x = 0.0",
+                   f"elif sig{j}.quota_veh < x: x = sig{j}.quota_veh",
+                   *merge(g, f"snd{g - 1}", f"x / {TH}", priority),
+                   f"main{g} *= dis{g - 1}",
+                   f"x = side{g} * {TH}",
+                   f"queue{j} -= x",
+                   f"x = sig{j}.quota_veh - x",
+                   f"sig{j}.quota_veh = x if x > 0.0 else 0.0",
+                   f"ema{j} += (side{g} - ema{j}) * {T} / relax"]
+        inflow[g], outflow[g - 1] = f"main{g} + side{g}", f"main{g}"
+    for c in range(n):
+        if c not in inflow:  # a plain chain pair
+            inflow[c] = outflow[c - 1] = f"q{c}"
+            fluxes.append(f"q{c} = (rcv{c} if rcv{c} < snd{c - 1} else snd{c - 1})"
+                          f" * dis{c - 1}")
+    for j, g in enumerate(ramp_cells):
+        # Each ramp's detector sits in its merge cell.
+        occ_factor = _literal(cells[g].vehicle_length_m / 10.0)
+        sensors += [f"x = rho{g} * {occ_factor}",
+                    f"occ{j} += x if x < 100.0 else 100.0",
+                    f"dens{j} += rho{g}",
+                    f"passed{j} += {outflow[g]} * {TH}"]
+
+    # The cell rule, the one place it is written: from a cell's density,
+    # its demand (send) and supply (recv) in veh/h and the capacity-drop
+    # factor (dis) that scales what it discharges after the demand/supply
+    # min; queue releases are not scaled. After the fluxes each density
+    # moves by its inflow minus outflow and is clamped to [0, jam].
+    rule, settle = [], []
+    for c, (vf, cap, lanes, wave, jam, crit, span, veh, cap_l) in enumerate(consts):
+        rule += [f"x = {vf} * rho{c}; snd{c} = x * {lanes} if x < {cap} else {cap_l}",
+                 f"x = {wave} * ({jam} - rho{c}); rcv{c} = x * {lanes} if x < {cap} else {cap_l}",
+                 f"dis{c} = 1.0 if rho{c} <= {crit} else 1.0 - drop * ((rho{c} - {crit}) / {span})"]
+        settle += [f"x = rho{c} + ({inflow[c]} - {outflow[c]}) * {TH} / {veh}",
+                   clamp(c, "x")]
+    exits = "".join(f" + out{i} * {TH}" for i in range(n_hw))
+    body = [*rule, "total = dropped = 0.0", *arrive, *friction, *fluxes,
+            *settle, *sensors]
+    for j in range(m):
+        body += [f"if sig{j}.phase == 'green': green{j} += {T}",
+                 f"sig{j}.advance({T})"]
+    body += [f"t += {T}",
+             f"exits = 0.0{exits}",
+             "for books in ledgers:",
+             "    books[0] += total; books[1] += dropped; books[2] += exits"]
+    lines = [
+        "def window(plant, block, ledgers):",
+        "    drop, fric, relax = CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC, MERGE_RELAX_S",
+        f"    {names('rho', n)}= plant.density.tolist()",
+        f"    {names('entry', n_hw)}= plant.entry_queues.tolist()",
+        f"    {names('queue', m)}= plant.ramp_queues.tolist()",
+        f"    {names('ema', m)}= plant._merge_flow_ema.tolist()",
+        f"    {names('sig', m)}= plant.signals",
+        f"    {names('occ', m)}= plant._occ_sum",
+        f"    {names('dens', m)}= plant._dens_sum",
+        f"    {names('passed', m)}= plant._passed_veh",
+        f"    {names('green', m)}= plant._green_s",
+        "    t = plant.time_s",
+        *(f"    {clamp(c, f'rho{c}')}" for c in range(n)),
+        "    for row in block:",
+        f"        {names('arr', n_hw + m)}= row",
+        *(f"        {line}" for line in body),
+        f"    plant.density = np.array([{names('rho', n)}])",
+        f"    plant.entry_queues = np.array([{names('entry', n_hw)}])",
+        f"    plant.ramp_queues = np.array([{names('queue', m)}])",
+        f"    plant._merge_flow_ema = np.array([{names('ema', m)}])",
+        f"    plant._occ_sum = [{names('occ', m)}]",
+        f"    plant._dens_sum = [{names('dens', m)}]",
+        f"    plant._passed_veh = [{names('passed', m)}]",
+        f"    plant._green_s = [{names('green', m)}]",
+        "    plant.time_s = t",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _window_kernel(config: NetworkConfig):
+    """The compiled ``window(plant, block, ledgers)`` of ``config``.
+
+    Its source is registered in ``linecache`` under a name derived from the
+    source, so tracebacks and profiles show the kernel's lines.
+    """
+    source = _kernel_source(config)
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    filename = f"<rampnet.plant window kernel {digest}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["window"]
+
+
 class TrafficPlant:
     """Simulates one network. Owns densities, queues, and signals.
 
@@ -177,78 +384,28 @@ class TrafficPlant:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
+        self._kernel = _window_kernel(config)
         cells = [c for hw in config.highways for c in hw.cells]
-        starts: list[int] = []
-        offset = 0
-        for hw in config.highways:
-            starts.append(offset)
-            offset += len(hw.cells)
-        hw_index = {hw.name: i for i, hw in enumerate(config.highways)}
-
-        def gidx(hw_name: str, cell: int) -> int:
-            return starts[hw_index[hw_name]] + cell
-
-        # Per-cell constants as Python floats, in the expressions the step
-        # reads: (vf, cap per lane, lanes, wave speed, jam, critical,
-        # jam - critical, vehicles per unit density).
-        consts = []
-        for c in cells:
-            vf, cap = float(c.free_flow_kmh), float(c.capacity_vphl)
-            lanes, jam = float(c.lanes), float(c.jam_density_vkml)
-            crit = cap / vf
-            consts.append((vf, cap, lanes, c.wave_speed_kmh, jam, crit,
-                           jam - crit, float(c.length_km) * lanes))
-        self._cell_consts = tuple(consts)
-        cap_total = [cap * lanes for _, cap, lanes, *_ in consts]
-
         ts = config.sim_step_s
         self._arrival_means = [hw.demand_veh_per_hour * ts / 3600.0
                                for hw in config.highways]
         self._arrival_means += [r.demand_veh_per_hour * ts / 3600.0
                                 for r in config.ramps]
-
-        # Receivers. The config's plumbing rules give every cell its inflow
-        # from exactly one of: a plain chain pair, a junction (continuation
-        # or target), a ramp merge or its entry queue; and its outflow to
-        # exactly one (a diverge to two). So the step assigns each flux once;
-        # only a diverge's outflow is a sum, of its two branches.
-        ramp_cells = [gidx(r.highway, r.merge_cell) for r in config.ramps]
-        junctions = [(gidx(j.from_highway, j.from_cell),
-                      gidx(j.to_highway, j.to_cell), j.turn_ratio)
-                     for j in config.junctions]
-        self._junctions = tuple(
-            (p, t, f, cap_total[t - 1] / (cap_total[t - 1] + f * cap_total[p]))
-            for p, t, f in junctions)
-        self._ramps = tuple(
-            (g, float(r.queue_capacity_veh),
-             cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH),
-             RampSignal(INITIAL_RATE_VPH))
-            for g, r in zip(ramp_cells, config.ramps))
-        self._friction = tuple((g, self._cell_consts[g][5], cap_total[g])
-                               for g in ramp_cells)
-        # Chain pairs (pred -> succ) whose flux is a plain demand/supply min:
-        # everything except diverge sources and cells with a side inflow.
-        special_succ = set(ramp_cells) | {t for _, t, _ in junctions}
-        diverge_pred = {p for p, _, _ in junctions}
-        self._chains = tuple((s, s + len(hw.cells) - 1)
-                             for s, hw in zip(starts, config.highways))
-        self._plain = tuple((c - 1, c) for s, last in self._chains
-                            for c in range(s + 1, last + 1)
-                            if c not in special_succ and c - 1 not in diverge_pred)
-
         # Each ramp's detector sits in its merge cell.
-        self._sensors = tuple((c, cells[c].vehicle_length_m / 10.0)
-                              for c in ramp_cells)
-        self._sensor_vf = np.array([consts[c][0] for c in ramp_cells])
-        self._sensor_lanes = np.array([consts[c][2] for c in ramp_cells])
-        self._veh_factor = np.array([c[7] for c in consts])
+        merge_cells = [config.highway(r.highway).cells[r.merge_cell]
+                       for r in config.ramps]
+        self._sensor_vf = np.array([float(c.free_flow_kmh) for c in merge_cells])
+        self._sensor_lanes = np.array([float(c.lanes) for c in merge_cells])
+        self._veh_factor = np.array([float(c.length_km) * float(c.lanes)
+                                     for c in cells])
 
         self.time_s = 0.0
         self.density = np.zeros(len(cells))
         self.entry_queues = np.zeros(len(config.highways))
         self.ramp_queues = np.zeros(len(config.ramps))
         self._merge_flow_ema = np.zeros(len(config.ramps))  # veh/h, recent admissions
-        self.signals: list[RampSignal] = [sig for *_, sig in self._ramps]
+        self.signals: list[RampSignal] = [RampSignal(INITIAL_RATE_VPH)
+                                          for _ in config.ramps]
         self._clear_window()
 
     def _clear_window(self) -> None:
@@ -289,44 +446,6 @@ class TrafficPlant:
 
     # -- dynamics ---------------------------------------------------------------
 
-    @staticmethod
-    def _merge(d_main: float, d_side: float, supply: float,
-               main_priority: float) -> tuple[float, float]:
-        """Split a cell's supply between its mainline and side demand."""
-        if d_main + d_side <= supply:
-            return d_main, d_side
-        # max(min(d_main, priority * supply), supply - d_side)
-        q_main = main_priority * supply
-        if d_main < q_main:
-            q_main = d_main
-        if supply - d_side > q_main:
-            q_main = supply - d_side
-        return q_main, supply - q_main
-
-    def _settle(self, rho, inflow, outflow, ts_h):
-        """The cell rule, one step: ``(density, send, recv, dis)``.
-
-        Each cell's density moves by its inflow minus outflow (veh/h) over
-        ``ts_h`` hours and is clamped to [0, jam]. At the new density come
-        the next step's demand (send) and supply (recv) in veh/h and the
-        capacity-drop factor (dis) that scales whatever the cell actually
-        discharges after the demand/supply min; queue releases are not
-        scaled, only cell-to-cell and exit flux.
-        """
-        density, send, recv, dis = [], [], [], []
-        for r, q_in, q_out, (vf, cap, lanes, wave, jam, crit, span,
-                             veh_factor) in zip(rho, inflow, outflow, self._cell_consts):
-            d = r + (q_in - q_out) * ts_h / veh_factor
-            r = 0.0 if d <= 0.0 else jam if d >= jam else d
-            density.append(r)
-            q = vf * r
-            send.append((q if q < cap else cap) * lanes)
-            q = wave * (jam - r)
-            recv.append((q if q < cap else cap) * lanes)
-            dis.append(1.0 if r <= crit
-                       else 1.0 - CAPACITY_DROP_FRAC * ((r - crit) / span))
-        return density, send, recv, dis
-
     def advance(self, block, ledgers=()) -> None:
         """Run one simulation step per row of ``block``.
 
@@ -336,124 +455,7 @@ class TrafficPlant:
         every step its arrivals (pre-drop), ramp drops and exits, in veh, are
         added to items 0, 1 and 2 of each list in ``ledgers``.
         """
-        ts = self.config.sim_step_s
-        ts_h = ts / 3600.0
-        merge, settle = self._merge, self._settle
-        plain, junctions, ramps = self._plain, self._junctions, self._ramps
-        friction, chains, sensors = self._friction, self._chains, self._sensors
-        signals = self.signals
-        occ_sum, dens_sum = self._occ_sum, self._dens_sum
-        passed_veh, green_s = self._passed_veh, self._green_s
-        rho = self.density.tolist()
-        entry = self.entry_queues.tolist()
-        queues = self.ramp_queues.tolist()
-        ema = self._merge_flow_ema.tolist()
-        time_s = self.time_s
-        n, n_hw = len(rho), len(entry)
-
-        # The first step's send, recv and dis, from the state as read: with no
-        # flow, settling only clamps it to [0, jam].
-        zeros = [0.0] * n
-        rho, send, recv, dis = settle(rho, zeros, zeros, ts_h)
-        for arrivals in block:
-            # Arrivals, summed in source order: highways, then ramps. A
-            # source with no arrival changes nothing.
-            total = dropped = 0.0
-            for i in range(n_hw):
-                a = arrivals[i]
-                if a:
-                    entry[i] += a
-                    total += a
-            for j, (_, qcap, _, _) in enumerate(ramps):
-                a = arrivals[n_hw + j]
-                if a:
-                    room = qcap - queues[j]
-                    taken = a if a <= room else room if room > 0.0 else 0.0
-                    queues[j] += taken
-                    total += a
-                    dropped += a - taken
-
-            # Merge turbulence: recent ramp admissions brake the merge cell's
-            # own discharge, the more so the denser the cell already runs.
-            for j, (g, crit, cap) in enumerate(friction):
-                dens_fac = rho[g] / crit
-                if dens_fac > 2.0:
-                    dens_fac = 2.0
-                keep = 1.0 - MERGE_FRICTION_FRAC * dens_fac * ema[j] / cap
-                dis[g] *= keep if keep > 0.5 else 0.5
-
-            inflow = [0.0] * n  # veh/h
-            outflow = [0.0] * n
-            for p, c in plain:
-                q = send[p]
-                if recv[c] < q:
-                    q = recv[c]
-                q *= dis[p]
-                inflow[c] = q
-                outflow[p] = q
-
-            # Diverges: the continuation branch and the side branch, which
-            # competes with the target's own upstream cell for its supply.
-            for p, t, ratio, priority in junctions:
-                cont = min((1.0 - ratio) * send[p], recv[p + 1]) * dis[p]
-                inflow[p + 1] = cont
-                q_main, q_side = merge(send[t - 1], ratio * send[p], recv[t], priority)
-                q_main *= dis[t - 1]
-                q_side *= dis[p]
-                inflow[t] = q_main + q_side
-                outflow[t - 1] = q_main
-                outflow[p] = cont + q_side
-
-            # Ramp merges, gated by the meter's green quota.
-            for j, (g, _, priority, sig) in enumerate(ramps):
-                avail = queues[j]
-                if sig.phase != "green":
-                    avail = 0.0
-                elif sig.quota_veh < avail:
-                    avail = sig.quota_veh
-                q_main, q_ramp = merge(send[g - 1], avail / ts_h, recv[g], priority)
-                q_main *= dis[g - 1]
-                admitted = q_ramp * ts_h
-                queues[j] -= admitted
-                quota = sig.quota_veh - admitted
-                sig.quota_veh = quota if quota > 0.0 else 0.0
-                inflow[g] = q_main + q_ramp
-                outflow[g - 1] = q_main
-                ema[j] += (q_ramp - ema[j]) * ts / MERGE_RELAX_S
-
-            # Entry queues feed each highway's first cell; its last cell exits.
-            exits = 0.0
-            for i, (s, last) in enumerate(chains):
-                q_in = min(entry[i] / ts_h, recv[s])
-                inflow[s] = q_in
-                entry[i] -= q_in * ts_h
-                q = send[last] * dis[last]
-                outflow[last] = q
-                exits += q * ts_h
-
-            rho, send, recv, dis = settle(rho, inflow, outflow, ts_h)
-
-            for k, (c, occ_factor) in enumerate(sensors):
-                d = rho[c]
-                occ = d * occ_factor
-                occ_sum[k] += occ if occ < 100.0 else 100.0
-                dens_sum[k] += d
-                passed_veh[k] += outflow[c] * ts_h
-            for k, sig in enumerate(signals):
-                if sig.phase == "green":
-                    green_s[k] += ts
-                sig.advance(ts)
-            time_s += ts
-            for ledger in ledgers:
-                ledger[0] += total
-                ledger[1] += dropped
-                ledger[2] += exits
-
-        self.density = np.array(rho)
-        self.entry_queues = np.array(entry)
-        self.ramp_queues = np.array(queues)
-        self._merge_flow_ema = np.array(ema)
-        self.time_s = time_s
+        self._kernel(self, block, ledgers)
         self._steps_in_window += len(block)
 
     def step(self, arrivals) -> StepInfo:

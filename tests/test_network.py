@@ -181,6 +181,16 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(path)
 
 
+def test_load_config_names_the_file_it_cannot_parse(tmp_path):
+    """Text that is not YAML (here a flow mapping never closed) is a
+    ConfigError naming the file, not a yaml exception."""
+    path = tmp_path / "unclosed.cfg"
+    path.write_text("timing: {sim_step_s: 1.0, control_step_s: 30.0\nhighways: []\n")
+    with pytest.raises(ConfigError, match="config parse error in .*unclosed.cfg") as exc:
+        load_config(path)
+    assert isinstance(exc.value.__cause__, yaml.YAMLError)
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "net.cfg"
     text = serialize_config(_tiny_config())

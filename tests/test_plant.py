@@ -3,12 +3,14 @@
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rampnet.feedback import ALINEA_GAINS, MeterBank
+from rampnet.feedback import (ALINEA_GAINS, RATE_MAX_VPH, RATE_MIN_VPH,
+                              MeterBank)
 from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
                              RampSpec, benchmark_config_path,
                              load_config)
@@ -414,6 +416,233 @@ def test_window_kernel_matches_one_step_per_row(make_config):
         windowed.set_rates(rates)
         stepped.set_rates(rates)
     assert windowed_books[1] > 0.0  # some ramp queue overflowed
+
+
+class _LoopKernel:
+    """The window kernel as loops over per-cell tuples, the form the plant
+    ran before its kernel was generated per network: a readable reference
+    that the generated kernel must match bit for bit."""
+
+    def __init__(self, config):
+        self.config = config
+        cells = [c for hw in config.highways for c in hw.cells]
+        starts, offset = [], 0
+        for hw in config.highways:
+            starts.append(offset)
+            offset += len(hw.cells)
+        hw_index = {hw.name: i for i, hw in enumerate(config.highways)}
+
+        def gidx(hw_name, cell):
+            return starts[hw_index[hw_name]] + cell
+
+        # (vf, cap per lane, lanes, wave speed, jam, critical, jam - critical,
+        # vehicles per unit density)
+        consts = []
+        for c in cells:
+            vf, cap = float(c.free_flow_kmh), float(c.capacity_vphl)
+            lanes, jam = float(c.lanes), float(c.jam_density_vkml)
+            crit = cap / vf
+            consts.append((vf, cap, lanes, c.wave_speed_kmh, jam, crit,
+                           jam - crit, float(c.length_km) * lanes))
+        self.cell_consts = tuple(consts)
+        cap_total = [cap * lanes for _, cap, lanes, *_ in consts]
+        ramp_cells = [gidx(r.highway, r.merge_cell) for r in config.ramps]
+        junctions = [(gidx(j.from_highway, j.from_cell),
+                      gidx(j.to_highway, j.to_cell), j.turn_ratio)
+                     for j in config.junctions]
+        self.junctions = tuple(
+            (p, t, f, cap_total[t - 1] / (cap_total[t - 1] + f * cap_total[p]))
+            for p, t, f in junctions)
+        self.ramps = tuple(
+            (g, float(r.queue_capacity_veh),
+             cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH))
+            for g, r in zip(ramp_cells, config.ramps))
+        self.friction = tuple((g, consts[g][5], cap_total[g]) for g in ramp_cells)
+        special_succ = set(ramp_cells) | {t for _, t, _ in junctions}
+        diverge_pred = {p for p, _, _ in junctions}
+        self.chains = tuple((s, s + len(hw.cells) - 1)
+                            for s, hw in zip(starts, config.highways))
+        self.plain = tuple((c - 1, c) for s, last in self.chains
+                           for c in range(s + 1, last + 1)
+                           if c not in special_succ and c - 1 not in diverge_pred)
+        self.sensors = tuple((c, cells[c].vehicle_length_m / 10.0)
+                             for c in ramp_cells)
+
+    @staticmethod
+    def merge(d_main, d_side, supply, main_priority):
+        if d_main + d_side <= supply:
+            return d_main, d_side
+        q_main = main_priority * supply
+        if d_main < q_main:
+            q_main = d_main
+        if supply - d_side > q_main:
+            q_main = supply - d_side
+        return q_main, supply - q_main
+
+    def settle(self, rho, inflow, outflow, ts_h):
+        density, send, recv, dis = [], [], [], []
+        for r, q_in, q_out, (vf, cap, lanes, wave, jam, crit, span,
+                             veh_factor) in zip(rho, inflow, outflow, self.cell_consts):
+            d = r + (q_in - q_out) * ts_h / veh_factor
+            r = 0.0 if d <= 0.0 else jam if d >= jam else d
+            density.append(r)
+            q = vf * r
+            send.append((q if q < cap else cap) * lanes)
+            q = wave * (jam - r)
+            recv.append((q if q < cap else cap) * lanes)
+            dis.append(1.0 if r <= crit
+                       else 1.0 - CAPACITY_DROP_FRAC * ((r - crit) / span))
+        return density, send, recv, dis
+
+    def advance(self, plant, block, ledgers=()):
+        ts = self.config.sim_step_s
+        ts_h = ts / 3600.0
+        merge, settle, signals = self.merge, self.settle, plant.signals
+        rho = plant.density.tolist()
+        entry = plant.entry_queues.tolist()
+        queues = plant.ramp_queues.tolist()
+        ema = plant._merge_flow_ema.tolist()
+        n, n_hw = len(rho), len(entry)
+        zeros = [0.0] * n
+        rho, send, recv, dis = settle(rho, zeros, zeros, ts_h)
+        for arrivals in block:
+            total = dropped = 0.0
+            for i in range(n_hw):
+                a = arrivals[i]
+                if a:
+                    entry[i] += a
+                    total += a
+            for j, (_, qcap, _) in enumerate(self.ramps):
+                a = arrivals[n_hw + j]
+                if a:
+                    room = qcap - queues[j]
+                    taken = a if a <= room else room if room > 0.0 else 0.0
+                    queues[j] += taken
+                    total += a
+                    dropped += a - taken
+            for j, (g, crit, cap) in enumerate(self.friction):
+                dens_fac = rho[g] / crit
+                if dens_fac > 2.0:
+                    dens_fac = 2.0
+                keep = 1.0 - MERGE_FRICTION_FRAC * dens_fac * ema[j] / cap
+                dis[g] *= keep if keep > 0.5 else 0.5
+            inflow = [0.0] * n
+            outflow = [0.0] * n
+            for p, c in self.plain:
+                q = send[p]
+                if recv[c] < q:
+                    q = recv[c]
+                q *= dis[p]
+                inflow[c] = q
+                outflow[p] = q
+            for p, t, ratio, priority in self.junctions:
+                cont = min((1.0 - ratio) * send[p], recv[p + 1]) * dis[p]
+                inflow[p + 1] = cont
+                q_main, q_side = merge(send[t - 1], ratio * send[p], recv[t], priority)
+                q_main *= dis[t - 1]
+                q_side *= dis[p]
+                inflow[t] = q_main + q_side
+                outflow[t - 1] = q_main
+                outflow[p] = cont + q_side
+            for j, (g, _, priority) in enumerate(self.ramps):
+                sig = signals[j]
+                avail = queues[j]
+                if sig.phase != "green":
+                    avail = 0.0
+                elif sig.quota_veh < avail:
+                    avail = sig.quota_veh
+                q_main, q_ramp = merge(send[g - 1], avail / ts_h, recv[g], priority)
+                q_main *= dis[g - 1]
+                admitted = q_ramp * ts_h
+                queues[j] -= admitted
+                quota = sig.quota_veh - admitted
+                sig.quota_veh = quota if quota > 0.0 else 0.0
+                inflow[g] = q_main + q_ramp
+                outflow[g - 1] = q_main
+                ema[j] += (q_ramp - ema[j]) * ts / MERGE_RELAX_S
+            exits = 0.0
+            for i, (s, last) in enumerate(self.chains):
+                q_in = min(entry[i] / ts_h, recv[s])
+                inflow[s] = q_in
+                entry[i] -= q_in * ts_h
+                q = send[last] * dis[last]
+                outflow[last] = q
+                exits += q * ts_h
+            rho, send, recv, dis = settle(rho, inflow, outflow, ts_h)
+            for k, (c, occ_factor) in enumerate(self.sensors):
+                d = rho[c]
+                occ = d * occ_factor
+                plant._occ_sum[k] += occ if occ < 100.0 else 100.0
+                plant._dens_sum[k] += d
+                plant._passed_veh[k] += outflow[c] * ts_h
+            for k, sig in enumerate(signals):
+                if sig.phase == "green":
+                    plant._green_s[k] += ts
+                sig.advance(ts)
+            plant.time_s += ts
+            for ledger in ledgers:
+                ledger[0] += total
+                ledger[1] += dropped
+                ledger[2] += exits
+        plant.density = np.array(rho)
+        plant.entry_queues = np.array(entry)
+        plant.ramp_queues = np.array(queues)
+        plant._merge_flow_ema = np.array(ema)
+        plant._steps_in_window += len(block)
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config, _metered_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps",
+                              "metered"])
+def test_generated_kernel_matches_the_loop_reference(make_config):
+    """The generated kernel and the loop reference, on twin plants fed the
+    same arrivals and random in-range rates one window at a time, stay
+    bit-equal: state, signals, window sums, sensor reads and vehicle books.
+    Between windows one density is written below 0 and one above jam, so
+    the clamp on entry runs, and a cell at jam runs the capacity drop."""
+    cfg = make_config()
+    generated, reference = TrafficPlant(cfg), TrafficPlant(cfg)
+    loops = _LoopKernel(cfg)
+    rng = np.random.default_rng(17)
+    jam = [c.jam_density_vkml for hw in cfg.highways for c in hw.cells]
+    generated_books, reference_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    for _ in range(60):
+        block = generated.draw_arrivals(cfg.steps_per_control, rng)
+        generated.advance(block, (generated_books,))
+        loops.advance(reference, block, (reference_books,))
+        assert _plant_state(generated) == _plant_state(reference)
+        assert generated_books == reference_books
+        (obs_g, green_g), (obs_r, green_r) = (generated.read_window(),
+                                              reference.read_window())
+        for name in ("time_s", "occupancy", "flow", "speed"):
+            assert np.array_equal(getattr(obs_g, name), getattr(obs_r, name))
+        assert np.array_equal(green_g, green_r)
+        rates = rng.uniform(RATE_MIN_VPH, RATE_MAX_VPH, cfg.n_ramps)
+        low, high = rng.choice(len(jam), size=2, replace=False)
+        below, above = -rng.uniform(0.0, 20.0), jam[high] + rng.uniform(0.0, 20.0)
+        for plant in (generated, reference):
+            plant.set_rates(rates)
+            plant.density[low] = below
+            plant.density[high] = above
+    assert generated_books[0] > 0.0 and generated_books[2] > 0.0
+
+
+def test_kernel_tracebacks_show_kernel_lines():
+    """The generated kernel's frames carry their source line, so a failure
+    inside a window is readable in a traceback (and in a profile)."""
+    cfg = _metered_config()
+    plant = TrafficPlant(cfg)
+    # Past set_rate's check: the signal adopts it at its next green and
+    # fails when that green ends, inside the kernel's call to advance.
+    plant.signals[0]._pending = 5000.0
+    with pytest.raises(ValueError, match="outside feasible meter range") as exc:
+        plant.advance(plant.draw_arrivals(cfg.steps_per_control,
+                                          np.random.default_rng(0)))
+    frames = traceback.extract_tb(exc.tb)
+    kernel = [frame for frame in frames if frame.filename.startswith("<rampnet.plant")]
+    assert len(kernel) == 1 and kernel[0].line == "sig0.advance(1.0)"
+    assert frames[frames.index(kernel[0]) + 1].name == "advance"  # RampSignal's
 
 
 def test_run_episode_rejects_wrong_controller_shape():
