@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (harness.UsageError, network.ConfigError,
-            sysid.InsufficientDataError, FileNotFoundError) as exc:
+            sysid.InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ __all__ = [
     "RATE_MAX_VPH",
     "GREEN_DURATION_S",
     "INITIAL_RATE_VPH",
+    "TARGET_OCCUPANCY_PCT",
     "ALINEA_GAINS",
     "PI_ALINEA_GAINS",
     "NO_CONTROL_GAINS",
@@ -31,6 +32,9 @@ GREEN_DURATION_S = 2.0
 #: Every episode's meters, the regulators' integrators and the planner's
 #: first previous rates start here.
 INITIAL_RATE_VPH = 1000.0
+#: The occupancy (%) every controller steers to and every result is scored
+#: against, unless a caller names another.
+TARGET_OCCUPANCY_PCT = 15.0
 
 # (kp, ki) of the local law: veh/h per occupancy point of trend and per
 # occupancy point of error below the target.

@@ -21,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
-                       RATE_MAX_VPH, MeterBank, green_percentage)
+                       RATE_MAX_VPH, TARGET_OCCUPANCY_PCT, MeterBank,
+                       green_percentage)
 from .mpc import MpcConfig, MpcController
 from .network import NetworkConfig, serialize_config
 from .plant import EpisodeRecord, run_episode
@@ -56,7 +57,8 @@ class UsageError(ValueError):
     """A caller asked for something the harness cannot honor."""
 
 
-def make_controller(name: str, n_ramps: int, target_occupancy_pct: float = 15.0,
+def make_controller(name: str, n_ramps: int,
+                    target_occupancy_pct: float = TARGET_OCCUPANCY_PCT,
                     sindyc: SparseModel | None = None,
                     dmdc: SparseModel | None = None,
                     mpc_config: MpcConfig | None = None):
@@ -213,7 +215,7 @@ class ScenarioResult:
 
 
 def results_from_records(scenario: str, seeds, records,
-                         target_occupancy_pct: float = 15.0,
+                         target_occupancy_pct: float = TARGET_OCCUPANCY_PCT,
                          solver_diagnostics=None) -> ScenarioResult:
     records = list(records)
     occ = np.vstack([r.occupancy for r in records])
@@ -237,9 +239,9 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
 
     Episodes are independent (own plant, own RNG, own controller); the
     planners look ``horizon`` control steps ahead, and every controller steers
-    to the default target. Each scenario's ``runtime_s`` is the sum of its own
-    episodes' time split. A model whose state or input count is not the
-    network's ramp count is refused before any episode runs.
+    to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``runtime_s`` is the
+    sum of its own episodes' time split. A model whose state or input count is
+    not the network's ramp count is refused before any episode runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -297,7 +299,8 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
     return rows
 
 
-def load_raw_results(raw_dir, target_occupancy_pct: float = 15.0) -> list[ScenarioResult]:
+def load_raw_results(raw_dir, target_occupancy_pct: float = TARGET_OCCUPANCY_PCT
+                     ) -> list[ScenarioResult]:
     """Rebuild scenario results from raw episode CSVs written by ``report``,
     each with its JSON sidecar (see :meth:`EpisodeRecord.from_csv`)."""
     raw_dir = Path(raw_dir)

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import INITIAL_RATE_VPH, RATE_MAX_VPH, RATE_MIN_VPH
+from .feedback import (INITIAL_RATE_VPH, RATE_MAX_VPH, RATE_MIN_VPH,
+                       TARGET_OCCUPANCY_PCT)
 from .sysid import SparseModel
 
 __all__ = [
@@ -110,7 +111,7 @@ class MpcConfig:
     one controller; the rest of the cost is the module's constants."""
 
     horizon: int = 4
-    target_occupancy_pct: float = 15.0
+    target_occupancy_pct: float = TARGET_OCCUPANCY_PCT
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:

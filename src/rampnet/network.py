@@ -37,6 +37,14 @@ class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or violates an invariant."""
 
 
+def _require_ints(owner: str, **fields) -> None:
+    """A :class:`ConfigError` naming the first field that is not an ``int``."""
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{owner} invariant violated: {key} must be an "
+                              f"integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Physical parameters of one cell of highway.
@@ -59,6 +67,7 @@ class CellParams:
                      "jam_density_vkml", "vehicle_length_m"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"cell invariant violated: {name} must be positive")
+        _require_ints("cell", lanes=self.lanes)
         if self.lanes < 1:
             raise ConfigError("cell invariant violated: lanes must be >= 1")
         if self.critical_density_vkml >= self.jam_density_vkml:
@@ -109,6 +118,7 @@ class RampSpec:
     queue_capacity_veh: float = 100.0
 
     def __post_init__(self) -> None:
+        _require_ints(f"ramp '{self.id}'", merge_cell=self.merge_cell)
         if self.demand_veh_per_hour < 0.0:
             raise ConfigError(f"ramp invariant violated: '{self.id}' demand must be >= 0")
         if self.queue_capacity_veh <= 0.0:
@@ -128,6 +138,7 @@ class JunctionSpec:
     turn_ratio: float
 
     def __post_init__(self) -> None:
+        _require_ints("junction", from_cell=self.from_cell, to_cell=self.to_cell)
         if not 0.0 < self.turn_ratio < 1.0:
             raise ConfigError("junction invariant violated: turn_ratio must lie in (0, 1)")
 

@@ -35,24 +35,24 @@ window's arrival block (:meth:`TrafficPlant.step` is the kernel on a
 one-row block). The kernel is Python source generated for one network,
 ``_kernel_source``, and compiled once per distinct ``NetworkConfig``
 (``_window_kernel`` caches it by the frozen config). It unpacks the state
-arrays into local variables when the call starts, runs each row of the
-block as one straight-line step and writes the state back as arrays when
-the block is done. In that step every cell's density, send, receive and
-discharge factor, every flux, queue, merge average and sensor sum is a
-local and every constant of the config is a literal, so a step spends no
-time on list indexing, tuple unpacking or helper calls; module constants
-such as ``CAPACITY_DROP_FRAC`` are read at each call. The generator is the
-one home of the cell rule, of merges and of the step's order;
-:meth:`RampSignal.advance` stays the one home of the signal cycle, called
-per ramp and step. The steps are scalar Python, not numpy calls, because
-on the benchmark's 34 cells a numpy call on an 8-34 element array costs
-about as much as the arithmetic it does. Each element's float expressions
-keep the order of the array version of the plant, so episodes are
-bit-identical to it. Compiling the benchmark corridor's 545-line kernel
-takes about 11 ms and a transient of about 3 MB (tracemalloc peak, 2
-vCPUs), once per process and config; its source is registered
-in ``linecache`` under a name derived from it, so tracebacks and profiles
-show kernel lines.
+arrays and the meters' state lists into local variables when the call
+starts, runs each row of the block as one straight-line step and writes the
+state back when the block is done. In that step every cell's density, send,
+receive and discharge factor, every flux, queue, merge average, meter field
+and sensor sum is a local and every constant of the config is a literal, so
+a step spends no time on attribute reads, list indexing, tuple unpacking or
+helper calls; module constants such as ``CAPACITY_DROP_FRAC`` are read at
+each call. The generator is the one home of the cell rule, of merges, of the
+meters' green/red cycle and of the step's order;
+:func:`rampnet.feedback.rate_to_red_duration` stays the one home of the red
+timing, called when a red starts. The steps are scalar Python, not numpy
+calls, because on the benchmark's 34 cells a numpy call on an 8-34 element
+array costs about as much as the arithmetic it does. Each element's float
+expressions keep the order of the array version of the plant, so episodes
+are bit-identical to it. Compiling the benchmark corridor's 586-line kernel
+takes 6-8 ms and a transient of about 3 MB (tracemalloc peak, 2 vCPUs),
+once per process and config; its source is registered in ``linecache``
+under a name derived from it, so tracebacks and profiles show kernel lines.
 
 Units: densities veh/km/lane, flows veh/h, queues veh, time s. One simulation
 step is ``config.sim_step_s`` (1 s in the benchmark).
@@ -78,9 +78,7 @@ from .feedback import (GREEN_DURATION_S, INITIAL_RATE_VPH, RATE_MAX_VPH,
 from .network import NetworkConfig
 
 __all__ = [
-    "RampSignal",
     "ControlObservation",
-    "StepInfo",
     "ConservationError",
     "TrafficPlant",
     "EpisodeRecord",
@@ -109,43 +107,6 @@ MERGE_RELAX_S = 30.0
 CONSERVATION_TOL_VEH = 1e-6
 
 
-class RampSignal:
-    """Fixed-green meter signal: 2 s green, one vehicle per green, then red.
-
-    The red duration realizes the published rate. A new rate is latched when
-    the signal next enters green, so a running cycle always finishes under
-    the timing it started with.
-    """
-
-    def __init__(self, rate: float):
-        self._rate = rate
-        self._pending = rate
-        self.phase = "green"
-        self.remaining_s = GREEN_DURATION_S
-        self.quota_veh = 1.0  # release budget for the current green
-
-    @property
-    def rate(self) -> float:
-        """Rate of the cycle currently in progress, veh/h."""
-        return self._rate
-
-    def set_rate(self, rate: float) -> None:
-        rate_to_red_duration(rate)  # validates the range
-        self._pending = rate
-
-    def advance(self, dt_s: float = 1.0) -> None:
-        self.remaining_s -= dt_s
-        while self.remaining_s <= 1e-12:
-            if self.phase == "green":
-                self.phase = "red"
-                self.remaining_s += rate_to_red_duration(self._rate)
-            else:
-                self.phase = "green"
-                self._rate = self._pending
-                self.quota_veh = 1.0
-                self.remaining_s += GREEN_DURATION_S
-
-
 @dataclass(frozen=True)
 class ControlObservation:
     """All sensors' aggregates over the control step ending at ``time_s``."""
@@ -154,15 +115,6 @@ class ControlObservation:
     occupancy: np.ndarray  # (n,) %
     flow: np.ndarray  # (n,) veh/h
     speed: np.ndarray  # (n,) km/h
-
-
-@dataclass(frozen=True)
-class StepInfo:
-    """Vehicle bookkeeping for one simulation step (conservation audit)."""
-
-    arrivals_veh: float  # sampled at every source, pre-drop
-    dropped_veh: float  # ramp arrivals lost to a full queue
-    exits_veh: float  # vehicles that left through a sink
 
 
 class ConservationError(RuntimeError):
@@ -191,8 +143,10 @@ def _kernel_source(config: NetworkConfig) -> str:
     and ``dis{c}``; ``q{c}`` is a plain or queue-fed flux into it, and a
     merge cell's inflow is ``main{c} + side{c}``. Highway ``i`` has
     ``entry{i}`` and its exit flux ``out{i}``; ramp ``j`` has ``queue{j}``,
-    ``ema{j}``, ``sig{j}`` and the sensor sums ``occ{j}``, ``dens{j}``,
-    ``passed{j}`` and ``green{j}``. ``x`` is scratch.
+    ``ema{j}``, its meter's green flag ``lit{j}``, seconds left in the phase
+    ``left{j}``, quota ``quota{j}``, rate ``rate{j}`` and pending rate
+    ``pend{j}``, and the sensor sums ``occ{j}``, ``dens{j}``, ``passed{j}``
+    and ``green{j}``. ``x`` holds intermediate values.
     """
     cells = [c for hw in config.highways for c in hw.cells]
     first, chains, offset = {}, [], 0  # (first, last) cell of each highway
@@ -277,14 +231,14 @@ def _kernel_source(config: NetworkConfig) -> str:
         # The meter releases at most its green quota of the ramp queue.
         priority = cap_total[g - 1] / (cap_total[g - 1] + RATE_MAX_VPH)
         fluxes += [f"x = queue{j}",
-                   f"if sig{j}.phase != 'green': x = 0.0",
-                   f"elif sig{j}.quota_veh < x: x = sig{j}.quota_veh",
+                   f"if not lit{j}: x = 0.0",
+                   f"elif quota{j} < x: x = quota{j}",
                    *merge(g, f"snd{g - 1}", f"x / {TH}", priority),
                    f"main{g} *= dis{g - 1}",
                    f"x = side{g} * {TH}",
                    f"queue{j} -= x",
-                   f"x = sig{j}.quota_veh - x",
-                   f"sig{j}.quota_veh = x if x > 0.0 else 0.0",
+                   f"x = quota{j} - x",
+                   f"quota{j} = x if x > 0.0 else 0.0",
                    f"ema{j} += (side{g} - ema{j}) * {T} / relax"]
         inflow[g], outflow[g - 1] = f"main{g} + side{g}", f"main{g}"
     for c in range(n):
@@ -315,38 +269,43 @@ def _kernel_source(config: NetworkConfig) -> str:
     exits = "".join(f" + out{i} * {TH}" for i in range(n_hw))
     body = [*rule, "total = dropped = 0.0", *arrive, *friction, *fluxes,
             *settle, *sensors]
+    # The signal cycle, the one place it is written: a fixed green with a
+    # one-vehicle quota, then the red that realizes the cycle's rate. A new
+    # rate is latched when the next green starts, so a running cycle always
+    # finishes under the timing it started with.
     for j in range(m):
-        body += [f"if sig{j}.phase == 'green': green{j} += {T}",
-                 f"sig{j}.advance({T})"]
+        body += [f"if lit{j}: green{j} += {T}",
+                 f"left{j} -= {T}",
+                 f"while left{j} <= 1e-12:",
+                 f"    if lit{j}: left{j} += rate_to_red_duration(rate{j})",
+                 f"    else: rate{j} = pend{j}; quota{j} = 1.0; left{j} += "
+                 f"{_literal(GREEN_DURATION_S)}",
+                 f"    lit{j} = not lit{j}"]
     body += [f"t += {T}",
              f"exits = 0.0{exits}",
              "for books in ledgers:",
              "    books[0] += total; books[1] += dropped; books[2] += exits"]
+    # The state the kernel keeps in locals: the plant's numpy arrays as
+    # (prefix, count, attribute), then its per-ramp lists as (prefix, attribute).
+    arrays = (("rho", n, "density"), ("entry", n_hw, "entry_queues"),
+              ("queue", m, "ramp_queues"), ("ema", m, "_merge_flow_ema"))
+    lists = (("lit", "_meter_green"), ("left", "_meter_left_s"),
+             ("quota", "_meter_quota"), ("rate", "_meter_rate"),
+             ("pend", "_meter_pending"), ("occ", "_occ_sum"),
+             ("dens", "_dens_sum"), ("passed", "_passed_veh"),
+             ("green", "_green_s"))
     lines = [
         "def window(plant, block, ledgers):",
         "    drop, fric, relax = CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC, MERGE_RELAX_S",
-        f"    {names('rho', n)}= plant.density.tolist()",
-        f"    {names('entry', n_hw)}= plant.entry_queues.tolist()",
-        f"    {names('queue', m)}= plant.ramp_queues.tolist()",
-        f"    {names('ema', m)}= plant._merge_flow_ema.tolist()",
-        f"    {names('sig', m)}= plant.signals",
-        f"    {names('occ', m)}= plant._occ_sum",
-        f"    {names('dens', m)}= plant._dens_sum",
-        f"    {names('passed', m)}= plant._passed_veh",
-        f"    {names('green', m)}= plant._green_s",
+        *(f"    {names(p, k)}= plant.{attr}.tolist()" for p, k, attr in arrays),
+        *(f"    {names(p, m)}= plant.{attr}" for p, attr in lists),
         "    t = plant.time_s",
         *(f"    {clamp(c, f'rho{c}')}" for c in range(n)),
         "    for row in block:",
         f"        {names('arr', n_hw + m)}= row",
         *(f"        {line}" for line in body),
-        f"    plant.density = np.array([{names('rho', n)}])",
-        f"    plant.entry_queues = np.array([{names('entry', n_hw)}])",
-        f"    plant.ramp_queues = np.array([{names('queue', m)}])",
-        f"    plant._merge_flow_ema = np.array([{names('ema', m)}])",
-        f"    plant._occ_sum = [{names('occ', m)}]",
-        f"    plant._dens_sum = [{names('dens', m)}]",
-        f"    plant._passed_veh = [{names('passed', m)}]",
-        f"    plant._green_s = [{names('green', m)}]",
+        *(f"    plant.{attr} = np.array([{names(p, k)}])" for p, k, attr in arrays),
+        *(f"    plant.{attr} = [{names(p, m)}]" for p, attr in lists),
         "    plant.time_s = t",
     ]
     return "\n".join(lines) + "\n"
@@ -369,7 +328,7 @@ def _window_kernel(config: NetworkConfig):
 
 
 class TrafficPlant:
-    """Simulates one network. Owns densities, queues, and signals.
+    """Simulates one network. Owns densities, queues, and meters.
 
     The caller owns the RNG: :meth:`draw_arrivals` samples a block of
     arrivals from it and :meth:`advance` runs one step per row of that block
@@ -378,8 +337,11 @@ class TrafficPlant:
     ``ramp_queues`` are numpy arrays that a call reads when it starts and
     replaces when it ends; writing into them between calls sets the state
     (the next call clamps densities to [0, jam] before its first step).
-    Every meter starts at ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates`
-    publishes new rates.
+    Each meter is kernel state too, one entry per ramp in five lists: green
+    or not, seconds left in the phase, the current green's release quota
+    (veh), the running cycle's rate and the pending rate (veh/h). Every
+    meter starts green at ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates`
+    publishes new pending rates.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -401,16 +363,20 @@ class TrafficPlant:
 
         self.time_s = 0.0
         self.density = np.zeros(len(cells))
+        m = len(config.ramps)
         self.entry_queues = np.zeros(len(config.highways))
-        self.ramp_queues = np.zeros(len(config.ramps))
-        self._merge_flow_ema = np.zeros(len(config.ramps))  # veh/h, recent admissions
-        self.signals: list[RampSignal] = [RampSignal(INITIAL_RATE_VPH)
-                                          for _ in config.ramps]
+        self.ramp_queues = np.zeros(m)
+        self._merge_flow_ema = np.zeros(m)  # veh/h, recent admissions
+        self._meter_green = [True] * m
+        self._meter_left_s = [GREEN_DURATION_S] * m
+        self._meter_quota = [1.0] * m
+        self._meter_rate = [INITIAL_RATE_VPH] * m
+        self._meter_pending = [INITIAL_RATE_VPH] * m
         self._clear_window()
 
     def _clear_window(self) -> None:
         """Zero the per-ramp sums of the control window in progress."""
-        n = len(self.signals)
+        n = len(self.config.ramps)
         self._steps_in_window = 0
         self._occ_sum = [0.0] * n
         self._dens_sum = [0.0] * n
@@ -420,13 +386,16 @@ class TrafficPlant:
     # -- control interface ----------------------------------------------------
 
     def set_rates(self, rates) -> None:
-        """Publish new rates; each signal adopts its rate at the next cycle."""
+        """Publish new rates, each adopted when its meter's next green starts;
+        if any rate is infeasible, raise ``ValueError`` and publish none."""
         rates = np.asarray(rates, dtype=float)
-        if rates.shape != (len(self.signals),):
+        if rates.shape != (len(self._meter_pending),):
             raise ValueError(
-                f"expected {len(self.signals)} rates, got shape {rates.shape}")
-        for sig, rate in zip(self.signals, rates):
-            sig.set_rate(float(rate))
+                f"expected {len(self._meter_pending)} rates, got shape {rates.shape}")
+        rates = rates.tolist()
+        for rate in rates:
+            rate_to_red_duration(rate)  # validates the range
+        self._meter_pending = rates
 
     def total_vehicles(self) -> float:
         """All vehicles currently inside: cells plus every kind of queue."""
@@ -458,15 +427,15 @@ class TrafficPlant:
         self._kernel(self, block, ledgers)
         self._steps_in_window += len(block)
 
-    def step(self, arrivals) -> StepInfo:
-        """Advance one simulation step; returns the vehicle bookkeeping.
+    def step(self, arrivals) -> tuple[float, float, float]:
+        """Advance one simulation step; returns (arrivals, dropped, exits), veh.
 
         ``arrivals`` is one row of :meth:`draw_arrivals`. This is
         :meth:`advance` on a one-row block.
         """
         books = [0.0, 0.0, 0.0]
         self.advance((arrivals,), (books,))
-        return StepInfo(*books)
+        return tuple(books)
 
     # -- sensor aggregation ------------------------------------------------------
 

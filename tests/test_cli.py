@@ -213,7 +213,20 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     x2, u2 = rng.uniform(0, 30, (100, 2)), rng.uniform(200, 1800, (100, 2))
     wide_model = tmp_path / "wide.json"
     fit_derivatives(x2, u2, 0.3 * (15.0 - x2)).save(wide_model)
+    # A cell index that YAML reads as a float.
+    float_cell = yaml.safe_load(Path(benchmark_config_path()).read_text())
+    float_cell["ramps"][0]["merge_cell"] = float(float_cell["ramps"][0]["merge_cell"])
+    (tmp_path / "float-cell.cfg").write_text(yaml.safe_dump(float_cell))
     mismatches = {
+        "merge_cell must be an integer, got 2.0": [
+            ["collect", "--config", str(tmp_path / "float-cell.cfg"), "--seeds", "1",
+             "--out", str(tmp_path / "x5")]],
+        # The output path is a directory: the fit runs, then cannot be saved.
+        "Is a directory": [
+            ["fit", "--logs", str(_log_dir(tmp_path / "varied", [
+                f"{30 * k},{10 + k * k % 7},3000,90,{700 + 37 * k}"
+                for k in range(20)])),
+             "--method", "dmdc", "--out", str(tmp_path)]],
         ("sensors ['S1'] and ramps ['R1']; "
          "the config has sensors ['H1-S1'] and ramps ['H1-R1']"): [
             ["report", "--config", str(cfg_path), "--results", str(foreign),
@@ -297,7 +310,8 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         for argv in argvs:
             assert main(argv) == 2
             assert problem in capsys.readouterr().err, argv
-    assert not (tmp_path / "x4").exists()
+    for name in ("x4", "x5"):
+        assert not (tmp_path / name).exists()
     # Both refusals come before any output: no table, no episode.
     for name in ("r10", "r11", "r12"):
         assert not (tmp_path / name).exists()

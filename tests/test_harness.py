@@ -1,6 +1,7 @@
 """Experiment harness: collection, scenario runs, reports, reload paths."""
 
 import csv
+import inspect
 import json
 import time
 from dataclasses import replace
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rampnet.feedback import TARGET_OCCUPANCY_PCT
 from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS,
                              SERIES_SMOOTH_STEPS, UsageError, _smooth,
                              collect, horizon_sweep, load_logs,
@@ -96,6 +98,15 @@ def test_factory_refuses_two_different_targets():
     same = make_controller("sindyc-mpc", 1, 18.0, sindyc=sindyc,
                            mpc_config=MpcConfig(target_occupancy_pct=18.0))
     assert same.config.target_occupancy_pct == 18.0
+
+
+def test_every_default_target_is_the_one_constant():
+    """The regulators, the planner and the scoring default to one target, so
+    a planner config built without one never meets a second default."""
+    assert MpcConfig().target_occupancy_pct is TARGET_OCCUPANCY_PCT
+    for func in (make_controller, results_from_records, load_raw_results):
+        default = inspect.signature(func).parameters["target_occupancy_pct"].default
+        assert default is TARGET_OCCUPANCY_PCT, func.__name__
 
 
 # -- collection ----------------------------------------------------------------------

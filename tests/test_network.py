@@ -206,6 +206,28 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(path)
 
 
+def test_load_config_requires_integer_lanes_and_cell_indices(tmp_path):
+    """A float or a bool where the format wants a lane count or a cell index
+    is refused, naming the key: ``merge_cell: 2.0`` used to pass validation
+    and crash the plant, and ``lanes: 2.5`` was simulated."""
+    cells = (_cell(), _cell(), _cell(), _cell())
+    cfg = NetworkConfig(
+        highways=(Highway("A", cells, 3000.0), Highway("B", cells, 2500.0)),
+        ramps=(RampSpec("b1", "B", 2, "b-s1", 800.0),),
+        junctions=(JunctionSpec("A", 1, "B", 3, 0.25),),
+        control_step_s=30.0, burn_in_s=0.0, horizon_duration_s=30.0)
+    path = tmp_path / "net.cfg"
+    for value in (2.0, 2.5, True, "2"):
+        for key in ("lanes", "merge_cell", "from_cell", "to_cell"):
+            doc = yaml.safe_load(serialize_config(cfg))
+            node = {"lanes": doc["highways"][0]["cells"][2],
+                    "merge_cell": doc["ramps"][0]}.get(key, doc["junctions"][0])
+            node[key] = value
+            path.write_text(yaml.safe_dump(doc, sort_keys=False))
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                load_config(path)
+
+
 # -- the shipped benchmark -----------------------------------------------------
 
 def test_benchmark_shape_and_demands():

@@ -1,5 +1,6 @@
 """Plant dynamics: conservation, signals, discharge physics, episode runner."""
 
+import ast
 import hashlib
 import json
 import time
@@ -9,14 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rampnet.feedback import (ALINEA_GAINS, RATE_MAX_VPH, RATE_MIN_VPH,
-                              MeterBank)
+from rampnet.feedback import (ALINEA_GAINS, GREEN_DURATION_S, INITIAL_RATE_VPH,
+                              RATE_MAX_VPH, RATE_MIN_VPH, MeterBank,
+                              rate_to_red_duration)
 from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
                              RampSpec, benchmark_config_path,
                              load_config)
 from rampnet.plant import (CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC,
                            MERGE_RELAX_S, ConservationError, EpisodeRecord,
-                           RampSignal, TrafficPlant, run_episode)
+                           TrafficPlant, _kernel_source, run_episode)
 
 
 def _cell(lanes=3, capacity=2000.0):
@@ -45,8 +47,22 @@ def _metered_config(**timing):
 
 
 def _step(plant, rng):
-    """One simulation step on a freshly drawn row of arrivals."""
+    """One simulation step on a freshly drawn row of arrivals; returns its
+    (arrivals, dropped, exits) in veh."""
     return plant.step(plant.draw_arrivals(1, rng)[0])
+
+
+def _exits(plant):
+    """Vehicles that leave in one step from the plant's current state."""
+    return _step(plant, np.random.default_rng(0))[2]
+
+
+def _meter_plant(rate):
+    """A plant with one idle ramp whose meter starts a green at ``rate``."""
+    plant = TrafficPlant(_line_config(2))
+    plant._meter_rate = [rate]
+    plant.set_rates([rate])
+    return plant
 
 
 # -- arrivals -----------------------------------------------------------------
@@ -70,35 +86,54 @@ def test_arrival_block_mean_tracks_demand():
 # -- signal arithmetic ----------------------------------------------------------
 
 def test_signal_full_rate_never_leaves_green():
-    sig = RampSignal(1800.0)
+    plant = _meter_plant(1800.0)
+    rng = np.random.default_rng(0)
     for _ in range(10):
-        sig.advance(1.0)
-        assert sig.phase == "green"
+        _step(plant, rng)
+        assert plant._meter_green == [True]
+    assert plant.read_window()[1].tolist() == [10.0]  # green seconds
 
 
 def test_signal_cycle_at_minimum_rate():
     # 2 s green then 16 s red, one vehicle quota per green.
-    sig = RampSignal(200.0)
+    plant = _meter_plant(200.0)
+    rng = np.random.default_rng(0)
     phases = []
     for _ in range(36):
-        phases.append(sig.phase)
-        sig.advance(1.0)
-    assert phases == (["green"] * 2 + ["red"] * 16) * 2
+        phases.append(plant._meter_green[0])
+        _step(plant, rng)
+    assert phases == ([True] * 2 + [False] * 16) * 2
 
 
 def test_signal_latches_new_rate_at_next_green():
-    sig = RampSignal(1000.0)
-    sig.advance(2.0)  # enters red under the old timing
-    sig.set_rate(200.0)
-    assert sig.phase == "red" and sig.rate == 1000.0
-    sig.advance(1.6)  # old red (1.6 s) ends, green adopts the pending rate
-    assert sig.phase == "green" and sig.rate == 200.0
-    assert sig.quota_veh == 1.0
+    plant = _meter_plant(1000.0)
+    plant.ramp_queues[0] = 5.0  # the first green spends its quota
+    rng = np.random.default_rng(0)
+    for _ in range(2):  # the 2 s green ends, red starts under the old timing
+        _step(plant, rng)
+    plant.set_rates([200.0])
+    assert plant._meter_green == [False] and plant._meter_rate == [1000.0]
+    assert plant._meter_quota[0] < 1e-9
+    for _ in range(2):  # the old red (1.6 s) ends, green adopts the pending rate
+        _step(plant, rng)
+    assert plant._meter_green == [True] and plant._meter_rate == [200.0]
+    assert plant._meter_quota == [1.0]
 
 
 def test_signal_rejects_infeasible_rate():
     with pytest.raises(ValueError):
-        RampSignal(1000.0).set_rate(5000.0)
+        TrafficPlant(_metered_config()).set_rates([5000.0])
+
+
+def test_set_rates_publishes_all_or_none():
+    """A rate outside the feasible range refuses the whole call, so the
+    meters before it keep their pending rates too."""
+    plant = TrafficPlant(_two_highway_config())
+    with pytest.raises(ValueError, match="outside feasible meter range"):
+        plant.set_rates([900.0, 5000.0])
+    assert plant._meter_pending == [INITIAL_RATE_VPH] * 2
+    plant.set_rates(np.array([900.0, 1800.0]))
+    assert plant._meter_pending == [900.0, 1800.0]
 
 
 # -- discharge physics -----------------------------------------------------------
@@ -106,8 +141,7 @@ def test_signal_rejects_infeasible_rate():
 def test_discharge_at_or_below_critical_is_nominal():
     plant = TrafficPlant(_line_config(2))
     plant.density[:] = 20.0  # exactly critical for a 2000 veh/h/lane cell
-    info = _step(plant, np.random.default_rng(0))
-    assert info.exits_veh == pytest.approx(6000.0 / 3600.0, rel=1e-12)
+    assert _exits(plant) == pytest.approx(6000.0 / 3600.0, rel=1e-12)
 
 
 def test_discharge_drops_linearly_beyond_critical():
@@ -115,9 +149,8 @@ def test_discharge_drops_linearly_beyond_critical():
     the configured drop fraction."""
     plant = TrafficPlant(_line_config(2))
     plant.density[:] = 90.0  # (90 - 20) / (160 - 20) = 0.5 of the way to jam
-    info = _step(plant, np.random.default_rng(0))
     expected = 6000.0 * (1.0 - 0.5 * CAPACITY_DROP_FRAC) / 3600.0
-    assert info.exits_veh == pytest.approx(expected, rel=1e-12)
+    assert _exits(plant) == pytest.approx(expected, rel=1e-12)
 
 
 def test_discharge_is_monotone_in_congestion():
@@ -125,7 +158,7 @@ def test_discharge_is_monotone_in_congestion():
     for rho in (20.0, 60.0, 100.0, 150.0):
         plant = TrafficPlant(_line_config(2))
         plant.density[:] = rho
-        flows.append(_step(plant, np.random.default_rng(0)).exits_veh)
+        flows.append(_exits(plant))
     assert flows[0] == max(flows)
     assert flows == sorted(flows, reverse=True)
 
@@ -136,10 +169,9 @@ def test_merge_friction_cuts_the_merge_cells_discharge():
     plant = TrafficPlant(_line_config(2))
     plant.density[1] = 20.0
     plant._merge_flow_ema[0] = 600.0
-    info = _step(plant, np.random.default_rng(0))
     fric = MERGE_FRICTION_FRAC * (600.0 / 6000.0) * 1.0
-    assert info.exits_veh == pytest.approx(6000.0 * (1.0 - fric) / 3600.0,
-                                           rel=1e-12)
+    assert _exits(plant) == pytest.approx(6000.0 * (1.0 - fric) / 3600.0,
+                                          rel=1e-12)
 
 
 def test_merge_friction_memory_relaxes_exponentially():
@@ -171,10 +203,10 @@ def test_vehicle_conservation_audit():
     start = plant.total_vehicles()
     arrived = dropped = exited = 0.0
     for _ in range(900):
-        info = _step(plant, rng)
-        arrived += info.arrivals_veh
-        dropped += info.dropped_veh
-        exited += info.exits_veh
+        arrivals, drops, exits = _step(plant, rng)
+        arrived += arrivals
+        dropped += drops
+        exited += exits
     balance = start + arrived - dropped - exited
     assert abs(balance - plant.total_vehicles()) < 1e-6
 
@@ -214,8 +246,7 @@ def test_arrivals_are_independent_of_control():
     shut_plant.set_rates([200.0])
     ra, rb = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(300):
-        assert (_step(open_plant, ra).arrivals_veh
-                == _step(shut_plant, rb).arrivals_veh)
+        assert _step(open_plant, ra)[0] == _step(shut_plant, rb)[0]
 
 
 # -- sensors and state ------------------------------------------------------------
@@ -379,8 +410,8 @@ def _plant_state(plant):
     """Everything a step reads or writes, as plain values."""
     return (plant.time_s, plant.density.tolist(), plant.entry_queues.tolist(),
             plant.ramp_queues.tolist(), plant._merge_flow_ema.tolist(),
-            [(sig.phase, sig.remaining_s, sig.quota_veh, sig.rate, sig._pending)
-             for sig in plant.signals],
+            plant._meter_green, plant._meter_left_s, plant._meter_quota,
+            plant._meter_rate, plant._meter_pending,
             plant._steps_in_window, plant._occ_sum, plant._dens_sum,
             plant._passed_veh, plant._green_s)
 
@@ -391,7 +422,8 @@ def _plant_state(plant):
 def test_window_kernel_matches_one_step_per_row(make_config):
     """One advance call per control window and one step call per row, on
     twin plants fed the same arrivals and rates, stay bit-equal: state,
-    signals, window sums, sensor reads and vehicle books."""
+    every meter's phase, seconds left, quota, rate and pending rate, window
+    sums, sensor reads and vehicle books."""
     cfg = make_config()
     windowed, stepped = TrafficPlant(cfg), TrafficPlant(cfg)
     rng = np.random.default_rng(8)
@@ -402,10 +434,10 @@ def test_window_kernel_matches_one_step_per_row(make_config):
         block = windowed.draw_arrivals(cfg.steps_per_control, rng)
         windowed.advance(block, (windowed_books,))
         for row in block:
-            info = stepped.step(row)
-            stepped_books[0] += info.arrivals_veh
-            stepped_books[1] += info.dropped_veh
-            stepped_books[2] += info.exits_veh
+            arrivals, dropped, exits = stepped.step(row)
+            stepped_books[0] += arrivals
+            stepped_books[1] += dropped
+            stepped_books[2] += exits
         assert _plant_state(windowed) == _plant_state(stepped)
         assert windowed_books == stepped_books
         (obs_w, green_w), (obs_s, green_s) = windowed.read_window(), stepped.read_window()
@@ -416,6 +448,45 @@ def test_window_kernel_matches_one_step_per_row(make_config):
         windowed.set_rates(rates)
         stepped.set_rates(rates)
     assert windowed_books[1] > 0.0  # some ramp queue overflowed
+
+
+class RampSignal:
+    """Fixed-green meter signal: 2 s green, one vehicle per green, then red.
+
+    The red duration realizes the published rate. A new rate is latched when
+    the signal next enters green, so a running cycle always finishes under
+    the timing it started with. This is the object the plant kept per meter
+    before the kernel held each meter's state in locals: a readable
+    reference of the cycle that :class:`_LoopKernel` steps.
+    """
+
+    def __init__(self, rate: float):
+        self._rate = rate
+        self._pending = rate
+        self.phase = "green"
+        self.remaining_s = GREEN_DURATION_S
+        self.quota_veh = 1.0  # release budget for the current green
+
+    @property
+    def rate(self) -> float:
+        """Rate of the cycle currently in progress, veh/h."""
+        return self._rate
+
+    def set_rate(self, rate: float) -> None:
+        rate_to_red_duration(rate)  # validates the range
+        self._pending = rate
+
+    def advance(self, dt_s: float = 1.0) -> None:
+        self.remaining_s -= dt_s
+        while self.remaining_s <= 1e-12:
+            if self.phase == "green":
+                self.phase = "red"
+                self.remaining_s += rate_to_red_duration(self._rate)
+            else:
+                self.phase = "green"
+                self._rate = self._pending
+                self.quota_veh = 1.0
+                self.remaining_s += GREEN_DURATION_S
 
 
 class _LoopKernel:
@@ -497,7 +568,15 @@ class _LoopKernel:
     def advance(self, plant, block, ledgers=()):
         ts = self.config.sim_step_s
         ts_h = ts / 3600.0
-        merge, settle, signals = self.merge, self.settle, plant.signals
+        merge, settle, signals = self.merge, self.settle, []
+        for green, left, quota, rate, pending in zip(
+                plant._meter_green, plant._meter_left_s, plant._meter_quota,
+                plant._meter_rate, plant._meter_pending):
+            sig = RampSignal(rate)
+            sig.set_rate(pending)
+            sig.phase = "green" if green else "red"
+            sig.remaining_s, sig.quota_veh = left, quota
+            signals.append(sig)
         rho = plant.density.tolist()
         entry = plant.entry_queues.tolist()
         queues = plant.ramp_queues.tolist()
@@ -588,6 +667,10 @@ class _LoopKernel:
         plant.entry_queues = np.array(entry)
         plant.ramp_queues = np.array(queues)
         plant._merge_flow_ema = np.array(ema)
+        plant._meter_green = [sig.phase == "green" for sig in signals]
+        plant._meter_left_s = [sig.remaining_s for sig in signals]
+        plant._meter_quota = [sig.quota_veh for sig in signals]
+        plant._meter_rate = [sig.rate for sig in signals]
         plant._steps_in_window += len(block)
 
 
@@ -598,7 +681,8 @@ class _LoopKernel:
 def test_generated_kernel_matches_the_loop_reference(make_config):
     """The generated kernel and the loop reference, on twin plants fed the
     same arrivals and random in-range rates one window at a time, stay
-    bit-equal: state, signals, window sums, sensor reads and vehicle books.
+    bit-equal: state, every meter's phase, seconds left, quota, rate and
+    pending rate, window sums, sensor reads and vehicle books.
     Between windows one density is written below 0 and one above jam, so
     the clamp on entry runs, and a cell at jam runs the capacity drop."""
     cfg = make_config()
@@ -633,16 +717,30 @@ def test_kernel_tracebacks_show_kernel_lines():
     inside a window is readable in a traceback (and in a profile)."""
     cfg = _metered_config()
     plant = TrafficPlant(cfg)
-    # Past set_rate's check: the signal adopts it at its next green and
-    # fails when that green ends, inside the kernel's call to advance.
-    plant.signals[0]._pending = 5000.0
+    # Past set_rates' check: the meter adopts it at its next green and fails
+    # when that green ends, where the kernel times the red.
+    plant._meter_pending[0] = 5000.0
     with pytest.raises(ValueError, match="outside feasible meter range") as exc:
         plant.advance(plant.draw_arrivals(cfg.steps_per_control,
                                           np.random.default_rng(0)))
     frames = traceback.extract_tb(exc.tb)
     kernel = [frame for frame in frames if frame.filename.startswith("<rampnet.plant")]
-    assert len(kernel) == 1 and kernel[0].line == "sig0.advance(1.0)"
-    assert frames[frames.index(kernel[0]) + 1].name == "advance"  # RampSignal's
+    assert len(kernel) == 1
+    assert kernel[0].line == "if lit0: left0 += rate_to_red_duration(rate0)"
+    assert frames[frames.index(kernel[0]) + 1].name == "rate_to_red_duration"
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps"])
+def test_kernel_steps_touch_no_attributes(make_config):
+    """Every value a step reads or writes is a local or a literal: the
+    kernel's loop over the block's rows holds no attribute access."""
+    tree = ast.parse(_kernel_source(make_config()))
+    loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.target, ast.Name) and node.target.id == "row"]
+    assert [ast.unparse(node) for node in ast.walk(loop)
+            if isinstance(node, ast.Attribute)] == []
 
 
 def test_run_episode_rejects_wrong_controller_shape():
