@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 from . import harness, network, sysid
 from .sysid import SparseModel
@@ -62,6 +63,13 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # Refused before the logs are read: a fit can take seconds.
+    out = Path(args.out)
+    if out.is_dir():
+        raise harness.UsageError(f"--out {out} is a directory; name a model file")
+    if not out.absolute().parent.is_dir():
+        raise harness.UsageError(
+            f"--out {out}: directory {out.absolute().parent} does not exist")
     log = harness.load_logs(args.logs)
     discover = (sysid.discover_sindyc if args.method == "sindyc"
                 else sysid.discover_dmdc)

@@ -45,6 +45,17 @@ def _require_ints(owner: str, **fields) -> None:
                               f"integer, got {value!r}")
 
 
+def _require_numbers(owner: str, spec, keys) -> None:
+    """A :class:`ConfigError` naming the first of ``spec``'s fields ``keys``
+    that is not a number. A ``bool`` is not one: YAML's ``true`` would read
+    as 1.0."""
+    for key in keys:
+        value = getattr(spec, key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{owner} invariant violated: {key} must be a "
+                              f"number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Physical parameters of one cell of highway.
@@ -63,8 +74,10 @@ class CellParams:
     vehicle_length_m: float = 7.5  # effective length seen by a loop detector
 
     def __post_init__(self) -> None:
-        for name in ("length_km", "free_flow_kmh", "capacity_vphl",
-                     "jam_density_vkml", "vehicle_length_m"):
+        names = ("length_km", "free_flow_kmh", "capacity_vphl",
+                 "jam_density_vkml", "vehicle_length_m")
+        _require_numbers("cell", self, names)
+        for name in names:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"cell invariant violated: {name} must be positive")
         _require_ints("cell", lanes=self.lanes)
@@ -97,6 +110,7 @@ class Highway:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ConfigError(f"highway invariant violated: '{self.name}' has no cells")
+        _require_numbers(f"highway '{self.name}'", self, ("demand_veh_per_hour",))
         if self.demand_veh_per_hour < 0.0:
             raise ConfigError(
                 f"highway invariant violated: '{self.name}' demand must be >= 0")
@@ -119,6 +133,8 @@ class RampSpec:
 
     def __post_init__(self) -> None:
         _require_ints(f"ramp '{self.id}'", merge_cell=self.merge_cell)
+        _require_numbers(f"ramp '{self.id}'", self,
+                         ("demand_veh_per_hour", "queue_capacity_veh"))
         if self.demand_veh_per_hour < 0.0:
             raise ConfigError(f"ramp invariant violated: '{self.id}' demand must be >= 0")
         if self.queue_capacity_veh <= 0.0:
@@ -139,6 +155,7 @@ class JunctionSpec:
 
     def __post_init__(self) -> None:
         _require_ints("junction", from_cell=self.from_cell, to_cell=self.to_cell)
+        _require_numbers("junction", self, ("turn_ratio",))
         if not 0.0 < self.turn_ratio < 1.0:
             raise ConfigError("junction invariant violated: turn_ratio must lie in (0, 1)")
 
@@ -192,6 +209,7 @@ class NetworkConfig:
         names = [hw.name for hw in self.highways]
         if len(set(names)) != len(names):
             fail("highway names must be unique")
+        _require_numbers("network", self, _TIMING_KEYS)
         if self.sim_step_s <= 0.0 or self.control_step_s <= 0.0:
             fail("sim_step_s and control_step_s must be positive")
         ratio = self.control_step_s / self.sim_step_s
@@ -331,7 +349,7 @@ def load_config(path) -> NetworkConfig:
             highways.append(Highway(
                 name=node["name"],
                 cells=tuple(CellParams(**cell) for cell in node["cells"]),
-                demand_veh_per_hour=float(node["demand_veh_per_hour"]),
+                demand_veh_per_hour=node["demand_veh_per_hour"],
             ))
         ramps = tuple(RampSpec(**node) for node in doc.get("ramps", []))
         junctions = tuple(JunctionSpec(**node) for node in doc.get("junctions", []))
@@ -339,7 +357,7 @@ def load_config(path) -> NetworkConfig:
             highways=tuple(highways),
             ramps=ramps,
             junctions=junctions,
-            **{k: float(v) for k, v in timing.items()},
+            **timing,
         )
     except ConfigError:
         raise

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rampnet import harness, mpc
+from rampnet import harness, mpc, sysid
 from rampnet.feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
                               green_percentage, rate_to_red_duration)
 from rampnet.mpc import (MpcConfig, bound_penalty, objective, rollout, solve)
@@ -89,15 +89,11 @@ def test_criterion_01_metering_formula_is_exact():
              f"in {elapsed * 1e3:.1f} ms")
 
 
-def test_criterion_02_sparse_regression_oracle():
-    """On 50 random sparse quadratic systems (4 states, 4 inputs, at most 3
-    active terms per row, noise free, 1000 samples) the regression must find
-    the exact support with coefficients right to 1e-3 at least 48 times."""
-    t0 = time.perf_counter()
+def _oracle_systems():
+    """Criterion 2's 50 random sparse quadratic systems (4 states, 4 inputs,
+    1-3 active terms per row, 1000 samples), as ``(x, u, derivs, true)``."""
     rng = np.random.default_rng(2024)
     h = build_library(np.zeros((1, 4)), np.zeros((1, 4)))[0].shape[1]
-    successes = 0
-    worst = 0.0
     for _ in range(50):
         x = rng.uniform(-1.0, 1.0, size=(1000, 4))
         u = rng.uniform(-1.0, 1.0, size=(1000, 4))
@@ -108,7 +104,18 @@ def test_criterion_02_sparse_regression_oracle():
             cols = rng.choice(np.arange(1, h), size=k, replace=False)
             true[i, cols] = (rng.uniform(0.1, 2.0, size=k)
                              * rng.choice([-1.0, 1.0], size=k))
-        model = fit_derivatives(x, u, theta @ true.T)
+        yield x, u, theta @ true.T, true
+
+
+def test_criterion_02_sparse_regression_oracle():
+    """On 50 random sparse quadratic systems (4 states, 4 inputs, at most 3
+    active terms per row, noise free, 1000 samples) the regression must find
+    the exact support with coefficients right to 1e-3 at least 48 times."""
+    t0 = time.perf_counter()
+    successes = 0
+    worst = 0.0
+    for x, u, derivs, true in _oracle_systems():
+        model = fit_derivatives(x, u, derivs)
         support_ok = np.array_equal(model.coefficients != 0.0, true != 0.0)
         err = float(np.max(np.abs(model.coefficients - true)))
         worst = max(worst, err)
@@ -350,6 +357,20 @@ def test_benchmark_fit_is_pinned(pipeline):
         for name, field in (("sindyc", "coefficients"),
                             ("dmdc", "coefficients"))}
     assert digests == PINNED_DIGESTS
+
+
+def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
+    """The per-target jobs give the same coefficients, bit for bit, when the
+    calling thread runs them all (no OpenBLAS found): on the benchmark's
+    training logs and on criterion 2's oracle systems."""
+    parallel = [fit_derivatives(x, u, derivs).coefficients
+                for x, u, derivs, _ in _oracle_systems()]
+    monkeypatch.setattr(sysid, "_openblas_threads", lambda: None)
+    log = harness.load_logs(pipeline.root / "logs")
+    assert (discover_sindyc(log).coefficients.tobytes()
+            == pipeline.sindyc.coefficients.tobytes())
+    for (x, u, derivs, _), coef in zip(_oracle_systems(), parallel):
+        assert fit_derivatives(x, u, derivs).coefficients.tobytes() == coef.tobytes()
 
 
 # The benchmark closed loop (train seeds 1-4, eval seeds 21-23), pinned: sha256

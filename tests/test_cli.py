@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rampnet import harness, sysid
 from rampnet.cli import _parse_horizons, _parse_seeds, build_parser, main
 from rampnet.harness import UsageError
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
@@ -217,16 +218,17 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     float_cell = yaml.safe_load(Path(benchmark_config_path()).read_text())
     float_cell["ramps"][0]["merge_cell"] = float(float_cell["ramps"][0]["merge_cell"])
     (tmp_path / "float-cell.cfg").write_text(yaml.safe_dump(float_cell))
+    # A queue capacity that YAML reads as a bool.
+    bool_queue = yaml.safe_load(Path(benchmark_config_path()).read_text())
+    bool_queue["ramps"][0]["queue_capacity_veh"] = True
+    (tmp_path / "bool-queue.cfg").write_text(yaml.safe_dump(bool_queue))
     mismatches = {
         "merge_cell must be an integer, got 2.0": [
             ["collect", "--config", str(tmp_path / "float-cell.cfg"), "--seeds", "1",
              "--out", str(tmp_path / "x5")]],
-        # The output path is a directory: the fit runs, then cannot be saved.
-        "Is a directory": [
-            ["fit", "--logs", str(_log_dir(tmp_path / "varied", [
-                f"{30 * k},{10 + k * k % 7},3000,90,{700 + 37 * k}"
-                for k in range(20)])),
-             "--method", "dmdc", "--out", str(tmp_path)]],
+        "queue_capacity_veh must be a number, got True": [
+            ["collect", "--config", str(tmp_path / "bool-queue.cfg"), "--seeds", "1",
+             "--out", str(tmp_path / "x6")]],
         ("sensors ['S1'] and ramps ['R1']; "
          "the config has sensors ['H1-S1'] and ramps ['H1-R1']"): [
             ["report", "--config", str(cfg_path), "--results", str(foreign),
@@ -310,9 +312,28 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         for argv in argvs:
             assert main(argv) == 2
             assert problem in capsys.readouterr().err, argv
-    for name in ("x4", "x5"):
+    for name in ("x4", "x5", "x6"):
         assert not (tmp_path / name).exists()
     # Both refusals come before any output: no table, no episode.
     for name in ("r10", "r11", "r12"):
         assert not (tmp_path / name).exists()
 
+
+def test_fit_refuses_an_unwritable_out_before_it_fits(tmp_path, capsys,
+                                                      monkeypatch):
+    """An ``--out`` that names a directory, or sits in a directory that does
+    not exist, is refused before the logs are read or a model is fitted."""
+    calls = []
+    for module, name in ((harness, "load_logs"), (sysid, "discover_sindyc"),
+                         (sysid, "discover_dmdc")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name, **kw: calls.append(_name))
+    logs = _log_dir(tmp_path / "logs", [f"{30 * k},{10 + k},3000,90,{700 + k}"
+                                        for k in range(20)])
+    for method in ("sindyc", "dmdc"):
+        for out, problem in ((tmp_path, "is a directory"),
+                             (tmp_path / "missing" / "m.json", "does not exist")):
+            assert main(["fit", "--logs", str(logs), "--method", method,
+                         "--out", str(out)]) == 2
+            assert problem in capsys.readouterr().err
+    assert calls == []

@@ -1,6 +1,7 @@
 """Network config invariants, the YAML round trip, and the shipped benchmark."""
 
 import dataclasses
+import itertools
 
 import pytest
 import yaml
@@ -226,6 +227,36 @@ def test_load_config_requires_integer_lanes_and_cell_indices(tmp_path):
             path.write_text(yaml.safe_dump(doc, sort_keys=False))
             with pytest.raises(ConfigError, match=f"{key} must be an integer"):
                 load_config(path)
+
+
+def test_load_config_refuses_booleans_where_it_wants_numbers(tmp_path):
+    """YAML's ``true`` in a number field is refused, naming the key: it used
+    to load as 1.0 (a one-vehicle ramp queue, a 1 m detector vehicle). So is
+    a quoted number, which a highway's demand and the timing fields used to
+    convert."""
+    cells = (_cell(), _cell(), _cell(), _cell())
+    cfg = NetworkConfig(
+        highways=(Highway("A", cells, 3000.0), Highway("B", cells, 2500.0)),
+        ramps=(RampSpec("b1", "B", 2, "b-s1", 800.0),),
+        junctions=(JunctionSpec("A", 1, "B", 3, 0.25),),
+        control_step_s=30.0, burn_in_s=0.0, horizon_duration_s=30.0)
+    path = tmp_path / "net.cfg"
+    fields = [*(("cell", key) for key in ("length_km", "free_flow_kmh",
+                                          "capacity_vphl", "jam_density_vkml",
+                                          "vehicle_length_m")),
+              ("highway", "demand_veh_per_hour"), ("ramp", "demand_veh_per_hour"),
+              ("ramp", "queue_capacity_veh"), ("junction", "turn_ratio"),
+              *(("timing", key) for key in ("sim_step_s", "control_step_s",
+                                            "burn_in_s", "horizon_duration_s"))]
+    for (owner, key), value in itertools.product(fields, (True, "1.0")):
+        doc = yaml.safe_load(serialize_config(cfg))
+        node = {"cell": doc["highways"][0]["cells"][2], "highway": doc["highways"][1],
+                "ramp": doc["ramps"][0], "junction": doc["junctions"][0],
+                "timing": doc["timing"]}[owner]
+        node[key] = value
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with pytest.raises(ConfigError, match=f"{key} must be a number, got {value!r}"):
+            load_config(path)
 
 
 # -- the shipped benchmark -----------------------------------------------------

@@ -1,10 +1,14 @@
 """Differentiation, library construction, sparse regression, model behavior."""
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from rampnet import sysid
 from rampnet.mpc import rollout
 from rampnet.sysid import (REFIT_RCOND, SIGNIFICANCE_Z, InsufficientDataError,
                            SparseModel, _column_stats,
@@ -152,6 +156,131 @@ def test_stls_significance_guard_prunes_pure_noise_terms():
     active = {labels[i] for i in np.flatnonzero(coefs[0])}
     assert {"x1", "x2*u1"} <= active
     assert len(active) <= 4  # a handful of survivors, not half the library
+
+
+# -- one job per target ---------------------------------------------------------
+
+def _four_targets():
+    """A quadratic library and four noisy targets: four jobs."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, size=(300, 2))
+    u = rng.uniform(-1.0, 1.0, size=(300, 1))
+    theta, _ = build_library(x, u)
+    targets = np.column_stack([(k + 1) * x[:, 0] - 0.5 * x[:, 1] * u[:, 0]
+                               for k in range(4)])
+    return theta, targets + rng.normal(0.0, 0.05, size=targets.shape)
+
+
+def _blas():
+    blas = sysid._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    return blas
+
+
+def test_fit_holds_blas_to_one_thread_and_restores_the_count(monkeypatch):
+    """Every elimination pass runs with OpenBLAS on one thread, and the
+    count set before the fit (here one more than the process had) is back
+    afterwards."""
+    get, put = _blas()
+    seen = []
+
+    def spy(*args):
+        seen.append(get())
+        return _gram_fit(*args)
+
+    monkeypatch.setattr(sysid, "_gram_fit", spy)
+    before = get()
+    put(before + 1)
+    try:
+        assert get() == before + 1
+        stls_regress(*_four_targets())
+        assert get() == before + 1
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("where", ["calling thread", "helper thread"])
+def test_a_failing_target_reaches_the_caller_and_restores_blas(where, monkeypatch):
+    """One target's elimination raises, on the calling thread or on a
+    helper; the exception reaches the caller, no thread is left running and
+    the OpenBLAS thread count is back."""
+    get, _ = _blas()
+    if where == "helper thread" and sysid._usable_cpus() < 2:
+        pytest.skip("one usable CPU: the fit starts no helper thread")
+    failed, lock = [], threading.Lock()
+
+    def fail_once(*args):
+        time.sleep(0.005)  # so every worker takes a job
+        on_main = threading.current_thread() is threading.main_thread()
+        with lock:
+            first = on_main == (where == "calling thread") and not failed
+            if first:
+                failed.append(threading.get_ident())
+        if first:
+            raise RuntimeError(f"one target failed on the {where}")
+        return _gram_fit(*args)
+
+    monkeypatch.setattr(sysid, "_gram_fit", fail_once)
+    before, threads = get(), threading.active_count()
+    with pytest.raises(RuntimeError, match=f"failed on the {where}"):
+        stls_regress(*_four_targets())
+    assert len(failed) == 1
+    assert get() == before
+    assert threading.active_count() == threads
+
+
+def test_a_helper_that_cannot_start_restores_blas(monkeypatch):
+    get, _ = _blas()
+    if sysid._usable_cpus() < 2:
+        pytest.skip("one usable CPU: the fit starts no helper thread")
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    before = get()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        stls_regress(*_four_targets())
+    assert get() == before
+
+
+def test_targets_run_on_at_most_one_thread_per_usable_cpu(monkeypatch):
+    """Slowed jobs spread over every usable CPU (the calling thread
+    included) and never over more; no thread outlives the fit."""
+    _blas()
+    idents, counts = set(), []
+
+    def slow(*args):
+        idents.add(threading.get_ident())
+        counts.append(threading.active_count())
+        time.sleep(0.005)
+        return _gram_fit(*args)
+
+    monkeypatch.setattr(sysid, "_gram_fit", slow)
+    threads = threading.active_count()
+    stls_regress(*_four_targets())
+    assert threading.active_count() == threads
+    workers = min(4, sysid._usable_cpus())
+    assert threading.get_ident() in idents
+    assert len(idents) == workers
+    assert max(counts) == threads + workers - 1
+
+
+def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
+    """Stress: 8 workers and a short switch interval on 20000 jobs; a job
+    taken twice or lost shows in the tally."""
+    _blas()
+    monkeypatch.setattr(sysid, "_usable_cpus", lambda: 8)
+    done = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sysid._run_jobs(lambda k: done.append(k), 20000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(20000))
 
 
 def test_gram_fit_matches_lstsq_and_pinv():
