@@ -45,13 +45,12 @@ def _require_ints(owner: str, **fields) -> None:
                               f"integer, got {value!r}")
 
 
-def _require_numbers(owner: str, spec, keys) -> None:
+def _refuse_bools(owner: str, spec, keys) -> None:
     """A :class:`ConfigError` naming the first of ``spec``'s fields ``keys``
-    that is not a number. A ``bool`` is not one: YAML's ``true`` would read
-    as 1.0."""
+    that holds a ``bool``: YAML's ``true`` would read as 1.0."""
     for key in keys:
         value = getattr(spec, key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool):
             raise ConfigError(f"{owner} invariant violated: {key} must be a "
                               f"number, got {value!r}")
 
@@ -76,7 +75,7 @@ class CellParams:
     def __post_init__(self) -> None:
         names = ("length_km", "free_flow_kmh", "capacity_vphl",
                  "jam_density_vkml", "vehicle_length_m")
-        _require_numbers("cell", self, names)
+        _refuse_bools("cell", self, names)
         for name in names:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"cell invariant violated: {name} must be positive")
@@ -110,7 +109,9 @@ class Highway:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ConfigError(f"highway invariant violated: '{self.name}' has no cells")
-        _require_numbers(f"highway '{self.name}'", self, ("demand_veh_per_hour",))
+        _refuse_bools(f"highway '{self.name}'", self, ("demand_veh_per_hour",))
+        # 3000 and 3000.0 are one network, with one config digest.
+        object.__setattr__(self, "demand_veh_per_hour", float(self.demand_veh_per_hour))
         if self.demand_veh_per_hour < 0.0:
             raise ConfigError(
                 f"highway invariant violated: '{self.name}' demand must be >= 0")
@@ -133,8 +134,8 @@ class RampSpec:
 
     def __post_init__(self) -> None:
         _require_ints(f"ramp '{self.id}'", merge_cell=self.merge_cell)
-        _require_numbers(f"ramp '{self.id}'", self,
-                         ("demand_veh_per_hour", "queue_capacity_veh"))
+        _refuse_bools(f"ramp '{self.id}'", self,
+                      ("demand_veh_per_hour", "queue_capacity_veh"))
         if self.demand_veh_per_hour < 0.0:
             raise ConfigError(f"ramp invariant violated: '{self.id}' demand must be >= 0")
         if self.queue_capacity_veh <= 0.0:
@@ -155,7 +156,7 @@ class JunctionSpec:
 
     def __post_init__(self) -> None:
         _require_ints("junction", from_cell=self.from_cell, to_cell=self.to_cell)
-        _require_numbers("junction", self, ("turn_ratio",))
+        _refuse_bools("junction", self, ("turn_ratio",))
         if not 0.0 < self.turn_ratio < 1.0:
             raise ConfigError("junction invariant violated: turn_ratio must lie in (0, 1)")
 
@@ -178,6 +179,9 @@ class NetworkConfig:
     horizon_duration_s: float = 3600.0
 
     def __post_init__(self) -> None:
+        _refuse_bools("network", self, _TIMING_KEYS)
+        for key in _TIMING_KEYS:  # as for a highway's demand
+            object.__setattr__(self, key, float(getattr(self, key)))
         self._validate()
 
     # -- derived quantities ------------------------------------------------
@@ -209,7 +213,6 @@ class NetworkConfig:
         names = [hw.name for hw in self.highways]
         if len(set(names)) != len(names):
             fail("highway names must be unique")
-        _require_numbers("network", self, _TIMING_KEYS)
         if self.sim_step_s <= 0.0 or self.control_step_s <= 0.0:
             fail("sim_step_s and control_step_s must be positive")
         ratio = self.control_step_s / self.sim_step_s

@@ -21,8 +21,8 @@ standard-error elimination makes the model sparse and gives the coefficients
 thresholding is the baseline (DMDc-style) model.
 
 Each state's regression is one independent job on the shared Gram matrix;
-the jobs run on up to one thread per usable CPU, with the OpenBLAS bundled
-with numpy held to one thread while they run (see :func:`stls_regress`).
+the jobs run on up to two threads, with the OpenBLAS bundled with numpy
+held to one thread while they run (see :func:`stls_regress`).
 The coefficients are the same bit for bit on any number of threads.
 
 Fits and scores take ``episodes``: one ``(states, inputs)`` array pair per
@@ -45,6 +45,7 @@ import json
 import os
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -254,41 +255,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# Each thread that runs jobs keeps its own allocator arena and BLAS buffers,
+# 1.6-2.4 MB of peak RSS apiece on the benchmark fit (46 MB on one thread):
+# perfbench's discovery peak read +5% with two workers, +8% with three and
+# +12% with four, against a 10% bound (CPU count patched, on 2 vCPUs).
+_MAX_WORKERS = 2
+
+
 def _run_jobs(job, count: int) -> None:
     """``job(k)`` once for each k in ``range(count)``. The calling thread
-    and, while OpenBLAS is held to one thread, up to usable CPUs - 1 helper
-    threads take the jobs from one shared list; without OpenBLAS the calling
-    thread runs them all. The first exception a job raised is raised here,
-    after every helper has stopped."""
-    pending = list(range(count))[::-1]
-    errors = []
+    and, while OpenBLAS is held to one thread, helper threads up to one
+    worker per usable CPU and ``_MAX_WORKERS`` in all take the jobs from one
+    shared iterator; without OpenBLAS the calling thread runs them all. A
+    job's exception is raised here, after every helper has stopped. The
+    calling thread works rather than waits: two helpers beside an idle
+    calling thread read +8% peak RSS, like three workers."""
+    jobs = iter(range(count))  # one next() at a time under the GIL
 
     def work():
-        while True:
-            try:
-                k = pending.pop()
-            except IndexError:
-                return
-            try:
-                job(k)
-            except BaseException as exc:
-                errors.append(exc)
-                pending.clear()
-                return
+        for k in jobs:
+            job(k)
 
     with _one_blas_thread() as parallel:
-        helpers = []
-        try:
-            for _ in range(min(count, _usable_cpus()) - 1 if parallel else 0):
-                thread = threading.Thread(target=work)
-                thread.start()
-                helpers.append(thread)
+        helpers = min(count, _usable_cpus(), _MAX_WORKERS) - 1 if parallel else 0
+        with ThreadPoolExecutor(max(helpers, 1)) as pool:
+            futures = [pool.submit(work) for _ in range(helpers)]
             work()
-        finally:
-            for thread in helpers:
-                thread.join()
-    if errors:
-        raise errors[0]
+            for future in futures:
+                future.result()
 
 
 def stls_regress(theta: np.ndarray, targets: np.ndarray):
@@ -304,9 +298,11 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     is the result; nothing is zeroed after it.
 
     Each target's screen and elimination is one job: it reads only G, b and
-    y'y and writes only its own coefficient row. The calling thread and up
-    to usable CPUs - 1 helper threads take the jobs from one list, and the
-    bundled OpenBLAS is held to one thread while they run, then restored.
+    y'y and writes only its own coefficient row. The calling thread and,
+    given a second usable CPU, one helper thread share the jobs, and
+    the bundled OpenBLAS is held to one thread while they run, then
+    restored. A third and fourth worker would each add about 2 MB of peak
+    RSS (see ``_MAX_WORKERS``).
     The elimination is a thousand-odd ``eigh`` calls on blocks of at most
     153 columns: two threads replaying them got 0.54-0.68x the throughput
     of one thread under OpenBLAS's default two threads, and 1.80-2.02x on

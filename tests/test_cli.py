@@ -222,7 +222,18 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     bool_queue = yaml.safe_load(Path(benchmark_config_path()).read_text())
     bool_queue["ramps"][0]["queue_capacity_veh"] = True
     (tmp_path / "bool-queue.cfg").write_text(yaml.safe_dump(bool_queue))
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a report directory\n")
     mismatches = {
+        # Output paths that fail only when written, after the episodes ran:
+        # an OSError other than a missing file is a usage problem too.
+        "Is a directory": [
+            ["sweep", "--config", str(cfg_path), "--model", str(model_path),
+             "--horizons", "1", "--out", str(tmp_path)]],
+        "File exists": [
+            ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
+             "--dmdc-model", str(model_path), "--seeds", "1", "--horizon", "1",
+             "--out", str(taken)]],
         "merge_cell must be an integer, got 2.0": [
             ["collect", "--config", str(tmp_path / "float-cell.cfg"), "--seeds", "1",
              "--out", str(tmp_path / "x5")]],

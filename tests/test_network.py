@@ -229,11 +229,14 @@ def test_load_config_requires_integer_lanes_and_cell_indices(tmp_path):
                 load_config(path)
 
 
+_TIMING = ("sim_step_s", "control_step_s", "burn_in_s", "horizon_duration_s")
+
+
 def test_load_config_refuses_booleans_where_it_wants_numbers(tmp_path):
     """YAML's ``true`` in a number field is refused, naming the key: it used
-    to load as 1.0 (a one-vehicle ramp queue, a 1 m detector vehicle). So is
-    a quoted number, which a highway's demand and the timing fields used to
-    convert."""
+    to load as 1.0 (a one-vehicle ramp queue, a 1 m detector vehicle). A
+    highway's demand and the timing fields still read a whole or a quoted
+    number as the same float, so the serialized config does not change."""
     cells = (_cell(), _cell(), _cell(), _cell())
     cfg = NetworkConfig(
         highways=(Highway("A", cells, 3000.0), Highway("B", cells, 2500.0)),
@@ -246,17 +249,25 @@ def test_load_config_refuses_booleans_where_it_wants_numbers(tmp_path):
                                           "vehicle_length_m")),
               ("highway", "demand_veh_per_hour"), ("ramp", "demand_veh_per_hour"),
               ("ramp", "queue_capacity_veh"), ("junction", "turn_ratio"),
-              *(("timing", key) for key in ("sim_step_s", "control_step_s",
-                                            "burn_in_s", "horizon_duration_s"))]
-    for (owner, key), value in itertools.product(fields, (True, "1.0")):
+              *(("timing", key) for key in _TIMING)]
+
+    def write(owner, key, value):
         doc = yaml.safe_load(serialize_config(cfg))
         node = {"cell": doc["highways"][0]["cells"][2], "highway": doc["highways"][1],
                 "ramp": doc["ramps"][0], "junction": doc["junctions"][0],
                 "timing": doc["timing"]}[owner]
         node[key] = value
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
-        with pytest.raises(ConfigError, match=f"{key} must be a number, got {value!r}"):
+
+    for owner, key in fields:
+        write(owner, key, True)
+        with pytest.raises(ConfigError, match=f"{key} must be a number, got True"):
             load_config(path)
+    floats = {("highway", "demand_veh_per_hour"): cfg.highways[1].demand_veh_per_hour,
+              **{("timing", key): getattr(cfg, key) for key in _TIMING}}
+    for ((owner, key), value), kind in itertools.product(floats.items(), (int, str)):
+        write(owner, key, kind(int(value)))
+        assert serialize_config(load_config(path)) == serialize_config(cfg), (key, kind)
 
 
 # -- the shipped benchmark -----------------------------------------------------

@@ -246,10 +246,13 @@ def test_a_helper_that_cannot_start_restores_blas(monkeypatch):
     assert get() == before
 
 
-def test_targets_run_on_at_most_one_thread_per_usable_cpu(monkeypatch):
-    """Slowed jobs spread over every usable CPU (the calling thread
-    included) and never over more; no thread outlives the fit."""
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_targets_run_on_at_most_two_threads(cpus, monkeypatch):
+    """Slowed jobs spread over one thread per usable CPU (the calling thread
+    included) up to ``_MAX_WORKERS``, and never over more, however many CPUs
+    there are; no thread outlives the fit."""
     _blas()
+    monkeypatch.setattr(sysid, "_usable_cpus", lambda: cpus)
     idents, counts = set(), []
 
     def slow(*args):
@@ -262,7 +265,8 @@ def test_targets_run_on_at_most_one_thread_per_usable_cpu(monkeypatch):
     threads = threading.active_count()
     stls_regress(*_four_targets())
     assert threading.active_count() == threads
-    workers = min(4, sysid._usable_cpus())
+    workers = min(cpus, 2)
+    assert sysid._MAX_WORKERS == 2
     assert threading.get_ident() in idents
     assert len(idents) == workers
     assert max(counts) == threads + workers - 1
@@ -273,6 +277,7 @@ def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
     taken twice or lost shows in the tally."""
     _blas()
     monkeypatch.setattr(sysid, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(sysid, "_MAX_WORKERS", 8)
     done = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
