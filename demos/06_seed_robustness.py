@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Does the closed-loop ranking hold across seeds? Ten base seeds, twice each.
+
+For each base seed b, runs ALINEA excitation episodes on seeds b+1..b+4 and
+fits SINDYc and DMDc twice: once from the episodes' CSV logs, as
+``rampnet collect`` and ``rampnet fit`` do, and once from the in-memory
+records, the twin. Both fits read the episodes in the same order, so the twins
+differ only by the CSV's 12 significant digits. It then runs the five
+scenarios on evaluation seed b+21 (b+21..b+23 with ``--three-eval``) with the
+CSV models, and the two planners again with the twin models.
+
+Per base seed and scenario it prints tracking (mean |occupancy - 15 %|),
+sensor flow, ALINEA's tracking on the same seed, the planner's iterations and
+capped solves (the 200-iteration cap ended them, not the optimality test),
+and the twin planner's tracking and capped solves. A summary per planner and
+fit follows. A ranking that the twin column flips is rounding, not a result.
+
+    python3 demos/06_seed_robustness.py                  # base seeds 0-9
+    python3 demos/06_seed_robustness.py --base-seeds 0,5 --three-eval
+"""
+
+import argparse
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from rampnet.harness import SCENARIOS, load_logs, make_controller, run_scenarios
+from rampnet.network import benchmark_config_path, load_config
+from rampnet.plant import run_episode
+from rampnet.sysid import discover_dmdc, discover_sindyc
+
+TRAIN_OFFSETS = (1, 2, 3, 4)
+EVAL_OFFSET = 21
+PLANNERS = ("dmd-mpc", "sindyc-mpc")
+
+
+def _fit_twice(config, base):
+    """(sindyc, dmdc) fitted from the CSV logs, then from the records."""
+    records = {f"alinea-seed{base + k}.csv": run_episode(
+        config, make_controller("alinea", config.n_ramps), seed=base + k)
+        for k in TRAIN_OFFSETS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, record in records.items():
+            record.to_csv(Path(tmp) / name)
+        from_csv = load_logs(tmp)  # in file-name order
+    in_memory = [(records[name].occupancy, records[name].rates)
+                 for name in sorted(records)]
+    return [(discover_sindyc(log), discover_dmdc(log))
+            for log in (from_csv, in_memory)]
+
+
+def _figures(result):
+    figures = {"dev": result.average_deviation, "flow": result.average_flow}
+    health = result.solver_health()
+    if health is not None:
+        windows = (health["burn_in"], health["recorded"])
+        figures.update(iterations=sum(w["iterations"] for w in windows),
+                       capped=sum(w["capped"] for w in windows),
+                       controller_s=result.time_split_s["controller"])
+    return figures
+
+
+def run_base_seed(config, base, eval_seeds):
+    """One base seed: {scenario: figures} from CSV, and the twin planners'."""
+    (sindyc, dmdc), (sindyc_mem, dmdc_mem) = _fit_twice(config, base)
+    table = {res.scenario: _figures(res)
+             for res in run_scenarios(config, sindyc, dmdc, eval_seeds)}
+    twin = {res.scenario: _figures(res) for res in run_scenarios(
+        config, sindyc_mem, dmdc_mem, eval_seeds, scenarios=PLANNERS)}
+    return table, twin
+
+
+def _summary(label, name, rows, alinea, bases):
+    devs = np.array([row["dev"] for row in rows])
+    worst = int(np.argmax(devs))
+    worse = int(np.sum(devs > alinea))
+    print(f"{name:>11} {label:<9}: mean {devs.mean():.3f} %  median "
+          f"{np.median(devs):.3f} %  worst {devs[worst]:.3f} % (base "
+          f"{bases[worst]})  worse than ALINEA on {worse}/{len(devs)}  flow "
+          f"{np.mean([r['flow'] for r in rows]):.1f} veh/h  "
+          f"iterations {sum(r['iterations'] for r in rows)}  capped "
+          f"{sum(r['capped'] for r in rows)}  controller "
+          f"{sum(r['controller_s'] for r in rows):.1f} s")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base-seeds", default=",".join(map(str, range(10))),
+                        help="comma separated base seeds (default 0-9)")
+    parser.add_argument("--three-eval", action="store_true",
+                        help="evaluate on b+21..b+23 instead of b+21 alone")
+    args = parser.parse_args(argv)
+    bases = [int(s) for s in args.base_seeds.split(",")]
+    eval_count = 3 if args.three_eval else 1
+    config = load_config(benchmark_config_path())
+
+    print(f"{'base':>4} {'scenario':>11} {'|occ-15| %':>10} {'flow veh/h':>10} "
+          f"{'alinea %':>8} {'iterations':>10} {'capped':>6} {'twin %':>8} "
+          f"{'twin capped':>11}")
+    tables, twins = [], []
+    for base in bases:
+        eval_seeds = [base + EVAL_OFFSET + k for k in range(eval_count)]
+        table, twin = run_base_seed(config, base, eval_seeds)
+        tables.append(table)
+        twins.append(twin)
+        for name in SCENARIOS:
+            row = table[name]
+            planner = (f"{row['iterations']:>10} {row['capped']:>6} "
+                       f"{twin[name]['dev']:8.3f} {twin[name]['capped']:>11}"
+                       if name in PLANNERS else
+                       f"{'-':>10} {'-':>6} {'-':>8} {'-':>11}")
+            print(f"{base:>4} {name:>11} {row['dev']:10.3f} {row['flow']:10.1f} "
+                  f"{table['alinea']['dev']:8.3f} {planner}")
+
+    print()
+    alinea = np.array([t["alinea"]["dev"] for t in tables])
+    for name in PLANNERS:
+        _summary("from CSV", name, [t[name] for t in tables], alinea, bases)
+        _summary("in memory", name, [t[name] for t in twins], alinea, bases)
+    for label, runs in (("from CSV", tables), ("in memory", twins)):
+        wins = sum(t["sindyc-mpc"]["dev"] < t["dmd-mpc"]["dev"] for t in runs)
+        print(f"SINDYc beats DMDc {label}: on {wins}/{len(runs)} base seeds")
+    for name in PLANNERS:
+        gaps = [abs(t[name]["dev"] - w[name]["dev"]) for t, w in zip(tables, twins)]
+        worst = int(np.argmax(gaps))
+        print(f"twin gap {name}: up to {gaps[worst]:.3f} points (base "
+              f"{bases[worst]})")
+
+
+if __name__ == "__main__":
+    main()

@@ -53,6 +53,25 @@ def _load_model(path: str) -> SparseModel:
         raise harness.UsageError(f"unusable model file {path}: {exc!r}") from exc
 
 
+def _check_out(path: str, directory: bool = False) -> None:
+    """Refuse an ``--out`` that cannot be written, before any work: a fit
+    takes seconds, and a run or a sweep minutes of episodes. A file's
+    directory must exist; a report directory is made with its missing
+    parents, so its nearest existing ancestor must be a directory."""
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory:
+        raise harness.UsageError(
+            f"--out {out} is a directory; name a file" if out.is_dir()
+            else f"--out {out} is not a directory; name a report directory")
+    home = out.absolute().parent
+    while directory and not home.exists():
+        home = home.parent
+    if not home.is_dir():
+        raise harness.UsageError(
+            f"--out {out}: directory {home} does not exist" if not home.exists()
+            else f"--out {out}: {home} is not a directory")
+
+
 def _cmd_collect(args) -> int:
     config = _load_config(args.config)
     paths = harness.collect(config, args.controller, _parse_seeds(args.seeds),
@@ -63,13 +82,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    # Refused before the logs are read: a fit can take seconds.
-    out = Path(args.out)
-    if out.is_dir():
-        raise harness.UsageError(f"--out {out} is a directory; name a model file")
-    if not out.absolute().parent.is_dir():
-        raise harness.UsageError(
-            f"--out {out}: directory {out.absolute().parent} does not exist")
+    _check_out(args.out)
     log = harness.load_logs(args.logs)
     discover = (sysid.discover_sindyc if args.method == "sindyc"
                 else sysid.discover_dmdc)
@@ -87,6 +100,7 @@ def _cmd_run(args) -> int:
     if args.horizon < 1:
         raise harness.UsageError(f"bad horizon {args.horizon}; it must be at least 1")
     seeds = _parse_seeds(args.seeds)
+    _check_out(args.out, directory=True)
     config = _load_config(args.config)
     sindyc = _load_model(args.sindyc_model)
     dmdc = _load_model(args.dmdc_model)
@@ -109,9 +123,10 @@ def _cmd_run(args) -> int:
                   f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
                   f"(p50/p95/max)   fallbacks {health['fallbacks']}")
             print(f"{'':>13}" + "   ".join(
-                f"{label} {w['solves']} solves, {w['iterations']} iterations, "
-                f"{w['solve_s']:.2f} s" for label, w in (
-                    ("burn-in", health["burn_in"]), ("recorded", health["recorded"]))))
+                f"{label} {w['solves']} solves ({w['capped']} capped), "
+                f"{w['iterations']} iterations, {w['solve_s']:.2f} s"
+                for label, w in (("burn-in", health["burn_in"]),
+                                 ("recorded", health["recorded"]))))
         elif health is not None:
             print(f"{'':>13}solver: every step fell back ({health['fallbacks']})")
     print(f"report -> {paths['summary']}")
@@ -119,6 +134,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     config = _load_config(args.config)
     model = _load_model(args.model)
     rows = harness.horizon_sweep(model, config, _parse_horizons(args.horizons),

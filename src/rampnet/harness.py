@@ -175,8 +175,9 @@ class ScenarioResult:
         """Planner figures over every control step of every seed, or None
         for a scenario without a planner: converged share of the solves,
         iteration and solve-time percentiles (p50/p95/max), fallbacks, and
-        the solves, total iterations and solve seconds of the burn-in and of
-        the recorded windows apart."""
+        the solves, capped solves (the iteration cap ended them, not the
+        optimality test), total iterations and solve seconds of the burn-in
+        and of the recorded windows apart."""
         if self.solver_diagnostics is None:
             return None
         burn_in, recorded, fallbacks = [], [], 0
@@ -199,6 +200,7 @@ class ScenarioResult:
 
         def totals(window):
             return {"solves": len(window),
+                    "capped": sum(step["capped"] for step in window),
                     "iterations": sum(step["iterations"] for step in window),
                     "solve_s": sum(step["solve_time_s"] for step in window)}
 

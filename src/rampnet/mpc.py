@@ -67,7 +67,9 @@ logger = logging.getLogger(__name__)
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
 # Diagonal entries of J'J below this share of the largest are raised to it,
-# so a rate that no residual sees still gets a finite scaled step.
+# so a rate that no residual sees still gets a finite scaled step. With a
+# nonzero RATE_CHANGE_WEIGHT every rate is seen by its rate-change residual,
+# so the floor matters only at weight 0.
 _SCALE_FLOOR = 1e-12
 # The eps-active margin never exceeds this share of the rate box.
 _EPS_FRAC = 0.01
@@ -86,7 +88,11 @@ TOLERANCE = 1e-7
 OCCUPANCY_MIN_PCT = 0.0
 OCCUPANCY_MAX_PCT = 80.0
 BOUND_PENALTY_WEIGHT = 1e3
-RATE_CHANGE_WEIGHT = 0.0
+# A 100 veh/h change costs as much as a 0.3-point occupancy error. Without
+# it, rates that move almost no residual leave the Gauss-Newton block
+# near-singular and solves crawl to the iteration cap; the weight gives
+# every plan direction curvature (chosen on demos/06_seed_robustness.py).
+RATE_CHANGE_WEIGHT = 1e-5
 
 
 class ModelBlowupError(RuntimeError):
@@ -467,9 +473,13 @@ class MpcController:
                         self.config, warm_start=self._warm_start())
             action = sol.plan[0]
             self.last_plan = sol.plan
+            # Capped: the search spent its whole iteration cap without
+            # passing the optimality test.
+            capped = (not sol.converged
+                      and sol.iterations >= self.config.solver.max_iters)
             entry.update(objective=sol.objective, penalty=sol.penalty,
                          iterations=sol.iterations, converged=sol.converged,
-                         solve_time_s=sol.solve_time_s)
+                         capped=capped, solve_time_s=sol.solve_time_s)
         except ModelBlowupError as exc:
             logger.warning("solve failed (%s); reapplying previous rates", exc)
             action = self.u_prev.copy()

@@ -225,14 +225,13 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     taken = tmp_path / "taken.txt"
     taken.write_text("not a report directory\n")
     mismatches = {
-        # Output paths that fail only when written, after the episodes ran:
-        # an OSError other than a missing file is a usage problem too.
+        # A path that fails only when it is read or written: an OSError
+        # other than a missing file is a usage problem too.
         "Is a directory": [
-            ["sweep", "--config", str(cfg_path), "--model", str(model_path),
-             "--horizons", "1", "--out", str(tmp_path)]],
+            ["collect", "--config", str(tmp_path), "--seeds", "1",
+             "--out", str(tmp_path / "x7")]],
         "File exists": [
-            ["run", "--config", str(cfg_path), "--sindyc-model", str(model_path),
-             "--dmdc-model", str(model_path), "--seeds", "1", "--horizon", "1",
+            ["collect", "--config", str(cfg_path), "--seeds", "1",
              "--out", str(taken)]],
         "merge_cell must be an integer, got 2.0": [
             ["collect", "--config", str(tmp_path / "float-cell.cfg"), "--seeds", "1",
@@ -323,7 +322,7 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         for argv in argvs:
             assert main(argv) == 2
             assert problem in capsys.readouterr().err, argv
-    for name in ("x4", "x5", "x6"):
+    for name in ("x4", "x5", "x6", "x7"):
         assert not (tmp_path / name).exists()
     # Both refusals come before any output: no table, no episode.
     for name in ("r10", "r11", "r12"):
@@ -348,3 +347,34 @@ def test_fit_refuses_an_unwritable_out_before_it_fits(tmp_path, capsys,
                          "--out", str(out)]) == 2
             assert problem in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_unwritable_out_is_refused_before_any_episode(command, tmp_path,
+                                                         capsys, monkeypatch):
+    """``run`` and ``sweep`` share ``fit``'s ``--out`` check: an output that
+    cannot be written is refused before the first episode runs."""
+    episodes = []
+    monkeypatch.setattr(harness, "run_episode",
+                        lambda *args, **kw: episodes.append(args))
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text(serialize_config(_tiny_network()), encoding="utf-8")
+    rng = np.random.default_rng(0)
+    x, u = rng.uniform(0, 30, (100, 1)), rng.uniform(200, 1800, (100, 1))
+    model_path = tmp_path / "model.json"
+    fit_derivatives(x, u, 0.3 * (15.0 - x)).save(model_path)
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a report directory\n")
+    if command == "run":
+        argv = ["run", "--sindyc-model", str(model_path),
+                "--dmdc-model", str(model_path), "--seeds", "1"]
+        outs = ((taken, "is not a directory"),
+                (taken / "report", f"{taken} is not a directory"))
+    else:
+        argv = ["sweep", "--model", str(model_path), "--horizons", "1"]
+        outs = ((tmp_path, "is a directory"),
+                (tmp_path / "missing" / "s.csv", "does not exist"))
+    for out, problem in outs:
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+    assert episodes == []

@@ -15,9 +15,9 @@ from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS,
                              collect, horizon_sweep, load_logs,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
-from rampnet.mpc import MpcConfig, MpcController
+from rampnet.mpc import MpcConfig, MpcController, SolverSettings
 from rampnet.network import CellParams, Highway, NetworkConfig, RampSpec
-from rampnet.plant import ControlObservation, EpisodeRecord
+from rampnet.plant import ControlObservation, EpisodeRecord, run_episode
 from rampnet.sysid import fit_derivatives
 
 
@@ -328,6 +328,8 @@ def test_report_summary_carries_solver_health(standard_report):
         assert recorded["solves"] == len(by_name[name].records[0])
         assert burn_in["iterations"] + recorded["iterations"] == sum(
             step["iterations"] for step in steps)
+        assert burn_in["capped"] + recorded["capped"] == sum(
+            step["capped"] for step in steps)
         assert recorded["iterations"] == sum(
             step["iterations"] for step in steps[burn_in["solves"]:])
         assert burn_in["solve_s"] + recorded["solve_s"] == pytest.approx(
@@ -344,6 +346,28 @@ def test_report_summary_carries_solver_health(standard_report):
             1e3 * max(step["solve_time_s"] for step in steps))
         assert 0.0 < ms["p50"] <= ms["p95"] <= ms["max"]
     assert by_name["alinea"].solver_health() is None
+
+
+def test_solver_health_counts_capped_solves_in_each_window():
+    """A planner held to one iteration hits its cap whenever the warm start
+    does not already pass the optimality test; each such solve is counted in
+    the burn-in or the recorded windows, wherever it ran."""
+    sindyc, _ = _tiny_models()
+    config = _tiny_network()
+    controller = make_controller(
+        "sindyc-mpc", config.n_ramps, sindyc=sindyc,
+        mpc_config=MpcConfig(horizon=2, solver=SolverSettings(max_iters=1)))
+    record = run_episode(config, controller, seed=0)
+    steps = controller.diagnostics
+    health = results_from_records("sindyc-mpc", [0], [record],
+                                  solver_diagnostics=[steps]).solver_health()
+    burn_in = round(config.burn_in_s / config.control_step_s)
+    assert health["burn_in"]["capped"] == sum(
+        step["capped"] for step in steps[:burn_in])
+    assert health["recorded"]["capped"] == sum(
+        step["capped"] for step in steps[burn_in:])
+    assert health["burn_in"]["capped"] >= 1
+    assert all(step["capped"] == (not step["converged"]) for step in steps)
 
 
 def test_report_summary_splits_each_scenarios_time(standard_report):

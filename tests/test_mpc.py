@@ -39,7 +39,8 @@ def _random_model(rng, n, m):
 
 # -- objective and penalty ---------------------------------------------------------
 
-def test_objective_hand_value_without_rate_weight():
+def test_objective_hand_value_without_rate_weight(monkeypatch):
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 0.0)
     cfg = MpcConfig(horizon=2)
     states = np.array([[16.0], [14.0], [15.0]])
     plan = np.array([[1000.0], [1200.0]])
@@ -301,8 +302,9 @@ def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
 def test_solve_reads_the_rate_change_weight_at_call_time(monkeypatch):
     """Each solve reads the cost constants when it starts: a large
     ``RATE_CHANGE_WEIGHT`` keeps the plan near u_prev and the reported
-    objective carries the rate-change term, and putting the weight back
-    gives the first plan again, bit for bit."""
+    objective carries the rate-change term, and putting the module's
+    default back gives the first plan again, bit for bit."""
+    default = mpc.RATE_CHANGE_WEIGHT
     model = _two_corridors()
     cfg = MpcConfig(horizon=4)
     x0, u_prev = [60.0, 2.0], np.array([1000.0, 1000.0])
@@ -320,7 +322,7 @@ def test_solve_reads_the_rate_change_weight_at_call_time(monkeypatch):
     assert damped.objective == pytest.approx(
         np.sum((damped.states - cfg.target_occupancy_pct) ** 2) + rate_term,
         rel=1e-12)
-    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", 0.0)
+    monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", default)
     again = solve(model, x0, u_prev, cfg)
     assert np.array_equal(again.plan, free.plan)
     assert again.iterations == free.iterations
@@ -469,8 +471,36 @@ def test_controller_applies_first_action_and_remembers():
     assert np.array_equal(action, controller.last_plan[0])
     entry = controller.diagnostics[0]
     assert set(entry) == {"time_s", "fallback", "objective", "penalty",
-                          "iterations", "converged", "solve_time_s"}
+                          "iterations", "converged", "capped", "solve_time_s"}
     assert entry["fallback"] is False
+
+
+def test_controller_marks_only_solves_the_cap_ended_as_capped(monkeypatch):
+    """``capped`` means the search spent its whole iteration cap without
+    passing the optimality test: a solve cut at ``max_iters=1`` is capped; a
+    converged solve and a stalled one, which stopped with iterations to
+    spare, are not."""
+    model = _two_corridors()
+    cfg = MpcConfig(horizon=4, solver=SolverSettings(max_iters=1))
+    controller = MpcController(model, cfg)
+    controller(_obs([60.0, 2.0]))
+    entry = controller.diagnostics[0]
+    assert entry["iterations"] == 1 and not entry["converged"]
+    assert entry["capped"] is True
+
+    real_solve = mpc.solve
+
+    def ended(converged, iterations):
+        def fake(*args, **kwargs):
+            return replace(real_solve(*args, **kwargs), converged=converged,
+                           iterations=iterations)
+        return fake
+
+    controller = MpcController(model, MpcConfig(horizon=4))
+    for converged, iterations in ((True, 200), (False, 7)):
+        monkeypatch.setattr(mpc, "solve", ended(converged, iterations))
+        controller(_obs([60.0, 2.0]))
+        assert controller.diagnostics[-1]["capped"] is False
 
 
 def test_controller_warm_starts_with_the_shifted_plan():

@@ -86,6 +86,31 @@ def test_model_discovery_demo_runs_end_to_end(capsys):
     assert "what drives sensor" in out
 
 
+def test_seed_robustness_demo_runs_on_one_base_seed(capsys):
+    """Demo 06 on base seed 0: one row per scenario, the planners' rows with
+    iterations, capped solves and the twin fit's closed loop, then the
+    summary; both planners track better than ALINEA on that seed."""
+    demo = _load_by_path(ROOT / "demos" / "06_seed_robustness.py", "demo_run_06")
+    demo.main(["--base-seeds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[1]: line.split() for line in lines[1:6]}
+    assert list(rows) == list(demo.SCENARIOS)
+    for name, row in rows.items():
+        assert row[0] == "0" and len(row) == 9
+        dev, alinea = float(row[2]), float(row[4])
+        assert alinea == float(rows["alinea"][2])
+        if name in demo.PLANNERS:
+            iterations, capped, twin, twin_capped = map(float, row[5:])
+            assert iterations > 0 and 0 <= capped <= iterations
+            assert dev < alinea and twin < alinea
+        else:
+            assert row[5:] == ["-"] * 4
+    summary = "\n".join(lines[6:])
+    assert summary.count("worse than ALINEA on 0/1") == 4
+    assert "SINDYc beats DMDc from CSV" in summary
+    assert summary.count("twin gap") == 2
+
+
 def test_planner_imports_neither_the_plant_nor_the_harness():
     """The planner plans; the harness runs episodes. An import anywhere in
     ``rampnet.mpc``, at module level or inside a function, counts."""
