@@ -7,8 +7,6 @@ occupancy and flow so the congestion pattern (and its cure) is visible cell
 by cell.
 """
 
-import numpy as np
-
 from rampnet.harness import make_controller
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.plant import run_episode
@@ -36,14 +34,18 @@ def main():
           f"{config.horizon_duration_s / 3600:.0f} h recorded after "
           f"{config.burn_in_s / 60:.0f} min burn-in")
 
-    for name in ("no-control", "alinea"):
-        controller = make_controller(name, config.n_ramps)
-        record = run_episode(config, controller, seed=SEED)
+    records = {name: run_episode(config, make_controller(name, config.n_ramps),
+                                 seed=SEED) for name in ("no-control", "alinea")}
+    for name, record in records.items():
         summarize(name, record)
 
+    wide_open, alinea = records["no-control"], records["alinea"]
     print("\nWith meters wide open the merge cells saturate and occupancy "
           "rides far above the 15% target; ALINEA holds the same corridor "
-          "near the target and moves more vehicles while doing it.")
+          "near the target and lifts the mean sensor flow from "
+          f"{wide_open.flow.mean():.0f} to {alinea.flow.mean():.0f} veh/h, but "
+          f"its ramp queues fill: it drops {alinea.dropped_veh:.0f} ramp vehicles against "
+          f"{wide_open.dropped_veh:.0f} with open meters.")
 
 
 if __name__ == "__main__":

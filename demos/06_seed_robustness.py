@@ -10,12 +10,16 @@ scenarios on evaluation seed b+21 (b+21..b+23 with ``--three-eval``) with the
 CSV models, and the two planners again with the twin models.
 
 Per base seed and scenario it prints tracking (mean |occupancy - 15 %|),
-sensor flow, ALINEA's tracking on the same seed, the planner's iterations and
+sensor flow, the flow gain over no-control, the green share of the commanded
+rates, ALINEA's tracking on the same seed, the planner's iterations and
 capped solves (the 200-iteration cap ended them, not the optimality test),
 and the twin planner's tracking and capped solves. A summary per planner and
 fit follows. A ranking that the twin column flips is rounding, not a result.
+Base seed 0 alone is the headline five-way comparison: training seeds 1-4,
+evaluation seed 21.
 
     python3 demos/06_seed_robustness.py                  # base seeds 0-9
+    python3 demos/06_seed_robustness.py --base-seeds 0   # the headline run
     python3 demos/06_seed_robustness.py --base-seeds 0,5 --three-eval
 """
 
@@ -51,7 +55,8 @@ def _fit_twice(config, base):
 
 
 def _figures(result):
-    figures = {"dev": result.average_deviation, "flow": result.average_flow}
+    figures = {"dev": result.average_deviation, "flow": result.average_flow,
+               "green": result.average_green_pct}
     health = result.solver_health()
     if health is not None:
         windows = (health["burn_in"], health["recorded"])
@@ -96,8 +101,8 @@ def main(argv=None):
     config = load_config(benchmark_config_path())
 
     print(f"{'base':>4} {'scenario':>11} {'|occ-15| %':>10} {'flow veh/h':>10} "
-          f"{'alinea %':>8} {'iterations':>10} {'capped':>6} {'twin %':>8} "
-          f"{'twin capped':>11}")
+          f"{'gain veh/h':>10} {'green %':>7} {'alinea %':>8} {'iterations':>10} "
+          f"{'capped':>6} {'twin %':>8} {'twin capped':>11}")
     tables, twins = [], []
     for base in bases:
         eval_seeds = [base + EVAL_OFFSET + k for k in range(eval_count)]
@@ -110,8 +115,11 @@ def main(argv=None):
                        f"{twin[name]['dev']:8.3f} {twin[name]['capped']:>11}"
                        if name in PLANNERS else
                        f"{'-':>10} {'-':>6} {'-':>8} {'-':>11}")
+            gain = ("-" if name == "no-control" else
+                    f"{row['flow'] - table['no-control']['flow']:+.1f}")
             print(f"{base:>4} {name:>11} {row['dev']:10.3f} {row['flow']:10.1f} "
-                  f"{table['alinea']['dev']:8.3f} {planner}")
+                  f"{gain:>10} {row['green']:7.2f} {table['alinea']['dev']:8.3f} "
+                  f"{planner}")
 
     print()
     alinea = np.array([t["alinea"]["dev"] for t in tables])

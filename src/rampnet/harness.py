@@ -156,13 +156,6 @@ class ScenarioResult:
         return {part: sum(split[part] for split in splits) for part in splits[0]}
 
     @property
-    def runtime_s(self) -> float | None:
-        """Wall seconds of the scenario's episodes, the sum of
-        ``time_split_s``; None for episodes read back from CSV."""
-        split = self.time_split_s
-        return None if split is None else sum(split.values())
-
-    @property
     def measured_green_pct(self) -> np.ndarray:
         """(m,) share of recorded time (%) each meter showed green in the
         plant. Rates latch at the next signal cycle, so this trails
@@ -241,9 +234,9 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
 
     Episodes are independent (own plant, own RNG, own controller); the
     planners look ``horizon`` control steps ahead, and every controller steers
-    to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``runtime_s`` is the
-    sum of its own episodes' time split. A model whose state or input count is
-    not the network's ramp count is refused before any episode runs.
+    to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``time_split_s`` sums
+    its own episodes' time split. A model whose state or input count is not
+    the network's ramp count is refused before any episode runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -282,7 +275,7 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
 
     Returns one dict per horizon with the mean absolute occupancy deviation,
     mean sensor flow, mean per-solve time, and the scenario's runtime over
-    the given seeds.
+    the given seeds, the sum of its time split.
     """
     rows = []
     for n in horizons:
@@ -296,7 +289,7 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
             "mean_abs_deviation_pct": result.average_deviation,
             "mean_flow_vph": result.average_flow,
             "mean_solve_ms": float(np.mean(solve_ms)) if solve_ms else float("nan"),
-            "runtime_s": result.runtime_s,
+            "runtime_s": sum(result.time_split_s.values()),
         })
     return rows
 
@@ -377,8 +370,10 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
            models: dict | None = None, write_raw: bool = True) -> dict:
     """Write the comparison tables, per-scenario series, and summary JSON.
 
-    Returns a dict naming everything written. Flow improvements are relative
-    to the no-control scenario when it is present. Raw episode CSVs go under
+    Returns a dict naming everything written. The flow improvement table,
+    relative to the no-control scenario, is written only when that scenario
+    is among the results; otherwise one an earlier report left is deleted.
+    Raw episode CSVs go under
     ``raw/`` so the tables can be rebuilt later without re-simulating; the
     episodes an earlier report left there are deleted first. Every episode
     must carry the config's sensor and ramp ids, in order; otherwise
@@ -398,7 +393,6 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                     f"the config has sensors {sensor_ids} and ramps {ramp_ids}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_name = {res.scenario: res for res in results}
 
     paths: dict[str, object] = {}
     dev_path = out_dir / "deviation_table.csv"
@@ -407,15 +401,15 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
     paths["deviation_table"] = dev_path
 
     flow_path = out_dir / "flow_improvement_table.csv"
-    baseline = by_name.get("no-control")
-    if baseline is not None:
-        improvements = {
-            res.scenario: res.mean_flow - baseline.mean_flow
-            for res in results if res.scenario != "no-control"}
+    baseline = next((res for res in results if res.scenario == "no-control"),
+                    None)
+    if baseline is None:
+        flow_path.unlink(missing_ok=True)  # an earlier report's gains
     else:
-        improvements = {res.scenario: res.mean_flow for res in results}
-    _write_table(flow_path, sensor_ids, improvements)
-    paths["flow_improvement_table"] = flow_path
+        _write_table(flow_path, sensor_ids, {
+            res.scenario: res.mean_flow - baseline.mean_flow
+            for res in results if res.scenario != "no-control"})
+        paths["flow_improvement_table"] = flow_path
 
     green_path = out_dir / "green_percentage_table.csv"
     _write_table(green_path, ramp_ids,
@@ -476,8 +470,6 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                 "clamp_events": [r.clamp_events for r in res.records],
             } for res in results
         },
-        "runtime_s": {res.scenario: res.runtime_s for res in results
-                      if res.runtime_s is not None},
         "time_split_s": {res.scenario: res.time_split_s for res in results
                          if res.time_split_s is not None},
         "solver": {res.scenario: res.solver_health() for res in results

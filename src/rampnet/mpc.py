@@ -63,14 +63,12 @@ logger = logging.getLogger(__name__)
 # Levenberg-Marquardt damping, relative to the diagonal of J'J. After a full
 # step it follows the gain ratio of actual to predicted decrease (Nielsen's
 # rule: down by up to 3x when the model was right, up when it was not); a
-# shortened step doubles it. The floor keeps the free block nonsingular.
+# shortened step doubles it. The rate-change rows keep the free block
+# nonsingular on their own; the damping and its floor stay because they steer
+# the closed loop: without either, sindyc-mpc tracks worse on the acceptance
+# seeds in more iterations, and the floor alone at 0 changes its plans.
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
-# Diagonal entries of J'J below this share of the largest are raised to it,
-# so a rate that no residual sees still gets a finite scaled step. With a
-# nonzero RATE_CHANGE_WEIGHT every rate is seen by its rate-change residual,
-# so the floor matters only at weight 0.
-_SCALE_FLOOR = 1e-12
 # The eps-active margin never exceeds this share of the rate box.
 _EPS_FRAC = 0.01
 # Projection-arc search: sufficient-decrease factor and step halvings.
@@ -347,8 +345,9 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
             break
 
         gn = 2.0 * (jac.T @ jac)
-        diag = gn.diagonal()
-        scale = np.maximum(diag, _SCALE_FLOOR * diag.max())
+        # Every rate has a rate-change row, so each entry is at least
+        # 2 * RATE_CHANGE_WEIGHT.
+        scale = gn.diagonal()
         # eps-active set: rates within eps of a bound that the gradient
         # pushes outward; eps shrinks with the scaled projected step.
         scaled = grad / scale

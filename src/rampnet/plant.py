@@ -163,7 +163,7 @@ def _kernel_source(config: NetworkConfig) -> str:
     for c in cells:
         vf, cap = float(c.free_flow_kmh), float(c.capacity_vphl)
         lanes, jam = float(c.lanes), float(c.jam_density_vkml)
-        crit = cap / vf
+        crit = c.critical_density_vkml
         consts.append([_literal(v) for v in (
             vf, cap, lanes, c.wave_speed_kmh, jam, crit, jam - crit,
             float(c.length_km) * lanes, cap * lanes)])

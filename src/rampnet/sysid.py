@@ -417,8 +417,8 @@ def discover_sindyc(episodes, provenance: dict | None = None) -> "SparseModel":
     """Identify sparse quadratic dynamics from ``(states, inputs)`` episodes.
 
     Differentiates per episode, then runs the thresholded regression. Logs
-    of a plant stuck at steady state yield an all-zero model; check
-    ``model.zero_rows`` before trusting predictions.
+    of a plant stuck at steady state yield an all-zero model; a state whose
+    ``model.active_count()`` is 0 predicts no change.
     """
     derivs, xs, us = differentiate(episodes)
     info = dict(provenance or {}, method="sindyc", episodes=len(episodes))
@@ -540,11 +540,6 @@ class SparseModel:
     @property
     def n_columns(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def zero_rows(self) -> tuple[bool, ...]:
-        """Per state, whether every coefficient is zero (a flat prediction)."""
-        return tuple(bool(b) for b in ~self.coefficients.any(axis=1))
 
     def active_count(self) -> np.ndarray:
         return np.count_nonzero(self.coefficients, axis=1)

@@ -304,7 +304,6 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
     sindyc = discover_sindyc(log)
     dmdc = discover_dmdc(log)
     assert np.array_equal(sindyc.coefficients, pipeline.sindyc.coefficients)
-    assert sindyc.zero_rows == pipeline.sindyc.zero_rows
     assert np.array_equal(dmdc.coefficients, pipeline.dmdc.coefficients)
 
     rerun = harness.run_scenarios(pipeline.config, sindyc, dmdc, EVAL_SEEDS)

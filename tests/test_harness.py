@@ -202,19 +202,19 @@ def test_run_scenarios_covers_the_standard_comparison(tmp_path):
 
 
 def test_run_scenarios_times_each_scenario_on_its_own():
-    """Each runtime_s is the sum of one scenario's episode time split, so
+    """Each time_split_s sums one scenario's episode time splits, so
     together they fit inside the wall clock of the whole call."""
     sindyc, dmdc = _tiny_models()
     started = time.perf_counter()
     results = run_scenarios(_tiny_network(), sindyc, dmdc, [0])
     wall = time.perf_counter() - started
-    assert all(r.runtime_s > 0.0 for r in results)
-    assert sum(r.runtime_s for r in results) <= wall
     for r in results:
         split = r.time_split_s
         assert set(split) == {"plant", "controller", "rest"}
         assert min(split.values()) > 0.0
-        assert sum(split.values()) == r.runtime_s
+        assert split == {part: sum(rec.time_split_s[part] for rec in r.records)
+                         for part in split}
+    assert sum(sum(r.time_split_s.values()) for r in results) <= wall
 
 
 def test_horizon_sweep_reports_one_row_per_horizon():
@@ -271,8 +271,10 @@ def test_report_tables_end_with_an_average_row(standard_report):
         assert rows[-1][0] == "average"
 
 
-def test_report_flow_table_is_relative_to_no_control(standard_report):
-    _, results, out_dir, _ = standard_report
+def test_report_flow_table_is_relative_to_no_control(standard_report, tmp_path):
+    """Flow gains over no-control; without that baseline no table, and an
+    earlier report's table in the same directory is deleted."""
+    config, results, out_dir, _ = standard_report
     by_name = {r.scenario: r for r in results}
     with open(out_dir / "flow_improvement_table.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -282,6 +284,11 @@ def test_report_flow_table_is_relative_to_no_control(standard_report):
     expected = (by_name["alinea"].mean_flow[0]
                 - by_name["no-control"].mean_flow[0])
     assert float(rows[1][alinea_col]) == pytest.approx(expected, rel=1e-9)
+    assert "flow_improvement_table" in report(results, tmp_path, config,
+                                              write_raw=False)
+    paths = report(results[1:], tmp_path, config, write_raw=False)
+    assert "flow_improvement_table" not in paths
+    assert not (tmp_path / "flow_improvement_table.csv").exists()
 
 
 def test_report_summary_contents(standard_report):
@@ -289,7 +296,7 @@ def test_report_summary_contents(standard_report):
     with open(out_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     assert set(summary) == {"config_sha256", "seeds", "scenarios",
-                            "runtime_s", "time_split_s", "solver", "models"}
+                            "time_split_s", "solver", "models"}
     assert summary["seeds"] == [0]
     assert set(summary["scenarios"]) == set(SCENARIOS)
     block = summary["scenarios"]["sindyc-mpc"]
@@ -377,7 +384,6 @@ def test_report_summary_splits_each_scenarios_time(standard_report):
     for res in results:
         split = summary["time_split_s"][res.scenario]
         assert split == res.time_split_s
-        assert sum(split.values()) == summary["runtime_s"][res.scenario]
         health = res.solver_health()
         if health is not None:
             # Every solve runs inside a controller call.
@@ -426,9 +432,8 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # sidecar's green seconds would read 0.
     assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
     # Episode timing describes the original run; raw episodes do not carry it.
-    for key in ("runtime_s", "time_split_s"):
-        assert set(original[key]) == {"no-control", "alinea"}
-        assert again[key] == {}
+    assert set(original["time_split_s"]) == {"no-control", "alinea"}
+    assert again["time_split_s"] == {}
     assert again.keys() == original.keys()
     assert again["config_sha256"] == original["config_sha256"]
     assert again["seeds"] == original["seeds"]

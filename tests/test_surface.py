@@ -49,10 +49,9 @@ def test_package_root_defines_only_its_submodules():
     assert not public, sorted(public)
 
 
-def test_every_exported_name_is_used_by_program_code():
-    """A name in a module's ``__all__`` is read somewhere in the package, the
-    demos or the benchmark, as a name or an attribute; one that only tests
-    reach is not public API."""
+def _names_read_by_program() -> set[str]:
+    """Every name and attribute read in the package, the demos or the
+    benchmark."""
     used = set()
     for path in PROGRAM:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -60,10 +59,41 @@ def test_every_exported_name_is_used_by_program_code():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_exported_name_is_used_by_program_code():
+    """A name in a module's ``__all__`` is read somewhere in the package, the
+    demos or the benchmark, as a name or an attribute; one that only tests
+    reach is not public API."""
+    used = _names_read_by_program()
     unused = {name: sorted(set(getattr(importlib.import_module(f"rampnet.{name}"),
                                        "__all__", ())) - used)
               for name in MODULES}
     assert not any(unused.values()), unused
+
+
+def test_every_public_member_is_used_by_program_code():
+    """A public method or property of a class in a module's ``__all__`` is
+    read by program code or wrapped by the traced benchmark (``TRACED``);
+    one that only tests reach is not public API."""
+    used = _names_read_by_program()
+    tracing = _load_by_path(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
+    traced = {(owner, attr) for owner, attr, _ in tracing.TRACED}
+    members = (types.FunctionType, property, classmethod, staticmethod)
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"rampnet.{name}")
+        for cls_name in getattr(module, "__all__", ()):
+            cls = getattr(module, cls_name)
+            if not isinstance(cls, type):
+                continue
+            unused += [f"{name}.{cls_name}.{attr}"
+                       for attr, value in vars(cls).items()
+                       if not attr.startswith("_") and isinstance(value, members)
+                       and attr not in used
+                       and (f"{name}:{cls_name}", attr) not in traced]
+    assert not unused, unused
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -87,24 +117,31 @@ def test_model_discovery_demo_runs_end_to_end(capsys):
 
 
 def test_seed_robustness_demo_runs_on_one_base_seed(capsys):
-    """Demo 06 on base seed 0: one row per scenario, the planners' rows with
-    iterations, capped solves and the twin fit's closed loop, then the
+    """Demo 06 on base seed 0, the headline comparison: one row per scenario
+    with its flow gain over no-control and green share, the planners' rows
+    with iterations, capped solves and the twin fit's closed loop, then the
     summary; both planners track better than ALINEA on that seed."""
     demo = _load_by_path(ROOT / "demos" / "06_seed_robustness.py", "demo_run_06")
     demo.main(["--base-seeds", "0"])
     lines = capsys.readouterr().out.splitlines()
     rows = {line.split()[1]: line.split() for line in lines[1:6]}
     assert list(rows) == list(demo.SCENARIOS)
+    base_flow = float(rows["no-control"][3])
     for name, row in rows.items():
-        assert row[0] == "0" and len(row) == 9
-        dev, alinea = float(row[2]), float(row[4])
+        assert row[0] == "0" and len(row) == 11
+        dev, flow, green, alinea = map(float, (row[2], row[3], row[5], row[6]))
         assert alinea == float(rows["alinea"][2])
+        assert 0.0 < green <= 100.0
+        if name == "no-control":
+            assert row[4] == "-"
+        else:
+            assert float(row[4]) == pytest.approx(flow - base_flow, abs=0.11)
         if name in demo.PLANNERS:
-            iterations, capped, twin, twin_capped = map(float, row[5:])
+            iterations, capped, twin, twin_capped = map(float, row[7:])
             assert iterations > 0 and 0 <= capped <= iterations
             assert dev < alinea and twin < alinea
         else:
-            assert row[5:] == ["-"] * 4
+            assert row[7:] == ["-"] * 4
     summary = "\n".join(lines[6:])
     assert summary.count("worse than ALINEA on 0/1") == 4
     assert "SINDYc beats DMDc from CSV" in summary

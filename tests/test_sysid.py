@@ -471,7 +471,7 @@ def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
 def test_steady_state_log_yields_the_zero_model():
     log = [(np.full((50, 2), 15.0), np.full((50, 1), 900.0))]
     model = discover_sindyc(log)
-    assert model.zero_rows == (True, True)
+    assert model.active_count().tolist() == [0, 0]
     assert not model.coefficients.any()
     # The zero model predicts the all-zero derivatives perfectly.
     assert fit_report(model, log).mean_r2 == 1.0
@@ -601,16 +601,15 @@ def test_model_json_round_trip(tmp_path):
     back = SparseModel.load(path)
     assert back.terms == model.terms
     assert np.array_equal(back.coefficients, model.coefficients)
-    assert back.zero_rows == model.zero_rows
     assert back.provenance == model.provenance
     probe = (np.array([0.7]), np.array([-0.3]))
     assert np.array_equal(back.evaluate(*probe), model.evaluate(*probe))
-    # zero_rows is derived from the coefficients: not written, and ignored
-    # in files that still carry it.
+    # A zero_rows key, which older files derived from the coefficients, is
+    # ignored.
     doc = json.loads(path.read_text())
     assert set(doc) == {"state_dim", "input_dim", "coefficients", "provenance"}
     path.write_text(json.dumps(dict(doc, zero_rows=[True])))
-    assert SparseModel.load(path).zero_rows == (False,)
+    assert np.array_equal(SparseModel.load(path).coefficients, model.coefficients)
 
 
 def test_model_file_holds_exactly_what_load_reads(tmp_path, monkeypatch):
