@@ -4,9 +4,11 @@ The standard experiment compares five metering scenarios on identical demand
 realizations (same seeds, and the plant draws arrivals independently of
 control): no control (meters pinned wide open), the two local feedback
 regulators, and predictive control on the linear and on the sparse
-polynomial model. Reports are plain CSV tables plus per-scenario time series
-and a summary JSON keyed by a hash of the exact network config. The horizon
-sweep runs the sparse-model planner through the same scenario loop.
+polynomial model. A report is three CSV tables, a summary JSON keyed by a
+hash of the exact network config, and the raw episodes, each with a JSON
+sidecar that also holds its planner steps; the summary can be rebuilt from
+the raw episodes. The horizon sweep runs the sparse-model planner through
+the same scenario loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
                        RATE_MAX_VPH, TARGET_OCCUPANCY_PCT, MeterBank,
@@ -48,9 +49,6 @@ FEEDBACK_CONTROLLERS = ("alinea", "pi-alinea")
 # (kp, ki) of the local law in each feedback-metered scenario
 _LOCAL_GAINS = {"no-control": NO_CONTROL_GAINS, "alinea": ALINEA_GAINS,
                 "pi-alinea": PI_ALINEA_GAINS}
-
-#: plot series are smoothed with a trailing moving average this many steps wide
-SERIES_SMOOTH_STEPS = 5
 
 
 class UsageError(ValueError):
@@ -131,7 +129,6 @@ class ScenarioResult:
     mean_abs_deviation: np.ndarray  # (n,) % per sensor
     mean_flow: np.ndarray  # (n,) veh/h per sensor
     green_pct: np.ndarray  # (m,) per ramp, from the commanded rates
-    solver_diagnostics: list | None = None  # one list per seed, MPC only
 
     @property
     def average_deviation(self) -> float:
@@ -165,17 +162,17 @@ class ScenarioResult:
         return 100.0 * green / recorded_s
 
     def solver_health(self) -> dict | None:
-        """Planner figures over every control step of every seed, or None
-        for a scenario without a planner: converged share of the solves,
-        iteration and solve-time percentiles (p50/p95/max), fallbacks, and
-        the solves, capped solves (the iteration cap ended them, not the
-        optimality test), total iterations and solve seconds of the burn-in
-        and of the recorded windows apart."""
-        if self.solver_diagnostics is None:
+        """Planner figures over the records' ``solver_steps``, every control
+        step of every seed, or None for a scenario without a planner:
+        converged share of the solves, iteration and solve-time percentiles
+        (p50/p95/max), fallbacks, and the solves, capped solves (the
+        iteration cap ended them, not the optimality test), total iterations
+        and solve seconds of the burn-in and of the recorded windows apart."""
+        if all(record.solver_steps is None for record in self.records):
             return None
         burn_in, recorded, fallbacks = [], [], 0
-        for diag, record in zip(self.solver_diagnostics, self.records):
-            for step in diag or ():
+        for record in self.records:
+            for step in record.solver_steps or ():
                 if step["fallback"]:
                     fallbacks += 1
                 elif step["time_s"] >= record.times[0]:
@@ -210,8 +207,8 @@ class ScenarioResult:
 
 
 def results_from_records(scenario: str, seeds, records,
-                         target_occupancy_pct: float = TARGET_OCCUPANCY_PCT,
-                         solver_diagnostics=None) -> ScenarioResult:
+                         target_occupancy_pct: float = TARGET_OCCUPANCY_PCT
+                         ) -> ScenarioResult:
     records = list(records)
     occ = np.vstack([r.occupancy for r in records])
     flow = np.vstack([r.flow for r in records])
@@ -223,7 +220,6 @@ def results_from_records(scenario: str, seeds, records,
         mean_abs_deviation=np.mean(np.abs(occ - target_occupancy_pct), axis=0),
         mean_flow=flow.mean(axis=0),
         green_pct=green.mean(axis=0),
-        solver_diagnostics=solver_diagnostics,
     )
 
 
@@ -235,8 +231,10 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     Episodes are independent (own plant, own RNG, own controller); the
     planners look ``horizon`` control steps ahead, and every controller steers
     to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``time_split_s`` sums
-    its own episodes' time split. A model whose state or input count is not
-    the network's ramp count is refused before any episode runs.
+    its own episodes' time split, and each planner episode's record carries
+    the planner's diagnostics as its ``solver_steps``. A model whose state or
+    input count is not the network's ramp count is refused before any episode
+    runs.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -256,16 +254,14 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     mpc_config = MpcConfig(horizon=horizon)
     results = []
     for scenario in scenarios:
-        records, diags = [], []
+        records = []
         for seed in seeds:
             controller = make_controller(scenario, config.n_ramps, sindyc=sindyc,
                                          dmdc=dmdc, mpc_config=mpc_config)
-            records.append(run_episode(config, controller, seed=seed))
-            diags.append(getattr(controller, "diagnostics", None))
-        results.append(results_from_records(
-            scenario, seeds, records,
-            solver_diagnostics=diags if any(d is not None for d in diags) else None,
-        ))
+            record = run_episode(config, controller, seed=seed)
+            record.solver_steps = getattr(controller, "diagnostics", None)
+            records.append(record)
+        results.append(results_from_records(scenario, seeds, records))
     return results
 
 
@@ -274,21 +270,22 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
     """Run the ``sindyc-mpc`` scenario on ``model`` at each horizon.
 
     Returns one dict per horizon with the mean absolute occupancy deviation,
-    mean sensor flow, mean per-solve time, and the scenario's runtime over
-    the given seeds, the sum of its time split.
+    mean sensor flow, mean per-solve time (the solve seconds of
+    ``solver_health`` over its solves; NaN without one), and the scenario's
+    runtime over the given seeds, the sum of its time split.
     """
     rows = []
     for n in horizons:
         result, = run_scenarios(config, model, None, seeds,
                                 scenarios=("sindyc-mpc",), horizon=int(n))
-        solve_ms = [1e3 * step["solve_time_s"]
-                    for diag in result.solver_diagnostics for step in diag
-                    if not step["fallback"]]
+        health = result.solver_health()
+        solve_s = health["burn_in"]["solve_s"] + health["recorded"]["solve_s"]
         rows.append({
             "horizon": int(n),
             "mean_abs_deviation_pct": result.average_deviation,
             "mean_flow_vph": result.average_flow,
-            "mean_solve_ms": float(np.mean(solve_ms)) if solve_ms else float("nan"),
+            "mean_solve_ms": (1e3 * solve_s / health["solves"] if health["solves"]
+                              else float("nan")),
             "runtime_s": sum(result.time_split_s.values()),
         })
     return rows
@@ -334,50 +331,19 @@ def _write_table(path: Path, row_labels, columns: dict) -> None:
                         + [_fmt(np.mean(col)) for col in columns.values()])
 
 
-def _smooth(series: np.ndarray, width: int = SERIES_SMOOTH_STEPS) -> np.ndarray:
-    """Trailing moving average along axis 0: row k is the mean of rows
-    k - width + 1 .. k, or of rows 0 .. k while there are fewer.
-
-    numpy adds fewer than eight terms in order, so up to width 7 each row
-    equals ``series[max(0, k - width + 1):k + 1].mean(axis=0)`` bit for bit.
-    """
-    out = np.empty_like(series, dtype=float)
-    head = min(width - 1, len(series))
-    for k in range(head):
-        out[k] = series[:k + 1].mean(axis=0)
-    if len(series) >= width:
-        out[head:] = sliding_window_view(series, width, axis=0).mean(axis=-1)
-    return out
-
-
-def _write_series(path: Path, result: ScenarioResult, sensor_ids) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "time_s", "sensor", "occupancy_pct",
-                         "flow_vph", "occupancy_smooth_pct", "flow_smooth_vph"])
-        for seed, record in zip(result.seeds, result.records):
-            occ_s = _smooth(record.occupancy)
-            flow_s = _smooth(record.flow)
-            for j, sensor in enumerate(sensor_ids):
-                for k in range(len(record)):
-                    writer.writerow([
-                        seed, _fmt(record.times[k]), sensor,
-                        _fmt(record.occupancy[k, j]), _fmt(record.flow[k, j]),
-                        _fmt(occ_s[k, j]), _fmt(flow_s[k, j])])
-
-
 def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
            models: dict | None = None, write_raw: bool = True) -> dict:
-    """Write the comparison tables, per-scenario series, and summary JSON.
+    """Write the comparison tables, the raw episodes and the summary JSON.
 
     Returns a dict naming everything written. The flow improvement table,
     relative to the no-control scenario, is written only when that scenario
     is among the results; otherwise one an earlier report left is deleted.
-    Raw episode CSVs go under
-    ``raw/`` so the tables can be rebuilt later without re-simulating; the
-    episodes an earlier report left there are deleted first. Every episode
-    must carry the config's sensor and ramp ids, in order; otherwise
-    :class:`UsageError` names both lists.
+    Raw episode CSVs go under ``raw/``, each with its sidecar (planner steps
+    included), so the tables and the summary, apart from ``time_split_s`` and
+    ``models``, can be rebuilt later without re-simulating; the episodes an
+    earlier report left there are deleted first. Every episode must carry
+    the config's sensor and ramp ids, in order; otherwise :class:`UsageError`
+    names both lists.
     """
     if not results:
         raise UsageError("no scenario results to report")
@@ -416,28 +382,6 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
                  {res.scenario: res.green_pct for res in results})
     paths["green_percentage_table"] = green_path
 
-    series_paths = []
-    for res in results:
-        sp = out_dir / f"series_{res.scenario}.csv"
-        _write_series(sp, res, sensor_ids)
-        series_paths.append(sp)
-    paths["series"] = series_paths
-
-    diag_paths = []
-    for res in results:
-        if res.solver_diagnostics is None:
-            continue
-        dp = out_dir / f"solver_{res.scenario}.json"
-        with open(dp, "w", encoding="utf-8") as fh:
-            json.dump({"scenario": res.scenario,
-                       "episodes": [
-                           {"seed": seed, "steps": diag}
-                           for seed, diag in zip(res.seeds, res.solver_diagnostics)
-                       ]}, fh, indent=1)
-        diag_paths.append(dp)
-    if diag_paths:
-        paths["solver_diagnostics"] = diag_paths
-
     if write_raw:
         raw_dir = out_dir / "raw"
         raw_dir.mkdir(exist_ok=True)
@@ -472,8 +416,8 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
         },
         "time_split_s": {res.scenario: res.time_split_s for res in results
                          if res.time_split_s is not None},
-        "solver": {res.scenario: res.solver_health() for res in results
-                   if res.solver_diagnostics is not None},
+        "solver": {res.scenario: health for res in results
+                   if (health := res.solver_health()) is not None},
         "models": {name: model.provenance
                    for name, model in (models or {}).items()},
     }

@@ -481,6 +481,9 @@ class EpisodeRecord:
     green_seconds: np.ndarray  # (m,) green time during the recorded window
     dropped_veh: float = 0.0  # ramp arrivals lost during the recorded window
     clamp_events: int = 0  # proposed rates clamped during the recorded window
+    # The planner's per-step diagnostics (``MpcController.diagnostics``),
+    # burn-in included; None for an episode without a planner.
+    solver_steps: list | None = None
     # Wall seconds of the whole episode in "plant", "controller" and "rest"
     # (see run_episode). It describes the run, not the traffic, so it stays
     # in memory: the CSV and its sidecar do not carry it.
@@ -496,8 +499,9 @@ class EpisodeRecord:
 
     def to_csv(self, path) -> None:
         """Write the per-step table as CSV and the per-episode fields (seed,
-        step, ids, green seconds, drops, clamps) as a JSON sidecar beside it
-        (same name, ``.json`` suffix)."""
+        step, ids, green seconds, drops, clamps, and the planner's steps when
+        there are any) as a JSON sidecar beside it (same name, ``.json``
+        suffix)."""
         n = self.occupancy.shape[1]
         m = self.rates.shape[1]
         header = (["time_s"]
@@ -519,6 +523,8 @@ class EpisodeRecord:
                 "green_seconds": [float(g) for g in self.green_seconds],
                 "dropped_veh": float(self.dropped_veh),
                 "clamp_events": int(self.clamp_events)}
+        if self.solver_steps is not None:
+            meta["solver_steps"] = self.solver_steps
         with open(self.sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=1)
 
@@ -529,7 +535,10 @@ class EpisodeRecord:
         Raises ``ValueError`` naming the file if the CSV is malformed, if the
         sidecar is missing, is not an object or lacks one of its keys, or if
         its id or green-second lists do not match the CSV's columns: without
-        them the seed, green time, drops and clamps would be guesses.
+        them the seed, green time, drops and clamps would be guesses. The
+        optional ``solver_steps``, when present, must be a list of planner
+        steps: objects with ``time_s`` and ``fallback``, and for a solve
+        ``iterations``, ``converged``, ``capped`` and ``solve_time_s``.
         """
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -568,6 +577,14 @@ class EpisodeRecord:
                 raise ValueError(
                     f"malformed episode sidecar {sidecar}: {len(meta[key])} "
                     f"{key} for {width} {prefix} columns")
+        steps = meta.get("solver_steps", [])
+        if not (isinstance(steps, list) and all(
+                isinstance(step, dict) and {"time_s", "fallback"} <= step.keys()
+                and (step["fallback"] or {"iterations", "converged", "capped",
+                                          "solve_time_s"} <= step.keys())
+                for step in steps)):
+            raise ValueError(f"malformed episode sidecar {sidecar}: "
+                             "solver_steps is not a list of planner steps")
         return cls(
             seed=int(meta["seed"]),
             control_step_s=float(meta["control_step_s"]),
@@ -581,6 +598,7 @@ class EpisodeRecord:
             green_seconds=np.array(meta["green_seconds"], dtype=float),
             dropped_veh=float(meta["dropped_veh"]),
             clamp_events=int(meta["clamp_events"]),
+            solver_steps=meta.get("solver_steps"),
         )
 
 

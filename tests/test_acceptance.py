@@ -289,8 +289,8 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
 
     solve_times = []
     for name in ("dmd-mpc", "sindyc-mpc"):
-        for diag in pipeline.by_name[name].solver_diagnostics:
-            solve_times += [step["solve_time_s"] for step in diag
+        for record in pipeline.by_name[name].records:
+            solve_times += [step["solve_time_s"] for step in record.solver_steps
                             if "solve_time_s" in step]
     assert solve_times and max(solve_times) < 30.0
 
@@ -405,8 +405,8 @@ def test_benchmark_closed_loop_is_pinned(pipeline):
     assert digests == PINNED_CLOSED_LOOP
     iterations = {
         name: sum(step["iterations"]
-                  for diag in pipeline.by_name[name].solver_diagnostics
-                  for step in diag if not step["fallback"])
+                  for record in pipeline.by_name[name].records
+                  for step in record.solver_steps if not step["fallback"])
         for name in PINNED_ITERATIONS}
     assert iterations == PINNED_ITERATIONS
 

@@ -196,6 +196,18 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
             ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
             ["report", "--config", str(cfg_path), "--results", str(raw_dir),
              "--out", str(tmp_path / "r8")]]
+    # A sidecar whose planner steps are not a list of objects, or whose
+    # steps lack what a report reads of them.
+    bad_steps = sidecar_problems["solver_steps is not a list of planner steps"] = []
+    for i, steps in enumerate(({"iterations": 3}, [1, 2], [{}, "step"], None,
+                               [{"time_s": 30.0, "fallback": False}])):
+        log_dir = _log_dir(tmp_path / f"log-steps-{i}", good, solver_steps=steps)
+        raw_dir = _log_dir(tmp_path / f"raw-steps-{i}", good[:5],
+                           name="alinea-seed1", solver_steps=steps)
+        bad_steps += [
+            ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
+            ["report", "--config", str(cfg_path), "--results", str(raw_dir),
+             "--out", str(tmp_path / "r8")]]
     no_sidecar = _log_dir(tmp_path / "no-sidecar", good[:5], name="alinea-seed1")
     _strip_sidecar(no_sidecar / "alinea-seed1.json")
     list_sidecar = _log_dir(tmp_path / "list-sidecar", good)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from rampnet.feedback import TARGET_OCCUPANCY_PCT
-from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS,
-                             SERIES_SMOOTH_STEPS, UsageError, _smooth,
+from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
                              collect, horizon_sweep, load_logs,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
@@ -194,11 +193,11 @@ def test_run_scenarios_covers_the_standard_comparison(tmp_path):
     by_name = {r.scenario: r for r in results}
     assert by_name["no-control"].green_pct[0] == pytest.approx(100.0)
     for name in ("dmd-mpc", "sindyc-mpc"):
-        diags = by_name[name].solver_diagnostics
-        assert diags is not None and len(diags) == 1
+        (record,) = by_name[name].records
+        assert record.solver_steps
         assert all("solve_time_s" in step or step["fallback"]
-                   for step in diags[0])
-    assert by_name["alinea"].solver_diagnostics is None
+                   for step in record.solver_steps)
+    assert by_name["alinea"].records[0].solver_steps is None
 
 
 def test_run_scenarios_times_each_scenario_on_its_own():
@@ -250,16 +249,43 @@ def standard_report(tmp_path_factory):
 
 
 def test_report_writes_the_expected_inventory(standard_report):
+    """A report is its three tables, its summary and its raw episodes."""
     _, _, out_dir, paths = standard_report
     for key in ("deviation_table", "flow_improvement_table",
                 "green_percentage_table", "summary"):
         assert paths[key].exists()
-    assert sorted(p.name for p in paths["series"]) == sorted(
-        f"series_{name}.csv" for name in SCENARIOS)
-    assert sorted(p.name for p in paths["solver_diagnostics"]) == [
-        "solver_dmd-mpc.json", "solver_sindyc-mpc.json"]
+    assert set(paths) == {"deviation_table", "flow_improvement_table",
+                          "green_percentage_table", "raw", "summary"}
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "deviation_table.csv", "flow_improvement_table.csv",
+        "green_percentage_table.csv", "raw", "summary.json"]
     assert sorted(p.name for p in paths["raw"]) == sorted(
         f"{name}-seed0.csv" for name in SCENARIOS)
+    # The planner's steps live in each MPC episode's sidecar, and only there.
+    for name in SCENARIOS:
+        sidecar = json.loads((out_dir / "raw" / f"{name}-seed0.json").read_text())
+        assert ("solver_steps" in sidecar) == name.endswith("-mpc")
+
+
+def test_a_smaller_report_leaves_no_file_of_an_absent_scenario(standard_report,
+                                                               tmp_path):
+    """Five scenarios, then two, into one directory: no file name and no
+    table column names a scenario the second report does not hold."""
+    config, results, _, _ = standard_report
+    out_dir = tmp_path / "run"
+    report(results, out_dir, config)
+    kept = results[:2]
+    report(kept, out_dir, config)
+    absent = [r.scenario for r in results[2:]]
+    names = [str(p.relative_to(out_dir)) for p in out_dir.rglob("*")]
+    assert names and not [n for n in names
+                          if any(scenario in n for scenario in absent)]
+    for table in out_dir.glob("*.csv"):
+        with open(table, encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        assert set(header[1:]) <= {r.scenario for r in kept}, table.name
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert set(summary["scenarios"]) == {r.scenario for r in kept}
 
 
 def test_report_tables_end_with_an_average_row(standard_report):
@@ -326,7 +352,7 @@ def test_report_summary_carries_solver_health(standard_report):
     for name, health in summary["solver"].items():
         assert set(health) == {"solves", "converged_frac", "iterations",
                                "solve_ms", "fallbacks", "burn_in", "recorded"}
-        steps = by_name[name].solver_diagnostics[0]
+        steps = by_name[name].records[0].solver_steps
         assert health["solves"] == len(steps) == steps_per_seed
         # The split follows the episode record: burn-in windows, then the
         # recorded ones, with every solve's iterations and time in one of them.
@@ -365,9 +391,8 @@ def test_solver_health_counts_capped_solves_in_each_window():
         "sindyc-mpc", config.n_ramps, sindyc=sindyc,
         mpc_config=MpcConfig(horizon=2, solver=SolverSettings(max_iters=1)))
     record = run_episode(config, controller, seed=0)
-    steps = controller.diagnostics
-    health = results_from_records("sindyc-mpc", [0], [record],
-                                  solver_diagnostics=[steps]).solver_health()
+    steps = record.solver_steps = controller.diagnostics
+    health = results_from_records("sindyc-mpc", [0], [record]).solver_health()
     burn_in = round(config.burn_in_s / config.control_step_s)
     assert health["burn_in"]["capped"] == sum(
         step["capped"] for step in steps[:burn_in])
@@ -391,15 +416,6 @@ def test_report_summary_splits_each_scenarios_time(standard_report):
             assert split["controller"] >= solve_s
 
 
-def test_smooth_is_the_trailing_mean_of_each_window():
-    series = np.random.default_rng(3).standard_normal((40, 3)) * 1e3
-    for width in (1, 2, SERIES_SMOOTH_STEPS, 7):
-        expected = np.array([series[max(0, k - width + 1):k + 1].mean(axis=0)
-                             for k in range(len(series))])
-        assert np.array_equal(_smooth(series, width), expected)
-    assert np.array_equal(_smooth(series[:3]), _smooth(series)[:3])
-
-
 def test_raw_episodes_rebuild_the_same_metrics(standard_report):
     _, results, out_dir, _ = standard_report
     rebuilt = load_raw_results(out_dir / "raw")
@@ -416,8 +432,9 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # dropped_veh is nonzero and has to survive the raw-episode round trip.
     config = replace(_tiny_network(), ramps=(
         RampSpec("H1-R1", "H1", 1, "H1-S1", 3000.0, queue_capacity_veh=5.0),))
-    results = run_scenarios(config, None, None, [0, 1],
-                            scenarios=("no-control", "alinea"))
+    _, dmdc = _tiny_models()
+    results = run_scenarios(config, None, dmdc, [0, 1],
+                            scenarios=("no-control", "alinea", "dmd-mpc"))
     # Neither regulator leaves the rate box; a clamp count stands in for a
     # controller that did, and has to survive the round trip as well.
     results[1].records[1].clamp_events = 3
@@ -432,8 +449,11 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # sidecar's green seconds would read 0.
     assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
     # Episode timing describes the original run; raw episodes do not carry it.
-    assert set(original["time_split_s"]) == {"no-control", "alinea"}
+    assert set(original["time_split_s"]) == {"no-control", "alinea", "dmd-mpc"}
     assert again["time_split_s"] == {}
+    # The planner's steps, solve times included, travel in the sidecars.
+    assert original["solver"]["dmd-mpc"]["solves"] > 0
+    assert again["solver"] == original["solver"]
     assert again.keys() == original.keys()
     assert again["config_sha256"] == original["config_sha256"]
     assert again["seeds"] == original["seeds"]

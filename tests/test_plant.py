@@ -822,3 +822,27 @@ def test_episode_record_rejects_sidecar_lists_that_do_not_match_the_csv(tmp_path
         (tmp_path / "ep.json").write_text(json.dumps(dict(good, **{key: wrong})))
         with pytest.raises(ValueError, match=f"ep.json: {len(wrong)} {key}"):
             EpisodeRecord.from_csv(path)
+
+
+def test_episode_record_keeps_planner_steps_in_its_sidecar(tmp_path):
+    """Planner steps round-trip exactly; a sidecar without them is an episode
+    without a planner, and steps that are not a list of objects holding what
+    a report reads of them are refused, naming the sidecar."""
+    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
+    rec = run_episode(cfg, lambda obs: np.array([900.0]), seed=4)
+    path = tmp_path / "ep.csv"
+    rec.to_csv(path)
+    assert "solver_steps" not in json.loads((tmp_path / "ep.json").read_text())
+    assert EpisodeRecord.from_csv(path).solver_steps is None
+    rec.solver_steps = [{"time_s": 30.0, "fallback": True},
+                        {"time_s": 60.0, "fallback": False, "iterations": 3,
+                         "converged": True, "capped": False,
+                         "solve_time_s": 0.1 + 0.2}]
+    rec.to_csv(path)
+    assert EpisodeRecord.from_csv(path).solver_steps == rec.solver_steps
+    meta = json.loads((tmp_path / "ep.json").read_text())
+    for steps in ({"iterations": 3}, [1, 2], [{}, "step"], None,
+                  [{"time_s": 30.0}], [{"time_s": 30.0, "fallback": False}]):
+        (tmp_path / "ep.json").write_text(json.dumps(dict(meta, solver_steps=steps)))
+        with pytest.raises(ValueError, match="ep.json: solver_steps is not"):
+            EpisodeRecord.from_csv(path)
