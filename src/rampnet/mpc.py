@@ -18,9 +18,10 @@ the residual Jacobian comes from forward sensitivities through the model's
 polynomial Jacobians, rates within a small margin of a bound that the
 gradient pushes outward are held by a diagonal step, the free rates take a
 Levenberg-Marquardt step on J'J, and a search along the projection arc
-accepts only a sufficient decrease. A solve reports ``converged`` only when
-the projected gradient passes the optimality test. Only the first planned
-action is applied; the rest warm starts the next solve.
+accepts the first halving of that step that lowers the cost. A solve reports
+``converged`` only when the projected gradient passes the optimality test.
+Only the first planned action is applied; the rest warm starts the next
+solve.
 
 Each solve allocates its buffers once (:class:`_Workspace`) and works in
 them in place: a rollout reads only the model's prediction, one read per
@@ -66,13 +67,16 @@ logger = logging.getLogger(__name__)
 # shortened step doubles it. The rate-change rows keep the free block
 # nonsingular on their own; the damping and its floor stay because they steer
 # the closed loop: without either, sindyc-mpc tracks worse on the acceptance
-# seeds in more iterations, and the floor alone at 0 changes its plans.
+# seeds in more iterations, and the floor alone at 0 changes its plans (on
+# demo 06's base seed 5, tracking goes from 3.26% to 6.29%).
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
 # The eps-active margin never exceeds this share of the rate box.
 _EPS_FRAC = 0.01
-# Projection-arc search: sufficient-decrease factor and step halvings.
-_ARMIJO = 1e-4
+# Projection-arc search: the first of up to this many halvings of the step
+# that lowers the cost is accepted. The damping, set by the gain ratio, keeps
+# full steps sensible, so no sufficient-decrease margin is asked for (the
+# Levenberg-Marquardt acceptance rule; Madsen, Nielsen & Tingleff 2004).
 _ARC_HALVINGS = 30
 # A solve has converged when no rate's projected gradient, times the width of
 # the rate box, exceeds TOLERANCE * (1 + cost): moving any one rate anywhere
@@ -357,16 +361,11 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
                 | ((v >= hi - eps) & (grad < 0.0)))
         free = ~held
         step = -scaled
-        free_gain = 0.0
         if free.any():
             # The free rates' block of J'J, damped on its diagonal.
             block = gn[free][:, free]
             block.flat[::len(block) + 1] += damping * scale[free]
-            grad_free = grad[free]
-            newton = np.linalg.solve(block, grad_free)
-            step[free] = -newton
-            free_gain = float(grad_free @ newton)
-        grad_held, v_held = grad[held], v[held]
+            step[free] = -np.linalg.solve(block, grad[free])
 
         alpha = 1.0
         accepted = False
@@ -375,16 +374,11 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
             np.clip(v + alpha * step, lo, hi, out=cand.v)
             if (cand.v == v).all():
                 break
-            # Sufficient decrease along the projection arc (Armijo rule of
-            # Bertsekas 1982, first-order gain split into free and held rates).
-            gain = alpha * free_gain
-            if v_held.size:
-                gain += float(grad_held @ (v_held - cand.v[held]))
             try:
                 cand_total = ws.measure(cand)
             except ModelBlowupError:
                 cand_total = np.inf
-            if cand_total < total - _ARMIJO * gain:
+            if cand_total < total:
                 move = cand.v - v
                 predicted = -float(grad @ move + 0.5 * move @ gn @ move)
                 ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0

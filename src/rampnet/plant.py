@@ -533,12 +533,13 @@ class EpisodeRecord:
         """Read an episode written by :meth:`to_csv`, CSV and JSON sidecar.
 
         Raises ``ValueError`` naming the file if the CSV is malformed, if the
-        sidecar is missing, is not an object or lacks one of its keys, or if
-        its id or green-second lists do not match the CSV's columns: without
-        them the seed, green time, drops and clamps would be guesses. The
-        optional ``solver_steps``, when present, must be a list of planner
-        steps: objects with ``time_s`` and ``fallback``, and for a solve
-        ``iterations``, ``converged``, ``capped`` and ``solve_time_s``.
+        sidecar is missing, is not an object, lacks one of its keys or holds
+        one of the wrong type, or if its id or green-second lists do not
+        match the CSV's columns: without them the seed, green time, drops and
+        clamps would be guesses. The optional ``solver_steps``, when present,
+        must be a list of planner steps: objects with a number ``time_s`` and
+        a bool ``fallback``, and for a solve an int ``iterations``, bools
+        ``converged`` and ``capped`` and a number ``solve_time_s``.
         """
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -564,42 +565,51 @@ class EpisodeRecord:
         if not isinstance(meta, dict):
             raise ValueError(f"malformed episode sidecar {sidecar}: "
                              "expected a JSON object")
-        missing = [key for key in ("seed", "control_step_s", "sensor_ids",
-                                   "ramp_ids", "green_seconds", "dropped_veh",
-                                   "clamp_events") if key not in meta]
+        # Each field and its conversion. A list is read as a tuple first, so
+        # a number or null fails here rather than pass as a 0-d array.
+        kinds = {"seed": int, "control_step_s": float, "sensor_ids": tuple,
+                 "ramp_ids": tuple, "dropped_veh": float, "clamp_events": int,
+                 "green_seconds": lambda v: np.array(tuple(v), dtype=float)}
+        missing = [key for key in kinds if key not in meta]
         if missing:
             raise ValueError(f"malformed episode sidecar {sidecar}: "
                              f"missing {', '.join(missing)}")
+        fields = {}
+        for key, kind in kinds.items():
+            try:
+                fields[key] = kind(meta[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed episode sidecar {sidecar}: bad "
+                                 f"{key} {json.dumps(meta[key])}") from None
         for key, width, prefix in (("sensor_ids", n, "occ_"),
                                    ("ramp_ids", m, "rate_"),
                                    ("green_seconds", m, "rate_")):
-            if len(meta[key]) != width:
+            if len(fields[key]) != width:
                 raise ValueError(
-                    f"malformed episode sidecar {sidecar}: {len(meta[key])} "
+                    f"malformed episode sidecar {sidecar}: {len(fields[key])} "
                     f"{key} for {width} {prefix} columns")
         steps = meta.get("solver_steps", [])
-        if not (isinstance(steps, list) and all(
-                isinstance(step, dict) and {"time_s", "fallback"} <= step.keys()
-                and (step["fallback"] or {"iterations", "converged", "capped",
-                                          "solve_time_s"} <= step.keys())
-                for step in steps)):
+        if not (isinstance(steps, list) and all(map(_is_planner_step, steps))):
             raise ValueError(f"malformed episode sidecar {sidecar}: "
                              "solver_steps is not a list of planner steps")
-        return cls(
-            seed=int(meta["seed"]),
-            control_step_s=float(meta["control_step_s"]),
-            sensor_ids=tuple(meta["sensor_ids"]),
-            ramp_ids=tuple(meta["ramp_ids"]),
-            times=data[:, 0],
-            occupancy=data[:, 1:1 + n],
-            flow=data[:, 1 + n:1 + 2 * n],
-            speed=data[:, 1 + 2 * n:1 + 3 * n],
-            rates=data[:, 1 + 3 * n:],
-            green_seconds=np.array(meta["green_seconds"], dtype=float),
-            dropped_veh=float(meta["dropped_veh"]),
-            clamp_events=int(meta["clamp_events"]),
-            solver_steps=meta.get("solver_steps"),
-        )
+        return cls(times=data[:, 0],
+                   occupancy=data[:, 1:1 + n],
+                   flow=data[:, 1 + n:1 + 2 * n],
+                   speed=data[:, 1 + 2 * n:1 + 3 * n],
+                   rates=data[:, 1 + 3 * n:],
+                   solver_steps=meta.get("solver_steps"),
+                   **fields)
+
+
+def _is_planner_step(step) -> bool:
+    """Whether ``step`` has, with usable types, what a report reads of it."""
+    if not isinstance(step, dict):
+        return False
+    kinds = {"time_s": (int, float), "fallback": bool}
+    if step.get("fallback") is not True:
+        kinds.update(iterations=int, converged=bool, capped=bool,
+                     solve_time_s=(int, float))
+    return all(isinstance(step.get(key), kind) for key, kind in kinds.items())
 
 
 def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:

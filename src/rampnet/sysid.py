@@ -159,9 +159,9 @@ def build_library(states: np.ndarray, inputs: np.ndarray, order: int = 2):
 
 # The screen's ridge, in covariance form (A'A/d + RIDGE I), and the magnitude
 # below which the screen drops a normalized coefficient (and the rebuilt
-# intercept counts as zero). With RIDGE > 0 every
-# eigenvalue of the screen's matrix is at least RIDGE, so its solve cannot
-# fail.
+# intercept counts as zero). With RIDGE > 0 every eigenvalue of the screen's
+# matrix is at least RIDGE, so its one solve, over every column and target at
+# once, cannot fail.
 RIDGE = 0.05
 THRESHOLD = 2e-4
 
@@ -288,17 +288,18 @@ def _run_jobs(job, count: int) -> None:
 def stls_regress(theta: np.ndarray, targets: np.ndarray):
     """Sequential thresholded least squares, one regression per target column.
 
-    Stages read blocks of G = theta'theta and b = theta'y, formed once. The
-    ridge screen solves ``(G_aa/d + RIDGE I) c = b_a/d`` and drops every
-    coefficient below ``THRESHOLD`` until none drops; on the benchmark logs it
-    takes the centred constant and up to three columns the next stage would
-    keep. Significance elimination drops the survivor with the smallest
-    |coefficient| / standard error until all clear ``SIGNIFICANCE_Z``, taking
-    153 columns to 3-18. The last ``REFIT_RCOND``-truncated elimination fit
-    is the result; nothing is zeroed after it.
+    Stages read blocks of G = theta'theta and B = theta'Y, formed once. The
+    ridge screen, one solve of ``(G/d + RIDGE I) C = B/d`` for all targets,
+    keeps the columns whose coefficient clears ``THRESHOLD``; on the
+    benchmark logs it drops the centred constant and up to three columns the
+    next stage would keep, and a second pass would drop no more. Significance
+    elimination drops the survivor with the smallest |coefficient| /
+    standard error until all clear ``SIGNIFICANCE_Z``, taking 153 columns to
+    3-18. The last ``REFIT_RCOND``-truncated elimination fit is the result;
+    nothing is zeroed after it.
 
-    Each target's screen and elimination is one job: it reads only G, b and
-    y'y and writes only its own coefficient row. The calling thread and,
+    Each target's elimination is one job: it reads only G, b, y'y and the
+    screen, and writes only its own coefficient row. The calling thread and,
     given a second usable CPU, one helper thread share the jobs, and
     the bundled OpenBLAS is held to one thread while they run, then
     restored. A third and fourth worker would each add about 2 MB of peak
@@ -307,8 +308,8 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     153 columns: two threads replaying them got 0.54-0.68x the throughput
     of one thread under OpenBLAS's default two threads, and 1.80-2.02x on
     one BLAS thread each (2 vCPUs). Without that OpenBLAS the calling thread
-    runs every job. Every ``eigh`` and solve sees the same block either way,
-    so the coefficients are bit for bit the same.
+    runs every job. Every ``eigh`` sees the same block either way, so the
+    coefficients are bit for bit the same.
 
     Returns the (targets, h) coefficient matrix; a target whose columns
     were all eliminated keeps a zero row.
@@ -323,17 +324,12 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     energies = np.sum(targets * targets, axis=0)
     coef = np.zeros((targets.shape[1], h))
 
+    # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty strength
+    # independent of how many rows were logged.
+    screen = np.linalg.solve(gram / d + RIDGE * np.eye(h), moments / d)
+
     def regress(k: int) -> None:
-        active = np.arange(h)
-        while active.size:
-            # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty
-            # strength independent of how many rows were logged.
-            lhs = gram[np.ix_(active, active)] / d + RIDGE * np.eye(active.size)
-            fit = np.linalg.solve(lhs, moments[active, k] / d)
-            small = np.abs(fit) < THRESHOLD
-            if not small.any():
-                break
-            active = active[~small]
+        active = np.flatnonzero(np.abs(screen[:, k]) >= THRESHOLD)
         # Noise guard: backward-eliminate survivors indistinguishable from
         # zero given their own standard error, weakest first and one per
         # pass, so a collinear pair sheds one member and keeps their shared
@@ -459,7 +455,8 @@ class SparseModel:
     ``coefficients`` are physical units per control step, one column per
     library term, in the library's order. Their width is the library: with
     nz = n + m, 1 + nz columns are the linear library and
-    1 + nz + nz(nz + 1)/2 the quadratic one; any other shape is refused.
+    1 + nz + nz(nz + 1)/2 the quadratic one; any other shape, and any
+    coefficient that is not finite, is refused.
     Point reads use the quadratic form ``f = c + (L + Q z) z`` compiled from
     the coefficients on creation.
     """
@@ -476,6 +473,8 @@ class SparseModel:
         if self.coefficients.shape not in shapes:
             raise ValueError(f"coefficients have shape {self.coefficients.shape}; "
                              f"the library needs one of {list(shapes)}")
+        if not np.isfinite(self.coefficients).all():
+            raise ValueError("coefficients must be finite")
         self._order = shapes[self.coefficients.shape]
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
         # A linear library has no Q, so its reads are offset + L z and L. L is

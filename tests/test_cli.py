@@ -166,6 +166,10 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     doc = json.loads(model_path.read_text())
     short = [row[:-1] for row in doc["coefficients"]]
     bad_models = {"short-coefficients": dict(doc, coefficients=short)}
+    # One NaN coefficient: every planner step would fall back.
+    nan_model = tmp_path / "nan-model.json"
+    nan_model.write_text(json.dumps(dict(doc, coefficients=[
+        [float("nan")] + row[1:] for row in doc["coefficients"]])))
     for name, bad in bad_models.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(bad))
     (tmp_path / "not-json.json").write_text("coefficients: [1, 2]\n")
@@ -197,14 +201,28 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
             ["report", "--config", str(cfg_path), "--results", str(raw_dir),
              "--out", str(tmp_path / "r8")]]
     # A sidecar whose planner steps are not a list of objects, or whose
-    # steps lack what a report reads of them.
+    # steps lack what a report reads of them or hold it with a wrong type.
     bad_steps = sidecar_problems["solver_steps is not a list of planner steps"] = []
     for i, steps in enumerate(({"iterations": 3}, [1, 2], [{}, "step"], None,
-                               [{"time_s": 30.0, "fallback": False}])):
+                               [{"time_s": 30.0, "fallback": False}],
+                               [{"time_s": 30.0, "fallback": False,
+                                 "iterations": "x", "converged": True,
+                                 "capped": False, "solve_time_s": 0.01}])):
         log_dir = _log_dir(tmp_path / f"log-steps-{i}", good, solver_steps=steps)
         raw_dir = _log_dir(tmp_path / f"raw-steps-{i}", good[:5],
                            name="alinea-seed1", solver_steps=steps)
         bad_steps += [
+            ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
+            ["report", "--config", str(cfg_path), "--results", str(raw_dir),
+             "--out", str(tmp_path / "r8")]]
+    # A sidecar field of the wrong type.
+    for key, value in (("sensor_ids", 5), ("green_seconds", None),
+                       ("dropped_veh", None), ("control_step_s", [1]),
+                       ("seed", [0]), ("clamp_events", None)):
+        log_dir = _log_dir(tmp_path / f"log-bad-{key}", good, **{key: value})
+        raw_dir = _log_dir(tmp_path / f"raw-bad-{key}", good[:5],
+                           name="alinea-seed1", **{key: value})
+        sidecar_problems[f"bad {key} {json.dumps(value)}"] = [
             ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
             ["report", "--config", str(cfg_path), "--results", str(raw_dir),
              "--out", str(tmp_path / "r8")]]
@@ -255,6 +273,10 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
          "the config has sensors ['H1-S1'] and ramps ['H1-R1']"): [
             ["report", "--config", str(cfg_path), "--results", str(foreign),
              "--out", str(tmp_path / "r10")]],
+        "coefficients must be finite": [
+            ["run", "--config", str(cfg_path), "--sindyc-model", str(nan_model),
+             "--dmdc-model", str(model_path), "--seeds", "21",
+             "--out", str(tmp_path / "r13")]],
         "2 states and 2 inputs, but the network's 1 ramps need 1 of each": [
             ["run", "--config", str(cfg_path), "--sindyc-model", str(wide_model),
              "--dmdc-model", str(model_path), "--seeds", "1",
@@ -337,7 +359,7 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     for name in ("x4", "x5", "x6", "x7"):
         assert not (tmp_path / name).exists()
     # Both refusals come before any output: no table, no episode.
-    for name in ("r10", "r11", "r12"):
+    for name in ("r10", "r11", "r12", "r13"):
         assert not (tmp_path / name).exists()
 
 

@@ -588,6 +588,26 @@ def test_model_rejects_terms_that_are_not_the_library_layout():
             SparseModel(coefficients=wrong, **fields)
 
 
+def test_model_rejects_coefficients_that_are_not_finite(tmp_path):
+    """A NaN or infinite coefficient is refused on creation, and so when a
+    model file carrying one is loaded: a planner on such a model could only
+    fall back at every step."""
+    model = _dense_model(2)
+    fields = {k: getattr(model, k) for k in ("state_dim", "input_dim")}
+    for bad in (np.nan, np.inf, -np.inf):
+        coef = model.coefficients.copy()
+        coef[1, 4] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SparseModel(coefficients=coef, **fields)
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc["coefficients"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))  # written as NaN, which json reads back
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SparseModel.load(path)
+
+
 def test_model_rejects_wrong_input_sizes():
     model = _hand_model()
     with pytest.raises(ValueError, match="expected"):
