@@ -1,29 +1,30 @@
 """Sparse regression of control-affine dynamics from metering logs.
 
 The model family is ``xdot = C theta(x, u)`` where ``theta`` stacks the
-monomials of degree 1 or 2 of the joint vector z = (x, u) in one layout: the
+monomials of degree 0 to 2 of the joint vector z = (x, u) in one layout: the
 constant column first, then z in variable order, then the products
 ``z_i * z_j`` for i <= j in lexicographic order. For the benchmark
-(n = m = 8, order 2) that is 1 + 16 + 136 = 153 columns. A model is its
-coefficient matrix: with nz = n + m, a width of 1 + nz columns is the linear
-library and 1 + nz + nz(nz + 1)/2 the quadratic one, so the order and the
-column exponents (``terms``) follow from the width and are never stored.
-Fitting reads the library matrix; a fitted model reads f and its Jacobian at
-one point from the quadratic form ``f = c + L z + z'Q z`` (Q upper
-triangular) built once from the coefficients.
+(n = m = 8) that is 1 + 16 + 136 = 153 columns. A model is its coefficient
+matrix, always of that width, so the column exponents (``terms``) follow
+from the state and input counts and are never stored. Fitting reads the
+library matrix; a fitted model reads f and its Jacobian at one point from
+the quadratic form ``f = c + L z + z'Q z`` (Q upper triangular) built once
+from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
 on central-difference derivatives, with z-scored columns and targets, from
 one Gram matrix in two stages: a ridge screen drops a few columns, and
 standard-error elimination makes the model sparse and gives the coefficients
 (see :func:`stls_regress`). The recipe is fixed: ``RIDGE``, ``THRESHOLD``,
-``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A linear-terms-only fit without
-thresholding is the baseline (DMDc-style) model.
+``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. The baseline (DMDc-style)
+model is an unthresholded least-squares fit on the constant and z columns
+alone; its product columns are zero.
 
+The whole regression runs with the OpenBLAS bundled with numpy held to one
+thread, so the coefficients do not depend on that library's thread count.
 Each state's regression is one independent job on the shared Gram matrix;
-the jobs run on up to two threads, with the OpenBLAS bundled with numpy
-held to one thread while they run (see :func:`stls_regress`).
-The coefficients are the same bit for bit on any number of threads.
+the jobs run on up to two threads (see :func:`stls_regress`). The
+coefficients are the same bit for bit on any number of threads.
 
 Fits and scores take ``episodes``: one ``(states, inputs)`` array pair per
 logged episode, differenced one episode at a time and stacked. The module
@@ -101,19 +102,17 @@ def differentiate(episodes):
 
 # -- polynomial feature library ---------------------------------------------------
 
-def _width(nz: int, order: int) -> int:
-    """Column count of the library of ``order`` (1 or 2) over nz variables."""
-    return 1 + nz + (nz * (nz + 1) // 2 if order == 2 else 0)
+def _width(nz: int) -> int:
+    """Column count of the library over nz variables."""
+    return 1 + nz + nz * (nz + 1) // 2
 
 
-def _terms(nz: int, order: int) -> tuple[tuple[int, ...], ...]:
+def _terms(nz: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors over z = (x_1..x_n, u_1..u_m), in column order."""
     eye = np.eye(nz, dtype=int)
-    blocks = [np.zeros_like(eye[:1]), eye]
-    if order == 2:
-        i, j = np.triu_indices(nz)
-        blocks.append(eye[i] + eye[j])
-    return tuple(tuple(int(e) for e in row) for row in np.vstack(blocks))
+    i, j = np.triu_indices(nz)
+    rows = np.vstack([np.zeros_like(eye[:1]), eye, eye[i] + eye[j]])
+    return tuple(tuple(int(e) for e in row) for row in rows)
 
 
 def term_label(term: tuple[int, ...], n_states: int) -> str:
@@ -127,32 +126,18 @@ def term_label(term: tuple[int, ...], n_states: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _library_matrix(z: np.ndarray, order: int) -> np.ndarray:
-    """Columns ``[1, z, z_i * z_j for i <= j]`` for rows of z, in the order of
-    ``_terms`` (``triu_indices`` is row-major, as the terms are)."""
-    blocks = [np.ones((len(z), 1)), z]
-    if order == 2:
-        i, j = np.triu_indices(z.shape[1])
-        blocks.append(z[:, i] * z[:, j])
-    return np.hstack(blocks)
-
-
-def build_library(states: np.ndarray, inputs: np.ndarray, order: int = 2):
-    """Monomial design matrix of degree ``order`` (1 or 2) for stacked rows.
-
-    Returns ``(theta, terms)`` where ``theta`` is (rows, h) and ``terms`` are
-    the exponent vectors defining each column, in a deterministic order:
-    constant, degree 1 in variable order, then for order 2 the products
-    ``z_i * z_j`` with i <= j, lexicographic.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+def build_library(states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Design matrix ``[1, z, z_i * z_j for i <= j]`` of z = (x, u) for
+    stacked rows, shape (rows, 1 + nz + nz(nz + 1)/2), in the column order of
+    :attr:`SparseModel.terms` (``triu_indices`` is row-major, as the terms
+    are)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if states.shape[0] != inputs.shape[0]:
         raise ValueError("states and inputs must have the same row count")
-    terms = _terms(states.shape[1] + inputs.shape[1], order)
-    return _library_matrix(np.hstack([states, inputs]), order), terms
+    z = np.hstack([states, inputs])
+    i, j = np.triu_indices(z.shape[1])
+    return np.hstack([np.ones((len(z), 1)), z, z[:, i] * z[:, j]])
 
 
 # -- regression ----------------------------------------------------------------
@@ -262,13 +247,13 @@ def _usable_cpus() -> int:
 _MAX_WORKERS = 2
 
 
-def _run_jobs(job, count: int) -> None:
+def _run_jobs(job, count: int, parallel: bool) -> None:
     """``job(k)`` once for each k in ``range(count)``. The calling thread
-    and, while OpenBLAS is held to one thread, helper threads up to one
-    worker per usable CPU and ``_MAX_WORKERS`` in all take the jobs from one
-    shared iterator; without OpenBLAS the calling thread runs them all. A
-    job's exception is raised here, after every helper has stopped. The
-    calling thread works rather than waits: two helpers beside an idle
+    and, when ``parallel`` (the caller holds OpenBLAS to one thread), helper
+    threads up to one worker per usable CPU and ``_MAX_WORKERS`` in all take
+    the jobs from one shared iterator; otherwise the calling thread runs them
+    all. A job's exception is raised here, after every helper has stopped.
+    The calling thread works rather than waits: two helpers beside an idle
     calling thread read +8% peak RSS, like three workers."""
     jobs = iter(range(count))  # one next() at a time under the GIL
 
@@ -276,13 +261,12 @@ def _run_jobs(job, count: int) -> None:
         for k in jobs:
             job(k)
 
-    with _one_blas_thread() as parallel:
-        helpers = min(count, _usable_cpus(), _MAX_WORKERS) - 1 if parallel else 0
-        with ThreadPoolExecutor(max(helpers, 1)) as pool:
-            futures = [pool.submit(work) for _ in range(helpers)]
-            work()
-            for future in futures:
-                future.result()
+    helpers = min(count, _usable_cpus(), _MAX_WORKERS) - 1 if parallel else 0
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
 
 
 def stls_regress(theta: np.ndarray, targets: np.ndarray):
@@ -298,12 +282,16 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     3-18. The last ``REFIT_RCOND``-truncated elimination fit is the result;
     nothing is zeroed after it.
 
+    The bundled OpenBLAS is held to one thread for the whole regression, G,
+    B, the screen and the jobs, then restored, so the coefficients do not
+    depend on its thread count: G formed on two BLAS threads differs from G
+    on one at rounding level (up to 1.4e-13 on one benchmark seed's logs),
+    and the fit with it.
     Each target's elimination is one job: it reads only G, b, y'y and the
     screen, and writes only its own coefficient row. The calling thread and,
-    given a second usable CPU, one helper thread share the jobs, and
-    the bundled OpenBLAS is held to one thread while they run, then
-    restored. A third and fourth worker would each add about 2 MB of peak
-    RSS (see ``_MAX_WORKERS``).
+    given a second usable CPU, one helper thread share the jobs. A third and
+    fourth worker would each add about 2 MB of peak RSS (see
+    ``_MAX_WORKERS``).
     The elimination is a thousand-odd ``eigh`` calls on blocks of at most
     153 columns: two threads replaying them got 0.54-0.68x the throughput
     of one thread under OpenBLAS's default two threads, and 1.80-2.02x on
@@ -319,32 +307,32 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
     if targets.shape[0] != theta.shape[0]:
         raise ValueError("theta and targets must have the same row count")
     d, h = theta.shape
-    gram = theta.T @ theta
-    moments = theta.T @ targets
-    energies = np.sum(targets * targets, axis=0)
     coef = np.zeros((targets.shape[1], h))
+    with _one_blas_thread() as parallel:
+        gram = theta.T @ theta
+        moments = theta.T @ targets
+        energies = np.sum(targets * targets, axis=0)
+        # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty
+        # strength independent of how many rows were logged.
+        screen = np.linalg.solve(gram / d + RIDGE * np.eye(h), moments / d)
 
-    # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty strength
-    # independent of how many rows were logged.
-    screen = np.linalg.solve(gram / d + RIDGE * np.eye(h), moments / d)
+        def regress(k: int) -> None:
+            active = np.flatnonzero(np.abs(screen[:, k]) >= THRESHOLD)
+            # Noise guard: backward-eliminate survivors indistinguishable
+            # from zero given their own standard error, weakest first and
+            # one per pass, so a collinear pair sheds one member and keeps
+            # their shared signal in the other instead of losing both.
+            while active.size:
+                fit, ratios = _gram_fit(gram[np.ix_(active, active)],
+                                        moments[active, k], energies[k], d)
+                weakest = int(np.argmin(ratios))
+                if ratios[weakest] >= SIGNIFICANCE_Z:
+                    break
+                active = np.delete(active, weakest)
+            if active.size:
+                coef[k, active] = fit
 
-    def regress(k: int) -> None:
-        active = np.flatnonzero(np.abs(screen[:, k]) >= THRESHOLD)
-        # Noise guard: backward-eliminate survivors indistinguishable from
-        # zero given their own standard error, weakest first and one per
-        # pass, so a collinear pair sheds one member and keeps their shared
-        # signal in the other instead of losing both at once.
-        while active.size:
-            fit, ratios = _gram_fit(gram[np.ix_(active, active)],
-                                    moments[active, k], energies[k], d)
-            weakest = int(np.argmin(ratios))
-            if ratios[weakest] >= SIGNIFICANCE_Z:
-                break
-            active = np.delete(active, weakest)
-        if active.size:
-            coef[k, active] = fit
-
-    _run_jobs(regress, len(coef))
+        _run_jobs(regress, len(coef), parallel)
     return coef
 
 
@@ -361,15 +349,14 @@ def _column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(spread > floor, spread, 1.0)
 
 
-def _require_data(states, inputs, derivs, order: int) -> None:
-    """Every fit needs finite data and at least two rows per library column."""
+def _require_data(states, inputs, derivs, columns: int) -> None:
+    """Every fit needs finite data and at least two rows per fitted column."""
     if not all(np.isfinite(a).all() for a in (states, inputs, derivs)):
         raise InsufficientDataError("states, inputs and derivatives must be finite")
-    d, h = len(states), _width(states.shape[1] + inputs.shape[1], order)
-    if d < 2 * h:
+    if len(states) < 2 * columns:
         raise InsufficientDataError(
-            f"{d} samples for {h} library columns; need at least {2 * h}. "
-            "Collect more or longer episodes.")
+            f"{len(states)} samples for {columns} library columns; need at least "
+            f"{2 * columns}. Collect more or longer episodes.")
 
 
 def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
@@ -387,8 +374,8 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-    _require_data(states, inputs, derivs, 2)
-    theta, _ = build_library(states, inputs)
+    _require_data(states, inputs, derivs, _width(states.shape[1] + inputs.shape[1]))
+    theta = build_library(states, inputs)
     col_mean, col_scale = _column_stats(theta)
     tgt_mean, tgt_scale = _column_stats(derivs)
     scaled = stls_regress((theta - col_mean) / col_scale,
@@ -424,25 +411,30 @@ def discover_sindyc(episodes, provenance: dict | None = None) -> "SparseModel":
 def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
     """Linear baseline: least-squares ``xdot = A x + B u + c``, no thresholding.
 
-    When the design matrix is rank deficient, e.g. an input that never moved,
-    the result is ``lstsq``'s minimum-norm solution, with a warning.
-    Non-finite data or fewer than two rows per column raise
+    The fit is ``lstsq`` on the library's first 1 + nz columns (the constant
+    and z); the product columns of the returned model are zero. When those
+    columns are rank deficient, e.g. an input that never moved, the result
+    is ``lstsq``'s minimum-norm solution, with a warning. Non-finite data or
+    fewer than two rows per fitted column raise
     :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(episodes)
-    _require_data(xs, us, derivs, 1)
-    theta, _ = build_library(xs, us, order=1)
-    solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
-    if rank < theta.shape[1]:
+    linear = 1 + xs.shape[1] + us.shape[1]
+    _require_data(xs, us, derivs, linear)
+    theta = build_library(xs, us)
+    solution, _, rank, _ = np.linalg.lstsq(theta[:, :linear], derivs, rcond=None)
+    if rank < linear:
         warnings.warn(
-            f"linear fit is rank deficient ({rank}/{theta.shape[1]}); "
+            f"linear fit is rank deficient ({rank}/{linear}); "
             "using the minimum-norm solution", RuntimeWarning, stacklevel=2)
+    coef = np.zeros((xs.shape[1], theta.shape[1]))
+    coef[:, :linear] = solution.T
     return SparseModel(
-        coefficients=solution.T,
+        coefficients=coef,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
         provenance=dict(provenance or {}, method="dmdc", episodes=len(episodes),
-                        samples=theta.shape[0], columns=theta.shape[1]),
+                        samples=theta.shape[0], columns=linear),
     )
 
 
@@ -453,9 +445,9 @@ class SparseModel:
     """Polynomial dynamics ``xdot = C theta(x, u)`` plus fit provenance.
 
     ``coefficients`` are physical units per control step, one column per
-    library term, in the library's order. Their width is the library: with
-    nz = n + m, 1 + nz columns are the linear library and
-    1 + nz + nz(nz + 1)/2 the quadratic one; any other shape, and any
+    library term, in the library's order: with nz = n + m, the constant, z
+    and the nz(nz + 1)/2 products, 1 + nz + nz(nz + 1)/2 columns. A linear
+    (DMDc) model is this matrix with zero products. Any other shape, and any
     coefficient that is not finite, is refused.
     Point reads use the quadratic form ``f = c + (L + Q z) z`` compiled from
     the coefficients on creation.
@@ -469,25 +461,21 @@ class SparseModel:
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         n, nz = self.state_dim, self.state_dim + self.input_dim
-        shapes = {(n, _width(nz, order)): order for order in (1, 2)}
-        if self.coefficients.shape not in shapes:
+        if self.coefficients.shape != (n, _width(nz)):
             raise ValueError(f"coefficients have shape {self.coefficients.shape}; "
-                             f"the library needs one of {list(shapes)}")
+                             f"the library needs {(n, _width(nz))}")
         if not np.isfinite(self.coefficients).all():
             raise ValueError("coefficients must be finite")
-        self._order = shapes[self.coefficients.shape]
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
-        # A linear library has no Q, so its reads are offset + L z and L. L is
-        # a contiguous copy: L z on a strided view of the coefficients rounds
-        # differently, while on a copy it matches (L + 0 z) z bit for bit.
+        # On a model with zero products, L + Q z is L bit for bit, so the
+        # reads are c + L z and L. L is a contiguous copy: the add in every
+        # read takes 0.4 us on it against 0.9 us on a strided view.
+        i, j = np.triu_indices(nz)
         self._offset = self.coefficients[:, 0]
         self._linear = np.ascontiguousarray(self.coefficients[:, 1:1 + nz])
-        self._quad = self._quad_sym = None
-        if self._order == 2:
-            i, j = np.triu_indices(nz)
-            self._quad = np.zeros((n, nz, nz))
-            self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
-            self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
+        self._quad = np.zeros((n, nz, nz))
+        self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
+        self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -503,15 +491,10 @@ class SparseModel:
     def _f(self, z: np.ndarray) -> np.ndarray:
         """``f`` at one stacked point ``z = (x, u)``, shape (n,). The planner
         calls it with a row of its z buffer."""
-        if self._quad is None:
-            return self._offset + self._linear @ z
         return self._offset + (self._linear + self._quad @ z) @ z
 
     def _df(self, z: np.ndarray) -> np.ndarray:
-        """``df/dz`` at one stacked point, shape (n, n + m). Read-only: a
-        linear library returns its stored coefficient block."""
-        if self._quad_sym is None:
-            return self._linear
+        """``df/dz`` at one stacked point, shape (n, n + m)."""
         return self._linear + self._quad_sym @ z
 
     def evaluate(self, x, u) -> np.ndarray:
@@ -519,10 +502,7 @@ class SparseModel:
         return self._f(self._z(x, u))
 
     def evaluate_batch(self, states, inputs) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        theta = _library_matrix(np.hstack([states, inputs]), self._order)
-        return theta @ self.coefficients.T
+        return build_library(states, inputs) @ self.coefficients.T
 
     def jacobian(self, x, u) -> tuple[np.ndarray, np.ndarray]:
         """``(df/dx, df/du)`` at one point, shapes (n, n) and (n, m)."""
@@ -534,7 +514,7 @@ class SparseModel:
     @property
     def terms(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors over (x, u) of the coefficient columns."""
-        return _terms(self.state_dim + self.input_dim, self._order)
+        return _terms(self.state_dim + self.input_dim)
 
     @property
     def n_columns(self) -> int:
@@ -563,17 +543,18 @@ class SparseModel:
 
     @classmethod
     def load(cls, path) -> "SparseModel":
-        """Read a file written by :meth:`save`. Keys that older files carry
-        (``library``, ``terms``, the column and target statistics and
-        ``scaled_coefficients``) are ignored."""
+        """Read a file written by :meth:`save`. An older linear (DMDc) file,
+        with 1 + n + m coefficient columns, is widened with zero products.
+        Keys that older files carry (``library``, ``terms``, the column and
+        target statistics and ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(
-            coefficients=np.array(doc["coefficients"], dtype=float),
-            state_dim=int(doc["state_dim"]),
-            input_dim=int(doc["input_dim"]),
-            provenance=doc.get("provenance", {}),
-        )
+        coef = np.array(doc["coefficients"], dtype=float)
+        n, m = int(doc["state_dim"]), int(doc["input_dim"])
+        if coef.shape == (n, 1 + n + m):
+            coef = np.hstack([coef, np.zeros((n, _width(n + m) - coef.shape[1]))])
+        return cls(coefficients=coef, state_dim=n, input_dim=m,
+                   provenance=doc.get("provenance", {}))
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -93,11 +93,11 @@ def _oracle_systems():
     """Criterion 2's 50 random sparse quadratic systems (4 states, 4 inputs,
     1-3 active terms per row, 1000 samples), as ``(x, u, derivs, true)``."""
     rng = np.random.default_rng(2024)
-    h = build_library(np.zeros((1, 4)), np.zeros((1, 4)))[0].shape[1]
+    h = build_library(np.zeros((1, 4)), np.zeros((1, 4))).shape[1]
     for _ in range(50):
         x = rng.uniform(-1.0, 1.0, size=(1000, 4))
         u = rng.uniform(-1.0, 1.0, size=(1000, 4))
-        theta, _ = build_library(x, u)
+        theta = build_library(x, u)
         true = np.zeros((4, h))
         for i in range(4):
             k = int(rng.integers(1, 4))
@@ -131,10 +131,13 @@ def test_criterion_02_sparse_regression_oracle():
 def test_criterion_03_library_census():
     """The quadratic library on 8 sensors and 8 meters has exactly 153
     deterministic, individually documented columns."""
-    theta, terms = build_library(np.zeros((2, 8)), np.zeros((2, 8)))
+    theta = build_library(np.zeros((2, 8)), np.zeros((2, 8)))
+    terms = sysid.SparseModel(coefficients=np.zeros((8, 153)), state_dim=8,
+                              input_dim=8).terms
     assert len(terms) == 153
     assert theta.shape == (2, 153)
-    assert terms == build_library(np.zeros((2, 8)), np.zeros((2, 8)))[1]
+    assert terms == sysid.SparseModel(coefficients=np.ones((8, 153)), state_dim=8,
+                                      input_dim=8).terms
     labels = [term_label(t, 8) for t in terms]
     assert len(set(labels)) == 153
     assert labels[0] == "1"
@@ -326,7 +329,9 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
 # a closed-loop difference. The digests also depend on the numpy and
 # LAPACK/BLAS build (eigh, solve, lstsq): they were recorded with numpy 2.4 on
 # OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this test without a
-# fit change needs them recorded again; the supports should not move.
+# fit change needs them recorded again; the supports should not move. The
+# DMDc digest is of its constant and z columns, (8, 17), as fitted; its 136
+# product columns must be zero.
 PINNED_SUPPORT = (
     (0, 21, 25),
     (0, 17, 25, 33, 40, 51, 55, 65, 68, 94, 101, 110, 125, 129, 130, 137, 145, 149),
@@ -349,13 +354,27 @@ def test_benchmark_fit_is_pinned(pipeline):
     support = tuple(tuple(int(i) for i in np.flatnonzero(row))
                     for row in pipeline.sindyc.coefficients)
     assert support == PINNED_SUPPORT
+    fitted = {"sindyc": pipeline.sindyc.coefficients,
+              "dmdc": pipeline.dmdc.coefficients[:, :17]}
     digests = {
-        f"{name}.{field}": hashlib.sha256(np.ascontiguousarray(
-            getattr(getattr(pipeline, name), field), dtype=np.float64
-        ).tobytes()).hexdigest()
-        for name, field in (("sindyc", "coefficients"),
-                            ("dmdc", "coefficients"))}
+        f"{name}.coefficients": hashlib.sha256(np.ascontiguousarray(
+            coef, dtype=np.float64).tobytes()).hexdigest()
+        for name, coef in fitted.items()}
     assert digests == PINNED_DIGESTS
+    assert pipeline.dmdc.n_columns == 153
+    assert not pipeline.dmdc.coefficients[:, 17:].any()
+
+
+def test_benchmark_dmdc_reads_are_its_linear_block(pipeline):
+    """On the benchmark's DMDc fit the quadratic form with zero products
+    reads ``c + L z`` and ``L`` bit for bit, at every row of the holdout
+    logs: the planner sees what a linear-only model would give it."""
+    coef = pipeline.dmdc.coefficients
+    c, linear = coef[:, 0], np.ascontiguousarray(coef[:, 1:17])
+    for states, inputs in harness.load_logs(pipeline.root / "holdout"):
+        for z in np.hstack([states, inputs]):
+            assert np.array_equal(pipeline.dmdc._f(z), c + linear @ z)
+            assert np.array_equal(pipeline.dmdc._df(z), linear)
 
 
 def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
@@ -370,6 +389,28 @@ def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
             == pipeline.sindyc.coefficients.tobytes())
     for (x, u, derivs, _), coef in zip(_oracle_systems(), parallel):
         assert fit_derivatives(x, u, derivs).coefficients.tobytes() == coef.tobytes()
+
+
+def test_the_fit_does_not_depend_on_blas_threads(tmp_path):
+    """The whole regression, Gram matrix included, runs on one OpenBLAS
+    thread, so a fit has the same bytes whatever count the process set: on
+    base seed 6's training logs (seeds 7-10) a Gram matrix formed on two
+    threads differs from one formed on one at rounding level."""
+    blas = sysid._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    get, put = blas
+    harness.collect(load_config(benchmark_config_path()), "alinea",
+                    (7, 8, 9, 10), tmp_path)
+    log = harness.load_logs(tmp_path)
+    before, fits = get(), []
+    try:
+        for threads in (2, 1):
+            put(threads)
+            fits.append(discover_sindyc(log).coefficients.tobytes())
+    finally:
+        put(before)
+    assert fits[0] == fits[1]
 
 
 # The benchmark closed loop (train seeds 1-4, eval seeds 21-23), pinned: sha256

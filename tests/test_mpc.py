@@ -114,10 +114,12 @@ def test_prediction_keeps_the_public_states_and_jacobians():
                          - 1e-3 * x[:, i] * x[:, (i + 1) % 3] for i in range(3)])
     x0 = np.array([12.0, 18.0, 25.0])
     plan = rng.uniform(300.0, 1700.0, size=(4, 2))
-    # The linear model is the least-squares fit on the linear library.
-    theta, _ = build_library(x, u, order=1)
-    linear = SparseModel(coefficients=np.linalg.lstsq(theta, y, rcond=None)[0].T,
-                         state_dim=3, input_dim=2)
+    # The linear model is the least-squares fit on the constant and z
+    # columns of the library, its products zero, as DMDc fits it.
+    theta = build_library(x, u)
+    coef = np.zeros((3, theta.shape[1]))
+    coef[:, :6] = np.linalg.lstsq(theta[:, :6], y, rcond=None)[0].T
+    linear = SparseModel(coefficients=coef, state_dim=3, input_dim=2)
     for model in (fit_derivatives(x, u, y), linear):
         ws = mpc._Workspace(model, x0, plan[0], MpcConfig(), plan)
         states = ws.cur.x

@@ -207,15 +207,16 @@ def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
 
 
 def test_a_model_is_its_coefficients():
-    """A model's library order follows from its coefficient width, so no
-    library spec is exported, no function or method of the identification
-    and planning layers takes a library or a spec, and a model's fields are
-    its coefficients, its dimensions and its provenance."""
+    """Every model has the one quadratic library's coefficient width (a
+    linear model's products are zero), so no library spec is exported, no
+    function or method of the identification and planning layers takes a
+    library, a spec or an order, and a model's fields are its coefficients,
+    its dimensions and its provenance."""
     from rampnet import mpc, sysid
 
     assert not hasattr(rampnet, "FeatureLibrarySpec")
     assert not hasattr(sysid, "FeatureLibrarySpec")
-    knobs = {"library", "spec"}
+    knobs = {"library", "spec", "order"}
     taken = {name: sorted(params & knobs)
              for name, params in _parameters(sysid, mpc).items() if params & knobs}
     assert not taken, taken

@@ -72,8 +72,8 @@ def test_too_short_episode_is_an_error():
 # -- feature library --------------------------------------------------------------
 
 def test_library_census_two_states_one_input():
-    theta, terms = build_library(np.zeros((1, 2)), np.zeros((1, 1)))
-    labels = [term_label(t, 2) for t in terms]
+    theta = build_library(np.zeros((1, 2)), np.zeros((1, 1)))
+    labels = [term_label(t, 2) for t in sysid._terms(3)]
     assert labels == ["1", "x1", "x2", "u1",
                       "x1^2", "x1*x2", "x1*u1", "x2^2", "x2*u1", "u1^2"]
     assert theta.shape == (1, 10)
@@ -82,27 +82,29 @@ def test_library_census_two_states_one_input():
 def test_library_column_values_match_their_labels():
     x = np.array([[2.0, 3.0]])
     u = np.array([[5.0]])
-    theta, _ = build_library(x, u)
+    theta = build_library(x, u)
     assert theta[0].tolist() == [1.0, 2.0, 3.0, 5.0,
                                  4.0, 6.0, 10.0, 9.0, 15.0, 25.0]
 
 
 def test_library_is_deterministic():
-    x, u = np.zeros((1, 8)), np.zeros((1, 8))
-    assert build_library(x, u)[1] == build_library(x, u)[1]
-    assert build_library(x, u)[0].shape == (1, 153)
+    rng = np.random.default_rng(17)
+    x, u = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+    assert np.array_equal(build_library(x, u), build_library(x, u))
+    assert build_library(x, u).shape == (4, 153)
+    assert sysid._terms(16) == sysid._terms(16)
 
 
 def test_library_order_one_and_no_constant():
+    """There is one library layout, the constant column first: neither an
+    order-1 library nor one without the constant can be asked for."""
     x, u = np.zeros((1, 3)), np.zeros((1, 2))
-    theta, terms = build_library(x, u, order=1)
-    assert theta.shape == (1, 6) and len(terms) == 6
-    # Every library starts with the constant column; there is no other layout.
-    assert terms[0] == (0,) * 5
+    assert build_library(x, u).shape == (1, 21)
+    assert sysid._terms(5)[0] == (0,) * 5
     with pytest.raises(TypeError):
         build_library(x, u, include_constant=False)
-    for order in (0, 3):
-        with pytest.raises(ValueError, match="1 or 2"):
+    for order in (1, 2):
+        with pytest.raises(TypeError):
             build_library(x, u, order=order)
 
 
@@ -118,7 +120,7 @@ def test_stls_recovers_two_terms_to_machine_precision():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, size=(400, 1))
     u = rng.uniform(-1.0, 1.0, size=(400, 1))
-    theta, terms = build_library(x, u)
+    theta, terms = build_library(x, u), sysid._terms(2)
     labels = [term_label(t, 1) for t in terms]
     y = 0.7 * x[:, 0] - 1.2 * x[:, 0] * u[:, 0]
     coefs = stls_regress(theta, y.reshape(-1, 1))
@@ -134,7 +136,7 @@ def test_stls_zeroes_a_target_with_no_signal():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, size=(300, 1))
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
-    theta, _ = build_library(x, u)
+    theta = build_library(x, u)
     targets = np.column_stack([0.5 * x[:, 0], np.zeros(300)])
     coefs = stls_regress(theta, targets)
     zero_rows = ~coefs.any(axis=1)
@@ -148,8 +150,8 @@ def test_stls_significance_guard_prunes_pure_noise_terms():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1.0, 1.0, size=(500, 2))
     u = rng.uniform(-1.0, 1.0, size=(500, 1))
-    theta, terms = build_library(x, u)
-    labels = [term_label(t, 2) for t in terms]
+    theta = build_library(x, u)
+    labels = [term_label(t, 2) for t in sysid._terms(3)]
     clean = 0.9 * x[:, 0] - 0.6 * x[:, 1] * u[:, 0]
     y = clean + rng.normal(0.0, 0.05, size=500)
     coefs = stls_regress(theta, y.reshape(-1, 1))
@@ -165,7 +167,7 @@ def _four_targets():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(300, 2))
     u = rng.uniform(-1.0, 1.0, size=(300, 1))
-    theta, _ = build_library(x, u)
+    theta = build_library(x, u)
     targets = np.column_stack([(k + 1) * x[:, 0] - 0.5 * x[:, 1] * u[:, 0]
                                for k in range(4)])
     return theta, targets + rng.normal(0.0, 0.05, size=targets.shape)
@@ -282,7 +284,8 @@ def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sysid._run_jobs(lambda k: done.append(k), 20000)
+        with sysid._one_blas_thread() as parallel:
+            sysid._run_jobs(lambda k: done.append(k), 20000, parallel)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(done) == list(range(20000))
@@ -344,7 +347,7 @@ def test_fit_derivatives_threshold_invariant_under_noise():
         -0.05 * x[:, 0] * x[:, 1] / 30.0 + 0.8,
     ]) + rng.normal(0.0, 0.2, size=(600, 2))
     model = fit_derivatives(x, u, y)
-    theta, _ = build_library(x, u)
+    theta = build_library(x, u)
     _, col_scale = _column_stats(theta)
     _, tgt_scale = _column_stats(y)
     # Normalized units: column spread over target spread. The constant
@@ -422,9 +425,10 @@ def test_dmdc_recovers_a_linear_system_exactly():
     c = np.array([0.05, -0.02])
     model = discover_dmdc(_linear_recursion_log(A, B, c, 60, seed=6))
     labels = [term_label(t, 2) for t in model.terms]
-    assert labels == ["1", "x1", "x2", "u1"]
+    assert labels[:4] == ["1", "x1", "x2", "u1"]
+    assert model.n_columns == 10 and not model.coefficients[:, 4:].any()
     recovered_A = model.coefficients[:, 1:3]
-    recovered_B = model.coefficients[:, 3:]
+    recovered_B = model.coefficients[:, 3:4]
     assert np.allclose(recovered_A, A, atol=1e-8)
     assert np.allclose(recovered_B, B, atol=1e-8)
     assert np.allclose(model.coefficients[:, 0], c, atol=1e-8)
@@ -438,11 +442,13 @@ def test_dmdc_warns_when_an_input_never_moves():
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         model = discover_dmdc(frozen)
     assert np.all(np.isfinite(model.coefficients))
-    # The result is lstsq's minimum-norm solution, not a re-solve.
+    # The result is lstsq's minimum-norm solution on the constant and z
+    # columns, not a re-solve, and the product columns are zero.
     derivs, xs, us = differentiate(frozen)
-    theta, _ = build_library(xs, us, order=1)
-    solution = np.linalg.lstsq(theta, derivs, rcond=None)[0]
-    assert np.array_equal(model.coefficients, solution.T)
+    theta = build_library(xs, us)
+    solution = np.linalg.lstsq(theta[:, :3], derivs, rcond=None)[0]
+    assert np.array_equal(model.coefficients[:, :3], solution.T)
+    assert model.n_columns == 6 and not model.coefficients[:, 3:].any()
 
 
 def test_sindyc_on_a_quadratic_system_beats_the_linear_fit():
@@ -507,15 +513,18 @@ def test_evaluate_and_step_hand_values():
         pytest.approx(7.0 + 2.0, abs=1e-9)
 
 
-def _dense_model(order, n=3, m=2, seed=13):
-    """Every column of the library of ``order`` active with a random
-    coefficient, so squares and cross terms of states and inputs all enter f."""
-    _, terms = build_library(np.zeros((1, n)), np.zeros((1, m)), order)
-    coef = np.random.default_rng(seed).normal(size=(n, len(terms)))
+def _dense_model(linear=False, n=3, m=2, seed=13):
+    """Every column of the library active with a random coefficient, so
+    squares and cross terms of states and inputs all enter f; with
+    ``linear``, only the constant and z columns, the products zero, as in a
+    DMDc fit."""
+    coef = np.random.default_rng(seed).normal(size=(n, len(sysid._terms(n + m))))
+    if linear:
+        coef[:, 1 + n + m:] = 0.0
     return SparseModel(coefficients=coef, state_dim=n, input_dim=m)
 
 
-ORDERS = pytest.mark.parametrize("order", [2, 1], ids=("quadratic", "linear"))
+KINDS = pytest.mark.parametrize("linear", [False, True], ids=("quadratic", "linear"))
 
 
 def test_jacobian_matches_finite_differences():
@@ -530,11 +539,11 @@ def test_jacobian_matches_finite_differences():
     assert np.allclose(ju[0], fu, atol=1e-6)
 
 
-@ORDERS
-def test_jacobian_of_a_dense_model_matches_finite_differences(order):
+@KINDS
+def test_jacobian_of_a_dense_model_matches_finite_differences(linear):
     """Central differences are exact on a quadratic up to rounding, so the
     squares' doubled diagonal and both halves of each cross term must show."""
-    model = _dense_model(order)
+    model = _dense_model(linear)
     rng = np.random.default_rng(14)
     eps = 1e-5
     for _ in range(5):
@@ -548,9 +557,9 @@ def test_jacobian_of_a_dense_model_matches_finite_differences(order):
         assert np.allclose(jac, fd, rtol=1e-7, atol=1e-7)
 
 
-@ORDERS
-def test_point_reads_match_the_library_matrix(order):
-    model = _dense_model(order)
+@KINDS
+def test_point_reads_match_the_library_matrix(linear):
+    model = _dense_model(linear)
     rng = np.random.default_rng(15)
     states = rng.uniform(0.0, 40.0, size=(50, 3))
     inputs = rng.uniform(200.0, 1800.0, size=(50, 2))
@@ -559,31 +568,60 @@ def test_point_reads_match_the_library_matrix(order):
         assert np.max(np.abs(model.evaluate(x, u) - row)) <= 1e-12 * np.max(np.abs(row))
 
 
-@ORDERS
-def test_model_order_follows_from_the_coefficient_width(order):
-    """Three states and two inputs: 6 columns are the linear library and 21
-    the quadratic one; the terms and the batch read follow from the width."""
-    model = _dense_model(order)
-    assert model.n_columns == {1: 6, 2: 21}[order]
+@KINDS
+def test_terms_and_batch_read_follow_from_the_library(linear):
+    """Three states and two inputs: a quadratic and a linear model alike
+    have the library's 21 columns, and their terms and batch read are the
+    library's."""
+    model = _dense_model(linear)
+    assert model.n_columns == 21
     rng = np.random.default_rng(16)
     states, inputs = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-    theta, terms = build_library(states, inputs, order)
-    assert model.terms == terms
-    assert max(map(sum, model.terms)) == order
+    assert model.terms == sysid._terms(5)
+    assert max(map(sum, model.terms)) == 2
     assert np.array_equal(model.evaluate_batch(states, inputs),
-                          theta @ model.coefficients.T)
+                          build_library(states, inputs) @ model.coefficients.T)
+
+
+def test_an_older_linear_model_file_loads_widened(tmp_path):
+    """A file with the 1 + n + m columns of an older DMDc fit loads with
+    zero products, and its point reads are c + L z and L bit for bit."""
+    rng = np.random.default_rng(18)
+    coef = rng.normal(size=(3, 6))
+    path = tmp_path / "dmdc.json"
+    path.write_text(json.dumps({"state_dim": 3, "input_dim": 2,
+                                "coefficients": coef.tolist(),
+                                "provenance": {"method": "dmdc", "columns": 6}}))
+    model = SparseModel.load(path)
+    assert model.n_columns == 21
+    assert np.array_equal(model.coefficients[:, :6], coef)
+    assert not model.coefficients[:, 6:].any()
+    c, linear = coef[:, 0], np.ascontiguousarray(coef[:, 1:])
+    for _ in range(5):
+        z = rng.uniform(-2.0, 40.0, size=5)
+        assert np.array_equal(model._f(z), c + linear @ z)
+        assert np.array_equal(model._df(z), linear)
+        assert np.array_equal(np.hstack(model.jacobian(z[:3], z[3:])), linear)
+    # The width is widened at the file boundary only: the constructor and a
+    # file short of the state rows still refuse it.
+    with pytest.raises(ValueError, match="library needs"):
+        SparseModel(coefficients=coef, state_dim=3, input_dim=2)
+    path.write_text(json.dumps({"state_dim": 3, "input_dim": 2,
+                                "coefficients": coef[:2].tolist()}))
+    with pytest.raises(ValueError, match="library needs"):
+        SparseModel.load(path)
 
 
 def test_model_rejects_terms_that_are_not_the_library_layout():
     """The columns are the library's terms, so the coefficient shape is the
-    one layout check: a column short of either library (without the
-    constant), one too many, a width between the two, or a state row
-    missing."""
-    model = _dense_model(2)
+    one layout check: a column short (the library without the constant), one
+    too many, the constant and z alone (an older linear layout, widened only
+    by ``load``), or a state row missing."""
+    model = _dense_model()
     fields = {k: getattr(model, k) for k in ("state_dim", "input_dim")}
     coef = model.coefficients
     for wrong in (coef[:, :-1], np.hstack([coef, coef[:, :1]]), coef[:, :5],
-                  coef[:, :7], coef[:2]):
+                  coef[:, :6], coef[:, :7], coef[:2]):
         with pytest.raises(ValueError, match="library needs"):
             SparseModel(coefficients=wrong, **fields)
 
@@ -592,7 +630,7 @@ def test_model_rejects_coefficients_that_are_not_finite(tmp_path):
     """A NaN or infinite coefficient is refused on creation, and so when a
     model file carrying one is loaded: a planner on such a model could only
     fall back at every step."""
-    model = _dense_model(2)
+    model = _dense_model()
     fields = {k: getattr(model, k) for k in ("state_dim", "input_dim")}
     for bad in (np.nan, np.inf, -np.inf):
         coef = model.coefficients.copy()
@@ -698,7 +736,7 @@ def test_model_file_without_the_constant_column_does_not_load(tmp_path):
     """The benchmark's 8 states and 8 inputs without the constant column:
     152 coefficient columns against the library's 153."""
     path = tmp_path / "model.json"
-    _dense_model(2, n=8, m=8).save(path)
+    _dense_model(n=8, m=8).save(path)
     doc = json.loads(path.read_text())
     short = dict(doc, coefficients=[row[1:] for row in doc["coefficients"]],
                  library={"polynomial_order": 2, "include_constant": False})
