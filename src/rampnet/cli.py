@@ -90,7 +90,8 @@ def _cmd_fit(args) -> int:
     model.save(args.out)
     active = model.active_count()
     print(f"{args.method} model -> {args.out}")
-    print(f"columns: {model.n_columns}, active per state: {active.tolist()}")
+    print(f"columns: {model.provenance['columns']}, "
+          f"active per state: {active.tolist()}")
     report = sysid.fit_report(model, log)
     print(report.summary())
     return 0
@@ -146,7 +147,8 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         print(f"N={row['horizon']}: deviation {row['mean_abs_deviation_pct']:.3f} %  "
               f"flow {row['mean_flow_vph']:.1f} veh/h  "
-              f"solve {row['mean_solve_ms']:.1f} ms")
+              f"solve {row['mean_solve_ms']:.1f} ms  "
+              f"episodes {row['runtime_s']:.1f} s")
     print(f"sweep -> {args.out}")
     return 0
 

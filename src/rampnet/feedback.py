@@ -59,15 +59,13 @@ def rate_to_red_duration(rate: float) -> float:
 def green_percentage(rates) -> np.ndarray:
     """Share of time (%) each meter shows green for a series of rates.
 
-    ``rates`` has one row per control step and one column per ramp. Every
-    control step weighs the same, so the result is the mean over steps of
-    green / (green + red) for that step's rate. The floor is 2 s green out of
-    an 18 s cycle at 200 veh/h, about 11.1%.
+    ``rates`` has one row per control step and one column per ramp; the
+    result is the mean over steps of each step's green share. A meter at
+    rate r runs r cycles an hour, one green each, so it shows green
+    ``GREEN_DURATION_S * r`` of every 3600 s: the floor is 11.1% at 200 veh/h.
     """
     rates = np.atleast_2d(np.asarray(rates, dtype=float))
-    red = (3600.0 - rates * GREEN_DURATION_S) / rates
-    share = 100.0 * GREEN_DURATION_S / (GREEN_DURATION_S + red)
-    return share.mean(axis=0)
+    return (100.0 * GREEN_DURATION_S * rates / 3600.0).mean(axis=0)
 
 
 class MeterBank:

@@ -71,7 +71,9 @@ logger = logging.getLogger(__name__)
 # demo 06's base seed 5, tracking goes from 3.26% to 6.29%).
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
-# The eps-active margin never exceeds this share of the rate box.
+# The eps-active margin never exceeds this share of the rate box. It stays:
+# with an exact active set (eps = 0) sindyc-mpc's tracking over demo 06's ten
+# base seeds goes from 1.406% mean, 3.259% worst, to 1.824% and 7.460%.
 _EPS_FRAC = 0.01
 # Projection-arc search: the first of up to this many halvings of the step
 # that lowers the cost is accepted. The damping, set by the gain ratio, keeps
@@ -388,6 +390,10 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
             alpha *= 0.5
         if not accepted:
             break  # stalled: no decrease along the arc
+        # The gain ratio stays: without it (doubled on a short step, a third
+        # on a full one) sindyc-mpc tracks at 1.501% mean, 3.389% worst on
+        # demo 06's ten base seeds (1.406%, 3.259% with it), and at 1.799%
+        # and 7.233%, in 36 260 iterations for 28 935, with a constant 1e-3.
         if alpha < 1.0:
             damping *= 2.0
         else:
@@ -455,6 +461,9 @@ class MpcController:
         self.diagnostics: list[dict] = []
 
     def _warm_start(self) -> np.ndarray | None:
+        # The last plan, shifted one stage. Cold starts from u_prev take
+        # 46 132 instead of 28 935 iterations on demo 06's ten base seeds, and
+        # sindyc-mpc tracks at 2.578% mean, 14.974% worst (1.406%, 3.259%).
         if self.last_plan is None:
             return None
         return np.vstack([self.last_plan[1:], self.last_plan[-1:]])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,9 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
                  "--out", str(dmdc_path)]) == 0
     assert json.loads(sindyc_path.read_text())["provenance"]["method"] == "sindyc"
     out = capsys.readouterr().out
-    assert "active per state" in out
+    # One sensor and one meter: SINDYc solves the 6-column library, DMDc
+    # its first 3 columns.
+    assert re.findall(r"^columns: (\d+), active per state", out, re.M) == ["6", "3"]
 
     assert main(["run", "--config", str(cfg_path),
                  "--sindyc-model", str(sindyc_path),
@@ -99,6 +102,11 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     with open(sweep_path, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["horizon"]) for r in rows] == [2, 3]
+    printed = re.findall(r"^N=(\d): deviation \d+\.\d{3} %  flow \d+\.\d veh/h  "
+                         r"solve \d+\.\d ms  episodes (\d+\.\d) s$",
+                         capsys.readouterr().out, re.M)
+    assert [(int(n), float(secs)) for n, secs in printed] == [
+        (int(r["horizon"]), round(float(r["runtime_s"]), 1)) for r in rows]
 
     rebuilt_dir = tmp_path / "rebuilt"
     assert main(["report", "--config", str(cfg_path),
@@ -106,6 +114,21 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
                  "--out", str(rebuilt_dir)]) == 0
     assert (rebuilt_dir / "deviation_table.csv").exists()
     assert not (rebuilt_dir / "raw").exists()
+
+
+def test_fit_prints_the_columns_it_solved_for(tmp_path, capsys):
+    """On three benchmark episodes SINDYc solves all 153 library columns and
+    DMDc only the constant and the 16 states and inputs, though its saved
+    model has the library's full width."""
+    logs = tmp_path / "logs"
+    assert main(["collect", "--seeds", "1,2,3", "--out", str(logs)]) == 0
+    for method in ("sindyc", "dmdc"):
+        assert main(["fit", "--logs", str(logs), "--method", method,
+                     "--out", str(tmp_path / f"{method}.json")]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^columns: (\d+), active per state", out, re.M) == ["153", "17"]
+    model = sysid.SparseModel.load(tmp_path / "dmdc.json")
+    assert model.n_columns == 153
 
 
 def _log_dir(path, rows, name="ep", **sidecar):

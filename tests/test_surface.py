@@ -1,7 +1,7 @@
 """Import surface: every exported name resolves and is used by program code,
-the package root re-exports nothing, every demo imports, the planner stays
-below the episode runners, and every function the traced benchmark patches
-is where it looks for it."""
+the package root re-exports nothing, every demo imports and runs, the README
+lists the demos, the planner stays below the episode runners, and every
+function the traced benchmark patches is where it looks for it."""
 
 import ast
 import dataclasses
@@ -103,9 +103,45 @@ def test_demo_imports_cleanly(path):
     assert callable(_load_by_path(path, f"demo_{path.stem}").main)
 
 
+def test_demos_are_the_readme_demo_list():
+    """The README's Demos section names every script under ``demos/`` once,
+    and no other, and counts them in words."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\d\d_\w+\.py)`", section)
+    assert sorted(listed) == [path.name for path in DEMOS]
+    words = ("One", "Two", "Three", "Four", "Five", "Six")
+    assert section.lstrip().startswith(f"{words[len(DEMOS) - 1]} narrative scripts")
+
+
+def test_corridor_demo_runs_end_to_end(capsys):
+    """Demo 01 prints one row per sensor and an average for both scenarios,
+    and its closing note repeats each scenario's dropped vehicles."""
+    from rampnet.network import benchmark_config_path, load_config
+
+    sensors = [ramp.sensor_id for ramp in load_config(benchmark_config_path()).ramps]
+    _load_by_path(ROOT / "demos" / "01_congested_corridor.py", "demo_run_01").main()
+    lines = capsys.readouterr().out.splitlines()
+    dropped = {}
+    for name in ("no-control", "alinea"):
+        head = next(k for k, line in enumerate(lines)
+                    if line.startswith(f"{name}: dropped "))
+        dropped[name] = int(lines[head].split()[2])
+        rows = [line.split() for line in lines[head + 2:head + 3 + len(sensors)]]
+        assert [row[0] for row in rows] == [*sensors, "average"]
+        assert all(len(row) == 4 for row in rows)
+    assert dropped["no-control"] > 0 and dropped["alinea"] > 0
+    assert (f"drops {dropped['alinea']} ramp vehicles against "
+            f"{dropped['no-control']} with open meters") in lines[-1]
+
+
 def test_model_discovery_demo_runs_end_to_end(capsys):
-    """Demo 02 runs the path the fitting demos share on benchmark episodes:
-    records to ``(states, inputs)`` pairs, both fits, and ``fit_report``."""
+    """Demo 02 on benchmark episodes: records to ``(states, inputs)`` pairs,
+    both fits and ``fit_report``, then one solve on the sparse fit with its
+    solver line, one line per plan stage and the predicted-occupancy chain
+    from the snapshot through every stage."""
+    from rampnet.mpc import MpcConfig
+
     _load_by_path(ROOT / "demos" / "02_model_discovery.py", "demo_run_02").main()
     out = capsys.readouterr().out
     assert "log: 360 control steps, 8 sensors, 8 meters" in out
@@ -114,6 +150,15 @@ def test_model_discovery_demo_runs_end_to_end(capsys):
                       if line.startswith("mean R2:"))
     assert sparse > linear
     assert "what drives sensor" in out
+    horizon = MpcConfig().horizon
+    solver = re.findall(r"^solver: (\d+) iterations, objective \d+\.\d, "
+                        r"bound penalty \S+, \d+ ms$", out, re.M)
+    assert len(solver) == 1 and int(solver[0]) > 0
+    stages = re.findall(r"^  stage (\d+): \[", out, re.M)
+    assert stages == [str(l) for l in range(horizon)]
+    chain, = (line for line in out.splitlines()
+              if line.startswith("predicted mean occupancy along the horizon: "))
+    assert chain.count("%") == horizon + 1 and chain.count(" -> ") == horizon
 
 
 def test_seed_robustness_demo_runs_on_one_base_seed(capsys):
