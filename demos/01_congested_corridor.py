@@ -7,9 +7,8 @@ occupancy and flow so the congestion pattern (and its cure) is visible cell
 by cell.
 """
 
-from rampnet.harness import make_controller
+from rampnet.harness import run_scenarios
 from rampnet.network import benchmark_config_path, load_config
-from rampnet.plant import run_episode
 
 SEED = 21
 
@@ -34,8 +33,8 @@ def main():
           f"{config.horizon_duration_s / 3600:.0f} h recorded after "
           f"{config.burn_in_s / 60:.0f} min burn-in")
 
-    records = {name: run_episode(config, make_controller(name, config.n_ramps),
-                                 seed=SEED) for name in ("no-control", "alinea")}
+    records = {res.scenario: res.records[0] for res in run_scenarios(
+        config, None, None, [SEED], scenarios=("no-control", "alinea"))}
     for name, record in records.items():
         summarize(name, record)
 

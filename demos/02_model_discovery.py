@@ -16,8 +16,7 @@ them, and the solver's own diagnostics.
 import numpy as np
 
 from rampnet.network import benchmark_config_path, load_config
-from rampnet.plant import run_episode
-from rampnet.harness import make_controller
+from rampnet.harness import run_scenarios
 from rampnet.mpc import MpcConfig, solve
 from rampnet.sysid import discover_dmdc, discover_sindyc, fit_report
 
@@ -28,8 +27,7 @@ HOLDOUT_SEEDS = (11, 12, 13)
 def collect(config, seeds):
     print(f"collecting {len(seeds)} ALINEA episodes "
           f"(seeds {', '.join(map(str, seeds))})...")
-    return [run_episode(config, make_controller("alinea", config.n_ramps),
-                        seed=seed) for seed in seeds]
+    return run_scenarios(config, None, None, seeds, scenarios=("alinea",))[0].records
 
 
 def main():

@@ -29,9 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rampnet.harness import SCENARIOS, load_logs, make_controller, run_scenarios
+from rampnet.harness import SCENARIOS, load_logs, report, run_scenarios
 from rampnet.network import benchmark_config_path, load_config
-from rampnet.plant import run_episode
 from rampnet.sysid import discover_dmdc, discover_sindyc
 
 TRAIN_OFFSETS = (1, 2, 3, 4)
@@ -41,15 +40,14 @@ PLANNERS = ("dmd-mpc", "sindyc-mpc")
 
 def _fit_twice(config, base):
     """(sindyc, dmdc) fitted from the CSV logs, then from the records."""
-    records = {f"alinea-seed{base + k}.csv": run_episode(
-        config, make_controller("alinea", config.n_ramps), seed=base + k)
-        for k in TRAIN_OFFSETS}
+    alinea, = run_scenarios(config, None, None,
+                            [base + k for k in TRAIN_OFFSETS], scenarios=("alinea",))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, record in records.items():
-            record.to_csv(Path(tmp) / name)
-        from_csv = load_logs(tmp)  # in file-name order
-    in_memory = [(records[name].occupancy, records[name].rates)
-                 for name in sorted(records)]
+        # raw/ holds byte for byte what ``rampnet collect`` would write
+        paths = report([alinea], tmp, config)["raw"]
+        from_csv = load_logs(Path(tmp) / "raw")  # in file-name order
+    in_memory = [(record.occupancy, record.rates) for _, record
+                 in sorted(zip(paths, alinea.records), key=lambda pr: pr[0])]
     return [(discover_sindyc(log), discover_dmdc(log))
             for log in (from_csv, in_memory)]
 

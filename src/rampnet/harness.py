@@ -4,11 +4,12 @@ The standard experiment compares five metering scenarios on identical demand
 realizations (same seeds, and the plant draws arrivals independently of
 control): no control (meters pinned wide open), the two local feedback
 regulators, and predictive control on the linear and on the sparse
-polynomial model. A report is three CSV tables, a summary JSON keyed by a
-hash of the exact network config, and the raw episodes, each with a JSON
-sidecar that also holds its planner steps; the summary can be rebuilt from
-the raw episodes. The horizon sweep runs the sparse-model planner through
-the same scenario loop.
+polynomial model. ``run_scenarios`` is the one episode loop: collection and
+the horizon sweep run through it too. A report is three CSV tables, a
+summary JSON keyed by a hash of the exact network config, and the raw
+episodes, each with a JSON sidecar that also holds its planner steps; the
+summary can be rebuilt from them. One writer names collected and raw episode
+files alike, and one reader refuses a directory of two networks.
 """
 
 from __future__ import annotations
@@ -84,39 +85,61 @@ def make_controller(name: str, n_ramps: int,
 
 def collect(config: NetworkConfig, controller_name: str, seeds,
             out_dir) -> list[Path]:
-    """Run excitation episodes under a feedback regulator and write one CSV
-    per seed. Only the feedback controllers are valid for collection."""
+    """Run one excitation episode per seed under a feedback regulator and
+    write each as a report's ``raw/`` does; only feedback regulators collect."""
     if controller_name not in FEEDBACK_CONTROLLERS:
         raise UsageError(
             f"collection needs a feedback controller {FEEDBACK_CONTROLLERS}, "
             f"got '{controller_name}'")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise UsageError("no seeds given; collection needs at least one episode")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for seed in seeds:
-        controller = make_controller(controller_name, config.n_ramps)
-        record = run_episode(config, controller, seed=seed)
-        path = out_dir / f"{controller_name}-seed{seed}.csv"
-        record.to_csv(path)
-        paths.append(path)
-    return paths
+    results = run_scenarios(config, None, None, seeds, scenarios=(controller_name,))
+    return _write_episodes(results, Path(out_dir))
 
 
 def load_logs(log_dir) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read every episode CSV under a directory, in name order, as the
     ``(occupancy, rates)`` pairs that :mod:`rampnet.sysid` fits as
-    ``(states, inputs)``, one pair per episode."""
-    paths = sorted(Path(log_dir).glob("*.csv"))
+    ``(states, inputs)``, one pair per episode, all of one network."""
+    return [(r.occupancy, r.rates) for _, r in _read_episodes(log_dir)]
+
+
+# The one file-name rule of an episode directory: ``collect``'s logs and a
+# report's ``raw/`` are written by it, and ``load_raw_results`` checks it.
+def _episode_name(scenario: str, seed: int) -> str:
+    return f"{scenario}-seed{seed}.csv"
+
+
+def _write_episodes(results, directory: Path) -> list[Path]:
+    """Write every episode of ``results`` under ``directory``, CSV and
+    sidecar, named by its scenario and its own seed."""
+    directory.mkdir(parents=True, exist_ok=True)
+    episodes = [(directory / _episode_name(res.scenario, record.seed), record)
+                for res in results for record in res.records]
+    for path, record in episodes:
+        record.to_csv(path)
+    return [path for path, _ in episodes]
+
+
+def _read_episodes(directory) -> list[tuple[Path, EpisodeRecord]]:
+    """Every episode CSV under ``directory`` with its path, in file-name
+    order. They must share sensor ids, ramp ids and control step."""
+    paths = sorted(Path(directory).glob("*.csv"))
     if not paths:
-        raise UsageError(f"no episode CSVs found under {log_dir}")
+        raise UsageError(f"no episode CSVs found under {directory}")
     try:
-        records = [EpisodeRecord.from_csv(p) for p in paths]
+        episodes = [(path, EpisodeRecord.from_csv(path)) for path in paths]
     except ValueError as exc:
-        raise UsageError(f"unusable episode logs under {log_dir}: {exc}") from exc
-    return [(r.occupancy, r.rates) for r in records]
+        raise UsageError(f"unusable episode under {directory}: {exc}") from exc
+
+    def network(record):
+        return (f"sensors {list(record.sensor_ids)}, ramps {list(record.ramp_ids)}"
+                f" and a {record.control_step_s} s control step")
+
+    (first, head), *rest = episodes
+    for path, record in rest:
+        if network(record) != network(head):
+            raise UsageError(f"two networks under {directory}: {first.name} has "
+                             f"{network(head)}; {path.name} has {network(record)}")
+    return episodes
 
 
 @dataclass
@@ -238,7 +261,7 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
-        raise UsageError("no evaluation seeds given")
+        raise UsageError("no seeds given; at least one episode is needed")
     scenarios = tuple(scenarios)
     for name in scenarios:
         if name not in SCENARIOS:
@@ -294,25 +317,18 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
 def load_raw_results(raw_dir, target_occupancy_pct: float = TARGET_OCCUPANCY_PCT
                      ) -> list[ScenarioResult]:
     """Rebuild scenario results from raw episode CSVs written by ``report``,
-    each with its JSON sidecar (see :meth:`EpisodeRecord.from_csv`)."""
-    raw_dir = Path(raw_dir)
-    groups: dict[str, list[EpisodeRecord]] = {}
-    for path in sorted(raw_dir.glob("*-seed*.csv")):
-        try:
-            record = EpisodeRecord.from_csv(path)
-        except ValueError as exc:
-            raise UsageError(f"unusable raw episode {path}: {exc}") from exc
-        groups.setdefault(path.stem.rsplit("-seed", 1)[0], []).append(record)
-    if not groups:
-        raise UsageError(f"no raw episode CSVs under {raw_dir}")
-    results = []
-    for scenario in SCENARIOS:
-        if scenario not in groups:
-            continue
-        records = sorted(groups[scenario], key=lambda r: r.seed)
-        results.append(results_from_records(
-            scenario, [r.seed for r in records], records, target_occupancy_pct))
-    return results
+    each with its JSON sidecar (see :meth:`EpisodeRecord.from_csv`). A CSV not
+    named ``<scenario>-seed<N>.csv``, N its sidecar's seed, is refused."""
+    groups: dict[str, list[EpisodeRecord]] = {name: [] for name in SCENARIOS}
+    for path, record in sorted(_read_episodes(raw_dir), key=lambda e: e[1].seed):
+        scenario = path.stem.rsplit("-seed", 1)[0]
+        if scenario not in groups or path.name != _episode_name(scenario, record.seed):
+            raise UsageError(f"raw episode {path} holds seed {record.seed}; expected "
+                             f"<scenario>-seed{record.seed}.csv, scenario in {SCENARIOS}")
+        groups[scenario].append(record)
+    return [results_from_records(name, [r.seed for r in group], group,
+                                 target_occupancy_pct)
+            for name, group in groups.items() if group]
 
 
 # -- report files -----------------------------------------------------------------
@@ -384,18 +400,11 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
 
     if write_raw:
         raw_dir = out_dir / "raw"
-        raw_dir.mkdir(exist_ok=True)
         # An earlier report's episodes would join this one's on a rebuild.
         for stale in raw_dir.glob("*-seed*.csv"):
             EpisodeRecord.sidecar_path(stale).unlink(missing_ok=True)
             stale.unlink()
-        raw_paths = []
-        for res in results:
-            for seed, record in zip(res.seeds, res.records):
-                rp = raw_dir / f"{res.scenario}-seed{seed}.csv"
-                record.to_csv(rp)
-                raw_paths.append(rp)
-        paths["raw"] = raw_paths
+        paths["raw"] = _write_episodes(results, raw_dir)
 
     summary = {
         "config_sha256": hashlib.sha256(

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,31 @@ def test_fit_prints_the_columns_it_solved_for(tmp_path, capsys):
     assert re.findall(r"^columns: (\d+), active per state", out, re.M) == ["153", "17"]
     model = sysid.SparseModel.load(tmp_path / "dmdc.json")
     assert model.n_columns == 153
+
+
+def test_fit_refuses_logs_of_two_networks(tmp_path, capsys):
+    """A log directory that mixes a one-ramp and a two-ramp network ends in a
+    usage error naming both files' ids, not in a stacking error."""
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text(serialize_config(_tiny_network()), encoding="utf-8")
+    one = _tiny_network()
+    two = replace(one, ramps=(*one.ramps, RampSpec("H1-R2", "H1", 2, "H1-S2", 900.0)))
+    wide_path = tmp_path / "wide.cfg"
+    wide_path.write_text(serialize_config(two), encoding="utf-8")
+    logs = tmp_path / "logs"
+    assert main(["collect", "--config", str(cfg_path), "--seeds", "1,2",
+                 "--out", str(logs)]) == 0
+    assert main(["collect", "--config", str(wide_path), "--seeds", "3",
+                 "--out", str(logs)]) == 0
+    capsys.readouterr()
+    for method in ("sindyc", "dmdc"):
+        assert main(["fit", "--logs", str(logs), "--method", method,
+                     "--out", str(tmp_path / f"{method}.json")]) == 2
+        err = capsys.readouterr().err
+        assert ("alinea-seed1.csv has sensors ['H1-S1'], ramps ['H1-R1']" in err
+                and "alinea-seed3.csv has sensors ['H1-S1', 'H1-S2'], ramps "
+                    "['H1-R1', 'H1-R2']" in err), err
+        assert not (tmp_path / f"{method}.json").exists()
 
 
 def _log_dir(path, rows, name="ep", **sidecar):

@@ -151,6 +151,35 @@ def test_load_logs_complains_about_an_empty_directory(tmp_path):
         load_logs(tmp_path / "nothing-here")
 
 
+def test_collect_writes_what_a_report_writes_to_raw(tmp_path):
+    """One writer: ``collect``'s CSVs and sidecars are byte for byte the
+    ``raw/`` files of a report on ``run_scenarios`` of the same feedback
+    scenario and seeds."""
+    config = _tiny_network()
+    for name in FEEDBACK_CONTROLLERS:
+        logs = collect(config, name, [4, 2], tmp_path / name / "logs")
+        raw = report(run_scenarios(config, None, None, [4, 2], scenarios=(name,)),
+                     tmp_path / name / "report", config)["raw"]
+        assert [p.name for p in logs] == [p.name for p in raw] == [
+            f"{name}-seed4.csv", f"{name}-seed2.csv"]
+        for log, rp in zip(logs, raw):
+            assert log.read_bytes() == rp.read_bytes()
+            assert (EpisodeRecord.sidecar_path(log).read_bytes()
+                    == EpisodeRecord.sidecar_path(rp).read_bytes())
+
+
+def test_load_logs_refuses_episodes_of_two_control_steps(tmp_path):
+    """The same ids at another control step are another network: the rows
+    would be differentiated on two time bases. (Two sets of ids are refused
+    the same way; see ``test_fit_refuses_logs_of_two_networks``.)"""
+    config = _tiny_network()
+    collect(config, "alinea", [1], tmp_path / "logs")
+    collect(replace(config, control_step_s=60.0), "alinea", [2], tmp_path / "logs")
+    with pytest.raises(UsageError, match=r"alinea-seed1\.csv has .* 30\.0 s control "
+                                         r"step; alinea-seed2\.csv has .* 60\.0 s"):
+        load_logs(tmp_path / "logs")
+
+
 # -- metric aggregation ----------------------------------------------------------------
 
 def test_results_from_records_hand_values():
@@ -175,7 +204,7 @@ def test_run_scenarios_rejects_bad_arguments():
     config = _tiny_network()
     with pytest.raises(UsageError, match="unknown scenario"):
         run_scenarios(config, sindyc, dmdc, [1], scenarios=("alinea", "mystery"))
-    with pytest.raises(UsageError, match="no evaluation seeds"):
+    with pytest.raises(UsageError, match="no seeds given"):
         run_scenarios(config, sindyc, dmdc, [])
     # A model sized for another network is refused before any episode runs.
     rng = np.random.default_rng(1)
@@ -488,8 +517,40 @@ def test_report_refuses_episodes_of_another_network(tmp_path):
 
 
 def test_load_raw_results_requires_csvs(tmp_path):
-    with pytest.raises(UsageError, match="no raw episode CSVs"):
+    with pytest.raises(UsageError, match="no episode CSVs"):
         load_raw_results(tmp_path)
+
+
+def _raw_dir(tmp_path):
+    config = _tiny_network()
+    out_dir = tmp_path / "run"
+    report(run_scenarios(config, None, None, [1, 2], scenarios=("alinea",)),
+           out_dir, config)
+    return out_dir / "raw"
+
+
+def _rename(csv_path, name):
+    """Move an episode CSV and its sidecar to a new CSV name."""
+    EpisodeRecord.sidecar_path(csv_path).rename(
+        EpisodeRecord.sidecar_path(csv_path.with_name(name)))
+    csv_path.rename(csv_path.with_name(name))
+
+
+def test_load_raw_results_refuses_an_unknown_scenario_name(tmp_path):
+    """A misspelt copy is refused, not left out of the rebuilt results."""
+    raw = _raw_dir(tmp_path)
+    _rename(raw / "alinea-seed1.csv", "alinae-seed1.csv")
+    with pytest.raises(UsageError, match=r"alinae-seed1\.csv holds seed 1; "
+                                         r"expected <scenario>-seed1\.csv"):
+        load_raw_results(raw)
+
+
+def test_load_raw_results_refuses_a_name_of_another_seed(tmp_path):
+    """The seed in the name must be the seed in the sidecar."""
+    raw = _raw_dir(tmp_path)
+    _rename(raw / "alinea-seed2.csv", "alinea-seed9.csv")
+    with pytest.raises(UsageError, match=r"alinea-seed9\.csv holds seed 2"):
+        load_raw_results(raw)
 
 
 def test_a_report_replaces_the_raw_episodes_of_an_earlier_one(tmp_path):

@@ -1,7 +1,8 @@
 """Import surface: every exported name resolves and is used by program code,
 the package root re-exports nothing, every demo imports and runs, the README
-lists the demos, the planner stays below the episode runners, and every
-function the traced benchmark patches is where it looks for it."""
+lists the demos, the planner stays below the episode runners, the harness
+has one episode loop, and every function the traced benchmark patches is
+where it looks for it."""
 
 import ast
 import dataclasses
@@ -333,3 +334,23 @@ def test_one_local_law_and_one_episode_start():
     classes = [name for name in feedback.__all__
                if isinstance(getattr(feedback, name), type)]
     assert classes == ["MeterBank"]
+
+
+def _calls(tree, name):
+    """The call nodes of ``name`` (as a name or an attribute) in a tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_one_episode_loop():
+    """``run_scenarios`` is the only caller of ``run_episode`` in the harness,
+    so collection, the sweep and the demos share its controllers and its
+    solver steps, and no demo runs an episode of its own."""
+    tree = ast.parse((ROOT / "src" / "rampnet" / "harness.py").read_text())
+    loop, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "run_scenarios")
+    assert len(_calls(tree, "run_episode")) == len(_calls(loop, "run_episode")) == 1
+    demos = {path.name: len(_calls(ast.parse(path.read_text()), "run_episode"))
+             for path in DEMOS}
+    assert not any(demos.values()), demos
