@@ -126,6 +126,8 @@ def _cmd_run(args) -> int:
             print(f"{'':>13}" + "   ".join(
                 f"{label} {w['solves']} solves ({w['capped']} capped), "
                 f"{w['iterations']} iterations, {w['solve_s']:.2f} s"
+                + (f", {w['us_per_iteration']:.0f} us/iteration"
+                   if w["us_per_iteration"] is not None else "")
                 for label, w in (("burn-in", health["burn_in"]),
                                  ("recorded", health["recorded"]))))
         elif health is not None:

@@ -189,8 +189,10 @@ class ScenarioResult:
         step of every seed, or None for a scenario without a planner:
         converged share of the solves, iteration and solve-time percentiles
         (p50/p95/max), fallbacks, and the solves, capped solves (the
-        iteration cap ended them, not the optimality test), total iterations
-        and solve seconds of the burn-in and of the recorded windows apart."""
+        iteration cap ended them, not the optimality test), total iterations,
+        solve seconds and planner microseconds per iteration (solve seconds
+        over iterations, None without one) of the burn-in and of the
+        recorded windows apart."""
         if all(record.solver_steps is None for record in self.records):
             return None
         burn_in, recorded, fallbacks = [], [], 0
@@ -212,10 +214,14 @@ class ScenarioResult:
                     "max": float(np.max(values))}
 
         def totals(window):
+            iterations = sum(step["iterations"] for step in window)
+            solve_s = sum(step["solve_time_s"] for step in window)
             return {"solves": len(window),
                     "capped": sum(step["capped"] for step in window),
-                    "iterations": sum(step["iterations"] for step in window),
-                    "solve_s": sum(step["solve_time_s"] for step in window)}
+                    "iterations": iterations,
+                    "solve_s": solve_s,
+                    "us_per_iteration": (1e6 * solve_s / iterations
+                                         if iterations else None)}
 
         return {
             "solves": len(solved),

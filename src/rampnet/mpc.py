@@ -23,9 +23,16 @@ accepts the first halving of that step that lowers the cost. A solve reports
 Only the first planned action is applied; the rest warm starts the next
 solve.
 
-Each solve allocates its buffers once (:class:`_Workspace`) and works in
-them in place: a rollout reads only the model's prediction, one read per
-stage, and the stage Jacobians are read only at accepted iterates.
+At this size numpy's cost per call, not the arithmetic, sets the speed of a
+planner iteration, so the search is written to make few calls. A solve makes
+its arrays once (:class:`_Workspace`: both iterates, the residual Jacobian,
+the stage Jacobians, the gradient and the Gauss-Newton matrix) and updates
+them in place; each iteration still makes a few small temporaries (masks,
+the step, LAPACK's solve). A rollout reads only the model's prediction, one
+read per stage, and the stage Jacobians are read only at accepted iterates,
+all N in one stacked product. Every stage read must stay a matrix-vector
+product per row: one matrix-matrix product over the stages sums in another
+order, and the closed loop would change at rounding level.
 
 Time convention: one model time unit is one control step. A plan row is the
 rates for one control step, the predictor advances one control step per row,
@@ -250,8 +257,10 @@ class _Iterate:
 
 class _Workspace:
     """Every buffer of one solve: the accepted iterate ``cur``, the
-    line-search candidate ``cand`` (the two swap on acceptance), and the
-    residual Jacobian ``jac`` with respect to the flat plan.
+    line-search candidate ``cand`` (the two swap on acceptance), the
+    residual Jacobian ``jac`` with respect to the flat plan, the stage model
+    Jacobians it is built from, and the search's gradient, Gauss-Newton
+    matrix and damped block.
 
     The cost constants are read when the workspace is made, so a solve sees
     the values in force at its call. The constant rate-change rows of
@@ -272,6 +281,10 @@ class _Workspace:
         self.root_r = np.sqrt(RATE_CHANGE_WEIGHT)
         self.cur = _Iterate(x0, u_prev, horizon)
         self.cand = _Iterate(x0, u_prev, horizon)
+        # df/dz at stages 0..N-1, and its x and u blocks A(l) and B(l)
+        self.stage_jac = np.empty((horizon, n, n + m))
+        self.stage_a = list(self.stage_jac[:, :, :n])
+        self.stage_b = list(self.stage_jac[:, :, n:])
         # Rows: the sensitivities S(l) = dx(l)/du at stages 0..N (S(0) = 0),
         # the hinge rows, then the constant rate-change rows.
         self.jac = np.zeros(((2 * horizon + 1) * n + size, size))
@@ -282,8 +295,16 @@ class _Workspace:
         self.sens_inputs = [sens[l + 1, :, l * m:(l + 1) * m] for l in range(horizon)]
         self.hinge_rows = self.jac[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(
             horizon, n, size)
-        self.jac[(2 * horizon + 1) * n:] = self.root_r * (
-            np.eye(size) - np.eye(size, k=-m))
+        # The hinge rows are zero until a stage leaves the occupancy band, and
+        # are rewritten while one is outside and once after (see jacobian).
+        self.hinge_written = False
+        rate_rows = self.jac[(2 * horizon + 1) * n:]
+        np.fill_diagonal(rate_rows, self.root_r)
+        np.fill_diagonal(rate_rows[m:], -self.root_r)
+        self.grad = np.empty(size)
+        self.gn = np.empty((size, size))
+        self.block = np.empty((size, size))
+        self.block_diagonal = self.block.reshape(-1)[::size + 1]
         self.cur.v[:] = plan.ravel()
         self.measure(self.cur)
 
@@ -293,12 +314,15 @@ class _Workspace:
         np.copyto(it.plan_block, it.v_rows)
         _roll(self.model._f, it.rows, it.xs)
         np.subtract(it.x, self.target, out=it.track)
-        np.subtract(np.maximum(it.interior - OCCUPANCY_MAX_PCT, 0.0),
-                    np.maximum(OCCUPANCY_MIN_PCT - it.interior, 0.0), out=it.hinge)
+        # The hinge x - clip(x, lo, hi): max(x - hi, 0) - max(lo - x, 0) in
+        # four in-place passes.
+        np.maximum(it.interior, OCCUPANCY_MIN_PCT, out=it.hinge)
+        np.minimum(it.hinge, OCCUPANCY_MAX_PCT, out=it.hinge)
+        np.subtract(it.interior, it.hinge, out=it.hinge)
         it.hinge *= self.root_w
         np.subtract(it.v, it.u_before, out=it.rate)
         it.rate *= self.root_r
-        it.total = float(it.res @ it.res)
+        it.total = float(it.res.dot(it.res))
         if not math.isfinite(it.total):
             step = _first_nonfinite(it.x)
             if step is not None:
@@ -310,20 +334,25 @@ class _Workspace:
         the stage model Jacobians df/dz read at ``cur``'s z rows:
         ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the x and
         u blocks of df/dz and ``E(l)`` picking u(l)."""
-        n = self.model.state_dim
-        read, rows, sens, inputs = self.model._df, self.cur.rows, self.sens, self.sens_inputs
+        sens, inputs, stage_a, stage_b = (self.sens, self.sens_inputs,
+                                          self.stage_a, self.stage_b)
+        self.model._df_rows(self.cur.z[:-1], out=self.stage_jac)
         # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
         # other columns staying 0.
-        np.add(read(rows[0])[:, n:], 0.0, out=inputs[0])
+        np.add(stage_b[0], 0.0, out=inputs[0])
         for l in range(1, len(inputs)):
-            jac = read(rows[l])
-            np.matmul(jac[:, :n], sens[l], out=sens[l + 1])
+            np.dot(stage_a[l], sens[l], out=sens[l + 1])
             sens[l + 1] += sens[l]
-            inputs[l] += jac[:, n:]
-        interior = self.cur.interior
-        active = (interior > OCCUPANCY_MAX_PCT) | (interior < OCCUPANCY_MIN_PCT)
-        np.multiply((self.root_w * active)[:, :, None], self.sens_interior,
-                    out=self.hinge_rows)
+            inputs[l] += stage_b[l]
+        # A stage outside the band has a nonzero hinge residual (its x - clip
+        # is nonzero, and so is that times root_w). In-band rows are zero
+        # (of either sign), so they need no rewrite while they stay in band.
+        hinge = self.cur.hinge
+        outside = np.count_nonzero(hinge) > 0
+        if outside or self.hinge_written:
+            np.multiply((self.root_w * (hinge != 0.0))[:, :, None],
+                        self.sens_interior, out=self.hinge_rows)
+        self.hinge_written = outside
         return self.jac
 
     def accept(self) -> None:
@@ -338,58 +367,74 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     damping = _DAMPING_START
     iterations = 0
     converged = False
+    grad, gn, block = ws.grad, ws.gn, ws.block
+    # A view of gn's diagonal, so it follows gn. Every rate has a rate-change
+    # row, so each entry is at least 2 * RATE_CHANGE_WEIGHT.
+    scale = gn.diagonal()
     for k in range(solver.max_iters):
         iterations = k + 1
         cur = ws.cur
         v, total = cur.v, cur.total
         jac = ws.jacobian()
-        grad = 2.0 * (jac.T @ cur.res)
-        proj = np.where(v <= lo, np.minimum(grad, 0.0),
-                        np.where(v >= hi, np.maximum(grad, 0.0), grad))
-        if np.abs(proj).max() * width <= TOLERANCE * (1.0 + total):
+        np.dot(jac.T, cur.res, out=grad)
+        grad *= 2.0
+        # A descent step lowers the rates whose gradient is positive and
+        # raises those whose gradient is negative. The projected gradient is
+        # 0 at a rate on the bound its step pushes against, the gradient
+        # elsewhere.
+        lowers, raises = grad > 0.0, grad < 0.0
+        stuck = np.where(lowers, v <= lo, raises & (v >= hi))
+        if (np.abs(np.where(stuck, 0.0, grad)).max() * width
+                <= TOLERANCE * (1.0 + total)):
             converged = True
             break
 
-        gn = 2.0 * (jac.T @ jac)
-        # Every rate has a rate-change row, so each entry is at least
-        # 2 * RATE_CHANGE_WEIGHT.
-        scale = gn.diagonal()
+        np.matmul(jac.T, jac, out=gn)
+        gn *= 2.0
         # eps-active set: rates within eps of a bound that the gradient
         # pushes outward; eps shrinks with the scaled projected step.
         scaled = grad / scale
-        eps = min(_EPS_FRAC * width,
-                  float(np.abs(v - np.clip(v - scaled, lo, hi)).max()))
-        held = (((v <= lo + eps) & (grad > 0.0))
-                | ((v >= hi - eps) & (grad < 0.0)))
-        free = ~held
-        step = -scaled
-        if free.any():
-            # The free rates' block of J'J, damped on its diagonal.
-            block = gn[free][:, free]
-            block.flat[::len(block) + 1] += damping * scale[free]
-            step[free] = -np.linalg.solve(block, grad[free])
+        edge = v - scaled
+        np.maximum(edge, lo, out=edge)
+        np.minimum(edge, hi, out=edge)
+        np.subtract(v, edge, out=edge)
+        eps = min(_EPS_FRAC * width, float(np.abs(edge, out=edge).max()))
+        held = np.where(lowers, v <= lo + eps, raises & (v >= hi - eps))
+        if np.count_nonzero(held):
+            step = -scaled
+            free = ~held
+            if np.count_nonzero(free):
+                # The free rates' block of J'J, damped on its diagonal.
+                sub = gn[free][:, free]
+                sub.flat[::len(sub) + 1] += damping * scale[free]
+                step[free] = -np.linalg.solve(sub, grad[free])
+        else:
+            np.copyto(block, gn)
+            ws.block_diagonal += damping * scale
+            step = np.linalg.solve(block, grad)
+            np.negative(step, out=step)
 
         alpha = 1.0
         accepted = False
         cand = ws.cand
         for _ in range(_ARC_HALVINGS):
-            np.clip(v + alpha * step, lo, hi, out=cand.v)
-            if (cand.v == v).all():
-                break
+            np.multiply(step, alpha, out=cand.v)
+            cand.v += v
+            np.maximum(cand.v, lo, out=cand.v)
+            np.minimum(cand.v, hi, out=cand.v)
+            if not np.count_nonzero(cand.v != v):
+                break  # the step moves no rate
             try:
                 cand_total = ws.measure(cand)
             except ModelBlowupError:
                 cand_total = np.inf
             if cand_total < total:
-                move = cand.v - v
-                predicted = -float(grad @ move + 0.5 * move @ gn @ move)
-                ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
-                ws.accept()
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break  # stalled: no decrease along the arc
+        ws.accept()
         # The gain ratio stays: without it (doubled on a short step, a third
         # on a full one) sindyc-mpc tracks at 1.501% mean, 3.389% worst on
         # demo 06's ten base seeds (1.406%, 3.259% with it), and at 1.799%
@@ -397,6 +442,9 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         if alpha < 1.0:
             damping *= 2.0
         else:
+            move = cand.v - v
+            predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
+            ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
             damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
                           _DAMPING_MIN)
     return iterations, converged

@@ -412,29 +412,30 @@ def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
     """Linear baseline: least-squares ``xdot = A x + B u + c``, no thresholding.
 
     The fit is ``lstsq`` on the library's first 1 + nz columns (the constant
-    and z); the product columns of the returned model are zero. When those
-    columns are rank deficient, e.g. an input that never moved, the result
-    is ``lstsq``'s minimum-norm solution, with a warning. Non-finite data or
+    and z), built without the product columns, which the returned model
+    holds as zeros. When those columns are rank deficient, e.g. an input
+    that never moved, the result is ``lstsq``'s minimum-norm solution, with
+    a warning. Non-finite data or
     fewer than two rows per fitted column raise
     :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(episodes)
     linear = 1 + xs.shape[1] + us.shape[1]
     _require_data(xs, us, derivs, linear)
-    theta = build_library(xs, us)
-    solution, _, rank, _ = np.linalg.lstsq(theta[:, :linear], derivs, rcond=None)
+    theta = np.hstack([np.ones((len(xs), 1)), xs, us])
+    solution, _, rank, _ = np.linalg.lstsq(theta, derivs, rcond=None)
     if rank < linear:
         warnings.warn(
             f"linear fit is rank deficient ({rank}/{linear}); "
             "using the minimum-norm solution", RuntimeWarning, stacklevel=2)
-    coef = np.zeros((xs.shape[1], theta.shape[1]))
+    coef = np.zeros((xs.shape[1], _width(linear - 1)))
     coef[:, :linear] = solution.T
     return SparseModel(
         coefficients=coef,
         state_dim=xs.shape[1],
         input_dim=us.shape[1],
         provenance=dict(provenance or {}, method="dmdc", episodes=len(episodes),
-                        samples=theta.shape[0], columns=linear),
+                        samples=len(xs), columns=linear),
     )
 
 
@@ -469,13 +470,16 @@ class SparseModel:
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
         # On a model with zero products, L + Q z is L bit for bit, so the
         # reads are c + L z and L. L is a contiguous copy: the add in every
-        # read takes 0.4 us on it against 0.9 us on a strided view.
+        # read takes 0.4 us on it against 0.9 us on a strided view. The n
+        # product blocks are kept flat, (n nz, nz): row k nz + i is row i of
+        # state k's block, so Q z for every state is one matrix-vector product.
         i, j = np.triu_indices(nz)
         self._offset = self.coefficients[:, 0]
         self._linear = np.ascontiguousarray(self.coefficients[:, 1:1 + nz])
-        self._quad = np.zeros((n, nz, nz))
-        self._quad[:, i, j] = self.coefficients[:, 1 + nz:]
-        self._quad_sym = self._quad + self._quad.transpose(0, 2, 1)
+        quad = np.zeros((n, nz, nz))
+        quad[:, i, j] = self.coefficients[:, 1 + nz:]
+        self._quad = quad.reshape(n * nz, nz)
+        self._quad_sym = (quad + quad.transpose(0, 2, 1)).reshape(n * nz, nz)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -491,11 +495,23 @@ class SparseModel:
     def _f(self, z: np.ndarray) -> np.ndarray:
         """``f`` at one stacked point ``z = (x, u)``, shape (n,). The planner
         calls it with a row of its z buffer."""
-        return self._offset + (self._linear + self._quad @ z) @ z
+        return self._offset + (self._linear
+                               + self._quad.dot(z).reshape(self._linear.shape)).dot(z)
 
     def _df(self, z: np.ndarray) -> np.ndarray:
         """``df/dz`` at one stacked point, shape (n, n + m)."""
-        return self._linear + self._quad_sym @ z
+        return self._linear + self._quad_sym.dot(z).reshape(self._linear.shape)
+
+    def _df_rows(self, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``df/dz`` at each row of ``zs`` (k, n + m) into ``out``
+        (k, n, n + m), each equal to ``_df`` at that row bit for bit.
+
+        numpy runs the stacked product as one matrix-vector product per row,
+        as ``_df`` does; one matrix-matrix product over all rows would sum in
+        another order and differ from ``_df`` at rounding level."""
+        np.matmul(self._quad_sym, zs[:, :, None], out=out.reshape(len(zs), -1, 1))
+        out += self._linear
+        return out
 
     def evaluate(self, x, u) -> np.ndarray:
         """Model derivative at one (x, u) point, physical units per step."""

@@ -377,6 +377,21 @@ def test_benchmark_dmdc_reads_are_its_linear_block(pipeline):
             assert np.array_equal(pipeline.dmdc._df(z), linear)
 
 
+def test_benchmark_stacked_stage_reads_are_the_point_reads(pipeline):
+    """The planner reads df/dz at all its stages in one stacked product
+    (``_df_rows``). At every row of the holdout logs, for both fits, the
+    stacked read has the bytes of ``_df`` at that row: numpy runs it as one
+    matrix-vector product per row, as ``_df`` does, so the closed loop does
+    not depend on how many stages are read at once."""
+    for model in (pipeline.sindyc, pipeline.dmdc):
+        n, nz = model.state_dim, model.state_dim + model.input_dim
+        for states, inputs in harness.load_logs(pipeline.root / "holdout"):
+            zs = np.hstack([states, inputs])
+            stacked = model._df_rows(zs, out=np.empty((len(zs), n, nz)))
+            for z, jac in zip(zs, stacked):
+                assert jac.tobytes() == model._df(z).tobytes()
+
+
 def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
     """The per-target jobs give the same coefficients, bit for bit, when the
     calling thread runs them all (no OpenBLAS found): on the benchmark's

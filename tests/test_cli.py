@@ -92,6 +92,7 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert "sindyc-mpc" in out and "report ->" in out
     assert out.count("% converged") == 2 and "fallbacks 0" in out
     assert out.count("burn-in ") == 2 and out.count("recorded ") == 2
+    assert out.count(" us/iteration") == 4
     assert out.count("time: plant ") == 5
     summary = json.loads((report_dir / "summary.json").read_text())
     assert summary["seeds"] == [5]

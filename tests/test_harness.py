@@ -396,6 +396,9 @@ def test_report_summary_carries_solver_health(standard_report):
             step["iterations"] for step in steps[burn_in["solves"]:])
         assert burn_in["solve_s"] + recorded["solve_s"] == pytest.approx(
             sum(step["solve_time_s"] for step in steps))
+        for window in (burn_in, recorded):
+            assert window["us_per_iteration"] == pytest.approx(
+                1e6 * window["solve_s"] / window["iterations"])
         assert health["fallbacks"] == 0
         assert health["converged_frac"] == pytest.approx(
             np.mean([step["converged"] for step in steps]))
@@ -429,6 +432,30 @@ def test_solver_health_counts_capped_solves_in_each_window():
         step["capped"] for step in steps[burn_in:])
     assert health["burn_in"]["capped"] >= 1
     assert all(step["capped"] == (not step["converged"]) for step in steps)
+
+
+def test_solver_health_gives_planner_time_per_iteration_in_each_window():
+    """Microseconds per iteration are each window's solve seconds over its
+    iterations; fallbacks count in neither, and a window without solves has
+    none."""
+    record = _record(1, [[14.0], [16.0]], [[100.0], [200.0]],
+                     [[900.0], [900.0]])
+
+    def step(time_s, iterations, solve_time_s):
+        return {"time_s": time_s, "fallback": False, "iterations": iterations,
+                "converged": iterations < 200, "capped": iterations == 200,
+                "solve_time_s": solve_time_s}
+
+    record.solver_steps = [step(0.0, 200, 0.05), step(30.0, 4, 5e-4),
+                           {"time_s": 45.0, "fallback": True},
+                           step(60.0, 6, 7e-4)]
+    health = results_from_records("sindyc-mpc", [1], [record]).solver_health()
+    assert health["burn_in"]["us_per_iteration"] == pytest.approx(250.0)
+    assert health["recorded"]["us_per_iteration"] == pytest.approx(120.0)
+    record.solver_steps = record.solver_steps[1:]
+    health = results_from_records("sindyc-mpc", [1], [record]).solver_health()
+    assert health["burn_in"]["us_per_iteration"] is None
+    assert health["recorded"]["us_per_iteration"] == pytest.approx(120.0)
 
 
 def test_report_summary_splits_each_scenarios_time(standard_report):

@@ -105,8 +105,8 @@ def test_rollout_reports_the_step_that_diverged():
 
 def test_prediction_keeps_the_public_states_and_jacobians():
     """The planner's workspace holds exactly the states ``rollout`` and
-    ``model.evaluate`` give, and its stage reads of df/dz are exactly what
-    ``model.jacobian`` gives, for quadratic and linear libraries."""
+    ``model.evaluate`` give, and its stacked stage reads of df/dz are exactly
+    what ``model.jacobian`` gives, for quadratic and linear libraries."""
     rng = np.random.default_rng(13)
     x = rng.uniform(0.0, 30.0, size=(400, 3))
     u = rng.uniform(200.0, 1800.0, size=(400, 2))
@@ -124,14 +124,35 @@ def test_prediction_keeps_the_public_states_and_jacobians():
         ws = mpc._Workspace(model, x0, plan[0], MpcConfig(), plan)
         states = ws.cur.x
         assert np.array_equal(states, rollout(model, x0, plan))
+        ws.jacobian()
         for l in range(len(plan)):
             assert np.array_equal(ws.cur.z[l], np.concatenate([states[l], plan[l]]))
             assert np.array_equal(states[l + 1], states[l] + model.evaluate(
                 states[l], plan[l]))
-            jac = model._df(ws.cur.z[l])
+            jac = ws.stage_jac[l]
             jac_x, jac_u = model.jacobian(states[l], plan[l])
             assert np.array_equal(jac[:, :3], jac_x)
             assert np.array_equal(jac[:, 3:], jac_u)
+
+
+def test_the_hinge_is_the_excess_over_the_occupancy_band(monkeypatch):
+    """``measure`` writes the bound-penalty hinge as ``x - clip(x)``; it
+    equals ``max(x - hi, 0) - max(lo - x, 0)`` on and one ulp either side of
+    each bound, at -0.0 and far outside the band."""
+    lo, hi = mpc.OCCUPANCY_MIN_PCT, mpc.OCCUPANCY_MAX_PCT
+    x = np.array([0.0, -0.0, hi, 1e300, -1e300,
+                  np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                  np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)])
+    model = SparseModel(coefficients=np.zeros((len(x), 1 + 10 + 55)),
+                        state_dim=len(x), input_dim=1)
+    # x(1) = x(0) + (-0.0) keeps every x(0), -0.0 included, bit for bit.
+    monkeypatch.setattr(model, "_f", lambda z: np.full(len(x), -0.0))
+    with np.errstate(over="ignore"):  # the cost of x = 1e300 overflows
+        ws = mpc._Workspace(model, x, np.array([1000.0]), MpcConfig(horizon=1),
+                            np.array([[1000.0]]))
+    assert ws.cur.x[1].tobytes() == x.tobytes()
+    expected = np.maximum(x - hi, 0.0) - np.maximum(lo - x, 0.0)
+    assert np.array_equal(ws.cur.hinge[0], ws.root_w * expected)
 
 
 # -- the planner's gradient ---------------------------------------------------------
