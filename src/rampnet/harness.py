@@ -5,7 +5,10 @@ realizations (same seeds, and the plant draws arrivals independently of
 control): no control (meters pinned wide open), the two local feedback
 regulators, and predictive control on the linear and on the sparse
 polynomial model. ``run_scenarios`` is the one episode loop: collection and
-the horizon sweep run through it too. A report is three CSV tables, a
+the horizon sweep run through it too. Where the fork start method exists it
+runs the episodes in worker processes forked from the caller, one per usable
+CPU; each episode is computed as it would be in the caller, so every byte of
+every result is the same. A report is three CSV tables, a
 summary JSON keyed by a hash of the exact network config, and the raw
 episodes, each with a JSON sidecar that also holds its planner steps; the
 summary can be rebuilt from them. One writer names collected and raw episode
@@ -15,13 +18,16 @@ files alike, and one reader refuses a directory of two networks.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import sysid
 from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
                        RATE_MAX_VPH, TARGET_OCCUPANCY_PCT, MeterBank,
                        green_percentage)
@@ -169,7 +175,9 @@ class ScenarioResult:
     def time_split_s(self) -> dict | None:
         """Wall seconds of the scenario's episodes in plant, controller and
         rest (see ``run_episode``), summed over seeds; None for episodes
-        read back from CSV, which do not carry the split."""
+        read back from CSV, which do not carry the split. Each episode
+        measures its own wall time, while other episodes may run beside it,
+        so the sum can exceed the time the call took."""
         splits = [r.time_split_s for r in self.records]
         if any(split is None for split in splits):
             return None
@@ -257,13 +265,17 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
                   horizon: int = MpcConfig.horizon) -> list[ScenarioResult]:
     """Run every scenario on every seed and aggregate the standard metrics.
 
-    Episodes are independent (own plant, own RNG, own controller); the
-    planners look ``horizon`` control steps ahead, and every controller steers
-    to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``time_split_s`` sums
-    its own episodes' time split, and each planner episode's record carries
-    the planner's diagnostics as its ``solver_steps``. A model whose state or
-    input count is not the network's ramp count is refused before any episode
-    runs.
+    Episodes are independent (own plant, own RNG, own controller), so each
+    ``(scenario, seed)`` pair is one job, and the jobs run in forked worker
+    processes (see ``_map_episodes``); results come back in scenario order,
+    and each scenario's records in seed order. The planners look ``horizon``
+    control steps ahead, and every controller steers to
+    ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``time_split_s`` sums
+    its own episodes' time split, each measured in the process that ran the
+    episode, and each planner episode's record carries the planner's
+    diagnostics as its ``solver_steps``. A model whose state or input count
+    is not the network's ramp count is refused before any episode runs; an
+    episode's exception is raised here, typed as it was raised.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -280,18 +292,54 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
                 f"{model.input_dim} inputs, but the network's {config.n_ramps} "
                 f"ramps need {config.n_ramps} of each")
 
-    mpc_config = MpcConfig(horizon=horizon)
-    results = []
-    for scenario in scenarios:
-        records = []
-        for seed in seeds:
-            controller = make_controller(scenario, config.n_ramps, sindyc=sindyc,
-                                         dmdc=dmdc, mpc_config=mpc_config)
-            record = run_episode(config, controller, seed=seed)
-            record.solver_steps = getattr(controller, "diagnostics", None)
-            records.append(record)
-        results.append(results_from_records(scenario, seeds, records))
-    return results
+    jobs = [(scenario, seed) for scenario in scenarios for seed in seeds]
+    episode = functools.partial(_episode, config, sindyc, dmdc,
+                                MpcConfig(horizon=horizon))
+    records = _map_episodes(episode, jobs)
+    return [results_from_records(scenario, seeds,
+                                 records[k * len(seeds):(k + 1) * len(seeds)])
+            for k, scenario in enumerate(scenarios)]
+
+
+def _episode(config, sindyc, dmdc, mpc_config, job) -> EpisodeRecord:
+    """One ``(scenario, seed)`` job of ``run_scenarios``: a fresh controller,
+    its episode, and the planner's diagnostics as the record's
+    ``solver_steps``, in whichever process takes the job. It calls
+    ``run_episode`` through this module's global, so a wrapper set on
+    ``harness.run_episode`` (perfbench's tracer) sees the episodes that run
+    in the calling process."""
+    scenario, seed = job
+    controller = make_controller(scenario, config.n_ramps, sindyc=sindyc,
+                                 dmdc=dmdc, mpc_config=mpc_config)
+    record = run_episode(config, controller, seed=seed)
+    record.solver_steps = getattr(controller, "diagnostics", None)
+    return record
+
+
+def _map_episodes(episode, jobs) -> list[EpisodeRecord]:
+    """``episode`` over ``jobs``, results in job order. Worker processes,
+    forked from this one, run the jobs, one worker per usable CPU up to one
+    per job. With one CPU or one job, without the fork start method, or
+    while another thread runs here (a fork copies only the calling thread,
+    so a lock another thread holds would stay held in the worker), the jobs
+    run here, one after another. Fork, not spawn: a spawned worker would
+    import numpy and rampnet again, and a forked one inherits the log
+    handlers. A job's exception is raised here, once every worker has
+    exited."""
+    workers = min(len(jobs), sysid._usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        # Imported here, not with the module: +1.2 MB of peak RSS that a
+        # process which never pools (a regulator-only run) would carry.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(episode, jobs))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return list(map(episode, jobs))
 
 
 def horizon_sweep(model: SparseModel, config: NetworkConfig,
@@ -301,7 +349,10 @@ def horizon_sweep(model: SparseModel, config: NetworkConfig,
     Returns one dict per horizon with the mean absolute occupancy deviation,
     mean sensor flow, mean per-solve time (the solve seconds of
     ``solver_health`` over its solves; NaN without one), and the scenario's
-    runtime over the given seeds, the sum of its time split.
+    runtime over the given seeds, the sum of its time split (episode wall
+    seconds, which overlap when the seeds' episodes run side by side).
+    Each horizon is one ``run_scenarios`` call, so only its seeds share the
+    worker processes.
     """
     rows = []
     for n in horizons:

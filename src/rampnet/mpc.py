@@ -113,6 +113,9 @@ class ModelBlowupError(RuntimeError):
         super().__init__(f"model prediction diverged at rollout step {step}")
         self.step = step
 
+    def __reduce__(self):  # rebuilt from its field when pickled out of a worker
+        return type(self), (self.step,)
+
 
 @dataclass(frozen=True)
 class SolverSettings:

@@ -126,6 +126,9 @@ class ConservationError(RuntimeError):
             f"change = {residual_veh:.3g} veh")
         self.residual_veh = residual_veh
 
+    def __reduce__(self):  # rebuilt from its field when pickled out of a worker
+        return type(self), (self.residual_veh,)
+
 
 # -- window kernel ----------------------------------------------------------------
 

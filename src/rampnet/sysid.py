@@ -235,6 +235,8 @@ def _one_blas_thread():
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on: the fit's job threads and
+    ``harness.run_scenarios``'s worker processes are both sized by it."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

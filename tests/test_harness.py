@@ -3,20 +3,25 @@
 import csv
 import inspect
 import json
+import multiprocessing
+import pickle
+import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rampnet import harness, plant, sysid
 from rampnet.feedback import TARGET_OCCUPANCY_PCT
 from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
                              collect, horizon_sweep, load_logs,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
-from rampnet.mpc import MpcConfig, MpcController, SolverSettings
+from rampnet.mpc import ModelBlowupError, MpcConfig, MpcController, SolverSettings
 from rampnet.network import CellParams, Highway, NetworkConfig, RampSpec
-from rampnet.plant import ControlObservation, EpisodeRecord, run_episode
+from rampnet.plant import (ConservationError, ControlObservation, EpisodeRecord,
+                           run_episode)
 from rampnet.sysid import fit_derivatives
 
 
@@ -230,11 +235,13 @@ def test_run_scenarios_covers_the_standard_comparison(tmp_path):
 
 
 def test_run_scenarios_times_each_scenario_on_its_own():
-    """Each time_split_s sums one scenario's episode time splits, so
-    together they fit inside the wall clock of the whole call."""
+    """Each time_split_s sums one scenario's own episode time splits, and
+    each episode's split fits inside the wall clock of the whole call.
+    Episodes may run side by side in worker processes, so the splits of all
+    scenarios together can exceed that wall clock."""
     sindyc, dmdc = _tiny_models()
     started = time.perf_counter()
-    results = run_scenarios(_tiny_network(), sindyc, dmdc, [0])
+    results = run_scenarios(_tiny_network(), sindyc, dmdc, [0, 1])
     wall = time.perf_counter() - started
     for r in results:
         split = r.time_split_s
@@ -242,7 +249,93 @@ def test_run_scenarios_times_each_scenario_on_its_own():
         assert min(split.values()) > 0.0
         assert split == {part: sum(rec.time_split_s[part] for rec in r.records)
                          for part in split}
-    assert sum(sum(r.time_split_s.values()) for r in results) <= wall
+        for record in r.records:
+            assert sum(record.time_split_s.values()) <= wall
+
+
+# -- the pooled loop ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error, field", [(ConservationError(1.5e-3), "residual_veh"),
+                                          (ModelBlowupError(3), "step")])
+def test_typed_errors_survive_a_pickle_round_trip(error, field):
+    """A worker's exception reaches the caller pickled: it comes back with
+    its type, its message and its field."""
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert back.args == error.args
+    assert getattr(back, field) == getattr(error, field)
+
+
+def _without_timing(record):
+    """A record's fields apart from the wall times it measured."""
+    steps = [{key: value for key, value in step.items() if key != "solve_time_s"}
+             for step in record.solver_steps or ()]
+    return (record.seed, record.occupancy.tolist(), record.flow.tolist(),
+            record.rates.tolist(), record.green_seconds.tolist(),
+            record.dropped_veh, record.clamp_events, steps)
+
+
+def _episodes_run_here(monkeypatch):
+    """A list that gains one entry per episode this process runs itself."""
+    here = []
+    episode = harness.run_episode
+
+    def counted(*args, **kwargs):
+        here.append(1)
+        return episode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    return here
+
+
+def test_worker_processes_change_no_output(monkeypatch):
+    """The same call on one CPU and on two gives the same records, in the
+    same scenario-then-seed order; on two, workers run every episode, and
+    none of them outlives the call."""
+    sindyc, dmdc = _tiny_models()
+    runs = {}
+    for cpus, expected_here in ((1, 10), (2, 0)):
+        monkeypatch.setattr(sysid, "_usable_cpus", lambda: cpus)
+        here = _episodes_run_here(monkeypatch)
+        runs[cpus] = run_scenarios(_tiny_network(), sindyc, dmdc, [3, 1])
+        assert len(here) == expected_here
+        assert multiprocessing.active_children() == []
+    for one, two in zip(runs[1], runs[2], strict=True):
+        assert (one.scenario, one.seeds) == (two.scenario, two.seeds)
+        assert ([_without_timing(r) for r in one.records]
+                == [_without_timing(r) for r in two.records])
+    assert [r.scenario for r in runs[2]] == list(SCENARIOS)
+    assert any(r.solver_steps for res in runs[2] for r in res.records)
+
+
+def test_episodes_run_here_while_another_thread_runs(monkeypatch):
+    """A fork copies only the calling thread, so with a second thread alive
+    the episodes run in the calling process."""
+    monkeypatch.setattr(sysid, "_usable_cpus", lambda: 2)
+    here = _episodes_run_here(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        run_scenarios(_tiny_network(), None, None, [0, 1], scenarios=("alinea",))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(here) == 2
+
+
+def test_a_worker_episode_error_reaches_the_caller_typed(monkeypatch):
+    """An episode that fails its vehicle audit in a worker process raises
+    ConservationError in the caller, and no worker outlives the call."""
+    monkeypatch.setattr(sysid, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(plant, "CONSERVATION_TOL_VEH", -1.0)  # every audit fails
+    with pytest.raises(ConservationError) as exc:
+        run_scenarios(_tiny_network(), None, None, [0, 1], scenarios=("alinea",))
+    assert isinstance(exc.value.residual_veh, float)
+    assert multiprocessing.active_children() == []
 
 
 def test_horizon_sweep_reports_one_row_per_horizon():

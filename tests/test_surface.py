@@ -344,13 +344,26 @@ def _calls(tree, name):
 
 
 def test_one_episode_loop():
-    """``run_scenarios`` is the only caller of ``run_episode`` in the harness,
-    so collection, the sweep and the demos share its controllers and its
-    solver steps, and no demo runs an episode of its own."""
+    """``run_episode`` has one caller in the harness, the job function that
+    ``run_scenarios`` maps over its episodes, and nothing else reaches that
+    job; so collection, the sweep and the demos share its controllers and
+    its solver steps, and no demo runs an episode of its own."""
     tree = ast.parse((ROOT / "src" / "rampnet" / "harness.py").read_text())
-    loop, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name == "run_scenarios")
-    assert len(_calls(tree, "run_episode")) == len(_calls(loop, "run_episode")) == 1
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    callers = [name for name, node in functions.items()
+               if _calls(node, "run_episode")]
+    assert len(_calls(tree, "run_episode")) == len(callers) == 1
+    job, = callers
+    readers = [name for name, node in functions.items() if any(
+        isinstance(use, ast.Name) and use.id == job for use in ast.walk(node))]
+    assert readers == ["run_scenarios"]
+    elsewhere = [path.name for path in PROGRAM if path.name != "harness.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if job in (getattr(node, "id", None), getattr(node, "name", None))
+                 or (isinstance(node, ast.Attribute) and node.attr == job
+                     and getattr(node.value, "id", None) == "harness")]
+    assert not elsewhere, elsewhere
     demos = {path.name: len(_calls(ast.parse(path.read_text()), "run_episode"))
              for path in DEMOS}
     assert not any(demos.values()), demos
