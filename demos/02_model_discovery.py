@@ -15,7 +15,8 @@ them, and the solver's own diagnostics.
 
 import numpy as np
 
-from rampnet.network import benchmark_config_path, load_config
+from rampnet.network import (benchmark_config_path, load_config,
+                             neighbourhood_masks)
 from rampnet.harness import run_scenarios
 from rampnet.mpc import MpcConfig, solve
 from rampnet.sysid import discover_dmdc, discover_sindyc, fit_report
@@ -38,7 +39,8 @@ def main():
           f"{records[0].occupancy.shape[1]} sensors, "
           f"{records[0].rates.shape[1]} meters")
 
-    sparse = discover_sindyc(log)
+    # each sensor's library spans its road neighbourhood only
+    sparse = discover_sindyc(log, masks=neighbourhood_masks(config))
     linear = discover_dmdc(log)
     holdout = [(r.occupancy, r.rates) for r in collect(config, HOLDOUT_SEEDS)]
     scores = {"sparse quadratic": fit_report(sparse, holdout),

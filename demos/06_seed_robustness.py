@@ -14,7 +14,9 @@ sensor flow, the flow gain over no-control, the green share of the commanded
 rates, ALINEA's tracking on the same seed, the planner's iterations and
 capped solves (the 200-iteration cap ended them, not the optimality test),
 and the twin planner's tracking and capped solves. A summary per planner and
-fit follows. A ranking that the twin column flips is rounding, not a result.
+fit follows; it also counts the windows handed over to ALINEA, where a sensor
+read outside the model's envelope, and the solves whose plan still pays the
+occupancy-band penalty. A ranking that the twin column flips is rounding, not a result.
 Base seed 0 alone is the headline five-way comparison: training seeds 1-4,
 evaluation seed 21.
 
@@ -30,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from rampnet.harness import SCENARIOS, load_logs, report, run_scenarios
-from rampnet.network import benchmark_config_path, load_config
+from rampnet.network import (benchmark_config_path, load_config,
+                             neighbourhood_masks)
 from rampnet.sysid import discover_dmdc, discover_sindyc
 
 TRAIN_OFFSETS = (1, 2, 3, 4)
@@ -48,7 +51,8 @@ def _fit_twice(config, base):
         from_csv = load_logs(Path(tmp) / "raw")  # in file-name order
     in_memory = [(record.occupancy, record.rates) for _, record
                  in sorted(zip(paths, alinea.records), key=lambda pr: pr[0])]
-    return [(discover_sindyc(log), discover_dmdc(log))
+    masks = neighbourhood_masks(config)
+    return [(discover_sindyc(log, masks=masks), discover_dmdc(log))
             for log in (from_csv, in_memory)]
 
 
@@ -60,6 +64,8 @@ def _figures(result):
         windows = (health["burn_in"], health["recorded"])
         figures.update(iterations=sum(w["iterations"] for w in windows),
                        capped=sum(w["capped"] for w in windows),
+                       handed_over=sum(w["handed_over"] for w in windows),
+                       band_penalty=sum(w["band_penalty"] for w in windows),
                        controller_s=result.time_split_s["controller"])
     return figures
 
@@ -83,7 +89,9 @@ def _summary(label, name, rows, alinea, bases):
           f"{bases[worst]})  worse than ALINEA on {worse}/{len(devs)}  flow "
           f"{np.mean([r['flow'] for r in rows]):.1f} veh/h  "
           f"iterations {sum(r['iterations'] for r in rows)}  capped "
-          f"{sum(r['capped'] for r in rows)}  controller "
+          f"{sum(r['capped'] for r in rows)}  handed over "
+          f"{sum(r['handed_over'] for r in rows)}  band penalty "
+          f"{sum(r['band_penalty'] for r in rows)}  controller "
           f"{sum(r['controller_s'] for r in rows):.1f} s")
 
 

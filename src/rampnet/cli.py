@@ -83,10 +83,15 @@ def _cmd_collect(args) -> int:
 
 def _cmd_fit(args) -> int:
     _check_out(args.out)
-    log = harness.load_logs(args.logs)
-    discover = (sysid.discover_sindyc if args.method == "sindyc"
-                else sysid.discover_dmdc)
-    model = discover(log, provenance={"logs": str(args.logs)})
+    config = _load_config(args.config)
+    log = harness.load_logs(args.logs, config)
+    provenance = {"logs": str(args.logs)}
+    if args.method == "sindyc":
+        # each sensor on the sensors and meters of its road neighbourhood
+        model = sysid.discover_sindyc(
+            log, provenance, masks=network.neighbourhood_masks(config))
+    else:
+        model = sysid.discover_dmdc(log, provenance)
     model.save(args.out)
     active = model.active_count()
     print(f"{args.method} model -> {args.out}")
@@ -124,14 +129,17 @@ def _cmd_run(args) -> int:
                   f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
                   f"(p50/p95/max)   fallbacks {health['fallbacks']}")
             print(f"{'':>13}" + "   ".join(
-                f"{label} {w['solves']} solves ({w['capped']} capped), "
-                f"{w['iterations']} iterations, {w['solve_s']:.2f} s"
+                f"{label} {w['solves']} solves ({w['capped']} capped, "
+                f"{w['band_penalty']} band penalty), {w['handed_over']} handed "
+                f"over, {w['iterations']} iterations, {w['solve_s']:.2f} s"
                 + (f", {w['us_per_iteration']:.0f} us/iteration"
                    if w["us_per_iteration"] is not None else "")
                 for label, w in (("burn-in", health["burn_in"]),
                                  ("recorded", health["recorded"]))))
         elif health is not None:
-            print(f"{'':>13}solver: every step fell back ({health['fallbacks']})")
+            handed = health["burn_in"]["handed_over"] + health["recorded"]["handed_over"]
+            print(f"{'':>13}solver: no solve; {health['fallbacks']} windows fell "
+                  f"back, {handed} handed over")
     print(f"report -> {paths['summary']}")
     return 0
 
@@ -178,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_collect)
 
     p = sub.add_parser("fit", help="identify a model from collected logs")
+    p.add_argument("--config", help="network config the logs were collected "
+                   "on (default: shipped benchmark)")
     p.add_argument("--logs", required=True, help="directory of episode CSVs")
     p.add_argument("--method", default="sindyc", choices=("sindyc", "dmdc"))
     p.add_argument("--out", required=True, help="model JSON path")

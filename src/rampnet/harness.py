@@ -101,11 +101,31 @@ def collect(config: NetworkConfig, controller_name: str, seeds,
     return _write_episodes(results, Path(out_dir))
 
 
-def load_logs(log_dir) -> list[tuple[np.ndarray, np.ndarray]]:
+def load_logs(log_dir, config: NetworkConfig | None = None
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read every episode CSV under a directory, in name order, as the
     ``(occupancy, rates)`` pairs that :mod:`rampnet.sysid` fits as
-    ``(states, inputs)``, one pair per episode, all of one network."""
-    return [(r.occupancy, r.rates) for _, r in _read_episodes(log_dir)]
+    ``(states, inputs)``, one pair per episode, all of one network. Given a
+    ``config``, episodes whose sensor or ramp ids are not the config's, in
+    order, are refused with :class:`UsageError`."""
+    episodes = _read_episodes(log_dir)
+    if config is not None:
+        _check_ids(config, [(path.name, record) for path, record in episodes])
+    return [(r.occupancy, r.rates) for _, r in episodes]
+
+
+def _check_ids(config: NetworkConfig, episodes) -> None:
+    """:class:`UsageError` naming the first ``(label, record)`` whose sensor
+    or ramp ids differ from ``config``'s, and both lists."""
+    sensor_ids = [r.sensor_id for r in config.ramps]
+    ramp_ids = [r.id for r in config.ramps]
+    for label, record in episodes:
+        if (list(record.sensor_ids) != sensor_ids
+                or list(record.ramp_ids) != ramp_ids):
+            raise UsageError(
+                f"{label} has sensors {list(record.sensor_ids)} and ramps "
+                f"{list(record.ramp_ids)}; the config has sensors {sensor_ids} "
+                f"and ramps {ramp_ids}")
 
 
 # The one file-name rule of an episode directory: ``collect``'s logs and a
@@ -196,11 +216,14 @@ class ScenarioResult:
         """Planner figures over the records' ``solver_steps``, every control
         step of every seed, or None for a scenario without a planner:
         converged share of the solves, iteration and solve-time percentiles
-        (p50/p95/max), fallbacks, and the solves, capped solves (the
-        iteration cap ended them, not the optimality test), total iterations,
-        solve seconds and planner microseconds per iteration (solve seconds
-        over iterations, None without one) of the burn-in and of the
-        recorded windows apart."""
+        (p50/p95/max), fallbacks, and of the burn-in and of the recorded
+        windows apart: the solves, the windows handed over to ALINEA
+        (outside the model's envelope, no solve), capped solves (the
+        iteration cap ended them, not the optimality test), solves whose
+        plan still pays a band penalty (it predicts an occupancy outside the
+        planner's band), total iterations, solve seconds and planner
+        microseconds per iteration (solve seconds over iterations, None
+        without one)."""
         if all(record.solver_steps is None for record in self.records):
             return None
         burn_in, recorded, fallbacks = [], [], 0
@@ -212,6 +235,8 @@ class ScenarioResult:
                     recorded.append(step)
                 else:
                     burn_in.append(step)
+        burn_in, handed_burn_in = _split_handed_over(burn_in)
+        recorded, handed_recorded = _split_handed_over(recorded)
         solved = burn_in + recorded
 
         def spread(values):
@@ -221,11 +246,14 @@ class ScenarioResult:
                     "p95": float(np.percentile(values, 95)),
                     "max": float(np.max(values))}
 
-        def totals(window):
+        def totals(window, handed_over):
             iterations = sum(step["iterations"] for step in window)
             solve_s = sum(step["solve_time_s"] for step in window)
             return {"solves": len(window),
+                    "handed_over": handed_over,
                     "capped": sum(step["capped"] for step in window),
+                    "band_penalty": sum(step.get("penalty", 0.0) > 0.0
+                                        for step in window),
                     "iterations": iterations,
                     "solve_s": solve_s,
                     "us_per_iteration": (1e6 * solve_s / iterations
@@ -238,9 +266,16 @@ class ScenarioResult:
             "iterations": spread([step["iterations"] for step in solved]),
             "solve_ms": spread([1e3 * step["solve_time_s"] for step in solved]),
             "fallbacks": fallbacks,
-            "burn_in": totals(burn_in),
-            "recorded": totals(recorded),
+            "burn_in": totals(burn_in, handed_burn_in),
+            "recorded": totals(recorded, handed_recorded),
         }
+
+
+def _split_handed_over(steps) -> tuple[list, int]:
+    """The solves among planner steps, and how many windows were handed
+    over instead."""
+    solves = [step for step in steps if not step.get("handed_over", False)]
+    return solves, len(steps) - len(solves)
 
 
 def results_from_records(scenario: str, seeds, records,
@@ -420,16 +455,10 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
     """
     if not results:
         raise UsageError("no scenario results to report")
+    _check_ids(config, [(f"{res.scenario} episode (seed {record.seed})", record)
+                        for res in results for record in res.records])
     sensor_ids = [r.sensor_id for r in config.ramps]
     ramp_ids = [r.id for r in config.ramps]
-    for res in results:
-        for record in res.records:
-            if (list(record.sensor_ids) != sensor_ids
-                    or list(record.ramp_ids) != ramp_ids):
-                raise UsageError(
-                    f"{res.scenario} episode (seed {record.seed}) has sensors "
-                    f"{list(record.sensor_ids)} and ramps {list(record.ramp_ids)}; "
-                    f"the config has sensors {sensor_ids} and ramps {ramp_ids}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

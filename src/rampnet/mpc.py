@@ -23,6 +23,16 @@ accepts the first halving of that step that lowers the cost. A solve reports
 Only the first planned action is applied; the rest warm starts the next
 solve.
 
+The planner trusts its model only where the model has data. In a window
+where a sensor reads outside the model's envelope (the range of the data it
+was fitted on), the controller hands the meters to ALINEA, a simple local law
+that needs no model, and plans again once every sensor is back inside: a
+simplex architecture (Sha 2001, *IEEE Software* 18(4):20). Outside the
+envelope a fitted quadratic can predict anything; on the benchmark the nearly
+empty corridor of the first burn-in windows lies below every training log,
+the model predicts negative occupancy under every plan there, and those
+solves used to spend their whole iteration cap.
+
 At this size numpy's cost per call, not the arithmetic, sets the speed of a
 planner iteration, so the search is written to make few calls. A solve makes
 its arrays once (:class:`_Workspace`: both iterates, the residual Jacobian,
@@ -51,8 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import (INITIAL_RATE_VPH, RATE_MAX_VPH, RATE_MIN_VPH,
-                       TARGET_OCCUPANCY_PCT)
+from .feedback import (ALINEA_GAINS, INITIAL_RATE_VPH, RATE_MAX_VPH,
+                       RATE_MIN_VPH, TARGET_OCCUPANCY_PCT, MeterBank)
 from .sysid import SparseModel
 
 __all__ = [
@@ -498,10 +508,25 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
 class MpcController:
     """Receding-horizon metering: solve, apply the first action, remember.
 
-    Compatible with :func:`rampnet.plant.run_episode`. Never raises out of a
-    control step: if the solver cannot even evaluate its starting plan (a
-    diverging model), the previous rates are reapplied and the event is
-    logged and recorded in the diagnostics.
+    Compatible with :func:`rampnet.plant.run_episode`. In a window where a
+    sensor reads outside the model's envelope, an ALINEA bank
+    (``feedback.ALINEA_GAINS``, the planner's target) meters instead: its
+    rates are applied and become ``u_prev``, and the next solve starts cold
+    from them. While the planner meters, the bank's integrator follows the
+    applied rates, so a hand-over continues from them. A model without an
+    envelope is planned on everywhere; meter j reads sensor j, so an
+    envelope needs as many states as inputs.
+
+    Never raises out of a control step: if the solver cannot even evaluate
+    its starting plan (a diverging model), the previous rates are reapplied
+    and the event is logged and recorded in the diagnostics.
+
+    Each window adds one ``diagnostics`` entry: ``time_s`` and
+    ``fallback``, and unless it fell back ``iterations``, ``converged``,
+    ``capped`` and ``solve_time_s``; a solve adds its ``objective`` and band
+    ``penalty``. A handed-over window also reads ``handed_over: True``; it
+    made no solve, so it reads 0 iterations in 0 s, not converged, not
+    capped.
     """
 
     def __init__(self, model: SparseModel, config: MpcConfig | None = None):
@@ -510,6 +535,8 @@ class MpcController:
         self.u_prev = np.full(model.input_dim, INITIAL_RATE_VPH)
         self.last_plan: np.ndarray | None = None
         self.diagnostics: list[dict] = []
+        self.alinea = MeterBank(model.input_dim, self.config.target_occupancy_pct,
+                                *ALINEA_GAINS)
 
     def _warm_start(self) -> np.ndarray | None:
         # The last plan, shifted one stage. Cold starts from u_prev take
@@ -521,6 +548,14 @@ class MpcController:
 
     def __call__(self, observation) -> np.ndarray:
         entry: dict = {"time_s": float(observation.time_s), "fallback": False}
+        if not self.model.inside(observation.occupancy):
+            action = self.alinea(observation).copy()
+            self.u_prev = action.copy()
+            self.last_plan = None
+            entry.update(handed_over=True, iterations=0, converged=False,
+                         capped=False, solve_time_s=0.0)
+            self.diagnostics.append(entry)
+            return action
         try:
             sol = solve(self.model, observation.occupancy, self.u_prev,
                         self.config, warm_start=self._warm_start())
@@ -539,5 +574,6 @@ class MpcController:
             self.last_plan = None
             entry["fallback"] = True
         self.u_prev = np.asarray(action, dtype=float).copy()
+        self.alinea.rates = self.u_prev.copy()
         self.diagnostics.append(entry)
         return action

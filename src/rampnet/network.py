@@ -10,6 +10,8 @@ geometry and timing; the dynamics live in :mod:`rampnet.plant`.
 Configs travel as YAML with units spelled out in the key names
 (``length_km``, ``demand_veh_per_hour``, ...). The canonical three-highway
 testbed ships as ``data/benchmark.cfg``; see :func:`benchmark_config_path`.
+:func:`neighbourhood_masks` reads the road graph for the model fit: which
+sensors and meters share a road with each sensor.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "load_config",
     "serialize_config",
     "benchmark_config_path",
+    "neighbourhood_masks",
 ]
 
 
@@ -373,3 +376,46 @@ def load_config(path) -> NetworkConfig:
 def benchmark_config_path() -> str:
     """Filesystem path of the shipped benchmark config."""
     return str(resources.files("rampnet").joinpath("data/benchmark.cfg"))
+
+
+# -- road neighbourhoods ---------------------------------------------------------
+
+def neighbourhood_masks(config: NetworkConfig) -> tuple[tuple[bool, ...], ...]:
+    """Per-sensor masks over the model's variables (x_1..x_n, u_1..u_n).
+
+    Ramp j's reach is its merge cell and every cell downstream of it, along
+    its highway and through each junction, up to and including the next
+    metered merge cell on each branch. Two ramps are neighbours when their
+    reaches share a cell: one feeds the other's merge, or both feed one
+    downstream section. Row k is true at x_j and u_j for each neighbour j of
+    ramp k, itself included, so sensor k's dynamics are fitted only on the
+    occupancies and rates of its own road neighbourhood (Daganzo 1994,
+    *Transp. Res. B* 28:269: a cell's next state depends on its neighbours
+    only).
+    """
+    merges = {(r.highway, r.merge_cell): j for j, r in enumerate(config.ramps)}
+    turns: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for jn in config.junctions:
+        turns.setdefault((jn.from_highway, jn.from_cell), []).append(
+            (jn.to_highway, jn.to_cell))
+
+    def reach(start: tuple[str, int]) -> set[tuple[str, int]]:
+        seen, todo = {start}, [start]
+        while todo:
+            hw, cell = todo.pop()
+            nxt = turns.get((hw, cell), [])
+            if cell + 1 < len(config.highway(hw).cells):
+                nxt = [(hw, cell + 1), *nxt]
+            for node in nxt:
+                if node not in seen:
+                    seen.add(node)
+                    if node not in merges:  # another meter's merge ends the branch
+                        todo.append(node)
+        return seen
+
+    reaches = [reach((r.highway, r.merge_cell)) for r in config.ramps]
+    rows = []
+    for own in reaches:
+        near = tuple(bool(own & other) for other in reaches)
+        rows.append(near + near)
+    return tuple(rows)

@@ -541,8 +541,10 @@ class EpisodeRecord:
         match the CSV's columns: without them the seed, green time, drops and
         clamps would be guesses. The optional ``solver_steps``, when present,
         must be a list of planner steps: objects with a number ``time_s`` and
-        a bool ``fallback``, and for a solve an int ``iterations``, bools
-        ``converged`` and ``capped`` and a number ``solve_time_s``.
+        a bool ``fallback``, and unless it fell back an int ``iterations``,
+        bools ``converged`` and ``capped`` and a number ``solve_time_s``; a
+        ``penalty``, where present, must be a number and a ``handed_over`` a
+        bool.
         """
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -612,7 +614,10 @@ def _is_planner_step(step) -> bool:
     if step.get("fallback") is not True:
         kinds.update(iterations=int, converged=bool, capped=bool,
                      solve_time_s=(int, float))
-    return all(isinstance(step.get(key), kind) for key, kind in kinds.items())
+    optional = {"penalty": (int, float), "handed_over": bool}
+    return (all(isinstance(step.get(key), kind) for key, kind in kinds.items())
+            and all(isinstance(step[key], kind) for key, kind in optional.items()
+                    if key in step))
 
 
 def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:

@@ -16,7 +16,10 @@ on central-difference derivatives, with z-scored columns and targets, from
 one Gram matrix in two stages: a ridge screen drops a few columns, and
 standard-error elimination makes the model sparse and gives the coefficients
 (see :func:`stls_regress`). The recipe is fixed: ``RIDGE``, ``THRESHOLD``,
-``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. The baseline (DMDc-style)
+``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A fit may take one mask per
+state over the variables of z: that state is then regressed on its own
+sub-library, the columns whose monomials use only its masked variables, and
+its other coefficients are zero (see :func:`fit_derivatives`). The baseline (DMDc-style)
 model is an unthresholded least-squares fit on the constant and z columns
 alone; its product columns are zero.
 
@@ -25,6 +28,10 @@ thread, so the coefficients do not depend on that library's thread count.
 Each state's regression is one independent job on the shared Gram matrix;
 the jobs run on up to two threads (see :func:`stls_regress`). The
 coefficients are the same bit for bit on any number of threads.
+
+Both discovery fits record the envelope of their data on the model: each
+state's smallest and largest fitted value. The planner trusts the model only
+inside it (see :class:`rampnet.mpc.MpcController`).
 
 Fits and scores take ``episodes``: one ``(states, inputs)`` array pair per
 logged episode, differenced one episode at a time and stacked. The module
@@ -361,8 +368,22 @@ def _require_data(states, inputs, derivs, columns: int) -> None:
             f"{2 * columns}. Collect more or longer episodes.")
 
 
+def _mask_columns(masks, n: int, nz: int) -> list[np.ndarray]:
+    """Library columns of each state's sub-library: the columns whose
+    monomials use only the variables its mask row marks (the constant
+    always). ``masks`` is (n, nz) of bools; anything else is refused."""
+    masks = np.asarray(masks)
+    if masks.shape != (n, nz) or masks.dtype != bool:
+        raise ValueError(f"masks must be {(n, nz)} bools, one row per state "
+                         f"over the variables of z; got {masks.dtype} "
+                         f"{masks.shape}")
+    uses = np.array(_terms(nz)).T > 0  # (nz, h): column h uses variable v
+    return [np.flatnonzero(~uses[~row].any(axis=0)) for row in masks]
+
+
 def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
-                    provenance: dict | None = None) -> "SparseModel":
+                    provenance: dict | None = None,
+                    masks=None) -> "SparseModel":
     """Sparse fit of ``derivs = C theta(states, inputs)`` on the quadratic
     library, from sample triples.
 
@@ -372,16 +393,31 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     threshold is comparable across wildly different units (occupancies sit
     near 15, rates near 1000, their squares near a million); coefficients are
     mapped back to physical units.
+
+    ``masks`` None regresses every state on the whole library in one
+    :func:`stls_regress` call. Otherwise it is (n, n + m) bools, one row per
+    state over the variables of z = (x, u), as
+    :func:`rampnet.network.neighbourhood_masks` gives: each state is its own
+    :func:`stls_regress` call on its sub-library's columns of the z-scored
+    library, and its coefficients outside them are zero.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-    _require_data(states, inputs, derivs, _width(states.shape[1] + inputs.shape[1]))
+    n, nz = states.shape[1], states.shape[1] + inputs.shape[1]
+    blocks = None if masks is None else _mask_columns(masks, n, nz)
+    _require_data(states, inputs, derivs, _width(nz))
     theta = build_library(states, inputs)
     col_mean, col_scale = _column_stats(theta)
     tgt_mean, tgt_scale = _column_stats(derivs)
-    scaled = stls_regress((theta - col_mean) / col_scale,
-                          (derivs - tgt_mean) / tgt_scale)
+    columns = (theta - col_mean) / col_scale
+    targets = (derivs - tgt_mean) / tgt_scale
+    if blocks is None:
+        scaled = stls_regress(columns, targets)
+    else:
+        scaled = np.zeros((n, theta.shape[1]))
+        for k, cols in enumerate(blocks):
+            scaled[k, cols] = stls_regress(columns[:, cols], targets[:, k:k + 1])[0]
     coef = scaled * tgt_scale[:, None] / col_scale[None, :]
     # Centering absorbed every offset; rebuild the physical intercept in the
     # constant column and hold it to the same threshold so a fitted zero
@@ -398,16 +434,27 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     )
 
 
-def discover_sindyc(episodes, provenance: dict | None = None) -> "SparseModel":
+def _envelope(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state (min, max) of the fitted rows."""
+    return states.min(axis=0), states.max(axis=0)
+
+
+def discover_sindyc(episodes, provenance: dict | None = None,
+                    masks=None) -> "SparseModel":
     """Identify sparse quadratic dynamics from ``(states, inputs)`` episodes.
 
-    Differentiates per episode, then runs the thresholded regression. Logs
-    of a plant stuck at steady state yield an all-zero model; a state whose
-    ``model.active_count()`` is 0 predicts no change.
+    Differentiates per episode, then runs the thresholded regression, each
+    state on its own sub-library when ``masks`` are given (see
+    :func:`fit_derivatives`). The model's ``envelope`` is the per-state range
+    of the fitted rows. Logs of a plant stuck at steady state yield an
+    all-zero model; a state whose ``model.active_count()`` is 0 predicts no
+    change.
     """
     derivs, xs, us = differentiate(episodes)
     info = dict(provenance or {}, method="sindyc", episodes=len(episodes))
-    return fit_derivatives(xs, us, derivs, provenance=info)
+    model = fit_derivatives(xs, us, derivs, provenance=info, masks=masks)
+    model.envelope = _envelope(xs)
+    return model
 
 
 def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
@@ -417,7 +464,8 @@ def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
     and z), built without the product columns, which the returned model
     holds as zeros. When those columns are rank deficient, e.g. an input
     that never moved, the result is ``lstsq``'s minimum-norm solution, with
-    a warning. Non-finite data or
+    a warning. The model's ``envelope`` is the per-state range of the fitted
+    rows. Non-finite data or
     fewer than two rows per fitted column raise
     :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
@@ -438,6 +486,7 @@ def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
         input_dim=us.shape[1],
         provenance=dict(provenance or {}, method="dmdc", episodes=len(episodes),
                         samples=len(xs), columns=linear),
+        envelope=_envelope(xs),
     )
 
 
@@ -454,12 +503,17 @@ class SparseModel:
     coefficient that is not finite, is refused.
     Point reads use the quadratic form ``f = c + (L + Q z) z`` compiled from
     the coefficients on creation.
+
+    ``envelope`` is ``(low, high)``, each (n,): the range of every state in
+    the data the model was fitted on, which the planner trusts it within.
+    None, as for a hand-built model or an older file, means unbounded.
     """
 
     coefficients: np.ndarray  # (n, h)
     state_dim: int
     input_dim: int
     provenance: dict = field(default_factory=dict)
+    envelope: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -469,6 +523,14 @@ class SparseModel:
                              f"the library needs {(n, _width(nz))}")
         if not np.isfinite(self.coefficients).all():
             raise ValueError("coefficients must be finite")
+        if self.envelope is not None:
+            low, high = (np.asarray(b, dtype=float) for b in self.envelope)
+            if (low.shape != (n,) or high.shape != (n,)
+                    or not (np.isfinite(low).all() and np.isfinite(high).all())
+                    or (low > high).any()):
+                raise ValueError(f"envelope must be finite (low, high) bounds "
+                                 f"of shape ({n},) with low <= high")
+            self.envelope = (low, high)
         # f = offset + (L + Q z) z with Q upper triangular; df/dz = L + (Q + Q') z.
         # On a model with zero products, L + Q z is L bit for bit, so the
         # reads are c + L z and L. L is a contiguous copy: the add in every
@@ -541,6 +603,14 @@ class SparseModel:
     def active_count(self) -> np.ndarray:
         return np.count_nonzero(self.coefficients, axis=1)
 
+    def inside(self, x) -> bool:
+        """Whether every state of ``x`` lies within the envelope (always,
+        without one)."""
+        if self.envelope is None:
+            return True
+        low, high = self.envelope
+        return bool(((x >= low) & (x <= high)).all())
+
     def active_terms(self, state_index: int):
         """(label, physical coefficient) pairs for one state dimension."""
         row = self.coefficients[state_index]
@@ -556,15 +626,18 @@ class SparseModel:
             "coefficients": self.coefficients.tolist(),
             "provenance": self.provenance,
         }
+        if self.envelope is not None:
+            doc["envelope"] = [bound.tolist() for bound in self.envelope]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
 
     @classmethod
     def load(cls, path) -> "SparseModel":
         """Read a file written by :meth:`save`. An older linear (DMDc) file,
-        with 1 + n + m coefficient columns, is widened with zero products.
-        Keys that older files carry (``library``, ``terms``, the column and
-        target statistics and ``scaled_coefficients``) are ignored."""
+        with 1 + n + m coefficient columns, is widened with zero products,
+        and a file without an ``envelope`` loads unbounded. Keys that older
+        files carry (``library``, ``terms``, the column and target
+        statistics and ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         coef = np.array(doc["coefficients"], dtype=float)
@@ -572,7 +645,8 @@ class SparseModel:
         if coef.shape == (n, 1 + n + m):
             coef = np.hstack([coef, np.zeros((n, _width(n + m) - coef.shape[1]))])
         return cls(coefficients=coef, state_dim=n, input_dim=m,
-                   provenance=doc.get("provenance", {}))
+                   provenance=doc.get("provenance", {}),
+                   envelope=tuple(doc["envelope"]) if "envelope" in doc else None)
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from rampnet import harness, mpc, sysid
 from rampnet.feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
                               green_percentage, rate_to_red_duration)
 from rampnet.mpc import (MpcConfig, bound_penalty, objective, rollout, solve)
-from rampnet.network import benchmark_config_path, load_config
+from rampnet.network import (benchmark_config_path, load_config,
+                             neighbourhood_masks)
 from rampnet.sysid import (build_library, discover_dmdc,
                            discover_sindyc, fit_derivatives, fit_report,
                            term_label)
@@ -45,8 +46,8 @@ def pipeline(tmp_path_factory):
     t["collect_train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    log = harness.load_logs(root / "logs")
-    sindyc = discover_sindyc(log)
+    log = harness.load_logs(root / "logs", config)
+    sindyc = discover_sindyc(log, masks=neighbourhood_masks(config))
     dmdc = discover_dmdc(log)
     t["fit"] = time.perf_counter() - t0
 
@@ -256,7 +257,9 @@ def test_criterion_07_tracking_order(pipeline):
     assert dev["sindyc-mpc"] < dev["alinea"] < dev["no-control"]
     assert dev["sindyc-mpc"] <= dev["dmd-mpc"]
     _pass(7, "mean |occ - target|: " + ", ".join(
-        f"{name} {dev[name]:.3f} %" for name in harness.SCENARIOS))
+        f"{name} {dev[name]:.3f} %" for name in harness.SCENARIOS)
+        + f"; sindyc-mpc ahead of dmd-mpc by "
+          f"{dev['dmd-mpc'] - dev['sindyc-mpc']:.4f} points")
 
 
 def test_criterion_08_throughput_improvements(pipeline):
@@ -303,8 +306,8 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
         assert ((tmp_path / "logs" / name).read_bytes()
                 == (pipeline.root / "logs" / name).read_bytes())
 
-    log = harness.load_logs(tmp_path / "logs")
-    sindyc = discover_sindyc(log)
+    log = harness.load_logs(tmp_path / "logs", pipeline.config)
+    sindyc = discover_sindyc(log, masks=neighbourhood_masks(pipeline.config))
     dmdc = discover_dmdc(log)
     assert np.array_equal(sindyc.coefficients, pipeline.sindyc.coefficients)
     assert np.array_equal(dmdc.coefficients, pipeline.dmdc.coefficients)
@@ -324,14 +327,28 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
 
 
 # The benchmark fit (train seeds 1-4), pinned: SINDYc's support per state and
-# sha256 digests of the fitted matrices. A change to the fit's arithmetic that
-# moves any coefficient by one rounding step fails here, before it shows up as
-# a closed-loop difference. The digests also depend on the numpy and
-# LAPACK/BLAS build (eigh, solve, lstsq): they were recorded with numpy 2.4 on
-# OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this test without a
-# fit change needs them recorded again; the supports should not move. The
-# DMDc digest is of its constant and z columns, (8, 17), as fitted; its 136
-# product columns must be zero.
+# sha256 digests of the fitted matrices, for the pipeline's fit on each
+# sensor's road neighbourhood and for the single full-library regression. A
+# change to the fit's arithmetic that moves any coefficient by one rounding
+# step fails here, before it shows up as a closed-loop difference. The
+# digests also depend on the numpy and LAPACK/BLAS build (eigh, solve,
+# lstsq): they were recorded with numpy 2.4 on OpenBLAS 0.3.31, and a numpy
+# or BLAS upgrade that fails this test without a fit change needs them
+# recorded again; the supports should not move. The DMDc digest is of its
+# constant and z columns, (8, 17), as fitted; its 136 product columns must be
+# zero.
+PINNED_MASKED_SUPPORT = (
+    (0, 9, 18, 25, 33, 117),
+    (0, 10, 17, 25, 33, 54, 125),
+    (0, 33, 41, 49, 55, 56, 68, 69, 125, 132),
+    (0, 62, 63, 70, 82, 138, 139, 143),
+    (0, 63, 70, 71, 75, 82, 83, 143),
+    (0, 75, 84, 87, 94, 95, 108, 114, 143, 147),
+    (0, 98, 106),
+    (0, 7, 15, 16, 87, 89, 98, 152),
+)
+PINNED_MASKED_DIGEST = (
+    "4c822355dc666585b570c68c3ea59daa0a216c070c1e3a8d4eb43ae4ba51929d")
 PINNED_SUPPORT = (
     (0, 21, 25),
     (0, 17, 25, 33, 40, 51, 55, 65, 68, 94, 101, 110, 125, 129, 130, 137, 145, 149),
@@ -350,19 +367,33 @@ PINNED_DIGESTS = {
 }
 
 
+def _support(model):
+    return tuple(tuple(int(i) for i in np.flatnonzero(row))
+                 for row in model.coefficients)
+
+
+def _digest(coef) -> str:
+    return hashlib.sha256(np.ascontiguousarray(
+        coef, dtype=np.float64).tobytes()).hexdigest()
+
+
 def test_benchmark_fit_is_pinned(pipeline):
-    support = tuple(tuple(int(i) for i in np.flatnonzero(row))
-                    for row in pipeline.sindyc.coefficients)
-    assert support == PINNED_SUPPORT
-    fitted = {"sindyc": pipeline.sindyc.coefficients,
-              "dmdc": pipeline.dmdc.coefficients[:, :17]}
-    digests = {
-        f"{name}.coefficients": hashlib.sha256(np.ascontiguousarray(
-            coef, dtype=np.float64).tobytes()).hexdigest()
-        for name, coef in fitted.items()}
-    assert digests == PINNED_DIGESTS
+    """The pipeline's fits: SINDYc on each sensor's road neighbourhood, and
+    DMDc."""
+    assert _support(pipeline.sindyc) == PINNED_MASKED_SUPPORT
+    assert _digest(pipeline.sindyc.coefficients) == PINNED_MASKED_DIGEST
+    assert (_digest(pipeline.dmdc.coefficients[:, :17])
+            == PINNED_DIGESTS["dmdc.coefficients"])
     assert pipeline.dmdc.n_columns == 153
     assert not pipeline.dmdc.coefficients[:, 17:].any()
+
+
+def test_unmasked_benchmark_fit_keeps_its_pins(pipeline):
+    """Without masks the fit is the single full-library regression, bit for
+    bit as before masks existed."""
+    full = discover_sindyc(harness.load_logs(pipeline.root / "logs"))
+    assert _support(full) == PINNED_SUPPORT
+    assert _digest(full.coefficients) == PINNED_DIGESTS["sindyc.coefficients"]
 
 
 def test_benchmark_dmdc_reads_are_its_linear_block(pipeline):
@@ -395,12 +426,16 @@ def test_benchmark_stacked_stage_reads_are_the_point_reads(pipeline):
 def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
     """The per-target jobs give the same coefficients, bit for bit, when the
     calling thread runs them all (no OpenBLAS found): on the benchmark's
-    training logs and on criterion 2's oracle systems."""
+    training logs, with and without masks, and on criterion 2's oracle
+    systems."""
     parallel = [fit_derivatives(x, u, derivs).coefficients
                 for x, u, derivs, _ in _oracle_systems()]
-    monkeypatch.setattr(sysid, "_openblas_threads", lambda: None)
     log = harness.load_logs(pipeline.root / "logs")
-    assert (discover_sindyc(log).coefficients.tobytes()
+    full = discover_sindyc(log).coefficients.tobytes()
+    monkeypatch.setattr(sysid, "_openblas_threads", lambda: None)
+    assert discover_sindyc(log).coefficients.tobytes() == full
+    masks = neighbourhood_masks(pipeline.config)
+    assert (discover_sindyc(log, masks=masks).coefficients.tobytes()
             == pipeline.sindyc.coefficients.tobytes())
     for (x, u, derivs, _), coef in zip(_oracle_systems(), parallel):
         assert fit_derivatives(x, u, derivs).coefficients.tobytes() == coef.tobytes()
@@ -433,23 +468,25 @@ def test_the_fit_does_not_depend_on_blas_threads(tmp_path):
 # the three episodes, stacked in seed order, and its total solver iterations.
 # A planner change that moves any applied rate by one rounding step, or takes
 # one iteration more or less, fails here. Recorded with the rate-change
-# weight at 1e-5 (veh/h)^-2; an earlier pin at weight 0 read 2773 and 9764
-# iterations. Like the
+# weight at 1e-5 (veh/h)^-2, the neighbourhood fit and ALINEA metering the
+# windows outside each model's envelope; earlier pins read 2773 and 9764
+# iterations at weight 0, and 2232 and 7098 at 1e-5 on the full-library fit
+# without the hand-over. Like the
 # fit pin, the digests also depend on the numpy and LAPACK/BLAS build (the
 # fit, and the planner's matrix products and solves): they were recorded with
 # numpy 2.4 on OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this
 # test without a planner change needs them recorded again.
 PINNED_CLOSED_LOOP = {
     "dmd-mpc.rates":
-        "d4689f34add266e057896a5b2ab51aede74d6964b00a2f9607adc2b409321a93",
+        "730b4281ba7da02c37d68bc39b8db1cee3d874da3d77860d27ab30be9ad6fcb8",
     "dmd-mpc.occupancy":
-        "2947ebab92690e82c8b53291b303250b4d36a78143314b6fe4bed21aef560f79",
+        "b628b99546ff668e2a9b726957cf1b295ed2401e869a2c830cb6f572d2d403cb",
     "sindyc-mpc.rates":
-        "e2677048519413bd8bfde95c0d830b834bf31fc240ea3cddfdf8dd6cf0b27388",
+        "1dfb745388a3dd199c1d8c1a030c4fd8c6463dd5a024a5f6d687200c6c68e5ff",
     "sindyc-mpc.occupancy":
-        "63413c9b8ad7aa9568d92c0dd547667533372376842bbe3dae51d719a1eca238",
+        "b06084205f76dfeb3a3766d6deb2e1bc55e395ada6e6d512551ccfde576e14d5",
 }
-PINNED_ITERATIONS = {"dmd-mpc": 2232, "sindyc-mpc": 7098}
+PINNED_ITERATIONS = {"dmd-mpc": 2169, "sindyc-mpc": 6444}
 
 
 def test_benchmark_closed_loop_is_pinned(pipeline):
@@ -470,10 +507,11 @@ def test_benchmark_closed_loop_is_pinned(pipeline):
 def test_no_recorded_solve_hits_the_iteration_cap(pipeline):
     """With the rate-change weight every plan direction has curvature, so on
     the acceptance seeds every planner solve of the recorded hour stops at the
-    optimality test or a stall, never at the 200-iteration cap. Capped solves
-    remain only in the first burn-in windows, where the corridor is nearly
-    empty and the model predicts negative occupancies."""
+    optimality test or a stall, never at the 200-iteration cap. Every
+    recorded window is a solve or handed over to ALINEA, outside the model's
+    envelope; with the hand-over no burn-in solve is capped either."""
     for name in ("dmd-mpc", "sindyc-mpc"):
         health = pipeline.by_name[name].solver_health()
-        assert health["recorded"]["solves"] == 3 * 120
-        assert health["recorded"]["capped"] == 0, name
+        recorded = health["recorded"]
+        assert recorded["solves"] + recorded["handed_over"] == 3 * 120
+        assert recorded["capped"] == health["burn_in"]["capped"] == 0, name

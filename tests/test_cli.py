@@ -73,10 +73,10 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert sorted(p.name for p in logs.glob("*.csv")) == [
         "alinea-seed1.csv", "alinea-seed2.csv", "alinea-seed3.csv"]
 
-    assert main(["fit", "--logs", str(logs), "--method", "sindyc",
-                 "--out", str(sindyc_path)]) == 0
-    assert main(["fit", "--logs", str(logs), "--method", "dmdc",
-                 "--out", str(dmdc_path)]) == 0
+    assert main(["fit", "--config", str(cfg_path), "--logs", str(logs),
+                 "--method", "sindyc", "--out", str(sindyc_path)]) == 0
+    assert main(["fit", "--config", str(cfg_path), "--logs", str(logs),
+                 "--method", "dmdc", "--out", str(dmdc_path)]) == 0
     assert json.loads(sindyc_path.read_text())["provenance"]["method"] == "sindyc"
     out = capsys.readouterr().out
     # One sensor and one meter: SINDYc solves the 6-column library, DMDc
@@ -92,10 +92,15 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert "sindyc-mpc" in out and "report ->" in out
     assert out.count("% converged") == 2 and "fallbacks 0" in out
     assert out.count("burn-in ") == 2 and out.count("recorded ") == 2
-    assert out.count(" us/iteration") == 4
+    assert out.count(" handed over, ") == 4
     assert out.count("time: plant ") == 5
     summary = json.loads((report_dir / "summary.json").read_text())
     assert summary["seeds"] == [5]
+    # Each window prints its time per iteration when it made any: on this
+    # short log many windows lie outside the models' envelopes.
+    windows = [health[part] for health in summary["solver"].values()
+               for part in ("burn_in", "recorded")]
+    assert out.count(" us/iteration") == sum(w["iterations"] > 0 for w in windows)
 
     sweep_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg_path),
@@ -131,6 +136,45 @@ def test_fit_prints_the_columns_it_solved_for(tmp_path, capsys):
     assert re.findall(r"^columns: (\d+), active per state", out, re.M) == ["153", "17"]
     model = sysid.SparseModel.load(tmp_path / "dmdc.json")
     assert model.n_columns == 153
+
+
+def test_fit_reads_the_config_its_logs_were_collected_on(tmp_path, capsys):
+    """``fit --config`` masks SINDYc to the config's road neighbourhoods: on
+    two unconnected highways no sensor's terms use the other highway's
+    sensor or meter. Logs of another network, the shipped benchmark by
+    default or a config with other ids, exit with code 2 and no model."""
+    one = _tiny_network()
+    two = replace(one, highways=(*one.highways, replace(one.highways[0], name="H2")),
+                  ramps=(*one.ramps, RampSpec("H2-R1", "H2", 1, "H2-S1", 1500.0)),
+                  horizon_duration_s=600.0)
+    cfg_path = tmp_path / "two.cfg"
+    cfg_path.write_text(serialize_config(two), encoding="utf-8")
+    logs = tmp_path / "logs"
+    assert main(["collect", "--config", str(cfg_path), "--seeds", "1,2,3",
+                 "--out", str(logs)]) == 0
+    model_path = tmp_path / "sindyc.json"
+    assert main(["fit", "--config", str(cfg_path), "--logs", str(logs),
+                 "--out", str(model_path)]) == 0
+    model = sysid.SparseModel.load(model_path)
+    exponents = np.array(model.terms)
+    for own, other in ((0, 1), (1, 0)):
+        crosses = exponents[:, [other, 2 + other]].any(axis=1)
+        assert model.coefficients[own].any()
+        assert not model.coefficients[own, crosses].any()
+    assert model.envelope is not None
+    renamed = replace(two, ramps=(two.ramps[0], replace(two.ramps[1], id="H2-RX")))
+    renamed_path = tmp_path / "renamed.cfg"
+    renamed_path.write_text(serialize_config(renamed), encoding="utf-8")
+    capsys.readouterr()
+    for config in ([], ["--config", str(renamed_path)]):
+        for method in ("sindyc", "dmdc"):
+            out = tmp_path / f"refused-{method}.json"
+            assert main(["fit", *config, "--logs", str(logs), "--method", method,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert ("alinea-seed1.csv has sensors ['H1-S1', 'H2-S1'] and ramps "
+                    "['H1-R1', 'H2-R1']; the config has sensors" in err), err
+            assert not out.exists()
 
 
 def test_fit_refuses_logs_of_two_networks(tmp_path, capsys):

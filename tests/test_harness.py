@@ -551,6 +551,63 @@ def test_solver_health_gives_planner_time_per_iteration_in_each_window():
     assert health["recorded"]["us_per_iteration"] == pytest.approx(120.0)
 
 
+def test_solver_health_counts_hand_overs_and_band_penalties(tmp_path):
+    """Windows handed over to ALINEA are counted in their own window apart
+    from the solves, and take no part in the solve figures; solves whose plan
+    still pays a band penalty are counted beside the capped ones. A record
+    read back from its CSV and sidecar gives the same figures."""
+    record = _record(1, [[14.0], [16.0]], [[100.0], [200.0]],
+                     [[900.0], [900.0]])
+
+    def solve(time_s, penalty):
+        return {"time_s": time_s, "fallback": False, "iterations": 4,
+                "converged": True, "capped": False, "solve_time_s": 1e-3,
+                "objective": 2.0, "penalty": penalty}
+
+    def handed(time_s):
+        return {"time_s": time_s, "fallback": False, "handed_over": True,
+                "iterations": 0, "converged": False, "capped": False,
+                "solve_time_s": 0.0}
+
+    record.solver_steps = [handed(0.0), solve(15.0, 3.5), handed(30.0),
+                           handed(45.0), solve(60.0, 0.0),
+                           {"time_s": 75.0, "fallback": True}]
+    health = results_from_records("sindyc-mpc", [1], [record]).solver_health()
+    assert health["solves"] == 2 and health["converged_frac"] == 1.0
+    assert health["iterations"]["p50"] == 4.0 and health["fallbacks"] == 1
+    for window, (solves, handed_over, penalised) in (("burn_in", (1, 1, 1)),
+                                                     ("recorded", (1, 2, 0))):
+        figures = health[window]
+        assert (figures["solves"], figures["handed_over"],
+                figures["band_penalty"]) == (solves, handed_over, penalised)
+        assert figures["iterations"] == 4
+    path = tmp_path / "sindyc-mpc-seed1.csv"
+    record.to_csv(path)
+    back = results_from_records("sindyc-mpc", [1], [EpisodeRecord.from_csv(path)])
+    assert back.solver_health() == health
+
+
+def test_a_rebuilt_report_keeps_the_hand_over_counts(tmp_path):
+    """A model whose envelope the corridor leaves hands windows to ALINEA;
+    ``report`` on the raw episodes rebuilds the same solver section."""
+    sindyc, dmdc = _tiny_models()
+    narrow = replace(sindyc, envelope=([12.0], [18.0]))
+    config = _tiny_network()
+    results = run_scenarios(config, narrow, dmdc, [0, 1],
+                            scenarios=("dmd-mpc", "sindyc-mpc"))
+    first = json.loads(report(results, tmp_path / "run", config)["summary"]
+                       .read_text())
+    again = json.loads(report(load_raw_results(tmp_path / "run" / "raw"),
+                              tmp_path / "rebuilt", config, write_raw=False)
+                       ["summary"].read_text())
+    assert again["solver"] == first["solver"]
+    handed = first["solver"]["sindyc-mpc"]
+    assert handed["burn_in"]["handed_over"] + handed["recorded"]["handed_over"] > 0
+    assert handed["recorded"]["solves"] > 0
+    unbounded = first["solver"]["dmd-mpc"]
+    assert unbounded["burn_in"]["handed_over"] == unbounded["recorded"]["handed_over"] == 0
+
+
 def test_report_summary_splits_each_scenarios_time(standard_report):
     _, results, out_dir, _ = standard_report
     summary = json.loads((out_dir / "summary.json").read_text())

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from rampnet import mpc
-from rampnet.feedback import RATE_MAX_VPH, RATE_MIN_VPH
+from rampnet.feedback import ALINEA_GAINS, RATE_MAX_VPH, RATE_MIN_VPH, MeterBank
 from rampnet.mpc import (ModelBlowupError, MpcConfig, MpcController,
                          SolverSettings, bound_penalty, objective, rollout,
                          solve)
-from rampnet.plant import ControlObservation
+from rampnet.plant import ControlObservation, _is_planner_step
 from rampnet.sysid import SparseModel, build_library, fit_derivatives
 
 
@@ -553,3 +553,48 @@ def test_controller_falls_back_to_previous_rates_on_blowup():
     second = controller(_obs([20.0], time_s=60.0))
     assert np.all(np.isfinite(second))
     assert controller.diagnostics[1]["fallback"] is False
+
+
+def test_controller_hands_windows_outside_the_envelope_to_alinea(monkeypatch):
+    """Outside a narrow envelope the controller applies ALINEA's rates, from
+    an integrator that followed the planner's rates, makes them ``u_prev``,
+    drops the plan and records a handed-over window that is not a fallback;
+    back inside, the planner resumes from those rates."""
+    rng = np.random.default_rng(8)
+    fitted = _random_model(rng, 2, 2)
+    model = SparseModel(fitted.coefficients, 2, 2,
+                        envelope=([10.0, 10.0], [20.0, 20.0]))
+    controller = MpcController(model, MpcConfig(horizon=3))
+    planned = controller(_obs([15.0, 16.0]))
+    assert controller.last_plan is not None
+    assert np.array_equal(controller.alinea.rates, planned)
+
+    outside = _obs([25.0, 16.0], time_s=60.0)
+    bank = MeterBank(2, controller.config.target_occupancy_pct, *ALINEA_GAINS)
+    bank.rates = planned.copy()
+    action = controller(outside)
+    assert np.array_equal(action, bank(outside))
+    assert np.array_equal(controller.u_prev, action)
+    assert controller.last_plan is None
+    entry = controller.diagnostics[-1]
+    assert entry == {"time_s": 60.0, "fallback": False, "handed_over": True,
+                     "iterations": 0, "converged": False, "capped": False,
+                     "solve_time_s": 0.0}
+    assert _is_planner_step(entry)
+
+    seen = []
+    real_solve = mpc.solve
+
+    def spy(model, x0, u_prev, cfg, warm_start=None):
+        seen.append((u_prev.copy(), warm_start))
+        return real_solve(model, x0, u_prev, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(mpc, "solve", spy)
+    resumed = controller(_obs([15.0, 16.0], time_s=90.0))
+    (u_prev, warm_start), = seen
+    assert np.array_equal(u_prev, action) and warm_start is None
+    entry = controller.diagnostics[-1]
+    assert "handed_over" not in entry and entry["iterations"] >= 1
+    assert np.array_equal(controller.alinea.rates, resumed)
+    assert [step.get("handed_over", False)
+            for step in controller.diagnostics] == [False, True, False]

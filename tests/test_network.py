@@ -8,7 +8,7 @@ import yaml
 
 from rampnet.network import (CellParams, ConfigError, Highway, JunctionSpec,
                              NetworkConfig, RampSpec, benchmark_config_path,
-                             load_config, serialize_config)
+                             load_config, neighbourhood_masks, serialize_config)
 
 
 def _cell(**over):
@@ -298,3 +298,42 @@ def test_config_is_immutable():
     cfg = load_config(benchmark_config_path())
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.control_step_s = 60.0
+
+
+# -- road neighbourhoods ------------------------------------------------------------
+
+def _neighbours(config):
+    n = config.n_ramps
+    masks = neighbourhood_masks(config)
+    assert len(masks) == n and all(len(row) == 2 * n for row in masks)
+    # a neighbour's occupancy and its meter's rate come together
+    assert all(row[:n] == row[n:] for row in masks)
+    return [tuple(j for j in range(n) if row[j]) for row in masks]
+
+
+def test_benchmark_neighbourhoods_follow_its_roads():
+    """A ramp neighbours the next metered merge down each branch of its road
+    (through the junctions), the ramps upstream that feed it, and the ramps
+    whose flows join its own downstream."""
+    assert _neighbours(load_config(benchmark_config_path())) == [
+        (0, 1), (0, 1, 2, 6), (1, 2, 3, 4), (2, 3, 4), (2, 3, 4, 5),
+        (4, 5, 6, 7), (1, 5, 6, 7), (5, 6, 7)]
+
+
+def test_one_junction_joins_two_highways_neighbourhoods():
+    """Highway A: ramps at cells 1 and 4, a diverge at cell 2 onto B's cell
+    2. Highway B: ramps at cells 1 and 3. A's first ramp reaches A's second
+    and, through the junction, B's cell 2 and B's second ramp, where B's
+    first ramp's flow joins it; A's second ramp reaches neither of B's."""
+    cells = tuple(_cell() for _ in range(6))
+    config = _tiny_config(
+        highways=(Highway("A", cells, 3000.0), Highway("B", cells[:5], 3000.0)),
+        ramps=(RampSpec("A-R1", "A", 1, "A-S1", 1500.0),
+               RampSpec("A-R2", "A", 4, "A-S2", 1500.0),
+               RampSpec("B-R1", "B", 1, "B-S1", 1500.0),
+               RampSpec("B-R2", "B", 3, "B-S2", 1500.0)),
+        junctions=(JunctionSpec("A", 2, "B", 2, 0.2),))
+    assert _neighbours(config) == [(0, 1, 2, 3), (0, 1), (0, 2, 3), (0, 2, 3)]
+    # without the junction the two highways share nothing
+    assert _neighbours(dataclasses.replace(config, junctions=())) == [
+        (0, 1), (0, 1), (2, 3), (2, 3)]

@@ -239,7 +239,8 @@ def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
     """The fit's ridge and threshold are module constants and one model time
     unit is one control step, so no function, method or config field in the
     identification and planning layers takes them, and ``rampnet fit`` has
-    no recipe flags."""
+    no recipe flags: its ``--config`` names the network, whose road
+    neighbourhoods the SINDYc fit is masked to."""
     from rampnet import cli, mpc, sysid
 
     fixed = {"ridge", "threshold", "dt", "step_h", "h"}
@@ -249,7 +250,7 @@ def test_fit_recipe_and_model_time_unit_are_fixed_in_code():
     assert "library" not in inspect.signature(sysid.discover_sindyc).parameters
     fit = cli.build_parser()._subparsers._group_actions[0].choices["fit"]
     flags = {opt for action in fit._actions for opt in action.option_strings}
-    assert flags == {"-h", "--help", "--logs", "--method", "--out"}
+    assert flags == {"-h", "--help", "--config", "--logs", "--method", "--out"}
 
 
 def test_a_model_is_its_coefficients():
@@ -257,7 +258,7 @@ def test_a_model_is_its_coefficients():
     linear model's products are zero), so no library spec is exported, no
     function or method of the identification and planning layers takes a
     library, a spec or an order, and a model's fields are its coefficients,
-    its dimensions and its provenance."""
+    its dimensions, its provenance and the envelope of its data."""
     from rampnet import mpc, sysid
 
     assert not hasattr(rampnet, "FeatureLibrarySpec")
@@ -267,7 +268,7 @@ def test_a_model_is_its_coefficients():
              for name, params in _parameters(sysid, mpc).items() if params & knobs}
     assert not taken, taken
     assert {f.name for f in dataclasses.fields(sysid.SparseModel)} == {
-        "coefficients", "state_dim", "input_dim", "provenance"}
+        "coefficients", "state_dim", "input_dim", "provenance", "envelope"}
 
 
 def test_planner_cost_is_fixed_in_code():

@@ -403,6 +403,53 @@ def test_fit_requires_twice_as_many_rows_as_columns():
         discover_dmdc(episodes)
 
 
+# -- neighbourhood masks -------------------------------------------------------------
+
+def _block_masks():
+    """States 0-1 on (x1, x2, u1, u2), states 2-3 on (x3, x4, u3, u4)."""
+    low = [True, True, False, False] * 2
+    high = [False, False, True, True] * 2
+    return np.array([low, low, high, high])
+
+
+def test_masked_fit_recovers_a_block_structured_quadratic_oracle():
+    """Each state's true terms use only its block's variables; fitted on
+    matching masks, every support is exact and every coefficient right to
+    rounding, and no coefficient lands outside a state's sub-library."""
+    rng = np.random.default_rng(31)
+    masks = _block_masks()
+    exponents = np.array(SparseModel(np.zeros((4, 45)), 4, 4).terms)
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, size=(800, 4))
+        u = rng.uniform(-1.0, 1.0, size=(800, 4))
+        true = np.zeros((4, 45))
+        for i, row in enumerate(masks):
+            inside = np.flatnonzero(~exponents[:, ~row].any(axis=1))
+            assert len(inside) == 1 + 4 + 10  # the sub-library over 4 variables
+            cols = rng.choice(inside[1:], size=3, replace=False)
+            true[i, cols] = (rng.uniform(0.1, 2.0, size=3)
+                             * rng.choice([-1.0, 1.0], size=3))
+        model = fit_derivatives(x, u, build_library(x, u) @ true.T, masks=masks)
+        assert np.array_equal(model.coefficients != 0.0, true != 0.0)
+        assert np.max(np.abs(model.coefficients - true)) < 1e-9
+    # Swapped masks hold each state to the other block: whatever it fits,
+    # nothing lands outside the sub-library its mask allows.
+    swapped = fit_derivatives(x, u, build_library(x, u) @ true.T,
+                              masks=masks[::-1])
+    for row, coef in zip(masks[::-1], swapped.coefficients):
+        assert not coef[exponents[:, ~row].any(axis=1)].any()
+
+
+def test_masks_must_be_one_bool_row_per_state():
+    rng = np.random.default_rng(32)
+    x = rng.uniform(-1.0, 1.0, size=(800, 4))
+    u = rng.uniform(-1.0, 1.0, size=(800, 4))
+    for bad in (_block_masks()[:3], _block_masks()[:, :7],
+                _block_masks().astype(int)):
+        with pytest.raises(ValueError, match="masks must be"):
+            fit_derivatives(x, u, x, masks=bad)
+
+
 # -- discovery on logs ---------------------------------------------------------------
 
 def _linear_recursion_log(A, B, c, rows, seed):
@@ -481,6 +528,23 @@ def test_steady_state_log_yields_the_zero_model():
     assert not model.coefficients.any()
     # The zero model predicts the all-zero derivatives perfectly.
     assert fit_report(model, log).mean_r2 == 1.0
+
+
+def test_discovery_records_the_envelope_of_the_rows_it_fitted():
+    """Both fits keep each state's range over the rows they regressed on:
+    central differences drop every episode's first and last row."""
+    log = (_linear_recursion_log(np.array([[-0.4, 0.1], [0.0, -0.3]]),
+                                 np.array([[0.5], [-0.2]]), np.zeros(2), 30, seed=3)
+           + _linear_recursion_log(np.array([[-0.4, 0.1], [0.0, -0.3]]),
+                                   np.array([[0.5], [-0.2]]), np.zeros(2), 30,
+                                   seed=4))
+    rows = np.vstack([x[1:-1] for x, _ in log])
+    for discover in (discover_sindyc, discover_dmdc):
+        low, high = discover(log).envelope
+        assert np.array_equal(low, rows.min(axis=0))
+        assert np.array_equal(high, rows.max(axis=0))
+    model = _hand_model()
+    assert model.envelope is None and model.inside(np.array([1e9]))
 
 
 def test_discovery_provenance_records_the_fit_recipe():
@@ -610,6 +674,27 @@ def test_an_older_linear_model_file_loads_widened(tmp_path):
                                 "coefficients": coef[:2].tolist()}))
     with pytest.raises(ValueError, match="library needs"):
         SparseModel.load(path)
+
+
+def test_an_envelope_survives_a_save_load_round_trip(tmp_path):
+    """A saved envelope loads with the same bounds, a file without one loads
+    unbounded, and bounds that are not one finite (low, high) pair per state
+    are refused."""
+    model = _hand_model()
+    bounded = SparseModel(model.coefficients, 1, 1, envelope=([-0.5], [1.5]))
+    path = tmp_path / "model.json"
+    bounded.save(path)
+    back = SparseModel.load(path)
+    assert [b.tolist() for b in back.envelope] == [[-0.5], [1.5]]
+    assert back.inside(np.array([1.5])) and not back.inside(np.array([1.6]))
+    assert not back.inside(np.array([-0.6]))
+    doc = json.loads(path.read_text())
+    del doc["envelope"]
+    path.write_text(json.dumps(doc))
+    assert SparseModel.load(path).envelope is None
+    for bad in (([1.0], [0.0]), ([0.0, 1.0], [2.0, 3.0]), ([np.nan], [1.0])):
+        with pytest.raises(ValueError, match="envelope must be"):
+            SparseModel(model.coefficients, 1, 1, envelope=bad)
 
 
 def test_model_rejects_terms_that_are_not_the_library_layout():
