@@ -15,11 +15,10 @@ them, and the solver's own diagnostics.
 
 import numpy as np
 
-from rampnet.network import (benchmark_config_path, load_config,
-                             neighbourhood_masks)
-from rampnet.harness import run_scenarios
+from rampnet.network import benchmark_config_path, load_config
+from rampnet.harness import fit, run_scenarios
 from rampnet.mpc import MpcConfig, solve
-from rampnet.sysid import discover_dmdc, discover_sindyc, fit_report
+from rampnet.sysid import fit_report
 
 TRAIN_SEEDS = (1, 2, 3)
 HOLDOUT_SEEDS = (11, 12, 13)
@@ -40,8 +39,8 @@ def main():
           f"{records[0].rates.shape[1]} meters")
 
     # each sensor's library spans its road neighbourhood only
-    sparse = discover_sindyc(log, masks=neighbourhood_masks(config))
-    linear = discover_dmdc(log)
+    sparse = fit(config, log, "sindyc")
+    linear = fit(config, log, "dmdc")
     holdout = [(r.occupancy, r.rates) for r in collect(config, HOLDOUT_SEEDS)]
     scores = {"sparse quadratic": fit_report(sparse, holdout),
               "linear baseline": fit_report(linear, holdout)}

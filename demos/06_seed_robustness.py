@@ -31,10 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rampnet.harness import SCENARIOS, load_logs, report, run_scenarios
-from rampnet.network import (benchmark_config_path, load_config,
-                             neighbourhood_masks)
-from rampnet.sysid import discover_dmdc, discover_sindyc
+from rampnet.harness import SCENARIOS, fit, load_logs, report, run_scenarios
+from rampnet.network import benchmark_config_path, load_config
 
 TRAIN_OFFSETS = (1, 2, 3, 4)
 EVAL_OFFSET = 21
@@ -51,8 +49,7 @@ def _fit_twice(config, base):
         from_csv = load_logs(Path(tmp) / "raw")  # in file-name order
     in_memory = [(record.occupancy, record.rates) for _, record
                  in sorted(zip(paths, alinea.records), key=lambda pr: pr[0])]
-    masks = neighbourhood_masks(config)
-    return [(discover_sindyc(log, masks=masks), discover_dmdc(log))
+    return [(fit(config, log, "sindyc"), fit(config, log, "dmdc"))
             for log in (from_csv, in_memory)]
 
 

@@ -85,20 +85,12 @@ def _cmd_fit(args) -> int:
     _check_out(args.out)
     config = _load_config(args.config)
     log = harness.load_logs(args.logs, config)
-    provenance = {"logs": str(args.logs)}
-    if args.method == "sindyc":
-        # each sensor on the sensors and meters of its road neighbourhood
-        model = sysid.discover_sindyc(
-            log, provenance, masks=network.neighbourhood_masks(config))
-    else:
-        model = sysid.discover_dmdc(log, provenance)
+    model = harness.fit(config, log, args.method, {"logs": str(args.logs)})
     model.save(args.out)
-    active = model.active_count()
     print(f"{args.method} model -> {args.out}")
     print(f"columns: {model.provenance['columns']}, "
-          f"active per state: {active.tolist()}")
-    report = sysid.fit_report(model, log)
-    print(report.summary())
+          f"active per state: {model.active_count().tolist()}")
+    print(sysid.fit_report(model, log).summary())
     return 0
 
 

@@ -1,4 +1,4 @@
-"""End-to-end experiment harness: collect logs, run scenarios, write reports.
+"""End-to-end experiment harness: collect logs, fit, run scenarios, report.
 
 The standard experiment compares five metering scenarios on identical demand
 realizations (same seeds, and the plant draws arrivals independently of
@@ -21,6 +21,7 @@ import csv
 import functools
 import hashlib
 import json
+import pickle
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from .feedback import (ALINEA_GAINS, NO_CONTROL_GAINS, PI_ALINEA_GAINS,
                        RATE_MAX_VPH, TARGET_OCCUPANCY_PCT, MeterBank,
                        green_percentage)
 from .mpc import MpcConfig, MpcController
-from .network import NetworkConfig, serialize_config
+from .network import NetworkConfig, neighbourhood_masks, serialize_config
 from .plant import EpisodeRecord, run_episode
 from .sysid import SparseModel
 
@@ -44,6 +45,7 @@ __all__ = [
     "make_controller",
     "collect",
     "load_logs",
+    "fit",
     "run_scenarios",
     "horizon_sweep",
     "results_from_records",
@@ -112,6 +114,19 @@ def load_logs(log_dir, config: NetworkConfig | None = None
     if config is not None:
         _check_ids(config, [(path.name, record) for path, record in episodes])
     return [(r.occupancy, r.rates) for _, r in episodes]
+
+
+def fit(config: NetworkConfig, log, method: str,
+        provenance: dict | None = None) -> SparseModel:
+    """The pipeline's ``method`` ("sindyc" or "dmdc") model of ``log`` on
+    ``config``'s network: SINDYc fits each sensor on the sensors and meters
+    of its road neighbourhood, DMDc is the linear baseline."""
+    if method == "sindyc":
+        return sysid.discover_sindyc(log, provenance,
+                                     masks=neighbourhood_masks(config))
+    if method == "dmdc":
+        return sysid.discover_dmdc(log, provenance)
+    raise UsageError(f"unknown fit method '{method}'; pick 'sindyc' or 'dmdc'")
 
 
 def _check_ids(config: NetworkConfig, episodes) -> None:
@@ -352,16 +367,20 @@ def _episode(config, sindyc, dmdc, mpc_config, job) -> EpisodeRecord:
 
 
 def _map_episodes(episode, jobs) -> list[EpisodeRecord]:
-    """``episode`` over ``jobs``, results in job order. Worker processes,
-    forked from this one, run the jobs, one worker per usable CPU up to one
-    per job. With one CPU or one job, without the fork start method, or
-    while another thread runs here (a fork copies only the calling thread,
-    so a lock another thread holds would stay held in the worker), the jobs
-    run here, one after another. Fork, not spawn: a spawned worker would
-    import numpy and rampnet again, and a forked one inherits the log
-    handlers. A job's exception is raised here, once every worker has
-    exited."""
+    """``episode`` over ``jobs``, results in job order, run by worker
+    processes forked from this one, one per usable CPU up to one per job.
+    They run here in turn instead with one CPU or one job, without the fork
+    start method, when ``episode`` does not pickle (no worker could receive
+    it; the pool would wait forever), or while another thread runs here (a
+    fork copies only the calling thread, so a lock another thread holds
+    would stay held in the worker). Fork, not spawn: a spawned worker would
+    import numpy and rampnet again; a forked one inherits the log handlers.
+    A job's exception is raised here, after every worker has exited."""
     workers = min(len(jobs), sysid._usable_cpus())
+    try:
+        pickle.dumps(episode)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        workers = 1
     if workers > 1 and threading.active_count() == 1:
         # Imported here, not with the module: +1.2 MB of peak RSS that a
         # process which never pools (a regulator-only run) would carry.

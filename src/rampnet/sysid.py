@@ -12,22 +12,21 @@ the quadratic form ``f = c + L z + z'Q z`` (Q upper triangular) built once
 from the coefficients.
 
 Fitting runs sequential thresholded least squares (Zhang & Schaeffer 2019)
-on central-difference derivatives, with z-scored columns and targets, from
-one Gram matrix in two stages: a ridge screen drops a few columns, and
-standard-error elimination makes the model sparse and gives the coefficients
-(see :func:`stls_regress`). The recipe is fixed: ``RIDGE``, ``THRESHOLD``,
-``REFIT_RCOND`` and ``SIGNIFICANCE_Z`` below. A fit may take one mask per
-state over the variables of z: that state is then regressed on its own
-sub-library, the columns whose monomials use only its masked variables, and
-its other coefficients are zero (see :func:`fit_derivatives`). The baseline (DMDc-style)
-model is an unthresholded least-squares fit on the constant and z columns
-alone; its product columns are zero.
+on central-difference derivatives, with z-scored columns and targets, each
+state its own regression on its own block of columns, in two stages: a
+ridge screen drops a few columns, and standard-error elimination makes the
+model sparse and gives the coefficients (see :func:`stls_regress`). The
+recipe is fixed: ``RIDGE``, ``THRESHOLD``, ``REFIT_RCOND`` and
+``SIGNIFICANCE_Z`` below. A state's block is the whole library or, given one
+mask per state over the variables of z, its sub-library: the columns whose
+monomials use only its masked variables (see :func:`fit_derivatives`). The
+baseline (DMDc-style) model is an unthresholded least-squares fit on the
+constant and z columns alone; its product columns are zero.
 
 The whole regression runs with the OpenBLAS bundled with numpy held to one
 thread, so the coefficients do not depend on that library's thread count.
-Each state's regression is one independent job on the shared Gram matrix;
-the jobs run on up to two threads (see :func:`stls_regress`). The
-coefficients are the same bit for bit on any number of threads.
+The states' regressions are independent jobs on up to two threads (see
+:func:`stls_regress`), and the same bit for bit on any number of threads.
 
 Both discovery fits record the envelope of their data on the model: each
 state's smallest and largest fitted value. The planner trusts the model only
@@ -257,10 +256,9 @@ _MAX_WORKERS = 2
 
 
 def _run_jobs(job, count: int, parallel: bool) -> None:
-    """``job(k)`` once for each k in ``range(count)``. The calling thread
-    and, when ``parallel`` (the caller holds OpenBLAS to one thread), helper
-    threads up to one worker per usable CPU and ``_MAX_WORKERS`` in all take
-    the jobs from one shared iterator; otherwise the calling thread runs them
+    """``job(k)`` for each k in ``range(count)``, from one shared iterator:
+    on the calling thread and, when ``parallel`` (OpenBLAS held to one
+    thread), helpers up to one worker per usable CPU and ``_MAX_WORKERS`` in
     all. A job's exception is raised here, after every helper has stopped.
     The calling thread works rather than waits: two helpers beside an idle
     calling thread read +8% peak RSS, like three workers."""
@@ -278,35 +276,36 @@ def _run_jobs(job, count: int, parallel: bool) -> None:
             future.result()
 
 
-def stls_regress(theta: np.ndarray, targets: np.ndarray):
-    """Sequential thresholded least squares, one regression per target column.
+def stls_regress(theta: np.ndarray, targets: np.ndarray, blocks=None):
+    """Sequential thresholded least squares, one regression per target column
+    on its own block of theta's columns.
 
-    Stages read blocks of G = theta'theta and B = theta'Y, formed once. The
-    ridge screen, one solve of ``(G/d + RIDGE I) C = B/d`` for all targets,
-    keeps the columns whose coefficient clears ``THRESHOLD``; on the
-    benchmark logs it drops the centred constant and up to three columns the
-    next stage would keep, and a second pass would drop no more. Significance
-    elimination drops the survivor with the smallest |coefficient| /
-    standard error until all clear ``SIGNIFICANCE_Z``, taking 153 columns to
-    3-18. The last ``REFIT_RCOND``-truncated elimination fit is the result;
-    nothing is zeroed after it.
+    ``blocks`` holds one array of column indices per target; None gives every
+    target every column. Target k's regression is one job on its block A and
+    its column y: it forms G = A'A, b = A'y and y'y, and two stages read them.
+    The ridge screen, one solve of ``(G/d + RIDGE I) c = b/d``, keeps the
+    columns whose coefficient clears ``THRESHOLD``; on the benchmark logs it
+    drops the centred constant and up to three columns the next stage would
+    keep, and a second pass would drop no more. Significance elimination
+    drops the survivor with the smallest |coefficient| / standard error until
+    all clear ``SIGNIFICANCE_Z``, taking 153 columns to 3-18 and the 15-45 of
+    a neighbourhood block to 3-10. The last ``REFIT_RCOND``-truncated
+    elimination fit, on the block's columns, is the result; nothing is
+    zeroed after it.
 
-    The bundled OpenBLAS is held to one thread for the whole regression, G,
-    B, the screen and the jobs, then restored, so the coefficients do not
-    depend on its thread count: G formed on two BLAS threads differs from G
-    on one at rounding level (up to 1.4e-13 on one benchmark seed's logs),
-    and the fit with it.
-    Each target's elimination is one job: it reads only G, b, y'y and the
-    screen, and writes only its own coefficient row. The calling thread and,
-    given a second usable CPU, one helper thread share the jobs. A third and
-    fourth worker would each add about 2 MB of peak RSS (see
-    ``_MAX_WORKERS``).
-    The elimination is a thousand-odd ``eigh`` calls on blocks of at most
-    153 columns: two threads replaying them got 0.54-0.68x the throughput
-    of one thread under OpenBLAS's default two threads, and 1.80-2.02x on
-    one BLAS thread each (2 vCPUs). Without that OpenBLAS the calling thread
-    runs every job. Every ``eigh`` sees the same block either way, so the
-    coefficients are bit for bit the same.
+    The bundled OpenBLAS is held to one thread for every job, then restored,
+    so the coefficients do not depend on its thread count: G formed on two
+    BLAS threads differs from G on one at rounding level (up to 1.4e-13 on
+    one benchmark seed's logs), and the fit with it. A job writes only its
+    own coefficient row. The calling thread and, given a second usable CPU,
+    one helper thread share the jobs; a third and fourth worker would each
+    add about 2 MB of peak RSS (see ``_MAX_WORKERS``). The elimination is a
+    thousand-odd ``eigh`` calls on blocks of at most 153 columns: two threads
+    replaying them got 0.54-0.68x the throughput of one thread under
+    OpenBLAS's default two threads, and 1.80-2.02x on one BLAS thread each
+    (2 vCPUs). Without that OpenBLAS the calling thread runs every job. A job
+    computes the same on any thread, so the coefficients are bit for bit the
+    same.
 
     Returns the (targets, h) coefficient matrix; a target whose columns
     were all eliminated keeps a zero row.
@@ -317,30 +316,33 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray):
         raise ValueError("theta and targets must have the same row count")
     d, h = theta.shape
     coef = np.zeros((targets.shape[1], h))
-    with _one_blas_thread() as parallel:
-        gram = theta.T @ theta
-        moments = theta.T @ targets
-        energies = np.sum(targets * targets, axis=0)
+    # Every block is a copy, the whole library's too: A'y on a view of theta
+    # sums in another order, and None would not be all-true masks bit for bit.
+    blocks = [np.arange(h)] * len(coef) if blocks is None else blocks
+
+    def regress(k: int) -> None:
+        block, y = theta[:, blocks[k]], targets[:, k:k + 1]
+        gram, moment = block.T @ block, block.T @ y
+        energy = np.sum(y * y, axis=0)[0]
         # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty
         # strength independent of how many rows were logged.
-        screen = np.linalg.solve(gram / d + RIDGE * np.eye(h), moments / d)
+        screen = np.linalg.solve(gram / d + RIDGE * np.eye(len(gram)), moment / d)
+        active = np.flatnonzero(np.abs(screen[:, 0]) >= THRESHOLD)
+        # Noise guard: backward-eliminate survivors indistinguishable from
+        # zero given their own standard error, weakest first and one per
+        # pass, so a collinear pair sheds one member and keeps their shared
+        # signal in the other instead of losing both.
+        while active.size:
+            fit, ratios = _gram_fit(gram[np.ix_(active, active)],
+                                    moment[active, 0], energy, d)
+            weakest = int(np.argmin(ratios))
+            if ratios[weakest] >= SIGNIFICANCE_Z:
+                break
+            active = np.delete(active, weakest)
+        if active.size:
+            coef[k, blocks[k][active]] = fit
 
-        def regress(k: int) -> None:
-            active = np.flatnonzero(np.abs(screen[:, k]) >= THRESHOLD)
-            # Noise guard: backward-eliminate survivors indistinguishable
-            # from zero given their own standard error, weakest first and
-            # one per pass, so a collinear pair sheds one member and keeps
-            # their shared signal in the other instead of losing both.
-            while active.size:
-                fit, ratios = _gram_fit(gram[np.ix_(active, active)],
-                                        moments[active, k], energies[k], d)
-                weakest = int(np.argmin(ratios))
-                if ratios[weakest] >= SIGNIFICANCE_Z:
-                    break
-                active = np.delete(active, weakest)
-            if active.size:
-                coef[k, active] = fit
-
+    with _one_blas_thread() as parallel:
         _run_jobs(regress, len(coef), parallel)
     return coef
 
@@ -385,21 +387,18 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
                     provenance: dict | None = None,
                     masks=None) -> "SparseModel":
     """Sparse fit of ``derivs = C theta(states, inputs)`` on the quadratic
-    library, from sample triples.
-
-    This is the regression stage shared by :func:`discover_sindyc` (which
-    supplies central-difference derivatives) and synthetic oracles (which can
-    supply exact ones). Columns and targets are z-scored first so one
+    library, from sample triples: the regression stage of
+    :func:`discover_sindyc` (central-difference derivatives) and of synthetic
+    oracles (exact ones). Columns and targets are z-scored first so one
     threshold is comparable across wildly different units (occupancies sit
     near 15, rates near 1000, their squares near a million); coefficients are
     mapped back to physical units.
 
-    ``masks`` None regresses every state on the whole library in one
-    :func:`stls_regress` call. Otherwise it is (n, n + m) bools, one row per
-    state over the variables of z = (x, u), as
-    :func:`rampnet.network.neighbourhood_masks` gives: each state is its own
-    :func:`stls_regress` call on its sub-library's columns of the z-scored
-    library, and its coefficients outside them are zero.
+    One :func:`stls_regress` call fits every state, each on its block of the
+    z-scored library: the whole library when ``masks`` is None, else its
+    sub-library's columns, with zero coefficients outside them. ``masks`` is
+    (n, n + m) bools, one row per state over the variables of z = (x, u), as
+    :func:`rampnet.network.neighbourhood_masks` gives.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -412,12 +411,7 @@ def fit_derivatives(states: np.ndarray, inputs: np.ndarray, derivs: np.ndarray,
     tgt_mean, tgt_scale = _column_stats(derivs)
     columns = (theta - col_mean) / col_scale
     targets = (derivs - tgt_mean) / tgt_scale
-    if blocks is None:
-        scaled = stls_regress(columns, targets)
-    else:
-        scaled = np.zeros((n, theta.shape[1]))
-        for k, cols in enumerate(blocks):
-            scaled[k, cols] = stls_regress(columns[:, cols], targets[:, k:k + 1])[0]
+    scaled = stls_regress(columns, targets, blocks)
     coef = scaled * tgt_scale[:, None] / col_scale[None, :]
     # Centering absorbed every offset; rebuild the physical intercept in the
     # constant column and hold it to the same threshold so a fitted zero
@@ -443,12 +437,10 @@ def discover_sindyc(episodes, provenance: dict | None = None,
                     masks=None) -> "SparseModel":
     """Identify sparse quadratic dynamics from ``(states, inputs)`` episodes.
 
-    Differentiates per episode, then runs the thresholded regression, each
-    state on its own sub-library when ``masks`` are given (see
-    :func:`fit_derivatives`). The model's ``envelope`` is the per-state range
-    of the fitted rows. Logs of a plant stuck at steady state yield an
-    all-zero model; a state whose ``model.active_count()`` is 0 predicts no
-    change.
+    Differentiates per episode, then runs :func:`fit_derivatives` on
+    ``masks``. The model's ``envelope`` is the per-state range of the fitted
+    rows. Logs of a plant stuck at steady state yield an all-zero model; a
+    state whose ``model.active_count()`` is 0 predicts no change.
     """
     derivs, xs, us = differentiate(episodes)
     info = dict(provenance or {}, method="sindyc", episodes=len(episodes))
@@ -465,8 +457,7 @@ def discover_dmdc(episodes, provenance: dict | None = None) -> "SparseModel":
     holds as zeros. When those columns are rank deficient, e.g. an input
     that never moved, the result is ``lstsq``'s minimum-norm solution, with
     a warning. The model's ``envelope`` is the per-state range of the fitted
-    rows. Non-finite data or
-    fewer than two rows per fitted column raise
+    rows. Non-finite data or fewer than two rows per fitted column raise
     :class:`InsufficientDataError`, as in :func:`fit_derivatives`.
     """
     derivs, xs, us = differentiate(episodes)

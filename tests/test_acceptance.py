@@ -19,11 +19,9 @@ from rampnet import harness, mpc, sysid
 from rampnet.feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
                               green_percentage, rate_to_red_duration)
 from rampnet.mpc import (MpcConfig, bound_penalty, objective, rollout, solve)
-from rampnet.network import (benchmark_config_path, load_config,
-                             neighbourhood_masks)
-from rampnet.sysid import (build_library, discover_dmdc,
-                           discover_sindyc, fit_derivatives, fit_report,
-                           term_label)
+from rampnet.network import benchmark_config_path, load_config
+from rampnet.sysid import (build_library, discover_sindyc, fit_derivatives,
+                           fit_report, term_label)
 
 TRAIN_SEEDS = (1, 2, 3, 4)
 HOLDOUT_SEEDS = (11, 12, 13)
@@ -47,8 +45,8 @@ def pipeline(tmp_path_factory):
 
     t0 = time.perf_counter()
     log = harness.load_logs(root / "logs", config)
-    sindyc = discover_sindyc(log, masks=neighbourhood_masks(config))
-    dmdc = discover_dmdc(log)
+    sindyc = harness.fit(config, log, "sindyc")
+    dmdc = harness.fit(config, log, "dmdc")
     t["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -307,8 +305,8 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
                 == (pipeline.root / "logs" / name).read_bytes())
 
     log = harness.load_logs(tmp_path / "logs", pipeline.config)
-    sindyc = discover_sindyc(log, masks=neighbourhood_masks(pipeline.config))
-    dmdc = discover_dmdc(log)
+    sindyc = harness.fit(pipeline.config, log, "sindyc")
+    dmdc = harness.fit(pipeline.config, log, "dmdc")
     assert np.array_equal(sindyc.coefficients, pipeline.sindyc.coefficients)
     assert np.array_equal(dmdc.coefficients, pipeline.dmdc.coefficients)
 
@@ -328,9 +326,10 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
 
 # The benchmark fit (train seeds 1-4), pinned: SINDYc's support per state and
 # sha256 digests of the fitted matrices, for the pipeline's fit on each
-# sensor's road neighbourhood and for the single full-library regression. A
-# change to the fit's arithmetic that moves any coefficient by one rounding
-# step fails here, before it shows up as a closed-loop difference. The
+# sensor's road neighbourhood and for the fit without masks, every sensor on
+# the whole library (the one perfbench times). A change to the fit's
+# arithmetic that moves any coefficient by one rounding step fails here,
+# before it shows up as a closed-loop difference. The
 # digests also depend on the numpy and LAPACK/BLAS build (eigh, solve,
 # lstsq): they were recorded with numpy 2.4 on OpenBLAS 0.3.31, and a numpy
 # or BLAS upgrade that fails this test without a fit change needs them
@@ -361,7 +360,7 @@ PINNED_SUPPORT = (
 )
 PINNED_DIGESTS = {
     "sindyc.coefficients":
-        "09a49069d7d29986a2406e86a537738b8546f6a26f4c474827a63346db921a5b",
+        "c2724e7a02a246f4313a2e055493d40b12f8d6e31e2028148dc3a4c3f935cbdb",
     "dmdc.coefficients":
         "5a8c06e4b853243b644b7a2baec66f2d789b5a4a146873c53d98ffd4955e1bfe",
 }
@@ -389,8 +388,8 @@ def test_benchmark_fit_is_pinned(pipeline):
 
 
 def test_unmasked_benchmark_fit_keeps_its_pins(pipeline):
-    """Without masks the fit is the single full-library regression, bit for
-    bit as before masks existed."""
+    """Without masks every sensor is its own regression on the whole
+    library: the fit perfbench times."""
     full = discover_sindyc(harness.load_logs(pipeline.root / "logs"))
     assert _support(full) == PINNED_SUPPORT
     assert _digest(full.coefficients) == PINNED_DIGESTS["sindyc.coefficients"]
@@ -424,9 +423,11 @@ def test_benchmark_stacked_stage_reads_are_the_point_reads(pipeline):
 
 
 def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
-    """The per-target jobs give the same coefficients, bit for bit, when the
-    calling thread runs them all (no OpenBLAS found): on the benchmark's
-    training logs, with and without masks, and on criterion 2's oracle
+    """The fit has one path: every state is one job on its block of library
+    columns, and the jobs share two threads when two CPUs are usable. They
+    give the same coefficients, bit for bit, when the calling thread runs
+    them all (no OpenBLAS found): on the benchmark's training logs, for the
+    pipeline's fit and the fit without masks, and on criterion 2's oracle
     systems."""
     parallel = [fit_derivatives(x, u, derivs).coefficients
                 for x, u, derivs, _ in _oracle_systems()]
@@ -434,8 +435,7 @@ def test_one_worker_fits_the_same_bytes(pipeline, monkeypatch):
     full = discover_sindyc(log).coefficients.tobytes()
     monkeypatch.setattr(sysid, "_openblas_threads", lambda: None)
     assert discover_sindyc(log).coefficients.tobytes() == full
-    masks = neighbourhood_masks(pipeline.config)
-    assert (discover_sindyc(log, masks=masks).coefficients.tobytes()
+    assert (harness.fit(pipeline.config, log, "sindyc").coefficients.tobytes()
             == pipeline.sindyc.coefficients.tobytes())
     for (x, u, derivs, _), coef in zip(_oracle_systems(), parallel):
         assert fit_derivatives(x, u, derivs).coefficients.tobytes() == coef.tobytes()

@@ -4,10 +4,15 @@ import csv
 import inspect
 import json
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +341,46 @@ def test_a_worker_episode_error_reaches_the_caller_typed(monkeypatch):
         run_scenarios(_tiny_network(), None, None, [0, 1], scenarios=("alinea",))
     assert isinstance(exc.value.residual_veh, float)
     assert multiprocessing.active_children() == []
+
+
+# Two ALINEA episodes on the benchmark, on two CPUs, with a sindyc model that
+# cannot be pickled; prints the record count and the live child processes.
+_UNPICKLABLE_RUN = """
+import multiprocessing
+import numpy as np
+from rampnet import harness, network, sysid
+sysid._usable_cpus = lambda: 2
+config = network.load_config(network.benchmark_config_path())
+model = sysid.SparseModel(np.zeros((8, 153)), 8, 8, provenance={"f": lambda: 0})
+result, = harness.run_scenarios(config, model, None, [0, 1], scenarios=("alinea",))
+print(len(result.records), len(multiprocessing.active_children()))
+"""
+
+
+def test_a_job_that_does_not_pickle_runs_here_and_returns():
+    """No worker process could receive a job whose model's provenance holds
+    a lambda, so its episodes run in the calling process: the call returns
+    and leaves no child. It runs in a process group of its own under a
+    timeout, so that a hang fails the test and whatever is left is
+    killed."""
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE_RUN], env=env,
+                            stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        out = "hung"
+    try:  # anything still in its process group outlived the call
+        os.killpg(proc.pid, signal.SIGKILL)
+        left = True
+    except ProcessLookupError:
+        left = False
+    proc.wait()
+    assert out.split() == ["2", "0"]
+    assert not left
 
 
 def test_horizon_sweep_reports_one_row_per_horizon():

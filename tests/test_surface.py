@@ -368,3 +368,38 @@ def test_one_episode_loop():
     demos = {path.name: len(_calls(ast.parse(path.read_text()), "run_episode"))
              for path in DEMOS}
     assert not any(demos.values()), demos
+
+
+def _reads(tree, name):
+    """The nodes that read ``name``, as a name or an attribute, in a tree."""
+    return [node for node in ast.walk(tree)
+            if name in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
+def test_one_pipeline_fit():
+    """``harness.fit`` alone picks the fit's masks: among the package, the
+    demos and the acceptance pipeline (its fixture and criterion 10's
+    rerun), no other function reads ``neighbourhood_masks`` or
+    ``discover_sindyc``, and the acceptance pipeline fits through
+    ``harness.fit``. perfbench is left out: its set-ups still time the fit
+    without masks until the benchmark measures the pipeline's fit (ROADMAP
+    item 9)."""
+    policy = ("neighbourhood_masks", "discover_sindyc")
+    harness_tree = ast.parse((ROOT / "src" / "rampnet" / "harness.py").read_text())
+    fit, = [node for node in harness_tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "fit"]
+    assert all(_reads(fit, name) for name in policy)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    pipeline = [node for node in acceptance.body
+                if isinstance(node, ast.FunctionDef) and node.name in (
+                    "pipeline", "test_criterion_10_reproducible_and_fast")]
+    assert len(pipeline) == 2
+    assert all(_calls(node, "fit") for node in pipeline)
+    readers = {("acceptance", node.name): node for node in pipeline}
+    readers.update({(path.name, "module"): ast.parse(path.read_text())
+                    for path in PROGRAM if path.parent.name != "perfbench"})
+    reads = {where: sum(len(_reads(tree, name)) for name in policy)
+             for where, tree in readers.items()}
+    assert reads.pop(("harness.py", "module")) == sum(
+        len(_reads(fit, name)) for name in policy)
+    assert not any(reads.values()), {k: v for k, v in reads.items() if v}

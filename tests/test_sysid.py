@@ -291,6 +291,25 @@ def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
     assert sorted(done) == list(range(20000))
 
 
+def test_each_target_is_its_own_regression_on_its_block():
+    """Row k of a blocked regression is, byte for byte, target k regressed
+    alone on its block's columns, with zeros elsewhere; ``blocks=None`` is
+    the blocks of all-true masks, every target on every column."""
+    theta, targets = _four_targets()
+    h = theta.shape[1]
+    blocks = [np.arange(h), np.array([0, 1, 3, 6]), np.array([1, 2, 5, 8, 9]),
+              np.arange(0, h, 2)]
+    coef = stls_regress(theta, targets, blocks)
+    for k, cols in enumerate(blocks):
+        alone = stls_regress(theta[:, cols], targets[:, k:k + 1])
+        assert coef[k, cols].tobytes() == alone[0].tobytes()
+        assert not np.delete(coef[k], cols).any()
+    every = sysid._mask_columns(np.ones((4, 3), dtype=bool), 4, 3)
+    assert all(np.array_equal(cols, np.arange(h)) for cols in every)
+    assert (stls_regress(theta, targets).tobytes()
+            == stls_regress(theta, targets, every).tobytes())
+
+
 def test_gram_fit_matches_lstsq_and_pinv():
     """One eigendecomposition of A'A gives the truncated lstsq fit and the
     pinv standard errors; a near-duplicate pair puts a singular value under
