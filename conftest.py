@@ -1,4 +1,5 @@
-"""Hooks shared by every test under ``tests/``."""
+"""Hooks shared by every test in the repository, under ``tests/`` and
+``perfbench/`` alike."""
 
 import multiprocessing
 

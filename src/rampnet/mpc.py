@@ -34,15 +34,21 @@ the model predicts negative occupancy under every plan there, and those
 solves used to spend their whole iteration cap.
 
 At this size numpy's cost per call, not the arithmetic, sets the speed of a
-planner iteration, so the search is written to make few calls. A solve makes
-its arrays once (:class:`_Workspace`: both iterates, the residual Jacobian,
-the stage Jacobians, the gradient and the Gauss-Newton matrix) and updates
-them in place; each iteration still makes a few small temporaries (masks,
-the step, LAPACK's solve). A rollout reads only the model's prediction, one
-read per stage, and the stage Jacobians are read only at accepted iterates,
-all N in one stacked product. Every stage read must stay a matrix-vector
-product per row: one matrix-matrix product over the stages sums in another
-order, and the closed loop would change at rounding level.
+planner iteration, so the search is written to make few calls and to skip
+work whose inputs have not changed. A controller makes its arrays once
+(:class:`_Workspace`: both iterates, the residual Jacobian, the stage
+Jacobians, the gradient and the Gauss-Newton matrix) and resets them per
+solve; a :func:`solve` call makes its own. Each iteration still makes a few
+small temporaries (masks, the step, LAPACK's solve). A rollout reads only
+the model's prediction, one read per stage, and the stage Jacobians are read
+only at accepted iterates, all N in one stacked product; a model without
+product terms has the same Jacobian everywhere, so its residual Jacobian and
+J'J are built once and rebuilt only when the band rows change. The
+active-set work runs only for iterates with a rate near a bound. Every
+floating-point operation that runs keeps its operands and their order, and
+every stage read must stay a matrix-vector product per row: one
+matrix-matrix product over the stages sums in another order, and the closed
+loop would change at rounding level.
 
 Time convention: one model time unit is one control step. A plan row is the
 rates for one control step, the predictor advances one control step per row,
@@ -115,9 +121,13 @@ BOUND_PENALTY_WEIGHT = 1e3
 # every plan direction curvature (chosen on demos/06_seed_robustness.py).
 RATE_CHANGE_WEIGHT = 1e-5
 
+# ndarray.max and .min go through a Python wrapper to these reductions.
+_max, _min = np.maximum.reduce, np.minimum.reduce
+
 
 class ModelBlowupError(RuntimeError):
-    """A rollout left the finite range (model extrapolated into divergence)."""
+    """A rollout left the finite range, or its cost did (model extrapolated
+    into divergence)."""
 
     def __init__(self, step: int):
         super().__init__(f"model prediction diverged at rollout step {step}")
@@ -234,30 +244,30 @@ def bound_penalty(states: np.ndarray) -> float:
 
 
 class _Iterate:
-    """One plan and its rollout, in buffers that a solve allocates once.
+    """One plan and its rollout, in buffers that a workspace allocates once.
 
     ``z`` row l holds (x(l), u(l)), row 0's x being the measurement (row N's
     u is unused); ``u`` is u_prev followed by the flat plan ``v``; ``res`` is
     the residual whose squared norm ``total`` is objective + bound penalty,
     with blocks, in order: tracking deviations at stages 0..N, the
     bound-penalty hinge at stages 1..N, and the weighted rate changes. The
-    other attributes are views of these, made once.
+    other attributes are views of these, made once. ``hinge_zero`` says that
+    every stage of the last rollout lay strictly inside the occupancy band,
+    so the hinge block holds +0.0 throughout.
     """
 
     __slots__ = ("z", "rows", "x", "xs", "interior", "plan_block", "u", "v",
-                 "v_rows", "u_before", "res", "track", "hinge", "rate", "total")
+                 "v_rows", "u_before", "res", "track", "hinge", "rate", "total",
+                 "hinge_zero")
 
-    def __init__(self, x0: np.ndarray, u_prev: np.ndarray, horizon: int):
-        n, m = len(x0), len(u_prev)
+    def __init__(self, n: int, m: int, horizon: int):
         self.z = np.zeros((horizon + 1, n + m))
         self.rows = list(self.z)
         self.x = self.z[:, :n]
-        self.x[0] = x0
         self.xs = list(self.x)
         self.interior = self.x[1:]
         self.plan_block = self.z[:-1, n:]
         self.u = np.empty((horizon + 1) * m)
-        self.u[:m] = u_prev
         self.v = self.u[m:]
         self.v_rows = self.v.reshape(horizon, m)
         self.u_before = self.u[:-m]
@@ -266,34 +276,35 @@ class _Iterate:
         self.hinge = self.res[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(horizon, n)
         self.rate = self.res[(2 * horizon + 1) * n:]
         self.total = np.inf
+        self.hinge_zero = False
 
 
 class _Workspace:
-    """Every buffer of one solve: the accepted iterate ``cur``, the
-    line-search candidate ``cand`` (the two swap on acceptance), the
+    """Every buffer of a controller's solves: the accepted iterate ``cur``,
+    the line-search candidate ``cand`` (the two swap on acceptance), the
     residual Jacobian ``jac`` with respect to the flat plan, the stage model
     Jacobians it is built from, and the search's gradient, Gauss-Newton
-    matrix and damped block.
+    matrix and damped block. :meth:`start` resets it for each solve.
 
-    The cost constants are read when the workspace is made, so a solve sees
-    the values in force at its call. The constant rate-change rows of
-    ``jac`` are filled here; :meth:`jacobian` rewrites the rest in place.
-    Creating a workspace measures ``plan``; it raises
-    :class:`ModelBlowupError` if that plan diverges.
+    The cost constants are read when the workspace is made: a
+    :func:`solve` call makes one, an :class:`MpcController` one for its
+    life. The constant rate-change rows of ``jac`` are filled here;
+    :meth:`jacobian` rewrites the rest in place, and only when what they are
+    computed from has changed. ``gn_stale`` says that ``jac`` changed since
+    the search last formed 2 J'J from it.
     """
 
-    def __init__(self, model: SparseModel, x0: np.ndarray, u_prev: np.ndarray,
-                 cfg: MpcConfig, plan: np.ndarray):
-        _check_shapes(model, x0, plan)
-        n, m = len(x0), len(u_prev)
-        horizon = len(plan)
+    def __init__(self, model: SparseModel, cfg: MpcConfig):
+        n, m = model.state_dim, model.input_dim
+        horizon = cfg.horizon
         size = horizon * m
         self.model = model
+        self.cfg = cfg
         self.target = cfg.target_occupancy_pct
         self.root_w = np.sqrt(BOUND_PENALTY_WEIGHT)
         self.root_r = np.sqrt(RATE_CHANGE_WEIGHT)
-        self.cur = _Iterate(x0, u_prev, horizon)
-        self.cand = _Iterate(x0, u_prev, horizon)
+        self.cur = _Iterate(n, m, horizon)
+        self.cand = _Iterate(n, m, horizon)
         # df/dz at stages 0..N-1, and its x and u blocks A(l) and B(l)
         self.stage_jac = np.empty((horizon, n, n + m))
         self.stage_a = list(self.stage_jac[:, :, :n])
@@ -306,18 +317,39 @@ class _Workspace:
         self.sens_interior = sens[1:]
         # u(l)'s columns of S(l+1), where B(l) enters
         self.sens_inputs = [sens[l + 1, :, l * m:(l + 1) * m] for l in range(horizon)]
+        # df/dz = L + (Q + Q') z is L at every z when the model has no
+        # product terms (a DMDc model), and then so are the sensitivities:
+        # they are built once and kept.
+        self.sens_kept = False
+        self.linear = not model._products
         self.hinge_rows = self.jac[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(
             horizon, n, size)
         # The hinge rows are zero until a stage leaves the occupancy band, and
-        # are rewritten while one is outside and once after (see jacobian).
-        self.hinge_written = False
+        # are rewritten while one is outside and once after (see jacobian);
+        # ``hinge_written`` says they were written since they were zero.
+        self.hinge_written = self.was_outside = False
         rate_rows = self.jac[(2 * horizon + 1) * n:]
         np.fill_diagonal(rate_rows, self.root_r)
         np.fill_diagonal(rate_rows[m:], -self.root_r)
         self.grad = np.empty(size)
         self.gn = np.empty((size, size))
+        self.gn_stale = True
         self.block = np.empty((size, size))
         self.block_diagonal = self.block.reshape(-1)[::size + 1]
+
+    def start(self, x0: np.ndarray, u_prev: np.ndarray, plan: np.ndarray) -> None:
+        """Reset for a solve from ``x0`` and ``u_prev`` and measure ``plan``
+        into ``cur``; raises :class:`ModelBlowupError` if that plan diverges.
+        Written hinge rows go back to zero, as in a new workspace."""
+        _check_shapes(self.model, x0, plan)
+        m = len(u_prev)
+        for it in (self.cur, self.cand):
+            it.x[0] = x0
+            it.u[:m] = u_prev
+        if self.hinge_written:
+            self.hinge_rows.fill(0.0)
+            self.hinge_written = self.was_outside = False
+            self.gn_stale = True
         self.cur.v[:] = plan.ravel()
         self.measure(self.cur)
 
@@ -328,11 +360,16 @@ class _Workspace:
         _roll(self.model._f, it.rows, it.xs)
         np.subtract(it.x, self.target, out=it.track)
         # The hinge x - clip(x, lo, hi): max(x - hi, 0) - max(lo - x, 0) in
-        # four in-place passes.
-        np.maximum(it.interior, OCCUPANCY_MIN_PCT, out=it.hinge)
-        np.minimum(it.hinge, OCCUPANCY_MAX_PCT, out=it.hinge)
-        np.subtract(it.interior, it.hinge, out=it.hinge)
-        it.hinge *= self.root_w
+        # four in-place passes. It is +0.0 wherever lo < x < hi, so the
+        # passes are skipped while every stage stays strictly in the band.
+        inside = (_min(it.interior, axis=None) > OCCUPANCY_MIN_PCT
+                  and _max(it.interior, axis=None) < OCCUPANCY_MAX_PCT)
+        if not (inside and it.hinge_zero):
+            np.maximum(it.interior, OCCUPANCY_MIN_PCT, out=it.hinge)
+            np.minimum(it.hinge, OCCUPANCY_MAX_PCT, out=it.hinge)
+            np.subtract(it.interior, it.hinge, out=it.hinge)
+            it.hinge *= self.root_w
+            it.hinge_zero = inside
         np.subtract(it.v, it.u_before, out=it.rate)
         it.rate *= self.root_r
         it.total = float(it.res.dot(it.res))
@@ -346,37 +383,63 @@ class _Workspace:
         """Residual Jacobian at ``cur``, from forward sensitivities through
         the stage model Jacobians df/dz read at ``cur``'s z rows:
         ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the x and
-        u blocks of df/dz and ``E(l)`` picking u(l)."""
-        sens, inputs, stage_a, stage_b = (self.sens, self.sens_inputs,
-                                          self.stage_a, self.stage_b)
-        self.model._df_rows(self.cur.z[:-1], out=self.stage_jac)
-        # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
-        # other columns staying 0.
-        np.add(stage_b[0], 0.0, out=inputs[0])
-        for l in range(1, len(inputs)):
-            np.dot(stage_a[l], sens[l], out=sens[l + 1])
-            sens[l + 1] += sens[l]
-            inputs[l] += stage_b[l]
+        u blocks of df/dz and ``E(l)`` picking u(l). A linear model's
+        sensitivities are built on the first call and kept."""
+        if not self.sens_kept:
+            sens, inputs, stage_a, stage_b = (self.sens, self.sens_inputs,
+                                              self.stage_a, self.stage_b)
+            self.model._df_rows(self.cur.z[:-1], out=self.stage_jac)
+            # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
+            # other columns staying 0.
+            np.add(stage_b[0], 0.0, out=inputs[0])
+            for l in range(1, len(inputs)):
+                np.dot(stage_a[l], sens[l], out=sens[l + 1])
+                sens[l + 1] += sens[l]
+                inputs[l] += stage_b[l]
+            self.sens_kept = self.linear
+            self.gn_stale = True
         # A stage outside the band has a nonzero hinge residual (its x - clip
         # is nonzero, and so is that times root_w). In-band rows are zero
-        # (of either sign), so they need no rewrite while they stay in band.
+        # (of either sign), so they need no rewrite while they stay in band;
+        # ``hinge_zero`` spares the count while every stage is strictly in.
         hinge = self.cur.hinge
-        outside = np.count_nonzero(hinge) > 0
-        if outside or self.hinge_written:
+        outside = not self.cur.hinge_zero and np.count_nonzero(hinge) > 0
+        if outside or self.was_outside:
             np.multiply((self.root_w * (hinge != 0.0))[:, :, None],
                         self.sens_interior, out=self.hinge_rows)
-        self.hinge_written = outside
+            self.hinge_written = self.gn_stale = True
+        self.was_outside = outside
         return self.jac
 
     def accept(self) -> None:
         self.cur, self.cand = self.cand, self.cur
 
 
+def _first_overflow(it: _Iterate) -> int:
+    """The first stage at which the running cost of ``it`` is not finite;
+    for a rollout whose states are finite but whose cost overflows."""
+    stage_cost = np.square(it.track).sum(axis=1)
+    stage_cost[1:] += np.square(it.hinge).sum(axis=1)
+    step = _first_nonfinite(np.cumsum(stage_cost)[:, None])
+    return len(stage_cost) - 1 if step is None else step
+
+
 def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     """Projected Gauss-Newton iterations from ``ws.cur``, which ends at the
-    last accepted iterate. Returns (iterations, converged)."""
+    last accepted iterate. Returns (iterations, converged).
+
+    2 J'J is formed only when ``jac`` has changed since it was last formed:
+    every iteration on a quadratic model, on a linear one only when the hinge
+    rows are rewritten. While every rate lies more than the widest eps
+    margin inside the rate box, no rate is stuck on a bound or held near
+    one, so the projected gradient is the gradient and every rate is free;
+    the active-set work runs only near a bound."""
     lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     width = hi - lo
+    # eps never exceeds margin, so a rate strictly inside (inner_lo,
+    # inner_hi) is neither stuck nor held.
+    margin = _EPS_FRAC * width
+    inner_lo, inner_hi = lo + margin, hi - margin
     damping = _DAMPING_START
     iterations = 0
     converged = False
@@ -391,37 +454,45 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         jac = ws.jacobian()
         np.dot(jac.T, cur.res, out=grad)
         grad *= 2.0
-        # A descent step lowers the rates whose gradient is positive and
-        # raises those whose gradient is negative. The projected gradient is
-        # 0 at a rate on the bound its step pushes against, the gradient
-        # elsewhere.
-        lowers, raises = grad > 0.0, grad < 0.0
-        stuck = np.where(lowers, v <= lo, raises & (v >= hi))
-        if (np.abs(np.where(stuck, 0.0, grad)).max() * width
-                <= TOLERANCE * (1.0 + total)):
+        near_bound = not (_min(v) > inner_lo and _max(v) < inner_hi)
+        if near_bound:
+            # A descent step lowers the rates whose gradient is positive and
+            # raises those whose gradient is negative. The projected gradient
+            # is 0 at a rate on the bound its step pushes against, the
+            # gradient elsewhere.
+            lowers, raises = grad > 0.0, grad < 0.0
+            stuck = np.where(lowers, v <= lo, raises & (v >= hi))
+            projected = _max(np.abs(np.where(stuck, 0.0, grad)))
+        else:
+            projected = _max(np.abs(grad))
+        if projected * width <= TOLERANCE * (1.0 + total):
             converged = True
             break
 
-        np.matmul(jac.T, jac, out=gn)
-        gn *= 2.0
-        # eps-active set: rates within eps of a bound that the gradient
-        # pushes outward; eps shrinks with the scaled projected step.
-        scaled = grad / scale
-        edge = v - scaled
-        np.maximum(edge, lo, out=edge)
-        np.minimum(edge, hi, out=edge)
-        np.subtract(v, edge, out=edge)
-        eps = min(_EPS_FRAC * width, float(np.abs(edge, out=edge).max()))
-        held = np.where(lowers, v <= lo + eps, raises & (v >= hi - eps))
-        if np.count_nonzero(held):
-            step = -scaled
-            free = ~held
-            if np.count_nonzero(free):
-                # The free rates' block of J'J, damped on its diagonal.
-                sub = gn[free][:, free]
-                sub.flat[::len(sub) + 1] += damping * scale[free]
-                step[free] = -np.linalg.solve(sub, grad[free])
-        else:
+        if ws.gn_stale:
+            np.matmul(jac.T, jac, out=gn)
+            gn *= 2.0
+            ws.gn_stale = False
+        step = None
+        if near_bound:
+            # eps-active set: rates within eps of a bound that the gradient
+            # pushes outward; eps shrinks with the scaled projected step.
+            scaled = grad / scale
+            edge = v - scaled
+            np.maximum(edge, lo, out=edge)
+            np.minimum(edge, hi, out=edge)
+            np.subtract(v, edge, out=edge)
+            eps = min(margin, float(_max(np.abs(edge, out=edge))))
+            held = np.where(lowers, v <= lo + eps, raises & (v >= hi - eps))
+            if np.count_nonzero(held):
+                step = -scaled
+                free = ~held
+                if np.count_nonzero(free):
+                    # The free rates' block of J'J, damped on its diagonal.
+                    sub = gn[free][:, free]
+                    sub.flat[::len(sub) + 1] += damping * scale[free]
+                    step[free] = -np.linalg.solve(sub, grad[free])
+        if step is None:
             np.copyto(block, gn)
             ws.block_diagonal += damping * scale
             step = np.linalg.solve(block, grad)
@@ -463,19 +534,11 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     return iterations, converged
 
 
-def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
-          warm_start: np.ndarray | None = None) -> MpcSolution:
-    """Minimize the tracking objective over feasible metering plans.
-
-    Projected Gauss-Newton with Levenberg-Marquardt damping. Monotone in the
-    penalized objective: an iterate is only accepted when it decreases the
-    value, so the reported objective never exceeds the warm-start or
-    cold-start value. ``converged`` means the projected-gradient test
-    (``TOLERANCE``) passed; a stalled search or the iteration cap
-    leaves it False. Raises :class:`ModelBlowupError` only if the starting
-    plan itself diverges.
-    """
-    t0 = time.perf_counter()
+def _solve(ws: _Workspace, x0, u_prev, warm_start, started: float) -> MpcSolution:
+    """One solve (see :func:`solve`) in ``ws``'s buffers, on its model and
+    config; ``solve_time_s`` counts from the ``time.perf_counter()`` reading
+    ``started``."""
+    model, cfg = ws.model, ws.cfg
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     if len(u_prev) != model.input_dim:
@@ -490,10 +553,14 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     # A diverging rollout is reported as ModelBlowupError (the start plan) or
     # rejected (a candidate), so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _Workspace(model, x0, u_prev, cfg, plan)
+        ws.start(x0, u_prev, plan)
+        if not math.isfinite(ws.cur.total):
+            # Finite states whose cost overflows: no decrease can be measured.
+            raise ModelBlowupError(_first_overflow(ws.cur))
         iterations, converged = _search(ws, cfg.solver)
     states = ws.cur.x.copy()
-    penalty = bound_penalty(states)
+    # With every stage strictly inside the band the penalty is 0.0 exactly.
+    penalty = 0.0 if ws.cur.hinge_zero else bound_penalty(states)
     return MpcSolution(
         plan=ws.cur.v.reshape(plan.shape).copy(),
         states=states,
@@ -501,8 +568,25 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
         penalty=penalty,
         iterations=iterations,
         converged=converged,
-        solve_time_s=time.perf_counter() - t0,
+        solve_time_s=time.perf_counter() - started,
     )
+
+
+def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
+          warm_start: np.ndarray | None = None) -> MpcSolution:
+    """Minimize the tracking objective over feasible metering plans.
+
+    Projected Gauss-Newton with Levenberg-Marquardt damping. Monotone in the
+    penalized objective: an iterate is only accepted when it decreases the
+    value, so the reported objective never exceeds the warm-start or
+    cold-start value. ``converged`` means the projected-gradient test
+    (``TOLERANCE``) passed; a stalled search or the iteration cap
+    leaves it False. Raises :class:`ModelBlowupError` only if the starting
+    plan itself diverges, or its states stay finite but its cost overflows.
+    Each call makes its own workspace; :class:`MpcController` keeps one.
+    """
+    started = time.perf_counter()
+    return _solve(_Workspace(model, cfg), x0, u_prev, warm_start, started)
 
 
 class MpcController:
@@ -518,8 +602,14 @@ class MpcController:
     envelope needs as many states as inputs.
 
     Never raises out of a control step: if the solver cannot even evaluate
-    its starting plan (a diverging model), the previous rates are reapplied
-    and the event is logged and recorded in the diagnostics.
+    its starting plan (a diverging model, or finite states whose cost
+    overflows), the previous rates are reapplied and the event is logged and
+    recorded in the diagnostics as a ``fallback``.
+
+    The controller makes one :class:`_Workspace` (reading the cost
+    constants then) and runs every solve in it, through the search
+    :func:`solve` runs: the plans and diagnostics are those of a fresh
+    :func:`solve` per window, and ``solve_time_s`` counts the whole solve.
 
     Each window adds one ``diagnostics`` entry: ``time_s`` and
     ``fallback``, and unless it fell back ``iterations``, ``converged``,
@@ -537,6 +627,7 @@ class MpcController:
         self.diagnostics: list[dict] = []
         self.alinea = MeterBank(model.input_dim, self.config.target_occupancy_pct,
                                 *ALINEA_GAINS)
+        self._workspace = _Workspace(model, self.config)
 
     def _warm_start(self) -> np.ndarray | None:
         # The last plan, shifted one stage. Cold starts from u_prev take
@@ -557,8 +648,8 @@ class MpcController:
             self.diagnostics.append(entry)
             return action
         try:
-            sol = solve(self.model, observation.occupancy, self.u_prev,
-                        self.config, warm_start=self._warm_start())
+            sol = _solve(self._workspace, observation.occupancy, self.u_prev,
+                         self._warm_start(), time.perf_counter())
             action = sol.plan[0]
             self.last_plan = sol.plan
             # Capped: the search spent its whole iteration cap without

@@ -193,7 +193,8 @@ def test_criterion_04_planner_gradient_matches_finite_differences(monkeypatch):
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+        ws = mpc._Workspace(model, cfg)
+        ws.start(x0, u_prev, plan)
         res, jac = ws.cur.res, ws.jacobian()
         grad = (2.0 * jac.T @ res).reshape(plan.shape)
         fd = _fd_gradient(model, x0, plan, u_prev, cfg)

@@ -1,13 +1,15 @@
 """Predictive controller: objective algebra, rollout and its stage
 Jacobians, the least-squares gradient, solver, fallback."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rampnet import mpc
-from rampnet.feedback import ALINEA_GAINS, RATE_MAX_VPH, RATE_MIN_VPH, MeterBank
+from rampnet.feedback import (ALINEA_GAINS, INITIAL_RATE_VPH, RATE_MAX_VPH,
+                              RATE_MIN_VPH, MeterBank)
 from rampnet.mpc import (ModelBlowupError, MpcConfig, MpcController,
                          SolverSettings, bound_penalty, objective, rollout,
                          solve)
@@ -121,7 +123,8 @@ def test_prediction_keeps_the_public_states_and_jacobians():
     coef[:, :6] = np.linalg.lstsq(theta[:, :6], y, rcond=None)[0].T
     linear = SparseModel(coefficients=coef, state_dim=3, input_dim=2)
     for model in (fit_derivatives(x, u, y), linear):
-        ws = mpc._Workspace(model, x0, plan[0], MpcConfig(), plan)
+        ws = mpc._Workspace(model, MpcConfig())
+        ws.start(x0, plan[0], plan)
         states = ws.cur.x
         assert np.array_equal(states, rollout(model, x0, plan))
         ws.jacobian()
@@ -148,8 +151,8 @@ def test_the_hinge_is_the_excess_over_the_occupancy_band(monkeypatch):
     # x(1) = x(0) + (-0.0) keeps every x(0), -0.0 included, bit for bit.
     monkeypatch.setattr(model, "_f", lambda z: np.full(len(x), -0.0))
     with np.errstate(over="ignore"):  # the cost of x = 1e300 overflows
-        ws = mpc._Workspace(model, x, np.array([1000.0]), MpcConfig(horizon=1),
-                            np.array([[1000.0]]))
+        ws = mpc._Workspace(model, MpcConfig(horizon=1))
+        ws.start(x, np.array([1000.0]), np.array([[1000.0]]))
     assert ws.cur.x[1].tobytes() == x.tobytes()
     expected = np.maximum(x - hi, 0.0) - np.maximum(lo - x, 0.0)
     assert np.array_equal(ws.cur.hinge[0], ws.root_w * expected)
@@ -165,7 +168,8 @@ def _total_cost(model, x0, plan, u_prev, cfg):
 def _solver_gradient(model, x0, plan, u_prev, cfg):
     """2 J'r from the solver's own residual and residual Jacobian, with
     |r|^2 checked against objective + bound penalty."""
-    ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+    ws = mpc._Workspace(model, cfg)
+    ws.start(x0, u_prev, plan)
     states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
     assert res @ res == pytest.approx(
         objective(states, plan, u_prev, cfg) + bound_penalty(states),
@@ -274,7 +278,8 @@ def test_residual_jacobian_gives_the_adjoint_gradient(monkeypatch):
         x0 = rng.uniform(5.0, 25.0, size=n)
         plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
         u_prev = rng.uniform(300.0, 1700.0, size=m)
-        ws = mpc._Workspace(model, x0, u_prev, cfg, plan)
+        ws = mpc._Workspace(model, cfg)
+        ws.start(x0, u_prev, plan)
         states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
         penalty = bound_penalty(states)
         if trial % 3:
@@ -511,7 +516,7 @@ def test_controller_marks_only_solves_the_cap_ended_as_capped(monkeypatch):
     assert entry["iterations"] == 1 and not entry["converged"]
     assert entry["capped"] is True
 
-    real_solve = mpc.solve
+    real_solve = mpc._solve
 
     def ended(converged, iterations):
         def fake(*args, **kwargs):
@@ -521,7 +526,7 @@ def test_controller_marks_only_solves_the_cap_ended_as_capped(monkeypatch):
 
     controller = MpcController(model, MpcConfig(horizon=4))
     for converged, iterations in ((True, 200), (False, 7)):
-        monkeypatch.setattr(mpc, "solve", ended(converged, iterations))
+        monkeypatch.setattr(mpc, "_solve", ended(converged, iterations))
         controller(_obs([60.0, 2.0]))
         assert controller.diagnostics[-1]["capped"] is False
 
@@ -583,13 +588,13 @@ def test_controller_hands_windows_outside_the_envelope_to_alinea(monkeypatch):
     assert _is_planner_step(entry)
 
     seen = []
-    real_solve = mpc.solve
+    real_solve = mpc._solve
 
-    def spy(model, x0, u_prev, cfg, warm_start=None):
+    def spy(ws, x0, u_prev, warm_start, started):
         seen.append((u_prev.copy(), warm_start))
-        return real_solve(model, x0, u_prev, cfg, warm_start=warm_start)
+        return real_solve(ws, x0, u_prev, warm_start, started)
 
-    monkeypatch.setattr(mpc, "solve", spy)
+    monkeypatch.setattr(mpc, "_solve", spy)
     resumed = controller(_obs([15.0, 16.0], time_s=90.0))
     (u_prev, warm_start), = seen
     assert np.array_equal(u_prev, action) and warm_start is None
@@ -598,3 +603,89 @@ def test_controller_hands_windows_outside_the_envelope_to_alinea(monkeypatch):
     assert np.array_equal(controller.alinea.rates, resumed)
     assert [step.get("handed_over", False)
             for step in controller.diagnostics] == [False, True, False]
+
+
+def test_a_solve_whose_cost_overflows_raises_and_the_controller_falls_back():
+    """A constant drift of 1e155 keeps every predicted state finite, but the
+    squared deviation of the first predicted stage overflows. The solve
+    raises instead of reporting a NaN objective as converged, and the
+    controller reapplies its rates and records a fallback."""
+    coef = np.zeros((1, 1 + 2 + 3))
+    coef[0, 0] = 1e155
+    drifter = SparseModel(coefficients=coef, state_dim=1, input_dim=1)
+    cfg = MpcConfig(horizon=2)
+    assert np.isfinite(rollout(drifter, [15.0], [[1000.0], [1000.0]])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelBlowupError) as exc:
+            solve(drifter, [15.0], [1000.0], cfg)
+        assert exc.value.step == 1
+        controller = MpcController(drifter, cfg)
+        action = controller(_obs([15.0]))
+    assert np.array_equal(action, [INITIAL_RATE_VPH])
+    assert controller.diagnostics == [{"time_s": 30.0, "fallback": True}]
+    assert controller.last_plan is None
+
+
+def _corridor_pair(quadratic: bool) -> SparseModel:
+    """Two cells drawn to 30 % and pushed up by their meters, with an
+    envelope up to 120 %: a start near 110 % predicts stages above the
+    occupancy band, and 130 % is outside the envelope."""
+    coef = np.zeros((2, 1 + 4 + 10))
+    coef[:, 0] = 0.2 * 30.0 - 0.02 * 1000.0
+    coef[[0, 1], [1, 2]] = -0.2
+    coef[[0, 1], [3, 4]] = 0.02
+    if quadratic:
+        coef[:, 1 + 4 + 1] = 1e-4  # x1 x2
+    return SparseModel(coefficients=coef, state_dim=2, input_dim=2,
+                       envelope=([0.0, 0.0], [120.0, 120.0]))
+
+
+def test_a_reused_workspace_computes_what_a_fresh_one_does(monkeypatch):
+    """One controller episode in the controller's own workspace gives the
+    actions, diagnostics (apart from ``solve_time_s``) and last plan that a
+    new workspace per window, as :func:`solve` makes, gives from the same
+    warm starts and ``u_prev``, for a quadratic and a linear model. The
+    episode hands a window over and has solves that write the hinge rows
+    with solves after them. The linear model's stage Jacobians are read once
+    for the whole episode."""
+    occupancy = [[40.0, 50.0], [110.0, 60.0], [105.0, 112.0], [130.0, 20.0],
+                 [70.0, 85.0], [108.0, 30.0], [20.0, 25.0], [16.0, 14.0]]
+    real_solve = mpc._solve
+
+    def fresh(ws, *args):  # what solve() runs: a new workspace per window
+        return real_solve(mpc._Workspace(ws.model, ws.cfg), *args)
+
+    for quadratic in (True, False):
+        model = _corridor_pair(quadratic)
+        reads = []
+
+        def counted(zs, out, model=model):
+            reads.append(len(zs))
+            return SparseModel._df_rows(model, zs, out)
+
+        model._df_rows = counted
+        written = []
+
+        def kept(ws, *args):
+            sol = real_solve(ws, *args)
+            written.append(ws.hinge_written)
+            return sol
+
+        runs = []
+        for planner in (kept, fresh):
+            monkeypatch.setattr(mpc, "_solve", planner)
+            controller = MpcController(model, MpcConfig(horizon=3))
+            actions = [controller(_obs(x, time_s=30.0 * (k + 1))).tobytes()
+                       for k, x in enumerate(occupancy)]
+            diagnostics = repr([{key: value for key, value in entry.items()
+                                 if key != "solve_time_s"}
+                                for entry in controller.diagnostics])
+            runs.append((actions, diagnostics, controller.last_plan.tobytes()))
+            if planner is kept and not quadratic:
+                assert len(reads) == 1
+        assert runs[0] == runs[1]
+        entries = controller.diagnostics
+        assert [entry.get("handed_over", False) for entry in entries].count(True) == 1
+        assert not any(entry["fallback"] for entry in entries)
+        assert any(written[:-1])
