@@ -23,11 +23,15 @@ Sensors integrate occupancy, flow, and speed over one control step and the
 episode runner hands those windows to a controller callback, which answers
 with the metering rates for the next control step.
 
-Arrivals come from one ``rng.poisson(means, size=(steps, sources))`` call per
-control window (:meth:`TrafficPlant.draw_arrivals`); each step consumes one
-row. numpy fills the block in row order with exactly the draws that one
-scalar call per source and step would give, and a zero-demand source takes
-no bits, so demand realizations depend on the seed alone.
+Arrivals come from one ``rng.poisson(means, size=(steps, sources))`` call
+per episode (:meth:`TrafficPlant.draw_arrivals`); each step consumes one
+row, and each control window gets its rows as Python floats. numpy fills the
+block in row order with exactly the draws that one scalar call per source
+and step would give, so one draw per episode is the stream of one draw per
+window, and a zero-demand source takes no bits, so demand realizations
+depend on the seed alone. The counts convert to float exactly; CPython
+specializes float-float arithmetic but not int-float, so the kernel runs
+faster on floats with the same results.
 
 The steps run on Python floats in one window kernel, which
 :meth:`TrafficPlant.advance` calls once per control window with that
@@ -49,9 +53,24 @@ timing, called when a red starts. The steps are scalar Python, not numpy
 calls, because on the benchmark's 34 cells a numpy call on an 8-34 element
 array costs about as much as the arithmetic it does. Each element's float
 expressions keep the order of the array version of the plant, so episodes
-are bit-identical to it. Compiling the benchmark corridor's 586-line kernel
-takes 6-8 ms and a transient of about 3 MB (tracemalloc peak, 2 vCPUs),
-once per process and config; its source is registered in ``linecache``
+are bit-identical to it.
+
+A cell at or below critical density sends ``vf * rho``, receives its full
+capacity and loses none of it (Daganzo 1994, *Transp. Res. B* 28:269), and
+most of the benchmark's cells sit there. So each cell's rule opens with a
+free-flow branch that writes those three values without evaluating the
+general min-expressions and the capacity-drop test. Its bound
+(``_free_flow_bound``) is the largest density, at most critical and found by
+stepping down from it one ulp at a time, at which the general float
+expressions give exactly the branch's values; critical densities such as
+16.67 do not round-trip through ``vf * rho`` and ``wave * (jam - rho)``, so
+the bound can sit an ulp below critical. Every rounding involved is monotone
+in the density, so the branch is exact on all of [0, bound] and episodes stay
+bit-identical; a cell without a bound within 64 ulps gets a branch that is
+never taken. Compiling the benchmark corridor's 654-line kernel takes
+8-14 ms and a transient of about 3.3 MB (tracemalloc peak, 2 vCPUs; 586
+lines, 7.5-11 ms and 3.0 MB without the branch), once per process and
+config; its source is registered in ``linecache``
 under a name derived from it, so tracebacks and profiles show kernel lines.
 
 Units: densities veh/km/lane, flows veh/h, queues veh, time s. One simulation
@@ -138,6 +157,47 @@ def _literal(value) -> str:
     return text if math.isfinite(float(value)) else f"float('{text}')"
 
 
+def _free_flow_exact(rho, vf, cap, lanes, wave, jam) -> bool:
+    """Whether the cell rule's general send and receive expressions give, at
+    density ``rho``, exactly the free-flow branch's ``vf * rho * lanes`` and
+    ``cap * lanes``."""
+    cap_l = cap * lanes
+    x = vf * rho
+    send = x * lanes if x < cap else cap_l
+    x = wave * (jam - rho)
+    recv = x * lanes if x < cap else cap_l
+    return send == vf * rho * lanes and recv == cap_l
+
+
+def _free_flow_bound(cell) -> float:
+    """The free-flow branch's bound for ``cell``: the largest density at
+    most its critical density, and at most 64 ulps below it, at which
+    :func:`_free_flow_exact` holds, or -inf when there is none.
+
+    Every rounding involved is monotone in the density, so a test at the
+    bound covers all of [0, bound]. Below an exact bound, ``vf * rho`` is
+    either under ``cap``, where both paths send ``vf * rho * lanes``, or
+    between ``cap`` and its value at the bound, so that times ``lanes`` it
+    rounds to between ``cap * lanes`` and the bound's send, which is
+    ``cap * lanes`` too. Likewise ``wave * (jam - rho)`` is at least its
+    value at the bound, so the receive stays ``cap * lanes``. The discharge
+    factor is 1.0 because the bound is at most critical. The lowest
+    candidate is tested first, so a cell with no bound costs one test.
+    """
+    vf, cap = float(cell.free_flow_kmh), float(cell.capacity_vphl)
+    lanes, jam = float(cell.lanes), float(cell.jam_density_vkml)
+    wave, crit = float(cell.wave_speed_kmh), float(cell.critical_density_vkml)
+    floor = crit
+    for _ in range(64):
+        floor = math.nextafter(floor, 0.0)
+    if not _free_flow_exact(floor, vf, cap, lanes, wave, jam):
+        return -math.inf
+    bound = crit
+    while not _free_flow_exact(bound, vf, cap, lanes, wave, jam):
+        bound = math.nextafter(bound, 0.0)
+    return bound
+
+
 def _kernel_source(config: NetworkConfig) -> str:
     """Python source of ``window(plant, block, ledgers)`` for ``config``.
 
@@ -161,7 +221,7 @@ def _kernel_source(config: NetworkConfig) -> str:
     T, TH = _literal(ts), _literal(ts / 3600.0)
     # Per-cell constants in the expressions the step reads: vf, cap per
     # lane, lanes, wave speed, jam, critical, jam - critical, vehicles per
-    # unit density, and cap * lanes.
+    # unit density, cap * lanes and the free-flow branch's bound.
     consts = []
     for c in cells:
         vf, cap = float(c.free_flow_kmh), float(c.capacity_vphl)
@@ -169,7 +229,7 @@ def _kernel_source(config: NetworkConfig) -> str:
         crit = c.critical_density_vkml
         consts.append([_literal(v) for v in (
             vf, cap, lanes, c.wave_speed_kmh, jam, crit, jam - crit,
-            float(c.length_km) * lanes, cap * lanes)])
+            float(c.length_km) * lanes, cap * lanes, _free_flow_bound(c))])
     cap_total = [float(c.capacity_vphl) * float(c.lanes) for c in cells]
     ramp_cells = [first[r.highway] + r.merge_cell for r in config.ramps]
     n, n_hw, m = len(cells), len(config.highways), len(config.ramps)
@@ -260,13 +320,19 @@ def _kernel_source(config: NetworkConfig) -> str:
     # The cell rule, the one place it is written: from a cell's density,
     # its demand (send) and supply (recv) in veh/h and the capacity-drop
     # factor (dis) that scales what it discharges after the demand/supply
-    # min; queue releases are not scaled. After the fluxes each density
-    # moves by its inflow minus outflow and is clamped to [0, jam].
+    # min; queue releases are not scaled. At or below the free-flow bound
+    # the general expressions give exactly what the branch writes
+    # (_free_flow_bound), so the branch only saves their work. After the
+    # fluxes each density moves by its inflow minus outflow and is clamped
+    # to [0, jam].
     rule, settle = [], []
-    for c, (vf, cap, lanes, wave, jam, crit, span, veh, cap_l) in enumerate(consts):
-        rule += [f"x = {vf} * rho{c}; snd{c} = x * {lanes} if x < {cap} else {cap_l}",
-                 f"x = {wave} * ({jam} - rho{c}); rcv{c} = x * {lanes} if x < {cap} else {cap_l}",
-                 f"dis{c} = 1.0 if rho{c} <= {crit} else 1.0 - drop * ((rho{c} - {crit}) / {span})"]
+    for c, (vf, cap, lanes, wave, jam, crit, span, veh, cap_l, bound) in enumerate(consts):
+        rule += [f"if rho{c} <= {bound}: snd{c} = {vf} * rho{c} * {lanes}; "
+                 f"rcv{c} = {cap_l}; dis{c} = 1.0",
+                 "else:",
+                 f"    x = {vf} * rho{c}; snd{c} = x * {lanes} if x < {cap} else {cap_l}",
+                 f"    x = {wave} * ({jam} - rho{c}); rcv{c} = x * {lanes} if x < {cap} else {cap_l}",
+                 f"    dis{c} = 1.0 if rho{c} <= {crit} else 1.0 - drop * ((rho{c} - {crit}) / {span})"]
         settle += [f"x = rho{c} + ({inflow[c]} - {outflow[c]}) * {TH} / {veh}",
                    clamp(c, "x")]
     exits = "".join(f" + out{i} * {TH}" for i in range(n_hw))
@@ -359,8 +425,8 @@ class TrafficPlant:
         # Each ramp's detector sits in its merge cell.
         merge_cells = [config.highway(r.highway).cells[r.merge_cell]
                        for r in config.ramps]
-        self._sensor_vf = np.array([float(c.free_flow_kmh) for c in merge_cells])
-        self._sensor_lanes = np.array([float(c.lanes) for c in merge_cells])
+        self._sensor_vf = [float(c.free_flow_kmh) for c in merge_cells]
+        self._sensor_lanes = [float(c.lanes) for c in merge_cells]
         self._veh_factor = np.array([float(c.length_km) * float(c.lanes)
                                      for c in cells])
 
@@ -405,24 +471,30 @@ class TrafficPlant:
         return float(self.density @ self._veh_factor
                      + self.entry_queues.sum() + self.ramp_queues.sum())
 
-    def draw_arrivals(self, steps: int, rng) -> list[list[int]]:
-        """Poisson arrivals for ``steps`` simulation steps in one draw.
+    def draw_arrivals(self, steps: int, rng) -> np.ndarray:
+        """Poisson arrivals for ``steps`` simulation steps in one draw, as a
+        (steps, sources) float array.
 
         One row per step, one count per source (highways, then ramps), each
         with mean ``demand * sim_step_s / 3600``. numpy fills the block in
         row order with the same draws as one scalar call per source and step,
-        and a zero-demand source reads 0 without consuming any bits.
+        so one draw of k windows' steps is k draws of one window's, and a
+        zero-demand source reads 0 without consuming any bits. The counts
+        convert to float exactly, and the kernel's arithmetic on floats is
+        cheaper than on ints; :meth:`advance` takes rows of Python floats
+        (``.tolist()`` of a slice).
         """
         means = self._arrival_means
-        return rng.poisson(means, size=(steps, len(means))).tolist()
+        return rng.poisson(means, size=(steps, len(means))).astype(float)
 
     # -- dynamics ---------------------------------------------------------------
 
     def advance(self, block, ledgers=()) -> None:
         """Run one simulation step per row of ``block``.
 
-        ``block`` holds rows of :meth:`draw_arrivals`: the vehicles that
-        reach each source (highways, then ramps) during each step. The state
+        ``block`` holds rows of :meth:`draw_arrivals` as lists of Python
+        floats: the vehicles that reach each source (highways, then ramps)
+        during each step. The state
         arrays are read when the call starts and replaced when it ends. After
         every step its arrivals (pre-drop), ramp drops and exits, in veh, are
         added to items 0, 1 and 2 of each list in ``ledgers``.
@@ -433,8 +505,8 @@ class TrafficPlant:
     def step(self, arrivals) -> tuple[float, float, float]:
         """Advance one simulation step; returns (arrivals, dropped, exits), veh.
 
-        ``arrivals`` is one row of :meth:`draw_arrivals`. This is
-        :meth:`advance` on a one-row block.
+        ``arrivals`` is one row of :meth:`draw_arrivals` as a list of
+        Python floats. This is :meth:`advance` on a one-row block.
         """
         books = [0.0, 0.0, 0.0]
         self.advance((arrivals,), (books,))
@@ -448,14 +520,16 @@ class TrafficPlant:
         if steps == 0:
             raise RuntimeError("no simulation steps since the last window read")
         window_s = steps * self.config.sim_step_s
-        occupancy = np.array(self._occ_sum) / steps
-        flow = np.array(self._passed_veh) * 3600.0 / window_s
-        mean_density = np.array(self._dens_sum) / steps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speed = flow / (mean_density * self._sensor_lanes)
-        speed = np.where(mean_density > 1e-9, speed, self._sensor_vf)
+        flow = [veh * 3600.0 / window_s for veh in self._passed_veh]
+        speed = []  # space-mean speed; free-flow speed over an empty cell
+        for q, dens, lanes, vf in zip(flow, self._dens_sum, self._sensor_lanes,
+                                      self._sensor_vf):
+            dens /= steps
+            speed.append(q / (dens * lanes) if dens > 1e-9 else vf)
         obs = ControlObservation(
-            time_s=self.time_s, occupancy=occupancy, flow=flow, speed=speed)
+            time_s=self.time_s,
+            occupancy=np.array([occ / steps for occ in self._occ_sum]),
+            flow=np.array(flow), speed=np.array(speed))
         green = np.array(self._green_s)
         self._clear_window()
         return obs, green
@@ -512,13 +586,14 @@ class EpisodeRecord:
                   + [f"flow_{i + 1}" for i in range(n)]
                   + [f"speed_{i + 1}" for i in range(n)]
                   + [f"rate_{i + 1}" for i in range(m)])
+        table = np.column_stack((self.times, self.occupancy, self.flow,
+                                 self.speed, self.rates))
+        # One format string per row writes what csv.writer would: no field
+        # needs quoting, and "%.12g" formats as f"{v:.12g}" does.
+        row = ",".join(["%.12g"] * len(header)) + "\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                row = ([self.times[k]], self.occupancy[k], self.flow[k],
-                       self.speed[k], self.rates[k])
-                writer.writerow([f"{v:.12g}" for part in row for v in part])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(row % tuple(values) for values in table.tolist())
         meta = {"seed": int(self.seed),
                 "control_step_s": float(self.control_step_s),
                 "sensor_ids": list(self.sensor_ids),
@@ -630,13 +705,16 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     clamp events (logged once at the end), drops and green seconds cover the
     control window only.
 
-    The plant runs one :meth:`TrafficPlant.advance` call per control window.
-    Two clock reads per window split the episode's wall time in the record's
-    ``time_split_s``: "controller" is the controller calls, "plant" the rest
-    of each window (drawing arrivals, the window's steps, the sensor read,
-    clamping and recording the answer, publishing the rates), and "rest"
-    what lies outside the window loop (building the plant, the audit and the
-    record).
+    The whole episode's arrivals come from one
+    :meth:`TrafficPlant.draw_arrivals` call, the same stream as one draw per
+    window, and the plant runs one :meth:`TrafficPlant.advance` call per
+    control window on that window's rows as Python floats. The rates are
+    clamped and counted on Python floats too. Two clock reads per window
+    split the episode's wall time in the record's ``time_split_s``:
+    "controller" is the controller calls, "plant" the arrival draw and the
+    rest of each window (the window's steps, the sensor read, clamping and
+    recording the answer, publishing the rates), and "rest" what lies
+    outside (building the plant, the audit and the record).
 
     Raises :class:`ConservationError` if the whole episode's arrivals minus
     drops minus exits differ from the change in stored vehicles by more than
@@ -661,10 +739,11 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     clamp_events = 0
     plant_s = controller_s = 0.0
     mark = time.perf_counter()
+    draws = plant.draw_arrivals(total_windows * steps_per, rng)
     for window in range(total_windows):
         recording = window >= burn_in_windows
-        plant.advance(plant.draw_arrivals(steps_per, rng),
-                      (books, recorded_books) if recording else (books,))
+        block = draws[window * steps_per:(window + 1) * steps_per].tolist()
+        plant.advance(block, (books, recorded_books) if recording else (books,))
         obs, green = plant.read_window()
         asked = time.perf_counter()
         plant_s += asked - mark
@@ -675,9 +754,13 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         if proposed.shape != (m,):
             raise ValueError(
                 f"controller returned shape {proposed.shape}, expected ({m},)")
-        clamped = np.clip(proposed, RATE_MIN_VPH, RATE_MAX_VPH)
+        proposed = proposed.tolist()
+        clamped = [RATE_MIN_VPH if rate < RATE_MIN_VPH
+                   else RATE_MAX_VPH if rate > RATE_MAX_VPH else rate
+                   for rate in proposed]
         if recording:
-            clamp_events += int(np.sum(np.abs(clamped - proposed) > 1e-9))
+            clamp_events += sum(abs(rate - wish) > 1e-9
+                                for rate, wish in zip(clamped, proposed))
             times.append(obs.time_s)
             occs.append(obs.occupancy)
             flows.append(obs.flow)

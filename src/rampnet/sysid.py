@@ -281,8 +281,10 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, blocks=None):
     on its own block of theta's columns.
 
     ``blocks`` holds one array of column indices per target; None gives every
-    target every column. Target k's regression is one job on its block A and
-    its column y: it forms G = A'A, b = A'y and y'y, and two stages read them.
+    target every column. Each distinct block A of theta's columns is copied,
+    and its Gram G = A'A formed, once before the jobs start. Target k's
+    regression is one job on its block and its column y: it forms b = A'y
+    and y'y, and two stages read them with G.
     The ridge screen, one solve of ``(G/d + RIDGE I) c = b/d``, keeps the
     columns whose coefficient clears ``THRESHOLD``; on the benchmark logs it
     drops the centred constant and up to three columns the next stage would
@@ -296,7 +298,8 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, blocks=None):
     The bundled OpenBLAS is held to one thread for every job, then restored,
     so the coefficients do not depend on its thread count: G formed on two
     BLAS threads differs from G on one at rounding level (up to 1.4e-13 on
-    one benchmark seed's logs), and the fit with it. A job writes only its
+    one benchmark seed's logs), and the fit with it; the shared blocks and
+    Grams are formed on that one thread too. A job writes only its
     own coefficient row. The calling thread and, given a second usable CPU,
     one helper thread share the jobs; a third and fourth worker would each
     add about 2 MB of peak RSS (see ``_MAX_WORKERS``). The elimination is a
@@ -319,10 +322,12 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, blocks=None):
     # Every block is a copy, the whole library's too: A'y on a view of theta
     # sums in another order, and None would not be all-true masks bit for bit.
     blocks = [np.arange(h)] * len(coef) if blocks is None else blocks
+    keys = [tuple(np.asarray(cols).tolist()) for cols in blocks]
+    shared = {}  # (block, Gram) of each distinct block
 
     def regress(k: int) -> None:
-        block, y = theta[:, blocks[k]], targets[:, k:k + 1]
-        gram, moment = block.T @ block, block.T @ y
+        (block, gram), y = shared[keys[k]], targets[:, k:k + 1]
+        moment = block.T @ y
         energy = np.sum(y * y, axis=0)[0]
         # Ridge in covariance form: (A'A/d + RIDGE I) keeps the penalty
         # strength independent of how many rows were logged.
@@ -343,6 +348,10 @@ def stls_regress(theta: np.ndarray, targets: np.ndarray, blocks=None):
             coef[k, blocks[k][active]] = fit
 
     with _one_blas_thread() as parallel:
+        for key, cols in zip(keys, blocks):
+            if key not in shared:
+                block = theta[:, cols]
+                shared[key] = block, block.T @ block
         _run_jobs(regress, len(coef), parallel)
     return coef
 

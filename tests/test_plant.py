@@ -1,8 +1,10 @@
 """Plant dynamics: conservation, signals, discharge physics, episode runner."""
 
 import ast
+import csv
 import hashlib
 import json
+import math
 import time
 import traceback
 from dataclasses import replace
@@ -16,9 +18,11 @@ from rampnet.feedback import (ALINEA_GAINS, GREEN_DURATION_S, INITIAL_RATE_VPH,
 from rampnet.network import (CellParams, Highway, JunctionSpec, NetworkConfig,
                              RampSpec, benchmark_config_path,
                              load_config)
+from rampnet import plant as plant_module
 from rampnet.plant import (CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC,
                            MERGE_RELAX_S, ConservationError, EpisodeRecord,
-                           TrafficPlant, _kernel_source, run_episode)
+                           TrafficPlant, _free_flow_bound, _free_flow_exact,
+                           _kernel_source, run_episode)
 
 
 def _cell(lanes=3, capacity=2000.0):
@@ -49,7 +53,7 @@ def _metered_config(**timing):
 def _step(plant, rng):
     """One simulation step on a freshly drawn row of arrivals; returns its
     (arrivals, dropped, exits) in veh."""
-    return plant.step(plant.draw_arrivals(1, rng)[0])
+    return plant.step(plant.draw_arrivals(1, rng).tolist()[0])
 
 
 def _exits(plant):
@@ -71,8 +75,26 @@ def test_arrival_block_zero_demand_draws_zero_without_consuming_bits():
     plant = TrafficPlant(_line_config(2))
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert plant.draw_arrivals(30, rng) == [[0, 0]] * 30
+    assert plant.draw_arrivals(30, rng).tolist() == [[0.0, 0.0]] * 30
     assert rng.bit_generator.state == before
+
+
+def test_one_arrival_draw_is_the_stream_of_one_draw_per_window():
+    """One draw of k windows' steps equals k draws of one window's from the
+    same seed, as floats, and the zero-demand ramp among the sources takes
+    no bits: the others draw what they draw without it."""
+    busy = RampSpec("r2", "A", 2, "s2", 900.0)
+    plant = TrafficPlant(_line_config(3, demand=1800.0, ramps=(_IDLE_RAMP, busy)))
+    whole = plant.draw_arrivals(5 * 30, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    windows = np.concatenate([plant.draw_arrivals(30, rng) for _ in range(5)])
+    assert whole.dtype == np.float64 and whole.shape == (150, 3)
+    assert np.array_equal(whole, windows)
+    assert whole[:, 1].tolist() == [0.0] * 150 and whole[:, 2].any()
+    without_idle = TrafficPlant(_line_config(3, demand=1800.0, ramps=(busy,)))
+    assert np.array_equal(
+        whole[:, [0, 2]],
+        without_idle.draw_arrivals(5 * 30, np.random.default_rng(3)))
 
 
 def test_arrival_block_mean_tracks_demand():
@@ -332,6 +354,14 @@ def test_run_episode_clamps_and_counts_wild_rates():
     assert rec.clamp_events == 4  # the 2 burn-in windows do not count
 
 
+def test_run_episode_refuses_a_nan_rate():
+    """The clamp passes NaN through, and the meters refuse it."""
+    cfg = _metered_config(burn_in_s=60.0, horizon_duration_s=120.0)
+    with pytest.raises(ValueError,
+                       match=r"^rate nan veh/h outside feasible meter range"):
+        run_episode(cfg, lambda obs: np.array([np.nan]), seed=2)
+
+
 def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
     # A five-vehicle ramp queue under the lowest rate overflows in burn-in.
     cfg = replace(_metered_config(burn_in_s=60.0, horizon_duration_s=120.0),
@@ -367,6 +397,23 @@ def _two_highway_config():
         junctions=(JunctionSpec("A", 2, "B", 2, 0.3),),
         sim_step_s=1.0, control_step_s=30.0, burn_in_s=300.0,
         horizon_duration_s=900.0)
+
+
+class _SlowWaveCell(CellParams):
+    """A cell whose congestion wave is half the triangular diagram's, so no
+    density near critical receives its capacity."""
+
+    @property
+    def wave_speed_kmh(self) -> float:
+        return 0.5 * super().wave_speed_kmh
+
+
+def _slow_wave_config():
+    """The metered line with one slow-wave cell downstream of the merge."""
+    cfg = _metered_config()
+    hw = cfg.highways[0]
+    cells = (*hw.cells[:2], _SlowWaveCell(**vars(hw.cells[2])))
+    return replace(cfg, highways=(replace(hw, cells=cells),))
 
 
 def _benchmark_short_config():
@@ -431,7 +478,7 @@ def test_window_kernel_matches_one_step_per_row(make_config):
     # Meters swing between the rails, so queues overflow and cycles change.
     rates = np.linspace(200.0, 1800.0, cfg.n_ramps)
     for _ in range(60):
-        block = windowed.draw_arrivals(cfg.steps_per_control, rng)
+        block = windowed.draw_arrivals(cfg.steps_per_control, rng).tolist()
         windowed.advance(block, (windowed_books,))
         for row in block:
             arrivals, dropped, exits = stepped.step(row)
@@ -675,24 +722,30 @@ class _LoopKernel:
 
 
 @pytest.mark.parametrize("make_config", [_benchmark_short_config,
-                                         _two_highway_config, _metered_config],
+                                         _two_highway_config, _metered_config,
+                                         _slow_wave_config],
                          ids=["benchmark-corridor", "junction-and-two-ramps",
-                              "metered"])
+                              "metered", "slow-wave"])
 def test_generated_kernel_matches_the_loop_reference(make_config):
     """The generated kernel and the loop reference, on twin plants fed the
     same arrivals and random in-range rates one window at a time, stay
     bit-equal: state, every meter's phase, seconds left, quota, rate and
     pending rate, window sums, sensor reads and vehicle books.
     Between windows one density is written below 0 and one above jam, so
-    the clamp on entry runs, and a cell at jam runs the capacity drop."""
+    the clamp on entry runs, and a cell at jam runs the capacity drop.
+    Every other window also writes every cell's density at its free-flow
+    bound or one ulp above it, so both sides of each cell's free-flow branch
+    are checked against the general rule."""
     cfg = make_config()
     generated, reference = TrafficPlant(cfg), TrafficPlant(cfg)
     loops = _LoopKernel(cfg)
     rng = np.random.default_rng(17)
-    jam = [c.jam_density_vkml for hw in cfg.highways for c in hw.cells]
+    cells = [c for hw in cfg.highways for c in hw.cells]
+    jam = [c.jam_density_vkml for c in cells]
+    bounds = [_free_flow_bound(c) for c in cells]
     generated_books, reference_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
-    for _ in range(60):
-        block = generated.draw_arrivals(cfg.steps_per_control, rng)
+    for window in range(60):
+        block = generated.draw_arrivals(cfg.steps_per_control, rng).tolist()
         generated.advance(block, (generated_books,))
         loops.advance(reference, block, (reference_books,))
         assert _plant_state(generated) == _plant_state(reference)
@@ -707,9 +760,77 @@ def test_generated_kernel_matches_the_loop_reference(make_config):
         below, above = -rng.uniform(0.0, 20.0), jam[high] + rng.uniform(0.0, 20.0)
         for plant in (generated, reference):
             plant.set_rates(rates)
+            if window % 4 == 1:
+                plant.density[:] = bounds
+            elif window % 4 == 3:
+                plant.density[:] = [math.nextafter(b, math.inf) for b in bounds]
             plant.density[low] = below
             plant.density[high] = above
     assert generated_books[0] > 0.0 and generated_books[2] > 0.0
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config, _metered_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps",
+                              "metered"])
+def test_free_flow_bound_is_exact_and_at_most_a_few_ulps_below_critical(make_config):
+    """Each cell's bound is the last density at or below critical where the
+    general rule gives the branch's values, a few ulps below critical at
+    most, and the kernel compares each cell's density with it."""
+    cfg = make_config()
+    cells = [c for hw in cfg.highways for c in hw.cells]
+    source = _kernel_source(cfg)
+    for k, cell in enumerate(cells):
+        crit = cell.critical_density_vkml
+        args = (float(cell.free_flow_kmh), float(cell.capacity_vphl),
+                float(cell.lanes), cell.wave_speed_kmh,
+                float(cell.jam_density_vkml))
+        bound = _free_flow_bound(cell)
+        assert bound <= crit
+        assert _free_flow_exact(bound, *args)
+        above = math.nextafter(bound, math.inf)
+        assert above > crit or not _free_flow_exact(above, *args)
+        ulps = 0
+        while bound < crit:
+            bound = math.nextafter(bound, math.inf)
+            ulps += 1
+        assert ulps <= 4
+        assert f"if rho{k} <= {_free_flow_bound(cell)!r}: " in source
+
+
+def test_free_flow_bound_on_cells_whose_critical_density_does_not_round_trip():
+    """At capacity 1667 both vf * crit and wave * (jam - crit) miss capacity,
+    on opposite sides, and the bound steps below critical; at 1790 vf * crit
+    falls short of capacity, which the general rule's min already gives."""
+    by_capacity = {c.capacity_vphl: c for hw in _benchmark_short_config().highways
+                   for c in hw.cells}
+    cell = by_capacity[1667]
+    crit = cell.critical_density_vkml
+    assert cell.free_flow_kmh * crit > 1667.0
+    assert cell.wave_speed_kmh * (cell.jam_density_vkml - crit) < 1667.0
+    assert _free_flow_bound(cell) == math.nextafter(crit, 0.0)
+    cell = by_capacity[1790]
+    crit = cell.critical_density_vkml
+    assert cell.free_flow_kmh * crit < 1790.0
+    assert _free_flow_bound(cell) == crit
+
+
+def test_a_cell_with_no_free_flow_bound_gets_a_branch_never_taken(monkeypatch):
+    """With half the diagram's wave speed no density near critical receives
+    capacity: the search stops after its first test, and the branch compares
+    with -inf, which no density passes (the kernel's match with the loop
+    reference on this config is checked above)."""
+    cell = _slow_wave_config().highways[0].cells[2]
+    tests = []
+
+    def counted(*args):
+        tests.append(args[0])
+        return _free_flow_exact(*args)
+
+    monkeypatch.setattr(plant_module, "_free_flow_exact", counted)
+    assert _free_flow_bound(cell) == -math.inf
+    assert len(tests) == 1
+    assert "if rho2 <= float('-inf'): " in _kernel_source(_slow_wave_config())
 
 
 def test_kernel_tracebacks_show_kernel_lines():
@@ -722,7 +843,7 @@ def test_kernel_tracebacks_show_kernel_lines():
     plant._meter_pending[0] = 5000.0
     with pytest.raises(ValueError, match="outside feasible meter range") as exc:
         plant.advance(plant.draw_arrivals(cfg.steps_per_control,
-                                          np.random.default_rng(0)))
+                                          np.random.default_rng(0)).tolist())
     frames = traceback.extract_tb(exc.tb)
     kernel = [frame for frame in frames if frame.filename.startswith("<rampnet.plant")]
     assert len(kernel) == 1
@@ -768,6 +889,47 @@ def test_episode_record_csv_round_trip(tmp_path):
     for name in ("occupancy", "flow", "speed", "rates"):
         assert np.allclose(getattr(back, name), getattr(rec, name),
                            rtol=1e-11, atol=1e-11)
+
+
+def _csv_writer_reference(record, path):
+    """The per-step table as ``csv.writer`` writes it, each value formatted
+    with ``f"{v:.12g}"``: what :meth:`EpisodeRecord.to_csv` must write."""
+    n, m = record.occupancy.shape[1], record.rates.shape[1]
+    header = (["time_s"] + [f"occ_{i + 1}" for i in range(n)]
+              + [f"flow_{i + 1}" for i in range(n)]
+              + [f"speed_{i + 1}" for i in range(n)]
+              + [f"rate_{i + 1}" for i in range(m)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(record)):
+            row = ([record.times[k]], record.occupancy[k], record.flow[k],
+                   record.speed[k], record.rates[k])
+            writer.writerow([f"{v:.12g}" for part in row for v in part])
+
+
+def test_episode_record_csv_bytes_match_the_csv_writer(tmp_path):
+    """Special and extreme floats and integer columns are written byte for
+    byte as csv.writer with ``.12g`` fields writes them."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, 1.0 / 3.0,
+               2.0 ** 53 + 2.0, 123456789.0, 0.1 + 0.2]
+    table = np.array(special + special[::-1]).reshape(4, 5)
+    rec = EpisodeRecord(
+        seed=3, control_step_s=30.0, sensor_ids=("s1", "s2"),
+        ramp_ids=("r1", "r2"), times=np.array([30.0, 60.0, 90.0, 1e300]),
+        occupancy=table[:, :2], flow=table[:, 2:4], speed=-table[:, 3:],
+        rates=np.array([[200, 1800], [-7, 0], [2 ** 40 + 1, 3], [5, 6]]),
+        green_seconds=np.array([10.0, 20.0]))
+    rec.to_csv(tmp_path / "ep.csv")
+    _csv_writer_reference(rec, tmp_path / "ref.csv")
+    written = (tmp_path / "ep.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert b"\r\n" in written and b"nan" in written and b"-0," in written
+    # An episode from the plant, too.
+    rec = run_episode(_metered_config(), lambda obs: np.array([100.0]), seed=4)
+    rec.to_csv(tmp_path / "ep.csv")
+    _csv_writer_reference(rec, tmp_path / "ref.csv")
+    assert (tmp_path / "ep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_episode_record_refuses_a_missing_sidecar_or_key(tmp_path):
