@@ -458,6 +458,13 @@ def _write_table(path: Path, row_labels, columns: dict) -> None:
                         + [_fmt(np.mean(col)) for col in columns.values()])
 
 
+@functools.lru_cache(maxsize=8)
+def _config_sha256(config: NetworkConfig) -> str:
+    """SHA-256 of the config's YAML, once per config: serialising it is most
+    of a small report's time."""
+    return hashlib.sha256(serialize_config(config).encode()).hexdigest()
+
+
 def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
            models: dict | None = None, write_raw: bool = True) -> dict:
     """Write the comparison tables, the raw episodes and the summary JSON.
@@ -512,8 +519,7 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
         paths["raw"] = _write_episodes(results, raw_dir)
 
     summary = {
-        "config_sha256": hashlib.sha256(
-            serialize_config(config).encode()).hexdigest(),
+        "config_sha256": _config_sha256(config),
         "seeds": sorted({int(s) for res in results for s in res.seeds}),
         "scenarios": {
             res.scenario: {

@@ -24,14 +24,14 @@ episode runner hands those windows to a controller callback, which answers
 with the metering rates for the next control step.
 
 Arrivals come from one ``rng.poisson(means, size=(steps, sources))`` call
-per episode (:meth:`TrafficPlant.draw_arrivals`); each step consumes one
-row, and each control window gets its rows as Python floats. numpy fills the
-block in row order with exactly the draws that one scalar call per source
-and step would give, so one draw per episode is the stream of one draw per
-window, and a zero-demand source takes no bits, so demand realizations
-depend on the seed alone. The counts convert to float exactly; CPython
-specializes float-float arithmetic but not int-float, so the kernel runs
-faster on floats with the same results.
+per episode (:meth:`TrafficPlant.draw_arrivals`), held once as int64
+counts; each step consumes one row, and each control window gets its rows
+as Python floats. numpy fills the block in row order with exactly the draws
+that one scalar call per source and step would give, so one draw per episode
+is the stream of one draw per window, and a zero-demand source takes no
+bits, so demand realizations depend on the seed alone. The counts convert to
+float exactly; CPython specializes float-float arithmetic but not int-float,
+so the kernel runs faster on floats with the same results.
 
 The steps run on Python floats in one window kernel, which
 :meth:`TrafficPlant.advance` calls once per control window with that
@@ -79,7 +79,6 @@ step is ``config.sim_step_s`` (1 s in the benchmark).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -87,6 +86,7 @@ import linecache
 import logging
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -473,7 +473,7 @@ class TrafficPlant:
 
     def draw_arrivals(self, steps: int, rng) -> np.ndarray:
         """Poisson arrivals for ``steps`` simulation steps in one draw, as a
-        (steps, sources) float array.
+        (steps, sources) int64 array of counts.
 
         One row per step, one count per source (highways, then ramps), each
         with mean ``demand * sim_step_s / 3600``. numpy fills the block in
@@ -482,10 +482,11 @@ class TrafficPlant:
         zero-demand source reads 0 without consuming any bits. The counts
         convert to float exactly, and the kernel's arithmetic on floats is
         cheaper than on ints; :meth:`advance` takes rows of Python floats
-        (``.tolist()`` of a slice).
+        (``.astype(float).tolist()`` of a slice), so an episode holds its
+        counts once and one window's floats at a time.
         """
         means = self._arrival_means
-        return rng.poisson(means, size=(steps, len(means))).astype(float)
+        return rng.poisson(means, size=(steps, len(means)))
 
     # -- dynamics ---------------------------------------------------------------
 
@@ -578,7 +579,12 @@ class EpisodeRecord:
         """Write the per-step table as CSV and the per-episode fields (seed,
         step, ids, green seconds, drops, clamps, and the planner's steps when
         there are any) as a JSON sidecar beside it (same name, ``.json``
-        suffix)."""
+        suffix).
+
+        Every value is written as the shortest repr of its float, which
+        ``float()`` reads back bit for bit, so :meth:`from_csv` returns the
+        table that was written: a fit or a report from the files is the fit
+        or report of the episodes themselves."""
         n = self.occupancy.shape[1]
         m = self.rates.shape[1]
         header = (["time_s"]
@@ -589,8 +595,8 @@ class EpisodeRecord:
         table = np.column_stack((self.times, self.occupancy, self.flow,
                                  self.speed, self.rates))
         # One format string per row writes what csv.writer would: no field
-        # needs quoting, and "%.12g" formats as f"{v:.12g}" does.
-        row = ",".join(["%.12g"] * len(header)) + "\r\n"
+        # needs quoting, and "%r" formats a float as repr() does.
+        row = ",".join(["%r"] * len(header)) + "\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(row % tuple(values) for values in table.tolist())
@@ -610,7 +616,11 @@ class EpisodeRecord:
     def from_csv(cls, path) -> "EpisodeRecord":
         """Read an episode written by :meth:`to_csv`, CSV and JSON sidecar.
 
-        Raises ``ValueError`` naming the file if the CSV is malformed, if the
+        Files written with 12 significant digits, as :meth:`to_csv` did
+        before it wrote exact values, read as they always did.
+
+        Raises ``ValueError`` naming the file if the CSV is malformed (a value
+        that is not a number, a ragged row, no rows), if the
         sidecar is missing, is not an object, lacks one of its keys or holds
         one of the wrong type, or if its id or green-second lists do not
         match the CSV's columns: without them the seed, green time, drops and
@@ -622,13 +632,15 @@ class EpisodeRecord:
         bool.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+            header = fh.readline().rstrip("\n").split(",")
             try:
-                data = np.array([[float(v) for v in row] for row in reader],
-                                ndmin=2)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # it warns on no rows
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
             except ValueError as exc:
                 raise ValueError(f"malformed episode csv {path}: {exc}") from None
+        if not len(data):
+            raise ValueError(f"malformed episode csv {path}: no rows")
         n = sum(1 for h in header if h.startswith("occ_"))
         m = sum(1 for h in header if h.startswith("rate_"))
         if data.shape[1] != 1 + 3 * n + m:
@@ -742,7 +754,8 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     draws = plant.draw_arrivals(total_windows * steps_per, rng)
     for window in range(total_windows):
         recording = window >= burn_in_windows
-        block = draws[window * steps_per:(window + 1) * steps_per].tolist()
+        block = draws[window * steps_per:(window + 1) * steps_per]
+        block = block.astype(float).tolist()
         plant.advance(block, (books, recorded_books) if recording else (books,))
         obs, green = plant.read_window()
         asked = time.perf_counter()

@@ -325,7 +325,8 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
               "second run bit-identical")
 
 
-# The benchmark fit (train seeds 1-4), pinned: SINDYc's support per state and
+# The benchmark fit (train seeds 1-4, read from their exact CSV logs, so it
+# is the fit of the in-memory episodes), pinned: SINDYc's support per state and
 # sha256 digests of the fitted matrices, for the pipeline's fit on each
 # sensor's road neighbourhood and for the fit without masks, every sensor on
 # the whole library (the one perfbench times). A change to the fit's
@@ -348,7 +349,7 @@ PINNED_MASKED_SUPPORT = (
     (0, 7, 15, 16, 87, 89, 98, 152),
 )
 PINNED_MASKED_DIGEST = (
-    "4c822355dc666585b570c68c3ea59daa0a216c070c1e3a8d4eb43ae4ba51929d")
+    "d3ad31f609311f1b5ebcd37c721dbcbc6de8b248c917ae8fff26aca6d6eaaaff")
 PINNED_SUPPORT = (
     (0, 21, 25),
     (0, 17, 25, 33, 40, 51, 55, 65, 68, 94, 101, 110, 125, 129, 130, 137, 145, 149),
@@ -361,9 +362,9 @@ PINNED_SUPPORT = (
 )
 PINNED_DIGESTS = {
     "sindyc.coefficients":
-        "c2724e7a02a246f4313a2e055493d40b12f8d6e31e2028148dc3a4c3f935cbdb",
+        "aa9e6f0015f6d9f9fc30bf856edeca48500887fcee434539c6933951cec271cf",
     "dmdc.coefficients":
-        "5a8c06e4b853243b644b7a2baec66f2d789b5a4a146873c53d98ffd4955e1bfe",
+        "0db67245bf3616bccba9052f3d084004c81c20b5c683b905ed382740cd146c7d",
 }
 
 
@@ -386,6 +387,19 @@ def test_benchmark_fit_is_pinned(pipeline):
             == PINNED_DIGESTS["dmdc.coefficients"])
     assert pipeline.dmdc.n_columns == 153
     assert not pipeline.dmdc.coefficients[:, 17:].any()
+
+
+def test_benchmark_fit_from_csv_logs_is_the_in_memory_fit(pipeline):
+    """The logs hold every value exactly, so both fits from the CSV logs have
+    the bytes of the fits from the episodes themselves, read in the same
+    (file-name) order."""
+    alinea, = harness.run_scenarios(pipeline.config, None, None, TRAIN_SEEDS,
+                                    scenarios=("alinea",))
+    records = sorted(alinea.records, key=lambda r: f"alinea-seed{r.seed}.csv")
+    log = [(record.occupancy, record.rates) for record in records]
+    for method, model in (("sindyc", pipeline.sindyc), ("dmdc", pipeline.dmdc)):
+        assert (harness.fit(pipeline.config, log, method).coefficients.tobytes()
+                == model.coefficients.tobytes()), method
 
 
 def test_unmasked_benchmark_fit_keeps_its_pins(pipeline):
@@ -471,23 +485,24 @@ def test_the_fit_does_not_depend_on_blas_threads(tmp_path):
 # one iteration more or less, fails here. Recorded with the rate-change
 # weight at 1e-5 (veh/h)^-2, the neighbourhood fit and ALINEA metering the
 # windows outside each model's envelope; earlier pins read 2773 and 9764
-# iterations at weight 0, and 2232 and 7098 at 1e-5 on the full-library fit
-# without the hand-over. Like the
+# iterations at weight 0, 2232 and 7098 at 1e-5 on the full-library fit
+# without the hand-over, and 2169 and 6444 on a fit from logs rounded to 12
+# significant digits, with these occupancies. Like the
 # fit pin, the digests also depend on the numpy and LAPACK/BLAS build (the
 # fit, and the planner's matrix products and solves): they were recorded with
 # numpy 2.4 on OpenBLAS 0.3.31, and a numpy or BLAS upgrade that fails this
 # test without a planner change needs them recorded again.
 PINNED_CLOSED_LOOP = {
     "dmd-mpc.rates":
-        "730b4281ba7da02c37d68bc39b8db1cee3d874da3d77860d27ab30be9ad6fcb8",
+        "2a50d5fe9add71b9c38199908d48aa911938a140af49748886ae8b0ab633b7be",
     "dmd-mpc.occupancy":
         "b628b99546ff668e2a9b726957cf1b295ed2401e869a2c830cb6f572d2d403cb",
     "sindyc-mpc.rates":
-        "1dfb745388a3dd199c1d8c1a030c4fd8c6463dd5a024a5f6d687200c6c68e5ff",
+        "02687da01e1602336692c0e92071c3cee9eae38553f30b3276b0b4af051ee093",
     "sindyc-mpc.occupancy":
         "b06084205f76dfeb3a3766d6deb2e1bc55e395ada6e6d512551ccfde576e14d5",
 }
-PINNED_ITERATIONS = {"dmd-mpc": 2169, "sindyc-mpc": 6444}
+PINNED_ITERATIONS = {"dmd-mpc": 2169, "sindyc-mpc": 6437}
 
 
 def test_benchmark_closed_loop_is_pinned(pipeline):

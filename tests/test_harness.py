@@ -1,6 +1,7 @@
 """Experiment harness: collection, scenario runs, reports, reload paths."""
 
 import csv
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -24,7 +25,8 @@ from rampnet.harness import (FEEDBACK_CONTROLLERS, SCENARIOS, UsageError,
                              load_raw_results, make_controller, report,
                              results_from_records, run_scenarios)
 from rampnet.mpc import ModelBlowupError, MpcConfig, MpcController, SolverSettings
-from rampnet.network import CellParams, Highway, NetworkConfig, RampSpec
+from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
+                             serialize_config)
 from rampnet.plant import (ConservationError, ControlObservation, EpisodeRecord,
                            run_episode)
 from rampnet.sysid import fit_derivatives
@@ -509,6 +511,20 @@ def test_report_summary_contents(standard_report):
     assert len(summary["config_sha256"]) == 64
 
 
+def test_report_config_sha256_is_the_digest_of_the_config_yaml(tmp_path):
+    """The digest is kept once per config; a report keys its summary by the
+    SHA-256 of the config's YAML, and a changed config by another."""
+    config = _tiny_network()
+    record = replace(_record(1, [[14.0]], [[100.0]], [[900.0]]),
+                     sensor_ids=("H1-S1",), ramp_ids=("H1-R1",))
+    results = [results_from_records("alinea", [1], [record])]
+    for cfg in (config, replace(config, control_step_s=60.0), config):
+        summary = json.loads(report(results, tmp_path, cfg, write_raw=False)
+                             ["summary"].read_text())
+        assert summary["config_sha256"] == hashlib.sha256(
+            serialize_config(cfg).encode()).hexdigest()
+
+
 def test_report_summary_carries_solver_health(standard_report):
     config, results, out_dir, _ = standard_report
     summary = json.loads((out_dir / "summary.json").read_text())
@@ -672,10 +688,9 @@ def test_raw_episodes_rebuild_the_same_metrics(standard_report):
     rebuilt = load_raw_results(out_dir / "raw")
     assert [r.scenario for r in rebuilt] == [r.scenario for r in results]
     for a, b in zip(results, rebuilt):
-        assert np.allclose(a.mean_abs_deviation, b.mean_abs_deviation,
-                           rtol=1e-9)
-        assert np.allclose(a.mean_flow, b.mean_flow, rtol=1e-9)
-        assert np.allclose(a.green_pct, b.green_pct, rtol=1e-9)
+        assert np.array_equal(a.mean_abs_deviation, b.mean_abs_deviation)
+        assert np.array_equal(a.mean_flow, b.mean_flow)
+        assert np.array_equal(a.green_pct, b.green_pct)
 
 
 def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
@@ -702,18 +717,12 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     # Episode timing describes the original run; raw episodes do not carry it.
     assert set(original["time_split_s"]) == {"no-control", "alinea", "dmd-mpc"}
     assert again["time_split_s"] == {}
-    # The planner's steps, solve times included, travel in the sidecars.
+    # The planner's steps, solve times included, travel in the sidecars, and
+    # the CSVs hold every value's bits, so the rest is rebuilt exactly.
     assert original["solver"]["dmd-mpc"]["solves"] > 0
-    assert again["solver"] == original["solver"]
     assert again.keys() == original.keys()
-    assert again["config_sha256"] == original["config_sha256"]
-    assert again["seeds"] == original["seeds"]
-    assert again["scenarios"].keys() == original["scenarios"].keys()
-    for name, fields in original["scenarios"].items():
-        assert again["scenarios"][name].keys() == fields.keys()
-        assert again["scenarios"][name]["dropped_veh"] == fields["dropped_veh"]
-        for key, value in fields.items():
-            assert again["scenarios"][name][key] == pytest.approx(value, rel=1e-9)
+    del again["time_split_s"], original["time_split_s"]
+    assert again == original
 
 
 def test_report_requires_results():

@@ -7,6 +7,7 @@ import json
 import math
 import time
 import traceback
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -81,14 +82,14 @@ def test_arrival_block_zero_demand_draws_zero_without_consuming_bits():
 
 def test_one_arrival_draw_is_the_stream_of_one_draw_per_window():
     """One draw of k windows' steps equals k draws of one window's from the
-    same seed, as floats, and the zero-demand ramp among the sources takes
-    no bits: the others draw what they draw without it."""
+    same seed, as int64 counts, and the zero-demand ramp among the sources
+    takes no bits: the others draw what they draw without it."""
     busy = RampSpec("r2", "A", 2, "s2", 900.0)
     plant = TrafficPlant(_line_config(3, demand=1800.0, ramps=(_IDLE_RAMP, busy)))
     whole = plant.draw_arrivals(5 * 30, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     windows = np.concatenate([plant.draw_arrivals(30, rng) for _ in range(5)])
-    assert whole.dtype == np.float64 and whole.shape == (150, 3)
+    assert whole.dtype == np.int64 and whole.shape == (150, 3)
     assert np.array_equal(whole, windows)
     assert whole[:, 1].tolist() == [0.0] * 150 and whole[:, 2].any()
     without_idle = TrafficPlant(_line_config(3, demand=1800.0, ramps=(busy,)))
@@ -885,15 +886,27 @@ def test_episode_record_csv_round_trip(tmp_path):
     assert back.dropped_veh == rec.dropped_veh
     assert back.clamp_events == rec.clamp_events
     assert np.array_equal(back.green_seconds, rec.green_seconds)
-    assert np.allclose(back.times, rec.times, rtol=0, atol=1e-9)
-    for name in ("occupancy", "flow", "speed", "rates"):
-        assert np.allclose(getattr(back, name), getattr(rec, name),
-                           rtol=1e-11, atol=1e-11)
+    for name in ("times", "occupancy", "flow", "speed", "rates"):
+        assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
 
 
-def _csv_writer_reference(record, path):
+def _special_record():
+    """nan, ±inf, −0.0, the extremes, 1/3, 2**53 + 2 and integer columns."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, 1.0 / 3.0,
+               2.0 ** 53 + 2.0, 123456789.0, 0.1 + 0.2]
+    table = np.array(special + special[::-1]).reshape(4, 5)
+    return EpisodeRecord(
+        seed=3, control_step_s=30.0, sensor_ids=("s1", "s2"),
+        ramp_ids=("r1", "r2"), times=np.array([30.0, 60.0, 90.0, 1e300]),
+        occupancy=table[:, :2], flow=table[:, 2:4], speed=-table[:, 3:],
+        rates=np.array([[200, 1800], [-7, 0], [2 ** 40 + 1, 3], [5, 6]]),
+        green_seconds=np.array([10.0, 20.0]))
+
+
+def _csv_writer_reference(record, path, fmt=repr):
     """The per-step table as ``csv.writer`` writes it, each value formatted
-    with ``f"{v:.12g}"``: what :meth:`EpisodeRecord.to_csv` must write."""
+    with ``fmt`` of its float: with ``repr``, what :meth:`EpisodeRecord.to_csv`
+    must write; with ``f"{v:.12g}"``, the 12-digit files it wrote before."""
     n, m = record.occupancy.shape[1], record.rates.shape[1]
     header = (["time_s"] + [f"occ_{i + 1}" for i in range(n)]
               + [f"flow_{i + 1}" for i in range(n)]
@@ -905,31 +918,57 @@ def _csv_writer_reference(record, path):
         for k in range(len(record)):
             row = ([record.times[k]], record.occupancy[k], record.flow[k],
                    record.speed[k], record.rates[k])
-            writer.writerow([f"{v:.12g}" for part in row for v in part])
+            writer.writerow([fmt(float(v)) for part in row for v in part])
+
+
+def _twelve_digits(value):
+    return f"{value:.12g}"
 
 
 def test_episode_record_csv_bytes_match_the_csv_writer(tmp_path):
     """Special and extreme floats and integer columns are written byte for
-    byte as csv.writer with ``.12g`` fields writes them."""
-    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, 1.0 / 3.0,
-               2.0 ** 53 + 2.0, 123456789.0, 0.1 + 0.2]
-    table = np.array(special + special[::-1]).reshape(4, 5)
-    rec = EpisodeRecord(
-        seed=3, control_step_s=30.0, sensor_ids=("s1", "s2"),
-        ramp_ids=("r1", "r2"), times=np.array([30.0, 60.0, 90.0, 1e300]),
-        occupancy=table[:, :2], flow=table[:, 2:4], speed=-table[:, 3:],
-        rates=np.array([[200, 1800], [-7, 0], [2 ** 40 + 1, 3], [5, 6]]),
-        green_seconds=np.array([10.0, 20.0]))
+    byte as csv.writer with ``repr`` fields writes them."""
+    rec = _special_record()
     rec.to_csv(tmp_path / "ep.csv")
     _csv_writer_reference(rec, tmp_path / "ref.csv")
     written = (tmp_path / "ep.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
-    assert b"\r\n" in written and b"nan" in written and b"-0," in written
+    assert b"\r\n" in written and b"nan" in written and b"-0.0," in written
     # An episode from the plant, too.
     rec = run_episode(_metered_config(), lambda obs: np.array([100.0]), seed=4)
     rec.to_csv(tmp_path / "ep.csv")
     _csv_writer_reference(rec, tmp_path / "ref.csv")
     assert (tmp_path / "ep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_episode_record_csv_values_round_trip_bit_for_bit(tmp_path):
+    """nan, ±inf, −0.0, 1e-300, 1e300, 1/3, 2**53 + 2 and integer columns
+    read back with the bytes they were written from. A NaN reads back as
+    numpy's NaN: repr() writes -nan as "nan"."""
+    rec = _special_record()
+    rec.to_csv(tmp_path / "ep.csv")
+    back = EpisodeRecord.from_csv(tmp_path / "ep.csv")
+    for name in ("times", "occupancy", "flow", "speed", "rates"):
+        want = np.asarray(getattr(rec, name), dtype=float)
+        want = np.where(np.isnan(want), np.nan, want)
+        assert getattr(back, name).tobytes() == want.tobytes(), name
+    assert np.signbit(back.occupancy[3, 1]) and back.occupancy[3, 1] == 0.0
+    assert back.rates[2, 0] == 2 ** 40 + 1
+
+
+def test_episode_record_reads_twelve_digit_files(tmp_path):
+    """A file in the 12-digit format loads as ``float()`` of each field, as
+    it always did."""
+    rec = run_episode(_metered_config(), lambda obs: np.array([100.0]), seed=4)
+    rec.to_csv(tmp_path / "ep.csv")
+    _csv_writer_reference(rec, tmp_path / "ep.csv", _twelve_digits)
+    back = EpisodeRecord.from_csv(tmp_path / "ep.csv")
+
+    def table(r):
+        return np.column_stack((r.times, r.occupancy, r.flow, r.speed, r.rates))
+    assert table(back).tolist() == [[float(_twelve_digits(v)) for v in row]
+                                    for row in table(rec).tolist()]
+    assert not np.array_equal(back.flow, rec.flow)  # 12 digits lose bits
 
 
 def test_episode_record_refuses_a_missing_sidecar_or_key(tmp_path):
@@ -956,6 +995,24 @@ def test_episode_record_rejects_malformed_csv(tmp_path):
     path.write_text("time_s,occ_1,rate_1\n0,1\n")
     with pytest.raises(ValueError, match="column count"):
         EpisodeRecord.from_csv(path)
+
+
+def test_episode_record_rejects_bad_values_ragged_rows_and_no_rows(tmp_path):
+    """Each ends in the "malformed episode csv" error naming the file, and
+    no warning escapes the parser."""
+    path = tmp_path / "bad.csv"
+    head = "time_s,occ_1,flow_1,speed_1,rate_1\n"
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"seed": 1, "control_step_s": 30.0, "sensor_ids": ["s1"],
+         "ramp_ids": ["r1"], "green_seconds": [10.0], "dropped_veh": 0.0,
+         "clamp_events": 0}))
+    for body in ("0,10,3000,x,700\n", "0,10,3000,90,700\n30,10,3000\n", "",
+                 "# 0,10,3000,90,700\n"):
+        path.write_text(head + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="malformed episode csv .*bad.csv"):
+                EpisodeRecord.from_csv(path)
 
 
 def test_episode_record_rejects_a_sidecar_that_is_not_an_object(tmp_path):
