@@ -73,8 +73,7 @@ def main():
           f"target {cfg.target_occupancy_pct:.0f}%")
 
     sol = solve(sparse, snapshot, u_prev, cfg)
-    print(f"\nsolver: {sol.iterations} iterations, "
-          f"objective {sol.objective:.1f}, bound penalty {sol.penalty:.3g}, "
+    print(f"\nsolver: {sol.iterations} iterations, objective {sol.objective:.1f}, "
           f"{1e3 * sol.solve_time_s:.0f} ms")
     for l, rates in enumerate(sol.plan):
         print(f"  stage {l}: "

@@ -12,9 +12,8 @@ sensor flow, the flow gain over no-control, the green share of the commanded
 rates, ALINEA's tracking on the same seed, and the planner's iterations and
 capped solves (the 200-iteration cap ended them, not the optimality test).
 A summary per planner follows; it also counts the windows handed over to
-ALINEA, where a sensor read outside the model's envelope, and the solves
-whose plan still pays the occupancy-band penalty. Base seed 0 alone is the
-headline five-way comparison: training seeds 1-4, evaluation seed 21.
+ALINEA, where a sensor read outside the model's envelope. Base seed 0 alone
+is the headline five-way comparison: training seeds 1-4, evaluation seed 21.
 
     python3 demos/06_seed_robustness.py                  # base seeds 0-9
     python3 demos/06_seed_robustness.py --base-seeds 0   # the headline run
@@ -70,7 +69,6 @@ def _figures(result):
         figures.update(iterations=sum(w["iterations"] for w in windows),
                        capped=sum(w["capped"] for w in windows),
                        handed_over=sum(w["handed_over"] for w in windows),
-                       band_penalty=sum(w["band_penalty"] for w in windows),
                        controller_s=result.time_split_s["controller"])
     return figures
 
@@ -92,8 +90,7 @@ def _summary(name, rows, alinea, bases):
           f"{np.mean([r['flow'] for r in rows]):.1f} veh/h  "
           f"iterations {sum(r['iterations'] for r in rows)}  capped "
           f"{sum(r['capped'] for r in rows)}  handed over "
-          f"{sum(r['handed_over'] for r in rows)}  band penalty "
-          f"{sum(r['band_penalty'] for r in rows)}  controller "
+          f"{sum(r['handed_over'] for r in rows)}  controller "
           f"{sum(r['controller_s'] for r in rows):.1f} s")
 
 

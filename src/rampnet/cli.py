@@ -121,9 +121,9 @@ def _cmd_run(args) -> int:
                   f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
                   f"(p50/p95/max)   fallbacks {health['fallbacks']}")
             print(f"{'':>13}" + "   ".join(
-                f"{label} {w['solves']} solves ({w['capped']} capped, "
-                f"{w['band_penalty']} band penalty), {w['handed_over']} handed "
-                f"over, {w['iterations']} iterations, {w['solve_s']:.2f} s"
+                f"{label} {w['solves']} solves ({w['capped']} capped), "
+                f"{w['handed_over']} handed over, {w['iterations']} "
+                f"iterations, {w['solve_s']:.2f} s"
                 + (f", {w['us_per_iteration']:.0f} us/iteration"
                    if w["us_per_iteration"] is not None else "")
                 for label, w in (("burn-in", health["burn_in"]),

@@ -234,11 +234,9 @@ class ScenarioResult:
         (p50/p95/max), fallbacks, and of the burn-in and of the recorded
         windows apart: the solves, the windows handed over to ALINEA
         (outside the model's envelope, no solve), capped solves (the
-        iteration cap ended them, not the optimality test), solves whose
-        plan still pays a band penalty (it predicts an occupancy outside the
-        planner's band), total iterations, solve seconds and planner
-        microseconds per iteration (solve seconds over iterations, None
-        without one)."""
+        iteration cap ended them, not the optimality test), total
+        iterations, solve seconds and planner microseconds per iteration
+        (solve seconds over iterations, None without one)."""
         if all(record.solver_steps is None for record in self.records):
             return None
         burn_in, recorded, fallbacks = [], [], 0
@@ -267,8 +265,6 @@ class ScenarioResult:
             return {"solves": len(window),
                     "handed_over": handed_over,
                     "capped": sum(step["capped"] for step in window),
-                    "band_penalty": sum(step.get("penalty", 0.0) > 0.0
-                                        for step in window),
                     "iterations": iterations,
                     "solve_s": solve_s,
                     "us_per_iteration": (1e6 * solve_s / iterations

@@ -7,13 +7,11 @@ tracking problem on the one-step Euler predictor ``x(l+1) = x(l) + f(x, u)``:
         sum_{l=0..N} |x(l) - target|^2 + RATE_CHANGE_WEIGHT sum_l |du(l)|^2
 
 with ``du(l) = u(l) - u(l-1)`` anchored at the previously applied rates,
-rates boxed to the plant's meter range (``feedback.RATE_MIN_VPH`` to
-``RATE_MAX_VPH``), and the occupancy band ``OCCUPANCY_MIN_PCT`` to
-``OCCUPANCY_MAX_PCT`` enforced through a quadratic penalty weighted by
-``BOUND_PENALTY_WEIGHT``. The cost is fixed in code; a controller sets only
-its horizon, its target and its iteration cap. The whole cost is a sum of
-squared residuals, so the solver is projected Gauss-Newton on the rate box
-(Bertsekas 1982):
+and rates boxed to the plant's meter range (``feedback.RATE_MIN_VPH`` to
+``RATE_MAX_VPH``). The cost is fixed in code; a controller sets only its
+horizon, its target and its iteration cap. The whole cost is a sum of
+squared residuals, tracking then rate changes, so the solver is projected
+Gauss-Newton on the rate box (Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
 polynomial Jacobians, rates within a small margin of a bound that the
 gradient pushes outward are held by a diagonal step, the free rates take a
@@ -31,7 +29,9 @@ simplex architecture (Sha 2001, *IEEE Software* 18(4):20). Outside the
 envelope a fitted quadratic can predict anything; on the benchmark the nearly
 empty corridor of the first burn-in windows lies below every training log,
 the model predicts negative occupancy under every plan there, and those
-solves used to spend their whole iteration cap.
+solves used to spend their whole iteration cap. Planning only inside the
+envelope, the planner needs no occupancy-band penalty: with the hand-over no
+final plan paid one, on the acceptance seeds or on forty base seeds.
 
 At this size numpy's cost per call, not the arithmetic, sets the speed of a
 planner iteration, so the search is written to make few calls and to skip
@@ -43,12 +43,11 @@ small temporaries (masks, the step, LAPACK's solve). A rollout reads only
 the model's prediction, one read per stage, and the stage Jacobians are read
 only at accepted iterates, all N in one stacked product; a model without
 product terms has the same Jacobian everywhere, so its residual Jacobian and
-J'J are built once and rebuilt only when the band rows change. The
-active-set work runs only for iterates with a rate near a bound. Every
-floating-point operation that runs keeps its operands and their order, and
-every stage read must stay a matrix-vector product per row: one
-matrix-matrix product over the stages sums in another order, and the closed
-loop would change at rounding level.
+J'J are built once per controller. The active-set work runs only for
+iterates with a rate near a bound. Every floating-point operation that runs
+keeps its operands and their order, and every stage read must stay a
+matrix-vector product per row: one matrix-matrix product over the stages
+sums in another order, and the closed loop would change at rounding level.
 
 Time convention: one model time unit is one control step. A plan row is the
 rates for one control step, the predictor advances one control step per row,
@@ -77,7 +76,6 @@ __all__ = [
     "MpcConfig",
     "MpcSolution",
     "objective",
-    "bound_penalty",
     "solve",
     "MpcController",
 ]
@@ -108,10 +106,11 @@ _ARC_HALVINGS = 30
 # in its range could gain at most that much to first order.
 TOLERANCE = 1e-7
 
-# The cost: unit tracking weights at every stage, the occupancy band (%) and
-# the weight of the penalty on leaving it, and the weight on rate changes
-# (veh/h)^-2. Rates are boxed to the range ``run_episode`` clamps to, so the
-# planner never plans a rate the plant would change.
+# The cost: unit tracking weights at every stage and the weight on rate
+# changes (veh/h)^-2. Rates are boxed to the range ``run_episode`` clamps to,
+# so the planner never plans a rate the plant would change. The occupancy band
+# (%) and the weight of the penalty on leaving it belong to ``bound_penalty``,
+# which the planner does not pay.
 OCCUPANCY_MIN_PCT = 0.0
 OCCUPANCY_MAX_PCT = 80.0
 BOUND_PENALTY_WEIGHT = 1e3
@@ -165,8 +164,7 @@ class MpcSolution:
 
     plan: np.ndarray  # (N, m) veh/h
     states: np.ndarray  # (N+1, n) predicted occupancy %
-    objective: float  # exact tracking objective
-    penalty: float  # occupancy bound penalty at the solution
+    objective: float  # the cost the search minimized
     iterations: int
     converged: bool
     solve_time_s: float
@@ -220,7 +218,7 @@ def rollout(model: SparseModel, x0, plan) -> np.ndarray:
 
 
 def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> float:
-    """Exact tracking objective for a rolled-out plan (no bound penalty).
+    """Exact planner objective for a rolled-out plan.
 
     Includes the (constant) deviation of the measured state at stage 0, so
     the value is comparable across solvers that report the full cost.
@@ -236,7 +234,11 @@ def objective(states: np.ndarray, plan: np.ndarray, u_prev, cfg: MpcConfig) -> f
 
 
 def bound_penalty(states: np.ndarray) -> float:
-    """Quadratic penalty for leaving the occupancy band at stages 1..N."""
+    """Quadratic penalty for leaving the occupancy band at stages 1..N.
+
+    The planner does not pay it: it plans only inside its model's envelope,
+    where no plan left the band. It is not public API and stays only while
+    perfbench traces it."""
     interior = np.atleast_2d(states)[1:]
     over = np.maximum(interior - OCCUPANCY_MAX_PCT, 0.0)
     under = np.maximum(OCCUPANCY_MIN_PCT - interior, 0.0)
@@ -248,35 +250,28 @@ class _Iterate:
 
     ``z`` row l holds (x(l), u(l)), row 0's x being the measurement (row N's
     u is unused); ``u`` is u_prev followed by the flat plan ``v``; ``res`` is
-    the residual whose squared norm ``total`` is objective + bound penalty,
-    with blocks, in order: tracking deviations at stages 0..N, the
-    bound-penalty hinge at stages 1..N, and the weighted rate changes. The
-    other attributes are views of these, made once. ``hinge_zero`` says that
-    every stage of the last rollout lay strictly inside the occupancy band,
-    so the hinge block holds +0.0 throughout.
+    the residual whose squared norm ``total`` is the objective, with blocks,
+    in order: tracking deviations at stages 0..N and the weighted rate
+    changes. The other attributes are views of these, made once.
     """
 
-    __slots__ = ("z", "rows", "x", "xs", "interior", "plan_block", "u", "v",
-                 "v_rows", "u_before", "res", "track", "hinge", "rate", "total",
-                 "hinge_zero")
+    __slots__ = ("z", "rows", "x", "xs", "plan_block", "u", "v", "v_rows",
+                 "u_before", "res", "track", "rate", "total")
 
     def __init__(self, n: int, m: int, horizon: int):
         self.z = np.zeros((horizon + 1, n + m))
         self.rows = list(self.z)
         self.x = self.z[:, :n]
         self.xs = list(self.x)
-        self.interior = self.x[1:]
         self.plan_block = self.z[:-1, n:]
         self.u = np.empty((horizon + 1) * m)
         self.v = self.u[m:]
         self.v_rows = self.v.reshape(horizon, m)
         self.u_before = self.u[:-m]
-        self.res = np.empty((2 * horizon + 1) * n + horizon * m)
+        self.res = np.empty((horizon + 1) * n + horizon * m)
         self.track = self.res[:(horizon + 1) * n].reshape(horizon + 1, n)
-        self.hinge = self.res[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(horizon, n)
-        self.rate = self.res[(2 * horizon + 1) * n:]
+        self.rate = self.res[(horizon + 1) * n:]
         self.total = np.inf
-        self.hinge_zero = False
 
 
 class _Workspace:
@@ -289,9 +284,9 @@ class _Workspace:
     The cost constants are read when the workspace is made: a
     :func:`solve` call makes one, an :class:`MpcController` one for its
     life. The constant rate-change rows of ``jac`` are filled here;
-    :meth:`jacobian` rewrites the rest in place, and only when what they are
-    computed from has changed. ``gn_stale`` says that ``jac`` changed since
-    the search last formed 2 J'J from it.
+    :meth:`jacobian` rewrites the sensitivity rows in place, and only when
+    what they are computed from has changed. ``gn_stale`` says that ``jac``
+    changed since the search last formed 2 J'J from it.
     """
 
     def __init__(self, model: SparseModel, cfg: MpcConfig):
@@ -301,7 +296,6 @@ class _Workspace:
         self.model = model
         self.cfg = cfg
         self.target = cfg.target_occupancy_pct
-        self.root_w = np.sqrt(BOUND_PENALTY_WEIGHT)
         self.root_r = np.sqrt(RATE_CHANGE_WEIGHT)
         self.cur = _Iterate(n, m, horizon)
         self.cand = _Iterate(n, m, horizon)
@@ -310,11 +304,10 @@ class _Workspace:
         self.stage_a = list(self.stage_jac[:, :, :n])
         self.stage_b = list(self.stage_jac[:, :, n:])
         # Rows: the sensitivities S(l) = dx(l)/du at stages 0..N (S(0) = 0),
-        # the hinge rows, then the constant rate-change rows.
-        self.jac = np.zeros(((2 * horizon + 1) * n + size, size))
+        # then the constant rate-change rows.
+        self.jac = np.zeros(((horizon + 1) * n + size, size))
         sens = self.jac[:(horizon + 1) * n].reshape(horizon + 1, n, size)
         self.sens = list(sens)
-        self.sens_interior = sens[1:]
         # u(l)'s columns of S(l+1), where B(l) enters
         self.sens_inputs = [sens[l + 1, :, l * m:(l + 1) * m] for l in range(horizon)]
         # df/dz = L + (Q + Q') z is L at every z when the model has no
@@ -322,13 +315,7 @@ class _Workspace:
         # they are built once and kept.
         self.sens_kept = False
         self.linear = not model._products
-        self.hinge_rows = self.jac[(horizon + 1) * n:(2 * horizon + 1) * n].reshape(
-            horizon, n, size)
-        # The hinge rows are zero until a stage leaves the occupancy band, and
-        # are rewritten while one is outside and once after (see jacobian);
-        # ``hinge_written`` says they were written since they were zero.
-        self.hinge_written = self.was_outside = False
-        rate_rows = self.jac[(2 * horizon + 1) * n:]
+        rate_rows = self.jac[(horizon + 1) * n:]
         np.fill_diagonal(rate_rows, self.root_r)
         np.fill_diagonal(rate_rows[m:], -self.root_r)
         self.grad = np.empty(size)
@@ -339,17 +326,12 @@ class _Workspace:
 
     def start(self, x0: np.ndarray, u_prev: np.ndarray, plan: np.ndarray) -> None:
         """Reset for a solve from ``x0`` and ``u_prev`` and measure ``plan``
-        into ``cur``; raises :class:`ModelBlowupError` if that plan diverges.
-        Written hinge rows go back to zero, as in a new workspace."""
+        into ``cur``; raises :class:`ModelBlowupError` if that plan diverges."""
         _check_shapes(self.model, x0, plan)
         m = len(u_prev)
         for it in (self.cur, self.cand):
             it.x[0] = x0
             it.u[:m] = u_prev
-        if self.hinge_written:
-            self.hinge_rows.fill(0.0)
-            self.hinge_written = self.was_outside = False
-            self.gn_stale = True
         self.cur.v[:] = plan.ravel()
         self.measure(self.cur)
 
@@ -359,17 +341,6 @@ class _Workspace:
         np.copyto(it.plan_block, it.v_rows)
         _roll(self.model._f, it.rows, it.xs)
         np.subtract(it.x, self.target, out=it.track)
-        # The hinge x - clip(x, lo, hi): max(x - hi, 0) - max(lo - x, 0) in
-        # four in-place passes. It is +0.0 wherever lo < x < hi, so the
-        # passes are skipped while every stage stays strictly in the band.
-        inside = (_min(it.interior, axis=None) > OCCUPANCY_MIN_PCT
-                  and _max(it.interior, axis=None) < OCCUPANCY_MAX_PCT)
-        if not (inside and it.hinge_zero):
-            np.maximum(it.interior, OCCUPANCY_MIN_PCT, out=it.hinge)
-            np.minimum(it.hinge, OCCUPANCY_MAX_PCT, out=it.hinge)
-            np.subtract(it.interior, it.hinge, out=it.hinge)
-            it.hinge *= self.root_w
-            it.hinge_zero = inside
         np.subtract(it.v, it.u_before, out=it.rate)
         it.rate *= self.root_r
         it.total = float(it.res.dot(it.res))
@@ -398,17 +369,6 @@ class _Workspace:
                 inputs[l] += stage_b[l]
             self.sens_kept = self.linear
             self.gn_stale = True
-        # A stage outside the band has a nonzero hinge residual (its x - clip
-        # is nonzero, and so is that times root_w). In-band rows are zero
-        # (of either sign), so they need no rewrite while they stay in band;
-        # ``hinge_zero`` spares the count while every stage is strictly in.
-        hinge = self.cur.hinge
-        outside = not self.cur.hinge_zero and np.count_nonzero(hinge) > 0
-        if outside or self.was_outside:
-            np.multiply((self.root_w * (hinge != 0.0))[:, :, None],
-                        self.sens_interior, out=self.hinge_rows)
-            self.hinge_written = self.gn_stale = True
-        self.was_outside = outside
         return self.jac
 
     def accept(self) -> None:
@@ -419,7 +379,6 @@ def _first_overflow(it: _Iterate) -> int:
     """The first stage at which the running cost of ``it`` is not finite;
     for a rollout whose states are finite but whose cost overflows."""
     stage_cost = np.square(it.track).sum(axis=1)
-    stage_cost[1:] += np.square(it.hinge).sum(axis=1)
     step = _first_nonfinite(np.cumsum(stage_cost)[:, None])
     return len(stage_cost) - 1 if step is None else step
 
@@ -429,11 +388,11 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     last accepted iterate. Returns (iterations, converged).
 
     2 J'J is formed only when ``jac`` has changed since it was last formed:
-    every iteration on a quadratic model, on a linear one only when the hinge
-    rows are rewritten. While every rate lies more than the widest eps
-    margin inside the rate box, no rate is stuck on a bound or held near
-    one, so the projected gradient is the gradient and every rate is free;
-    the active-set work runs only near a bound."""
+    every iteration on a quadratic model, on a linear one once per workspace.
+    While every rate lies more than the widest eps margin inside the rate
+    box, no rate is stuck on a bound or held near one, so the projected
+    gradient is the gradient and every rate is free; the active-set work
+    runs only near a bound."""
     lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     width = hi - lo
     # eps never exceeds margin, so a rate strictly inside (inner_lo,
@@ -558,14 +517,10 @@ def _solve(ws: _Workspace, x0, u_prev, warm_start, started: float) -> MpcSolutio
             # Finite states whose cost overflows: no decrease can be measured.
             raise ModelBlowupError(_first_overflow(ws.cur))
         iterations, converged = _search(ws, cfg.solver)
-    states = ws.cur.x.copy()
-    # With every stage strictly inside the band the penalty is 0.0 exactly.
-    penalty = 0.0 if ws.cur.hinge_zero else bound_penalty(states)
     return MpcSolution(
         plan=ws.cur.v.reshape(plan.shape).copy(),
-        states=states,
-        objective=ws.cur.total - penalty,
-        penalty=penalty,
+        states=ws.cur.x.copy(),
+        objective=ws.cur.total,
         iterations=iterations,
         converged=converged,
         solve_time_s=time.perf_counter() - started,
@@ -577,9 +532,9 @@ def solve(model: SparseModel, x0, u_prev, cfg: MpcConfig,
     """Minimize the tracking objective over feasible metering plans.
 
     Projected Gauss-Newton with Levenberg-Marquardt damping. Monotone in the
-    penalized objective: an iterate is only accepted when it decreases the
-    value, so the reported objective never exceeds the warm-start or
-    cold-start value. ``converged`` means the projected-gradient test
+    objective: an iterate is only accepted when it decreases the value, so
+    the reported objective never exceeds the warm-start or cold-start
+    value. ``converged`` means the projected-gradient test
     (``TOLERANCE``) passed; a stalled search or the iteration cap
     leaves it False. Raises :class:`ModelBlowupError` only if the starting
     plan itself diverges, or its states stay finite but its cost overflows.
@@ -613,8 +568,8 @@ class MpcController:
 
     Each window adds one ``diagnostics`` entry: ``time_s`` and
     ``fallback``, and unless it fell back ``iterations``, ``converged``,
-    ``capped`` and ``solve_time_s``; a solve adds its ``objective`` and band
-    ``penalty``. A handed-over window also reads ``handed_over: True``; it
+    ``capped`` and ``solve_time_s``; a solve adds its ``objective``. A
+    handed-over window also reads ``handed_over: True``; it
     made no solve, so it reads 0 iterations in 0 s, not converged, not
     capped.
     """
@@ -656,9 +611,9 @@ class MpcController:
             # passing the optimality test.
             capped = (not sol.converged
                       and sol.iterations >= self.config.solver.max_iters)
-            entry.update(objective=sol.objective, penalty=sol.penalty,
-                         iterations=sol.iterations, converged=sol.converged,
-                         capped=capped, solve_time_s=sol.solve_time_s)
+            entry.update(objective=sol.objective, iterations=sol.iterations,
+                         converged=sol.converged, capped=capped,
+                         solve_time_s=sol.solve_time_s)
         except ModelBlowupError as exc:
             logger.warning("solve failed (%s); reapplying previous rates", exc)
             action = self.u_prev.copy()

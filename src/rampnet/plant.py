@@ -628,8 +628,9 @@ class EpisodeRecord:
         must be a list of planner steps: objects with a number ``time_s`` and
         a bool ``fallback``, and unless it fell back an int ``iterations``,
         bools ``converged`` and ``capped`` and a number ``solve_time_s``; a
-        ``penalty``, where present, must be a number and a ``handed_over`` a
-        bool.
+        ``handed_over``, where present, must be a bool. Files written while
+        the planner paid a band penalty may carry a number ``penalty``; it is
+        checked and otherwise ignored.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")

@@ -612,40 +612,70 @@ def test_solver_health_gives_planner_time_per_iteration_in_each_window():
     assert health["recorded"]["us_per_iteration"] == pytest.approx(120.0)
 
 
-def test_solver_health_counts_hand_overs_and_band_penalties(tmp_path):
+def _solve_step(time_s):
+    return {"time_s": time_s, "fallback": False, "iterations": 4,
+            "converged": True, "capped": False, "solve_time_s": 1e-3,
+            "objective": 2.0}
+
+
+def _handed_step(time_s):
+    return {"time_s": time_s, "fallback": False, "handed_over": True,
+            "iterations": 0, "converged": False, "capped": False,
+            "solve_time_s": 0.0}
+
+
+def _planner_steps():
+    """Burn-in (before 30 s): a hand-over and a solve; recorded: two
+    hand-overs, a solve and a fallback."""
+    return [_handed_step(0.0), _solve_step(15.0), _handed_step(30.0),
+            _handed_step(45.0), _solve_step(60.0),
+            {"time_s": 75.0, "fallback": True}]
+
+
+def test_solver_health_counts_hand_overs(tmp_path):
     """Windows handed over to ALINEA are counted in their own window apart
-    from the solves, and take no part in the solve figures; solves whose plan
-    still pays a band penalty are counted beside the capped ones. A record
-    read back from its CSV and sidecar gives the same figures."""
+    from the solves, and take no part in the solve figures. A record read
+    back from its CSV and sidecar gives the same figures."""
     record = _record(1, [[14.0], [16.0]], [[100.0], [200.0]],
                      [[900.0], [900.0]])
-
-    def solve(time_s, penalty):
-        return {"time_s": time_s, "fallback": False, "iterations": 4,
-                "converged": True, "capped": False, "solve_time_s": 1e-3,
-                "objective": 2.0, "penalty": penalty}
-
-    def handed(time_s):
-        return {"time_s": time_s, "fallback": False, "handed_over": True,
-                "iterations": 0, "converged": False, "capped": False,
-                "solve_time_s": 0.0}
-
-    record.solver_steps = [handed(0.0), solve(15.0, 3.5), handed(30.0),
-                           handed(45.0), solve(60.0, 0.0),
-                           {"time_s": 75.0, "fallback": True}]
+    record.solver_steps = _planner_steps()
     health = results_from_records("sindyc-mpc", [1], [record]).solver_health()
     assert health["solves"] == 2 and health["converged_frac"] == 1.0
     assert health["iterations"]["p50"] == 4.0 and health["fallbacks"] == 1
-    for window, (solves, handed_over, penalised) in (("burn_in", (1, 1, 1)),
-                                                     ("recorded", (1, 2, 0))):
+    for window, counts in (("burn_in", (1, 1, 4)), ("recorded", (1, 2, 4))):
         figures = health[window]
         assert (figures["solves"], figures["handed_over"],
-                figures["band_penalty"]) == (solves, handed_over, penalised)
-        assert figures["iterations"] == 4
+                figures["iterations"]) == counts
     path = tmp_path / "sindyc-mpc-seed1.csv"
     record.to_csv(path)
     back = results_from_records("sindyc-mpc", [1], [EpisodeRecord.from_csv(path)])
     assert back.solver_health() == health
+
+
+def test_a_sidecar_with_band_penalties_still_loads(tmp_path):
+    """Episodes written while the planner paid a band penalty carry a
+    ``penalty`` number in each solve step. They load through ``from_csv``
+    and rebuild the solves, hand-overs and iterations of the same steps
+    without it; a ``penalty`` that is not a number is still refused."""
+    record = _record(1, [[14.0], [16.0]], [[100.0], [200.0]],
+                     [[900.0], [900.0]])
+    record.solver_steps = _planner_steps()
+    current = results_from_records("sindyc-mpc", [1], [record]).solver_health()
+    old = record.solver_steps = _planner_steps()
+    old[1]["penalty"], old[4]["penalty"] = 3.5, 0  # the two solves
+    path = tmp_path / "sindyc-mpc-seed1.csv"
+    record.to_csv(path)
+    sidecar = EpisodeRecord.sidecar_path(path)
+    assert json.loads(sidecar.read_text())["solver_steps"] == old
+    assert EpisodeRecord.from_csv(path).solver_steps == old
+    rebuilt, = load_raw_results(tmp_path)
+    assert rebuilt.scenario == "sindyc-mpc"
+    assert rebuilt.solver_health() == current
+    meta = json.loads(sidecar.read_text())
+    meta["solver_steps"][1]["penalty"] = "3.5"
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="solver_steps is not a list"):
+        EpisodeRecord.from_csv(path)
 
 
 def test_a_rebuilt_report_keeps_the_hand_over_counts(tmp_path):

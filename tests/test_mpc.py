@@ -138,42 +138,50 @@ def test_prediction_keeps_the_public_states_and_jacobians():
             assert np.array_equal(jac[:, 3:], jac_u)
 
 
-def test_the_hinge_is_the_excess_over_the_occupancy_band(monkeypatch):
-    """``measure`` writes the bound-penalty hinge as ``x - clip(x)``; it
-    equals ``max(x - hi, 0) - max(lo - x, 0)`` on and one ulp either side of
-    each bound, at -0.0 and far outside the band."""
-    lo, hi = mpc.OCCUPANCY_MIN_PCT, mpc.OCCUPANCY_MAX_PCT
-    x = np.array([0.0, -0.0, hi, 1e300, -1e300,
-                  np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
-                  np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)])
-    model = SparseModel(coefficients=np.zeros((len(x), 1 + 10 + 55)),
-                        state_dim=len(x), input_dim=1)
-    # x(1) = x(0) + (-0.0) keeps every x(0), -0.0 included, bit for bit.
-    monkeypatch.setattr(model, "_f", lambda z: np.full(len(x), -0.0))
-    with np.errstate(over="ignore"):  # the cost of x = 1e300 overflows
-        ws = mpc._Workspace(model, MpcConfig(horizon=1))
-        ws.start(x, np.array([1000.0]), np.array([[1000.0]]))
-    assert ws.cur.x[1].tobytes() == x.tobytes()
-    expected = np.maximum(x - hi, 0.0) - np.maximum(lo - x, 0.0)
-    assert np.array_equal(ws.cur.hinge[0], ws.root_w * expected)
+def test_the_residual_is_tracking_then_rate_changes():
+    """The planner's residual holds the (N+1) n tracking deviations, stage by
+    stage, then the N m weighted rate changes, and nothing else; the
+    residual Jacobian has the same rows, with S(0) = 0 and the constant
+    rate-change band: +sqrt(RATE_CHANGE_WEIGHT) on the diagonal, its
+    negative one stage to the left."""
+    rng = np.random.default_rng(3)
+    n, m, horizon = 3, 2, 4
+    model = _random_model(rng, n, m)
+    cfg = MpcConfig(horizon=horizon)
+    x0 = rng.uniform(5.0, 25.0, size=n)
+    plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
+    u_prev = rng.uniform(300.0, 1700.0, size=m)
+    ws = mpc._Workspace(model, cfg)
+    ws.start(x0, u_prev, plan)
+    track, size = (horizon + 1) * n, horizon * m
+    assert ws.cur.res.shape == ws.cand.res.shape == (track + size,)
+    jac = ws.jacobian()
+    assert jac.shape == (track + size, size)
+    states = rollout(model, x0, plan)
+    root = np.sqrt(mpc.RATE_CHANGE_WEIGHT)
+    assert np.array_equal(ws.cur.res[:track],
+                          (states - cfg.target_occupancy_pct).ravel())
+    assert np.array_equal(ws.cur.res[track:],
+                          root * np.diff(np.vstack([u_prev, plan]), axis=0).ravel())
+    assert not jac[:n].any()
+    assert np.array_equal(jac[track:],
+                          root * (np.eye(size) - np.eye(size, k=-m)))
 
 
 # -- the planner's gradient ---------------------------------------------------------
 
 def _total_cost(model, x0, plan, u_prev, cfg):
-    states = rollout(model, x0, plan)
-    return objective(states, plan, u_prev, cfg) + bound_penalty(states)
+    return objective(rollout(model, x0, plan), plan, u_prev, cfg)
 
 
 def _solver_gradient(model, x0, plan, u_prev, cfg):
     """2 J'r from the solver's own residual and residual Jacobian, with
-    |r|^2 checked against objective + bound penalty."""
+    |r|^2 checked against the objective."""
     ws = mpc._Workspace(model, cfg)
     ws.start(x0, u_prev, plan)
     states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
-    assert res @ res == pytest.approx(
-        objective(states, plan, u_prev, cfg) + bound_penalty(states),
-        rel=1e-12)
+    assert res @ res == pytest.approx(objective(states, plan, u_prev, cfg),
+                                      rel=1e-12)
     return (2.0 * jac.T @ res).reshape(plan.shape)
 
 
@@ -208,45 +216,14 @@ def test_least_squares_gradient_matches_finite_differences(monkeypatch):
         _check_gradient(model, x0, plan, u_prev, cfg)
 
 
-def _squeeze_band(monkeypatch, trial):
-    """Band bounds that the random instances' trajectories cross: the full
-    band, a ceiling below them, or a floor above them, by ``trial % 3``."""
-    low, high = ((0.0, 80.0), (0.0, 10.0), (20.0, 80.0))[trial % 3]
-    monkeypatch.setattr(mpc, "OCCUPANCY_MIN_PCT", low)
-    monkeypatch.setattr(mpc, "OCCUPANCY_MAX_PCT", high)
-
-
-def test_gradient_includes_active_bound_penalties(monkeypatch):
-    """Squeeze the occupancy ceiling below, or the floor above, the
-    trajectory so the penalty term carries real gradient signal; 2 J'r must
-    still match central differences, and |r|^2 objective + penalty."""
-    rng = np.random.default_rng(12)
-    for trial in range(16):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        horizon = int(rng.integers(1, 5))
-        monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
-        _squeeze_band(monkeypatch, 1 + trial % 2)
-        cfg = MpcConfig(horizon=horizon)
-        model = _random_model(rng, n, m)
-        x0 = rng.uniform(5.0, 25.0, size=n)
-        plan = rng.uniform(300.0, 1700.0, size=(horizon, m))
-        u_prev = rng.uniform(300.0, 1700.0, size=m)
-        assert bound_penalty(rollout(model, x0, plan)) > 0.0
-        _check_gradient(model, x0, plan, u_prev, cfg)
-
-
 def _adjoint_gradient(model, states, plan, u_prev, cfg):
-    """Reference gradient of objective + bound penalty by the backward
-    (adjoint) recursion through the Euler rollout, using only the public
-    model Jacobian, unit tracking weights and the cost constants."""
+    """Reference gradient of the objective by the backward (adjoint)
+    recursion through the Euler rollout, using only the public model
+    Jacobian, unit tracking weights and the rate-change weight."""
     r = mpc.RATE_CHANGE_WEIGHT
 
     def state_grad(x):
-        over = np.maximum(x - mpc.OCCUPANCY_MAX_PCT, 0.0)
-        under = np.maximum(mpc.OCCUPANCY_MIN_PCT - x, 0.0)
-        return (2.0 * (x - cfg.target_occupancy_pct)
-                + 2.0 * mpc.BOUND_PENALTY_WEIGHT * (over - under))
+        return 2.0 * (x - cfg.target_occupancy_pct)
 
     n_steps = len(plan)
     grad = np.empty_like(plan)
@@ -264,15 +241,14 @@ def _adjoint_gradient(model, states, plan, u_prev, cfg):
 
 
 def test_residual_jacobian_gives_the_adjoint_gradient(monkeypatch):
-    """The solver's least-squares form: |r|^2 is objective + penalty and
-    2 J'r is the adjoint gradient, with and without active penalties."""
+    """The solver's least-squares form: |r|^2 is the objective and 2 J'r
+    is the adjoint gradient."""
     rng = np.random.default_rng(12)
     for trial in range(24):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         horizon = int(rng.integers(1, 5))
         monkeypatch.setattr(mpc, "RATE_CHANGE_WEIGHT", float(rng.uniform(0.0, 1e-3)))
-        _squeeze_band(monkeypatch, trial)
         cfg = MpcConfig(horizon=horizon)
         model = _random_model(rng, n, m)
         x0 = rng.uniform(5.0, 25.0, size=n)
@@ -281,11 +257,8 @@ def test_residual_jacobian_gives_the_adjoint_gradient(monkeypatch):
         ws = mpc._Workspace(model, cfg)
         ws.start(x0, u_prev, plan)
         states, res, jac = ws.cur.x, ws.cur.res, ws.jacobian()
-        penalty = bound_penalty(states)
-        if trial % 3:
-            assert penalty > 0.0
-        assert res @ res == pytest.approx(
-            objective(states, plan, u_prev, cfg) + penalty, rel=1e-12)
+        assert res @ res == pytest.approx(objective(states, plan, u_prev, cfg),
+                                          rel=1e-12)
         adjoint = _adjoint_gradient(model, states, plan, u_prev, cfg).ravel()
         assert np.allclose(2.0 * jac.T @ res, adjoint, rtol=1e-9,
                            atol=1e-12 * np.max(np.abs(adjoint)))
@@ -321,7 +294,7 @@ def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
     projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
                          np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
     assert (np.max(np.abs(projected)) * (hi - lo)
-            <= mpc.TOLERANCE * (1.0 + sol.objective + sol.penalty))
+            <= mpc.TOLERANCE * (1.0 + sol.objective))
     capped = solve(model, x0, u_prev,
                    replace(cfg, solver=SolverSettings(max_iters=2)))
     assert capped.iterations == 2 and not capped.converged
@@ -380,14 +353,14 @@ def test_a_candidate_that_diverges_is_rejected():
     assert np.all(np.isfinite(sol.plan)) and np.all(np.isfinite(sol.states))
     assert np.array_equal(sol.states, rollout(model, x0, sol.plan))
     start = np.tile(u_prev, (cfg.horizon, 1))
-    assert sol.objective + sol.penalty < _total_cost(model, x0, start, u_prev, cfg)
+    assert sol.objective < _total_cost(model, x0, start, u_prev, cfg)
     grad = _solver_gradient(model, x0, sol.plan, u_prev, cfg)
     lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     projected = np.where(sol.plan <= lo, np.minimum(grad, 0.0),
                          np.where(sol.plan >= hi, np.maximum(grad, 0.0), grad))
     assert sol.converged
     assert (np.max(np.abs(projected)) * (hi - lo)
-            <= mpc.TOLERANCE * (1.0 + sol.objective + sol.penalty))
+            <= mpc.TOLERANCE * (1.0 + sol.objective))
 
 
 def test_returned_plans_share_no_memory_with_later_solves():
@@ -422,7 +395,7 @@ def test_solve_is_monotone_and_feasible():
                         (cfg.horizon, 1))
         start_total = _total_cost(model, x0, start, u_prev, cfg)
         sol = solve(model, x0, u_prev, cfg)
-        assert sol.objective + sol.penalty <= start_total + 1e-9
+        assert sol.objective <= start_total + 1e-9
         assert np.all(sol.plan >= RATE_MIN_VPH)
         assert np.all(sol.plan <= RATE_MAX_VPH)
         assert sol.states.shape == (cfg.horizon + 1, 2)
@@ -458,7 +431,7 @@ def test_solve_beats_an_exhaustive_grid():
                 plan = np.array([[a], [b], [c]])
                 best = min(best, _total_cost(model, x0, plan, u_prev, cfg))
     sol = solve(model, x0, u_prev, cfg)
-    assert sol.objective + sol.penalty <= best * 1.01 + 1e-9
+    assert sol.objective <= best * 1.01 + 1e-9
 
 
 def test_solve_validates_shapes():
@@ -498,8 +471,8 @@ def test_controller_applies_first_action_and_remembers():
     assert controller.last_plan.shape == (3, 2)
     assert np.array_equal(action, controller.last_plan[0])
     entry = controller.diagnostics[0]
-    assert set(entry) == {"time_s", "fallback", "objective", "penalty",
-                          "iterations", "converged", "capped", "solve_time_s"}
+    assert set(entry) == {"time_s", "fallback", "objective", "iterations",
+                          "converged", "capped", "solve_time_s"}
     assert entry["fallback"] is False
 
 
@@ -629,8 +602,7 @@ def test_a_solve_whose_cost_overflows_raises_and_the_controller_falls_back():
 
 def _corridor_pair(quadratic: bool) -> SparseModel:
     """Two cells drawn to 30 % and pushed up by their meters, with an
-    envelope up to 120 %: a start near 110 % predicts stages above the
-    occupancy band, and 130 % is outside the envelope."""
+    envelope up to 120 %: 130 % is outside the envelope."""
     coef = np.zeros((2, 1 + 4 + 10))
     coef[:, 0] = 0.2 * 30.0 - 0.02 * 1000.0
     coef[[0, 1], [1, 2]] = -0.2
@@ -646,9 +618,8 @@ def test_a_reused_workspace_computes_what_a_fresh_one_does(monkeypatch):
     actions, diagnostics (apart from ``solve_time_s``) and last plan that a
     new workspace per window, as :func:`solve` makes, gives from the same
     warm starts and ``u_prev``, for a quadratic and a linear model. The
-    episode hands a window over and has solves that write the hinge rows
-    with solves after them. The linear model's stage Jacobians are read once
-    for the whole episode."""
+    episode hands a window over and solves again after it. The linear
+    model's stage Jacobians are read once for the whole episode."""
     occupancy = [[40.0, 50.0], [110.0, 60.0], [105.0, 112.0], [130.0, 20.0],
                  [70.0, 85.0], [108.0, 30.0], [20.0, 25.0], [16.0, 14.0]]
     real_solve = mpc._solve
@@ -665,15 +636,8 @@ def test_a_reused_workspace_computes_what_a_fresh_one_does(monkeypatch):
             return SparseModel._df_rows(model, zs, out)
 
         model._df_rows = counted
-        written = []
-
-        def kept(ws, *args):
-            sol = real_solve(ws, *args)
-            written.append(ws.hinge_written)
-            return sol
-
         runs = []
-        for planner in (kept, fresh):
+        for planner in (real_solve, fresh):
             monkeypatch.setattr(mpc, "_solve", planner)
             controller = MpcController(model, MpcConfig(horizon=3))
             actions = [controller(_obs(x, time_s=30.0 * (k + 1))).tobytes()
@@ -682,10 +646,9 @@ def test_a_reused_workspace_computes_what_a_fresh_one_does(monkeypatch):
                                  if key != "solve_time_s"}
                                 for entry in controller.diagnostics])
             runs.append((actions, diagnostics, controller.last_plan.tobytes()))
-            if planner is kept and not quadratic:
+            if planner is real_solve and not quadratic:
                 assert len(reads) == 1
         assert runs[0] == runs[1]
         entries = controller.diagnostics
         assert [entry.get("handed_over", False) for entry in entries].count(True) == 1
         assert not any(entry["fallback"] for entry in entries)
-        assert any(written[:-1])

@@ -52,9 +52,10 @@ def _metered_config(**timing):
 
 
 def _step(plant, rng):
-    """One simulation step on a freshly drawn row of arrivals; returns its
-    (arrivals, dropped, exits) in veh."""
-    return plant.step(plant.draw_arrivals(1, rng).tolist()[0])
+    """One simulation step on a freshly drawn row of arrivals, as floats as
+    ``run_episode`` hands them; returns its (arrivals, dropped, exits) in
+    veh."""
+    return plant.step(plant.draw_arrivals(1, rng).astype(float).tolist()[0])
 
 
 def _exits(plant):
@@ -479,7 +480,8 @@ def test_window_kernel_matches_one_step_per_row(make_config):
     # Meters swing between the rails, so queues overflow and cycles change.
     rates = np.linspace(200.0, 1800.0, cfg.n_ramps)
     for _ in range(60):
-        block = windowed.draw_arrivals(cfg.steps_per_control, rng).tolist()
+        block = windowed.draw_arrivals(cfg.steps_per_control,
+                                       rng).astype(float).tolist()
         windowed.advance(block, (windowed_books,))
         for row in block:
             arrivals, dropped, exits = stepped.step(row)
@@ -746,7 +748,8 @@ def test_generated_kernel_matches_the_loop_reference(make_config):
     bounds = [_free_flow_bound(c) for c in cells]
     generated_books, reference_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     for window in range(60):
-        block = generated.draw_arrivals(cfg.steps_per_control, rng).tolist()
+        block = generated.draw_arrivals(cfg.steps_per_control,
+                                        rng).astype(float).tolist()
         generated.advance(block, (generated_books,))
         loops.advance(reference, block, (reference_books,))
         assert _plant_state(generated) == _plant_state(reference)
@@ -843,8 +846,8 @@ def test_kernel_tracebacks_show_kernel_lines():
     # when that green ends, where the kernel times the red.
     plant._meter_pending[0] = 5000.0
     with pytest.raises(ValueError, match="outside feasible meter range") as exc:
-        plant.advance(plant.draw_arrivals(cfg.steps_per_control,
-                                          np.random.default_rng(0)).tolist())
+        block = plant.draw_arrivals(cfg.steps_per_control, np.random.default_rng(0))
+        plant.advance(block.astype(float).tolist())
     frames = traceback.extract_tb(exc.tb)
     kernel = [frame for frame in frames if frame.filename.startswith("<rampnet.plant")]
     assert len(kernel) == 1
