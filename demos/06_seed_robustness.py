@@ -11,9 +11,10 @@ Per base seed and scenario it prints tracking (mean |occupancy - 15 %|),
 sensor flow, the flow gain over no-control, the green share of the commanded
 rates, ALINEA's tracking on the same seed, and the planner's iterations and
 capped solves (the 200-iteration cap ended them, not the optimality test).
-A summary per planner follows; it also counts the windows handed over to
-ALINEA, where a sensor read outside the model's envelope. Base seed 0 alone
-is the headline five-way comparison: training seeds 1-4, evaluation seed 21.
+A summary per planner follows; it also counts stalled solves (stopped with
+iterations to spare, not converged) and the windows handed over to ALINEA,
+where a sensor read outside the model's envelope. Base seed 0 alone is the
+headline five-way comparison: training seeds 1-4, evaluation seed 21.
 
     python3 demos/06_seed_robustness.py                  # base seeds 0-9
     python3 demos/06_seed_robustness.py --base-seeds 0   # the headline run
@@ -23,16 +24,16 @@ is the headline five-way comparison: training seeds 1-4, evaluation seed 21.
 
 import argparse
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from rampnet.harness import SCENARIOS, fit, load_logs, report, run_scenarios
+from rampnet.harness import SCENARIOS, collect, fit, load_logs, run_scenarios
 from rampnet.network import benchmark_config_path, load_config
 
 TRAIN_OFFSETS = (1, 2, 3, 4)
 EVAL_OFFSET = 21
 PLANNERS = ("dmd-mpc", "sindyc-mpc")
+COUNTS = ("iterations", "capped", "stalled", "handed_over")  # planner totals
 
 
 def parse_base_seeds(text):
@@ -50,13 +51,11 @@ def parse_base_seeds(text):
 
 
 def _fit(config, base):
-    """(sindyc, dmdc) fitted from the CSV logs of the training episodes."""
-    alinea, = run_scenarios(config, None, None,
-                            [base + k for k in TRAIN_OFFSETS], scenarios=("alinea",))
+    """(sindyc, dmdc) fitted from the CSV logs of the training episodes,
+    written and read as ``rampnet collect`` and ``rampnet fit`` do."""
     with tempfile.TemporaryDirectory() as tmp:
-        # raw/ holds byte for byte what ``rampnet collect`` would write
-        report([alinea], tmp, config)
-        log = load_logs(Path(tmp) / "raw")  # in file-name order
+        collect(config, "alinea", [base + k for k in TRAIN_OFFSETS], tmp)
+        log = load_logs(tmp, config)  # in file-name order
     return fit(config, log, "sindyc"), fit(config, log, "dmdc")
 
 
@@ -66,9 +65,7 @@ def _figures(result):
     health = result.solver_health()
     if health is not None:
         windows = (health["burn_in"], health["recorded"])
-        figures.update(iterations=sum(w["iterations"] for w in windows),
-                       capped=sum(w["capped"] for w in windows),
-                       handed_over=sum(w["handed_over"] for w in windows),
+        figures.update({key: sum(w[key] for w in windows) for key in COUNTS},
                        controller_s=result.time_split_s["controller"])
     return figures
 
@@ -84,13 +81,12 @@ def _summary(name, rows, alinea, bases):
     devs = np.array([row["dev"] for row in rows])
     worst = int(np.argmax(devs))
     worse = int(np.sum(devs > alinea))
+    counts = "  ".join(f"{key.replace('_', ' ')} {sum(r[key] for r in rows)}"
+                       for key in COUNTS)
     print(f"{name:>11}: mean {devs.mean():.3f} %  median "
           f"{np.median(devs):.3f} %  worst {devs[worst]:.3f} % (base "
           f"{bases[worst]})  worse than ALINEA on {worse}/{len(devs)}  flow "
-          f"{np.mean([r['flow'] for r in rows]):.1f} veh/h  "
-          f"iterations {sum(r['iterations'] for r in rows)}  capped "
-          f"{sum(r['capped'] for r in rows)}  handed over "
-          f"{sum(r['handed_over'] for r in rows)}  controller "
+          f"{np.mean([r['flow'] for r in rows]):.1f} veh/h  {counts}  controller "
           f"{sum(r['controller_s'] for r in rows):.1f} s")
 
 

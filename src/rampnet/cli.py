@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness, network, sysid
+from .mpc import MpcConfig
 from .sysid import SparseModel
 
 
@@ -121,7 +122,8 @@ def _cmd_run(args) -> int:
                   f"solve {ms['p50']:.1f}/{ms['p95']:.1f}/{ms['max']:.1f} ms "
                   f"(p50/p95/max)   fallbacks {health['fallbacks']}")
             print(f"{'':>13}" + "   ".join(
-                f"{label} {w['solves']} solves ({w['capped']} capped), "
+                f"{label} {w['solves']} solves ({w['capped']} capped, "
+                f"{w['stalled']} stalled), "
                 f"{w['handed_over']} handed over, {w['iterations']} "
                 f"iterations, {w['solve_s']:.2f} s"
                 + (f", {w['us_per_iteration']:.0f} us/iteration"
@@ -190,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sindyc-model", required=True)
     p.add_argument("--dmdc-model", required=True)
     p.add_argument("--seeds", required=True, help="evaluation seeds, e.g. 5,6,7")
-    p.add_argument("--horizon", type=int, default=4, help="MPC horizon length")
+    p.add_argument("--horizon", type=int, default=MpcConfig.horizon,
+                   help="MPC horizon length")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=_cmd_run)
 

@@ -13,9 +13,9 @@ horizon, its target and its iteration cap. The whole cost is a sum of
 squared residuals, tracking then rate changes, so the solver is projected
 Gauss-Newton on the rate box (Bertsekas 1982):
 the residual Jacobian comes from forward sensitivities through the model's
-polynomial Jacobians, rates within a small margin of a bound that the
-gradient pushes outward are held by a diagonal step, the free rates take a
-Levenberg-Marquardt step on J'J, and a search along the projection arc
+polynomial Jacobians, rates on a bound that the gradient pushes outward
+take no step, the free rates take a Levenberg-Marquardt step on their block
+of J'J, and a search along the projection arc
 accepts the first halving of that step that lowers the cost. A solve reports
 ``converged`` only when the projected gradient passes the optimality test.
 Only the first planned action is applied; the rest warm starts the next
@@ -43,8 +43,8 @@ small temporaries (masks, the step, LAPACK's solve). A rollout reads only
 the model's prediction, one read per stage, and the stage Jacobians are read
 only at accepted iterates, all N in one stacked product; a model without
 product terms has the same Jacobian everywhere, so its residual Jacobian and
-J'J are built once per controller. The active-set work runs only for
-iterates with a rate near a bound. Every floating-point operation that runs
+J'J are built once per workspace. The active-set work runs only for
+iterates with a rate on a bound. Every floating-point operation that runs
 keeps its operands and their order, and every stage read must stay a
 matrix-vector product per row: one matrix-matrix product over the stages
 sums in another order, and the closed loop would change at rounding level.
@@ -82,20 +82,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Levenberg-Marquardt damping, relative to the diagonal of J'J. After a full
-# step it follows the gain ratio of actual to predicted decrease (Nielsen's
-# rule: down by up to 3x when the model was right, up when it was not); a
-# shortened step doubles it. The rate-change rows keep the free block
-# nonsingular on their own; the damping and its floor stay because they steer
-# the closed loop: without either, sindyc-mpc tracks worse on the acceptance
-# seeds in more iterations, and the floor alone at 0 changes its plans (on
-# demo 06's base seed 5, tracking goes from 3.26% to 6.29%).
+# Levenberg-Marquardt damping, relative to the diagonal of J'J, restarted at
+# this value every solve. After a full step it follows the gain ratio of
+# actual to predicted decrease (Nielsen's rule: down by up to 3x when the
+# model was right, up when it was not); a shortened step doubles it. The
+# rate-change rows keep the free block nonsingular on their own, and within
+# the default cap of 200 iterations the damping cannot fall below
+# 1e-3 / 3^200, so it needs no floor. The gain ratio stays because it keeps
+# solves off the iteration cap: with fixed factors instead (x2 and a third),
+# 1 acceptance solve and 6 over demo 06's forty base seeds hit it, and with
+# a constant 1e-3, 2 and 6; none does with it.
 _DAMPING_START = 1e-3
-_DAMPING_MIN = 1e-12
-# The eps-active margin never exceeds this share of the rate box. It stays:
-# with an exact active set (eps = 0) sindyc-mpc's tracking over demo 06's ten
-# base seeds goes from 1.406% mean, 3.259% worst, to 1.824% and 7.460%.
-_EPS_FRAC = 0.01
 # Projection-arc search: the first of up to this many halvings of the step
 # that lowers the cost is accepted. The damping, set by the gain ratio, keeps
 # full steps sensible, so no sufficient-decrease margin is asked for (the
@@ -283,10 +280,10 @@ class _Workspace:
 
     The cost constants are read when the workspace is made: a
     :func:`solve` call makes one, an :class:`MpcController` one for its
-    life. The constant rate-change rows of ``jac`` are filled here;
-    :meth:`jacobian` rewrites the sensitivity rows in place, and only when
-    what they are computed from has changed. ``gn_stale`` says that ``jac``
-    changed since the search last formed 2 J'J from it.
+    life. The constant rate-change rows of ``jac`` are filled here. A
+    model without product terms has the same sensitivity rows, and so the
+    same 2 J'J in ``gn``, at every plan: they are built here too. A quadratic
+    model's are rebuilt in place by :meth:`jacobian` at every iterate.
     """
 
     def __init__(self, model: SparseModel, cfg: MpcConfig):
@@ -310,19 +307,18 @@ class _Workspace:
         self.sens = list(sens)
         # u(l)'s columns of S(l+1), where B(l) enters
         self.sens_inputs = [sens[l + 1, :, l * m:(l + 1) * m] for l in range(horizon)]
-        # df/dz = L + (Q + Q') z is L at every z when the model has no
-        # product terms (a DMDc model), and then so are the sensitivities:
-        # they are built once and kept.
-        self.sens_kept = False
-        self.linear = not model._products
         rate_rows = self.jac[(horizon + 1) * n:]
         np.fill_diagonal(rate_rows, self.root_r)
         np.fill_diagonal(rate_rows[m:], -self.root_r)
         self.grad = np.empty(size)
         self.gn = np.empty((size, size))
-        self.gn_stale = True
         self.block = np.empty((size, size))
         self.block_diagonal = self.block.reshape(-1)[::size + 1]
+        # df/dz = L + (Q + Q') z is L at every z when the model has no
+        # product terms (a DMDc model): read at the zero z rows, it is final.
+        self.linear = not model._products
+        if self.linear:
+            self._linearize()
 
     def start(self, x0: np.ndarray, u_prev: np.ndarray, plan: np.ndarray) -> None:
         """Reset for a solve from ``x0`` and ``u_prev`` and measure ``plan``
@@ -351,25 +347,30 @@ class _Workspace:
         return it.total
 
     def jacobian(self) -> np.ndarray:
-        """Residual Jacobian at ``cur``, from forward sensitivities through
+        """Residual Jacobian at ``cur``, with ``gn`` = 2 J'J formed from it.
+        A quadratic model's are rebuilt here; a linear model's were built
+        with the workspace."""
+        if not self.linear:
+            self._linearize()
+        return self.jac
+
+    def _linearize(self) -> None:
+        """Sensitivity rows of ``jac`` from forward sensitivities through
         the stage model Jacobians df/dz read at ``cur``'s z rows:
         ``S(l+1) = (I + A(l)) S(l) + B(l) E(l)``, with ``A(l), B(l)`` the x and
-        u blocks of df/dz and ``E(l)`` picking u(l). A linear model's
-        sensitivities are built on the first call and kept."""
-        if not self.sens_kept:
-            sens, inputs, stage_a, stage_b = (self.sens, self.sens_inputs,
-                                              self.stage_a, self.stage_b)
-            self.model._df_rows(self.cur.z[:-1], out=self.stage_jac)
-            # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
-            # other columns staying 0.
-            np.add(stage_b[0], 0.0, out=inputs[0])
-            for l in range(1, len(inputs)):
-                np.dot(stage_a[l], sens[l], out=sens[l + 1])
-                sens[l + 1] += sens[l]
-                inputs[l] += stage_b[l]
-            self.sens_kept = self.linear
-            self.gn_stale = True
-        return self.jac
+        u blocks of df/dz and ``E(l)`` picking u(l); then ``gn``."""
+        sens, inputs, stage_a, stage_b = (self.sens, self.sens_inputs,
+                                          self.stage_a, self.stage_b)
+        self.model._df_rows(self.cur.z[:-1], out=self.stage_jac)
+        # S(0) = 0, so S(1) = 0 + B(0) E(0): B(0) in u(0)'s columns, the
+        # other columns staying 0.
+        np.add(stage_b[0], 0.0, out=inputs[0])
+        for l in range(1, len(inputs)):
+            np.dot(stage_a[l], sens[l], out=sens[l + 1])
+            sens[l + 1] += sens[l]
+            inputs[l] += stage_b[l]
+        np.matmul(self.jac.T, self.jac, out=self.gn)
+        self.gn *= 2.0
 
     def accept(self) -> None:
         self.cur, self.cand = self.cand, self.cur
@@ -387,18 +388,13 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     """Projected Gauss-Newton iterations from ``ws.cur``, which ends at the
     last accepted iterate. Returns (iterations, converged).
 
-    2 J'J is formed only when ``jac`` has changed since it was last formed:
-    every iteration on a quadratic model, on a linear one once per workspace.
-    While every rate lies more than the widest eps margin inside the rate
-    box, no rate is stuck on a bound or held near one, so the projected
-    gradient is the gradient and every rate is free; the active-set work
-    runs only near a bound."""
+    The active set is exact: a rate on a bound that the gradient pushes
+    against is stuck and takes no step, and every other rate is free. While
+    no rate is on a bound, the projected gradient is the gradient and every
+    rate is free, so the active-set work runs only for iterates with a rate
+    on a bound."""
     lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
     width = hi - lo
-    # eps never exceeds margin, so a rate strictly inside (inner_lo,
-    # inner_hi) is neither stuck nor held.
-    margin = _EPS_FRAC * width
-    inner_lo, inner_hi = lo + margin, hi - margin
     damping = _DAMPING_START
     iterations = 0
     converged = False
@@ -413,14 +409,13 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         jac = ws.jacobian()
         np.dot(jac.T, cur.res, out=grad)
         grad *= 2.0
-        near_bound = not (_min(v) > inner_lo and _max(v) < inner_hi)
-        if near_bound:
+        on_bound = not (_min(v) > lo and _max(v) < hi)
+        if on_bound:
             # A descent step lowers the rates whose gradient is positive and
             # raises those whose gradient is negative. The projected gradient
             # is 0 at a rate on the bound its step pushes against, the
             # gradient elsewhere.
-            lowers, raises = grad > 0.0, grad < 0.0
-            stuck = np.where(lowers, v <= lo, raises & (v >= hi))
+            stuck = np.where(grad > 0.0, v <= lo, (grad < 0.0) & (v >= hi))
             projected = _max(np.abs(np.where(stuck, 0.0, grad)))
         else:
             projected = _max(np.abs(grad))
@@ -428,30 +423,16 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
             converged = True
             break
 
-        if ws.gn_stale:
-            np.matmul(jac.T, jac, out=gn)
-            gn *= 2.0
-            ws.gn_stale = False
-        step = None
-        if near_bound:
-            # eps-active set: rates within eps of a bound that the gradient
-            # pushes outward; eps shrinks with the scaled projected step.
-            scaled = grad / scale
-            edge = v - scaled
-            np.maximum(edge, lo, out=edge)
-            np.minimum(edge, hi, out=edge)
-            np.subtract(v, edge, out=edge)
-            eps = min(margin, float(_max(np.abs(edge, out=edge))))
-            held = np.where(lowers, v <= lo + eps, raises & (v >= hi - eps))
-            if np.count_nonzero(held):
-                step = -scaled
-                free = ~held
-                if np.count_nonzero(free):
-                    # The free rates' block of J'J, damped on its diagonal.
-                    sub = gn[free][:, free]
-                    sub.flat[::len(sub) + 1] += damping * scale[free]
-                    step[free] = -np.linalg.solve(sub, grad[free])
-        if step is None:
+        if on_bound and np.count_nonzero(stuck):
+            # The stuck rates stay; some rate is free, or the test would
+            # have passed. The free rates' block of J'J, damped on its
+            # diagonal, gives their step.
+            free = ~stuck
+            sub = gn[free][:, free]
+            sub.flat[::len(sub) + 1] += damping * scale[free]
+            step = np.zeros(len(v))
+            step[free] = -np.linalg.solve(sub, grad[free])
+        else:
             np.copyto(block, gn)
             ws.block_diagonal += damping * scale
             step = np.linalg.solve(block, grad)
@@ -478,18 +459,13 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         if not accepted:
             break  # stalled: no decrease along the arc
         ws.accept()
-        # The gain ratio stays: without it (doubled on a short step, a third
-        # on a full one) sindyc-mpc tracks at 1.501% mean, 3.389% worst on
-        # demo 06's ten base seeds (1.406%, 3.259% with it), and at 1.799%
-        # and 7.233%, in 36 260 iterations for 28 935, with a constant 1e-3.
         if alpha < 1.0:
             damping *= 2.0
         else:
             move = cand.v - v
             predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
             ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
-            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
-                          _DAMPING_MIN)
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
     return iterations, converged
 
 
@@ -585,9 +561,9 @@ class MpcController:
         self._workspace = _Workspace(model, self.config)
 
     def _warm_start(self) -> np.ndarray | None:
-        # The last plan, shifted one stage. Cold starts from u_prev take
-        # 46 132 instead of 28 935 iterations on demo 06's ten base seeds, and
-        # sindyc-mpc tracks at 2.578% mean, 14.974% worst (1.406%, 3.259%).
+        # The last plan, shifted one stage. With cold starts from u_prev,
+        # sindyc-mpc tracks at 1.168% mean, 1.865% worst over demo 06's forty
+        # base seeds (1.124%, 1.337%), and SINDYc wins 28 of 40, not 31.
         if self.last_plan is None:
             return None
         return np.vstack([self.last_plan[1:], self.last_plan[-1:]])

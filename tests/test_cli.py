@@ -13,6 +13,7 @@ import yaml
 from rampnet import harness, sysid
 from rampnet.cli import _parse_horizons, _parse_seeds, build_parser, main
 from rampnet.harness import UsageError
+from rampnet.mpc import MpcConfig
 from rampnet.network import (CellParams, Highway, NetworkConfig, RampSpec,
                              benchmark_config_path, serialize_config)
 from rampnet.sysid import fit_derivatives
@@ -53,6 +54,10 @@ def test_seed_and_horizon_parsing():
     for bad in ("3:x", "5:3", ","):
         with pytest.raises(UsageError, match="bad horizon list"):
             _parse_horizons(bad)
+    run = build_parser().parse_args(["run", "--sindyc-model", "s.json",
+                                     "--dmdc-model", "d.json", "--seeds", "1",
+                                     "--out", "out"])
+    assert run.horizon == MpcConfig().horizon
 
 
 def test_missing_subcommand_is_an_argparse_error():
@@ -93,6 +98,7 @@ def test_full_pipeline_on_a_small_network(tmp_path, capsys):
     assert out.count("% converged") == 2 and "fallbacks 0" in out
     assert out.count("burn-in ") == 2 and out.count("recorded ") == 2
     assert out.count(" handed over, ") == 4
+    assert len(re.findall(r" solves \(\d+ capped, \d+ stalled\), ", out)) == 4
     assert out.count("time: plant ") == 5
     summary = json.loads((report_dir / "summary.json").read_text())
     assert summary["seeds"] == [5]

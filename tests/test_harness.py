@@ -634,18 +634,22 @@ def _planner_steps():
 
 def test_solver_health_counts_hand_overs(tmp_path):
     """Windows handed over to ALINEA are counted in their own window apart
-    from the solves, and take no part in the solve figures. A record read
+    from the solves, and take no part in the solve figures. A solve that
+    stopped neither converged nor capped counts as stalled. A record read
     back from its CSV and sidecar gives the same figures."""
     record = _record(1, [[14.0], [16.0]], [[100.0], [200.0]],
                      [[900.0], [900.0]])
-    record.solver_steps = _planner_steps()
+    stalled = dict(_solve_step(90.0), iterations=9, converged=False)
+    record.solver_steps = _planner_steps() + [stalled]
     health = results_from_records("sindyc-mpc", [1], [record]).solver_health()
-    assert health["solves"] == 2 and health["converged_frac"] == 1.0
+    assert health["solves"] == 3
+    assert health["converged_frac"] == pytest.approx(2 / 3)
     assert health["iterations"]["p50"] == 4.0 and health["fallbacks"] == 1
-    for window, counts in (("burn_in", (1, 1, 4)), ("recorded", (1, 2, 4))):
+    for window, counts in (("burn_in", (1, 1, 4, 0, 0)),
+                           ("recorded", (2, 2, 13, 0, 1))):
         figures = health[window]
-        assert (figures["solves"], figures["handed_over"],
-                figures["iterations"]) == counts
+        assert (figures["solves"], figures["handed_over"], figures["iterations"],
+                figures["capped"], figures["stalled"]) == counts
     path = tmp_path / "sindyc-mpc-seed1.csv"
     record.to_csv(path)
     back = results_from_records("sindyc-mpc", [1], [EpisodeRecord.from_csv(path)])

@@ -300,6 +300,34 @@ def test_converged_means_the_projected_gradient_test_holds(monkeypatch):
     assert capped.iterations == 2 and not capped.converged
 
 
+def test_the_active_set_is_the_rates_stuck_on_a_bound():
+    """One iteration from a plan whose three rates all have a positive
+    gradient (each wants to fall): rate 0 sits on the floor, so it is stuck
+    and stays there; rate 1 sits on the ceiling, pushed inward, so it is
+    free and falls; rate 2 lies a hair above the floor but inside the box,
+    so it is free too. Sensor 1 reads rates 1 and 2 together, so the
+    free block's Gauss-Newton step lowers rate 1 a long way and raises
+    rate 2, against its own gradient; holding rate 2 would lower it."""
+    lo, hi = RATE_MIN_VPH, RATE_MAX_VPH
+    b = 0.01  # occupancy points per veh/h in one control step
+    coefficients = np.zeros((3, 28))  # the library of 3 states and 3 inputs
+    coefficients[:, 0] = [1.0, -15.0, -4.0]
+    coefficients[0, 4] = coefficients[1, 5] = coefficients[1, 6] = b
+    coefficients[2, 6] = b
+    model = SparseModel(coefficients=coefficients, state_dim=3, input_dim=3)
+    cfg = MpcConfig(horizon=1, solver=SolverSettings(max_iters=1))
+    x0 = np.full(3, cfg.target_occupancy_pct)
+    plan = np.array([[lo, hi, lo + 1e-3]])
+    ws = mpc._Workspace(model, cfg)
+    ws.start(x0, plan[0], plan)
+    assert (ws.jacobian().T @ ws.cur.res > 0.0).all()
+    sol = solve(model, x0, plan[0], cfg, warm_start=plan)
+    assert sol.iterations == 1 and not sol.converged
+    assert sol.plan[0, 0] == lo
+    assert lo < sol.plan[0, 1] < hi - 100.0
+    assert sol.plan[0, 2] > plan[0, 2] + 100.0
+
+
 def test_solve_reads_the_rate_change_weight_at_call_time(monkeypatch):
     """Each solve reads the cost constants when it starts: a large
     ``RATE_CHANGE_WEIGHT`` keeps the plan near u_prev and the reported

@@ -166,8 +166,8 @@ def test_seed_robustness_demo_runs_on_one_base_seed(capsys):
     """Demo 06 on base seed 0, the headline comparison: one row per scenario
     with its flow gain over no-control and green share, the planners' rows
     with iterations and capped solves, then the summary, which counts
-    hand-overs and no band penalty; both planners track better than ALINEA
-    on that seed."""
+    stalled solves and hand-overs and no band penalty; both planners track
+    better than ALINEA on that seed."""
     demo = _load_by_path(ROOT / "demos" / "06_seed_robustness.py", "demo_run_06")
     demo.main(["--base-seeds", "0"])
     lines = capsys.readouterr().out.splitlines()
@@ -192,6 +192,7 @@ def test_seed_robustness_demo_runs_on_one_base_seed(capsys):
     summary = "\n".join(lines[6:])
     assert summary.count("worse than ALINEA on 0/1") == 2
     assert summary.count("  handed over ") == 2 and "penalty" not in summary
+    assert len(re.findall(r"  capped \d+  stalled \d+  ", summary)) == 2
     assert "SINDYc beats DMDc on " in summary
 
 
