@@ -228,31 +228,34 @@ class ScenarioResult:
         return 100.0 * green / recorded_s
 
     def solver_health(self) -> dict | None:
-        """Planner figures over the records' ``solver_steps``, every control
-        step of every seed, or None for a scenario without a planner:
-        converged share of the solves, iteration and solve-time percentiles
-        (p50/p95/max), fallbacks, and of the burn-in and of the recorded
-        windows apart: the solves, the windows handed over to ALINEA
-        (outside the model's envelope, no solve), capped solves (the
-        iteration cap ended them, not the optimality test), stalled solves
-        (they stopped with iterations to spare, neither converged nor
-        capped: no halving of the step lowered the cost), total iterations,
-        solve seconds and planner microseconds per iteration (solve seconds
-        over iterations, None without one)."""
+        """Planner figures over the records' ``solver_steps``, or None for a
+        scenario without a planner. One pass classifies every control step
+        of every seed once: a fallback, a hand-over to ALINEA (outside the
+        model's envelope, no solve) or a solve, in the burn-in or the
+        recorded windows. Over all solves: the converged share, iteration
+        and solve-time percentiles (p50/p95/max), and the fallbacks; of the
+        burn-in and of the recorded windows apart: the solves, the
+        hand-overs, capped solves (the iteration cap ended them, not the
+        optimality test), stalled solves (they stopped with iterations to
+        spare, neither converged nor capped: no halving of the step lowered
+        the cost), total iterations, solve seconds and planner microseconds
+        per iteration (solve seconds over iterations, None without one)."""
         if all(record.solver_steps is None for record in self.records):
             return None
-        burn_in, recorded, fallbacks = [], [], 0
+        solves = {"burn_in": [], "recorded": []}
+        handed_over = {"burn_in": 0, "recorded": 0}
+        fallbacks = 0
         for record in self.records:
             for step in record.solver_steps or ():
+                window = ("recorded" if step["time_s"] >= record.times[0]
+                          else "burn_in")
                 if step["fallback"]:
                     fallbacks += 1
-                elif step["time_s"] >= record.times[0]:
-                    recorded.append(step)
+                elif step.get("handed_over", False):
+                    handed_over[window] += 1
                 else:
-                    burn_in.append(step)
-        burn_in, handed_burn_in = _split_handed_over(burn_in)
-        recorded, handed_recorded = _split_handed_over(recorded)
-        solved = burn_in + recorded
+                    solves[window].append(step)
+        solved = solves["burn_in"] + solves["recorded"]
 
         def spread(values):
             if not values:
@@ -281,16 +284,9 @@ class ScenarioResult:
             "iterations": spread([step["iterations"] for step in solved]),
             "solve_ms": spread([1e3 * step["solve_time_s"] for step in solved]),
             "fallbacks": fallbacks,
-            "burn_in": totals(burn_in, handed_burn_in),
-            "recorded": totals(recorded, handed_recorded),
+            "burn_in": totals(solves["burn_in"], handed_over["burn_in"]),
+            "recorded": totals(solves["recorded"], handed_over["recorded"]),
         }
-
-
-def _split_handed_over(steps) -> tuple[list, int]:
-    """The solves among planner steps, and how many windows were handed
-    over instead."""
-    solves = [step for step in steps if not step.get("handed_over", False)]
-    return solves, len(steps) - len(solves)
 
 
 def results_from_records(scenario: str, seeds, records,

@@ -83,15 +83,17 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Levenberg-Marquardt damping, relative to the diagonal of J'J, restarted at
-# this value every solve. After a full step it follows the gain ratio of
-# actual to predicted decrease (Nielsen's rule: down by up to 3x when the
-# model was right, up when it was not); a shortened step doubles it. The
-# rate-change rows keep the free block nonsingular on their own, and within
-# the default cap of 200 iterations the damping cannot fall below
-# 1e-3 / 3^200, so it needs no floor. The gain ratio stays because it keeps
-# solves off the iteration cap: with fixed factors instead (x2 and a third),
-# 1 acceptance solve and 6 over demo 06's forty base seeds hit it, and with
-# a constant 1e-3, 2 and 6; none does with it.
+# this value every solve. Each accepted step multiplies it by Nielsen's
+# factor max(1/3, 1 - (2 rho - 1)^3) of the gain ratio rho, actual over
+# predicted decrease: down by up to 3x when the model was right, up when it
+# was not. A shortened step, or one whose model predicted no decrease, reads
+# rho = 0, and the factor is then exactly 2. The rate-change rows keep the
+# free block nonsingular on their own, and within the default cap of 200
+# iterations the damping cannot fall below 1e-3 / 3^200, so it needs no
+# floor. The gain ratio stays because it keeps solves off the iteration cap:
+# with fixed factors instead (x2 and a third), 1 acceptance solve and 6 over
+# demo 06's forty base seeds hit it, and with a constant 1e-3, 2 and 6; none
+# does with it.
 _DAMPING_START = 1e-3
 # Projection-arc search: the first of up to this many halvings of the step
 # that lowers the cost is accepted. The damping, set by the gain ratio, keeps
@@ -332,8 +334,9 @@ class _Workspace:
         self.measure(self.cur)
 
     def measure(self, it: _Iterate) -> float:
-        """Roll out ``it.v`` and fill ``it.res`` and ``it.total``. Divergence
-        is read once, from the total; the stage is looked up only then."""
+        """Roll out ``it.v`` and fill ``it.res`` and ``it.total``. A total
+        that is not finite raises :class:`ModelBlowupError` at the first
+        stage whose state is not finite, or else at ``_first_overflow``'s."""
         np.copyto(it.plan_block, it.v_rows)
         _roll(self.model._f, it.rows, it.xs)
         np.subtract(it.x, self.target, out=it.track)
@@ -342,8 +345,7 @@ class _Workspace:
         it.total = float(it.res.dot(it.res))
         if not math.isfinite(it.total):
             step = _first_nonfinite(it.x)
-            if step is not None:
-                raise ModelBlowupError(step)
+            raise ModelBlowupError(_first_overflow(it) if step is None else step)
         return it.total
 
     def jacobian(self) -> np.ndarray:
@@ -377,16 +379,18 @@ class _Workspace:
 
 
 def _first_overflow(it: _Iterate) -> int:
-    """The first stage at which the running cost of ``it`` is not finite;
-    for a rollout whose states are finite but whose cost overflows."""
+    """The first stage at which the running cost of ``it`` is not finite:
+    the divergence ``measure`` reports when every state is finite."""
     stage_cost = np.square(it.track).sum(axis=1)
     step = _first_nonfinite(np.cumsum(stage_cost)[:, None])
     return len(stage_cost) - 1 if step is None else step
 
 
-def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
-    """Projected Gauss-Newton iterations from ``ws.cur``, which ends at the
-    last accepted iterate. Returns (iterations, converged).
+def _search(ws: _Workspace) -> tuple[int, bool]:
+    """Projected Gauss-Newton iterations from ``ws.cur``, up to ``ws.cfg``'s
+    cap; ``ws.cur`` ends at the last accepted iterate. Returns (iterations,
+    converged). A diverging candidate is rejected like one that does not
+    lower the cost, and one rule updates the damping (``_DAMPING_START``).
 
     The active set is exact: a rate on a bound that the gradient pushes
     against is stuck and takes no step, and every other rate is free. While
@@ -402,7 +406,7 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
     # A view of gn's diagonal, so it follows gn. Every rate has a rate-change
     # row, so each entry is at least 2 * RATE_CHANGE_WEIGHT.
     scale = gn.diagonal()
-    for k in range(solver.max_iters):
+    for k in range(ws.cfg.solver.max_iters):
         iterations = k + 1
         cur = ws.cur
         v, total = cur.v, cur.total
@@ -459,13 +463,11 @@ def _search(ws: _Workspace, solver: SolverSettings) -> tuple[int, bool]:
         if not accepted:
             break  # stalled: no decrease along the arc
         ws.accept()
-        if alpha < 1.0:
-            damping *= 2.0
-        else:
-            move = cand.v - v
-            predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
-            ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+        move = cand.v - v
+        predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
+        ratio = ((total - cand_total) / predicted
+                 if alpha == 1.0 and predicted > 0.0 else 0.0)
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
     return iterations, converged
 
 
@@ -489,10 +491,7 @@ def _solve(ws: _Workspace, x0, u_prev, warm_start, started: float) -> MpcSolutio
     # rejected (a candidate), so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         ws.start(x0, u_prev, plan)
-        if not math.isfinite(ws.cur.total):
-            # Finite states whose cost overflows: no decrease can be measured.
-            raise ModelBlowupError(_first_overflow(ws.cur))
-        iterations, converged = _search(ws, cfg.solver)
+        iterations, converged = _search(ws)
     return MpcSolution(
         plan=ws.cur.v.reshape(plan.shape).copy(),
         states=ws.cur.x.copy(),
@@ -542,12 +541,13 @@ class MpcController:
     :func:`solve` runs: the plans and diagnostics are those of a fresh
     :func:`solve` per window, and ``solve_time_s`` counts the whole solve.
 
-    Each window adds one ``diagnostics`` entry: ``time_s`` and
-    ``fallback``, and unless it fell back ``iterations``, ``converged``,
-    ``capped`` and ``solve_time_s``; a solve adds its ``objective``. A
-    handed-over window also reads ``handed_over: True``; it
-    made no solve, so it reads 0 iterations in 0 s, not converged, not
-    capped.
+    A window solves, hands over or falls back, and all three end alike:
+    the applied rates become ``u_prev`` and the bank's rates, and the window
+    adds one ``diagnostics`` entry: ``time_s`` and ``fallback``, and unless
+    it fell back ``iterations``, ``converged``, ``capped`` and
+    ``solve_time_s``; a solve adds its ``objective``. A handed-over window
+    also reads ``handed_over: True``; it made no solve, so it reads 0
+    iterations in 0 s, not converged, not capped.
     """
 
     def __init__(self, model: SparseModel, config: MpcConfig | None = None):
@@ -571,30 +571,29 @@ class MpcController:
     def __call__(self, observation) -> np.ndarray:
         entry: dict = {"time_s": float(observation.time_s), "fallback": False}
         if not self.model.inside(observation.occupancy):
-            action = self.alinea(observation).copy()
-            self.u_prev = action.copy()
+            action = self.alinea(observation)
             self.last_plan = None
             entry.update(handed_over=True, iterations=0, converged=False,
                          capped=False, solve_time_s=0.0)
-            self.diagnostics.append(entry)
-            return action
-        try:
-            sol = _solve(self._workspace, observation.occupancy, self.u_prev,
-                         self._warm_start(), time.perf_counter())
-            action = sol.plan[0]
-            self.last_plan = sol.plan
-            # Capped: the search spent its whole iteration cap without
-            # passing the optimality test.
-            capped = (not sol.converged
-                      and sol.iterations >= self.config.solver.max_iters)
-            entry.update(objective=sol.objective, iterations=sol.iterations,
-                         converged=sol.converged, capped=capped,
-                         solve_time_s=sol.solve_time_s)
-        except ModelBlowupError as exc:
-            logger.warning("solve failed (%s); reapplying previous rates", exc)
-            action = self.u_prev.copy()
-            self.last_plan = None
-            entry["fallback"] = True
+        else:
+            try:
+                sol = _solve(self._workspace, observation.occupancy, self.u_prev,
+                             self._warm_start(), time.perf_counter())
+                action = sol.plan[0]
+                self.last_plan = sol.plan
+                # Capped: the search spent its whole iteration cap without
+                # passing the optimality test.
+                capped = (not sol.converged
+                          and sol.iterations >= self.config.solver.max_iters)
+                entry.update(objective=sol.objective, iterations=sol.iterations,
+                             converged=sol.converged, capped=capped,
+                             solve_time_s=sol.solve_time_s)
+            except ModelBlowupError as exc:
+                logger.warning("solve failed (%s); reapplying previous rates", exc)
+                action = self.u_prev.copy()
+                self.last_plan = None
+                entry["fallback"] = True
+        # At a hand-over the bank's rates already hold the action.
         self.u_prev = np.asarray(action, dtype=float).copy()
         self.alinea.rates = self.u_prev.copy()
         self.diagnostics.append(entry)

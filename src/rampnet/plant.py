@@ -624,7 +624,9 @@ class EpisodeRecord:
         sidecar is missing, is not an object, lacks one of its keys or holds
         one of the wrong type, or if its id or green-second lists do not
         match the CSV's columns: without them the seed, green time, drops and
-        clamps would be guesses. The optional ``solver_steps``, when present,
+        clamps would be guesses. Types are JSON's, not coerced: a number is
+        an int or a float, never a bool or a string, an int is an int, and
+        ids are strings. The optional ``solver_steps``, when present,
         must be a list of planner steps: objects with a number ``time_s`` and
         a bool ``fallback``, and unless it fell back an int ``iterations``,
         bools ``converged`` and ``capped`` and a number ``solve_time_s``; a
@@ -658,22 +660,25 @@ class EpisodeRecord:
         if not isinstance(meta, dict):
             raise ValueError(f"malformed episode sidecar {sidecar}: "
                              "expected a JSON object")
-        # Each field and its conversion. A list is read as a tuple first, so
-        # a number or null fails here rather than pass as a 0-d array.
-        kinds = {"seed": int, "control_step_s": float, "sensor_ids": tuple,
-                 "ramp_ids": tuple, "dropped_veh": float, "clamp_events": int,
-                 "green_seconds": lambda v: np.array(tuple(v), dtype=float)}
+        # Each field, the JSON values that :meth:`to_csv` writes for it, and
+        # its conversion. Anything else is refused, not coerced: int() would
+        # read a seed of 1.9, "1" or true as 1.
+        ids = _list_of(lambda v: isinstance(v, str))
+        kinds = {"seed": (_is_int, int), "control_step_s": (_is_number, float),
+                 "sensor_ids": (ids, tuple), "ramp_ids": (ids, tuple),
+                 "dropped_veh": (_is_number, float), "clamp_events": (_is_int, int),
+                 "green_seconds": (_list_of(_is_number),
+                                   lambda v: np.array(v, dtype=float))}
         missing = [key for key in kinds if key not in meta]
         if missing:
             raise ValueError(f"malformed episode sidecar {sidecar}: "
                              f"missing {', '.join(missing)}")
         fields = {}
-        for key, kind in kinds.items():
-            try:
-                fields[key] = kind(meta[key])
-            except (TypeError, ValueError):
+        for key, (valid, kind) in kinds.items():
+            if not valid(meta[key]):
                 raise ValueError(f"malformed episode sidecar {sidecar}: bad "
-                                 f"{key} {json.dumps(meta[key])}") from None
+                                 f"{key} {json.dumps(meta[key])}")
+            fields[key] = kind(meta[key])
         for key, width, prefix in (("sensor_ids", n, "occ_"),
                                    ("ramp_ids", m, "rate_"),
                                    ("green_seconds", m, "rate_")):
@@ -694,17 +699,36 @@ class EpisodeRecord:
                    **fields)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _list_of(valid):
+    """Whether a value is a JSON list whose every item passes ``valid``."""
+    return lambda value: isinstance(value, list) and all(map(valid, value))
+
+
 def _is_planner_step(step) -> bool:
     """Whether ``step`` has, with usable types, what a report reads of it."""
     if not isinstance(step, dict):
         return False
-    kinds = {"time_s": (int, float), "fallback": bool}
+    kinds = {"time_s": _is_number, "fallback": _is_bool}
     if step.get("fallback") is not True:
-        kinds.update(iterations=int, converged=bool, capped=bool,
-                     solve_time_s=(int, float))
-    optional = {"penalty": (int, float), "handed_over": bool}
-    return (all(isinstance(step.get(key), kind) for key, kind in kinds.items())
-            and all(isinstance(step[key], kind) for key, kind in optional.items()
+        kinds.update(iterations=_is_int, converged=_is_bool, capped=_is_bool,
+                     solve_time_s=_is_number)
+    optional = {"penalty": _is_number, "handed_over": _is_bool}
+    return (all(valid(step.get(key)) for key, valid in kinds.items())
+            and all(valid(step[key]) for key, valid in optional.items()
                     if key in step))
 
 

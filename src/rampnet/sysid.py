@@ -639,18 +639,36 @@ class SparseModel:
     def load(cls, path) -> "SparseModel":
         """Read a file written by :meth:`save`. An older linear (DMDc) file,
         with 1 + n + m coefficient columns, is widened with zero products,
-        and a file without an ``envelope`` loads unbounded. Keys that older
+        and a file without an ``envelope`` loads unbounded. A dimension that
+        is not a JSON integer, or a coefficient or bound that is not a JSON
+        number, is refused with ``ValueError``. Keys that older
         files carry (``library``, ``terms``, the column and target
         statistics and ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        # Only what save writes: int() would read a state_dim of "1", 1.9 or
+        # true as 1, and numpy a coefficient of "0" or true as a number.
+        n, m = doc["state_dim"], doc["input_dim"]
+        for key, value in (("state_dim", n), ("input_dim", m)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("coefficients", "envelope"):
+            if key in doc and not _numbers(doc[key]):
+                raise ValueError(f"{key} must be numbers")
         coef = np.array(doc["coefficients"], dtype=float)
-        n, m = int(doc["state_dim"]), int(doc["input_dim"])
         if coef.shape == (n, 1 + n + m):
             coef = np.hstack([coef, np.zeros((n, _width(n + m) - coef.shape[1]))])
         return cls(coefficients=coef, state_dim=n, input_dim=m,
                    provenance=doc.get("provenance", {}),
                    envelope=tuple(doc["envelope"]) if "envelope" in doc else None)
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON number (an int or a float, never a bool or
+    a string) or a list of such values at any depth."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # -- reporting ----------------------------------------------------------------------

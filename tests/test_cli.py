@@ -266,6 +266,12 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     doc = json.loads(model_path.read_text())
     short = [row[:-1] for row in doc["coefficients"]]
     bad_models = {"short-coefficients": dict(doc, coefficients=short)}
+    # Values of the wrong JSON type, which coercion would read as 1 or 0.
+    for name, value in (("string", "1"), ("float", 1.9), ("bool", True)):
+        bad_models[f"{name}-state-dim"] = dict(doc, state_dim=value)
+    for name, value in (("string", "0"), ("bool", True)):
+        bad_models[f"{name}-coefficient"] = dict(doc, coefficients=[
+            [value] + row[1:] for row in doc["coefficients"]])
     # One NaN coefficient: every planner step would fall back.
     nan_model = tmp_path / "nan-model.json"
     nan_model.write_text(json.dumps(dict(doc, coefficients=[
@@ -307,7 +313,15 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
                                [{"time_s": 30.0, "fallback": False}],
                                [{"time_s": 30.0, "fallback": False,
                                  "iterations": "x", "converged": True,
-                                 "capped": False, "solve_time_s": 0.01}])):
+                                 "capped": False, "solve_time_s": 0.01}],
+                               # A bool is not a number.
+                               [{"time_s": True, "fallback": True}],
+                               [{"time_s": 30.0, "fallback": False,
+                                 "iterations": True, "converged": True,
+                                 "capped": False, "solve_time_s": 0.01}],
+                               [{"time_s": 30.0, "fallback": False,
+                                 "iterations": 3, "converged": True,
+                                 "capped": False, "solve_time_s": True}])):
         log_dir = _log_dir(tmp_path / f"log-steps-{i}", good, solver_steps=steps)
         raw_dir = _log_dir(tmp_path / f"raw-steps-{i}", good[:5],
                            name="alinea-seed1", solver_steps=steps)
@@ -315,12 +329,16 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
             ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],
             ["report", "--config", str(cfg_path), "--results", str(raw_dir),
              "--out", str(tmp_path / "r8")]]
-    # A sidecar field of the wrong type.
-    for key, value in (("sensor_ids", 5), ("green_seconds", None),
-                       ("dropped_veh", None), ("control_step_s", [1]),
-                       ("seed", [0]), ("clamp_events", None)):
-        log_dir = _log_dir(tmp_path / f"log-bad-{key}", good, **{key: value})
-        raw_dir = _log_dir(tmp_path / f"raw-bad-{key}", good[:5],
+    # A sidecar field of the wrong type. A number is a JSON int or float,
+    # never a bool or a string, an int is an int, and ids are strings.
+    for i, (key, value) in enumerate((
+            ("sensor_ids", 5), ("green_seconds", None), ("dropped_veh", None),
+            ("control_step_s", [1]), ("seed", [0]), ("clamp_events", None),
+            ("seed", 1.9), ("seed", "1"), ("seed", True), ("clamp_events", 2.5),
+            ("dropped_veh", True), ("control_step_s", "30"), ("sensor_ids", "S"),
+            ("ramp_ids", [1]), ("green_seconds", "1"))):
+        log_dir = _log_dir(tmp_path / f"log-bad-{i}", good, **{key: value})
+        raw_dir = _log_dir(tmp_path / f"raw-bad-{i}", good[:5],
                            name="alinea-seed1", **{key: value})
         sidecar_problems[f"bad {key} {json.dumps(value)}"] = [
             ["fit", "--logs", str(log_dir), "--out", str(tmp_path / "k.json")],

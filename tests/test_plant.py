@@ -1046,6 +1046,31 @@ def test_episode_record_rejects_sidecar_lists_that_do_not_match_the_csv(tmp_path
             EpisodeRecord.from_csv(path)
 
 
+def test_episode_record_refuses_sidecar_values_of_the_wrong_type(tmp_path):
+    """Only the JSON types that ``to_csv`` writes load: a number is an int or
+    a float, never a bool or a string, an int is an int, and ids are
+    strings. Coerced, each of these would load as a plausible value (seed 1,
+    two clamps, sensors 'a', 'b' and 'c', green seconds 1 and 2)."""
+    path = tmp_path / "ep.csv"
+    path.write_text("time_s,occ_1,occ_2,occ_3,flow_1,flow_2,flow_3,speed_1,"
+                    "speed_2,speed_3,rate_1,rate_2\n"
+                    "0,10,11,12,3000,3000,3000,90,90,90,700,900\n")
+    good = {"seed": 1, "control_step_s": 30, "sensor_ids": ["s1", "s2", "s3"],
+            "ramp_ids": ["r1", "r2"], "green_seconds": [10, 20.5],
+            "dropped_veh": 0, "clamp_events": 0}
+    (tmp_path / "ep.json").write_text(json.dumps(good))
+    back = EpisodeRecord.from_csv(path)  # JSON ints are numbers
+    assert back.control_step_s == 30.0 and back.green_seconds.tolist() == [10.0, 20.5]
+    for key, wrong in (("seed", 1.9), ("seed", "1"), ("seed", True),
+                       ("clamp_events", 2.5), ("dropped_veh", True),
+                       ("control_step_s", "30"), ("sensor_ids", "abc"),
+                       ("ramp_ids", ["r1", 2]), ("green_seconds", "12"),
+                       ("green_seconds", [10.0, True])):
+        (tmp_path / "ep.json").write_text(json.dumps(dict(good, **{key: wrong})))
+        with pytest.raises(ValueError, match=f"ep.json: bad {key} "):
+            EpisodeRecord.from_csv(path)
+
+
 def test_episode_record_keeps_planner_steps_in_its_sidecar(tmp_path):
     """Planner steps round-trip exactly; a sidecar without them is an episode
     without a planner, and steps that are not a list of objects holding what
@@ -1063,8 +1088,13 @@ def test_episode_record_keeps_planner_steps_in_its_sidecar(tmp_path):
     rec.to_csv(path)
     assert EpisodeRecord.from_csv(path).solver_steps == rec.solver_steps
     meta = json.loads((tmp_path / "ep.json").read_text())
+    solve = rec.solver_steps[1]
     for steps in ({"iterations": 3}, [1, 2], [{}, "step"], None,
-                  [{"time_s": 30.0}], [{"time_s": 30.0, "fallback": False}]):
+                  [{"time_s": 30.0}], [{"time_s": 30.0, "fallback": False}],
+                  # A bool is not a number.
+                  [{"time_s": True, "fallback": True}],
+                  [dict(solve, iterations=True)],
+                  [dict(solve, solve_time_s=False)]):
         (tmp_path / "ep.json").write_text(json.dumps(dict(meta, solver_steps=steps)))
         with pytest.raises(ValueError, match="ep.json: solver_steps is not"):
             EpisodeRecord.from_csv(path)

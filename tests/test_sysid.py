@@ -716,6 +716,28 @@ def test_an_envelope_survives_a_save_load_round_trip(tmp_path):
             SparseModel(model.coefficients, 1, 1, envelope=bad)
 
 
+def test_model_file_values_of_the_wrong_type_do_not_load(tmp_path):
+    """A dimension must be a JSON integer and a coefficient or envelope bound
+    a JSON number, never a bool or a string: a state_dim of "1", 1.9 or
+    true, or a coefficient of "0" or true, is refused, not read as 1 or 0."""
+    model = _hand_model()
+    path = tmp_path / "model.json"
+    SparseModel(model.coefficients, 1, 1, envelope=([-0.5], [1.5])).save(path)
+    doc = json.loads(path.read_text())
+    assert SparseModel.load(path).state_dim == 1
+
+    def coefficient(value):
+        return [[value] + doc["coefficients"][0][1:]]
+    for key, value in (("state_dim", "1"), ("state_dim", 1.9), ("state_dim", True),
+                       ("input_dim", True), ("coefficients", coefficient("0")),
+                       ("coefficients", coefficient(True)),
+                       ("envelope", [["-0.5"], [1.5]]),
+                       ("envelope", [[False], [1.5]])):
+        path.write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            SparseModel.load(path)
+
+
 def test_model_rejects_terms_that_are_not_the_library_layout():
     """The columns are the library's terms, so the coefficient shape is the
     one layout check: a column short (the library without the constant), one
