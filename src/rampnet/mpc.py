@@ -463,10 +463,11 @@ def _search(ws: _Workspace) -> tuple[int, bool]:
         if not accepted:
             break  # stalled: no decrease along the arc
         ws.accept()
-        move = cand.v - v
-        predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
-        ratio = ((total - cand_total) / predicted
-                 if alpha == 1.0 and predicted > 0.0 else 0.0)
+        ratio = 0.0  # a shortened step's: the factor below is then 2.0
+        if alpha == 1.0:
+            move = cand.v - v
+            predicted = -float(grad.dot(move) + 0.5 * move.dot(gn).dot(move))
+            ratio = (total - cand_total) / predicted if predicted > 0.0 else 0.0
         damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
     return iterations, converged
 

@@ -40,10 +40,20 @@ class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or violates an invariant."""
 
 
+def _is_int(value) -> bool:
+    """A YAML or JSON integer: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A YAML or JSON number: an int or a float, never a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_ints(owner: str, **fields) -> None:
     """A :class:`ConfigError` naming the first field that is not an ``int``."""
     for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError(f"{owner} invariant violated: {key} must be an "
                               f"integer, got {value!r}")
 
@@ -136,6 +146,12 @@ class RampSpec:
     queue_capacity_veh: float = 100.0
 
     def __post_init__(self) -> None:
+        # YAML reads ``sensor_id: 717046`` as an int, which the episode
+        # files written from this config could not carry as an id.
+        for key in ("id", "sensor_id"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"ramp '{self.id}' invariant violated: {key} "
+                                  f"must be a string, got {getattr(self, key)!r}")
         _require_ints(f"ramp '{self.id}'", merge_cell=self.merge_cell)
         _refuse_bools(f"ramp '{self.id}'", self,
                       ("demand_veh_per_hour", "queue_capacity_veh"))

@@ -94,7 +94,7 @@ import numpy as np
 
 from .feedback import (GREEN_DURATION_S, INITIAL_RATE_VPH, RATE_MAX_VPH,
                        RATE_MIN_VPH, rate_to_red_duration)
-from .network import NetworkConfig
+from .network import NetworkConfig, _is_int, _is_number
 
 __all__ = [
     "ControlObservation",
@@ -697,16 +697,6 @@ class EpisodeRecord:
                    rates=data[:, 1 + 3 * n:],
                    solver_steps=meta.get("solver_steps"),
                    **fields)
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int, never a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, never a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_bool(value) -> bool:

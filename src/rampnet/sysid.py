@@ -58,6 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .network import _is_int, _is_number
+
 __all__ = [
     "InsufficientDataError",
     "differentiate",
@@ -650,7 +652,7 @@ class SparseModel:
         # true as 1, and numpy a coefficient of "0" or true as a number.
         n, m = doc["state_dim"], doc["input_dim"]
         for key, value in (("state_dim", n), ("input_dim", m)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         for key in ("coefficients", "envelope"):
             if key in doc and not _numbers(doc[key]):
@@ -664,11 +666,9 @@ class SparseModel:
 
 
 def _numbers(value) -> bool:
-    """Whether ``value`` is a JSON number (an int or a float, never a bool or
-    a string) or a list of such values at any depth."""
-    if isinstance(value, list):
-        return all(map(_numbers, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a JSON number or a list of them at any depth."""
+    return (all(map(_numbers, value)) if isinstance(value, list)
+            else _is_number(value))
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -370,6 +370,11 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
     bool_queue = yaml.safe_load(Path(benchmark_config_path()).read_text())
     bool_queue["ramps"][0]["queue_capacity_veh"] = True
     (tmp_path / "bool-queue.cfg").write_text(yaml.safe_dump(bool_queue))
+    # A sensor id that YAML reads as an int: refused at load, not collected
+    # into episode files that fit and report would then refuse.
+    int_sensor = yaml.safe_load(Path(benchmark_config_path()).read_text())
+    int_sensor["ramps"][0]["sensor_id"] = 717046
+    (tmp_path / "int-sensor.cfg").write_text(yaml.safe_dump(int_sensor))
     taken = tmp_path / "taken.txt"
     taken.write_text("not a report directory\n")
     mismatches = {
@@ -387,6 +392,9 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         "queue_capacity_veh must be a number, got True": [
             ["collect", "--config", str(tmp_path / "bool-queue.cfg"), "--seeds", "1",
              "--out", str(tmp_path / "x6")]],
+        "sensor_id must be a string, got 717046": [
+            ["collect", "--config", str(tmp_path / "int-sensor.cfg"), "--seeds", "1",
+             "--out", str(tmp_path / "x8")]],
         ("sensors ['S1'] and ramps ['R1']; "
          "the config has sensors ['H1-S1'] and ramps ['H1-R1']"): [
             ["report", "--config", str(cfg_path), "--results", str(foreign),
@@ -474,7 +482,7 @@ def test_usage_problems_exit_with_code_two(tmp_path, capsys):
         for argv in argvs:
             assert main(argv) == 2
             assert problem in capsys.readouterr().err, argv
-    for name in ("x4", "x5", "x6", "x7"):
+    for name in ("x4", "x5", "x6", "x7", "x8"):
         assert not (tmp_path / name).exists()
     # Both refusals come before any output: no table, no episode.
     for name in ("r10", "r11", "r12", "r13"):

@@ -270,6 +270,20 @@ def test_load_config_refuses_booleans_where_it_wants_numbers(tmp_path):
         assert serialize_config(load_config(path)) == serialize_config(cfg), (key, kind)
 
 
+def test_load_config_requires_string_ramp_and_sensor_ids(tmp_path):
+    """A ramp or sensor id that YAML reads as a number is refused, naming the
+    key: the episode files written from the config carry ids as strings,
+    and a numeric one would be collected and then refused by every reader."""
+    cfg = _tiny_config()
+    path = tmp_path / "net.cfg"
+    for key, value in itertools.product(("id", "sensor_id"), (717046, 1.5, True)):
+        doc = yaml.safe_load(serialize_config(cfg))
+        doc["ramps"][0][key] = value
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with pytest.raises(ConfigError, match=f"{key} must be a string, got {value!r}"):
+            load_config(path)
+
+
 # -- the shipped benchmark -----------------------------------------------------
 
 def test_benchmark_shape_and_demands():
