@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Does the closed-loop ranking hold across seeds? Ten base seeds.
 
-For each base seed b, runs ALINEA excitation episodes on seeds b+1..b+4 and
-fits SINDYc and DMDc from the episodes' CSV logs, as ``rampnet collect`` and
-``rampnet fit`` do; the logs hold every value exactly, so these are the fits
-of the episodes themselves. It then runs the five scenarios on evaluation
-seed b+21 (b+21..b+23 with ``--three-eval``).
+For each base seed b, one ``harness.pipeline`` call runs ALINEA excitation
+episodes on seeds b+1..b+4, fits SINDYc and DMDc from their CSV logs as the
+CLI does (the logs hold every value exactly, so these are the fits of the
+episodes themselves) and runs the five scenarios on evaluation seed b+21
+(b+21..b+23 with ``--three-eval``).
 
 Per base seed and scenario it prints tracking (mean |occupancy - 15 %|),
 sensor flow, the flow gain over no-control, the green share of the commanded
@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from rampnet.harness import SCENARIOS, collect, fit, load_logs, run_scenarios
+from rampnet.harness import SCENARIOS, pipeline
 from rampnet.network import benchmark_config_path, load_config
 
 TRAIN_OFFSETS = (1, 2, 3, 4)
@@ -50,15 +50,6 @@ def parse_base_seeds(text):
     return seeds
 
 
-def _fit(config, base):
-    """(sindyc, dmdc) fitted from the CSV logs of the training episodes,
-    written and read as ``rampnet collect`` and ``rampnet fit`` do."""
-    with tempfile.TemporaryDirectory() as tmp:
-        collect(config, "alinea", [base + k for k in TRAIN_OFFSETS], tmp)
-        log = load_logs(tmp, config)  # in file-name order
-    return fit(config, log, "sindyc"), fit(config, log, "dmdc")
-
-
 def _figures(result):
     figures = {"dev": result.average_deviation, "flow": result.average_flow,
                "green": result.average_green_pct}
@@ -72,9 +63,10 @@ def _figures(result):
 
 def run_base_seed(config, base, eval_seeds):
     """One base seed: {scenario: figures}."""
-    sindyc, dmdc = _fit(config, base)
-    return {res.scenario: _figures(res)
-            for res in run_scenarios(config, sindyc, dmdc, eval_seeds)}
+    with tempfile.TemporaryDirectory() as root:
+        _, _, results, _ = pipeline(config, [base + k for k in TRAIN_OFFSETS],
+                                    (), eval_seeds, root)
+    return {res.scenario: _figures(res) for res in results}
 
 
 def _summary(name, rows, alinea, bases):

@@ -17,12 +17,7 @@ def _parse_seeds(text: str) -> list[int]:
     if not all(s.isdecimal() for s in seeds):
         raise harness.UsageError(
             f"bad seed list '{text}'; expected non-negative seeds, e.g. 1,2,3")
-    values = [int(s) for s in seeds]
-    if len(set(values)) != len(values):
-        raise harness.UsageError(
-            f"bad seed list '{text}'; a seed may appear only once (its episode "
-            f"files are named by seed)")
-    return values
+    return [int(s) for s in seeds]
 
 
 def _parse_horizons(text: str) -> list[int]:

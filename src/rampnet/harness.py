@@ -4,7 +4,8 @@ The standard experiment compares five metering scenarios on identical demand
 realizations (same seeds, and the plant draws arrivals independently of
 control): no control (meters pinned wide open), the two local feedback
 regulators, and predictive control on the linear and on the sparse
-polynomial model. ``run_scenarios`` is the one episode loop: collection and
+polynomial model. ``pipeline`` runs the whole experiment through its files,
+as the CLI does. ``run_scenarios`` is the one episode loop: collection and
 the horizon sweep run through it too. Where the fork start method exists it
 runs the episodes in worker processes forked from the caller, one per usable
 CPU; each episode is computed as it would be in the caller, so every byte of
@@ -23,6 +24,7 @@ import hashlib
 import json
 import pickle
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +50,7 @@ __all__ = [
     "fit",
     "run_scenarios",
     "horizon_sweep",
+    "pipeline",
     "results_from_records",
     "load_raw_results",
     "report",
@@ -320,12 +323,16 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     its own episodes' time split, each measured in the process that ran the
     episode, and each planner episode's record carries the planner's
     diagnostics as its ``solver_steps``. A model whose state or input count
-    is not the network's ramp count is refused before any episode runs; an
+    is not the network's ramp count, or a seed given twice (its episode
+    files would share a name), is refused before any episode runs; an
     episode's exception is raised here, typed as it was raised.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise UsageError("no seeds given; at least one episode is needed")
+    if len(set(seeds)) != len(seeds):
+        raise UsageError(f"seeds {seeds} repeat; a seed may appear only once "
+                         f"(its episode files are named by seed)")
     scenarios = tuple(scenarios)
     for name in scenarios:
         if name not in SCENARIOS:
@@ -542,3 +549,42 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
         json.dump(summary, fh, indent=1)
     paths["summary"] = summary_path
     return paths
+
+
+# -- the whole pipeline -----------------------------------------------------------
+
+def pipeline(config: NetworkConfig, train_seeds, holdout_seeds, eval_seeds,
+             root) -> tuple[dict, dict, list[ScenarioResult], dict]:
+    """The whole experiment through its files, as the CLI runs it: ALINEA
+    logs of ``train_seeds`` under ``root/"logs"``, both fits on them, their
+    scores on ALINEA logs of ``holdout_seeds`` under ``root/"holdout"`` (none
+    without holdout seeds), the five scenarios on ``eval_seeds`` and their
+    report under ``root/"report"``; every log is read with ``config``'s id
+    check. Returns the models and the fit reports, each keyed "sindyc" and
+    "dmdc", the results, and the wall seconds of the phases
+    ``collect_train``, ``fit``, ``holdout`` (with holdout seeds), ``run`` and
+    ``report``."""
+    root = Path(root)
+    seconds, clock = {}, [time.perf_counter()]
+
+    def lap(phase):
+        clock.append(time.perf_counter())
+        seconds[phase] = clock[-1] - clock[-2]
+
+    collect(config, "alinea", train_seeds, root / "logs")
+    lap("collect_train")
+    log = load_logs(root / "logs", config)
+    models = {method: fit(config, log, method) for method in ("sindyc", "dmdc")}
+    lap("fit")
+    fit_reports = {}
+    if holdout_seeds:
+        collect(config, "alinea", holdout_seeds, root / "holdout")
+        holdout = load_logs(root / "holdout", config)
+        fit_reports = {name: sysid.fit_report(model, holdout)
+                       for name, model in models.items()}
+        lap("holdout")
+    results = run_scenarios(config, models["sindyc"], models["dmdc"], eval_seeds)
+    lap("run")
+    report(results, root / "report", config, models=models)
+    lap("report")
+    return models, fit_reports, results, seconds

@@ -1,11 +1,11 @@
 """Release acceptance suite.
 
 Ten checks that gate a release, one test per criterion. The expensive ones
-share a session fixture that runs the full pipeline exactly the way the CLI
-does: collect excitation logs, fit both models from the CSV artifacts, score
-them on held-out episodes, then run the five-scenario comparison. Each test
-prints a PASS line with its measured numbers so a verbose run doubles as a
-release report.
+share a session fixture that runs the full pipeline, one ``harness.pipeline``
+call, exactly the way the CLI does: collect excitation logs, fit both models
+from the CSV artifacts, score them on held-out episodes, then run the
+five-scenario comparison and write its report. Each test prints a PASS line
+with its measured numbers so a verbose run doubles as a release report.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ from rampnet.feedback import (GREEN_DURATION_S, RATE_MAX_VPH, RATE_MIN_VPH,
 from rampnet.mpc import MpcConfig, objective, rollout, solve
 from rampnet.network import benchmark_config_path, load_config
 from rampnet.sysid import (build_library, discover_sindyc, fit_derivatives,
-                           fit_report, term_label)
+                           term_label)
 
 TRAIN_SEEDS = (1, 2, 3, 4)
 HOLDOUT_SEEDS = (11, 12, 13)
@@ -34,43 +34,16 @@ def _pass(criterion: int, message: str) -> None:
 
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
-    """One full artifact-path pipeline run, timed stage by stage."""
+    """One full artifact-path pipeline run, timed phase by phase."""
     root = tmp_path_factory.mktemp("pipeline")
     config = load_config(benchmark_config_path())
-    t = {}
-
-    t0 = time.perf_counter()
-    harness.collect(config, "alinea", TRAIN_SEEDS, root / "logs")
-    t["collect_train"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    log = harness.load_logs(root / "logs", config)
-    sindyc = harness.fit(config, log, "sindyc")
-    dmdc = harness.fit(config, log, "dmdc")
-    t["fit"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    harness.collect(config, "alinea", HOLDOUT_SEEDS, root / "holdout")
-    holdout = harness.load_logs(root / "holdout")
-    sindyc_report = fit_report(sindyc, holdout)
-    dmdc_report = fit_report(dmdc, holdout)
-    t["holdout"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    results = harness.run_scenarios(config, sindyc, dmdc, EVAL_SEEDS)
-    t["run"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    harness.report(results, root / "report", config,
-                   models={"sindyc": sindyc, "dmdc": dmdc})
-    t["report"] = time.perf_counter() - t0
-    t["total"] = sum(t.values())
-
+    models, reports, results, seconds = harness.pipeline(
+        config, TRAIN_SEEDS, HOLDOUT_SEEDS, EVAL_SEEDS, root)
     return SimpleNamespace(
-        root=root, config=config, sindyc=sindyc, dmdc=dmdc,
-        sindyc_holdout=sindyc_report, dmdc_holdout=dmdc_report,
-        results=results, by_name={r.scenario: r for r in results},
-        timings=t)
+        root=root, config=config, **models, sindyc_holdout=reports["sindyc"],
+        dmdc_holdout=reports["dmdc"], results=results,
+        by_name={r.scenario: r for r in results},
+        timings={**seconds, "total": sum(seconds.values())})
 
 
 def test_criterion_01_metering_formula_is_exact():
@@ -285,9 +258,10 @@ def test_criterion_09_green_time_is_not_sacrificed(pipeline):
 
 
 def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
-    """A second independent pipeline run reproduces the first bit for bit
-    (logs, models, closed-loop trajectories); one full pass stays under 15
-    minutes and every planner solve under 30 s."""
+    """A second independent pipeline run, without holdout seeds, reproduces
+    the first bit for bit (every training log, both models' coefficients and
+    every raw episode CSV of the report, each column of every closed loop);
+    one full pass stays under 15 minutes and every planner solve under 30 s."""
     assert pipeline.timings["total"] < 900.0
 
     solve_times = []
@@ -297,25 +271,17 @@ def test_criterion_10_reproducible_and_fast(pipeline, tmp_path):
                             if "solve_time_s" in step]
     assert solve_times and max(solve_times) < 30.0
 
-    harness.collect(pipeline.config, "alinea", TRAIN_SEEDS, tmp_path / "logs")
-    for seed in TRAIN_SEEDS:
-        name = f"alinea-seed{seed}.csv"
-        assert ((tmp_path / "logs" / name).read_bytes()
-                == (pipeline.root / "logs" / name).read_bytes())
-
-    log = harness.load_logs(tmp_path / "logs", pipeline.config)
-    sindyc = harness.fit(pipeline.config, log, "sindyc")
-    dmdc = harness.fit(pipeline.config, log, "dmdc")
-    assert np.array_equal(sindyc.coefficients, pipeline.sindyc.coefficients)
-    assert np.array_equal(dmdc.coefficients, pipeline.dmdc.coefficients)
-
-    rerun = harness.run_scenarios(pipeline.config, sindyc, dmdc, EVAL_SEEDS)
-    for first, second in zip(pipeline.results, rerun):
-        assert first.scenario == second.scenario
-        for rec_a, rec_b in zip(first.records, second.records):
-            assert np.array_equal(rec_a.occupancy, rec_b.occupancy)
-            assert np.array_equal(rec_a.rates, rec_b.rates)
-            assert np.array_equal(rec_a.flow, rec_b.flow)
+    models, reports, _, _ = harness.pipeline(pipeline.config, TRAIN_SEEDS, (),
+                                             EVAL_SEEDS, tmp_path)
+    assert not reports
+    for files in ("logs", "report/raw"):
+        first, second = ({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in (root / files).glob("*.csv")}
+                         for root in (pipeline.root, tmp_path))
+        assert first and first == second, files
+    for method in ("sindyc", "dmdc"):
+        assert np.array_equal(models[method].coefficients,
+                              getattr(pipeline, method).coefficients), method
 
     _pass(10, f"pipeline {pipeline.timings['total']:.0f} s, "
               f"solves mean {1e3 * np.mean(solve_times):.0f} ms / "

@@ -129,6 +129,10 @@ def test_collect_only_accepts_feedback_controllers(tmp_path):
             collect(config, name, [1], tmp_path)
     with pytest.raises(UsageError, match="at least one"):
         collect(config, "alinea", [], tmp_path)
+    # Episode files are named by seed: a repeat is refused before any is run.
+    with pytest.raises(UsageError, match="only once"):
+        collect(config, "alinea", [1, 1], tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_collect_writes_one_named_csv_per_seed(tmp_path):
@@ -218,6 +222,8 @@ def test_run_scenarios_rejects_bad_arguments():
         run_scenarios(config, sindyc, dmdc, [1], scenarios=("alinea", "mystery"))
     with pytest.raises(UsageError, match="no seeds given"):
         run_scenarios(config, sindyc, dmdc, [])
+    with pytest.raises(UsageError, match="only once"):
+        run_scenarios(config, sindyc, dmdc, [1, 1])
     # A model sized for another network is refused before any episode runs.
     rng = np.random.default_rng(1)
     x, u = rng.uniform(0.0, 30.0, size=(200, 2)), rng.uniform(200.0, 1800.0, size=(200, 2))

@@ -1,8 +1,8 @@
 """Import surface: every exported name resolves and is used by program code,
 the package root re-exports nothing, every demo imports and runs, the README
 lists the demos, the planner stays below the episode runners, the harness
-has one episode loop, and every function the traced benchmark patches is
-where it looks for it."""
+has one episode loop and one pipeline, and every function the traced
+benchmark patches is where it looks for it."""
 
 import ast
 import dataclasses
@@ -395,22 +395,26 @@ def test_one_pipeline_fit():
     """``harness.fit`` alone picks the fit's masks: among the package, the
     demos and the acceptance pipeline (its fixture and criterion 10's
     rerun), no other function reads ``neighbourhood_masks`` or
-    ``discover_sindyc``, and the acceptance pipeline fits through
-    ``harness.fit``. perfbench is left out: its set-ups still time the fit
-    without masks until the benchmark measures the pipeline's fit (ROADMAP
-    item 9)."""
+    ``discover_sindyc``; the acceptance pipeline is ``harness.pipeline``
+    calls, and ``pipeline`` reaches the fit only through ``harness.fit``.
+    perfbench is left out: its set-ups still time the fit without masks
+    until the benchmark measures the pipeline's fit (ROADMAP item 9)."""
     policy = ("neighbourhood_masks", "discover_sindyc")
     harness_tree = ast.parse((ROOT / "src" / "rampnet" / "harness.py").read_text())
-    fit, = [node for node in harness_tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "fit"]
+    functions = {node.name: node for node in harness_tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    fit, pipeline = functions["fit"], functions["pipeline"]
     assert all(_reads(fit, name) for name in policy)
+    assert _calls(pipeline, "fit")
+    assert not any(_reads(pipeline, name)
+                   for name in (*policy, "discover_dmdc", "fit_derivatives"))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    pipeline = [node for node in acceptance.body
-                if isinstance(node, ast.FunctionDef) and node.name in (
-                    "pipeline", "test_criterion_10_reproducible_and_fast")]
-    assert len(pipeline) == 2
-    assert all(_calls(node, "fit") for node in pipeline)
-    readers = {("acceptance", node.name): node for node in pipeline}
+    runs = [node for node in acceptance.body
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "pipeline", "test_criterion_10_reproducible_and_fast")]
+    assert len(runs) == 2
+    assert all(_calls(node, "pipeline") for node in runs)
+    readers = {("acceptance", node.name): node for node in runs}
     readers.update({(path.name, "module"): ast.parse(path.read_text())
                     for path in PROGRAM if path.parent.name != "perfbench"})
     reads = {where: sum(len(_reads(tree, name)) for name in policy)
@@ -418,3 +422,26 @@ def test_one_pipeline_fit():
     assert reads.pop(("harness.py", "module")) == sum(
         len(_reads(fit, name)) for name in policy)
     assert not any(reads.values()), {k: v for k, v in reads.items() if v}
+
+
+def test_one_pipeline():
+    """In the package and the demos, ``harness.pipeline`` is the only
+    function that calls ``load_logs``, ``fit`` and ``run_scenarios``
+    together, itself or through functions of its own module: no other
+    builds the chain from logs to results by hand."""
+    chain = {"load_logs", "fit", "run_scenarios"}
+    recipes = []
+    for path in PROGRAM:
+        if path.parent.name == "perfbench":
+            continue
+        calls = {node.name: {getattr(call.func, "id", None)
+                             or getattr(call.func, "attr", None)
+                             for call in ast.walk(node) if isinstance(call, ast.Call)}
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+        for _ in calls:  # close each set over the module's own functions
+            for names in calls.values():
+                names.update(*(calls[name] for name in names & calls.keys()))
+        recipes += [(path.name, name) for name, names in calls.items()
+                     if chain <= names]
+    assert recipes == [("harness.py", "pipeline")], recipes
