@@ -323,17 +323,16 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     its own episodes' time split, each measured in the process that ran the
     episode, and each planner episode's record carries the planner's
     diagnostics as its ``solver_steps``. A model whose state or input count
-    is not the network's ramp count, or a seed given twice (its episode
-    files would share a name), is refused before any episode runs; an
-    episode's exception is raised here, typed as it was raised.
+    is not the network's ramp count, or a seed or scenario given twice (its
+    episode files would share a name), is refused before any episode runs;
+    an episode's exception is raised here, typed as it was raised.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise UsageError("no seeds given; at least one episode is needed")
-    if len(set(seeds)) != len(seeds):
-        raise UsageError(f"seeds {seeds} repeat; a seed may appear only once "
-                         f"(its episode files are named by seed)")
+    _refuse_repeats("seed", seeds)
     scenarios = tuple(scenarios)
+    _refuse_repeats("scenario", scenarios)
     for name in scenarios:
         if name not in SCENARIOS:
             raise UsageError(f"unknown scenario '{name}'; pick from {SCENARIOS}")
@@ -352,6 +351,14 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     return [results_from_records(scenario, seeds,
                                  records[k * len(seeds):(k + 1) * len(seeds)])
             for k, scenario in enumerate(scenarios)]
+
+
+def _refuse_repeats(kind: str, values) -> None:
+    """:class:`UsageError` if a seed or scenario appears twice in ``values``:
+    its episode files, named by both, would overwrite each other."""
+    if len(set(values)) != len(values):
+        raise UsageError(f"{kind}s {list(values)} repeat; a {kind} may appear "
+                         f"only once (its episode files are named by {kind})")
 
 
 def _episode(config, sindyc, dmdc, mpc_config, job) -> EpisodeRecord:
@@ -480,10 +487,12 @@ def report(results: list[ScenarioResult], out_dir, config: NetworkConfig,
     ``models``, can be rebuilt later without re-simulating; the episodes an
     earlier report left there are deleted first. Every episode must carry
     the config's sensor and ramp ids, in order; otherwise :class:`UsageError`
-    names both lists.
+    names both lists. A scenario may appear only once among the results;
+    both checks run before anything is written.
     """
     if not results:
         raise UsageError("no scenario results to report")
+    _refuse_repeats("scenario", [res.scenario for res in results])
     _check_ids(config, [(f"{res.scenario} episode (seed {record.seed})", record)
                         for res in results for record in res.records])
     sensor_ids = [r.sensor_id for r in config.ramps]
@@ -563,8 +572,18 @@ def pipeline(config: NetworkConfig, train_seeds, holdout_seeds, eval_seeds,
     check. Returns the models and the fit reports, each keyed "sindyc" and
     "dmdc", the results, and the wall seconds of the phases
     ``collect_train``, ``fit``, ``holdout`` (with holdout seeds), ``run`` and
-    ``report``."""
+    ``report``. ``load_logs`` reads every episode CSV of a directory, so a
+    root whose ``logs/`` or ``holdout/`` already holds one is refused with
+    :class:`UsageError` before anything runs: its fit and scores would mix
+    in episodes of other seeds. No file is deleted."""
     root = Path(root)
+    for directory in (root / "logs", root / "holdout"):
+        stale = sorted(directory.glob("*.csv"))
+        if stale:
+            raise UsageError(f"{directory} already holds episode CSVs "
+                             f"({stale[0].name} first); pipeline fits and "
+                             f"scores only the logs it collects, so give it "
+                             f"a fresh root")
     seconds, clock = {}, [time.perf_counter()]
 
     def lap(phase):

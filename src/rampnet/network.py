@@ -50,6 +50,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    """A YAML or JSON bool."""
+    return isinstance(value, bool)
+
+
+def _list_of(valid):
+    """Whether a value is a JSON list whose every item passes ``valid``."""
+    return lambda value: isinstance(value, list) and all(map(valid, value))
+
+
 def _require_ints(owner: str, **fields) -> None:
     """A :class:`ConfigError` naming the first field that is not an ``int``."""
     for key, value in fields.items():

@@ -35,21 +35,20 @@ so the kernel runs faster on floats with the same results.
 
 The steps run on Python floats in one window kernel, which
 :meth:`TrafficPlant.advance` calls once per control window with that
-window's arrival block (:meth:`TrafficPlant.step` is the kernel on a
-one-row block). The kernel is Python source generated for one network,
-``_kernel_source``, and compiled once per distinct ``NetworkConfig``
-(``_window_kernel`` caches it by the frozen config). It unpacks the state
-arrays and the meters' state lists into local variables when the call
-starts, runs each row of the block as one straight-line step and writes the
-state back when the block is done. In that step every cell's density, send,
-receive and discharge factor, every flux, queue, merge average, meter field
-and sensor sum is a local and every constant of the config is a literal, so
-a step spends no time on attribute reads, list indexing, tuple unpacking or
-helper calls; module constants such as ``CAPACITY_DROP_FRAC`` are read at
-each call. The generator is the one home of the cell rule, of merges, of the
-meters' green/red cycle and of the step's order;
-:func:`rampnet.feedback.rate_to_red_duration` stays the one home of the red
-timing, called when a red starts. The steps are scalar Python, not numpy
+window's arrival block and a ``[dropped, exits]`` pair of books
+(:meth:`TrafficPlant.step` is the kernel on a one-row block). The kernel is
+Python source generated for one network, ``_kernel_source``, and compiled
+once per distinct ``NetworkConfig`` (``_window_kernel`` caches it by the
+frozen config). It unpacks the state and the books into locals when the
+call starts, runs each row as one straight-line step and writes them back
+when the block is done. In a step every value is a local and every constant
+of the config a literal, so it spends nothing on attribute reads, indexing
+or calls; module constants such as ``CAPACITY_DROP_FRAC`` are read at each
+call. Arrivals are not added up: the episode's draw holds them. The
+generator is the one home of the cell rule, of merges, of the meters'
+green/red cycle and of the step's order; the red timing's home,
+:func:`rampnet.feedback.rate_to_red_duration`, runs once per published rate
+in :meth:`TrafficPlant.set_rates`. The steps are scalar Python, not numpy
 calls, because on the benchmark's 34 cells a numpy call on an 8-34 element
 array costs about as much as the arithmetic it does. Each element's float
 expressions keep the order of the array version of the plant, so episodes
@@ -67,7 +66,7 @@ expressions give exactly the branch's values; critical densities such as
 the bound can sit an ulp below critical. Every rounding involved is monotone
 in the density, so the branch is exact on all of [0, bound] and episodes stay
 bit-identical; a cell without a bound within 64 ulps gets a branch that is
-never taken. Compiling the benchmark corridor's 654-line kernel takes
+never taken. Compiling the benchmark corridor's 655-line kernel takes
 8-14 ms and a transient of about 3.3 MB (tracemalloc peak, 2 vCPUs; 586
 lines, 7.5-11 ms and 3.0 MB without the branch), once per process and
 config; its source is registered in ``linecache``
@@ -94,7 +93,7 @@ import numpy as np
 
 from .feedback import (GREEN_DURATION_S, INITIAL_RATE_VPH, RATE_MAX_VPH,
                        RATE_MIN_VPH, rate_to_red_duration)
-from .network import NetworkConfig, _is_int, _is_number
+from .network import NetworkConfig, _is_bool, _is_int, _is_number, _list_of
 
 __all__ = [
     "ControlObservation",
@@ -199,7 +198,7 @@ def _free_flow_bound(cell) -> float:
 
 
 def _kernel_source(config: NetworkConfig) -> str:
-    """Python source of ``window(plant, block, ledgers)`` for ``config``.
+    """Python source of ``window(plant, block, books)`` for ``config``.
 
     Cell ``c`` (the highways' cells in config order) keeps its density,
     send, receive and discharge factor in ``rho{c}``, ``snd{c}``, ``rcv{c}``
@@ -207,9 +206,10 @@ def _kernel_source(config: NetworkConfig) -> str:
     merge cell's inflow is ``main{c} + side{c}``. Highway ``i`` has
     ``entry{i}`` and its exit flux ``out{i}``; ramp ``j`` has ``queue{j}``,
     ``ema{j}``, its meter's green flag ``lit{j}``, seconds left in the phase
-    ``left{j}``, quota ``quota{j}``, rate ``rate{j}`` and pending rate
+    ``left{j}``, quota ``quota{j}``, red seconds ``red{j}`` and pending red
     ``pend{j}``, and the sensor sums ``occ{j}``, ``dens{j}``, ``passed{j}``
-    and ``green{j}``. ``x`` holds intermediate values.
+    and ``green{j}``. The books are ``dropped`` and ``exits``, ``lost`` is
+    one step's drops and ``x`` holds intermediate values.
     """
     cells = [c for hw in config.highways for c in hw.cells]
     first, chains, offset = {}, [], 0  # (first, last) cell of each highway
@@ -260,7 +260,7 @@ def _kernel_source(config: NetworkConfig) -> str:
     inflow, outflow = {}, {}
     arrive, friction, fluxes, sensors = [], [], [], []
     for i, (s, last) in enumerate(chains):
-        arrive.append(f"if arr{i}: entry{i} += arr{i}; total += arr{i}")
+        arrive.append(f"if arr{i}: entry{i} += arr{i}")
         fluxes += [f"x = entry{i} / {TH}",
                    f"q{s} = rcv{s} if rcv{s} < x else x",
                    f"entry{i} -= q{s} * {TH}",
@@ -284,7 +284,7 @@ def _kernel_source(config: NetworkConfig) -> str:
         arrive += [f"if arr{a}:",
                    f"    x = {_literal(ramp.queue_capacity_veh)} - queue{j}",
                    f"    x = arr{a} if arr{a} <= x else x if x > 0.0 else 0.0",
-                   f"    queue{j} += x; total += arr{a}; dropped += arr{a} - x"]
+                   f"    queue{j} += x; lost += arr{a} - x"]
         # Merge turbulence: recent ramp admissions brake the merge cell's own
         # discharge, the more so the denser the cell already runs.
         friction += [f"x = rho{g} / {consts[g][5]}",
@@ -335,40 +335,39 @@ def _kernel_source(config: NetworkConfig) -> str:
                  f"    dis{c} = 1.0 if rho{c} <= {crit} else 1.0 - drop * ((rho{c} - {crit}) / {span})"]
         settle += [f"x = rho{c} + ({inflow[c]} - {outflow[c]}) * {TH} / {veh}",
                    clamp(c, "x")]
-    exits = "".join(f" + out{i} * {TH}" for i in range(n_hw))
-    body = [*rule, "total = dropped = 0.0", *arrive, *friction, *fluxes,
-            *settle, *sensors]
+    # A step's drops are summed from 0.0 before they join the books.
+    body = [*rule, "lost = 0.0", *arrive, *friction, *fluxes, *settle, *sensors]
     # The signal cycle, the one place it is written: a fixed green with a
     # one-vehicle quota, then the red that realizes the cycle's rate. A new
-    # rate is latched when the next green starts, so a running cycle always
+    # red is latched when the next green starts, so a running cycle always
     # finishes under the timing it started with.
     for j in range(m):
         body += [f"if lit{j}: green{j} += {T}",
                  f"left{j} -= {T}",
                  f"while left{j} <= 1e-12:",
-                 f"    if lit{j}: left{j} += rate_to_red_duration(rate{j})",
-                 f"    else: rate{j} = pend{j}; quota{j} = 1.0; left{j} += "
+                 f"    if lit{j}: left{j} += red{j}",
+                 f"    else: red{j} = pend{j}; quota{j} = 1.0; left{j} += "
                  f"{_literal(GREEN_DURATION_S)}",
                  f"    lit{j} = not lit{j}"]
     body += [f"t += {T}",
-             f"exits = 0.0{exits}",
-             "for books in ledgers:",
-             "    books[0] += total; books[1] += dropped; books[2] += exits"]
+             "dropped += lost",
+             "exits += " + " + ".join(f"out{i} * {TH}" for i in range(n_hw))]
     # The state the kernel keeps in locals: the plant's numpy arrays as
     # (prefix, count, attribute), then its per-ramp lists as (prefix, attribute).
     arrays = (("rho", n, "density"), ("entry", n_hw, "entry_queues"),
               ("queue", m, "ramp_queues"), ("ema", m, "_merge_flow_ema"))
     lists = (("lit", "_meter_green"), ("left", "_meter_left_s"),
-             ("quota", "_meter_quota"), ("rate", "_meter_rate"),
-             ("pend", "_meter_pending"), ("occ", "_occ_sum"),
+             ("quota", "_meter_quota"), ("red", "_meter_red_s"),
+             ("pend", "_meter_pending_red_s"), ("occ", "_occ_sum"),
              ("dens", "_dens_sum"), ("passed", "_passed_veh"),
              ("green", "_green_s"))
     lines = [
-        "def window(plant, block, ledgers):",
+        "def window(plant, block, books):",
         "    drop, fric, relax = CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC, MERGE_RELAX_S",
         *(f"    {names(p, k)}= plant.{attr}.tolist()" for p, k, attr in arrays),
         *(f"    {names(p, m)}= plant.{attr}" for p, attr in lists),
         "    t = plant.time_s",
+        "    dropped, exits = books",
         *(f"    {clamp(c, f'rho{c}')}" for c in range(n)),
         "    for row in block:",
         f"        {names('arr', n_hw + m)}= row",
@@ -376,13 +375,14 @@ def _kernel_source(config: NetworkConfig) -> str:
         *(f"    plant.{attr} = np.array([{names(p, k)}])" for p, k, attr in arrays),
         *(f"    plant.{attr} = [{names(p, m)}]" for p, attr in lists),
         "    plant.time_s = t",
+        "    books[:] = dropped, exits",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=8)
 def _window_kernel(config: NetworkConfig):
-    """The compiled ``window(plant, block, ledgers)`` of ``config``.
+    """The compiled ``window(plant, block, books)`` of ``config``.
 
     Its source is registered in ``linecache`` under a name derived from the
     source, so tracebacks and profiles show the kernel's lines.
@@ -408,9 +408,9 @@ class TrafficPlant:
     (the next call clamps densities to [0, jam] before its first step).
     Each meter is kernel state too, one entry per ramp in five lists: green
     or not, seconds left in the phase, the current green's release quota
-    (veh), the running cycle's rate and the pending rate (veh/h). Every
-    meter starts green at ``feedback.INITIAL_RATE_VPH``; :meth:`set_rates`
-    publishes new pending rates.
+    (veh), and the red seconds of the running cycle and of the pending rate.
+    Every meter starts green at ``feedback.INITIAL_RATE_VPH``;
+    :meth:`set_rates` publishes new pending rates.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -439,8 +439,9 @@ class TrafficPlant:
         self._meter_green = [True] * m
         self._meter_left_s = [GREEN_DURATION_S] * m
         self._meter_quota = [1.0] * m
-        self._meter_rate = [INITIAL_RATE_VPH] * m
-        self._meter_pending = [INITIAL_RATE_VPH] * m
+        red_s = rate_to_red_duration(INITIAL_RATE_VPH)
+        self._meter_red_s = [red_s] * m
+        self._meter_pending_red_s = [red_s] * m
         self._clear_window()
 
     def _clear_window(self) -> None:
@@ -458,13 +459,10 @@ class TrafficPlant:
         """Publish new rates, each adopted when its meter's next green starts;
         if any rate is infeasible, raise ``ValueError`` and publish none."""
         rates = np.asarray(rates, dtype=float)
-        if rates.shape != (len(self._meter_pending),):
-            raise ValueError(
-                f"expected {len(self._meter_pending)} rates, got shape {rates.shape}")
-        rates = rates.tolist()
-        for rate in rates:
-            rate_to_red_duration(rate)  # validates the range
-        self._meter_pending = rates
+        m = len(self._meter_pending_red_s)
+        if rates.shape != (m,):
+            raise ValueError(f"expected {m} rates, got shape {rates.shape}")
+        self._meter_pending_red_s = [rate_to_red_duration(r) for r in rates.tolist()]
 
     def total_vehicles(self) -> float:
         """All vehicles currently inside: cells plus every kind of queue."""
@@ -490,28 +488,29 @@ class TrafficPlant:
 
     # -- dynamics ---------------------------------------------------------------
 
-    def advance(self, block, ledgers=()) -> None:
+    def advance(self, block, books) -> None:
         """Run one simulation step per row of ``block``.
 
         ``block`` holds rows of :meth:`draw_arrivals` as lists of Python
         floats: the vehicles that reach each source (highways, then ramps)
-        during each step. The state
-        arrays are read when the call starts and replaced when it ends. After
-        every step its arrivals (pre-drop), ramp drops and exits, in veh, are
-        added to items 0, 1 and 2 of each list in ``ledgers``.
+        during each step. The state arrays are read when the call starts and
+        replaced when it ends. ``books`` is a ``[dropped, exits]`` list in
+        veh: each step adds its ramp drops and its exits to them. The
+        arrivals are the block's own sum, so the books do not keep them.
         """
-        self._kernel(self, block, ledgers)
+        self._kernel(self, block, books)
         self._steps_in_window += len(block)
 
     def step(self, arrivals) -> tuple[float, float, float]:
         """Advance one simulation step; returns (arrivals, dropped, exits), veh.
 
         ``arrivals`` is one row of :meth:`draw_arrivals` as a list of
-        Python floats. This is :meth:`advance` on a one-row block.
+        Python floats, and the arrivals returned (before drops) are its sum.
+        This is :meth:`advance` on a one-row block.
         """
-        books = [0.0, 0.0, 0.0]
-        self.advance((arrivals,), (books,))
-        return tuple(books)
+        books = [0.0, 0.0]
+        self.advance((arrivals,), books)
+        return sum(arrivals), *books
 
     # -- sensor aggregation ------------------------------------------------------
 
@@ -699,15 +698,6 @@ class EpisodeRecord:
                    **fields)
 
 
-def _is_bool(value) -> bool:
-    return isinstance(value, bool)
-
-
-def _list_of(valid):
-    """Whether a value is a JSON list whose every item passes ``valid``."""
-    return lambda value: isinstance(value, list) and all(map(valid, value))
-
-
 def _is_planner_step(step) -> bool:
     """Whether ``step`` has, with usable types, what a report reads of it."""
     if not isinstance(step, dict):
@@ -760,9 +750,9 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
     times, occs, flows, speeds, rate_rows = [], [], [], [], []
     green_total = np.zeros(m)
     stored_before = plant.total_vehicles()
-    # [arrivals, drops, exits] of the whole episode and of the recorded
-    # window, each added up step by step.
-    books, recorded_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    # [drops, exits] of burn-in and of the recorded window, each added up
+    # step by step.
+    burn_in_books, recorded_books = [0.0, 0.0], [0.0, 0.0]
     clamp_events = 0
     plant_s = controller_s = 0.0
     mark = time.perf_counter()
@@ -771,7 +761,7 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         recording = window >= burn_in_windows
         block = draws[window * steps_per:(window + 1) * steps_per]
         block = block.astype(float).tolist()
-        plant.advance(block, (books, recorded_books) if recording else (books,))
+        plant.advance(block, recorded_books if recording else burn_in_books)
         obs, green = plant.read_window()
         asked = time.perf_counter()
         plant_s += asked - mark
@@ -798,7 +788,10 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         plant.set_rates(clamped)
     plant_s += time.perf_counter() - mark
 
-    arrivals, dropped, exits = books
+    # Integer counts: their sum is exact in any order.
+    arrivals = float(draws.sum())
+    dropped = burn_in_books[0] + recorded_books[0]
+    exits = burn_in_books[1] + recorded_books[1]
     residual = arrivals - dropped - exits - (plant.total_vehicles() - stored_before)
     if abs(residual) > CONSERVATION_TOL_VEH:
         raise ConservationError(residual)
@@ -817,7 +810,7 @@ def run_episode(config: NetworkConfig, controller, seed: int) -> EpisodeRecord:
         speed=np.array(speeds),
         rates=np.array(rate_rows),
         green_seconds=green_total,
-        dropped_veh=recorded_books[1],
+        dropped_veh=recorded_books[0],
         clamp_events=clamp_events,
     )
     record.time_split_s = {

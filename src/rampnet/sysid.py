@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import _is_int, _is_number
+from .network import _is_int, _is_number, _list_of
 
 __all__ = [
     "InsufficientDataError",
@@ -642,9 +642,9 @@ class SparseModel:
         """Read a file written by :meth:`save`. An older linear (DMDc) file,
         with 1 + n + m coefficient columns, is widened with zero products,
         and a file without an ``envelope`` loads unbounded. A dimension that
-        is not a JSON integer, or a coefficient or bound that is not a JSON
-        number, is refused with ``ValueError``. Keys that older
-        files carry (``library``, ``terms``, the column and target
+        is not a JSON integer, or coefficients or an envelope that are not
+        lists of lists of JSON numbers, is refused with ``ValueError``. Keys
+        that older files carry (``library``, ``terms``, the column and target
         statistics and ``scaled_coefficients``) are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -655,20 +655,14 @@ class SparseModel:
             if not _is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         for key in ("coefficients", "envelope"):
-            if key in doc and not _numbers(doc[key]):
-                raise ValueError(f"{key} must be numbers")
+            if key in doc and not _list_of(_list_of(_is_number))(doc[key]):
+                raise ValueError(f"{key} must be lists of numbers")
         coef = np.array(doc["coefficients"], dtype=float)
         if coef.shape == (n, 1 + n + m):
             coef = np.hstack([coef, np.zeros((n, _width(n + m) - coef.shape[1]))])
         return cls(coefficients=coef, state_dim=n, input_dim=m,
                    provenance=doc.get("provenance", {}),
                    envelope=tuple(doc["envelope"]) if "envelope" in doc else None)
-
-
-def _numbers(value) -> bool:
-    """Whether ``value`` is a JSON number or a list of them at any depth."""
-    return (all(map(_numbers, value)) if isinstance(value, list)
-            else _is_number(value))
 
 
 # -- reporting ----------------------------------------------------------------------

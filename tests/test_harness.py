@@ -167,6 +167,22 @@ def test_load_logs_complains_about_an_empty_directory(tmp_path):
         load_logs(tmp_path / "nothing-here")
 
 
+def test_pipeline_refuses_a_root_that_already_holds_logs(tmp_path):
+    """``load_logs`` reads every CSV of a directory, so a pipeline into a
+    root whose ``logs/`` or ``holdout/`` holds episodes of other seeds would
+    fit or score on them too. It is refused before anything runs, and the
+    episodes found are left where they are."""
+    config = _tiny_network()
+    for directory in ("logs", "holdout"):
+        root = tmp_path / directory
+        stale = collect(config, "alinea", [7], root / directory)
+        with pytest.raises(UsageError, match=f"{directory} already holds "
+                                             f"episode CSVs .alinea-seed7.csv"):
+            harness.pipeline(config, [1], [2], [3], root)
+        assert sorted(root.rglob("*")) == sorted(
+            [root / directory, *stale, EpisodeRecord.sidecar_path(stale[0])])
+
+
 def test_collect_writes_what_a_report_writes_to_raw(tmp_path):
     """One writer: ``collect``'s CSVs and sidecars are byte for byte the
     ``raw/`` files of a report on ``run_scenarios`` of the same feedback
@@ -231,6 +247,23 @@ def test_run_scenarios_rejects_bad_arguments():
     for models in ((wide, dmdc), (sindyc, wide)):
         with pytest.raises(UsageError, match="2 states and 2 inputs"):
             run_scenarios(config, *models, [1], scenarios=("no-control",))
+
+
+def test_a_repeated_scenario_is_refused_before_anything_runs(tmp_path, monkeypatch):
+    """Episode files are named by scenario and seed, and the summary is keyed
+    by scenario: a scenario given twice is refused by ``run_scenarios``
+    before any episode runs and by ``report`` before any file is written."""
+    config = _tiny_network()
+    results = run_scenarios(config, None, None, [1], scenarios=("alinea",))
+
+    def no_episode(*args):
+        pytest.fail("an episode ran")
+    monkeypatch.setattr(harness, "_map_episodes", no_episode)
+    with pytest.raises(UsageError, match="a scenario may appear only once"):
+        run_scenarios(config, None, None, [1], scenarios=("alinea", "alinea"))
+    with pytest.raises(UsageError, match="a scenario may appear only once"):
+        report(results * 2, tmp_path / "out", config)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scenarios_covers_the_standard_comparison(tmp_path):

@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -66,7 +67,7 @@ def _exits(plant):
 def _meter_plant(rate):
     """A plant with one idle ramp whose meter starts a green at ``rate``."""
     plant = TrafficPlant(_line_config(2))
-    plant._meter_rate = [rate]
+    plant._meter_red_s = [rate_to_red_duration(rate)]
     plant.set_rates([rate])
     return plant
 
@@ -136,11 +137,12 @@ def test_signal_latches_new_rate_at_next_green():
     for _ in range(2):  # the 2 s green ends, red starts under the old timing
         _step(plant, rng)
     plant.set_rates([200.0])
-    assert plant._meter_green == [False] and plant._meter_rate == [1000.0]
+    assert plant._meter_green == [False] and plant._meter_red_s == [1.6]
+    assert plant._meter_pending_red_s == [16.0]
     assert plant._meter_quota[0] < 1e-9
     for _ in range(2):  # the old red (1.6 s) ends, green adopts the pending rate
         _step(plant, rng)
-    assert plant._meter_green == [True] and plant._meter_rate == [200.0]
+    assert plant._meter_green == [True] and plant._meter_red_s == [16.0]
     assert plant._meter_quota == [1.0]
 
 
@@ -151,13 +153,14 @@ def test_signal_rejects_infeasible_rate():
 
 def test_set_rates_publishes_all_or_none():
     """A rate outside the feasible range refuses the whole call, so the
-    meters before it keep their pending rates too."""
+    meters before it keep their pending rates too. A published rate is
+    held as the red seconds that realize it."""
     plant = TrafficPlant(_two_highway_config())
     with pytest.raises(ValueError, match="outside feasible meter range"):
         plant.set_rates([900.0, 5000.0])
-    assert plant._meter_pending == [INITIAL_RATE_VPH] * 2
+    assert plant._meter_pending_red_s == [rate_to_red_duration(INITIAL_RATE_VPH)] * 2
     plant.set_rates(np.array([900.0, 1800.0]))
-    assert plant._meter_pending == [900.0, 1800.0]
+    assert plant._meter_pending_red_s == [rate_to_red_duration(900.0), 0.0]
 
 
 # -- discharge physics -----------------------------------------------------------
@@ -238,8 +241,8 @@ def test_vehicle_conservation_audit():
 def test_run_episode_catches_a_step_that_leaks_vehicles(monkeypatch):
     advance = TrafficPlant.advance
 
-    def leaky_advance(self, block, ledgers=()):
-        advance(self, block, ledgers)
+    def leaky_advance(self, block, books):
+        advance(self, block, books)
         self.density = self.density * (1.0 - 1e-6)
 
     cfg = _metered_config()
@@ -371,13 +374,16 @@ def test_dropped_veh_covers_the_recorded_window_only(monkeypatch):
     drops = []
     advance = TrafficPlant.advance
 
-    def counting_advance(self, block, ledgers=()):
-        # One kernel call per row, each with one more ledger of its own: the
-        # same steps (test_window_kernel_matches_one_step_per_row), counted.
+    def counting_advance(self, block, books):
+        # One kernel call per row, each on books of its own that then join
+        # the window's: the same steps and the same sums
+        # (test_window_kernel_matches_one_step_per_row), counted.
         for row in block:
-            books = [0.0, 0.0, 0.0]
-            advance(self, [row], (*ledgers, books))
-            drops.append(books[1])
+            step_books = [0.0, 0.0]
+            advance(self, [row], step_books)
+            drops.append(step_books[0])
+            books[0] += step_books[0]
+            books[1] += step_books[1]
 
     monkeypatch.setattr(TrafficPlant, "advance", counting_advance)
     rec = run_episode(cfg, lambda obs: np.array([200.0]), seed=6)
@@ -460,7 +466,7 @@ def _plant_state(plant):
     return (plant.time_s, plant.density.tolist(), plant.entry_queues.tolist(),
             plant.ramp_queues.tolist(), plant._merge_flow_ema.tolist(),
             plant._meter_green, plant._meter_left_s, plant._meter_quota,
-            plant._meter_rate, plant._meter_pending,
+            plant._meter_red_s, plant._meter_pending_red_s,
             plant._steps_in_window, plant._occ_sum, plant._dens_sum,
             plant._passed_veh, plant._green_s)
 
@@ -471,23 +477,24 @@ def _plant_state(plant):
 def test_window_kernel_matches_one_step_per_row(make_config):
     """One advance call per control window and one step call per row, on
     twin plants fed the same arrivals and rates, stay bit-equal: state,
-    every meter's phase, seconds left, quota, rate and pending rate, window
-    sums, sensor reads and vehicle books."""
+    every meter's phase, seconds left, quota, running and pending red, window
+    sums, sensor reads and vehicle books; each step returns its row's sum as
+    its arrivals."""
     cfg = make_config()
     windowed, stepped = TrafficPlant(cfg), TrafficPlant(cfg)
     rng = np.random.default_rng(8)
-    windowed_books, stepped_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    windowed_books, stepped_books = [0.0, 0.0], [0.0, 0.0]
     # Meters swing between the rails, so queues overflow and cycles change.
     rates = np.linspace(200.0, 1800.0, cfg.n_ramps)
     for _ in range(60):
         block = windowed.draw_arrivals(cfg.steps_per_control,
                                        rng).astype(float).tolist()
-        windowed.advance(block, (windowed_books,))
+        windowed.advance(block, windowed_books)
         for row in block:
             arrivals, dropped, exits = stepped.step(row)
-            stepped_books[0] += arrivals
-            stepped_books[1] += dropped
-            stepped_books[2] += exits
+            assert arrivals == sum(row)
+            stepped_books[0] += dropped
+            stepped_books[1] += exits
         assert _plant_state(windowed) == _plant_state(stepped)
         assert windowed_books == stepped_books
         (obs_w, green_w), (obs_s, green_s) = windowed.read_window(), stepped.read_window()
@@ -497,44 +504,36 @@ def test_window_kernel_matches_one_step_per_row(make_config):
         rates = np.roll(rates, 1)
         windowed.set_rates(rates)
         stepped.set_rates(rates)
-    assert windowed_books[1] > 0.0  # some ramp queue overflowed
+    assert windowed_books[0] > 0.0  # some ramp queue overflowed
 
 
 class RampSignal:
     """Fixed-green meter signal: 2 s green, one vehicle per green, then red.
 
-    The red duration realizes the published rate. A new rate is latched when
-    the signal next enters green, so a running cycle always finishes under
-    the timing it started with. This is the object the plant kept per meter
-    before the kernel held each meter's state in locals: a readable
-    reference of the cycle that :class:`_LoopKernel` steps.
+    The red duration realizes the published rate and is computed when the
+    rate is published. A new red is latched when the signal next enters
+    green, so a running cycle always finishes under the timing it started
+    with. This is the object the plant kept per meter before the kernel held
+    each meter's state in locals: a readable reference of the cycle that
+    :class:`_LoopKernel` steps.
     """
 
-    def __init__(self, rate: float):
-        self._rate = rate
-        self._pending = rate
+    def __init__(self, red_s: float, pending_red_s: float):
+        self.red_s = red_s  # red of the cycle in progress
+        self.pending_red_s = pending_red_s
         self.phase = "green"
         self.remaining_s = GREEN_DURATION_S
         self.quota_veh = 1.0  # release budget for the current green
-
-    @property
-    def rate(self) -> float:
-        """Rate of the cycle currently in progress, veh/h."""
-        return self._rate
-
-    def set_rate(self, rate: float) -> None:
-        rate_to_red_duration(rate)  # validates the range
-        self._pending = rate
 
     def advance(self, dt_s: float = 1.0) -> None:
         self.remaining_s -= dt_s
         while self.remaining_s <= 1e-12:
             if self.phase == "green":
                 self.phase = "red"
-                self.remaining_s += rate_to_red_duration(self._rate)
+                self.remaining_s += self.red_s
             else:
                 self.phase = "green"
-                self._rate = self._pending
+                self.red_s = self.pending_red_s
                 self.quota_veh = 1.0
                 self.remaining_s += GREEN_DURATION_S
 
@@ -615,15 +614,14 @@ class _LoopKernel:
                        else 1.0 - CAPACITY_DROP_FRAC * ((r - crit) / span))
         return density, send, recv, dis
 
-    def advance(self, plant, block, ledgers=()):
+    def advance(self, plant, block, books):
         ts = self.config.sim_step_s
         ts_h = ts / 3600.0
         merge, settle, signals = self.merge, self.settle, []
-        for green, left, quota, rate, pending in zip(
+        for green, left, quota, red, pending in zip(
                 plant._meter_green, plant._meter_left_s, plant._meter_quota,
-                plant._meter_rate, plant._meter_pending):
-            sig = RampSignal(rate)
-            sig.set_rate(pending)
+                plant._meter_red_s, plant._meter_pending_red_s):
+            sig = RampSignal(red, pending)
             sig.phase = "green" if green else "red"
             sig.remaining_s, sig.quota_veh = left, quota
             signals.append(sig)
@@ -635,19 +633,17 @@ class _LoopKernel:
         zeros = [0.0] * n
         rho, send, recv, dis = settle(rho, zeros, zeros, ts_h)
         for arrivals in block:
-            total = dropped = 0.0
+            dropped = 0.0
             for i in range(n_hw):
                 a = arrivals[i]
                 if a:
                     entry[i] += a
-                    total += a
             for j, (_, qcap, _) in enumerate(self.ramps):
                 a = arrivals[n_hw + j]
                 if a:
                     room = qcap - queues[j]
                     taken = a if a <= room else room if room > 0.0 else 0.0
                     queues[j] += taken
-                    total += a
                     dropped += a - taken
             for j, (g, crit, cap) in enumerate(self.friction):
                 dens_fac = rho[g] / crit
@@ -709,10 +705,8 @@ class _LoopKernel:
                     plant._green_s[k] += ts
                 sig.advance(ts)
             plant.time_s += ts
-            for ledger in ledgers:
-                ledger[0] += total
-                ledger[1] += dropped
-                ledger[2] += exits
+            books[0] += dropped
+            books[1] += exits
         plant.density = np.array(rho)
         plant.entry_queues = np.array(entry)
         plant.ramp_queues = np.array(queues)
@@ -720,7 +714,7 @@ class _LoopKernel:
         plant._meter_green = [sig.phase == "green" for sig in signals]
         plant._meter_left_s = [sig.remaining_s for sig in signals]
         plant._meter_quota = [sig.quota_veh for sig in signals]
-        plant._meter_rate = [sig.rate for sig in signals]
+        plant._meter_red_s = [sig.red_s for sig in signals]
         plant._steps_in_window += len(block)
 
 
@@ -732,8 +726,8 @@ class _LoopKernel:
 def test_generated_kernel_matches_the_loop_reference(make_config):
     """The generated kernel and the loop reference, on twin plants fed the
     same arrivals and random in-range rates one window at a time, stay
-    bit-equal: state, every meter's phase, seconds left, quota, rate and
-    pending rate, window sums, sensor reads and vehicle books.
+    bit-equal: state, every meter's phase, seconds left, quota, running and
+    pending red, window sums, sensor reads and vehicle books.
     Between windows one density is written below 0 and one above jam, so
     the clamp on entry runs, and a cell at jam runs the capacity drop.
     Every other window also writes every cell's density at its free-flow
@@ -746,12 +740,14 @@ def test_generated_kernel_matches_the_loop_reference(make_config):
     cells = [c for hw in cfg.highways for c in hw.cells]
     jam = [c.jam_density_vkml for c in cells]
     bounds = [_free_flow_bound(c) for c in cells]
-    generated_books, reference_books = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    generated_books, reference_books = [0.0, 0.0], [0.0, 0.0]
+    arrived = 0.0
     for window in range(60):
         block = generated.draw_arrivals(cfg.steps_per_control,
                                         rng).astype(float).tolist()
-        generated.advance(block, (generated_books,))
-        loops.advance(reference, block, (reference_books,))
+        arrived += sum(map(sum, block))
+        generated.advance(block, generated_books)
+        loops.advance(reference, block, reference_books)
         assert _plant_state(generated) == _plant_state(reference)
         assert generated_books == reference_books
         (obs_g, green_g), (obs_r, green_r) = (generated.read_window(),
@@ -770,7 +766,7 @@ def test_generated_kernel_matches_the_loop_reference(make_config):
                 plant.density[:] = [math.nextafter(b, math.inf) for b in bounds]
             plant.density[low] = below
             plant.density[high] = above
-    assert generated_books[0] > 0.0 and generated_books[2] > 0.0
+    assert arrived > 0.0 and generated_books[1] > 0.0
 
 
 @pytest.mark.parametrize("make_config", [_benchmark_short_config,
@@ -837,22 +833,28 @@ def test_a_cell_with_no_free_flow_bound_gets_a_branch_never_taken(monkeypatch):
     assert "if rho2 <= float('-inf'): " in _kernel_source(_slow_wave_config())
 
 
-def test_kernel_tracebacks_show_kernel_lines():
+def test_kernel_tracebacks_show_kernel_lines(monkeypatch):
     """The generated kernel's frames carry their source line, so a failure
     inside a window is readable in a traceback (and in a profile)."""
     cfg = _metered_config()
     plant = TrafficPlant(cfg)
-    # Past set_rates' check: the meter adopts it at its next green and fails
-    # when that green ends, where the kernel times the red.
-    plant._meter_pending[0] = 5000.0
-    with pytest.raises(ValueError, match="outside feasible meter range") as exc:
+    # The kernel reads the module's constants at each call: with no merge
+    # relaxation time the merge average divides by zero.
+    monkeypatch.setattr(plant_module, "MERGE_RELAX_S", 0.0)
+    with pytest.raises(ZeroDivisionError) as exc:
         block = plant.draw_arrivals(cfg.steps_per_control, np.random.default_rng(0))
-        plant.advance(block.astype(float).tolist())
+        plant.advance(block.astype(float).tolist(), [0.0, 0.0])
     frames = traceback.extract_tb(exc.tb)
     kernel = [frame for frame in frames if frame.filename.startswith("<rampnet.plant")]
-    assert len(kernel) == 1
-    assert kernel[0].line == "if lit0: left0 += rate_to_red_duration(rate0)"
-    assert frames[frames.index(kernel[0]) + 1].name == "rate_to_red_duration"
+    assert len(kernel) == 1 and frames[-1] == kernel[0]
+    assert kernel[0].line == "ema0 += (side1 - ema0) * 1.0 / relax"
+
+
+def _row_loop(tree):
+    """The kernel's ``for row in block:`` loop, one step per row."""
+    loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.target, ast.Name) and node.target.id == "row"]
+    return loop
 
 
 @pytest.mark.parametrize("make_config", [_benchmark_short_config,
@@ -861,11 +863,28 @@ def test_kernel_tracebacks_show_kernel_lines():
 def test_kernel_steps_touch_no_attributes(make_config):
     """Every value a step reads or writes is a local or a literal: the
     kernel's loop over the block's rows holds no attribute access."""
-    tree = ast.parse(_kernel_source(make_config()))
-    loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)
-             and isinstance(node.target, ast.Name) and node.target.id == "row"]
+    loop = _row_loop(ast.parse(_kernel_source(make_config())))
     assert [ast.unparse(node) for node in ast.walk(loop)
             if isinstance(node, ast.Attribute)] == []
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps"])
+def test_kernel_steps_call_nothing_and_index_nothing(make_config):
+    """A step computes each fact once on locals: the kernel's loop over the
+    block's rows holds no call and no subscript. Red times come from
+    ``set_rates``, the arrivals from the draw and the books are read into
+    locals, so the kernel names no red timing, arrival total or ledgers, and
+    ``advance`` must be handed its books."""
+    tree = ast.parse(_kernel_source(make_config()))
+    assert [ast.unparse(node) for stmt in _row_loop(tree).body
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Call, ast.Subscript))] == []
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert names.isdisjoint({"rate_to_red_duration", "total", "ledgers"})
+    books = inspect.signature(TrafficPlant.advance).parameters["books"]
+    assert books.default is inspect.Parameter.empty
 
 
 def test_run_episode_rejects_wrong_controller_shape():
