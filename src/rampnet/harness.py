@@ -317,17 +317,19 @@ def run_scenarios(config: NetworkConfig, sindyc: SparseModel,
     Episodes are independent (own plant, own RNG, own controller), so each
     ``(scenario, seed)`` pair is one job, and the jobs run in forked worker
     processes (see ``_map_episodes``); results come back in scenario order,
-    and each scenario's records in seed order. The planners look ``horizon``
-    control steps ahead, and every controller steers to
-    ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's ``time_split_s`` sums
-    its own episodes' time split, each measured in the process that ran the
-    episode, and each planner episode's record carries the planner's
-    diagnostics as its ``solver_steps``. A model whose state or input count
-    is not the network's ramp count, or a seed or scenario given twice (its
-    episode files would share a name), is refused before any episode runs;
-    an episode's exception is raised here, typed as it was raised.
+    and each scenario's episodes run and come back in ascending seed order,
+    the order in which a report lists them and ``load_raw_results`` reads
+    them back. The planners look ``horizon`` control steps ahead, and every
+    controller steers to ``feedback.TARGET_OCCUPANCY_PCT``. Each scenario's
+    ``time_split_s`` sums its own episodes' time split, each measured in the
+    process that ran the episode, and each planner episode's record carries
+    the planner's diagnostics as its ``solver_steps``. A model whose state or
+    input count is not the network's ramp count, or a seed or scenario given
+    twice (its episode files would share a name), is refused before any
+    episode runs; an episode's exception is raised here, typed as it was
+    raised.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise UsageError("no seeds given; at least one episode is needed")
     _refuse_repeats("seed", seeds)
@@ -407,7 +409,7 @@ def _map_episodes(episode, jobs) -> list[EpisodeRecord]:
 
 
 def horizon_sweep(model: SparseModel, config: NetworkConfig,
-                  horizons=range(3, 8), seeds=(0,)) -> list[dict]:
+                  horizons, seeds) -> list[dict]:
     """Run the ``sindyc-mpc`` scenario on ``model`` at each horizon.
 
     Returns one dict per horizon with the mean absolute occupancy deviation,
@@ -575,7 +577,13 @@ def pipeline(config: NetworkConfig, train_seeds, holdout_seeds, eval_seeds,
     ``report``. ``load_logs`` reads every episode CSV of a directory, so a
     root whose ``logs/`` or ``holdout/`` already holds one is refused with
     :class:`UsageError` before anything runs: its fit and scores would mix
-    in episodes of other seeds. No file is deleted."""
+    in episodes of other seeds. So are holdout seeds that are training
+    seeds: their scores would be of logs the fit trained on. No file is
+    deleted."""
+    shared = sorted(set(map(int, train_seeds)) & set(map(int, holdout_seeds)))
+    if shared:
+        raise UsageError(f"holdout seeds {shared} are training seeds too; a "
+                         f"holdout score must be of logs the fit never saw")
     root = Path(root)
     for directory in (root / "logs", root / "holdout"):
         stale = sorted(directory.glob("*.csv"))

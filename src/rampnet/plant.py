@@ -33,26 +33,26 @@ bits, so demand realizations depend on the seed alone. The counts convert to
 float exactly; CPython specializes float-float arithmetic but not int-float,
 so the kernel runs faster on floats with the same results.
 
-The steps run on Python floats in one window kernel, which
-:meth:`TrafficPlant.advance` calls once per control window with that
-window's arrival block and a ``[dropped, exits]`` pair of books
+The state is lists of Python floats, and the steps run on them in one window
+kernel, which :meth:`TrafficPlant.advance` calls once per control window with
+that window's arrival block and a ``[dropped, exits]`` pair of books
 (:meth:`TrafficPlant.step` is the kernel on a one-row block). The kernel is
 Python source generated for one network, ``_kernel_source``, and compiled
 once per distinct ``NetworkConfig`` (``_window_kernel`` caches it by the
-frozen config). It unpacks the state and the books into locals when the
-call starts, runs each row as one straight-line step and writes them back
-when the block is done. In a step every value is a local and every constant
-of the config a literal, so it spends nothing on attribute reads, indexing
-or calls; module constants such as ``CAPACITY_DROP_FRAC`` are read at each
-call. Arrivals are not added up: the episode's draw holds them. The
-generator is the one home of the cell rule, of merges, of the meters'
-green/red cycle and of the step's order; the red timing's home,
-:func:`rampnet.feedback.rate_to_red_duration`, runs once per published rate
-in :meth:`TrafficPlant.set_rates`. The steps are scalar Python, not numpy
-calls, because on the benchmark's 34 cells a numpy call on an 8-34 element
-array costs about as much as the arithmetic it does. Each element's float
-expressions keep the order of the array version of the plant, so episodes
-are bit-identical to it.
+frozen config). It unpacks each state list and the books into locals when
+the call starts, runs each row as one straight-line step and writes them
+back as new lists when the block is done, with no numpy call. In a step
+every value is a local and every constant of the config a literal, so it
+spends nothing on attribute reads, indexing or calls; module constants such
+as ``CAPACITY_DROP_FRAC`` are read at each call. Arrivals are not added up:
+the episode's draw holds them. The generator is the one home of the cell
+rule, of merges, of the meters' green/red cycle and of the step's order; the
+red timing's home, :func:`rampnet.feedback.rate_to_red_duration`, runs once
+per published rate in :meth:`TrafficPlant.set_rates`. The steps are scalar
+Python, not numpy calls, because on the benchmark's 34 cells a numpy call on
+an 8-34 element array costs about as much as the arithmetic it does. Each
+element's float expressions keep the order of the array version of the
+plant, so episodes are bit-identical to it.
 
 A cell at or below critical density sends ``vf * rho``, receives its full
 capacity and loses none of it (Daganzo 1994, *Transp. Res. B* 28:269), and
@@ -352,28 +352,26 @@ def _kernel_source(config: NetworkConfig) -> str:
     body += [f"t += {T}",
              "dropped += lost",
              "exits += " + " + ".join(f"out{i} * {TH}" for i in range(n_hw))]
-    # The state the kernel keeps in locals: the plant's numpy arrays as
-    # (prefix, count, attribute), then its per-ramp lists as (prefix, attribute).
-    arrays = (("rho", n, "density"), ("entry", n_hw, "entry_queues"),
-              ("queue", m, "ramp_queues"), ("ema", m, "_merge_flow_ema"))
-    lists = (("lit", "_meter_green"), ("left", "_meter_left_s"),
-             ("quota", "_meter_quota"), ("red", "_meter_red_s"),
-             ("pend", "_meter_pending_red_s"), ("occ", "_occ_sum"),
-             ("dens", "_dens_sum"), ("passed", "_passed_veh"),
-             ("green", "_green_s"))
+    # The state the kernel keeps in locals, each a list of the plant's:
+    # (prefix, count, attribute).
+    state = (("rho", n, "density"), ("entry", n_hw, "entry_queues"),
+             ("queue", m, "ramp_queues"), ("ema", m, "_merge_flow_ema"),
+             ("lit", m, "_meter_green"), ("left", m, "_meter_left_s"),
+             ("quota", m, "_meter_quota"), ("red", m, "_meter_red_s"),
+             ("pend", m, "_meter_pending_red_s"), ("occ", m, "_occ_sum"),
+             ("dens", m, "_dens_sum"), ("passed", m, "_passed_veh"),
+             ("green", m, "_green_s"))
     lines = [
         "def window(plant, block, books):",
         "    drop, fric, relax = CAPACITY_DROP_FRAC, MERGE_FRICTION_FRAC, MERGE_RELAX_S",
-        *(f"    {names(p, k)}= plant.{attr}.tolist()" for p, k, attr in arrays),
-        *(f"    {names(p, m)}= plant.{attr}" for p, attr in lists),
+        *(f"    {names(p, k)}= plant.{attr}" for p, k, attr in state),
         "    t = plant.time_s",
         "    dropped, exits = books",
         *(f"    {clamp(c, f'rho{c}')}" for c in range(n)),
         "    for row in block:",
         f"        {names('arr', n_hw + m)}= row",
         *(f"        {line}" for line in body),
-        *(f"    plant.{attr} = np.array([{names(p, k)}])" for p, k, attr in arrays),
-        *(f"    plant.{attr} = [{names(p, m)}]" for p, attr in lists),
+        *(f"    plant.{attr} = [{names(p, k)}]" for p, k, attr in state),
         "    plant.time_s = t",
         "    books[:] = dropped, exits",
     ]
@@ -403,7 +401,7 @@ class TrafficPlant:
     arrivals from it and :meth:`advance` runs one step per row of that block
     (:meth:`step` one row), so episode randomness is reproducible and
     independent of control actions. ``density``, ``entry_queues`` and
-    ``ramp_queues`` are numpy arrays that a call reads when it starts and
+    ``ramp_queues`` are float lists that a call reads when it starts and
     replaces when it ends; writing into them between calls sets the state
     (the next call clamps densities to [0, jam] before its first step).
     Each meter is kernel state too, one entry per ramp in five lists: green
@@ -427,15 +425,14 @@ class TrafficPlant:
                        for r in config.ramps]
         self._sensor_vf = [float(c.free_flow_kmh) for c in merge_cells]
         self._sensor_lanes = [float(c.lanes) for c in merge_cells]
-        self._veh_factor = np.array([float(c.length_km) * float(c.lanes)
-                                     for c in cells])
+        self._veh_factor = [float(c.length_km) * float(c.lanes) for c in cells]
 
         self.time_s = 0.0
-        self.density = np.zeros(len(cells))
+        self.density = [0.0] * len(cells)
         m = len(config.ramps)
-        self.entry_queues = np.zeros(len(config.highways))
-        self.ramp_queues = np.zeros(m)
-        self._merge_flow_ema = np.zeros(m)  # veh/h, recent admissions
+        self.entry_queues = [0.0] * len(config.highways)
+        self.ramp_queues = [0.0] * m
+        self._merge_flow_ema = [0.0] * m  # veh/h, recent admissions
         self._meter_green = [True] * m
         self._meter_left_s = [GREEN_DURATION_S] * m
         self._meter_quota = [1.0] * m
@@ -466,8 +463,8 @@ class TrafficPlant:
 
     def total_vehicles(self) -> float:
         """All vehicles currently inside: cells plus every kind of queue."""
-        return float(self.density @ self._veh_factor
-                     + self.entry_queues.sum() + self.ramp_queues.sum())
+        return (sum(rho * veh for rho, veh in zip(self.density, self._veh_factor))
+                + sum(self.entry_queues) + sum(self.ramp_queues))
 
     def draw_arrivals(self, steps: int, rng) -> np.ndarray:
         """Poisson arrivals for ``steps`` simulation steps in one draw, as a
@@ -493,7 +490,7 @@ class TrafficPlant:
 
         ``block`` holds rows of :meth:`draw_arrivals` as lists of Python
         floats: the vehicles that reach each source (highways, then ramps)
-        during each step. The state arrays are read when the call starts and
+        during each step. The state lists are read when the call starts and
         replaced when it ends. ``books`` is a ``[dropped, exits]`` list in
         veh: each step adds its ramp drops and its exits to them. The
         arrivals are the block's own sum, so the books do not keep them.

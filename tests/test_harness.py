@@ -183,17 +183,29 @@ def test_pipeline_refuses_a_root_that_already_holds_logs(tmp_path):
             [root / directory, *stale, EpisodeRecord.sidecar_path(stale[0])])
 
 
+def test_pipeline_refuses_holdout_seeds_that_are_training_seeds(tmp_path, monkeypatch):
+    """A holdout score of a log the fit trained on is no holdout score: the
+    shared seeds are named before any episode runs or any file is written."""
+    def no_episode(episode, jobs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "_map_episodes", no_episode)
+    with pytest.raises(UsageError, match=r"holdout seeds \[2, 3\] are training"):
+        harness.pipeline(_tiny_network(), [3, 1, 2], [2, 4, 3], [5], tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_collect_writes_what_a_report_writes_to_raw(tmp_path):
     """One writer: ``collect``'s CSVs and sidecars are byte for byte the
     ``raw/`` files of a report on ``run_scenarios`` of the same feedback
-    scenario and seeds."""
+    scenario and seeds, both in ascending seed order."""
     config = _tiny_network()
     for name in FEEDBACK_CONTROLLERS:
         logs = collect(config, name, [4, 2], tmp_path / name / "logs")
         raw = report(run_scenarios(config, None, None, [4, 2], scenarios=(name,)),
                      tmp_path / name / "report", config)["raw"]
         assert [p.name for p in logs] == [p.name for p in raw] == [
-            f"{name}-seed4.csv", f"{name}-seed2.csv"]
+            f"{name}-seed2.csv", f"{name}-seed4.csv"]
         for log, rp in zip(logs, raw):
             assert log.read_bytes() == rp.read_bytes()
             assert (EpisodeRecord.sidecar_path(log).read_bytes()
@@ -772,30 +784,37 @@ def test_report_rebuilt_from_raw_episodes_matches_the_summary(tmp_path):
     config = replace(_tiny_network(), ramps=(
         RampSpec("H1-R1", "H1", 1, "H1-S1", 3000.0, queue_capacity_veh=5.0),))
     _, dmdc = _tiny_models()
-    results = run_scenarios(config, None, dmdc, [0, 1],
-                            scenarios=("no-control", "alinea", "dmd-mpc"))
-    # Neither regulator leaves the rate box; a clamp count stands in for a
-    # controller that did, and has to survive the round trip as well.
-    results[1].records[1].clamp_events = 3
-    first = report(results, tmp_path / "run", config)["summary"]
-    rebuilt = report(load_raw_results(tmp_path / "run" / "raw"),
-                     tmp_path / "rebuilt", config, write_raw=False)["summary"]
-    original = json.loads(first.read_text())
-    again = json.loads(rebuilt.read_text())
-    assert min(original["scenarios"]["no-control"]["dropped_veh"]) > 0.0
-    assert again["scenarios"]["alinea"]["clamp_events"] == [0, 3]
-    # A meter pinned at the top rate never shows red; a rebuild that lost the
-    # sidecar's green seconds would read 0.
-    assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
-    # Episode timing describes the original run; raw episodes do not carry it.
-    assert set(original["time_split_s"]) == {"no-control", "alinea", "dmd-mpc"}
-    assert again["time_split_s"] == {}
-    # The planner's steps, solve times included, travel in the sidecars, and
-    # the CSVs hold every value's bits, so the rest is rebuilt exactly.
-    assert original["solver"]["dmd-mpc"]["solves"] > 0
-    assert again.keys() == original.keys()
-    del again["time_split_s"], original["time_split_s"]
-    assert again == original
+    # Seeds given in either order run and are reported in ascending order,
+    # the order in which the raw episodes are read back.
+    for seeds in ([0, 1], [1, 0]):
+        out = tmp_path / "-".join(map(str, seeds))
+        results = run_scenarios(config, None, dmdc, seeds,
+                                scenarios=("no-control", "alinea", "dmd-mpc"))
+        assert [[r.seed for r in res.records] for res in results] == [[0, 1]] * 3
+        # Neither regulator leaves the rate box; a clamp count stands in for
+        # a controller that did, and has to survive the round trip as well.
+        seed_one, = [r for r in results[1].records if r.seed == 1]
+        seed_one.clamp_events = 3
+        first = report(results, out / "run", config)["summary"]
+        rebuilt = report(load_raw_results(out / "run" / "raw"),
+                         out / "rebuilt", config, write_raw=False)["summary"]
+        original = json.loads(first.read_text())
+        again = json.loads(rebuilt.read_text())
+        assert min(original["scenarios"]["no-control"]["dropped_veh"]) > 0.0
+        assert again["scenarios"]["alinea"]["clamp_events"] == [0, 3]
+        # A meter pinned at the top rate never shows red; a rebuild that lost
+        # the sidecar's green seconds would read 0.
+        assert again["scenarios"]["no-control"]["measured_green_pct"] == [100.0]
+        # Episode timing describes the original run; raw episodes do not
+        # carry it.
+        assert set(original["time_split_s"]) == {"no-control", "alinea", "dmd-mpc"}
+        assert again["time_split_s"] == {}
+        # The planner's steps, solve times included, travel in the sidecars,
+        # and the CSVs hold every value's bits, so the rest is rebuilt exactly.
+        assert original["solver"]["dmd-mpc"]["solves"] > 0
+        assert again.keys() == original.keys()
+        del again["time_split_s"], original["time_split_s"]
+        assert again == original
 
 
 def test_report_requires_results():

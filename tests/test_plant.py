@@ -167,7 +167,7 @@ def test_set_rates_publishes_all_or_none():
 
 def test_discharge_at_or_below_critical_is_nominal():
     plant = TrafficPlant(_line_config(2))
-    plant.density[:] = 20.0  # exactly critical for a 2000 veh/h/lane cell
+    plant.density = [20.0] * 2  # exactly critical for a 2000 veh/h/lane cell
     assert _exits(plant) == pytest.approx(6000.0 / 3600.0, rel=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_discharge_drops_linearly_beyond_critical():
     """An over-critical cell wastes throughput; halfway to jam it loses half
     the configured drop fraction."""
     plant = TrafficPlant(_line_config(2))
-    plant.density[:] = 90.0  # (90 - 20) / (160 - 20) = 0.5 of the way to jam
+    plant.density = [90.0] * 2  # (90 - 20) / (160 - 20) = 0.5 of the way to jam
     expected = 6000.0 * (1.0 - 0.5 * CAPACITY_DROP_FRAC) / 3600.0
     assert _exits(plant) == pytest.approx(expected, rel=1e-12)
 
@@ -184,7 +184,7 @@ def test_discharge_is_monotone_in_congestion():
     flows = []
     for rho in (20.0, 60.0, 100.0, 150.0):
         plant = TrafficPlant(_line_config(2))
-        plant.density[:] = rho
+        plant.density = [rho] * 2
         flows.append(_exits(plant))
     assert flows[0] == max(flows)
     assert flows == sorted(flows, reverse=True)
@@ -216,8 +216,8 @@ def test_density_never_exceeds_jam():
     rng = np.random.default_rng(5)
     for _ in range(600):
         _step(plant, rng)
-        assert (plant.density <= 160.0 + 1e-9).all()
-        assert (plant.density >= 0.0).all()
+        assert max(plant.density) <= 160.0 + 1e-9
+        assert min(plant.density) >= 0.0
 
 
 # -- conservation ----------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_run_episode_catches_a_step_that_leaks_vehicles(monkeypatch):
 
     def leaky_advance(self, block, books):
         advance(self, block, books)
-        self.density = self.density * (1.0 - 1e-6)
+        self.density = [rho * (1.0 - 1e-6) for rho in self.density]
 
     cfg = _metered_config()
     run_episode(cfg, lambda obs: np.array([900.0]), seed=3)
@@ -260,8 +260,8 @@ def test_same_seed_reproduces_the_trajectory_bitwise():
     for _ in range(200):
         _step(a, ra)
         _step(b, rb)
-    assert np.array_equal(a.density, b.density)
-    assert np.array_equal(a.ramp_queues, b.ramp_queues)
+    assert a.density == b.density
+    assert a.ramp_queues == b.ramp_queues
 
 
 def test_arrivals_are_independent_of_control():
@@ -302,7 +302,7 @@ def test_window_aggregates_have_sane_ranges():
 
 def test_occupancy_saturates_at_hundred_percent():
     plant = TrafficPlant(_metered_config())
-    plant.density[:] = 160.0
+    plant.density = [160.0] * 3
     _step(plant, np.random.default_rng(0))
     obs, _ = plant.read_window()
     assert obs.occupancy[0] == 100.0
@@ -463,8 +463,8 @@ def test_episode_digests_are_pinned(make_config, seed, digest, dropped_veh):
 
 def _plant_state(plant):
     """Everything a step reads or writes, as plain values."""
-    return (plant.time_s, plant.density.tolist(), plant.entry_queues.tolist(),
-            plant.ramp_queues.tolist(), plant._merge_flow_ema.tolist(),
+    return (plant.time_s, plant.density, plant.entry_queues,
+            plant.ramp_queues, plant._merge_flow_ema,
             plant._meter_green, plant._meter_left_s, plant._meter_quota,
             plant._meter_red_s, plant._meter_pending_red_s,
             plant._steps_in_window, plant._occ_sum, plant._dens_sum,
@@ -625,10 +625,10 @@ class _LoopKernel:
             sig.phase = "green" if green else "red"
             sig.remaining_s, sig.quota_veh = left, quota
             signals.append(sig)
-        rho = plant.density.tolist()
-        entry = plant.entry_queues.tolist()
-        queues = plant.ramp_queues.tolist()
-        ema = plant._merge_flow_ema.tolist()
+        rho = plant.density
+        entry = plant.entry_queues[:]
+        queues = plant.ramp_queues[:]
+        ema = plant._merge_flow_ema[:]
         n, n_hw = len(rho), len(entry)
         zeros = [0.0] * n
         rho, send, recv, dis = settle(rho, zeros, zeros, ts_h)
@@ -707,10 +707,10 @@ class _LoopKernel:
             plant.time_s += ts
             books[0] += dropped
             books[1] += exits
-        plant.density = np.array(rho)
-        plant.entry_queues = np.array(entry)
-        plant.ramp_queues = np.array(queues)
-        plant._merge_flow_ema = np.array(ema)
+        plant.density = rho
+        plant.entry_queues = entry
+        plant.ramp_queues = queues
+        plant._merge_flow_ema = ema
         plant._meter_green = [sig.phase == "green" for sig in signals]
         plant._meter_left_s = [sig.remaining_s for sig in signals]
         plant._meter_quota = [sig.quota_veh for sig in signals]
@@ -885,6 +885,27 @@ def test_kernel_steps_call_nothing_and_index_nothing(make_config):
     assert names.isdisjoint({"rate_to_red_duration", "total", "ledgers"})
     books = inspect.signature(TrafficPlant.advance).parameters["books"]
     assert books.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("make_config", [_benchmark_short_config,
+                                         _two_highway_config],
+                         ids=["benchmark-corridor", "junction-and-two-ramps"])
+def test_plant_state_is_python_floats_with_no_array_round_trip(make_config):
+    """The plant keeps its cell, queue and merge state as lists of Python
+    floats, as built and as each kernel call leaves it, so the kernel
+    unpacks and writes back plain lists and calls no numpy."""
+    cfg = make_config()
+    source = _kernel_source(cfg)
+    assert "np." not in source and ".tolist(" not in source
+    plant = TrafficPlant(cfg)
+    for _ in range(2):
+        for attr in ("density", "entry_queues", "ramp_queues", "_merge_flow_ema"):
+            value = getattr(plant, attr)
+            assert type(value) is list and value, attr
+            assert all(type(v) is float for v in value), attr
+        block = plant.draw_arrivals(cfg.steps_per_control,
+                                    np.random.default_rng(2)).astype(float).tolist()
+        plant.advance(block, [0.0, 0.0])
 
 
 def test_run_episode_rejects_wrong_controller_shape():
